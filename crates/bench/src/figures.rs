@@ -9,7 +9,7 @@ use bgp_core::{Session, INIT_CYCLES, START_CYCLES, STOP_CYCLES, TOTAL_OVERHEAD_C
 use bgp_mpi::{CounterPolicy, SemOp};
 use bgp_nas::{Class, Kernel};
 use bgp_postproc::{
-    ddr_traffic_bytes_per_node, fp_mix, l3_miss_ratio, mflops_per_chip, Csv, MixCategory,
+    ddr_traffic_bytes_per_node, fp_mix, l3_miss_ratio, mflops_per_chip, Csv, Frame, MixCategory,
 };
 
 /// Fig. 3: the modes-of-operation table.
@@ -359,7 +359,6 @@ pub fn fig_ext_faults(scale: Scale) -> Csv {
     use bgp_core::collect::{collect_dumps, RetryPolicy};
     use bgp_core::{run_instrumented, WHOLE_PROGRAM_SET};
     use bgp_faults::{FaultPlan, FaultSpec};
-    use bgp_postproc::{AggregateOptions, DegradedFrame};
     use std::sync::Arc;
 
     let kernel = Kernel::Mg;
@@ -399,19 +398,18 @@ pub fn fig_ext_faults(scale: Scale) -> Csv {
         let mut spec = bgp_mpi::JobSpec::new(ranks, OpMode::VirtualNode);
         spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode2);
         let nodes = spec.nodes();
+        let census = spec.counter_policy.census(nodes);
         let plan = Arc::new(FaultPlan::new(fspec, 0xFA17_5EED, nodes));
         spec.faults = Some(Arc::clone(&plan));
         let machine = bgp_mpi::Machine::new(spec);
         let (_, lib) = run_instrumented(&machine, move |ctx| kernel.exec(class, ctx));
         let coll = collect_dumps(&lib, &plan, &RetryPolicy::default());
-        let frame = DegradedFrame::from_dumps(
-            &coll.dumps,
-            WHOLE_PROGRAM_SET,
-            AggregateOptions::fixed(CounterMode::Mode2, nodes),
-        );
-        let metric = frame
-            .reliable_frame()
-            .map_or(f64::NAN, |f| ddr_traffic_bytes_per_node(&f));
+        let frame = Frame::from_survivors(&coll.dumps, WHOLE_PROGRAM_SET, census);
+        let metric = if frame.coverage() > 0.0 {
+            ddr_traffic_bytes_per_node(&frame)
+        } else {
+            f64::NAN
+        };
         let clean = *clean_metric.get_or_insert(metric);
         let deviation =
             if clean > 0.0 { (metric - clean) / clean * 100.0 } else { 0.0 };
@@ -424,7 +422,7 @@ pub fn fig_ext_faults(scale: Scale) -> Csv {
             coll.total_backoff_cycles().to_string(),
             format!("{metric:.0}"),
             format!("{deviation:.2}"),
-            frame.sanity().len().to_string(),
+            frame.anomalies().len().to_string(),
         ]);
     }
     csv

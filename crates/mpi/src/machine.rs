@@ -6,7 +6,7 @@ use crate::comm::{CollKind, CollSlot, Message, Payload};
 use crate::ctx::RankCtx;
 use crate::mux::{MuxMark, MuxState, MuxSummary};
 use crate::sched::{take_suspend, Claim, LeaveOutcome, PhaseEngine, Suspend, Wait};
-use bgp_arch::events::CounterMode;
+use bgp_arch::events::{CounterMode, NUM_MODES};
 use bgp_arch::geometry::{NodeId, TorusDims};
 use bgp_arch::sync::Mutex;
 use bgp_arch::{MachineConfig, OpMode};
@@ -96,11 +96,21 @@ impl CounterPolicy {
                 }
             }
             CounterPolicy::Multiplexed { first, .. } => {
-                let n = bgp_arch::events::NUM_MODES;
-                CounterMode::from_index((first.index() + node.0) % n)
+                CounterMode::from_index((first.index() + node.0) % NUM_MODES)
                     .expect("mode index in range")
             }
         }
+    }
+
+    /// How many of `n_nodes` nodes start in each counter mode: the
+    /// census [`CounterPolicy::mode_for`] yields over nodes `0..n_nodes`.
+    /// Post-processing measures coverage against it.
+    pub fn census(&self, n_nodes: usize) -> [usize; NUM_MODES] {
+        let mut census = [0usize; NUM_MODES];
+        for i in 0..n_nodes {
+            census[self.mode_for(NodeId(i)).index()] += 1;
+        }
+        census
     }
 
     /// Whether this policy rotates modes at phase boundaries.
@@ -1473,6 +1483,15 @@ mod tests {
         // SP/BT run 121 ranks; in VNM that needs 31 nodes.
         let spec = JobSpec::new(121, OpMode::VirtualNode);
         assert_eq!(spec.nodes(), 31);
+    }
+
+    #[test]
+    fn census_counts_nodes_per_starting_mode() {
+        let even_odd = CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode1 };
+        assert_eq!(even_odd.census(5), [3, 2, 0, 0]);
+        assert_eq!(CounterPolicy::Fixed(CounterMode::Mode2).census(7), [0, 0, 7, 0]);
+        let mux = CounterPolicy::Multiplexed { first: CounterMode::Mode3, base_dwell: 8 };
+        assert_eq!(mux.census(7), [2, 2, 1, 2]);
     }
 
     #[test]

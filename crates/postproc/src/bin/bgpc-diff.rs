@@ -10,30 +10,54 @@
 //! threshold (default 5%), sorted by relative change; useful for
 //! before/after comparisons of a flag, cache size, or mode switch.
 
+use bgp_arch::cli::ArgParser;
 use bgp_postproc::Frame;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let mut positional = Vec::new();
-    let mut set = 0u32;
-    let mut threshold = 5.0f64;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--set" => set = it.next().and_then(|v| v.parse().ok()).unwrap_or(0),
-            "--threshold" => {
-                threshold = it.next().and_then(|v| v.parse().ok()).unwrap_or(5.0)
-            }
-            other => positional.push(PathBuf::from(other)),
-        }
-    }
-    if positional.len() != 2 {
-        eprintln!("usage: bgpc-diff <dir-a> <dir-b> [--set N] [--threshold PCT]");
-        return ExitCode::FAILURE;
-    }
+const USAGE: &str = "usage: bgpc-diff <dir-a> <dir-b> [--set N] [--threshold PCT]";
 
-    let frames: Vec<Frame> = match positional
+#[derive(Debug)]
+struct Args {
+    dirs: [PathBuf; 2],
+    set: u32,
+    threshold: f64,
+}
+
+impl Args {
+    fn from_args(argv: Vec<String>) -> Result<Args, String> {
+        let mut p = ArgParser::from_args(USAGE, argv);
+        let mut dirs = Vec::new();
+        let mut set = 0;
+        let mut threshold = 5.0f64;
+        while let Some(flag) = p.next_flag()? {
+            match flag.as_str() {
+                "--set" => set = p.parse(&flag)?,
+                "--threshold" => threshold = p.parse(&flag)?,
+                other if !other.starts_with('-') => dirs.push(PathBuf::from(other)),
+                other => return Err(p.unexpected(other)),
+            }
+        }
+        if !(threshold.is_finite() && threshold >= 0.0) {
+            return Err(format!("--threshold: {threshold} is not a percentage"));
+        }
+        let dirs: [PathBuf; 2] =
+            dirs.try_into().map_err(|_| p.missing("exactly two dump directories"))?;
+        Ok(Args { dirs, set, threshold })
+    }
+}
+
+fn main() -> ExitCode {
+    let args = match Args::from_args(std::env::args().skip(1).collect()) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("bgpc-diff: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let Args { dirs, set, threshold } = args;
+
+    let frames: Vec<Frame> = match dirs
         .iter()
         .map(|p| {
             bgp_core::read_dumps(p)
@@ -80,4 +104,40 @@ fn main() -> ExitCode {
         println!("{name:<32} {ma:>16.1} {mb:>16.1} {change:>+9.1}%");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        Args::from_args(argv.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn flags_and_directories_parse() {
+        let a = parse(&["a", "--set", "3", "b", "--threshold", "0.5"]).unwrap();
+        assert_eq!(a.dirs, [PathBuf::from("a"), PathBuf::from("b")]);
+        assert_eq!((a.set, a.threshold), (3, 0.5));
+        let a = parse(&["a", "b"]).unwrap();
+        assert_eq!((a.set, a.threshold), (0, 5.0));
+    }
+
+    #[test]
+    fn malformed_values_name_their_flag() {
+        for (argv, flag) in [
+            (&["a", "b", "--set", "abc"][..], "--set"),
+            (&["a", "b", "--threshold", "abc"][..], "--threshold"),
+            (&["a", "b", "--threshold"][..], "--threshold"),
+            (&["a", "b", "--threshold", "-1"][..], "--threshold"),
+            (&["a", "b", "--threshold", "nan"][..], "--threshold"),
+        ] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.starts_with(flag), "{argv:?}: {err}");
+        }
+        assert!(parse(&["a"]).unwrap_err().contains("two dump directories"));
+        assert!(parse(&["a", "b", "c"]).is_err());
+        assert!(parse(&["a", "b", "--bogus"]).unwrap_err().contains("--bogus"));
+        assert_eq!(parse(&["--help"]).unwrap_err(), USAGE);
+    }
 }

@@ -3,7 +3,7 @@
 //! tools).
 //!
 //! ```text
-//! bgpc-dump <dir-or-file> [--set N] [--csv out.csv] [--all] [--top K] [--json]
+//! bgpc-dump <dir-or-file> [--set N] [--csv out.csv] [--all] [--top K] [--report] [--json]
 //! ```
 //!
 //! * default: summary per node + across-node statistics of the set's
@@ -23,17 +23,23 @@
 //! sets next to each user set: four per-mode blocks and one schedule
 //! set recording the rotation's per-mode cycle/phase weights. Set
 //! listings label them (`mux[set.mN]`, `sched[set]`) instead of
-//! printing the raw high-bit ids, and `--json` adds a `mux_schedule`
-//! object (weights pooled across nodes) plus the counter `policy`
+//! printing the raw high-bit ids, and `--json` adds a `mux_weights`
+//! object (the partition-pooled per-mode weights reconstruction scales
+//! by, and whether they are cycles or phases) plus the counter `policy`
 //! recorded in `run.json` when present.
 
-use bgp_arch::events::{EventId, NUM_MODES};
+use bgp_arch::cli::ArgParser;
+use bgp_arch::events::EventId;
 use bgp_core::dump::NodeDump;
-use bgp_postproc::{stats_csv, EventStats, Frame};
+use bgp_postproc::{mux_weights, stats_csv, EventStats, Frame};
 use bgp_trace::json::escape;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: bgpc-dump <dir-or-file> [--set N] [--csv out.csv] [--all] [--top K] \
+                     [--report] [--json]";
+
+#[derive(Debug)]
 struct Args {
     input: PathBuf,
     set: u32,
@@ -44,52 +50,37 @@ struct Args {
     top: usize,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut input = None;
-    let mut set = 0;
-    let mut csv = None;
-    let mut all = false;
-    let mut report = false;
-    let mut json = false;
-    let mut top = 20;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--set" => {
-                set = it
-                    .next()
-                    .ok_or("--set needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--set: {e}"))?;
+impl Args {
+    fn from_args(argv: Vec<String>) -> Result<Args, String> {
+        let mut p = ArgParser::from_args(USAGE, argv);
+        let mut input = None;
+        let mut a = Args {
+            input: PathBuf::new(),
+            set: 0,
+            csv: None,
+            all: false,
+            report: false,
+            json: false,
+            top: 20,
+        };
+        while let Some(flag) = p.next_flag()? {
+            match flag.as_str() {
+                "--set" => a.set = p.parse(&flag)?,
+                "--csv" => a.csv = Some(p.path(&flag)?),
+                "--all" => a.all = true,
+                "--report" => a.report = true,
+                "--json" => a.json = true,
+                "--top" => a.top = p.parse(&flag)?,
+                other if input.is_none() && !other.starts_with('-') => {
+                    input = Some(PathBuf::from(other));
+                }
+                other => return Err(p.unexpected(other)),
             }
-            "--csv" => csv = Some(PathBuf::from(it.next().ok_or("--csv needs a path")?)),
-            "--all" => all = true,
-            "--report" => report = true,
-            "--json" => json = true,
-            "--top" => {
-                top = it
-                    .next()
-                    .ok_or("--top needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--top: {e}"))?;
-            }
-            "--help" | "-h" => {
-                return Err("usage: bgpc-dump <dir-or-file> [--set N] [--csv out.csv] [--all] [--top K] [--json]"
-                    .into());
-            }
-            other if input.is_none() => input = Some(PathBuf::from(other)),
-            other => return Err(format!("unexpected argument {other}")),
         }
+        let what = "input path (a .bgpc file or a directory of them)";
+        a.input = input.ok_or_else(|| p.missing(what))?;
+        Ok(a)
     }
-    Ok(Args {
-        input: input.ok_or("missing input path (a .bgpc file or a directory of them)")?,
-        set,
-        csv,
-        all,
-        report,
-        json,
-        top,
-    })
 }
 
 /// Run metadata `bgpc-run` records next to the dumps in `run.json`:
@@ -125,25 +116,6 @@ fn set_label(id: u32) -> String {
     }
 }
 
-/// Rotation-schedule weights for `set`, pooled over every node that
-/// carries a schedule set (multiplexed dumps only).
-fn pooled_schedule(dumps: &[NodeDump], set: u32) -> Option<([u64; NUM_MODES], [u64; NUM_MODES])> {
-    let sched_id = bgp_core::dump::mux_sched_id(set);
-    let mut cycles = [0u64; NUM_MODES];
-    let mut phases = [0u64; NUM_MODES];
-    let mut seen = false;
-    for d in dumps {
-        if let Some(s) = d.set(sched_id) {
-            seen = true;
-            for m in 0..NUM_MODES {
-                cycles[m] += s.counts.get(m).copied().unwrap_or(0);
-                phases[m] += s.counts.get(NUM_MODES + m).copied().unwrap_or(0);
-            }
-        }
-    }
-    seen.then_some((cycles, phases))
-}
-
 /// Render dumps + statistics as one JSON document (stable key order).
 fn render_json(
     dumps: &[NodeDump],
@@ -162,15 +134,12 @@ fn render_json(
             let _ = writeln!(out, "  \"policy\": {},", escape(policy));
         }
     }
-    if let Some((cycles, phases)) = pooled_schedule(dumps, set) {
-        let join = |w: &[u64]| {
-            w.iter().map(u64::to_string).collect::<Vec<_>>().join(", ")
-        };
+    if let Some((w, basis)) = mux_weights(dumps, set) {
+        let w: Vec<String> = w.iter().map(u64::to_string).collect();
         let _ = writeln!(
             out,
-            "  \"mux_schedule\": {{\"cycles\": [{}], \"phases\": [{}]}},",
-            join(&cycles),
-            join(&phases)
+            "  \"mux_weights\": {{\"basis\": \"{basis}\", \"weights\": [{}]}},",
+            w.join(", ")
         );
     }
     out.push_str("  \"nodes\": [\n");
@@ -227,10 +196,10 @@ fn load(input: &Path) -> Result<Vec<NodeDump>, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match Args::from_args(std::env::args().skip(1).collect()) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("bgpc-dump: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -283,8 +252,8 @@ fn main() -> ExitCode {
             .collect();
         println!("  node {:>5}  {}  sets: [{}]", d.node, d.mode, sets.join(", "));
     }
-    if let Some((cycles, phases)) = pooled_schedule(&dumps, args.set) {
-        println!("mux schedule (pooled): cycles {cycles:?}, phases {phases:?}");
+    if let Some((w, basis)) = mux_weights(&dumps, args.set) {
+        println!("mux weights (pooled {basis}): {w:?}");
     }
     for a in frame.anomalies() {
         println!("warning: {a}");
@@ -326,4 +295,40 @@ fn main() -> ExitCode {
         println!("\nstatistics written to {}", path.display());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        Args::from_args(argv.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn flags_and_input_parse() {
+        let a = parse(&["--set", "2", "dumps", "--csv", "o.csv", "--top", "5", "--report"])
+            .unwrap();
+        assert_eq!(a.input, PathBuf::from("dumps"));
+        assert_eq!((a.set, a.top, a.report, a.all, a.json), (2, 5, true, false, false));
+        assert_eq!(a.csv, Some(PathBuf::from("o.csv")));
+        let a = parse(&["dumps", "--all", "--json"]).unwrap();
+        assert_eq!((a.set, a.top, a.all, a.json), (0, 20, true, true));
+    }
+
+    #[test]
+    fn malformed_values_name_their_flag() {
+        for (argv, flag) in [
+            (&["d", "--set", "abc"][..], "--set"),
+            (&["d", "--top", "-3"][..], "--top"),
+            (&["d", "--top"][..], "--top"),
+            (&["d", "--csv"][..], "--csv"),
+        ] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.starts_with(flag), "{argv:?}: {err}");
+        }
+        assert!(parse(&[]).unwrap_err().contains("missing input path"));
+        assert!(parse(&["a", "b"]).unwrap_err().contains("unexpected argument b"));
+        assert!(parse(&["--help"]).unwrap_err().contains("--report"));
+    }
 }

@@ -7,29 +7,30 @@
 //! counters), and print `.csv` records per application (§IV). This crate
 //! is those tools:
 //!
-//! * [`frame::Frame`] — aggregation + integrity checks,
-//! * [`degraded::DegradedFrame`] — degraded-mode aggregation over the
-//!   nodes that survived a faulted run, with per-event coverage,
+//! * [`frame::Frame`] — the one counter estimator: per-(node, mode)
+//!   observations, weighted by the share of the run each covered, reduced
+//!   to per-event statistics strictly ([`Frame::from_dumps`], integrity
+//!   checks) or over the nodes that survived a faulted run
+//!   ([`Frame::from_survivors`], coverage floor and outlier rule),
 //! * [`metrics`] — MFLOPS, DDR traffic/bandwidth, L3 miss ratio, and the
 //!   Fig. 6 instruction-mix categories,
 //! * [`csv`] — CSV emission, including the "all 512 counters" option,
 //! * [`validate`] — ground-truth event validation: exact,
-//!   multiplexed-reconstructed, and fault-degraded counts checked
-//!   against the simulator's independent bookkeeping.
+//!   multiplexed-reconstructed, and fault-degraded counts, estimated by
+//!   the same observations, checked against the simulator's independent
+//!   bookkeeping.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod degraded;
 pub mod frame;
 pub mod metrics;
 pub mod report;
 pub mod validate;
 
 pub use csv::{stats_csv, Csv};
-pub use degraded::{AggregateOptions, DegradedEventStats, DegradedFrame};
-pub use frame::{EventStats, Frame};
+pub use frame::{mux_weights, EventStats, Frame};
 pub use validate::{NodeTruth, TruthEntry, ValidationReport};
 pub use report::render as render_report;
 pub use metrics::{

@@ -4,7 +4,8 @@
 //! The simulator keeps ground truth the UPC unit never sees — per-core
 //! `bgp_node::core::InstrCounts` and FPU class counts, node-level
 //! `MemStats`, and the node's always-on mode-3 mirror — so every event
-//! with an independent source can be checked three ways:
+//! with an independent source can be checked three ways, each leg read
+//! off the crate's one estimator ([`crate::frame`]):
 //!
 //! * **exact** — a `Fixed(mode)` run's counter value must equal the
 //!   truth bit-for-bit (the 0%-error families),
@@ -12,21 +13,20 @@
 //!   `est = raw × total_weight / weight(mode)` must land within a small
 //!   relative error, with a per-event error bar of
 //!   `est × (1 − weight/total)` (the un-observed fraction). Weights are
-//!   the per-mode *enabled job cycles* from the rotation's schedule set
-//!   (see [`bgp_core::dump::MUX_SCHED_BASE`]) — dwell phases vary wildly
-//!   in length, so phase counts alone mis-weight short, hot phases —
-//!   falling back to phase counts when the schedule set is absent,
-//! * **degraded** — a fault-injected run's values, reported so the
-//!   damage is visible next to the clean numbers.
+//!   the partition-pooled [`crate::frame::mux_weights`],
+//! * **degraded** — a fault-injected run's values, reconstructed the same
+//!   way and reported so the damage is visible next to the clean
+//!   numbers. No outlier rule applies: the report exists to show it.
 //!
+//! Estimates are rounded per (node, event) before they are summed.
 //! Truth entries are produced by the harness (`bgp-bench`, which can
 //! reach into the machine) as [`TruthEntry`] lists per node; this module
-//! owns the comparison, the reconstruction arithmetic, and the report
-//! (CSV + JSON).
+//! owns the comparison and the report (CSV + JSON).
 
 use crate::csv::Csv;
+use crate::frame::Source;
 use bgp_arch::events::{EventId, NUM_COUNTERS, NUM_MODES};
-use bgp_core::dump::{mux_sched_id, mux_set_id, NodeDump};
+use bgp_core::dump::{mux_set_id, NodeDump};
 
 /// One independently-derivable quantity on one node: the sum of the
 /// listed events must equal `truth`. Single-event entries validate one
@@ -49,27 +49,6 @@ pub struct NodeTruth {
     pub node: u32,
     /// The node's checkable quantities.
     pub entries: Vec<TruthEntry>,
-}
-
-/// Occupancy-weighted reconstruction of a full-coverage count from one
-/// mode's raw count: `raw × total / occ`, rounded to nearest. Returns
-/// `None` when the mode never occupied a phase (the event was never
-/// observed).
-pub fn reconstruct(raw: u64, occ: u64, total: u64) -> Option<u64> {
-    if occ == 0 {
-        return None;
-    }
-    let est = (u128::from(raw) * u128::from(total) + u128::from(occ) / 2) / u128::from(occ);
-    Some(est.min(u128::from(u64::MAX)) as u64)
-}
-
-/// Half-width of the reconstruction's error bar: the estimate scaled by
-/// the fraction of the window the mode did *not* observe.
-pub fn error_bar(est: u64, occ: u64, total: u64) -> f64 {
-    if total == 0 {
-        return 0.0;
-    }
-    est as f64 * (1.0 - occ as f64 / total as f64)
 }
 
 /// Relative error of `got` against `truth` (denominator floored at 1 so
@@ -152,19 +131,25 @@ impl ValidationReport {
         degraded: Option<&[NodeDump]>,
         set: u32,
     ) -> ValidationReport {
-        let mux_weights = partition_weights(mux, set);
-        let deg_weights =
-            degraded.map_or([0; NUM_MODES], |d| partition_weights(d, set));
+        // A leg is a run's dumps and how they observe the set; the exact
+        // leg's four `Fixed` runs observe one mode each.
+        let exact_legs: Vec<Leg> =
+            exact.iter().map(|run| (run.as_slice(), Source::Header)).collect();
+        let mux_leg = [(mux, Source::pooled(mux, set))];
+        let deg_leg: Vec<Leg> = degraded.map(|d| (d, Source::pooled(d, set))).into_iter().collect();
         let mut rows: Vec<EventAccuracy> = Vec::new();
         for nt in truth {
-            let node = nt.node as usize;
-            let mux_node = mux.get(node);
-            let deg_node = degraded.and_then(|d| d.get(node));
             for entry in &nt.entries {
-                let exact_v = sum_exact(entry, node, exact, set);
-                let (mux_v, bar) = sum_mux(entry, mux_node, &mux_weights, set);
-                let (deg_v, _) = sum_mux(entry, deg_node, &deg_weights, set);
-                merge_row(&mut rows, entry, exact_v, mux_v, bar, deg_v);
+                let estimate = |legs: &[Leg]| node_estimate(entry, nt.node as usize, legs, set);
+                let mux_v = estimate(&mux_leg);
+                merge_row(
+                    &mut rows,
+                    entry,
+                    estimate(&exact_legs).map(|(v, _)| v),
+                    mux_v.map(|(v, _)| v),
+                    mux_v.map_or(0.0, |(_, bar)| bar),
+                    estimate(&deg_leg).map(|(v, _)| v),
+                );
             }
         }
         for r in &mut rows {
@@ -263,89 +248,30 @@ impl ValidationReport {
     }
 }
 
-/// Exact value of an entry: sum of the event's counters over the
-/// per-mode `Fixed` runs; `None` when any needed run is missing.
-fn sum_exact(
-    entry: &TruthEntry,
-    node: usize,
-    exact: &[Vec<NodeDump>; NUM_MODES],
-    set: u32,
-) -> Option<u64> {
-    let mut total = 0u64;
-    for &e in &entry.events {
-        let id = EventId::from_index(e)?;
-        let dump = exact[id.mode().index()].get(node)?;
-        let s = dump.set(set)?;
-        total = total.wrapping_add(s.counts[id.slot().0 as usize]);
-    }
-    Some(total)
-}
+/// Dumps of one run and how they observe the validated set.
+type Leg<'a> = (&'a [NodeDump], Source);
 
-/// Per-mode reconstruction weights pooled over the whole partition: the
-/// schedule sets' enabled job cycles when present and usable on every
-/// node, else the synthetic sets' phase counts. Pooling matters because
-/// the rotation staggers across nodes — at any phase the nodes occupy
-/// *different* modes, so the partition's mode-`m` windows tile the
-/// program and per-node extrapolation would re-introduce the phase-
-/// structure bias the stagger exists to cancel. A mode that occupied
-/// phases but accrued no cycles would zero-divide the reconstruction,
-/// so any such mode (or any node missing its schedule set) forces the
-/// phase fallback wholesale — mixing bases would skew the grand total.
-fn partition_weights(dumps: &[NodeDump], set: u32) -> [u64; NUM_MODES] {
-    let mut cycles = [0u64; NUM_MODES];
-    let mut phases = [0u64; NUM_MODES];
-    let mut cycles_ok = true;
-    for dump in dumps {
-        for (m, p) in phases.iter_mut().enumerate() {
-            *p += dump.set(mux_set_id(set, m)).map_or(0, |s| u64::from(s.records));
-        }
-        match dump.set(mux_sched_id(set)) {
-            Some(sched) => {
-                for (m, c) in cycles.iter_mut().enumerate() {
-                    *c += sched.counts[m];
-                }
-            }
-            None => cycles_ok = false,
+/// Node `node`'s estimate of an entry from its dumps in `legs` — the
+/// entry's per-event estimates summed — and the summed error-bar
+/// half-width. `None` when the node did not observe some event's mode.
+fn node_estimate(entry: &TruthEntry, node: usize, legs: &[Leg], set: u32) -> Option<(u64, f64)> {
+    let mut obs = Vec::new();
+    for (dumps, source) in legs {
+        if let Some(d) = dumps.get(node) {
+            // A rejected block is simply not observed.
+            let _ = source.observe(d, set, &mut obs);
         }
     }
-    let usable = cycles_ok
-        && cycles.iter().sum::<u64>() > 0
-        && (0..NUM_MODES).all(|m| phases[m] == 0 || cycles[m] > 0);
-    if usable {
-        cycles
-    } else {
-        phases
-    }
-}
-
-/// Reconstructed value of an entry from a multiplexed run's synthetic
-/// sets, scaled by the partition-pooled `weights`, plus the summed
-/// error-bar half-width. `None` when the dump (or any event's
-/// occupancy) is missing.
-fn sum_mux(
-    entry: &TruthEntry,
-    dump: Option<&NodeDump>,
-    weights: &[u64; NUM_MODES],
-    set: u32,
-) -> (Option<u64>, f64) {
-    let Some(dump) = dump else { return (None, 0.0) };
     let mut total = 0u64;
     let mut bar = 0.0f64;
-    let grand: u64 = weights.iter().sum();
     for &e in &entry.events {
-        let Some(id) = EventId::from_index(e) else { return (None, bar) };
-        let m = id.mode().index();
-        let Some(s) = dump.set(mux_set_id(set, m)) else { return (None, bar) };
-        let raw = s.counts[id.slot().0 as usize];
-        match reconstruct(raw, weights[m], grand) {
-            Some(est) => {
-                total = total.wrapping_add(est);
-                bar += error_bar(est, weights[m], grand);
-            }
-            None => return (None, bar),
-        }
+        let id = EventId::from_index(e)?;
+        let o = obs.iter().find(|o| o.mode == id.mode())?;
+        let est = o.estimate(id.slot().0 as usize);
+        total = total.wrapping_add(est);
+        bar += o.error_bar(est);
     }
-    (Some(total), bar)
+    Some((total, bar))
 }
 
 /// Accumulate one node's entry into the cross-node row with its name.
@@ -432,7 +358,7 @@ fn json_err(v: Option<f64>) -> String {
 mod tests {
     use super::*;
     use bgp_arch::events::CounterMode;
-    use bgp_core::dump::SetDump;
+    use bgp_core::dump::{mux_sched_id, SetDump};
 
     fn dump_with(node: u32, mode: CounterMode, sets: Vec<SetDump>) -> NodeDump {
         NodeDump { node, mode, sets }
@@ -442,19 +368,6 @@ mod tests {
         let mut c = vec![0u64; NUM_COUNTERS];
         c[slot] = v;
         c
-    }
-
-    #[test]
-    fn reconstruction_scales_by_occupancy() {
-        // Observed 250 counts during the 1/4 of the window this mode
-        // occupied: the estimate extrapolates to the full window.
-        assert_eq!(reconstruct(250, 25, 100), Some(1000));
-        assert_eq!(reconstruct(0, 25, 100), Some(0));
-        assert_eq!(reconstruct(250, 0, 100), None, "never observed");
-        // Full occupancy is exact with a zero bar.
-        assert_eq!(reconstruct(77, 100, 100), Some(77));
-        assert_eq!(error_bar(77, 100, 100), 0.0);
-        assert!(error_bar(1000, 25, 100) > 0.0);
     }
 
     #[test]

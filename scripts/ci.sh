@@ -31,6 +31,17 @@ test -s "$trace_dir/trace.json" || { echo "trace smoke: empty trace.json"; exit 
 test -s "$trace_dir/phases.csv" || { echo "trace smoke: empty phases.csv"; exit 1; }
 target/release/bgpc-dump "$trace_dir" --json > "$trace_dir/stats.json"
 test -s "$trace_dir/stats.json" || { echo "trace smoke: empty stats.json"; exit 1; }
+target/release/bgpc-diff "$trace_dir" "$trace_dir" | grep -q '^no event changed' \
+    || { echo "trace smoke: bgpc-diff of a run against itself reported changes"; exit 1; }
+if target/release/bgpc-diff "$trace_dir" "$trace_dir" --threshold abc 2>/dev/null; then
+    echo "trace smoke: bgpc-diff accepted a malformed --threshold"; exit 1
+fi
+
+echo "==> degraded aggregation (fig_ext_faults at Default scale == committed CSV)"
+# The only committed output of the survivors path; ~20 s.
+BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_faults > /dev/null
+cmp "$trace_dir/fig_ext_faults.csv" results/fig_ext_faults.csv \
+    || { echo "fig_ext_faults: regenerated CSV differs from results/"; exit 1; }
 
 echo "==> trace overhead gate (disabled tracing < 1%)"
 # BGP_BENCH_DIR keeps the quick-scale gate from clobbering the

@@ -5,14 +5,14 @@
 //! reliable events within 10% of the fault-free run. The same seed must
 //! reproduce the same fault schedule bit for bit.
 
-use bgp::arch::events::CounterMode;
+use bgp::arch::events::{CounterMode, NUM_MODES};
 use bgp::arch::OpMode;
 use bgp::counters::collect::{collect_dumps, RetryPolicy};
 use bgp::counters::{run_instrumented, CounterLibrary, WHOLE_PROGRAM_SET};
 use bgp::faults::{FaultPlan, FaultSpec};
 use bgp::mpi::{CounterPolicy, JobSpec, Machine};
 use bgp::nas::{Class, Kernel};
-use bgp::postproc::{ddr_traffic_bytes_per_node, AggregateOptions, DegradedFrame, Frame};
+use bgp::postproc::{ddr_traffic_bytes_per_node, Frame};
 use std::sync::Arc;
 
 /// 64 VNM ranks → a 16-node partition: enough nodes that the planned
@@ -35,25 +35,27 @@ fn hostile_spec() -> FaultSpec {
     }
 }
 
-/// Run MG class S under the given plan; returns the library + node count.
-fn run_mg(plan: Option<Arc<FaultPlan>>) -> (Arc<CounterLibrary>, usize) {
+/// Run MG class S under the given plan; returns the library + the
+/// policy's per-mode node census.
+fn run_mg(plan: Option<Arc<FaultPlan>>) -> (Arc<CounterLibrary>, [usize; NUM_MODES]) {
     let mut spec = JobSpec::new(RANKS, OpMode::VirtualNode);
     spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode2);
     spec.faults = plan;
-    let nodes = spec.nodes();
+    let census = spec.counter_policy.census(spec.nodes());
     let machine = Machine::new(spec);
     let (results, lib) = run_instrumented(&machine, move |ctx| Kernel::Mg.exec(Class::S, ctx));
     assert!(
         results.iter().all(|r| r.verified),
         "faults perturb timing and counters, never the numerics"
     );
-    (lib, nodes)
+    (lib, census)
 }
 
 #[test]
 fn faulted_mg_degrades_gracefully_within_ten_percent() {
     // Fault-free baseline.
-    let (lib, nodes) = run_mg(None);
+    let (lib, census) = run_mg(None);
+    let nodes: usize = census.iter().sum();
     let dumps = lib.dumps().expect("fault-free run finalizes everywhere");
     let baseline = Frame::from_dumps(&dumps, WHOLE_PROGRAM_SET).expect("clean dumps");
     let clean_ddr = ddr_traffic_bytes_per_node(&baseline);
@@ -78,11 +80,7 @@ fn faulted_mg_degrades_gracefully_within_ten_percent() {
     );
 
     // Degraded aggregation over the survivors.
-    let frame = DegradedFrame::from_dumps(
-        &coll.dumps,
-        WHOLE_PROGRAM_SET,
-        AggregateOptions::fixed(CounterMode::Mode2, nodes),
-    );
+    let frame = Frame::from_survivors(&coll.dumps, WHOLE_PROGRAM_SET, census);
     assert!(frame.coverage() < 1.0);
     assert!(
         frame.coverage() >= 0.5,
@@ -91,8 +89,7 @@ fn faulted_mg_degrades_gracefully_within_ten_percent() {
     );
 
     // Reliable-event metrics stay within 10% of the fault-free run.
-    let reliable = frame.reliable_frame().expect("survivors exist");
-    let faulted_ddr = ddr_traffic_bytes_per_node(&reliable);
+    let faulted_ddr = ddr_traffic_bytes_per_node(&frame);
     let rel_err = (faulted_ddr - clean_ddr).abs() / clean_ddr;
     assert!(
         rel_err < 0.10,
