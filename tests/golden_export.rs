@@ -10,24 +10,46 @@
 //!
 //! `GOLDEN_DIR=/tmp/x cargo test --test golden_export -- --ignored`
 
+use bgp::arch::events::CounterMode;
 use bgp::arch::OpMode;
 use bgp::counters::run_instrumented;
 use bgp::faults::{FaultPlan, FaultSpec};
+use bgp::mpi::CounterPolicy;
 use bgp::nas::{Class, Kernel};
 use bgp::trace::TraceConfig;
 use bgp::{JobSpec, Machine};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Export the (clean, faulted, traced) variants of each kernel into
-/// `dir` and return the files written.
+/// The variants each kernel is exported under: `(tag, counter policy
+/// override, faulted, traced)`. `None` keeps the job's default even/odd
+/// policy; the fixed-mode and multiplexed variants cover the other two
+/// counter policies.
+const VARIANTS: [(&str, Option<CounterPolicy>, bool, bool); 5] = [
+    ("clean", None, false, false),
+    ("faulted", None, true, false),
+    ("clean_traced", None, false, true),
+    ("fixed2", Some(CounterPolicy::Fixed(CounterMode::Mode2)), false, false),
+    (
+        "mux4_traced",
+        Some(CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 4 }),
+        false,
+        true,
+    ),
+];
+
+/// Export every [`VARIANTS`] entry of each kernel into `dir` and return
+/// the files written.
 fn export_kernels(dir: &Path, kernels: &[Kernel]) -> Vec<std::path::PathBuf> {
     std::fs::create_dir_all(dir).unwrap();
     let mut written = Vec::new();
     for &kernel in kernels {
-        for (faulted, traced) in [(false, false), (true, false), (false, true)] {
+        for (variant, policy, faulted, traced) in VARIANTS {
             let mut spec = JobSpec::new(8, OpMode::VirtualNode);
             spec.sim_threads = Some(1);
+            if let Some(policy) = policy {
+                spec.counter_policy = policy;
+            }
             if faulted {
                 let nodes = spec.nodes();
                 spec.faults = Some(Arc::new(FaultPlan::new(
@@ -53,11 +75,7 @@ fn export_kernels(dir: &Path, kernels: &[Kernel]) -> Vec<std::path::PathBuf> {
             let (out, lib) =
                 run_instrumented(&machine, move |ctx| kernel.exec(Class::S, ctx));
             assert!(out.iter().all(|r| r.verified), "{kernel} failed verification");
-            let tag = format!(
-                "{kernel}_{}{}",
-                if faulted { "faulted" } else { "clean" },
-                if traced { "_traced" } else { "" }
-            );
+            let tag = format!("{kernel}_{variant}");
             let mut dump = Vec::new();
             for n in 0..machine.num_nodes() {
                 dump.extend(lib.encoded_dump(n).expect("node finalized"));
@@ -92,9 +110,9 @@ fn export_golden_surfaces_mg() {
         std::env::temp_dir().join(format!("bgp-golden-{}", std::process::id()))
     });
     let written = export_kernels(&dir, &[Kernel::Mg]);
-    // 3 variants: dump + cycles each, plus chrome.json + phases.csv for
-    // the traced one.
-    assert_eq!(written.len(), 8, "unexpected export surface count");
+    // 5 variants: dump + cycles each, plus chrome.json + phases.csv for
+    // the two traced ones.
+    assert_eq!(written.len(), 14, "unexpected export surface count");
     for path in &written {
         let len = std::fs::metadata(path).unwrap().len();
         assert!(len > 0, "empty export {}", path.display());
