@@ -428,80 +428,6 @@ pub fn fig_ext_faults(scale: Scale) -> Csv {
     csv
 }
 
-/// One row of the parallel-engine thread sweep (feeds
-/// [`fig_ext_scaling`] and `BENCH_parallel.json`).
-pub struct ScalingSample {
-    /// Simulation threads requested (`JobSpec::sim_threads`).
-    pub threads: usize,
-    /// Host wall-clock milliseconds for `Machine::run`.
-    pub wall_ms: f64,
-    /// Simulated job cycles (must not vary with `threads`).
-    pub job_cycles: u64,
-    /// Encoded dumps byte-identical to the serial run.
-    pub dumps_identical: bool,
-}
-
-/// Run the sweep behind Fig. ext-scaling: one MG job per thread count,
-/// timed on the host, with every run's per-node dumps compared
-/// byte-for-byte against the serial engine's.
-pub fn scaling_sweep(scale: Scale) -> Vec<ScalingSample> {
-    use bgp_core::run_instrumented;
-    use std::time::Instant;
-
-    let kernel = Kernel::Mg;
-    let class = scale.class();
-    // SMP/1: one rank per node, so Default scale is the issue's
-    // 16-node MG and every frontier rank is a parallelism opportunity.
-    let ranks = kernel.clamp_ranks(scale.ranks(), class);
-    let mut serial: Option<(Vec<Vec<u8>>, u64)> = None;
-    let mut samples = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let mut spec = bgp_mpi::JobSpec::new(ranks, OpMode::Smp1);
-        spec.sim_threads = Some(threads);
-        let machine = bgp_mpi::Machine::new(spec);
-        let t0 = Instant::now();
-        let (_, lib) = run_instrumented(&machine, move |ctx| kernel.exec(class, ctx));
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let dumps: Vec<Vec<u8>> = (0..machine.num_nodes())
-            .map(|n| lib.encoded_dump(n).expect("node finalized"))
-            .collect();
-        let job_cycles = machine.job_cycles();
-        let (base_dumps, base_cycles) = serial.get_or_insert((dumps.clone(), job_cycles));
-        samples.push(ScalingSample {
-            threads,
-            wall_ms,
-            job_cycles,
-            dumps_identical: dumps == *base_dumps && job_cycles == *base_cycles,
-        });
-    }
-    samples
-}
-
-/// Extension (parallel engine): wall-clock scaling of the phase-based
-/// deterministic scheduler on an MG job, threads ∈ {1,2,4,8}, with a
-/// byte-identity column proving results never depend on thread count.
-pub fn fig_ext_scaling(scale: Scale) -> Csv {
-    let samples = scaling_sweep(scale);
-    let base_ms = samples[0].wall_ms;
-    let mut csv = Csv::new([
-        "sim_threads",
-        "wall_ms",
-        "speedup_vs_serial",
-        "job_cycles",
-        "dumps_identical_to_serial",
-    ]);
-    for s in &samples {
-        csv.row([
-            s.threads.to_string(),
-            format!("{:.1}", s.wall_ms),
-            format!("{:.2}", base_ms / s.wall_ms),
-            s.job_cycles.to_string(),
-            s.dumps_identical.to_string(),
-        ]);
-    }
-    csv
-}
-
 /// One row of the tracing-overhead comparison (feeds
 /// [`fig_ext_trace_overhead`] and `BENCH_trace.json`).
 pub struct TraceOverheadSample {

@@ -14,10 +14,13 @@
 //!
 //! Key properties reproduced from the paper:
 //!
-//! * **512 events in one run** — the library programs even-numbered nodes
-//!   into one counter mode and odd-numbered nodes into another
+//! * **512 events in one run** — even-numbered nodes count in one
+//!   counter mode and odd-numbered nodes in another
 //!   ([`bgp_mpi::CounterPolicy::EvenOdd`]), doubling event coverage of an
-//!   SPMD job.
+//!   SPMD job. Each node's mode comes from its counter-mode schedule in
+//!   [`bgp_mpi::mux`], a one-mode schedule here; the library reads every
+//!   counting window as the difference of two schedule marks, the same
+//!   way for static and multiplexed policies.
 //! * **Tiny overhead** — initialize + start + stop together charge
 //!   [`TOTAL_OVERHEAD_CYCLES`] (= 196, the number the paper measured
 //!   against the Time Base register). Dump assembly happens after
@@ -39,7 +42,7 @@ pub mod state;
 pub mod supervisor;
 
 use bgp_arch::error::Result;
-use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS, NUM_MODES};
+use bgp_arch::events::{CounterMode, NUM_COUNTERS, NUM_MODES};
 use bgp_arch::BgpError;
 use bgp_arch::sync::Mutex;
 use bgp_faults::{CounterFault, FaultPlan};
@@ -71,22 +74,14 @@ pub const WHOLE_PROGRAM_SET: u32 = 0;
 
 #[derive(Default)]
 struct SetState {
-    start_snap: Option<Box<[u64; NUM_COUNTERS]>>,
-    accum: Vec<u64>,
-    records: u32,
-    /// Continuous mux mark taken at the window's first `BGP_Start`
-    /// (only under [`CounterPolicy::Multiplexed`]).
-    mux_start: Option<MuxMark>,
-    /// Per-event window totals, `[mode * 256 + slot]` — raw counts
-    /// observed while the rotation sat in each mode. Empty when the job
-    /// is not multiplexed.
-    mux_accum: Vec<u64>,
-    /// Phases the closed windows spent counting in each mode.
-    mux_occupancy: [u64; NUM_MODES],
-    /// Job cycles the closed windows spent counting in each mode (the
-    /// occupancy weights reconstruction scales by — phases vary in
+    /// Schedule mark taken at the open window's first `BGP_Start`.
+    start: Option<MuxMark>,
+    /// The closed windows, accumulated mark to mark: counts per mode
+    /// the node's schedule visits, plus per-mode phases and job cycles
+    /// (the occupancy weights reconstruction scales by — phases vary in
     /// length, cycles are the honest time base).
-    mux_cycles: [u64; NUM_MODES],
+    window: MuxMark,
+    records: u32,
 }
 
 #[derive(Default)]
@@ -124,7 +119,9 @@ pub struct CounterLibrary {
     pub(crate) nodes: Mutex<Vec<NodeState>>,
     ranks_per_node: Vec<usize>,
     /// Session-supplied counter policy taking precedence over the
-    /// job's (see [`SessionBuilder::counter_policy`]).
+    /// job's (see [`SessionBuilder::counter_policy`]). The machine's
+    /// schedules carry its effect; it is kept to reject divergent
+    /// overrides across ranks.
     pub(crate) policy_override: Mutex<Option<CounterPolicy>>,
 }
 
@@ -178,19 +175,17 @@ impl CounterLibrary {
         lib
     }
 
-    /// `BGP_Initialize()`: program the node's UPC unit (counter mode per
-    /// the job's [`bgp_mpi::CounterPolicy`]), zero all counters, leave
-    /// counting disabled until the first `BGP_Start`. Reached through
-    /// [`SessionBuilder::build`].
+    /// `BGP_Initialize()`: zero the node's UPC counters and leave
+    /// counting disabled until the first `BGP_Start`. The machine
+    /// already programmed the unit into the node's home mode (per the
+    /// job's [`bgp_mpi::CounterPolicy`] or a session override). Reached
+    /// through [`SessionBuilder::build`].
     pub(crate) fn initialize_impl(&self, ctx: &mut RankCtx) -> Result<()> {
         let node = ctx.node_id().0;
         {
             let mut nodes = self.nodes.lock();
             let st = &mut nodes[node];
             if st.init_arrivals == 0 {
-                let policy =
-                    (*self.policy_override.lock()).unwrap_or(self.spec.counter_policy);
-                let mode = policy.mode_for(ctx.node_id());
                 // A planned saturation fault manifests as the unit
                 // clamping at u64::MAX instead of wrapping.
                 let saturate = self.spec.faults.as_ref().is_some_and(|p| {
@@ -200,13 +195,6 @@ impl CounterLibrary {
                 });
                 ctx.with_own_node(|n| {
                     let upc = n.upc_mut();
-                    // Under the multiplexed policy the machine owns the
-                    // mode (sentinels armed, rotation advancing it every
-                    // dwell); reprogramming it here would fight the
-                    // rotation engine's notion of the current mode.
-                    if !policy.is_multiplexed() {
-                        upc.set_mode(mode);
-                    }
                     upc.set_enabled(false);
                     upc.clear();
                     upc.set_saturating(saturate);
@@ -221,9 +209,9 @@ impl CounterLibrary {
     }
 
     /// `BGP_Start(set)`: open a counting window for `set` on this rank's
-    /// node. The first arriving rank snapshots the counters and enables
-    /// the unit; peers on the same node join the same window. Reached
-    /// through [`Session::start`].
+    /// node. The first arriving rank enables the unit and takes the
+    /// window's start mark; peers on the same node join the same window.
+    /// Reached through [`Session::start`].
     pub(crate) fn start_impl(&self, ctx: &mut RankCtx, set: u32) -> Result<()> {
         let node = ctx.node_id().0;
         {
@@ -239,19 +227,12 @@ impl CounterLibrary {
                     st.active_set = Some(set);
                     st.start_arrivals = 1;
                     st.stop_arrivals = 0;
-                    let snap = ctx.with_own_node(|n| {
-                        n.upc_mut().set_enabled(true);
-                        n.upc().snapshot()
-                    });
-                    // Continuous rotation mark (lock order: mux, then
-                    // node — so this must stay outside `with_own_node`).
-                    let mux_start = ctx.machine().mux_mark(node);
-                    let s = st.sets.entry(set).or_insert_with(|| SetState {
-                        accum: vec![0; NUM_COUNTERS],
-                        ..SetState::default()
-                    });
-                    s.start_snap = Some(Box::new(snap));
-                    s.mux_start = mux_start;
+                    // `with_own_node` retires the rank's queued work, so
+                    // the mark (taken outside it: it locks the node
+                    // itself) sees every count before the window.
+                    ctx.with_own_node(|n| n.upc_mut().set_enabled(true));
+                    let mark = ctx.machine().mux_mark(node);
+                    st.sets.entry(set).or_default().start = Some(mark);
                 }
                 Some(active) if active == set => {
                     st.start_arrivals += 1;
@@ -274,13 +255,14 @@ impl CounterLibrary {
     }
 
     /// `BGP_Stop(set)`: close the counting window. The last rank of the
-    /// node to stop takes the snapshot, accumulates the delta into the
-    /// set, and disables the unit ("monitoring of counters is stopped
-    /// after the BGP_Stop()"). Reached through [`Session::stop`].
+    /// node to stop disables the unit ("monitoring of counters is
+    /// stopped after the BGP_Stop()"), takes the closing mark and
+    /// accumulates the window into the set. Reached through
+    /// [`Session::stop`].
     pub(crate) fn stop_impl(&self, ctx: &mut RankCtx, set: u32) -> Result<()> {
-        // Charge before the snapshot so the call's own cost is visible to
-        // the counters exactly once (the paper includes start/stop cost in
-        // its 196-cycle figure).
+        // Charge before the closing mark so the call's own cost is
+        // visible to the counters exactly once (the paper includes
+        // start/stop cost in its 196-cycle figure).
         ctx.charge_cycles(STOP_CYCLES);
         let node = ctx.node_id().0;
         let mut nodes = self.nodes.lock();
@@ -295,7 +277,7 @@ impl CounterLibrary {
                     // Fault injection: planned counter faults strike as
                     // the window closes — a bit flip in the counter
                     // SRAM, or a counter pegged at the saturation
-                    // ceiling — so they land in the final snapshot.
+                    // ceiling — so they land in the closing mark.
                     if let Some(plan) = &self.spec.faults {
                         for f in plan.counter_faults(node as u32) {
                             ctx.with_own_node(|n| match f {
@@ -316,53 +298,11 @@ impl CounterLibrary {
                             }));
                         }
                     }
-                    let snap = ctx.with_own_node(|n| {
-                        let snap = n.upc().snapshot();
-                        n.upc_mut().set_enabled(false);
-                        snap
-                    });
-                    // The closing rotation mark (outside `with_own_node`:
-                    // lock order is mux, then node). Faults above struck
-                    // the live counters first, so a degraded window is
-                    // degraded in the mux view too.
-                    let mux_stop = ctx.machine().mux_mark(node);
+                    ctx.with_own_node(|n| n.upc_mut().set_enabled(false));
+                    let stop = ctx.machine().mux_mark(node);
                     let s = st.sets.get_mut(&set).expect("set created at start");
-                    let base = s.start_snap.take().expect("start snapshot present");
-                    match (s.mux_start.take(), mux_stop) {
-                        (Some(start), Some(stop)) => {
-                            // Multiplexed: the raw snapshot spans
-                            // rotations (counters clear at every mode
-                            // entry), so the window comes from the
-                            // continuous marks instead. The primary
-                            // accumulator gets the base mode's block —
-                            // the mode the dump header advertises.
-                            let (win, occ, cyc) = stop.window_since(&start);
-                            if s.mux_accum.is_empty() {
-                                s.mux_accum = vec![0; NUM_EVENTS];
-                            }
-                            for (a, w) in s.mux_accum.iter_mut().zip(&win) {
-                                *a = a.wrapping_add(*w);
-                            }
-                            for m in 0..NUM_MODES {
-                                s.mux_occupancy[m] =
-                                    s.mux_occupancy[m].saturating_add(occ[m]);
-                                s.mux_cycles[m] = s.mux_cycles[m].saturating_add(cyc[m]);
-                            }
-                            let policy = (*self.policy_override.lock())
-                                .unwrap_or(self.spec.counter_policy);
-                            let off =
-                                policy.mode_for(ctx.node_id()).index() * NUM_COUNTERS;
-                            for i in 0..NUM_COUNTERS {
-                                s.accum[i] = s.accum[i].wrapping_add(win[off + i]);
-                            }
-                        }
-                        _ => {
-                            for i in 0..NUM_COUNTERS {
-                                s.accum[i] =
-                                    s.accum[i].wrapping_add(snap[i].wrapping_sub(base[i]));
-                            }
-                        }
-                    }
+                    let start = s.start.take().expect("start mark present");
+                    s.window.accumulate(&start, &stop);
                     s.records += 1;
                     st.active_set = None;
                 }
@@ -398,38 +338,28 @@ impl CounterLibrary {
                         "BGP_Finalize with set {active} still active"
                     )));
                 }
-                // Under rotation the unit sits in whatever mode the last
-                // dwell left it; the dump header advertises the policy's
-                // base mode — the mode the primary sets accumulated.
-                let policy =
-                    (*self.policy_override.lock()).unwrap_or(self.spec.counter_policy);
-                let mode = if policy.is_multiplexed() {
-                    policy.mode_for(ctx.node_id())
-                } else {
-                    ctx.with_own_node(|n| n.upc().mode())
-                };
+                // The dump header advertises the node's home mode — the
+                // block the primary sets report (under rotation the unit
+                // sits in whatever mode the last dwell left it).
+                let mode = ctx.machine().home_mode(node);
                 let mut sets: Vec<SetDump> = st
                     .sets
                     .iter()
                     .map(|(&id, s)| SetDump {
                         id,
                         records: s.records,
-                        counts: s.accum.clone(),
+                        counts: s.window.block(mode).to_vec(),
                     })
                     .collect();
-                // Synthetic per-mode sets: the raw block each mode
-                // observed, with the mode's occupancy as the record
-                // count (see [`dump::MUX_SET_BASE`]).
-                for (&id, s) in &st.sets {
-                    if s.mux_accum.is_empty() {
-                        continue;
-                    }
-                    for m in 0..NUM_MODES {
+                // Rotating schedules add synthetic per-mode sets: the raw
+                // block each mode observed, with the mode's occupancy as
+                // the record count (see [`dump::MUX_SET_BASE`]).
+                for (&id, s) in st.sets.iter().filter(|(_, s)| s.window.rotates()) {
+                    for (m, &mode) in CounterMode::ALL.iter().enumerate() {
                         sets.push(SetDump {
                             id: dump::mux_set_id(id, m),
-                            records: s.mux_occupancy[m].min(u64::from(u32::MAX)) as u32,
-                            counts: s.mux_accum[m * NUM_COUNTERS..(m + 1) * NUM_COUNTERS]
-                                .to_vec(),
+                            records: s.window.occupancy[m].min(u64::from(u32::MAX)) as u32,
+                            counts: s.window.block(mode).to_vec(),
                         });
                     }
                     // Schedule set: per-mode enabled job cycles (the
@@ -437,8 +367,8 @@ impl CounterLibrary {
                     // in length) and enabled phase counts (see
                     // [`dump::MUX_SCHED_BASE`]).
                     let mut counts = vec![0u64; NUM_COUNTERS];
-                    counts[..NUM_MODES].copy_from_slice(&s.mux_cycles);
-                    counts[NUM_MODES..2 * NUM_MODES].copy_from_slice(&s.mux_occupancy);
+                    counts[..NUM_MODES].copy_from_slice(&s.window.cycles);
+                    counts[NUM_MODES..2 * NUM_MODES].copy_from_slice(&s.window.occupancy);
                     sets.push(SetDump {
                         id: dump::mux_sched_id(id),
                         records: 1,

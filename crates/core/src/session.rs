@@ -60,7 +60,7 @@ use crate::CounterLibrary;
 use bgp_arch::error::Result;
 use bgp_arch::events::CounterMode;
 use bgp_arch::BgpError;
-use bgp_mpi::{CounterPolicy, RankCtx};
+use bgp_mpi::{CounterPolicy, Machine, RankCtx};
 use bgp_trace::TraceConfig;
 use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
@@ -159,7 +159,7 @@ impl<'a> SessionBuilder<'a> {
     pub fn build(self) -> Result<Session<'a, Initialized>> {
         let lib = CounterLibrary::for_machine(self.ctx.machine());
         if let Some(p) = self.policy {
-            lib.set_policy_override(p)?;
+            lib.set_policy_override(self.ctx.machine(), p)?;
         }
         if let Some(cfg) = &self.trace {
             self.ctx.enable_tracing(cfg).map_err(BgpError::protocol)?;
@@ -244,7 +244,10 @@ impl JobDump {
 }
 
 impl CounterLibrary {
-    pub(crate) fn set_policy_override(&self, p: CounterPolicy) -> Result<()> {
+    /// Adopt a session's counter-policy override. The first one
+    /// reprograms the machine's one-mode schedules, so it must precede
+    /// every node's initialization.
+    pub(crate) fn set_policy_override(&self, machine: &Machine, p: CounterPolicy) -> Result<()> {
         // Rotation state (sentinel thresholds, the mux engine itself) is
         // wired when the machine is built, so an override can neither
         // switch multiplexing on or off nor re-tune its dwell.
@@ -263,6 +266,7 @@ impl CounterLibrary {
                         "counter policy override after a node was already programmed",
                     ));
                 }
+                machine.reprogram_counter_modes(&p);
                 *cur = Some(p);
                 Ok(())
             }
@@ -337,6 +341,31 @@ mod tests {
             1,
             "exactly one rank wins the policy race; the other errors: {oks:?}"
         );
+    }
+
+    #[test]
+    fn static_override_reprograms_every_node_before_initialization() {
+        // Two SMP/1 nodes under the default even/odd policy (modes 0, 1).
+        let m = Machine::new(JobSpec::new(2, OpMode::Smp1));
+        let handles = m.run(|mut ctx| async move {
+            let s = Session::builder(&mut ctx).counter_mode(CounterMode::Mode2).build().unwrap();
+            s.start(1).unwrap().stop().unwrap().finalize().unwrap()
+        });
+        for (node, d) in handles[0].dumps().unwrap().iter().enumerate() {
+            assert_eq!(d.mode, CounterMode::Mode2, "node {node} header");
+            assert_eq!(m.home_mode(node), CounterMode::Mode2);
+            assert_eq!(m.with_node(node, |n| n.upc().mode()), CounterMode::Mode2);
+        }
+
+        // Once a node is programmed, an override is refused and changes
+        // nothing.
+        let m = Machine::new(JobSpec::new(1, OpMode::Smp1));
+        let late = m.run(|mut ctx| async move {
+            Session::builder(&mut ctx).build().unwrap().finalize().unwrap();
+            Session::builder(&mut ctx).counter_mode(CounterMode::Mode3).build().is_err()
+        });
+        assert!(late[0], "override after initialization must fail");
+        assert_eq!(m.home_mode(0), CounterMode::Mode0);
     }
 
     #[test]

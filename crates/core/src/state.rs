@@ -1,124 +1,66 @@
 //! Snapshot integration: the counter library as machine [`AppState`].
 //!
 //! The library's per-node protocol and accumulation state cannot be
-//! rebuilt by resume replay: `BGP_Start`/`BGP_Stop` snapshot the live
-//! UPC counters, and during replay the cost model is suppressed, so
-//! every replayed snapshot reads stale values and the accumulated
-//! deltas would diverge from the uninterrupted run. Instead the whole
-//! `Vec<NodeState>` is serialized into the snapshot's `app:counters`
-//! section at capture and spliced back wholesale at go-live, discarding
-//! whatever the replay built. (`policy_override` is *not* captured: it
+//! rebuilt by resume replay: `BGP_Start`/`BGP_Stop` take schedule marks
+//! of the live UPC counters, and during replay the cost model is
+//! suppressed, so every replayed mark reads stale values and the
+//! accumulated windows would diverge from the uninterrupted run.
+//! Instead the whole `Vec<NodeState>` is serialized into the snapshot's
+//! `app:counters` section at capture and spliced back wholesale at
+//! go-live, discarding whatever the replay built. (`policy_override` is *not* captured: it
 //! is pure configuration set by the kernel's session builder, which
 //! replay re-executes deterministically.)
 
 use crate::{CounterLibrary, NodeState, SetState};
 use bgp_arch::error::{BgpError, Result};
-use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS, NUM_MODES};
+use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS};
 use bgp_arch::wire::{put_bool, put_bytes, put_u32, put_u64, put_u64s, put_u8, Reader};
 use bgp_mpi::machine::AppState;
 use bgp_mpi::MuxMark;
 
+fn save_mark(out: &mut Vec<u8>, mark: &MuxMark) {
+    put_u64s(out, &mark.totals);
+    for &v in mark.occupancy.iter().chain(&mark.cycles) {
+        put_u64(out, v);
+    }
+}
+
+/// A mark covers one mode's block, every mode's, or (an accumulator
+/// with no closed window yet) nothing.
+fn load_mark(r: &mut Reader<'_>) -> Result<MuxMark> {
+    let totals = r.u64s("mark totals")?;
+    if ![0, NUM_COUNTERS, NUM_EVENTS].contains(&totals.len()) {
+        return Err(BgpError::corrupt(format!("mark has {} totals", totals.len())));
+    }
+    let mut mark = MuxMark { totals, ..MuxMark::default() };
+    for v in mark.occupancy.iter_mut().chain(&mut mark.cycles) {
+        *v = r.u64("mark occupancy")?;
+    }
+    Ok(mark)
+}
+
 fn save_set(out: &mut Vec<u8>, id: u32, s: &SetState) {
     put_u32(out, id);
-    match &s.start_snap {
-        Some(snap) => {
-            put_u8(out, 1);
-            put_u64s(out, &snap[..]);
-        }
-        None => put_u8(out, 0),
-    }
-    put_u64s(out, &s.accum);
     put_u32(out, s.records);
-    match &s.mux_start {
+    match &s.start {
         Some(mark) => {
             put_u8(out, 1);
-            put_u64s(out, &mark.totals);
-            for &o in &mark.occupancy {
-                put_u64(out, o);
-            }
-            for &c in &mark.cycles {
-                put_u64(out, c);
-            }
+            save_mark(out, mark);
         }
         None => put_u8(out, 0),
     }
-    put_u64s(out, &s.mux_accum);
-    for &o in &s.mux_occupancy {
-        put_u64(out, o);
-    }
-    for &c in &s.mux_cycles {
-        put_u64(out, c);
-    }
+    save_mark(out, &s.window);
 }
 
 fn load_set(r: &mut Reader<'_>) -> Result<(u32, SetState)> {
     let id = r.u32("set id")?;
-    let start_snap = match r.u8("start-snap tag")? {
-        0 => None,
-        1 => {
-            let v = r.u64s("start snapshot")?;
-            let arr: Box<[u64; NUM_COUNTERS]> =
-                v.into_boxed_slice().try_into().map_err(|_| {
-                    BgpError::corrupt("start snapshot is not NUM_COUNTERS long")
-                })?;
-            Some(arr)
-        }
-        t => return Err(BgpError::corrupt(format!("bad start-snap tag {t}"))),
-    };
-    let accum = r.u64s("set accumulator")?;
-    if accum.len() != NUM_COUNTERS {
-        return Err(BgpError::corrupt(format!(
-            "set accumulator has {} slots, expected {NUM_COUNTERS}",
-            accum.len()
-        )));
-    }
     let records = r.u32("set records")?;
-    let mux_start = match r.u8("mux-start tag")? {
+    let start = match r.u8("start-mark tag")? {
         0 => None,
-        1 => {
-            let totals = r.u64s("mux mark totals")?;
-            if totals.len() != NUM_EVENTS {
-                return Err(BgpError::corrupt(format!(
-                    "mux mark has {} totals, expected {NUM_EVENTS}",
-                    totals.len()
-                )));
-            }
-            let mut occupancy = [0u64; NUM_MODES];
-            for o in &mut occupancy {
-                *o = r.u64("mux mark occupancy")?;
-            }
-            let mut cycles = [0u64; NUM_MODES];
-            for c in &mut cycles {
-                *c = r.u64("mux mark cycles")?;
-            }
-            Some(MuxMark { totals, occupancy, cycles })
-        }
-        t => return Err(BgpError::corrupt(format!("bad mux-start tag {t}"))),
+        1 => Some(load_mark(r)?),
+        t => return Err(BgpError::corrupt(format!("bad start-mark tag {t}"))),
     };
-    let mux_accum = r.u64s("mux accumulator")?;
-    if !mux_accum.is_empty() && mux_accum.len() != NUM_EVENTS {
-        return Err(BgpError::corrupt(format!(
-            "mux accumulator has {} slots, expected 0 or {NUM_EVENTS}",
-            mux_accum.len()
-        )));
-    }
-    let mut mux_occupancy = [0u64; NUM_MODES];
-    for o in &mut mux_occupancy {
-        *o = r.u64("mux occupancy")?;
-    }
-    let mut mux_cycles = [0u64; NUM_MODES];
-    for c in &mut mux_cycles {
-        *c = r.u64("mux cycles")?;
-    }
-    Ok((id, SetState {
-        start_snap,
-        accum,
-        records,
-        mux_start,
-        mux_accum,
-        mux_occupancy,
-        mux_cycles,
-    }))
+    Ok((id, SetState { start, window: load_mark(r)?, records }))
 }
 
 fn save_node(out: &mut Vec<u8>, st: &NodeState) {
@@ -228,7 +170,7 @@ mod tests {
     use std::sync::Arc;
 
     /// Save → restore into a fresh library must reproduce the bytes,
-    /// including mid-window state (an open set with a start snapshot).
+    /// including mid-window state (an open set with a start mark).
     #[test]
     fn library_state_round_trips() {
         let mut spec = JobSpec::new(4, OpMode::Dual);
@@ -242,20 +184,14 @@ mod tests {
             st.init_arrivals = 2;
             st.active_set = Some(7);
             st.start_arrivals = 1;
-            let mut set = SetState {
-                start_snap: Some(Box::new([3u64; NUM_COUNTERS])),
-                accum: vec![9; NUM_COUNTERS],
-                records: 5,
-                mux_start: Some(MuxMark {
-                    totals: vec![2; NUM_EVENTS],
-                    occupancy: [1, 2, 3, 4],
-                    cycles: [10, 20, 30, 40],
-                }),
-                mux_accum: vec![4; NUM_EVENTS],
-                mux_occupancy: [5, 6, 7, 8],
-                mux_cycles: [50, 60, 70, 80],
+            let mut window = MuxMark { totals: vec![9; NUM_COUNTERS], ..MuxMark::default() };
+            window.totals[17] = u64::MAX;
+            let start = MuxMark {
+                totals: vec![2; NUM_EVENTS],
+                occupancy: [1, 2, 3, 4],
+                cycles: [10, 20, 30, 40],
             };
-            set.accum[17] = u64::MAX;
+            let set = SetState { start: Some(start), window, records: 5 };
             st.sets.insert(7, set);
             nodes[0].dump = Some(vec![1, 2, 3]);
         }
@@ -276,8 +212,7 @@ mod tests {
         lib.nodes.lock()[0].sets.insert(
             0,
             SetState {
-                start_snap: None,
-                accum: vec![1; NUM_COUNTERS],
+                window: MuxMark { totals: vec![1; NUM_COUNTERS], ..MuxMark::default() },
                 records: 1,
                 ..SetState::default()
             },

@@ -370,10 +370,9 @@ pub struct Machine {
     pub(crate) sched: PhaseEngine,
     pub(crate) comm: Mutex<CommInner>,
     pub(crate) trace: Arc<TraceState>,
-    /// Adaptive counter-mode rotation state (present iff the policy is
-    /// [`CounterPolicy::Multiplexed`]). Mutated only at phase
-    /// boundaries, with the machine quiescent.
-    mux: Option<Mutex<MuxState>>,
+    /// Per-node counter-mode schedules. Rotating ones advance only at
+    /// phase boundaries, with the machine quiescent.
+    mux: MuxState,
     ran: AtomicBool,
     /// Rotating snapshot writer (present iff `spec.checkpoint` is).
     store: Option<SnapshotStore>,
@@ -419,26 +418,14 @@ impl Machine {
         spec.machine.validate().expect("invalid machine configuration");
         let n_nodes = spec.nodes();
         let dims = TorusDims::for_nodes(n_nodes);
+        let mux = MuxState::new(n_nodes, &spec.counter_policy);
         let nodes: Vec<_> = (0..n_nodes)
             .map(|i| {
-                let id = NodeId(i);
-                Mutex::new(Node::new(
-                    id,
-                    &spec.machine,
-                    spec.mode,
-                    spec.counter_policy.mode_for(id),
-                ))
+                let mut node = Node::new(NodeId(i), &spec.machine, spec.mode, mux.home_mode(i));
+                mux.arm(i, node.upc_mut());
+                Mutex::new(node)
             })
             .collect();
-        let mux = match spec.counter_policy {
-            CounterPolicy::Multiplexed { first, base_dwell } => {
-                for n in &nodes {
-                    MuxState::arm_sentinels(n.lock().upc_mut());
-                }
-                Some(Mutex::new(MuxState::new(n_nodes, first, base_dwell)))
-            }
-            _ => None,
-        };
         let mut torus = TorusNetwork::new(dims, spec.net.clone());
         if let Some(plan) = &spec.faults {
             torus.set_fault_plan(Arc::clone(plan));
@@ -618,26 +605,35 @@ impl Machine {
         hooks.push(hook);
     }
 
-    /// Whether the counter policy rotates modes at phase boundaries.
-    pub fn mux_active(&self) -> bool {
-        self.mux.is_some()
+    /// A continuity mark of `node`'s counter totals under its schedule
+    /// (see [`MuxMark`]). The counter library brackets each session
+    /// window with two marks; their difference is the window's counts.
+    /// Takes only `node`'s own locks.
+    pub fn mux_mark(&self, node: usize) -> MuxMark {
+        let n = self.nodes[node].lock();
+        self.mux.mark(node, n.upc(), n.node_cycles())
     }
 
-    /// A continuity mark of `node`'s multiplexed counter totals
-    /// (harvested accumulators plus live counters) and per-mode
-    /// occupancy, or `None` when the policy is not multiplexed. The
-    /// counter library brackets each session window with two marks;
-    /// their difference is the window's counts.
-    pub fn mux_mark(&self, node: usize) -> Option<MuxMark> {
-        let mux = self.mux.as_ref()?.lock();
-        let n = self.nodes[node].lock();
-        Some(mux.mark(node, n.upc(), n.node_cycles()))
+    /// `node`'s home counter mode: the mode its dump header advertises
+    /// and its primary sets report.
+    pub fn home_mode(&self, node: usize) -> CounterMode {
+        self.mux.home_mode(node)
+    }
+
+    /// Re-point every one-mode schedule at `policy`'s mode and reprogram
+    /// the node's UPC (a session's counter-policy override, applied
+    /// before any node initializes). Rotating schedules are fixed at
+    /// construction and stay as they are.
+    pub fn reprogram_counter_modes(&self, policy: &CounterPolicy) {
+        for (i, n) in self.nodes.iter().enumerate() {
+            self.mux.set_home(i, policy.mode_for(NodeId(i)), n.lock().upc_mut());
+        }
     }
 
     /// Aggregate rotation-schedule summary across all nodes, or `None`
-    /// when the policy is not multiplexed.
+    /// when no node's schedule rotates.
     pub fn mux_summary(&self) -> Option<MuxSummary> {
-        self.mux.as_ref().map(|m| m.lock().summary())
+        self.mux.summary()
     }
 
     /// One phase boundary of the multiplexing scheduler: drain every
@@ -647,8 +643,10 @@ impl Machine {
     /// with the job clock like `PhaseResolve`) are appended after the
     /// phase's scheduler events.
     fn mux_step(&self, tracing: bool, phase: u64) {
-        let Some(mux) = &self.mux else { return };
-        let mut mux = mux.lock();
+        let mux = &self.mux;
+        if !mux.rotates() {
+            return;
+        }
         // The job clock is stable here (machine quiescent), so the
         // phase's cycle span is deterministic for any thread count.
         let now = self.job_cycles();
@@ -876,13 +874,11 @@ impl Machine {
         self.trace.save_state(&mut buf);
         snap.add_section("trace", buf);
 
-        // Rotation-scheduler state (present iff the policy multiplexes;
-        // the fingerprint pins the policy, so saver and restorer agree).
-        if let Some(mux) = &self.mux {
-            let mut buf = Vec::new();
-            mux.lock().save_state(&mut buf);
-            snap.add_section("mux", buf);
-        }
+        // Counter-mode schedules (the fingerprint pins the policy, so
+        // saver and restorer agree on which of them rotate).
+        let mut buf = Vec::new();
+        self.mux.save_state(&mut buf);
+        snap.add_section("mux", buf);
 
         for hook in self.app_states.lock().iter() {
             snap.add_section(&format!("app:{}", hook.name()), hook.save());
@@ -952,12 +948,10 @@ impl Machine {
         self.trace.restore_state(&mut r).expect("trace state restore failed");
         r.expect_end("trace section").expect("trailing bytes in trace section");
 
-        if let Some(mux) = &self.mux {
-            let bytes = snap.section_required("mux").expect("mux section");
-            let mut r = bgp_arch::wire::Reader::new(bytes);
-            mux.lock().restore_state(&mut r).expect("mux state restore failed");
-            r.expect_end("mux section").expect("trailing bytes in mux section");
-        }
+        let bytes = snap.section_required("mux").expect("mux section");
+        let mut r = bgp_arch::wire::Reader::new(bytes);
+        self.mux.restore_state(&mut r).expect("mux state restore failed");
+        r.expect_end("mux section").expect("trailing bytes in mux section");
 
         let hooks = self.app_states.lock();
         for hook in hooks.iter() {
@@ -1511,16 +1505,15 @@ mod tests {
             base_dwell: 2,
         };
         let m = Machine::new(spec);
-        assert!(m.mux_active());
         assert_eq!(m.with_node(0, |n| n.upc().mode()), CounterMode::Mode2);
         m.enable_all_counters();
-        let start = m.mux_mark(0).expect("mux policy has marks");
+        let start = m.mux_mark(0);
         m.run(|mut ctx| async move {
             for _ in 0..32 {
                 ctx.allreduce_sum_f64(&[1.0]).await;
             }
         });
-        let stop = m.mux_mark(0).expect("mux policy has marks");
+        let stop = m.mux_mark(0);
         let s = m.mux_summary().expect("mux policy has a summary");
         assert!(s.rotations > 0, "32 collectives must cross a 2-phase dwell");
         assert!(s.occupancy.iter().sum::<u64>() > 0);
@@ -1530,11 +1523,12 @@ mod tests {
             .iter()
             .zip(&start.totals)
             .all(|(after, before)| after >= before));
-        let (counts, occ, cyc) = stop.window_since(&start);
-        assert_eq!(counts.len(), bgp_arch::events::NUM_EVENTS);
-        assert!(occ.iter().sum::<u64>() > 0);
+        let mut w = MuxMark::default();
+        w.accumulate(&start, &stop);
+        assert_eq!(w.totals.len(), bgp_arch::events::NUM_EVENTS);
+        assert!(w.occupancy.iter().sum::<u64>() > 0);
         assert!(
-            cyc.iter().sum::<u64>() > 0,
+            w.cycles.iter().sum::<u64>() > 0,
             "phase boundaries must attribute job cycles to the occupied mode"
         );
     }

@@ -39,8 +39,11 @@ use std::path::{Path, PathBuf};
 
 /// File magic: "BGPS".
 pub const MAGIC: [u8; 4] = *b"BGPS";
-/// Container format version.
-pub const VERSION: u32 = 1;
+/// Container format version. Version 2 changed the `app:counters` and
+/// `mux` section layouts (every counter policy became a per-node mode
+/// schedule read through marks); the loader refuses version-1 files
+/// before any section is replayed.
+pub const VERSION: u32 = 2;
 /// File extension of live snapshots.
 pub const EXTENSION: &str = "bgps";
 

@@ -120,6 +120,19 @@ echo "==> full-machine scaling gate (73,728 nodes / 294,912 ranks, <= 10 KB/rank
 # bin itself asserts verification and the per-rank RSS budget (~10 s).
 BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_fullmachine
 
+echo "==> perfbench digest smoke (decoded counters, job_cycles and phases == perfbench/reference.json)"
+# The digests are the one check of counter values that is independent
+# of the golden exports; a job whose digest differs reports
+# "correct":false on the last stdout line. One job per workload, ~25 s.
+for workload in mg-a16 cg-supervised fullmachine-probe; do
+    last="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    case "$last" in
+        '{"correct":true,'*) ;;
+        *) echo "perfbench smoke: $workload failed its output checks: $last"; exit 1 ;;
+    esac
+done
+
 echo "==> snapshot overhead gate (checkpoint every 64 phases < 5%, Default scale)"
 # Runs at Default scale (MG class A) so the committed BENCH_snapshot.json
 # records the acceptance-criterion numbers; ~1 min.

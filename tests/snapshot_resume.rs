@@ -8,13 +8,15 @@
 //! truncated snapshot files must fail closed with a quarantine report,
 //! and the supervisor must recover an injected mid-run kill on its own.
 
+use bgp::arch::events::CounterMode;
 use bgp::arch::OpMode;
 use bgp::counters::run_instrumented;
 use bgp::counters::supervisor::{supervise, SupervisorConfig};
 use bgp::faults::{FaultPlan, FaultSpec};
-use bgp::mpi::CheckpointConfig;
+use bgp::mpi::{CheckpointConfig, CounterPolicy};
 use bgp::nas::{Class, Kernel};
 use bgp::snapshot::{Snapshot, SnapshotStore};
+use bgp::trace::TraceConfig;
 use bgp::{JobSpec, Machine};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -132,6 +134,90 @@ fn mg_s_resumes_byte_identically_from_every_phase_boundary() {
 fn mg_a_resumes_byte_identically_from_sampled_phase_boundaries() {
     check_boundaries("a-clean", Class::A, 16, None);
     check_boundaries("a-faulted", Class::A, 16, Some(42));
+}
+
+/// A multiplexed, traced MG S job resumed from sampled phase
+/// boundaries at 1 and 4 threads: the rotating schedules, the counter
+/// library's open marks and the trace all splice back byte-identically.
+#[test]
+fn multiplexed_mg_s_resumes_byte_identically_with_its_trace() {
+    let mux_spec = |threads| {
+        let mut s = spec(threads, None);
+        s.counter_policy =
+            CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 4 };
+        s.trace = Some(TraceConfig {
+            sample_every: 8,
+            sample_slots: vec![0, 1, 2],
+            ..Default::default()
+        });
+        s
+    };
+    let run = |spec: JobSpec, snap: Option<Snapshot>| {
+        let machine = Machine::new(spec);
+        if let Some(snap) = snap {
+            machine.resume(snap).expect("snapshot accepted");
+        }
+        let (out, lib) = run_instrumented(&machine, |ctx| Kernel::Mg.exec(Class::S, ctx));
+        assert!(out.iter().all(|r| r.verified), "MG failed verification");
+        let trace = machine.job_trace().expect("tracing enabled");
+        let mut parts = observe(&machine, &lib);
+        parts.push(("trace".to_string(), trace.chrome_json().into_bytes()));
+        parts.push(("phases".to_string(), trace.phase_metrics_csv().into_bytes()));
+        parts
+    };
+    let dir = tempdir("mux");
+    let mut ref_spec = mux_spec(1);
+    ref_spec.checkpoint = Some(CheckpointConfig {
+        every: 16,
+        dir: dir.clone(),
+        retain: RETAIN_ALL,
+    });
+    let reference = run(ref_spec, None);
+    let files = SnapshotStore::new(&dir, RETAIN_ALL).list().expect("list snapshots");
+    assert!(files.len() >= 2, "expected several snapshots, got {}", files.len());
+    for path in &files {
+        let bytes = std::fs::read(path).unwrap();
+        for threads in [1, 4] {
+            let snap = Snapshot::decode(&bytes).expect("snapshot decodes");
+            let what = format!("mux resume from phase {} at {threads} threads", snap.phase);
+            assert_same(&run(mux_spec(threads), Some(snap)), &reference, &what);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot in the version-1 container layout passes its checksums
+/// but is refused at load, naming its version, and quarantined: the
+/// supervisor cold-starts instead of replaying it.
+#[test]
+fn version_1_snapshots_are_refused_before_replay() {
+    let dir = tempdir("v1");
+    let mut job = spec(1, None);
+    job.checkpoint = Some(CheckpointConfig { every: 16, dir: dir.clone(), retain: 1 });
+    run_mg(job.clone(), Class::S, None);
+    let store = SnapshotStore::new(&dir, 1);
+    let path = store.list().expect("list").pop().expect("a snapshot");
+
+    // Rewrite the header's version to 1 and re-seal the file checksum,
+    // so the version is the only thing wrong with the file.
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let body = bytes.len() - 8;
+    let total = bgp::arch::wire::checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&total.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let err = Snapshot::decode(&bytes).expect_err("version 1 must not decode");
+    assert!(err.to_string().contains("version 1"), "error names the version: {err}");
+
+    let cfg = SupervisorConfig { max_retries: 0, ..Default::default() };
+    let run = supervise(&job, &cfg, |ctx| Kernel::Mg.exec(Class::S, ctx)).expect("cold start");
+    assert_eq!(run.attempts[0].resumed_from, None, "a v1 snapshot must never replay");
+    assert!(path.with_extension("quarantined").exists(), "the v1 file was set aside");
+    let report = std::fs::read_to_string(path.with_extension("quarantine.txt")).unwrap();
+    assert!(report.contains("version 1"), "quarantine report names the version:\n{report}");
+    let reference = run_mg(spec(1, None), Class::S, None);
+    assert_same(&observe(&run.machine, &run.library), &reference, "cold start after refusal");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Acceptance matrix: resumed runs are byte-identical to the
