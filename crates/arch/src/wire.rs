@@ -54,15 +54,48 @@ pub fn put_u64s(out: &mut Vec<u8>, v: &[u64]) {
     }
 }
 
-/// Position-weighted checksum, same discipline as the dump-format-v2
-/// codec: byte transpositions and zeroed runs both perturb the digest.
+/// Bytes folded per step of [`checksum`].
+const CHUNK: usize = 16;
+
+/// `POW31[k] = 31^k mod 2^64` for `k` in `0..=CHUNK`.
+const POW31: [u64; CHUNK + 1] = {
+    let mut p = [1u64; CHUNK + 1];
+    let mut k = 1;
+    while k <= CHUNK {
+        p[k] = p[k - 1].wrapping_mul(31);
+        k += 1;
+    }
+    p
+};
+
+/// Position-weighted checksum of every dump, snapshot section, blob
+/// and spec fingerprint: `Σ (b_i ^ i)·31^(n-1-i) mod 2^64` over the
+/// `n` bytes. Byte transpositions and zeroed runs both perturb it, and
+/// because 31 is odd and thus invertible mod 2^64 it catches every
+/// single-byte change.
+///
+/// The sum is folded 16 bytes at a time: a chunk's 16 terms are
+/// independent products with precomputed powers of 31, so they do not
+/// wait on one another the way a byte-serial multiply-add chain does.
+/// Leftover bytes take the serial step. The value is the byte-serial
+/// one exactly.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &b)| {
-            acc.wrapping_mul(31).wrapping_add(u64::from(b) ^ i as u64)
-        })
+    let mut acc = 0u64;
+    let mut chunks = bytes.chunks_exact(CHUNK);
+    let mut base = 0u64;
+    for chunk in &mut chunks {
+        let mut sum = 0u64;
+        for (j, &b) in chunk.iter().enumerate() {
+            let term = u64::from(b) ^ (base + j as u64);
+            sum = sum.wrapping_add(term.wrapping_mul(POW31[CHUNK - 1 - j]));
+        }
+        acc = acc.wrapping_mul(POW31[CHUNK]).wrapping_add(sum);
+        base += CHUNK as u64;
+    }
+    for (j, &b) in chunks.remainder().iter().enumerate() {
+        acc = acc.wrapping_mul(31).wrapping_add(u64::from(b) ^ (base + j as u64));
+    }
+    acc
 }
 
 /// Bounds-checked cursor over an encoded byte slice.
@@ -264,6 +297,44 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert!(r.bool("flag").unwrap());
         assert!(r.expect_end("state").is_err());
+    }
+
+    /// The checksum's definition, one byte at a time.
+    fn serial_checksum(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (i, &b)| acc.wrapping_mul(31).wrapping_add(u64::from(b) ^ i as u64))
+    }
+
+    #[test]
+    fn chunked_checksum_equals_the_serial_definition() {
+        let mut rng = crate::rng::SimRng::seed_from_u64(0x5EED);
+        let buf: Vec<u8> = (0..4200 + 16).map(|_| rng.next_u64() as u8).collect();
+        // Every length up to two dumps' worth hits every remainder mod
+        // 16; every offset shifts the chunk grid against the buffer.
+        for offset in 0..16 {
+            for len in 0..=4200 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(checksum(bytes), serial_checksum(bytes), "offset {offset} len {len}");
+            }
+        }
+    }
+
+    /// Values of the byte-serial checksum every dump, snapshot and blob
+    /// on disk was sealed with; a formula drift fails here even if the
+    /// reference above drifts with it.
+    #[test]
+    fn checksum_values_are_pinned() {
+        let ramp: Vec<u8> = (0..4200u32).map(|i| (i * 7 + 3) as u8).collect();
+        let descending: Vec<u8> = (0..=255u8).rev().collect();
+        assert_eq!(checksum(b""), 0);
+        assert_eq!(checksum(b"a"), 0x61);
+        assert_eq!(checksum(b"abcd"), 0x2d97c8);
+        assert_eq!(checksum(&descending), 0xa2b1_72a8_b82d_f000);
+        assert_eq!(checksum(&ramp), 0x0d04_f74f_f8a6_49e0);
+        assert_eq!(checksum(&ramp[..2071]), 0xc22d_c1c5_f309_5433);
+        assert_eq!(checksum(&[0u8; 4096]), 0xcafd_1130_27f0_0800);
     }
 
     #[test]

@@ -49,7 +49,6 @@ use bgp_faults::{CounterFault, FaultPlan};
 use bgp_mpi::{CounterPolicy, JobSpec, Machine, MuxMark, RankCtx};
 use bgp_trace::{EventKind, FaultEvent};
 use dump::{NodeDump, RecoveredDump, SetDump};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -92,8 +91,16 @@ struct NodeState {
     start_arrivals: usize,
     stop_arrivals: usize,
     finalize_arrivals: usize,
-    sets: BTreeMap<u32, SetState>,
+    /// The node's sets, sorted by id (the order dumps list them in).
+    sets: Vec<(u32, SetState)>,
     dump: Option<Vec<u8>>,
+}
+
+impl NodeState {
+    /// Where set `id` sits in `sets`, or where it would be inserted.
+    fn find_set(&self, id: u32) -> std::result::Result<usize, usize> {
+        self.sets.binary_search_by_key(&id, |&(k, _)| k)
+    }
 }
 
 /// The interface library, shared by all ranks of one job.
@@ -232,7 +239,11 @@ impl CounterLibrary {
                     // itself) sees every count before the window.
                     ctx.with_own_node(|n| n.upc_mut().set_enabled(true));
                     let mark = ctx.machine().mux_mark(node);
-                    st.sets.entry(set).or_default().start = Some(mark);
+                    let i = st.find_set(set).unwrap_or_else(|i| {
+                        st.sets.insert(i, (set, SetState::default()));
+                        i
+                    });
+                    st.sets[i].1.start = Some(mark);
                 }
                 Some(active) if active == set => {
                     st.start_arrivals += 1;
@@ -300,7 +311,8 @@ impl CounterLibrary {
                     }
                     ctx.with_own_node(|n| n.upc_mut().set_enabled(false));
                     let stop = ctx.machine().mux_mark(node);
-                    let s = st.sets.get_mut(&set).expect("set created at start");
+                    let i = st.find_set(set).expect("set created at start");
+                    let s = &mut st.sets[i].1;
                     let start = s.start.take().expect("start mark present");
                     s.window.accumulate(&start, &stop);
                     s.records += 1;
@@ -345,8 +357,8 @@ impl CounterLibrary {
                 let mut sets: Vec<SetDump> = st
                     .sets
                     .iter()
-                    .map(|(&id, s)| SetDump {
-                        id,
+                    .map(|(id, s)| SetDump {
+                        id: *id,
                         records: s.records,
                         counts: s.window.block(mode).to_vec(),
                     })
@@ -354,10 +366,10 @@ impl CounterLibrary {
                 // Rotating schedules add synthetic per-mode sets: the raw
                 // block each mode observed, with the mode's occupancy as
                 // the record count (see [`dump::MUX_SET_BASE`]).
-                for (&id, s) in st.sets.iter().filter(|(_, s)| s.window.rotates()) {
+                for (id, s) in st.sets.iter().filter(|(_, s)| s.window.rotates()) {
                     for (m, &mode) in CounterMode::ALL.iter().enumerate() {
                         sets.push(SetDump {
-                            id: dump::mux_set_id(id, m),
+                            id: dump::mux_set_id(*id, m),
                             records: s.window.occupancy[m].min(u64::from(u32::MAX)) as u32,
                             counts: s.window.block(mode).to_vec(),
                         });
@@ -370,7 +382,7 @@ impl CounterLibrary {
                     counts[..NUM_MODES].copy_from_slice(&s.window.cycles);
                     counts[NUM_MODES..2 * NUM_MODES].copy_from_slice(&s.window.occupancy);
                     sets.push(SetDump {
-                        id: dump::mux_sched_id(id),
+                        id: dump::mux_sched_id(*id),
                         records: 1,
                         counts,
                     });

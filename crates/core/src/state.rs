@@ -77,8 +77,8 @@ fn save_node(out: &mut Vec<u8>, st: &NodeState) {
     put_u64(out, st.stop_arrivals as u64);
     put_u64(out, st.finalize_arrivals as u64);
     put_u64(out, st.sets.len() as u64);
-    for (&id, s) in &st.sets {
-        save_set(out, id, s);
+    for (id, s) in &st.sets {
+        save_set(out, *id, s);
     }
     match &st.dump {
         Some(d) => {
@@ -101,28 +101,28 @@ fn load_node(r: &mut Reader<'_>) -> Result<NodeState> {
     let stop_arrivals = r.u64("stop arrivals")? as usize;
     let finalize_arrivals = r.u64("finalize arrivals")? as usize;
     let n_sets = r.u64("set count")?;
-    let mut sets = std::collections::BTreeMap::new();
-    for _ in 0..n_sets {
-        let (id, s) = load_set(r)?;
-        if sets.insert(id, s).is_some() {
-            return Err(BgpError::corrupt(format!("duplicate set {id}")));
-        }
-    }
-    let dump = match r.u8("dump tag")? {
-        0 => None,
-        1 => Some(r.bytes("dump bytes")?.to_vec()),
-        t => return Err(BgpError::corrupt(format!("bad dump tag {t}"))),
-    };
-    Ok(NodeState {
+    let mut st = NodeState {
         initialized,
         init_arrivals,
         active_set,
         start_arrivals,
         stop_arrivals,
         finalize_arrivals,
-        sets,
-        dump,
-    })
+        ..NodeState::default()
+    };
+    for _ in 0..n_sets {
+        let (id, s) = load_set(r)?;
+        match st.find_set(id) {
+            Ok(_) => return Err(BgpError::corrupt(format!("duplicate set {id}"))),
+            Err(i) => st.sets.insert(i, (id, s)),
+        }
+    }
+    st.dump = match r.u8("dump tag")? {
+        0 => None,
+        1 => Some(r.bytes("dump bytes")?.to_vec()),
+        t => return Err(BgpError::corrupt(format!("bad dump tag {t}"))),
+    };
+    Ok(st)
 }
 
 impl AppState for CounterLibrary {
@@ -192,7 +192,7 @@ mod tests {
                 cycles: [10, 20, 30, 40],
             };
             let set = SetState { start: Some(start), window, records: 5 };
-            st.sets.insert(7, set);
+            st.sets.push((7, set));
             nodes[0].dump = Some(vec![1, 2, 3]);
         }
         let bytes = lib.save();
@@ -209,14 +209,14 @@ mod tests {
         let spec = JobSpec::new(2, OpMode::VirtualNode);
         let m = Machine::new(spec.clone());
         let lib = CounterLibrary::for_machine(&m);
-        lib.nodes.lock()[0].sets.insert(
+        lib.nodes.lock()[0].sets.push((
             0,
             SetState {
                 window: MuxMark { totals: vec![1; NUM_COUNTERS], ..MuxMark::default() },
                 records: 1,
                 ..SetState::default()
             },
-        );
+        ));
         let bytes = lib.save();
         let victim = CounterLibrary::for_machine(&Machine::new(spec));
         let before = victim.save();
@@ -228,6 +228,31 @@ mod tests {
             assert_eq!(victim.save(), before, "cut {cut} partially applied");
         }
         victim.restore(&bytes).unwrap();
+    }
+
+    /// Set ids arrive in whatever order a snapshot lists them: restore
+    /// keeps a node's sets sorted by id and refuses a repeated id.
+    #[test]
+    fn restore_sorts_sets_and_rejects_duplicates() {
+        let lib = CounterLibrary::for_machine(&Machine::new(JobSpec::new(1, OpMode::Smp1)));
+        let encode = |ids: &[u32]| {
+            let st = NodeState {
+                sets: ids
+                    .iter()
+                    .map(|&id| (id, SetState { records: id, ..SetState::default() }))
+                    .collect(),
+                ..NodeState::default()
+            };
+            let mut out = Vec::new();
+            put_u64(&mut out, 1);
+            save_node(&mut out, &st);
+            out
+        };
+        lib.restore(&encode(&[9, 2, 5])).unwrap();
+        assert_eq!(lib.save(), encode(&[2, 5, 9]));
+        let err = lib.restore(&encode(&[4, 7, 4])).unwrap_err();
+        assert!(err.to_string().contains("duplicate set 4"), "{err}");
+        assert_eq!(lib.save(), encode(&[2, 5, 9]), "a refused restore changes nothing");
     }
 
     /// The library registers itself as an app-state hook, so machines

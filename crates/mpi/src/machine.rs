@@ -461,7 +461,7 @@ impl Machine {
                 mailboxes: (0..spec.ranks).map(|_| VecDeque::new()).collect(),
                 outboxes: (0..spec.ranks).map(|_| VecDeque::new()).collect(),
                 slots: [CollSlot::default(), CollSlot::default()],
-                traffic: PhaseTraffic::new(&spec.net),
+                traffic: PhaseTraffic::new(dims, &spec.net),
             }),
             publish: (0..spec.ranks).map(|_| Mutex::new(RankPublish::default())).collect(),
             nodes,
@@ -720,9 +720,10 @@ impl Machine {
         // 1. Deliver outboxes in (sender rank, send order). Queuing
         //    delay on shared torus links accrues in this order too.
         comm.traffic.reset();
+        let mut route = Vec::new();
         for src in 0..self.spec.ranks {
             while let Some(m) = comm.outboxes[src].pop_front() {
-                let route = self.torus.route(m.src_node, m.dst_node);
+                self.torus.route_into(m.src_node, m.dst_node, &mut route);
                 let bytes = m.data.len() as u64;
                 let queue = comm.traffic.enqueue(&route, bytes);
                 let ready_at = m.sent_at + queue;

@@ -23,7 +23,6 @@
 
 use bgp_arch::geometry::{NodeId, TorusCoord, TorusDims};
 use bgp_faults::FaultPlan;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Timing/bandwidth parameters of the interconnects (cycles at 850 MHz).
@@ -147,10 +146,19 @@ impl TorusNetwork {
     /// between the two ring directions break toward increasing
     /// coordinates. On-node transfers take no links.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+        let mut links = Vec::new();
+        self.route_into(src, dst, &mut links);
+        links
+    }
+
+    /// [`TorusNetwork::route`] into a caller-owned buffer: `links` is
+    /// cleared and refilled, so one buffer serves every message of a
+    /// phase without a fresh allocation per route.
+    pub fn route_into(&self, src: NodeId, dst: NodeId, links: &mut Vec<LinkId>) {
+        links.clear();
         let dims = self.dims;
         let mut cur = dims.coord(src);
         let to = dims.coord(dst);
-        let mut links = Vec::new();
         for axis in 0u8..3 {
             let (extent, a, b) = match axis {
                 0 => (dims.x, cur.x, to.x),
@@ -176,7 +184,6 @@ impl TorusNetwork {
             }
         }
         debug_assert_eq!(dims.node(cur), dst, "route must terminate at dst");
-        links
     }
 
     /// The torus coordinate of `node` (convenience re-export).
@@ -195,17 +202,42 @@ impl TorusNetwork {
 /// serialization backlog of its most-loaded link — a deterministic
 /// store-and-forward queuing model. [`PhaseTraffic::reset`] clears the
 /// loads for the next phase.
+///
+/// Loads live in a dense table of six directed links per node, sized
+/// once from the torus shape. The links a phase touched are listed as
+/// they are first loaded, so the per-phase statistics and
+/// [`PhaseTraffic::reset`] cost the phase's traffic, not the partition.
 #[derive(Clone, Debug)]
 pub struct PhaseTraffic {
-    load: BTreeMap<LinkId, u64>,
+    /// Bytes committed per directed link, indexed by [`link_index`].
+    load: Vec<u64>,
+    /// Whether the link carried a transfer this phase (a zero-byte
+    /// transfer still counts as loading every link it crosses).
+    touched: Vec<bool>,
+    /// Indices of the touched links, in first-touch order.
+    loaded: Vec<usize>,
     bytes_per_cycle: u64,
 }
 
+/// Directed torus links leaving each node: two directions on three axes.
+const LINKS_PER_NODE: usize = 6;
+
+/// Slot of `link` in a dense per-node link table:
+/// `node * 6 + axis * 2 + positive`.
+#[inline]
+fn link_index(link: LinkId) -> usize {
+    link.from.0 * LINKS_PER_NODE + usize::from(link.axis) * 2 + usize::from(link.positive)
+}
+
 impl PhaseTraffic {
-    /// A contention tracker paced by `cfg`'s torus link bandwidth.
-    pub fn new(cfg: &NetConfig) -> PhaseTraffic {
+    /// A contention tracker over every directed link of a `dims`
+    /// torus, paced by `cfg`'s torus link bandwidth.
+    pub fn new(dims: TorusDims, cfg: &NetConfig) -> PhaseTraffic {
+        let links = dims.nodes() * LINKS_PER_NODE;
         PhaseTraffic {
-            load: BTreeMap::new(),
+            load: vec![0; links],
+            touched: vec![false; links],
+            loaded: Vec::new(),
             bytes_per_cycle: cfg.torus_bytes_per_cycle.max(1),
         }
     }
@@ -214,36 +246,40 @@ impl PhaseTraffic {
     /// delay (cycles) it suffers behind traffic enqueued earlier in the
     /// same phase. Empty routes (on-node copies) never queue.
     pub fn enqueue(&mut self, route: &[LinkId], bytes: u64) -> u64 {
-        let backlog = route
-            .iter()
-            .map(|l| self.load.get(l).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        for l in route {
-            *self.load.entry(*l).or_insert(0) += bytes;
+        let backlog = route.iter().map(|&l| self.load[link_index(l)]).max().unwrap_or(0);
+        for &l in route {
+            let i = link_index(l);
+            if !self.touched[i] {
+                self.touched[i] = true;
+                self.loaded.push(i);
+            }
+            self.load[i] += bytes;
         }
         backlog.div_ceil(self.bytes_per_cycle)
     }
 
     /// Total bytes committed to the busiest link this phase.
     pub fn peak_link_bytes(&self) -> u64 {
-        self.load.values().copied().max().unwrap_or(0)
+        self.loaded.iter().map(|&i| self.load[i]).max().unwrap_or(0)
     }
 
     /// Distinct directed links that carried traffic this phase.
     pub fn links_loaded(&self) -> usize {
-        self.load.len()
+        self.loaded.len()
     }
 
     /// Total bytes committed across all links this phase (a transfer
     /// crossing `h` links contributes `h × bytes`).
     pub fn total_bytes(&self) -> u64 {
-        self.load.values().sum()
+        self.loaded.iter().map(|&i| self.load[i]).sum()
     }
 
     /// Forget all link loads (phase boundary crossed).
     pub fn reset(&mut self) {
-        self.load.clear();
+        for i in self.loaded.drain(..) {
+            self.load[i] = 0;
+            self.touched[i] = false;
+        }
     }
 }
 
@@ -424,7 +460,7 @@ mod tests {
     #[test]
     fn phase_traffic_delays_shared_links_only() {
         let t = torus(8);
-        let mut pt = PhaseTraffic::new(&NetConfig::default());
+        let mut pt = PhaseTraffic::new(t.dims(), &NetConfig::default());
         let r01 = t.route(NodeId(0), NodeId(1));
         // First transfer finds quiet links.
         assert_eq!(pt.enqueue(&r01, 4096), 0);
@@ -438,6 +474,67 @@ mod tests {
         assert_eq!(pt.peak_link_bytes(), 4096 + 64);
         pt.reset();
         assert_eq!(pt.enqueue(&r01, 64), 0, "reset clears the phase's backlog");
+    }
+
+    /// The link-load model with a sparse map keyed by link: the
+    /// definition the dense table must reproduce.
+    struct ReferenceTraffic {
+        load: std::collections::BTreeMap<LinkId, u64>,
+        bytes_per_cycle: u64,
+    }
+
+    impl ReferenceTraffic {
+        fn enqueue(&mut self, route: &[LinkId], bytes: u64) -> u64 {
+            let backlog =
+                route.iter().map(|l| self.load.get(l).copied().unwrap_or(0)).max().unwrap_or(0);
+            for l in route {
+                *self.load.entry(*l).or_insert(0) += bytes;
+            }
+            backlog.div_ceil(self.bytes_per_cycle)
+        }
+    }
+
+    #[test]
+    fn dense_link_loads_match_the_sparse_reference() {
+        use bgp_arch::rng::SimRng;
+        // The paper's full machine.
+        let dims = TorusDims { x: 72, y: 32, z: 32 };
+        let t = TorusNetwork::new(dims, NetConfig::default());
+        let cfg = NetConfig::default();
+        let mut dense = PhaseTraffic::new(dims, &cfg);
+        let mut reference = ReferenceTraffic {
+            load: std::collections::BTreeMap::new(),
+            bytes_per_cycle: cfg.torus_bytes_per_cycle,
+        };
+        let mut rng = SimRng::seed_from_u64(73_728);
+        let mut route = Vec::new();
+        for phase in 0..6 {
+            dense.reset();
+            reference.load.clear();
+            // Few hot senders so routes overlap and queue; zero-byte
+            // transfers still load every link they cross.
+            let hot = 1 + phase * 40usize;
+            for _ in 0..3000 {
+                let src = NodeId(rng.gen_range(0..hot));
+                let dst = NodeId(rng.gen_range(0..dims.nodes()));
+                let bytes = match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => rng.gen_range(1..64u64),
+                    _ => rng.gen_range(64..65_536u64),
+                };
+                t.route_into(src, dst, &mut route);
+                assert_eq!(route, t.route(src, dst));
+                assert_eq!(
+                    dense.enqueue(&route, bytes),
+                    reference.enqueue(&route, bytes),
+                    "phase {phase}: {src:?}->{dst:?}"
+                );
+            }
+            let r = &reference.load;
+            assert_eq!(dense.peak_link_bytes(), r.values().copied().max().unwrap_or(0));
+            assert_eq!(dense.links_loaded(), r.len(), "phase {phase}");
+            assert_eq!(dense.total_bytes(), r.values().sum::<u64>(), "phase {phase}");
+        }
     }
 
     #[test]

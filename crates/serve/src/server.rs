@@ -599,29 +599,41 @@ fn admit(state: &Arc<ServeState>, sub: SubmitReq) -> (CacheKey, Admission) {
         return (key, Admission::Cached(bytes));
     }
 
+    (key, admit_uncached(state, key, sub))
+}
+
+/// Steps 2–3 of [`admit`], after its cache probe missed.
+fn admit_uncached(state: &ServeState, key: CacheKey, sub: SubmitReq) -> Admission {
     // 2./3. Coalesce onto an in-flight job, or admit a new one.
     let mut inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(slot) = inflight.get(&key) {
         state.stats.joined.fetch_add(1, Ordering::Relaxed);
-        return (key, Admission::Wait(Arc::clone(slot), CacheOutcome::Joined));
+        return Admission::Wait(Arc::clone(slot), CacheOutcome::Joined);
+    }
+    // The job may have finished since the probe: a worker installs its
+    // result before it leaves the in-flight table under this lock, so
+    // a key that is in neither place now has no result anywhere.
+    if let Some(bytes) = state.cache.get(key) {
+        state.stats.hits.fetch_add(1, Ordering::Relaxed);
+        return Admission::Cached(bytes);
     }
     if state.draining.load(Ordering::SeqCst) {
-        return (key, Admission::Reject(reject_draining(state)));
+        return Admission::Reject(reject_draining(state));
     }
     let slot = Arc::new(JobSlot::new());
     inflight.insert(key, Arc::clone(&slot));
     match state.queue.push(key, sub) {
         Ok(_) => {
             state.stats.misses.fetch_add(1, Ordering::Relaxed);
-            (key, Admission::Wait(slot, CacheOutcome::Miss))
+            Admission::Wait(slot, CacheOutcome::Miss)
         }
         Err(PushError::Full { depth }) => {
             inflight.remove(&key);
-            (key, Admission::Reject(reject_backpressure(state, depth)))
+            Admission::Reject(reject_backpressure(state, depth))
         }
         Err(PushError::Closed) => {
             inflight.remove(&key);
-            (key, Admission::Reject(reject_draining(state)))
+            Admission::Reject(reject_draining(state))
         }
     }
 }
@@ -943,5 +955,37 @@ mod tests {
         assert_eq!(hex(&[0x00, 0xff, 0x1a]), "00ff1a");
         assert!(unhex("0").is_none());
         assert!(unhex("zz").is_none());
+    }
+
+    /// A job that completes between `admit`'s cache probe and its
+    /// in-flight lookup is a hit, not a second run: hold `inflight`,
+    /// let admission past its missed probe (`admit_uncached`) block on
+    /// it, finish the job the way a worker does, then release.
+    #[test]
+    fn job_finishing_after_the_cache_probe_is_a_hit() {
+        let cfg = ServerConfig { quiet: true, ..ServerConfig::default() };
+        let state = Server::bind(cfg).expect("bind loopback").state;
+        let sub = SubmitReq::default();
+        let key = sub.cache_key(state.cfg.job_sim_threads, state.cfg.trace_jobs);
+        assert!(state.cache.get(key).is_none(), "admission's probe misses");
+        // The job admitted earlier, still running.
+        state.inflight.lock().unwrap().insert(key, Arc::new(JobSlot::new()));
+        let admission = std::thread::scope(|s| {
+            let mut inflight = state.inflight.lock().unwrap();
+            let admitting = s.spawn(|| admit_uncached(&state, key, sub));
+            // The worker publishes: result first, then leaves in-flight.
+            state.cache.put(key, b"result".to_vec()).unwrap();
+            inflight.remove(&key);
+            drop(inflight);
+            admitting.join().unwrap()
+        });
+        match admission {
+            Admission::Cached(bytes) => assert_eq!(bytes.as_slice(), b"result"),
+            Admission::Wait(_, outcome) => panic!("admitted again as {}", outcome.token()),
+            Admission::Reject(line) => panic!("rejected: {line}"),
+        }
+        assert!(state.queue.is_empty(), "no second run was queued");
+        assert_eq!(state.stats.hits.load(Ordering::Relaxed), 1);
+        assert_eq!(state.stats.misses.load(Ordering::Relaxed), 0);
     }
 }

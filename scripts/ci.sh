@@ -123,8 +123,10 @@ BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_fullmachine
 echo "==> perfbench digest smoke (decoded counters, job_cycles and phases == perfbench/reference.json)"
 # The digests are the one check of counter values that is independent
 # of the golden exports; a job whose digest differs reports
-# "correct":false on the last stdout line. One job per workload, ~25 s.
-for workload in mg-a16 cg-supervised fullmachine-probe; do
+# "correct":false on the last stdout line. One job per batch workload,
+# ~25 s. serve-mix (~1 s) reports "correct":false unless every answer
+# for a seed is byte-identical through the daemon's cache path.
+for workload in mg-a16 cg-supervised fullmachine-probe serve-mix; do
     last="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
     case "$last" in
