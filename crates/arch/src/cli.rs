@@ -1,7 +1,6 @@
 //! Shared command-line parsing for the `bgpc-*` binaries.
 //!
-//! `bgpc-run`, `bgpc-serve`, `bgpc-load` and `bgpc-trace` each used to
-//! hand-roll the same flag loop with slightly different error wording;
+//! `bgpc-run`, `bgpc-serve` and `bgpc-load` each used to hand-roll the same flag loop with slightly different error wording;
 //! this module is the single copy. Flags take string values via
 //! [`ArgParser::value`], `FromStr` values via [`ArgParser::parse`],
 //! paths via [`ArgParser::path`], and closed token vocabularies

@@ -3,7 +3,7 @@
 //! ```text
 //! bgpc-run --out DIR [--kernel mg] [--class s] [--ranks 8] [--mode vnm]
 //!          [--policy fixed0|fixed1|fixed2|fixed3|evenodd|mux[:dwell]]
-//!          [--threads N] [--trace]
+//!          [--threads N] [--trace [--slots 0,1,2]]
 //!          [--checkpoint-every N] [--checkpoint-dir DIR] [--retain N]
 //!          [--resume DIR] [--crash-at-phase N]
 //!          [--wall-budget-ms N] [--cycle-budget N] [--max-retries N]
@@ -26,10 +26,21 @@
 //! exits non-zero, leaving the snapshot directory behind for a later
 //! `--resume DIR` invocation to continue byte-identically.
 //!
-//! Writes into `--out DIR`: the per-node `.bgpc` counter dumps,
-//! `run.json` (simulated clocks — identical for an uninterrupted and a
-//! killed-and-resumed job), and with `--trace` the `trace.json` /
-//! `phases.csv` timeline exports.
+//! `--trace` runs the job traced (`JobSpec::trace` with the default
+//! `TraceConfig`); `--slots LIST` additionally samples those UPC counter
+//! slots into the timeline and requires `--trace`.
+//!
+//! Writes into `--out DIR`: the per-node `.bgpc` counter dumps (any
+//! older `*.bgpc` there is removed), `run.json` (simulated clocks —
+//! identical for an uninterrupted and a killed-and-resumed job), and
+//! with `--trace` the `trace.json` / `phases.csv` timeline exports:
+//!
+//! * `trace.json` — Chrome-trace/Perfetto timeline (load via
+//!   `chrome://tracing` or <https://ui.perfetto.dev>); timestamps are
+//!   simulated cycles, so the file is byte-identical for every
+//!   `BGP_SIM_THREADS`,
+//! * `phases.csv` — per-phase scheduler metrics (delivered messages and
+//!   bytes, woken ranks, collectives, peak torus-link occupancy).
 
 use bgp_arch::cli::ArgParser;
 use bgp_arch::events::CounterMode;
@@ -54,6 +65,7 @@ struct Args {
     policy: Option<CounterPolicy>,
     threads: Option<usize>,
     trace: bool,
+    slots: Option<Vec<u8>>,
     checkpoint_every: Option<u64>,
     checkpoint_dir: Option<PathBuf>,
     retain: usize,
@@ -66,8 +78,8 @@ struct Args {
 
 const USAGE: &str = "usage: bgpc-run --out DIR [--kernel mg|ft|ep|cg|is|lu|sp|bt] \
 [--class s|w|a] [--ranks N] [--mode smp1|smp4|dual|vnm] \
-[--policy fixed0|fixed1|fixed2|fixed3|evenodd|mux[:dwell]] [--threads N] [--trace] \
-[--checkpoint-every N] [--checkpoint-dir DIR] [--retain N] [--resume DIR] \
+[--policy fixed0|fixed1|fixed2|fixed3|evenodd|mux[:dwell]] [--threads N] \
+[--trace [--slots 0,1,2]] [--checkpoint-every N] [--checkpoint-dir DIR] [--retain N] [--resume DIR] \
 [--crash-at-phase N] [--wall-budget-ms N] [--cycle-budget N] [--max-retries N]";
 
 /// Baseline dwell (phases per mode) a bare `--policy mux` uses — the
@@ -119,6 +131,7 @@ fn parse_args() -> Result<Args, String> {
         policy: None,
         threads: None,
         trace: false,
+        slots: None,
         checkpoint_every: None,
         checkpoint_dir: None,
         retain: 3,
@@ -148,6 +161,15 @@ fn parse_args() -> Result<Args, String> {
             }
             "--threads" | "--sim-threads" => args.threads = Some(p.parse(&a)?),
             "--trace" => args.trace = true,
+            "--slots" => {
+                args.slots = Some(
+                    p.value(&a)?
+                        .split(',')
+                        .filter(|s| !s.is_empty())
+                        .map(|s| s.trim().parse().map_err(|e| format!("--slots: {e}")))
+                        .collect::<Result<_, _>>()?,
+                );
+            }
             "--checkpoint-every" => args.checkpoint_every = Some(p.parse(&a)?),
             "--checkpoint-dir" => args.checkpoint_dir = Some(p.path(&a)?),
             "--retain" => args.retain = p.parse(&a)?,
@@ -160,6 +182,9 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     args.out = out.ok_or_else(|| p.missing("--out DIR"))?;
+    if args.slots.is_some() && !args.trace {
+        return Err("--slots samples counters into the trace; it needs --trace".into());
+    }
     Ok(args)
 }
 
@@ -242,7 +267,8 @@ fn main() -> ExitCode {
     spec.sim_threads = args.threads;
     spec.cycle_budget = args.cycle_budget;
     if args.trace {
-        spec.trace = Some(TraceConfig::default());
+        let sample_slots = args.slots.clone().unwrap_or_default();
+        spec.trace = Some(TraceConfig { sample_slots, ..TraceConfig::default() });
     }
     if checkpointing {
         spec.checkpoint = Some(CheckpointConfig {

@@ -37,7 +37,10 @@ fn main() {
     emit("fig_ext_modes_all4", &figures::fig_ext_modes(scale));
     emit("fig_ext_512events", &figures::fig_ext_512events(scale));
     emit("fig_ext_faults", &figures::fig_ext_faults(scale));
-    emit("fig_ext_trace_overhead", &figures::fig_ext_trace_overhead(scale));
+    emit(
+        "fig_ext_trace_overhead",
+        &figures::fig_ext_trace_overhead(&figures::trace_overhead_sweep(scale)),
+    );
     emit("fig_ext_memthroughput", &figures::fig_ext_memthroughput(scale));
     emit("fig_ext_fullmachine", &figures::fig_ext_fullmachine(scale));
     eprintln!("[repro_all] extensions done");

@@ -431,8 +431,8 @@ pub fn fig_ext_faults(scale: Scale) -> Csv {
 /// One row of the tracing-overhead comparison (feeds
 /// [`fig_ext_trace_overhead`] and `BENCH_trace.json`).
 pub struct TraceOverheadSample {
-    /// Configuration label: `off` (no `TraceConfig` on the spec),
-    /// `disabled` (config installed, `enabled: false`), or `enabled`.
+    /// Configuration label: `off` (no `TraceConfig` on the spec) or
+    /// `enabled` (traced, with live counter sampling).
     pub config: &'static str,
     /// Best-of-reps host wall-clock milliseconds for the job.
     pub wall_ms: f64,
@@ -446,11 +446,8 @@ pub struct TraceOverheadSample {
 }
 
 /// Run the tracing-overhead comparison behind Fig. ext-trace-overhead:
-/// the same MG job with tracing absent, installed-but-disabled, and
-/// fully enabled (counter sampling every 16 windows on slots 0–2).
-/// Wall-clock is min-of-reps to cut host noise; the `disabled` row is
-/// the one the <1 % acceptance gate watches, because that is the cost
-/// every untraced run pays for the instrumentation hooks.
+/// the same MG job untraced and traced (counter sampling every 16
+/// windows on slots 0–2). Wall-clock is min-of-reps to cut host noise.
 pub fn trace_overhead_sweep(scale: Scale) -> Vec<TraceOverheadSample> {
     use bgp_core::run_instrumented;
     use bgp_trace::TraceConfig;
@@ -464,9 +461,8 @@ pub fn trace_overhead_sweep(scale: Scale) -> Vec<TraceOverheadSample> {
         Scale::Default => 3,
         Scale::Paper => 1,
     };
-    let configs: [(&'static str, Option<TraceConfig>); 3] = [
+    let configs: [(&'static str, Option<TraceConfig>); 2] = [
         ("off", None),
-        ("disabled", Some(TraceConfig { enabled: false, ..TraceConfig::default() })),
         (
             "enabled",
             Some(TraceConfig { sample_slots: vec![0, 1, 2], ..TraceConfig::default() }),
@@ -485,10 +481,10 @@ pub fn trace_overhead_sweep(scale: Scale) -> Vec<TraceOverheadSample> {
     };
     // One untimed warm-up job so the first timed rep does not pay for
     // cold caches / allocator growth, then the reps interleave the
-    // configurations round-robin so host drift hits all three equally.
+    // configurations round-robin so host drift hits both equally.
     run_once(&configs[0].1);
-    let mut best = [f64::INFINITY; 3];
-    let mut counts = [(0u64, 0u64); 3];
+    let mut best = [f64::INFINITY; 2];
+    let mut counts = [(0u64, 0u64); 2];
     for _ in 0..reps {
         for (i, (_, trace)) in configs.iter().enumerate() {
             let (wall_ms, c) = run_once(trace);
@@ -913,12 +909,11 @@ pub fn fig_ext_fullmachine(scale: Scale) -> Csv {
 }
 
 /// Extension (tracing): cost of the deterministic trace layer on an MG
-/// job — off vs. installed-but-disabled vs. fully enabled.
-pub fn fig_ext_trace_overhead(scale: Scale) -> Csv {
-    let samples = trace_overhead_sweep(scale);
+/// job — untraced vs. traced, from [`trace_overhead_sweep`].
+pub fn fig_ext_trace_overhead(samples: &[TraceOverheadSample]) -> Csv {
     let mut csv =
         Csv::new(["trace_config", "wall_ms", "overhead_pct", "events_recorded", "events_dropped"]);
-    for s in &samples {
+    for s in samples {
         csv.row([
             s.config.to_string(),
             format!("{:.1}", s.wall_ms),

@@ -45,10 +45,11 @@ use bgp_arch::error::Result;
 use bgp_arch::events::{CounterMode, NUM_COUNTERS, NUM_MODES};
 use bgp_arch::BgpError;
 use bgp_arch::sync::Mutex;
-use bgp_faults::{CounterFault, FaultPlan};
+use bgp_faults::CounterFault;
 use bgp_mpi::{CounterPolicy, JobSpec, Machine, MuxMark, RankCtx};
 use bgp_trace::{EventKind, FaultEvent};
 use dump::{NodeDump, RecoveredDump, SetDump};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -414,7 +415,9 @@ impl CounterLibrary {
     }
 
     /// Write one `node_<id>.bgpc` file per node into `dir`; returns the
-    /// paths.
+    /// paths. Any other `*.bgpc` file in `dir` (left by an earlier job
+    /// with more nodes) is deleted, so the directory holds exactly this
+    /// job's dumps.
     pub fn write_dumps(&self, dir: &Path) -> Result<Vec<PathBuf>> {
         std::fs::create_dir_all(dir)?;
         let nodes = self.nodes.lock();
@@ -428,39 +431,11 @@ impl CounterLibrary {
             std::fs::write(&p, bytes)?;
             paths.push(p);
         }
-        Ok(paths)
-    }
-
-    /// Like [`CounterLibrary::write_dumps`], but filtered through a
-    /// fault plan: lost nodes and planned-missing files are skipped,
-    /// truncation and byte flips are applied to the written bytes.
-    /// Returns the paths actually written.
-    pub fn write_dumps_with_faults(
-        &self,
-        dir: &Path,
-        plan: &FaultPlan,
-    ) -> Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let nodes = self.nodes.lock();
-        let mut paths = Vec::with_capacity(nodes.len());
-        for (i, st) in nodes.iter().enumerate() {
-            if plan.node_lost(i as u32) {
-                continue; // died before flushing anything
+        let written: HashSet<&PathBuf> = paths.iter().collect();
+        for stale in dump_files(dir)? {
+            if !written.contains(&stale) {
+                std::fs::remove_file(&stale)?;
             }
-            let bytes = st
-                .dump
-                .as_ref()
-                .ok_or_else(|| BgpError::protocol(format!("node {i} never finalized")))?;
-            let bytes = match plan.dump_fault(i as u32) {
-                Some(f) => match f.apply(bytes.clone()) {
-                    Some(b) => b,
-                    None => continue, // planned-missing file
-                },
-                None => bytes.clone(),
-            };
-            let p = dir.join(format!("node_{i:05}.bgpc"));
-            std::fs::write(&p, &bytes)?;
-            paths.push(p);
         }
         Ok(paths)
     }
@@ -473,14 +448,19 @@ impl CounterLibrary {
     }
 }
 
-/// Read every `*.bgpc` file in `dir` (sorted by name) and decode it.
-pub fn read_dumps(dir: &Path) -> Result<Vec<NodeDump>> {
+/// Every `*.bgpc` file in `dir`, sorted by name.
+fn dump_files(dir: &Path) -> Result<Vec<PathBuf>> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "bgpc"))
         .collect();
     paths.sort();
-    paths
+    Ok(paths)
+}
+
+/// Read every `*.bgpc` file in `dir` (sorted by name) and decode it.
+pub fn read_dumps(dir: &Path) -> Result<Vec<NodeDump>> {
+    dump_files(dir)?
         .iter()
         .map(|p| dump::decode(&std::fs::read(p)?))
         .collect()
@@ -509,13 +489,8 @@ impl LenientRead {
 /// each file's per-set checksums allow. Only an unreadable *directory*
 /// is an error; unusable files are reported, not fatal.
 pub fn read_dumps_lenient(dir: &Path) -> Result<LenientRead> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "bgpc"))
-        .collect();
-    paths.sort();
     let mut out = LenientRead { recovered: Vec::new(), unreadable: Vec::new() };
-    for p in paths {
+    for p in dump_files(dir)? {
         let bytes = match std::fs::read(&p) {
             Ok(b) => b,
             Err(e) => {
@@ -799,6 +774,21 @@ mod tests {
         assert_eq!(paths.len(), 2);
         let back = read_dumps(&dir).unwrap();
         assert_eq!(back, lib.dumps().unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rewriting_a_dump_dir_removes_the_previous_jobs_extra_nodes() {
+        let job = |ranks| {
+            let m = machine(ranks, OpMode::Smp1, CounterPolicy::Fixed(CounterMode::Mode0));
+            run_instrumented(&m, |ctx| async move { (ctx, ()) }).1
+        };
+        let dir = std::env::temp_dir().join(format!("bgpc_stale_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(job(4).write_dumps(&dir).unwrap().len(), 4);
+        let second = job(2);
+        assert_eq!(second.write_dumps(&dir).unwrap().len(), 2);
+        assert_eq!(read_dumps(&dir).unwrap(), second.dumps().unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

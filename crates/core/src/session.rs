@@ -61,7 +61,6 @@ use bgp_arch::error::Result;
 use bgp_arch::events::CounterMode;
 use bgp_arch::BgpError;
 use bgp_mpi::{CounterPolicy, Machine, RankCtx};
-use bgp_trace::TraceConfig;
 use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -122,7 +121,6 @@ impl<S> DerefMut for Session<'_, S> {
 pub struct SessionBuilder<'a> {
     ctx: &'a mut RankCtx,
     policy: Option<CounterPolicy>,
-    trace: Option<TraceConfig>,
 }
 
 impl<'a> SessionBuilder<'a> {
@@ -140,16 +138,6 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Arm the rank's deterministic flight recorder with `cfg` (and, if
-    /// `cfg.enabled`, start recording at build time). All ranks of a
-    /// job must supply equal configurations; divergence fails at
-    /// [`SessionBuilder::build`]. Whole-job tracing from cycle 0 is
-    /// configured via `JobSpec::trace` instead.
-    pub fn trace(mut self, cfg: TraceConfig) -> Self {
-        self.trace = Some(cfg);
-        self
-    }
-
     /// `BGP_Initialize`: program this rank's node per the policy, zero
     /// the counters, leave counting disabled.
     ///
@@ -161,9 +149,6 @@ impl<'a> SessionBuilder<'a> {
         if let Some(p) = self.policy {
             lib.set_policy_override(self.ctx.machine(), p)?;
         }
-        if let Some(cfg) = &self.trace {
-            self.ctx.enable_tracing(cfg).map_err(BgpError::protocol)?;
-        }
         lib.initialize_impl(self.ctx)?;
         Ok(Session { ctx: self.ctx, lib, state: Initialized(()) })
     }
@@ -172,7 +157,7 @@ impl<'a> SessionBuilder<'a> {
 impl<'a> Session<'a, Initialized> {
     /// Begin building a session for `ctx`'s rank.
     pub fn builder(ctx: &'a mut RankCtx) -> SessionBuilder<'a> {
-        SessionBuilder { ctx, policy: None, trace: None }
+        SessionBuilder { ctx, policy: None }
     }
 
     /// `BGP_Start(set)`: open a counting window. The returned
@@ -232,12 +217,14 @@ impl JobDump {
         self.lib.encoded_dump(node)
     }
 
-    /// Write one `node_<id>.bgpc` file per node into `dir`.
+    /// Write one `node_<id>.bgpc` file per node into `dir`, removing
+    /// any other `*.bgpc` file there (see
+    /// [`CounterLibrary::write_dumps`]).
     pub fn write(&self, dir: &Path) -> Result<Vec<PathBuf>> {
         self.lib.write_dumps(dir)
     }
 
-    /// The backing library (retry-aware collection, faulted writes).
+    /// The backing library (retry-aware collection).
     pub fn library(&self) -> &Arc<CounterLibrary> {
         &self.lib
     }

@@ -45,7 +45,7 @@ use bgp_compiler::{CodeGen, PairPlan};
 use bgp_fpu::FpOp;
 use bgp_mem::MemStats;
 use bgp_node::{MemOp, MemWidth, Node};
-use bgp_trace::{EventKind, FaultEvent, TraceConfig, WaitKind};
+use bgp_trace::{EventKind, FaultEvent, WaitKind};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -103,15 +103,10 @@ pub struct RankCtx {
     /// Extra cycles charged at every scheduling boundary when this
     /// rank's node is a planned straggler (0 otherwise).
     straggler_penalty: u64,
-    /// Whether this rank records trace events. Rank-local, so the check
-    /// is a plain branch — the disabled path costs nothing measurable
-    /// (validated by `fig_ext_trace_overhead`).
+    /// Whether this rank records trace events: the job's spec carries a
+    /// `TraceConfig`. Cached rank-local, so every trace hook of an
+    /// untraced job is a plain branch.
     tracing: bool,
-    /// Sample live counters / memory windows every this many quantum
-    /// windows (0 = never).
-    trace_sample_every: u64,
-    /// UPC slots sampled at each interval.
-    trace_slots: Vec<u8>,
     /// Quantum windows completed while tracing.
     windows: u64,
     /// Node memory statistics at the last sample (for window deltas).
@@ -162,8 +157,6 @@ impl RankCtx {
             coll_count: 0,
             straggler_penalty,
             tracing: false,
-            trace_sample_every: 0,
-            trace_slots: Vec::new(),
             windows: 0,
             last_mem: MemStats::default(),
             replay,
@@ -171,12 +164,10 @@ impl RankCtx {
             pending: RefCell::new(Pending::default()),
         }
         .with_size();
-        // Whole-job tracing (JobSpec::trace) starts at cycle 0; the
-        // machine installed the shared configuration already.
-        if let Some(cfg) = ctx.machine.spec().trace.clone() {
-            if cfg.enabled {
-                ctx.arm_tracing(&cfg);
-            }
+        // Tracing is a job property (JobSpec::trace): every rank of a
+        // traced job records from cycle 0.
+        if ctx.machine.spec().trace.is_some() {
+            ctx.arm_tracing();
         }
         ctx
     }
@@ -423,61 +414,12 @@ impl RankCtx {
     // Tracing
     // ------------------------------------------------------------------
 
-    /// Whether this rank currently records trace events.
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    /// Configure and (if `cfg.enabled`) start tracing on this rank.
-    /// All ranks of a job must supply equal configurations.
-    ///
-    /// # Errors
-    /// Returns a description if `cfg` diverges from a configuration
-    /// another rank already installed.
-    pub fn enable_tracing(&mut self, cfg: &TraceConfig) -> Result<(), String> {
-        self.machine.trace.configure(cfg)?;
-        if cfg.enabled {
-            self.arm_tracing(cfg);
-        }
-        Ok(())
-    }
-
-    /// Runtime toggle: start or stop recording on this rank. Starting
-    /// uses the job's installed [`TraceConfig`] (or the default if none
-    /// was ever supplied). Toggles take effect at event granularity on
-    /// this rank and at phase granularity on the scheduler stream.
-    pub fn set_tracing(&mut self, on: bool) {
-        if on == self.tracing {
-            return;
-        }
-        if on {
-            let cfg = self.machine.trace.config().unwrap_or_else(|| {
-                let d = TraceConfig::default();
-                self.machine
-                    .trace
-                    .configure(&d)
-                    .expect("default config cannot diverge from nothing");
-                d
-            });
-            self.arm_tracing(&cfg);
-        } else {
-            self.tracing = false;
-            self.machine.trace.rank_leave();
-        }
-    }
-
-    /// Start recording with `cfg` (idempotent).
-    fn arm_tracing(&mut self, cfg: &TraceConfig) {
-        if self.tracing {
-            return;
-        }
+    /// Start recording (once, from [`RankCtx::new`]).
+    fn arm_tracing(&mut self) {
         // The baseline memory snapshot must include everything queued.
         self.flush_pending();
-        self.trace_sample_every = cfg.sample_every;
-        self.trace_slots = cfg.sample_slots.clone();
         self.last_mem = self.with_node(|n| *n.mem_stats());
         self.tracing = true;
-        self.machine.trace.rank_enter();
         // Surface this node's scheduled faults at the head of the
         // stream, so a perturbed timeline is self-explaining.
         if let Some(plan) = &self.machine.spec().faults {
@@ -508,16 +450,15 @@ impl RankCtx {
     /// UPC counters and the node's memory-traffic window.
     fn trace_window_end(&mut self) {
         self.windows += 1;
-        if self.trace_sample_every == 0
-            || !self.windows.is_multiple_of(self.trace_sample_every)
-        {
+        let cfg = self.machine.spec().trace.as_ref().expect("tracing implies a trace config");
+        if cfg.sample_every == 0 || !self.windows.is_multiple_of(cfg.sample_every) {
             return;
         }
         let core = self.core();
         // Node-level memory stats are sampled by process 0 only, so a
         // VNM node doesn't report the same window four times.
         let sample_mem = self.place.process == 0;
-        let slots = &self.trace_slots;
+        let slots = &cfg.sample_slots;
         let (cycle, mem_now, values) = self.with_node(|n| {
             (
                 n.timebase(core),
@@ -540,7 +481,7 @@ impl RankCtx {
                 },
             );
         }
-        for (&slot, value) in self.trace_slots.iter().zip(values) {
+        for (&slot, value) in slots.iter().zip(values) {
             self.machine.trace.record_rank(
                 self.rank,
                 cycle,

@@ -193,10 +193,9 @@ pub struct JobSpec {
     /// available parallelism. Affects wall-clock only — counter dumps
     /// are byte-identical for every value, including 1.
     pub sim_threads: Option<usize>,
-    /// Whole-job tracing: arm every rank's flight recorder from cycle 0
-    /// with this configuration. `None` leaves tracing off (ranks can
-    /// still opt in later via `SessionBuilder::trace` /
-    /// `RankCtx::set_tracing`). Traces are deterministic: timestamped in
+    /// Tracing: `Some` arms every rank's flight recorder from cycle 0
+    /// with this configuration, `None` leaves the job untraced. This is
+    /// the one switch. Traces are deterministic: timestamped in
     /// simulated cycles and byte-identical for every `sim_threads`
     /// value.
     pub trace: Option<TraceConfig>,
@@ -431,10 +430,7 @@ impl Machine {
             torus.set_fault_plan(Arc::clone(plan));
         }
         let node_of: Vec<usize> = (0..spec.ranks).map(|r| place(&spec, r).node.0).collect();
-        let trace = Arc::new(TraceState::new(node_of.clone()));
-        if let Some(cfg) = &spec.trace {
-            trace.configure(cfg).expect("first configure cannot diverge");
-        }
+        let trace = Arc::new(TraceState::new(node_of.clone(), spec.trace.as_ref()));
         let sched = PhaseEngine::new(node_of.clone(), n_nodes, spec.resolved_sim_threads());
         // Deadlock forensics: append the scheduler-trace tail and any
         // scheduled faults to the panic, and drop a sidecar report.
@@ -516,14 +512,14 @@ impl Machine {
         self.sched.phases()
     }
 
-    /// The job's shared trace state (recorder configuration and raw
-    /// stream access; most callers want [`Machine::job_trace`]).
+    /// The job's shared trace state (raw stream access; most callers
+    /// want [`Machine::job_trace`]).
     pub fn trace_state(&self) -> &Arc<TraceState> {
         &self.trace
     }
 
-    /// Snapshot the recorded trace for export, or `None` if tracing was
-    /// never configured for this job.
+    /// Snapshot the recorded trace for export, or `None` for an
+    /// untraced job.
     pub fn job_trace(&self) -> Option<JobTrace> {
         self.trace.snapshot()
     }
@@ -707,11 +703,10 @@ impl Machine {
         let mut guard = self.comm.lock();
         let comm = &mut *guard;
         let replaying = self.replay.load(Ordering::Acquire);
-        // Tracing check: read once per phase, while the machine is
-        // quiescent (every rank parked), so the answer is deterministic
-        // at phase granularity for any thread count. Replay records
-        // nothing: the trace rings are restored whole at go-live.
-        let tracing = !replaying && self.trace.sched_active();
+        // A traced job records the scheduler stream at every live
+        // phase. Replay records nothing: the trace rings are restored
+        // whole at go-live.
+        let tracing = !replaying && self.spec.trace.is_some();
         let mut events: Vec<TraceEvent> = Vec::new();
         let mut delivered = 0u64;
         let mut delivered_bytes = 0u64;
@@ -1398,8 +1393,8 @@ fn deadlock_report(
     let recent = trace.recent_sched(DEADLOCK_TRACE_TAIL);
     if recent.is_empty() {
         out.push_str(
-            "scheduler trace: empty (enable tracing via JobSpec::trace or \
-             SessionBuilder::trace to capture phase timelines)\n",
+            "scheduler trace: empty (enable tracing via JobSpec::trace to \
+             capture phase timelines)\n",
         );
     } else {
         let _ = writeln!(out, "last {} scheduler events (newest last):", recent.len());
@@ -1543,6 +1538,31 @@ mod tests {
             m.run(|ctx| async move { ctx.rank() });
         }));
         assert!(res.is_err(), "second run must be rejected");
+    }
+
+    #[test]
+    fn tracing_is_on_exactly_when_the_spec_carries_a_config() {
+        let run = |trace: Option<TraceConfig>| {
+            let mut spec = JobSpec::new(8, OpMode::VirtualNode);
+            spec.trace = trace;
+            let m = Machine::new(spec);
+            m.run(|mut ctx| async move {
+                for _ in 0..4 {
+                    ctx.allreduce_sum_f64(&[1.0]).await;
+                }
+            });
+            m
+        };
+        let untraced = run(None);
+        assert!(untraced.job_trace().is_none());
+        assert_eq!(untraced.trace_state().events_recorded(), 0, "every ring stays empty");
+
+        let traced = run(Some(TraceConfig::default()));
+        let trace = traced.job_trace().expect("traced job exports a trace");
+        let resolves = trace.sched.iter().filter(|e| e.kind.name() == "phase_resolve").count();
+        assert_eq!(resolves as u64, traced.phases(), "one phase_resolve per phase");
+        assert_eq!(trace.ranks.len(), 8);
+        assert!(trace.ranks.iter().all(|r| !r.events.is_empty()), "every rank records");
     }
 
     #[test]

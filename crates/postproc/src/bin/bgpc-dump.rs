@@ -17,7 +17,7 @@
 //!   raw counter table,
 //! * `--json`: emit the node summaries, warnings, and statistics as one
 //!   JSON document on stdout (machine-readable, shares the toolchain
-//!   with `bgpc-trace` timelines).
+//!   with `bgpc-run --trace` timelines).
 //!
 //! Dumps produced under `CounterPolicy::Multiplexed` carry synthetic
 //! sets next to each user set: four per-mode blocks and one schedule

@@ -116,7 +116,7 @@ fn event(out: &mut String, first: &mut bool, pid: u64, tid: u64, ts: u64, kind: 
 }
 
 /// One event read back from a Chrome-trace document (metadata events
-/// are skipped). Used by the round-trip test and `bgpc-trace` tooling.
+/// are skipped). Used by the round-trip test and trace tooling.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParsedEvent {
     /// Event name (`EventKind::name`).

@@ -5,7 +5,7 @@
 //! helpers plus the [`Obj`]/[`Arr`] builders used by the Chrome-trace
 //! exporter and the `bgp-serve` protocol; the reader side is a small
 //! recursive-descent parser used by the round-trip test, the service
-//! daemon, and the `bgpc-trace` / `bgpc-dump --json` consumers. Numbers
+//! daemon, and the `bgpc-run --trace` / `bgpc-dump --json` consumers. Numbers
 //! are kept as their **raw token** so 64-bit cycle counts survive a
 //! round trip exactly — nothing is funneled through `f64`.
 

@@ -3,7 +3,8 @@
 //! The paper's library is itself an observability tool: it samples the
 //! UPC unit's 256 counters with < 0.1 % overhead. This crate gives the
 //! *simulated machine* the same property — a structured flight recorder
-//! that is near-free when off and, crucially, **deterministic** when on:
+//! that is near-free for an untraced job and, crucially,
+//! **deterministic** for a traced one:
 //!
 //! * Every event is timestamped in **simulated cycles**, never host
 //!   time, so the recorded stream is a function of `(JobSpec, seed)`
@@ -38,7 +39,6 @@ pub use ring::RingBuffer;
 
 use bgp_arch::sync::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default per-recorder ring capacity (events).
 pub const DEFAULT_CAPACITY: usize = 65_536;
@@ -46,17 +46,12 @@ pub const DEFAULT_CAPACITY: usize = 65_536;
 /// Default counter/memory sampling period (quantum windows).
 pub const DEFAULT_SAMPLE_EVERY: u64 = 16;
 
-/// Tracing configuration, carried by `JobSpec::trace` (whole-job
-/// tracing from cycle 0) or `SessionBuilder::trace` (per-rank runtime
-/// enable). All ranks of a job must agree on the configuration; the
-/// `enabled` flag is the runtime toggle — a configured-but-disabled
-/// job pays only a per-event branch, measured at well under 1 % (see
-/// `fig_ext_trace_overhead`).
+/// Tracing configuration, carried by `JobSpec::trace`. Tracing is a
+/// property of the job: it is on, for every rank from cycle 0, exactly
+/// when that field is `Some`, and the rings are sized once when the
+/// machine is built. An untraced job pays one branch per trace hook.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Start recording immediately. `false` arms the recorders but
-    /// leaves them off until `RankCtx::set_tracing(true)`.
-    pub enabled: bool,
     /// Ring capacity per recorder (events). 0 records nothing.
     pub capacity: usize,
     /// Sample live UPC counters and L3/DDR traffic every this many
@@ -69,7 +64,6 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
         TraceConfig {
-            enabled: true,
             capacity: DEFAULT_CAPACITY,
             sample_every: DEFAULT_SAMPLE_EVERY,
             sample_slots: Vec::new(),
@@ -470,11 +464,6 @@ impl Recorder {
         self.ring.dropped()
     }
 
-    /// Resize the backing ring (startup configuration).
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.ring.set_capacity(capacity);
-    }
-
     /// All retained events, oldest → newest.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.ring.to_vec()
@@ -492,73 +481,25 @@ impl Recorder {
 /// cross-thread ordering.
 pub struct TraceState {
     node_of: Vec<usize>,
-    config: Mutex<Option<TraceConfig>>,
-    /// Ranks currently recording. The scheduler stream records while
-    /// this is non-zero; enables/disables land at phase granularity, so
-    /// the count observed at any resolution is deterministic.
-    active: AtomicUsize,
+    /// The job traces (its spec carries a [`TraceConfig`]).
+    traced: bool,
     pub(crate) ranks: Vec<Mutex<Recorder>>,
     pub(crate) sched: Mutex<Recorder>,
 }
 
 impl TraceState {
-    /// Unconfigured state for a job whose rank `r` lives on node
-    /// `node_of[r]`. Recorders start with capacity 0 (record nothing)
-    /// until [`TraceState::configure`] arms them.
-    pub fn new(node_of: Vec<usize>) -> TraceState {
+    /// Trace state for a job whose rank `r` lives on node `node_of[r]`,
+    /// its rings sized once from the job's configuration. An untraced
+    /// job (`cfg` is `None`) gets capacity-0 rings that record nothing.
+    pub fn new(node_of: Vec<usize>, cfg: Option<&TraceConfig>) -> TraceState {
+        let capacity = cfg.map_or(0, |c| c.capacity);
         let n = node_of.len();
         TraceState {
             node_of,
-            config: Mutex::new(None),
-            active: AtomicUsize::new(0),
-            ranks: (0..n).map(|_| Mutex::new(Recorder::new(0))).collect(),
-            sched: Mutex::new(Recorder::new(0)),
+            traced: cfg.is_some(),
+            ranks: (0..n).map(|_| Mutex::new(Recorder::new(capacity))).collect(),
+            sched: Mutex::new(Recorder::new(capacity)),
         }
-    }
-
-    /// Install `cfg`, or verify it equals the configuration already
-    /// installed (all ranks of a job must agree — divergent configs
-    /// would make the recorded streams ambiguous).
-    ///
-    /// # Errors
-    /// Returns a description of the divergence.
-    pub fn configure(&self, cfg: &TraceConfig) -> Result<(), String> {
-        let mut cur = self.config.lock();
-        match &*cur {
-            None => {
-                for r in &self.ranks {
-                    r.lock().set_capacity(cfg.capacity);
-                }
-                self.sched.lock().set_capacity(cfg.capacity);
-                *cur = Some(cfg.clone());
-                Ok(())
-            }
-            Some(existing) if existing == cfg => Ok(()),
-            Some(existing) => Err(format!(
-                "divergent trace config across ranks: {existing:?} vs {cfg:?}"
-            )),
-        }
-    }
-
-    /// The installed configuration, if any.
-    pub fn config(&self) -> Option<TraceConfig> {
-        self.config.lock().clone()
-    }
-
-    /// A rank turned its recording on.
-    pub fn rank_enter(&self) {
-        self.active.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A rank turned its recording off.
-    pub fn rank_leave(&self) {
-        self.active.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Whether the scheduler stream should record (any rank tracing).
-    /// Read only at phase resolution, where the machine is quiescent.
-    pub fn sched_active(&self) -> bool {
-        self.active.load(Ordering::Relaxed) > 0
     }
 
     /// Record into `rank`'s stream.
@@ -591,9 +532,11 @@ impl TraceState {
     }
 
     /// Clone the retained streams into an exportable [`JobTrace`].
-    /// Returns `None` if tracing was never configured.
+    /// Returns `None` for an untraced job.
     pub fn snapshot(&self) -> Option<JobTrace> {
-        self.config.lock().as_ref()?;
+        if !self.traced {
+            return None;
+        }
         let ranks = self
             .ranks
             .iter()
@@ -672,34 +615,11 @@ mod tests {
     }
 
     #[test]
-    fn configure_is_set_or_verify() {
-        let st = TraceState::new(vec![0, 0]);
-        let cfg = TraceConfig::default();
-        assert!(st.configure(&cfg).is_ok());
-        assert!(st.configure(&cfg).is_ok(), "same config re-arrives from peers");
-        let divergent = TraceConfig { sample_every: 99, ..cfg };
-        let err = st.configure(&divergent).unwrap_err();
-        assert!(err.contains("divergent"), "got: {err}");
-    }
-
-    #[test]
     fn unconfigured_state_records_nothing_and_snapshots_none() {
-        let st = TraceState::new(vec![0]);
+        let st = TraceState::new(vec![0], None);
         st.record_rank(0, 5, EventKind::RankWake);
         assert!(st.snapshot().is_none());
         assert_eq!(st.events_recorded(), 0, "capacity-0 rings drop everything");
-    }
-
-    #[test]
-    fn sched_stream_tracks_active_rank_count() {
-        let st = TraceState::new(vec![0, 1]);
-        assert!(!st.sched_active());
-        st.rank_enter();
-        st.rank_enter();
-        st.rank_leave();
-        assert!(st.sched_active(), "one rank still tracing");
-        st.rank_leave();
-        assert!(!st.sched_active());
     }
 
     #[test]
@@ -707,8 +627,8 @@ mod tests {
         // 8 ranks record 200 events each from their own threads; the
         // interleaving of threads must be invisible: every rank stream
         // comes back exactly as its rank wrote it, in program order.
-        let st = Arc::new(TraceState::new((0..8).collect()));
-        st.configure(&TraceConfig { capacity: 64, ..TraceConfig::default() }).unwrap();
+        let cfg = TraceConfig { capacity: 64, ..TraceConfig::default() };
+        let st = Arc::new(TraceState::new((0..8).collect(), Some(&cfg)));
         std::thread::scope(|s| {
             for rank in 0..8usize {
                 let st = Arc::clone(&st);
@@ -724,7 +644,7 @@ mod tests {
                 });
             }
         });
-        let snap = st.snapshot().expect("configured");
+        let snap = st.snapshot().expect("traced");
         for rt in &snap.ranks {
             assert_eq!(rt.events.len(), 64, "ring bounded");
             assert_eq!(rt.dropped, 136);

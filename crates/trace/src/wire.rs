@@ -289,9 +289,9 @@ impl Recorder {
 
 impl TraceState {
     /// Serialize every retained stream — all rank rings plus the
-    /// scheduler ring (checkpoint support). The installed configuration
-    /// and the active-rank count are **not** captured: both are
-    /// reconstructed by the resumed job's deterministic replay.
+    /// scheduler ring (checkpoint support). The configuration is **not**
+    /// captured: it is part of the job spec the resumed job is built
+    /// from.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         put_u64(out, self.ranks.len() as u64);
         for rec in &self.ranks {
@@ -418,19 +418,17 @@ mod tests {
 
     #[test]
     fn trace_state_restore_validates_rank_count() {
-        let st = TraceState::new(vec![0, 0]);
-        st.configure(&crate::TraceConfig::default()).unwrap();
+        let cfg = crate::TraceConfig::default();
+        let st = TraceState::new(vec![0, 0], Some(&cfg));
         st.record_rank(0, 1, EventKind::RankWake);
         let mut bytes = Vec::new();
         st.save_state(&mut bytes);
 
-        let same = TraceState::new(vec![0, 0]);
-        same.configure(&crate::TraceConfig::default()).unwrap();
+        let same = TraceState::new(vec![0, 0], Some(&cfg));
         same.restore_state(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(same.events_recorded(), st.events_recorded());
 
-        let smaller = TraceState::new(vec![0]);
-        smaller.configure(&crate::TraceConfig::default()).unwrap();
+        let smaller = TraceState::new(vec![0], Some(&cfg));
         assert!(smaller.restore_state(&mut Reader::new(&bytes)).is_err());
     }
 }

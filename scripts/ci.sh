@@ -22,13 +22,18 @@ done
 echo "==> determinism full matrix"
 cargo test -q --release --test determinism -- --ignored
 
-echo "==> trace smoke (bgpc-trace over a 4-node job + bgpc-dump --json)"
+echo "==> trace smoke (bgpc-run --trace over a 4-node job + bgpc-dump --json)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
-target/release/bgpc-trace --out "$trace_dir" --kernel mg --class s --ranks 16 \
-    --mode vnm --slots 0,1,2
+target/release/bgpc-run --out "$trace_dir" --kernel mg --class s --ranks 16 \
+    --mode vnm --trace --slots 0,1,2
 test -s "$trace_dir/trace.json" || { echo "trace smoke: empty trace.json"; exit 1; }
 test -s "$trace_dir/phases.csv" || { echo "trace smoke: empty phases.csv"; exit 1; }
+grep -q '"name":"counter_sample"' "$trace_dir/trace.json" \
+    || { echo "trace smoke: --slots sampled no counters into trace.json"; exit 1; }
+if target/release/bgpc-run --slots 0 --out "$trace_dir/untraced" 2>/dev/null; then
+    echo "trace smoke: bgpc-run accepted --slots without --trace"; exit 1
+fi
 target/release/bgpc-dump "$trace_dir" --json > "$trace_dir/stats.json"
 test -s "$trace_dir/stats.json" || { echo "trace smoke: empty stats.json"; exit 1; }
 target/release/bgpc-diff "$trace_dir" "$trace_dir" | grep -q '^no event changed' \
@@ -42,12 +47,6 @@ echo "==> degraded aggregation (fig_ext_faults at Default scale == committed CSV
 BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_faults > /dev/null
 cmp "$trace_dir/fig_ext_faults.csv" results/fig_ext_faults.csv \
     || { echo "fig_ext_faults: regenerated CSV differs from results/"; exit 1; }
-
-echo "==> trace overhead gate (disabled tracing < 1%)"
-# BGP_BENCH_DIR keeps the quick-scale gate from clobbering the
-# committed Default-scale BENCH_trace.json at the repo root.
-BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
-    target/release/fig_ext_trace_overhead --quick --gate
 
 echo "==> batched memory engine gate (mem_ops >= 1.5x mem_op)"
 BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_memthroughput --quick --gate

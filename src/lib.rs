@@ -12,8 +12,8 @@
 //! failures so collection and aggregation can be tested under fire, and
 //! [`trace`] is the deterministic flight recorder: per-rank ring-buffer
 //! timelines in simulated cycles, exported as Chrome-trace JSON and
-//! per-phase metrics CSV (enable via [`JobSpec`]`::trace` or
-//! `Session::builder(ctx).trace(..)`). [`snapshot`] is the checkpoint
+//! per-phase metrics CSV (a job property: on exactly when
+//! [`JobSpec`]`::trace` is `Some`). [`snapshot`] is the checkpoint
 //! container: enable periodic snapshots via [`JobSpec`]`::checkpoint`
 //! and resume a crashed job byte-identically with `Machine::resume`
 //! (or let `counters::supervisor::supervise` do both automatically).
