@@ -130,26 +130,27 @@ impl TorusDims {
 /// modes.
 #[derive(Clone, Copy, Debug)]
 pub struct AddressLayout {
-    mode: OpMode,
-    node_bytes: u64,
+    /// Bytes of DDR owned by each process, fixed at construction so
+    /// translation does no division.
+    span: u64,
 }
 
 impl AddressLayout {
     /// Layout for `mode` with the default 2 GB node memory.
     pub fn new(mode: OpMode) -> AddressLayout {
-        AddressLayout { mode, node_bytes: NODE_MEMORY_BYTES }
+        AddressLayout::with_memory(mode, NODE_MEMORY_BYTES)
     }
 
     /// Layout with an explicit node memory size (bytes).
     pub fn with_memory(mode: OpMode, node_bytes: u64) -> AddressLayout {
         assert!(node_bytes > 0);
-        AddressLayout { mode, node_bytes }
+        AddressLayout { span: node_bytes / mode.processes_per_node() as u64 }
     }
 
     /// Bytes of DDR owned by each process.
     #[inline]
     pub fn bytes_per_process(&self) -> u64 {
-        self.node_bytes / self.mode.processes_per_node() as u64
+        self.span
     }
 
     /// Translate a process-virtual address to a node-physical address.
@@ -158,7 +159,7 @@ impl AddressLayout {
     /// Panics if the virtual address exceeds the process's partition.
     #[inline]
     pub fn physical(&self, process: usize, vaddr: u64) -> u64 {
-        let span = self.bytes_per_process();
+        let span = self.span;
         debug_assert!(
             vaddr < span,
             "vaddr {vaddr:#x} outside process partition of {span:#x} bytes"

@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bglperfctr;
 pub mod collect;
 pub mod dump;
 pub mod session;

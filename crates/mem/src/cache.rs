@@ -29,6 +29,14 @@
 //! probes — into a single hash and load. A non-zero bucket falls back to
 //! the exact tag scan, so results never change; only the cost does.
 //!
+//! The cache also keeps a count of its valid ways. Every fill the
+//! memory hierarchy makes follows a probe that has just shown the line
+//! absent, so it goes through [`Cache::fill_absent`], which skips the
+//! presence scan that [`Cache::fill`] must make; once the count says
+//! the whole cache is full, the victim is the set's last (LRU) way with
+//! no scan for an invalid way either. The count is derived state: it is
+//! rebuilt on restore and never serialized.
+//!
 //! Way order is an implementation detail: no production consumer
 //! observes it (the differential and golden tests pin that), so the
 //! recency ordering is behaviorally identical to a timestamped LRU.
@@ -87,6 +95,10 @@ pub struct Hit {
 /// tens of thousands of idle nodes therefore pays a few machine words
 /// per cache, not `sets × ways`; the first line installed materializes
 /// the arrays and behavior is identical from then on.
+///
+/// A fill of a line the caller knows is absent should use
+/// [`Cache::fill_absent`], which skips [`Cache::fill`]'s presence scan
+/// and, once every way is valid, its scan for a free way.
 #[derive(Clone, Debug)]
 pub struct Cache {
     /// Packed way entries (`line << ENT_SHIFT | flags`), `sets × ways`,
@@ -101,6 +113,10 @@ pub struct Cache {
     filt_len: usize,
     /// Right-shift applied to the hashed line to index `filt`.
     filt_shift: u32,
+    /// Number of valid ways. A `u32` so it packs beside `filt_shift`
+    /// and the struct does not grow (the full-machine probe builds
+    /// about a million caches).
+    valid: u32,
     num_sets: usize,
     assoc: usize,
     set_mask: Option<u64>,
@@ -140,6 +156,7 @@ impl Cache {
             filt: Vec::new(),
             filt_len,
             filt_shift: 64 - filt_len.trailing_zeros().min(63),
+            valid: 0,
             num_sets: sets,
             assoc,
             set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
@@ -272,7 +289,9 @@ impl Cache {
     /// `dirty` marks the line modified on arrival (write-allocate store,
     /// or a write-back arriving from above). `prefetched` tags the line
     /// as speculatively fetched so the first demand hit can be attributed
-    /// to the prefetcher.
+    /// to the prefetcher. A line that is already resident is refreshed
+    /// in place instead; callers that know the line is absent use
+    /// [`Cache::fill_absent`].
     #[inline]
     pub fn fill(&mut self, line: u64, dirty: bool, prefetched: bool) -> Option<Evicted> {
         self.materialize();
@@ -301,36 +320,60 @@ impl Cache {
                 invalid_at = Some(i);
             }
         }
+        self.install(base, invalid_at, line, dirty, prefetched)
+    }
+
+    /// [`Cache::fill`] for a line the caller has just shown absent (a
+    /// demand miss, a failed `contains` or `mark_dirty`): no presence
+    /// scan, and once every way of the cache is valid, no scan for an
+    /// invalid way either. Leaves exactly the entries, filter and
+    /// eviction `fill` would.
+    #[inline]
+    pub fn fill_absent(&mut self, line: u64, dirty: bool, prefetched: bool) -> Option<Evicted> {
+        debug_assert!(!self.contains(line), "fill_absent of resident line {line:#x}");
+        self.materialize();
+        let base = self.set_of(line) * self.assoc;
+        let free = if self.valid as usize == self.ents.len() {
+            None
+        } else {
+            self.ents[base..base + self.assoc].iter().position(|&e| e == INVALID)
+        };
+        self.install(base, free, line, dirty, prefetched)
+    }
+
+    /// Put absent `line` at the MRU position of the set at `base`,
+    /// taking the invalid way `free` or, with `None`, evicting the LRU
+    /// (last) way.
+    #[inline]
+    fn install(
+        &mut self,
+        base: usize,
+        free: Option<usize>,
+        line: u64,
+        dirty: bool,
+        prefetched: bool,
+    ) -> Option<Evicted> {
+        let dflag = if dirty { FLAG_DIRTY } else { 0 };
         let pflag = if prefetched { FLAG_PREFETCHED } else { 0 };
-        let new_ent = target | dflag | pflag;
-        match invalid_at {
-            Some(i) => {
-                let mut k = i;
-                while k > 0 {
-                    set[k] = set[k - 1];
-                    k -= 1;
-                }
-                set[0] = new_ent;
-                self.filt_add(line);
-                None
-            }
+        let set = &mut self.ents[base..base + self.assoc];
+        let last = set.len() - 1;
+        let (slot, evicted) = match free {
+            Some(i) => (i, None),
             None => {
-                let victim = set[set.len() - 1];
-                let evicted = Evicted {
-                    line: victim >> ENT_SHIFT,
-                    dirty: victim & FLAG_DIRTY != 0,
-                };
-                let mut k = set.len() - 1;
-                while k > 0 {
-                    set[k] = set[k - 1];
-                    k -= 1;
-                }
-                set[0] = new_ent;
-                self.filt_remove(evicted.line);
-                self.filt_add(line);
-                Some(evicted)
+                let victim = set[last];
+                (last, Some(Evicted { line: victim >> ENT_SHIFT, dirty: victim & FLAG_DIRTY != 0 }))
             }
+        };
+        // Usually a whole-set shift (the LRU way is evicted), where one
+        // memmove beats the hand loop `access` uses for short rotations.
+        set.copy_within(..slot, 1);
+        set[0] = (line << ENT_SHIFT) | dflag | pflag;
+        match evicted {
+            Some(ev) => self.filt_remove(ev.line),
+            None => self.valid += 1,
         }
+        self.filt_add(line);
+        evicted
     }
 
     /// Mark an already-present line dirty; returns whether it was
@@ -364,6 +407,7 @@ impl Cache {
             if *e & !FLAG_MASK == target {
                 let dirty = *e & FLAG_DIRTY != 0;
                 *e = INVALID;
+                self.valid -= 1;
                 self.filt_remove(line);
                 return Some(dirty);
             }
@@ -373,14 +417,19 @@ impl Cache {
 
     /// Number of valid lines currently resident (O(capacity); tests only).
     pub fn resident_lines(&self) -> usize {
-        self.ents.iter().filter(|&&e| e != INVALID).count()
+        self.lines().count()
+    }
+
+    /// The resident lines, in way-array order (O(capacity)).
+    pub(crate) fn lines(&self) -> impl Iterator<Item = u64> + '_ {
+        self.ents.iter().filter(|&&e| e != INVALID).map(|&e| e >> ENT_SHIFT)
     }
 
     /// Serialize the cache's runtime state (checkpoint support).
     ///
-    /// Only the packed way entries are written: the membership filter is
-    /// an exact count of resident lines, so [`Cache::restore_state`]
-    /// rebuilds it deterministically from the entries. A cold
+    /// Only the packed way entries are written: the membership filter and
+    /// the valid-way count are exact counts of resident lines, so
+    /// [`Cache::restore_state`] rebuilds them from the entries. A cold
     /// (never-filled) cache writes the same all-invalid image an eagerly
     /// allocated empty cache would, so snapshots stay byte-identical
     /// regardless of materialization state.
@@ -415,16 +464,17 @@ impl Cache {
             // representation so restored idle nodes cost nothing.
             self.ents = Vec::new();
             self.filt = Vec::new();
+            self.valid = 0;
             return Ok(());
         }
         self.ents = ents;
         self.filt = vec![0; self.filt_len];
-        if !self.filt.is_empty() {
-            for i in 0..self.ents.len() {
-                let e = self.ents[i];
-                if e != INVALID {
-                    self.filt_add(e >> ENT_SHIFT);
-                }
+        self.valid = 0;
+        for i in 0..self.ents.len() {
+            let e = self.ents[i];
+            if e != INVALID {
+                self.valid += 1;
+                self.filt_add(e >> ENT_SHIFT);
             }
         }
         Ok(())
@@ -440,6 +490,7 @@ impl Cache {
             *e = INVALID;
         }
         self.filt.fill(0);
+        self.valid = 0;
         dirty
     }
 }
@@ -611,6 +662,74 @@ mod tests {
         touched.restore_state(&mut r).unwrap();
         assert!(touched.ents.is_empty(), "all-invalid restore de-materializes");
         assert!(!touched.contains(3));
+    }
+
+    #[test]
+    fn fill_absent_matches_fill_and_valid_count_tracks_residency() {
+        // Random fills, invalidations, flushes and save/restore round
+        // trips over a few hot sets. `a` installs with `fill` only; `b`
+        // takes `fill_absent` whenever the line is absent. Both must
+        // keep identical entries, filters and evictions, and each its
+        // valid count equal to the scanned residency.
+        let mut rng = bgp_arch::rng::SimRng::seed_from_u64(0xc0);
+        for case in 0..32 {
+            let (sets, assoc) = (rng.gen_range(1usize..5), rng.gen_range(1usize..6));
+            let (mut a, mut b) = (Cache::new(sets, assoc), Cache::new(sets, assoc));
+            let span = (sets * assoc * 2) as u64;
+            for step in 0..600 {
+                let line = rng.gen_range(0..span);
+                match rng.gen_range(0u32..20) {
+                    0 => assert_eq!(a.flush(), b.flush()),
+                    1 => {
+                        let mut bytes = Vec::new();
+                        b.save_state(&mut bytes);
+                        b.restore_state(&mut bgp_arch::wire::Reader::new(&bytes)).unwrap();
+                    }
+                    2..=5 => assert_eq!(a.invalidate(line), b.invalidate(line)),
+                    _ => {
+                        let (dirty, pf) = (rng.gen_bool(0.3), rng.gen_bool(0.3));
+                        let ev_a = a.fill(line, dirty, pf);
+                        let ev_b = if b.contains(line) {
+                            b.fill(line, dirty, pf)
+                        } else {
+                            b.fill_absent(line, dirty, pf)
+                        };
+                        assert_eq!(ev_a, ev_b, "case {case} step {step}: eviction");
+                    }
+                }
+                for c in [&a, &b] {
+                    assert_eq!(c.valid as usize, c.resident_lines(), "case {case} step {step}");
+                }
+                if !a.is_cold() && !b.is_cold() {
+                    assert_eq!(a.ents, b.ents, "case {case} step {step}: entries");
+                    assert_eq!(a.filt, b.filt, "case {case} step {step}: filter");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_absent_on_a_full_cache_evicts_lru_without_scanning() {
+        let mut c = Cache::new(2, 2);
+        for line in 0..4u64 {
+            assert!(c.fill_absent(line, line == 1, false).is_none());
+        }
+        assert_eq!(c.valid, 4);
+        // Full: the victim is the last (LRU) way of the set.
+        assert_eq!(c.fill_absent(5, false, false), Some(Evicted { line: 1, dirty: true }));
+        assert_eq!(c.valid, 4);
+        // An invalidation frees a way, which the next fill takes.
+        c.invalidate(0);
+        assert!(c.fill_absent(6, false, false).is_none());
+        assert_eq!(c.resident_lines(), 4);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn cache_does_not_grow_with_the_valid_count() {
+        // The count packs beside `filt_shift`; the full-machine probe
+        // builds about a million caches.
+        assert_eq!(std::mem::size_of::<Cache>(), 96);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The assembled per-node **memory system**: four private L1-D/L1-I pairs,
-//! four private prefetching L2s, the shared banked L3, the snoop filters,
-//! and the two DDR2 controllers.
+//! four private prefetching L2s, the shared banked L3, the snoop filters
+//! (behind a per-region holder mask), and the two DDR2 controllers.
 //!
 //! Every data access of a core funnels through
 //! [`MemorySystem::access_batch`], which walks the hierarchy for a whole
@@ -25,6 +25,18 @@ const L1_SHIFT: u32 = L1_LINE_BYTES.trailing_zeros();
 const L2_SHIFT: u32 = LINE_BYTES.trailing_zeros();
 /// 128-byte lines hold four 32-byte L1 lines.
 const SUBLINES: u64 = (LINE_BYTES / L1_LINE_BYTES) as u64;
+/// The region snoop filter splits node memory into this many equal
+/// regions: one per process partition in VNM.
+const REGIONS: usize = 4;
+/// Holder mask naming every core.
+const ALL_CORES: u8 = (1 << CORES_PER_NODE) - 1;
+
+/// The snoop-filter region of `l2_line`. Lines past the end of node
+/// memory fold into the last region, which keeps the filter exact.
+#[inline]
+fn region(shift: u32, l2_line: u64) -> usize {
+    ((l2_line >> shift) as usize).min(REGIONS - 1)
+}
 
 /// Where in the hierarchy a demand access was satisfied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,6 +213,16 @@ pub struct MemorySystem {
     /// Reusable prefetch-decision buffer so the L2 hit/miss paths never
     /// heap-allocate.
     pf_scratch: PrefetchDecision,
+    /// Region snoop filter: bit `c` of `holders[r]` is set once core
+    /// `c`'s private L1-D or L2 has received a line of memory region
+    /// `r`. Bits are never cleared, so a clear bit proves the core holds
+    /// no line of the region. Derived state: never serialized, rebuilt
+    /// from the caches on restore.
+    holders: [u8; REGIONS],
+    /// Right shift taking an L2 line to its region; `None` when a region
+    /// (a quarter of `memory_bytes`) is not a power of two, and every
+    /// snoop probes every peer.
+    region_shift: Option<u32>,
 }
 
 /// Per-batch accumulator of every UPC-visible event a batch walk
@@ -300,6 +322,11 @@ impl MemorySystem {
                 .map(|_| Cache::unfiltered(cfg.l3_sets_per_bank(), cfg.l3_ways))
                 .collect()
         };
+        let region_bytes = cfg.memory_bytes / REGIONS as u64;
+        let region_shift = (cfg.memory_bytes.is_multiple_of(REGIONS as u64)
+            && region_bytes.is_power_of_two()
+            && region_bytes >= LINE_BYTES as u64)
+            .then(|| region_bytes.trailing_zeros() - L2_SHIFT);
         MemorySystem {
             l1d: (0..CORES_PER_NODE)
                 .map(|_| Cache::new(cfg.l1_sets(), cfg.l1_ways))
@@ -321,6 +348,26 @@ impl MemorySystem {
             stats: MemStats::default(),
             access_clock: 0,
             pf_scratch: PrefetchDecision::default(),
+            holders: [0; REGIONS],
+            region_shift,
+        }
+    }
+
+    /// The cores that may hold a copy of `l2_line` in a private cache.
+    #[inline]
+    fn holders_of(&self, l2_line: u64) -> u8 {
+        match self.region_shift {
+            Some(shift) => self.holders[region(shift, l2_line)],
+            None => ALL_CORES,
+        }
+    }
+
+    /// Record that `core`'s L1-D or L2 received a line of `l2_line`'s
+    /// region.
+    #[inline]
+    fn note_holder(&mut self, core: usize, l2_line: u64) {
+        if let Some(shift) = self.region_shift {
+            self.holders[region(shift, l2_line)] |= 1 << core;
         }
     }
 
@@ -423,7 +470,8 @@ impl MemorySystem {
 
                 // Refill the L1; a dirty victim is pushed down the
                 // hierarchy through the write-back buffer (uncharged).
-                if let Some(ev) = self.l1d[core].fill(l1_line, a.write, false) {
+                self.note_holder(core, l2_line);
+                if let Some(ev) = self.l1d[core].fill_absent(l1_line, a.write, false) {
                     if ev.dirty {
                         self.stats.l1d_writebacks += 1;
                         wc.l1d_writeback += 1;
@@ -470,7 +518,7 @@ impl MemorySystem {
         } else {
             self.stats.l1i_misses += 1;
             upc.emit(CoreEvent::L1iMiss.id(core), 1);
-            self.l1i[core].fill(line, false, false);
+            self.l1i[core].fill_absent(line, false, false);
             self.cfg.lat_l2
         }
     }
@@ -543,8 +591,11 @@ impl MemorySystem {
         }
     }
 
+    /// Install absent `line` in `core`'s L2 (a demand miss or a
+    /// prefetch), writing a dirty victim back to the L3.
     fn fill_l2(&mut self, core: usize, line: u64, prefetched: bool, wc: &mut WalkCounts) {
-        if let Some(ev) = self.l2[core].fill(line, false, prefetched) {
+        self.note_holder(core, line);
+        if let Some(ev) = self.l2[core].fill_absent(line, false, prefetched) {
             if ev.dirty {
                 self.l3_write(core, ev.line, wc);
             }
@@ -591,7 +642,7 @@ impl MemorySystem {
 
     fn l3_install(&mut self, core: usize, bank: usize, bline: u64, dirty: bool, wc: &mut WalkCounts) {
         wc.l3_alloc[bank & 1] += 1;
-        if let Some(ev) = self.l3[bank].fill(bline, dirty, false) {
+        if let Some(ev) = self.l3[bank].fill_absent(bline, dirty, false) {
             if ev.dirty {
                 self.stats.l3_writebacks += 1;
                 wc.l3_writeback[bank & 1] += 1;
@@ -630,13 +681,19 @@ impl MemorySystem {
     /// disjoint address partitions in every studied configuration, so
     /// cross-core write sharing never occurs in practice. The coherence
     /// property tests pin exactly these semantics.
+    ///
+    /// Only the peers the region snoop filter names are probed, in core
+    /// order. A skipped peer never received a line of this region, so
+    /// probing it would find nothing and change nothing: the counts and
+    /// invalidations are exactly those of probing every peer. In VNM
+    /// the mask is usually empty and the snoop costs one load.
     fn snoop(&mut self, core: usize, l2_line: u64, write_intent: bool, wc: &mut WalkCounts) {
         wc.snoop_req += 1;
         let mut found = false;
-        for oc in 0..CORES_PER_NODE {
-            if oc == core {
-                continue;
-            }
+        let mut peers = self.holders_of(l2_line) & !(1 << core);
+        while peers != 0 {
+            let oc = peers.trailing_zeros() as usize;
+            peers &= peers - 1;
             let in_l2 = self.l2[oc].contains(l2_line);
             let first_sub = l2_line * SUBLINES;
             let in_l1 = (0..SUBLINES).any(|s| self.l1d[oc].contains(first_sub + s));
@@ -705,6 +762,18 @@ impl MemorySystem {
         }
         self.stats.restore_state(r)?;
         self.access_clock = r.u64("mem access clock")?;
+        // The holder masks may now name fewer cores than the saved
+        // system's (lines since evicted), which only skips probes that
+        // would have found nothing.
+        self.holders = [0; REGIONS];
+        if let Some(shift) = self.region_shift {
+            for core in 0..CORES_PER_NODE {
+                let l1_lines = self.l1d[core].lines().map(|l| l / SUBLINES);
+                for l2_line in l1_lines.chain(self.l2[core].lines()) {
+                    self.holders[region(shift, l2_line)] |= 1 << core;
+                }
+            }
+        }
         Ok(())
     }
 }

@@ -47,7 +47,10 @@ use bgp_mem::MemStats;
 use bgp_node::{MemOp, MemWidth, Node};
 use bgp_trace::{EventKind, FaultEvent, WaitKind};
 use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{ready, Context, Poll};
 
 /// A semantic floating-point element operation, before instruction
 /// selection.
@@ -83,6 +86,42 @@ struct Pending {
 /// long arithmetic-only stretches cannot grow it without bound. The
 /// mem queue needs no cap: every access ticks the quantum, which flushes.
 const CPU_PENDING_CAP: usize = 4096;
+
+/// One simulated access, awaited by every accessor of [`RankCtx`]. Its
+/// first poll ticks the quantum; an access that crosses it closes the
+/// window and suspends once, and the access is queued by the poll that
+/// completes, so it lands in the window the boundary opens. A
+/// hand-written future rather than an `async fn`: an `async fn` moves
+/// its arguments into its coroutine frame on the first poll, a store
+/// and reload on every access; this `poll` reads the fields in place.
+struct Access<'a> {
+    ctx: &'a mut RankCtx,
+    vaddr: u64,
+    width: MemWidth,
+    write: bool,
+    /// Set while suspended at a quantum boundary.
+    boundary: Option<SuspendPoint>,
+}
+
+impl Future for Access<'_> {
+    type Output = ();
+
+    #[inline]
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        match &mut this.boundary {
+            Some(boundary) => ready!(Pin::new(boundary).poll(cx)),
+            None if this.ctx.tick() => {
+                this.ctx.close_quantum();
+                let boundary = this.boundary.insert(SuspendPoint::new(Suspend::Yield));
+                return Pin::new(boundary).poll(cx);
+            }
+            None => {}
+        }
+        this.ctx.queue_mem(this.vaddr, this.width, this.write);
+        Poll::Ready(())
+    }
+}
 
 /// Execution context of one rank.
 pub struct RankCtx {
@@ -508,8 +547,8 @@ impl RankCtx {
     }
 
     /// A memory access crossed the scheduling quantum: close the window
-    /// and suspend (the cold side of the tick fast path in `mem`).
-    async fn quantum_boundary(&mut self) {
+    /// (the cold side of [`RankCtx::tick`]; the access then suspends).
+    fn close_quantum(&mut self) {
         self.tick = 0;
         // Retire the closing window's slice before it can be sampled
         // or another rank of this node takes its turn.
@@ -517,7 +556,6 @@ impl RankCtx {
         if self.tracing {
             self.trace_window_end();
         }
-        SuspendPoint::new(Suspend::Yield).await;
     }
 
     /// Park until a phase resolution satisfies `wait`: suspend with the
@@ -576,22 +614,35 @@ impl RankCtx {
         SimVec::from_parts(vec![T::default(); n], base)
     }
 
+    /// One access of `width` at `vaddr`, to be awaited.
     #[inline]
-    async fn mem(&mut self, vaddr: u64, width: MemWidth, write: bool) {
+    fn access(&mut self, vaddr: u64, width: MemWidth, write: bool) -> Access<'_> {
+        Access { ctx: self, vaddr, width, write, boundary: None }
+    }
+
+    /// Count one access against the scheduling quantum; `true` when it
+    /// crosses the quantum, so [`RankCtx::close_quantum`] must run and
+    /// the rank suspend before the access is queued. Replay ticks
+    /// nothing.
+    #[inline]
+    fn tick(&mut self) -> bool {
         if self.replay {
-            // No retirement, no quantum — but the codegen selectors are
-            // stateful Bresenham streams, so the decision the live run
-            // consumed here must still be consumed.
-            let _ = self.cg.redundant_mem();
+            return false;
+        }
+        self.tick += 1;
+        self.tick >= self.quantum
+    }
+
+    /// Queue one access, after its [`RankCtx::tick`]. Replay retires
+    /// nothing, but the codegen selectors are stateful Bresenham
+    /// streams, so the decision the live run consumed here must still be
+    /// consumed.
+    #[inline]
+    fn queue_mem(&mut self, vaddr: u64, width: MemWidth, write: bool) {
+        let redundant = self.cg.redundant_mem();
+        if self.replay {
             return;
         }
-        // Tick first so a boundary-crossing access lands in the window it
-        // opens (the per-op path retired after the boundary too).
-        self.tick += 1;
-        if self.tick >= self.quantum {
-            self.quantum_boundary().await;
-        }
-        let redundant = self.cg.redundant_mem();
         let p = self.pending.get_mut();
         p.mem.push(MemOp { vaddr, width, write });
         if redundant {
@@ -604,14 +655,14 @@ impl RankCtx {
     /// Simulated element load.
     #[inline]
     pub async fn ld<T: SimElem>(&mut self, v: &SimVec<T>, i: usize) -> T {
-        self.mem(v.addr(i), T::WIDTH, false).await;
+        self.access(v.addr(i), T::WIDTH, false).await;
         v.raw(i)
     }
 
     /// Simulated element store.
     #[inline]
     pub async fn st<T: SimElem>(&mut self, v: &mut SimVec<T>, i: usize, x: T) {
-        self.mem(v.addr(i), T::WIDTH, true).await;
+        self.access(v.addr(i), T::WIDTH, true).await;
         *v.raw_mut(i) = x;
     }
 
@@ -631,7 +682,7 @@ impl RankCtx {
     /// [`SimVec::raw`] (free of simulated cost, like all host reads).
     pub async fn ld_range<T: SimElem>(&mut self, v: &SimVec<T>, r: core::ops::Range<usize>) {
         for i in r {
-            self.mem(v.addr(i), T::WIDTH, false).await;
+            self.access(v.addr(i), T::WIDTH, false).await;
         }
     }
 
@@ -643,7 +694,7 @@ impl RankCtx {
         r: core::ops::Range<usize>,
     ) {
         for i in r {
-            self.mem(v.addr(i), T::WIDTH, true).await;
+            self.access(v.addr(i), T::WIDTH, true).await;
         }
     }
 
@@ -656,7 +707,7 @@ impl RankCtx {
         x: T,
     ) {
         for i in r {
-            self.mem(v.addr(i), T::WIDTH, true).await;
+            self.access(v.addr(i), T::WIDTH, true).await;
             *v.raw_mut(i) = x;
         }
     }
@@ -677,10 +728,10 @@ impl RankCtx {
     #[inline]
     pub async fn ld2(&mut self, v: &SimVec<f64>, i: usize, plan: PairPlan) -> (f64, f64) {
         match plan {
-            PairPlan::Simd => self.mem(v.addr(i), MemWidth::Quad, false).await,
+            PairPlan::Simd => self.access(v.addr(i), MemWidth::Quad, false).await,
             PairPlan::Scalar => {
-                self.mem(v.addr(i), MemWidth::Double, false).await;
-                self.mem(v.addr(i + 1), MemWidth::Double, false).await;
+                self.access(v.addr(i), MemWidth::Double, false).await;
+                self.access(v.addr(i + 1), MemWidth::Double, false).await;
             }
         }
         (v.raw(i), v.raw(i + 1))
@@ -690,10 +741,10 @@ impl RankCtx {
     #[inline]
     pub async fn st2(&mut self, v: &mut SimVec<f64>, i: usize, x: (f64, f64), plan: PairPlan) {
         match plan {
-            PairPlan::Simd => self.mem(v.addr(i), MemWidth::Quad, true).await,
+            PairPlan::Simd => self.access(v.addr(i), MemWidth::Quad, true).await,
             PairPlan::Scalar => {
-                self.mem(v.addr(i), MemWidth::Double, true).await;
-                self.mem(v.addr(i + 1), MemWidth::Double, true).await;
+                self.access(v.addr(i), MemWidth::Double, true).await;
+                self.access(v.addr(i + 1), MemWidth::Double, true).await;
             }
         }
         *v.raw_mut(i) = x.0;

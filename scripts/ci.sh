@@ -114,10 +114,11 @@ BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
     target/release/fig_ext_service --quick --gate
 
 echo "==> full-machine scaling gate (73,728 nodes / 294,912 ranks, <= 10 KB/rank)"
-# Runs at Default scale so the 73k-node smoke actually executes and the
-# committed BENCH_fullmachine.json records the acceptance numbers; the
-# bin itself asserts verification and the per-rank RSS budget (~10 s).
-BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_fullmachine
+# Runs at Default scale so the 73k-node smoke actually executes; the bin
+# itself asserts verification and the per-rank RSS budget (~10 s). Its
+# JSON goes to the temporary dir, not over the committed file.
+BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
+    target/release/fig_ext_fullmachine
 
 echo "==> perfbench digest smoke (decoded counters, job_cycles and phases == perfbench/reference.json)"
 # The digests are the one check of counter values that is independent
@@ -135,9 +136,11 @@ for workload in mg-a16 cg-supervised fullmachine-probe serve-mix; do
 done
 
 echo "==> snapshot overhead gate (checkpoint every 64 phases < 5%, Default scale)"
-# Runs at Default scale (MG class A) so the committed BENCH_snapshot.json
-# records the acceptance-criterion numbers; ~1 min.
-BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_snapshot --gate
+# Runs at Default scale (MG class A), the scale of the acceptance
+# criterion; ~1 min. Its JSON goes to the temporary dir, not over the
+# committed file.
+BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
+    target/release/fig_ext_snapshot --gate
 
 echo "==> cargo bench smoke"
 BGP_BENCH_SAMPLES=1 cargo bench --workspace 2>&1 | tail -n 20
