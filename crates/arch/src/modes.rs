@@ -68,12 +68,6 @@ impl OpMode {
         p * per..(p + 1) * per
     }
 
-    /// Fraction of node memory each process owns (evenly split).
-    #[inline]
-    pub fn memory_share(self) -> f64 {
-        1.0 / self.processes_per_node() as f64
-    }
-
     /// Canonical display name used in the paper's figures.
     pub const fn label(self) -> &'static str {
         match self {

@@ -1,16 +1,21 @@
-//! One function per table/figure of the paper. The `src/bin/fig*`
-//! binaries are thin wrappers; `repro_all` calls everything in sequence.
+//! One function per table/figure of the paper. The [`crate::repro`]
+//! registry names each one; `repro_all` runs them.
 
-use crate::{measure_cores, measure_memory, RunConfig, Scale};
-use bgp_arch::events::{CoreEvent, CounterMode};
+use crate::{measure_cores, measure_every_mode, measure_memory, measure_with_truth};
+use crate::{RunConfig, Scale};
+use bgp_arch::events::{CoreEvent, CounterMode, NUM_MODES};
 use bgp_arch::{modes::OpMode, CORE_CLOCK_HZ};
 use bgp_compiler::{CompileOpts, QArch};
-use bgp_core::{Session, INIT_CYCLES, START_CYCLES, STOP_CYCLES, TOTAL_OVERHEAD_CYCLES};
-use bgp_mpi::{CounterPolicy, SemOp};
+use bgp_core::{run_instrumented, Session, WHOLE_PROGRAM_SET};
+use bgp_core::{INIT_CYCLES, START_CYCLES, STOP_CYCLES, TOTAL_OVERHEAD_CYCLES};
+use bgp_mpi::{CounterPolicy, JobSpec, Machine, SemOp};
 use bgp_nas::{Class, Kernel};
 use bgp_postproc::{
     ddr_traffic_bytes_per_node, fp_mix, l3_miss_ratio, mflops_per_chip, Csv, Frame, MixCategory,
+    ValidationReport,
 };
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Fig. 3: the modes-of-operation table.
 pub fn fig03() -> Csv {
@@ -30,9 +35,9 @@ pub fn fig03() -> Csv {
 /// constants they decompose into).
 pub fn tab_overhead() -> Csv {
     // Measure: instrument an empty snippet on a 1-rank machine.
-    let mut spec = bgp_mpi::JobSpec::new(1, OpMode::Smp1);
+    let mut spec = JobSpec::new(1, OpMode::Smp1);
     spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode0);
-    let machine = bgp_mpi::Machine::new(spec);
+    let machine = Machine::new(spec);
     let measured = machine.run(|mut ctx| async move {
         let ctx = &mut ctx;
         let t0 = ctx.cycles();
@@ -357,9 +362,7 @@ pub fn fig_ext_512events(scale: Scale) -> Csv {
 /// so the sweep is reproducible bit-for-bit.
 pub fn fig_ext_faults(scale: Scale) -> Csv {
     use bgp_core::collect::{collect_dumps, RetryPolicy};
-    use bgp_core::{run_instrumented, WHOLE_PROGRAM_SET};
     use bgp_faults::{FaultPlan, FaultSpec};
-    use std::sync::Arc;
 
     let kernel = Kernel::Mg;
     let class = scale.class();
@@ -395,13 +398,13 @@ pub fn fig_ext_faults(scale: Scale) -> Csv {
                 ..FaultSpec::none()
             }
         };
-        let mut spec = bgp_mpi::JobSpec::new(ranks, OpMode::VirtualNode);
+        let mut spec = JobSpec::new(ranks, OpMode::VirtualNode);
         spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode2);
         let nodes = spec.nodes();
         let census = spec.counter_policy.census(nodes);
         let plan = Arc::new(FaultPlan::new(fspec, 0xFA17_5EED, nodes));
         spec.faults = Some(Arc::clone(&plan));
-        let machine = bgp_mpi::Machine::new(spec);
+        let machine = Machine::new(spec);
         let (_, lib) = run_instrumented(&machine, move |ctx| kernel.exec(class, ctx));
         let coll = collect_dumps(&lib, &plan, &RetryPolicy::default());
         let frame = Frame::from_survivors(&coll.dumps, WHOLE_PROGRAM_SET, census);
@@ -445,63 +448,75 @@ pub struct TraceOverheadSample {
     pub dropped: u64,
 }
 
-/// Run the tracing-overhead comparison behind Fig. ext-trace-overhead:
-/// the same MG job untraced and traced (counter sampling every 16
-/// windows on slots 0–2). Wall-clock is min-of-reps to cut host noise.
-pub fn trace_overhead_sweep(scale: Scale) -> Vec<TraceOverheadSample> {
-    use bgp_core::run_instrumented;
-    use bgp_trace::TraceConfig;
-    use std::time::Instant;
-
-    let kernel = Kernel::Mg;
+/// The MG job the host-timing sweeps share: `scale`'s class and ranks,
+/// VNM, nothing else switched on.
+fn mg_job(scale: Scale) -> (Class, JobSpec) {
     let class = scale.class();
-    let ranks = kernel.clamp_ranks(scale.ranks(), class);
-    let reps = match scale {
-        Scale::Quick => 5,
-        Scale::Default => 3,
-        Scale::Paper => 1,
-    };
-    let configs: [(&'static str, Option<TraceConfig>); 2] = [
-        ("off", None),
-        (
-            "enabled",
-            Some(TraceConfig { sample_slots: vec![0, 1, 2], ..TraceConfig::default() }),
-        ),
-    ];
-    let run_once = |trace: &Option<TraceConfig>| {
-        let mut spec = bgp_mpi::JobSpec::new(ranks, OpMode::VirtualNode);
-        spec.trace = trace.clone();
-        let machine = bgp_mpi::Machine::new(spec);
-        let t0 = Instant::now();
-        let (_, _lib) = run_instrumented(&machine, move |ctx| kernel.exec(class, ctx));
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let counts =
-            machine.job_trace().map_or((0, 0), |t| (t.total_events() as u64, t.total_dropped()));
-        (wall_ms, counts)
-    };
-    // One untimed warm-up job so the first timed rep does not pay for
-    // cold caches / allocator growth, then the reps interleave the
-    // configurations round-robin so host drift hits both equally.
-    run_once(&configs[0].1);
-    let mut best = [f64::INFINITY; 2];
-    let mut counts = [(0u64, 0u64); 2];
+    (class, JobSpec::new(Kernel::Mg.clamp_ranks(scale.ranks(), class), OpMode::VirtualNode))
+}
+
+/// Host wall milliseconds of one verified run of the shared MG job on
+/// `machine`, and what `read` takes off the machine afterwards.
+fn mg_timed<R>(class: Class, machine: Arc<Machine>, read: impl Fn(&Machine) -> R) -> (f64, R) {
+    let t0 = Instant::now();
+    let (out, _lib) = run_instrumented(&machine, move |ctx| Kernel::Mg.exec(class, ctx));
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert!(out.iter().all(|r| r.verified), "MG failed verification");
+    (wall_ms, read(&machine))
+}
+
+/// Min-of-reps host timing. One untimed warm-up run of `configs[0]`
+/// keeps the first timed rep from paying for cold caches and allocator
+/// growth; then `reps` rounds run every config in turn, so host drift
+/// hits all of them equally. `run` returns a wall time and a reading;
+/// the result is each config's best time next to its last reading.
+fn best_of_reps<C, R>(
+    configs: &[C],
+    reps: usize,
+    mut run: impl FnMut(&C) -> (f64, R),
+) -> Vec<(f64, R)> {
+    run(&configs[0]);
+    let mut best: Vec<(f64, Option<R>)> = configs.iter().map(|_| (f64::INFINITY, None)).collect();
     for _ in 0..reps {
-        for (i, (_, trace)) in configs.iter().enumerate() {
-            let (wall_ms, c) = run_once(trace);
-            best[i] = best[i].min(wall_ms);
-            counts[i] = c;
+        for (config, (ms, last)) in configs.iter().zip(&mut best) {
+            let (t, r) = run(config);
+            *ms = ms.min(t);
+            *last = Some(r);
         }
     }
-    let base_ms = best[0];
-    configs
-        .iter()
-        .enumerate()
-        .map(|(i, (label, _))| TraceOverheadSample {
-            config: label,
-            wall_ms: best[i],
-            overhead_pct: ((best[i] - base_ms) / base_ms * 100.0).max(0.0),
-            events: counts[i].0,
-            dropped: counts[i].1,
+    best.into_iter().map(|(ms, r)| (ms, r.expect("at least one rep"))).collect()
+}
+
+/// Slowdown of `ms` over `base_ms`, percent, clamped at 0 (host timing
+/// noise can make an instrumented run *faster*).
+fn slowdown_pct(ms: f64, base_ms: f64) -> f64 {
+    ((ms - base_ms) / base_ms * 100.0).max(0.0)
+}
+
+/// Run the tracing-overhead comparison behind Fig. ext-trace-overhead:
+/// the same MG job untraced and traced (counter sampling every 16
+/// windows on slots 0–2), timed by `best_of_reps`.
+pub fn trace_overhead_sweep(scale: Scale) -> Vec<TraceOverheadSample> {
+    use bgp_trace::TraceConfig;
+
+    let (class, off) = mg_job(scale);
+    let mut enabled = off.clone();
+    enabled.trace = Some(TraceConfig { sample_slots: vec![0, 1, 2], ..TraceConfig::default() });
+    let best = best_of_reps(&[off, enabled], scale.reps(), |spec| {
+        mg_timed(class, Machine::new(spec.clone()), |m| {
+            m.job_trace().map_or((0, 0), |t| (t.total_events() as u64, t.total_dropped()))
+        })
+    });
+    let base_ms = best[0].0;
+    ["off", "enabled"]
+        .into_iter()
+        .zip(best)
+        .map(|(config, (wall_ms, (events, dropped)))| TraceOverheadSample {
+            config,
+            wall_ms,
+            overhead_pct: slowdown_pct(wall_ms, base_ms),
+            events,
+            dropped,
         })
         .collect()
 }
@@ -536,79 +551,42 @@ pub struct SnapshotSweep {
     pub resume_phase: u64,
 }
 
-/// Checkpoint overhead on an MG job (feeds `fig_ext_snapshot` and
-/// `BENCH_snapshot.json`). The acceptance criterion gated in
-/// `scripts/ci.sh` is that snapshots every 64 phases cost < 5 % wall
-/// over no checkpointing; the sweep also measures one real resume so
-/// the restore path has a recorded cost.
+/// Checkpoint overhead on an MG job (feeds [`fig_ext_snapshot`] and
+/// `BENCH_snapshot.json`), timed by `best_of_reps`. The
+/// `fig_ext_snapshot` entry bounds snapshots every 64 phases at < 5 %
+/// wall over no checkpointing; the sweep also measures one real resume
+/// so the restore path has a recorded cost.
 pub fn snapshot_overhead_sweep(scale: Scale) -> SnapshotSweep {
-    use bgp_core::run_instrumented;
     use bgp_mpi::machine::CheckpointConfig;
     use bgp_snapshot::SnapshotStore;
-    use std::time::Instant;
 
-    let kernel = Kernel::Mg;
-    let class = scale.class();
-    let ranks = kernel.clamp_ranks(scale.ranks(), class);
-    let reps = match scale {
-        Scale::Quick => 5,
-        Scale::Default => 3,
-        Scale::Paper => 1,
-    };
-    let dir = std::env::temp_dir()
-        .join(format!("bgp-snapbench-{}", std::process::id()));
+    let (class, off) = mg_job(scale);
+    let dir = std::env::temp_dir().join(format!("bgp-snapbench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-
-    let spec_for = |checkpointed: bool| {
-        let mut spec = bgp_mpi::JobSpec::new(ranks, OpMode::VirtualNode);
-        if checkpointed {
-            spec.checkpoint = Some(CheckpointConfig { every: 64, dir: dir.clone(), retain: 2 });
-        }
-        spec
-    };
-    let run_once = |checkpointed: bool| {
-        let machine = bgp_mpi::Machine::new(spec_for(checkpointed));
-        let t0 = Instant::now();
-        let (results, _lib) = run_instrumented(&machine, move |ctx| kernel.exec(class, ctx));
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert!(results.iter().all(|r| r.verified), "MG verification failed");
-        (wall_ms, machine.snapshot_stats())
-    };
-
-    // Warm-up, then round-robin reps so host drift hits both configs
-    // equally (same discipline as the trace-overhead sweep).
-    run_once(false);
-    let mut best = [f64::INFINITY; 2];
-    let mut stats = bgp_mpi::machine::SnapshotStats::default();
-    for _ in 0..reps {
-        best[0] = best[0].min(run_once(false).0);
-        let (wall_ms, s) = run_once(true);
-        best[1] = best[1].min(wall_ms);
-        stats = s;
-    }
+    let mut every64 = off.clone();
+    every64.checkpoint = Some(CheckpointConfig { every: 64, dir: dir.clone(), retain: 2 });
+    let best = best_of_reps(&[off, every64.clone()], scale.reps(), |spec| {
+        mg_timed(class, Machine::new(spec.clone()), Machine::snapshot_stats)
+    });
 
     // One real resume from the newest snapshot the sweep left behind.
-    let spec = spec_for(true);
     let outcome = SnapshotStore::new(&dir, 2)
-        .load_latest_valid(spec.fingerprint())
+        .load_latest_valid(every64.fingerprint())
         .expect("snapshot store readable");
     let (snap, _) = outcome.snapshot.expect("sweep wrote snapshots");
     let resume_phase = snap.phase;
-    let machine = bgp_mpi::Machine::new(spec);
+    let machine = Machine::new(every64);
     machine.resume(snap).expect("snapshot accepted");
-    let t0 = Instant::now();
-    let (results, _lib) = run_instrumented(&machine, move |ctx| kernel.exec(class, ctx));
-    let resume_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(results.iter().all(|r| r.verified), "resumed MG verification failed");
+    let (resume_ms, ()) = mg_timed(class, machine, |_| ());
     let _ = std::fs::remove_dir_all(&dir);
 
-    let base_ms = best[0];
-    let mean_bytes = stats.bytes / stats.written.max(1);
+    let (base_ms, _) = best[0];
+    let (on_ms, stats) = &best[1];
     SnapshotSweep {
         samples: vec![
             SnapshotOverheadSample {
                 config: "off",
-                wall_ms: best[0],
+                wall_ms: base_ms,
                 overhead_pct: 0.0,
                 snapshots: 0,
                 mean_bytes: 0,
@@ -616,16 +594,38 @@ pub fn snapshot_overhead_sweep(scale: Scale) -> SnapshotSweep {
             },
             SnapshotOverheadSample {
                 config: "every64",
-                wall_ms: best[1],
-                overhead_pct: ((best[1] - base_ms) / base_ms * 100.0).max(0.0),
+                wall_ms: *on_ms,
+                overhead_pct: slowdown_pct(*on_ms, base_ms),
                 snapshots: stats.written,
-                mean_bytes,
+                mean_bytes: stats.bytes / stats.written.max(1),
                 save_ms: stats.save_nanos as f64 / 1e6,
             },
         ],
         resume_ms,
         resume_phase,
     }
+}
+
+/// Extension (checkpointing): wall cost of snapshots every 64 phases
+/// over none, and of one real resume, from [`snapshot_overhead_sweep`].
+pub fn fig_ext_snapshot(sweep: &SnapshotSweep) -> Csv {
+    let mut csv =
+        Csv::new(["config", "wall_ms", "overhead_pct", "snapshots", "mean_bytes", "save_ms"]);
+    for s in &sweep.samples {
+        csv.row([
+            s.config.to_string(),
+            format!("{:.1}", s.wall_ms),
+            format!("{:.2}", s.overhead_pct),
+            s.snapshots.to_string(),
+            s.mean_bytes.to_string(),
+            format!("{:.1}", s.save_ms),
+        ]);
+    }
+    let mut resume = vec![String::new(); 6];
+    resume[0] = "resume".into();
+    resume[1] = format!("{:.1}", sweep.resume_ms);
+    csv.row(resume);
+    csv
 }
 
 /// Memory-engine throughput comparison (feeds [`fig_ext_memthroughput`]
@@ -653,20 +653,13 @@ pub struct MemThroughputReport {
 /// mirrors the NAS mix — three unit-stride double sweeps for every
 /// random-footprint burst — so the same-line run memoization is
 /// exercised at its real duty cycle, not a best case. Both engines see
-/// identical streams on fresh [`bgp_mem::MemorySystem`]s; wall time is
-/// min-of-reps after one warm-up, like the tracing sweep.
+/// identical streams on fresh [`bgp_mem::MemorySystem`]s; wall times
+/// come from `best_of_reps`, like the tracing sweep.
 pub fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
-    use bgp_arch::events::CounterMode as CMode;
     use bgp_arch::{MachineConfig, NodeId};
-    use bgp_core::run_instrumented;
     use bgp_node::{MemOp, MemWidth, Node};
-    use std::time::Instant;
 
-    let (n_accesses, reps) = match scale {
-        Scale::Quick => (1usize << 20, 5),
-        Scale::Default => (1 << 22, 3),
-        Scale::Paper => (1 << 22, 1),
-    };
+    let n_accesses = if scale == Scale::Quick { 1usize << 20 } else { 1 << 22 };
     // The kernels' dominant pattern: a 5-point stencil sweeping three
     // fields (u read with spatial reuse, rhs streamed, res written) —
     // mostly L1 hits with unit-stride runs, as in the MG/LU/SP inner
@@ -702,76 +695,49 @@ pub fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
     }
     stream.truncate(n_accesses);
 
-    let fresh_node = || {
-        let mut n =
-            Node::new(NodeId(0), &MachineConfig::default(), OpMode::VirtualNode, CMode::Mode2);
-        n.upc_mut().set_enabled(true);
-        n
-    };
-    let scalar_once = || {
-        let mut node = fresh_node();
+    // Config `false` drives the per-op walk, `true` the batched engine.
+    let engines = best_of_reps(&[false, true], scale.reps(), |&batched| {
+        let cfg = MachineConfig::default();
+        let mut node = Node::new(NodeId(0), &cfg, OpMode::VirtualNode, CounterMode::Mode2);
+        node.upc_mut().set_enabled(true);
         let t0 = Instant::now();
-        for op in &stream {
-            node.mem_op(0, 0, op.vaddr, op.width, op.write);
+        if batched {
+            for c in stream.chunks(2048) {
+                node.mem_ops(0, 0, c);
+            }
+        } else {
+            for op in &stream {
+                node.mem_op(0, 0, op.vaddr, op.width, op.write);
+            }
         }
         std::hint::black_box(node.core(0).cycles());
-        t0.elapsed().as_secs_f64()
-    };
-    let batched_once = || {
-        let mut node = fresh_node();
-        let t0 = Instant::now();
-        for c in stream.chunks(2048) {
-            node.mem_ops(0, 0, c);
-        }
-        std::hint::black_box(node.core(0).cycles());
-        t0.elapsed().as_secs_f64()
-    };
-    scalar_once();
-    batched_once();
-    let (mut scalar_s, mut batched_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        scalar_s = scalar_s.min(scalar_once());
-        batched_s = batched_s.min(batched_once());
-    }
-    let scalar_maps = n_accesses as f64 / scalar_s / 1e6;
-    let batched_maps = n_accesses as f64 / batched_s / 1e6;
+        (t0.elapsed().as_secs_f64(), ())
+    });
+    let scalar_maps = n_accesses as f64 / engines[0].0 / 1e6;
+    let batched_maps = n_accesses as f64 / engines[1].0 / 1e6;
 
     // End-to-end: the acceptance job (MG class A on 16 VNM ranks at
     // Default scale) on the batched engine.
-    let kernel = Kernel::Mg;
-    let class = scale.class();
-    let ranks = kernel.clamp_ranks(scale.ranks(), class);
-    let mg_once = || {
-        let spec = bgp_mpi::JobSpec::new(ranks, OpMode::VirtualNode);
-        let machine = bgp_mpi::Machine::new(spec);
-        let t0 = Instant::now();
-        let (out, _lib) = run_instrumented(&machine, move |ctx| kernel.exec(class, ctx));
-        assert!(out.iter().all(|r| r.verified), "MG failed verification");
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-    let mg_reps = match scale {
-        Scale::Quick => 3,
-        _ => 2,
-    };
-    let mut mg_wall_ms = f64::INFINITY;
-    for _ in 0..mg_reps {
-        mg_wall_ms = mg_wall_ms.min(mg_once());
-    }
+    let (class, spec) = mg_job(scale);
+    let mg_ranks = spec.ranks;
+    let mg = best_of_reps(&[spec], scale.reps(), |spec| {
+        mg_timed(class, Machine::new(spec.clone()), |_| ())
+    });
 
     MemThroughputReport {
         scalar_maps,
         batched_maps,
         speedup: batched_maps / scalar_maps,
-        mg_wall_ms,
+        mg_wall_ms: mg[0].0,
         mg_class: class,
-        mg_ranks: ranks,
+        mg_ranks,
     }
 }
 
 /// Extension (performance): simulator throughput of the batched memory
-/// engine vs. the per-op scalar walk, plus the end-to-end MG wall time.
-pub fn fig_ext_memthroughput(scale: Scale) -> Csv {
-    let r = mem_throughput_sweep(scale);
+/// engine vs. the per-op scalar walk, plus the end-to-end MG wall time,
+/// from [`mem_throughput_sweep`].
+pub fn fig_ext_memthroughput(r: &MemThroughputReport) -> Csv {
     let mut csv = Csv::new(["measure", "value"]);
     csv.row(["scalar_maccesses_per_s".into(), format!("{:.1}", r.scalar_maps)]);
     csv.row(["batched_maccesses_per_s".into(), format!("{:.1}", r.batched_maps)]);
@@ -848,7 +814,6 @@ async fn fullmachine_rank(mut ctx: bgp_mpi::RankCtx) -> bool {
 /// multiplexed over the fixed worker pool — never one OS thread per
 /// rank. `--quick` stops at 4,096 nodes.
 pub fn fullmachine_sweep(scale: Scale) -> Vec<FullMachineSample> {
-    use std::time::Instant;
     let node_counts: &[usize] = match scale {
         Scale::Quick => &[1024, 4096],
         _ => &[1024, 4096, 16384, 73_728],
@@ -856,10 +821,10 @@ pub fn fullmachine_sweep(scale: Scale) -> Vec<FullMachineSample> {
     let mut samples = Vec::new();
     for &nodes in node_counts {
         let ranks = nodes * OpMode::VirtualNode.processes_per_node();
-        let mut spec = bgp_mpi::JobSpec::new(ranks, OpMode::VirtualNode);
+        let mut spec = JobSpec::new(ranks, OpMode::VirtualNode);
         spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode0);
         let t0 = Instant::now();
-        let machine = bgp_mpi::Machine::new(spec);
+        let machine = Machine::new(spec);
         let out = machine.run(fullmachine_rank);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let peak = peak_rss_bytes();
@@ -879,10 +844,9 @@ pub fn fullmachine_sweep(scale: Scale) -> Vec<FullMachineSample> {
 }
 
 /// Extension (scale): rank-count scaling of the multiplexed runtime up
-/// to the full 73,728-node machine, with the per-rank RSS column that
-/// gates the ≤ 10 KB idle-rank overhead budget.
-pub fn fig_ext_fullmachine(scale: Scale) -> Csv {
-    let samples = fullmachine_sweep(scale);
+/// to the full 73,728-node machine, from [`fullmachine_sweep`], with the
+/// per-rank RSS column that gates the ≤ 10 KB idle-rank overhead budget.
+pub fn fig_ext_fullmachine(samples: &[FullMachineSample]) -> Csv {
     let mut csv = Csv::new([
         "nodes",
         "ranks",
@@ -893,7 +857,7 @@ pub fn fig_ext_fullmachine(scale: Scale) -> Csv {
         "job_cycles",
         "verified",
     ]);
-    for s in &samples {
+    for s in samples {
         csv.row([
             s.nodes.to_string(),
             s.ranks.to_string(),
@@ -920,6 +884,164 @@ pub fn fig_ext_trace_overhead(samples: &[TraceOverheadSample]) -> Csv {
             format!("{:.2}", s.overhead_pct),
             s.events.to_string(),
             s.dropped.to_string(),
+        ]);
+    }
+    csv
+}
+
+/// Extension (multiplexing): full 1024-event coverage the classical way
+/// — one `Fixed` run per counter mode — against one run under
+/// `CounterPolicy::Multiplexed` at base dwells of 4, 8 and 16 phases,
+/// for MG and CG. Reports the rotation statistics, the occupancy
+/// balance across the four modes, and the reconstruction quality of
+/// the multiplexed estimates against simulator ground truth.
+pub fn fig_ext_multiplex(scale: Scale) -> Csv {
+    let mut csv = Csv::new([
+        "kernel",
+        "base_dwell",
+        "runs_needed",
+        "cycles_fixed_total",
+        "cycles_mux",
+        "rotations",
+        "irq_extends",
+        "early_rotates",
+        "irq_drained",
+        "occ_mode0",
+        "occ_mode1",
+        "occ_mode2",
+        "occ_mode3",
+        "coverage",
+        "mux_median_err",
+    ]);
+    for kernel in [Kernel::Mg, Kernel::Cg] {
+        let cfg = RunConfig::new(kernel, scale.class(), scale.ranks());
+        let exact = measure_every_mode(&cfg);
+        for dwell in [4, 8, 16] {
+            let policy =
+                CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: dwell };
+            let mux = measure_with_truth(&cfg, policy, None, None);
+            let summary = mux.mux.expect("multiplexed run has a summary");
+            let report = ValidationReport::build(
+                &format!("{kernel} dwell {dwell}"),
+                &exact.truth,
+                &exact.dumps,
+                &mux.dumps,
+                None,
+                WHOLE_PROGRAM_SET,
+            );
+            csv.row([
+                kernel.name().to_string(),
+                dwell.to_string(),
+                format!("{NUM_MODES}"),
+                exact.cycles.to_string(),
+                mux.job_cycles.to_string(),
+                summary.rotations.to_string(),
+                summary.irq_extends.to_string(),
+                summary.early_rotates.to_string(),
+                summary.irq_drained.to_string(),
+                summary.occupancy[0].to_string(),
+                summary.occupancy[1].to_string(),
+                summary.occupancy[2].to_string(),
+                summary.occupancy[3].to_string(),
+                format!("{:.4}", report.coverage),
+                format!("{:.4}", report.mux_median_err),
+            ]);
+            println!(
+                "{kernel} dwell {dwell}: {} rotations ({} irq-extended, {} early), \
+                 coverage {:.0}%, median err {:.2}%, 1 run vs {NUM_MODES} \
+                 ({} vs {} cycles)",
+                summary.rotations,
+                summary.irq_extends,
+                summary.early_rotates,
+                report.coverage * 100.0,
+                report.mux_median_err * 100.0,
+                mux.job_cycles,
+                exact.cycles,
+            );
+        }
+    }
+    csv
+}
+
+/// One kernel's ground-truth audit (feeds [`fig_ext_validation`] and
+/// `BENCH_validation.json`).
+pub struct KernelValidation {
+    /// Kernel audited.
+    pub kernel: Kernel,
+    /// Per-event accuracy of the exact, multiplexed and degraded legs.
+    pub report: ValidationReport,
+    /// Rotations of the multiplexed leg.
+    pub mux_rotations: u64,
+    /// The multiplexed dumps are byte-identical at 1 and 4 workers.
+    pub thread_invariant: bool,
+    /// Mean job cycles of the four `Fixed` runs.
+    pub fixed_cycles: u64,
+    /// Job cycles of the multiplexed run.
+    pub mux_cycles: u64,
+}
+
+/// Audit one kernel against simulator ground truth: each counter mode
+/// exactly (`Fixed(m)` × 4), once under the adaptive multiplexing
+/// policy (pinned to 1 and to 4 simulator workers, so the dumps can be
+/// compared byte for byte), and once multiplexed with a counter bit
+/// flip injected on every node as its window closes.
+pub fn validate_kernel(kernel: Kernel, scale: Scale) -> KernelValidation {
+    use bgp_faults::{FaultPlan, FaultSpec};
+
+    let cfg = RunConfig::new(kernel, scale.class(), scale.ranks());
+    let mux_policy = CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 12 };
+    let exact = measure_every_mode(&cfg);
+    let mux1 = measure_with_truth(&cfg, mux_policy, None, Some(1));
+    let mux4 = measure_with_truth(&cfg, mux_policy, None, Some(4));
+    let fault_spec = FaultSpec { counter_bitflip_rate: 1.0, ..FaultSpec::none() };
+    let plan = Arc::new(FaultPlan::new(fault_spec, 7, mux1.dumps.len()));
+    let degraded = measure_with_truth(&cfg, mux_policy, Some(plan), None);
+
+    let report = ValidationReport::build(
+        &format!("{} class {:?} x {} ranks", kernel, cfg.class, cfg.ranks),
+        &exact.truth,
+        &exact.dumps,
+        &mux1.dumps,
+        Some(&degraded.dumps),
+        WHOLE_PROGRAM_SET,
+    );
+    KernelValidation {
+        kernel,
+        report,
+        mux_rotations: mux1.mux.as_ref().map_or(0, |s| s.rotations),
+        thread_invariant: mux1.encoded == mux4.encoded,
+        fixed_cycles: exact.cycles / NUM_MODES as u64,
+        mux_cycles: mux1.job_cycles,
+    }
+}
+
+/// Extension (validation): the per-kernel summary of the ground-truth
+/// audit, from [`validate_kernel`].
+pub fn fig_ext_validation(rows: &[KernelValidation]) -> Csv {
+    let mut csv = Csv::new([
+        "kernel",
+        "exact_checked",
+        "exact_matches",
+        "mux_median_err",
+        "mux_max_err",
+        "coverage",
+        "rotations",
+        "thread_invariant",
+        "fixed_mode_cycles",
+        "mux_cycles",
+    ]);
+    for v in rows {
+        csv.row([
+            format!("{}", v.kernel),
+            v.report.exact_checked.to_string(),
+            v.report.exact_matches.to_string(),
+            format!("{:.4}", v.report.mux_median_err),
+            format!("{:.4}", v.report.mux_max_err),
+            format!("{:.4}", v.report.coverage),
+            v.mux_rotations.to_string(),
+            v.thread_invariant.to_string(),
+            v.fixed_cycles.to_string(),
+            v.mux_cycles.to_string(),
         ]);
     }
     csv

@@ -1,10 +1,11 @@
 //! # bgp-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (`src/bin/fig*.rs`), plus the
-//! dependency-free micro-benchmarks in `benches/`. This library holds the
-//! shared machinery: run a NAS kernel job under whole-program
-//! instrumentation, post-process the dumps into a [`Frame`], and extract
-//! the metrics the figures plot.
+//! One driver, `repro_all`, runs every table, figure, extension sweep and
+//! gate as a named entry of the [`repro`] registry; the dependency-free
+//! micro-benchmarks live in `benches/`. This library holds the shared
+//! machinery: run a NAS kernel job under whole-program instrumentation,
+//! post-process the dumps into a [`Frame`], and extract the metrics the
+//! figures plot.
 //!
 //! Because a node's UPC unit observes one counter mode per run, every
 //! *full* measurement is two runs — exactly the methodology the paper's
@@ -18,8 +19,9 @@
 
 pub mod figures;
 pub mod microbench;
+pub mod repro;
 
-use bgp_arch::events::{CoreEvent, CounterMode, NetEvent, SharedEvent};
+use bgp_arch::events::{CoreEvent, CounterMode, NetEvent, SharedEvent, NUM_MODES};
 use bgp_arch::{MachineConfig, OpMode, CORES_PER_NODE};
 use bgp_compiler::CompileOpts;
 use bgp_core::dump::NodeDump;
@@ -112,11 +114,6 @@ pub fn measure_memory(cfg: &RunConfig) -> Measured {
     measure(cfg, CounterPolicy::Fixed(CounterMode::Mode2))
 }
 
-/// Run with mode 3 everywhere: network events.
-pub fn measure_network(cfg: &RunConfig) -> Measured {
-    measure(cfg, CounterPolicy::Fixed(CounterMode::Mode3))
-}
-
 /// Outcome of one instrumented run kept at dump granularity, with the
 /// simulator's independent ground truth — the raw material of the
 /// validation harness ([`bgp_postproc::validate`]).
@@ -174,6 +171,35 @@ pub fn measure_with_truth(
         job_cycles: machine.job_cycles(),
         mux: machine.mux_summary(),
     }
+}
+
+/// The exact baseline of the validation figures: one `Fixed` run per
+/// counter mode.
+pub(crate) struct EveryMode {
+    /// Each run's dumps, indexed by counter mode.
+    pub dumps: [Vec<NodeDump>; NUM_MODES],
+    /// Ground truth of the first run. Determinism makes the four runs
+    /// views of one execution, so it stands for all of them.
+    pub truth: Vec<NodeTruth>,
+    /// Job cycles summed over the four runs.
+    pub cycles: u64,
+}
+
+/// Run the kernel once under `Fixed(mode)` for every counter mode.
+pub(crate) fn measure_every_mode(cfg: &RunConfig) -> EveryMode {
+    let mut truth: Option<Vec<NodeTruth>> = None;
+    let mut cycles = 0;
+    let dumps = std::array::from_fn(|m| {
+        let mode = CounterMode::from_index(m).expect("mode index");
+        let r = measure_with_truth(cfg, CounterPolicy::Fixed(mode), None, None);
+        cycles += r.job_cycles;
+        match &truth {
+            None => truth = Some(r.truth),
+            Some(t) => assert_eq!(t.len(), r.truth.len(), "fixed runs must see the same machine"),
+        }
+        r.dumps
+    });
+    EveryMode { dumps, truth: truth.expect("at least one mode"), cycles }
 }
 
 /// Read every node's independent ground truth off the machine. Valid
@@ -325,18 +351,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from argv: `--quick` or `--paper`, default otherwise.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--quick") {
-            Scale::Quick
-        } else if args.iter().any(|a| a == "--paper") {
-            Scale::Paper
-        } else {
-            Scale::Default
-        }
-    }
-
     /// Problem class at this scale.
     pub fn class(self) -> Class {
         match self {
@@ -353,9 +367,19 @@ impl Scale {
             Scale::Paper => 128,
         }
     }
+
+    /// Timed repetitions of the host-timing sweeps (min-of-reps).
+    pub(crate) fn reps(self) -> usize {
+        match self {
+            Scale::Quick => 5,
+            Scale::Default => 3,
+            Scale::Paper => 1,
+        }
+    }
 }
 
-/// Directory figure binaries write their CSVs into (`results/`).
+/// Directory the `repro_all` entries write their CSVs into: `results/`,
+/// or `$BGP_RESULTS_DIR`.
 pub fn results_dir() -> PathBuf {
     let p = std::env::var("BGP_RESULTS_DIR").unwrap_or_else(|_| "results".into());
     let p = PathBuf::from(p);

@@ -223,11 +223,6 @@ impl Cache {
         self.assoc
     }
 
-    /// Total line capacity.
-    pub fn capacity_lines(&self) -> usize {
-        self.num_sets * self.assoc
-    }
-
     #[inline]
     fn set_of(&self, line: u64) -> usize {
         match self.set_mask {

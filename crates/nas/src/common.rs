@@ -13,7 +13,6 @@
 //! the real 8 MB L3. Communication patterns, loop structures, and
 //! verification are those of the real benchmarks.
 
-use bgp_compiler::PairPlan;
 use bgp_mpi::{RankCtx, SemOp, SimVec};
 use core::fmt;
 
@@ -223,21 +222,6 @@ pub async fn scale(ctx: &mut RankCtx, a: f64, x: &SimVec<f64>, y: &mut SimVec<f6
         ctx.st(y, i, a * xv).await;
     }
     ctx.overhead(n as u64);
-}
-
-/// Charge one scalar `a*b+c` (load-free; operands already in registers).
-#[inline]
-pub fn fma1(ctx: &mut RankCtx) {
-    ctx.fp1(SemOp::MulAdd);
-}
-
-/// Plan helper: lower a pair-op without memory traffic (register-resident
-/// butterfly arithmetic and the like).
-#[inline]
-pub fn fp_pair_reg(ctx: &mut RankCtx, vectorizable: bool, sem: SemOp) -> PairPlan {
-    let plan = ctx.plan_pair(vectorizable);
-    ctx.fp_pair(plan, sem);
-    plan
 }
 
 #[cfg(test)]

@@ -41,13 +41,6 @@ pub struct InstrCounts {
     pub quadstore: u64,
 }
 
-impl InstrCounts {
-    /// Total memory instructions.
-    pub fn mem_instructions(&self) -> u64 {
-        self.loads + self.stores
-    }
-}
-
 /// Aggregated per-class counts of one retired memory batch, as consumed
 /// by [`Core::retire_mem_batch`]. The node builds this while translating
 /// a batch so the core can retire the whole slice with a constant number

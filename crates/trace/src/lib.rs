@@ -507,11 +507,6 @@ impl TraceState {
         self.ranks[rank].lock().record(cycle, kind);
     }
 
-    /// Record into the scheduler stream.
-    pub fn record_sched(&self, cycle: u64, kind: EventKind) {
-        self.sched.lock().record(cycle, kind);
-    }
-
     /// Append a batch to the scheduler stream under one lock.
     pub fn extend_sched(&self, events: impl IntoIterator<Item = TraceEvent>) {
         let mut rec = self.sched.lock();

@@ -42,21 +42,31 @@ if target/release/bgpc-diff "$trace_dir" "$trace_dir" --threshold abc 2>/dev/nul
     echo "trace smoke: bgpc-diff accepted a malformed --threshold"; exit 1
 fi
 
+echo "==> repro_all fails closed (an unknown entry name exits non-zero)"
+if target/release/repro_all no_such_figure 2>/dev/null; then
+    echo "repro_all accepted an unknown entry name"; exit 1
+fi
+
+# Every repro_all entry below checks its own acceptance bound and exits
+# non-zero when it fails; CSVs and BENCH_*.json records go to the
+# temporary dir, not over the committed files.
 echo "==> degraded aggregation (fig_ext_faults at Default scale == committed CSV)"
 # The only committed output of the survivors path; ~20 s.
-BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_faults > /dev/null
+BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
+    target/release/repro_all fig_ext_faults > /dev/null
 cmp "$trace_dir/fig_ext_faults.csv" results/fig_ext_faults.csv \
     || { echo "fig_ext_faults: regenerated CSV differs from results/"; exit 1; }
 
-echo "==> batched memory engine gate (mem_ops >= 1.5x mem_op)"
-BGP_RESULTS_DIR="$trace_dir" target/release/fig_ext_memthroughput --quick --gate
-
-echo "==> event validation gate (exact events bit-for-bit, mux dumps thread-invariant)"
-# Quick scale gates exactness + determinism; the reconstruction-quality
-# bounds (median error, coverage) are asserted at Default scale, where
-# the committed BENCH_validation.json is produced.
+echo "==> batched memory engine bound (mem_ops >= 1.5x mem_op)"
 BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
-    target/release/fig_ext_validation --quick --gate
+    target/release/repro_all fig_ext_memthroughput --quick
+
+echo "==> event validation bound (exact events bit-for-bit, mux dumps thread-invariant)"
+# Quick scale bounds exactness + determinism; the reconstruction-quality
+# bounds (median error, coverage) apply at Default scale, where the
+# committed BENCH_validation.json is produced.
+BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
+    target/release/repro_all fig_ext_validation --quick
 
 echo "==> checkpoint/restart smoke (crash MG S mid-run, resume, byte-diff)"
 ck_dir="$trace_dir/ck"
@@ -109,16 +119,16 @@ target/release/bgpc-load --addr "$svc_addr" --admin shutdown | grep -q '"shutdow
     || { echo "service smoke: shutdown not acknowledged"; exit 1; }
 wait "$svc_pid" || { echo "service smoke: daemon exited non-zero"; exit 1; }
 
-echo "==> counter service load gate (quick scale: 2k requests, byte-identical replays)"
+echo "==> counter service load bound (quick scale: 2k requests, byte-identical replays)"
 BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
-    target/release/fig_ext_service --quick --gate
+    target/release/repro_all fig_ext_service --quick
 
-echo "==> full-machine scaling gate (73,728 nodes / 294,912 ranks, <= 10 KB/rank)"
-# Runs at Default scale so the 73k-node smoke actually executes; the bin
-# itself asserts verification and the per-rank RSS budget (~10 s). Its
-# JSON goes to the temporary dir, not over the committed file.
+echo "==> full-machine scaling bound (73,728 nodes / 294,912 ranks, <= 10 KB/rank)"
+# Runs at Default scale so the 73k-node smoke actually executes, and
+# alone, because the per-rank RSS bound reads the process high-water
+# mark; the entry also checks verification (~10 s).
 BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
-    target/release/fig_ext_fullmachine
+    target/release/repro_all fig_ext_fullmachine
 
 echo "==> perfbench digest smoke (decoded counters, job_cycles and phases == perfbench/reference.json)"
 # The digests are the one check of counter values that is independent
@@ -135,12 +145,11 @@ for workload in mg-a16 cg-supervised fullmachine-probe serve-mix; do
     esac
 done
 
-echo "==> snapshot overhead gate (checkpoint every 64 phases < 5%, Default scale)"
+echo "==> snapshot overhead bound (checkpoint every 64 phases < 5%, Default scale)"
 # Runs at Default scale (MG class A), the scale of the acceptance
-# criterion; ~1 min. Its JSON goes to the temporary dir, not over the
-# committed file.
+# criterion; ~1 min.
 BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
-    target/release/fig_ext_snapshot --gate
+    target/release/repro_all fig_ext_snapshot
 
 echo "==> cargo bench smoke"
 BGP_BENCH_SAMPLES=1 cargo bench --workspace 2>&1 | tail -n 20

@@ -3,7 +3,8 @@
 
 Each `<!-- TAG -->` placeholder (or a previously generated block) is
 replaced by a fenced code block containing the CSV. Run after
-`cargo run --release -p bgp-bench --bin repro_all`.
+`cargo run --release -p bgp-bench --bin repro_all` (every default entry;
+`repro_all NAME...` reruns only the named ones).
 """
 import re
 import sys
