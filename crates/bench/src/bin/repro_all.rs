@@ -3,7 +3,9 @@
 //! default entry when none is named), writes their CSVs into `results/`
 //! (or `$BGP_RESULTS_DIR`) and their `BENCH_*.json` records into the
 //! repo root (or `$BGP_BENCH_DIR`), and exits non-zero when any entry's
-//! acceptance bound fails.
+//! acceptance bound fails. When more than one entry is selected, each
+//! runs in a child process of its own, so no entry's bound reads memory
+//! an earlier entry left behind; a single entry runs in-process.
 use bgp_bench::repro;
 use std::process::ExitCode;
 
@@ -16,9 +18,11 @@ fn main() -> ExitCode {
         }
     };
     eprintln!("[repro_all] scale: {scale:?}");
+    let isolate = entries.len() > 1;
     let mut failed = Vec::new();
     for entry in entries {
-        match entry.run(scale) {
+        let verdict = if isolate { entry.run_in_child(scale) } else { entry.run(scale) };
+        match verdict {
             Ok(()) => eprintln!("[repro_all] {} done", entry.name),
             Err(e) => {
                 eprintln!("[repro_all] {}: BOUND FAILED — {e}", entry.name);

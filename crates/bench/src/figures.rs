@@ -41,7 +41,7 @@ pub fn tab_overhead() -> Csv {
     let measured = machine.run(|mut ctx| async move {
         let ctx = &mut ctx;
         let t0 = ctx.cycles();
-        let s = Session::builder(ctx).build().expect("init");
+        let s = Session::initialize(ctx);
         let s = s.start(0).expect("start");
         let s = s.stop().expect("stop");
         let t_total = s.cycles() - t0;

@@ -45,6 +45,25 @@ impl Entry {
         }
         verdict
     }
+
+    /// [`Entry::run`] in a child `repro_all` process (this executable,
+    /// given the entry's name and the scale flag, with this process's
+    /// environment and output streams), so that what a bound reads of
+    /// the process — its peak resident memory — is this entry's alone.
+    ///
+    /// # Errors
+    /// The child exited non-zero (its bound failed; it said why) or
+    /// could not be started.
+    pub fn run_in_child(&self, scale: Scale) -> Result<(), String> {
+        let exe = std::env::current_exe().map_err(|e| format!("locating repro_all: {e}"))?;
+        let mut child = std::process::Command::new(exe);
+        child.arg(self.name).args(scale_flag(scale));
+        match child.status() {
+            Ok(status) if status.success() => Ok(()),
+            Ok(status) => Err(format!("child run {status}")),
+            Err(e) => Err(format!("starting a child run: {e}")),
+        }
+    }
 }
 
 /// The outcome of an entry with one CSV and no bound.
@@ -183,6 +202,15 @@ const USAGE: &str = "usage: repro_all [NAME...] [--quick|--paper]
   Runs the named entries in the order given; with no NAME, every default
   entry in registry order. Scale: --quick (class S, 8 ranks), none
   (class A, 16 ranks), --paper (class A, 128 ranks).";
+
+/// The `repro_all` flag selecting `scale` (none for the default).
+fn scale_flag(scale: Scale) -> Option<&'static str> {
+    match scale {
+        Scale::Quick => Some("--quick"),
+        Scale::Default => None,
+        Scale::Paper => Some("--paper"),
+    }
+}
 
 /// Parse `repro_all`'s arguments (program name stripped) into the scale
 /// and the entries to run: the named ones in the order given, or every
@@ -359,9 +387,10 @@ fn fullmachine(scale: Scale) -> Outcome {
             rows.join(",\n")
         ),
     );
-    // VmHWM is a process-lifetime high water mark; the sweep ascends, so
-    // the final (largest) point dominates it and the bound is an upper
-    // bound on that run's true footprint.
+    // VmHWM is a process-lifetime high water mark. `repro_all` runs an
+    // entry in a process of its own whenever it runs more than one, and
+    // the sweep ascends, so the final (largest) point dominates it and
+    // the bound is an upper bound on that run's true footprint.
     let last = samples.last().expect("non-empty sweep");
     let verified = samples.iter().all(|s| s.verified);
     let verdict = bound(
@@ -677,6 +706,15 @@ mod tests {
         let (scale, names) = parse(&["--quick", "fig_ext_snapshot", "fig03_modes"]).unwrap();
         assert_eq!((scale, names), (Scale::Quick, vec!["fig_ext_snapshot", "fig03_modes"]));
         assert_eq!(parse(&["--paper"]).unwrap().0, Scale::Paper);
+    }
+
+    /// A child run is handed the scale its parent parsed.
+    #[test]
+    fn scale_flags_parse_back_to_their_scale() {
+        for scale in [Scale::Quick, Scale::Default, Scale::Paper] {
+            let argv: Vec<&str> = scale_flag(scale).into_iter().collect();
+            assert_eq!(parse(&argv).unwrap().0, scale);
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! start/stop *sets*, then finalize into a per-node binary dump — a
 //! compile-time property. The paper's original four C-style calls
 //! (`BGP_Initialize` / `BGP_Start(set)` / `BGP_Stop(set)` /
-//! `BGP_Finalize`) exist only as the session's internal steps; the
-//! deprecated free-call wrappers were removed (see the migration table
-//! in the facade crate docs). Dumps are written per node by
+//! `BGP_Finalize`) exist only as the session's transitions (the facade
+//! crate docs map each call to one). The counter modes are the job's
+//! [`bgp_mpi::JobSpec::counter_policy`]. Dumps are written per node by
 //! [`CounterLibrary::write_dumps`].
 //!
 //! Key properties reproduced from the paper:
@@ -45,14 +45,14 @@ use bgp_arch::events::{CounterMode, NUM_COUNTERS, NUM_MODES};
 use bgp_arch::BgpError;
 use bgp_arch::sync::Mutex;
 use bgp_faults::CounterFault;
-use bgp_mpi::{CounterPolicy, JobSpec, Machine, MuxMark, RankCtx};
+use bgp_mpi::{JobSpec, Machine, MuxMark, RankCtx};
 use bgp_trace::{EventKind, FaultEvent};
 use dump::{NodeDump, RecoveredDump, SetDump};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 
-pub use session::{Counting, Initialized, JobDump, Session, SessionBuilder};
+pub use session::{Counting, Initialized, Session};
 
 /// Cycles charged by `BGP_Initialize` (UPC programming via the memory
 /// map).
@@ -103,7 +103,10 @@ impl NodeState {
     }
 }
 
-/// The interface library, shared by all ranks of one job.
+/// The interface library, shared by all ranks of one job: one instance
+/// per machine, held in the machine's app-state registry (snapshot
+/// section `app:counters`, see the [`state`] module) and dropped with
+/// it.
 ///
 /// ```
 /// use bgp_arch::{events::{CoreEvent, CounterMode}, OpMode};
@@ -125,69 +128,37 @@ pub struct CounterLibrary {
     spec: JobSpec,
     pub(crate) nodes: Mutex<Vec<NodeState>>,
     ranks_per_node: Vec<usize>,
-    /// Session-supplied counter policy taking precedence over the
-    /// job's (see [`SessionBuilder::counter_policy`]). The machine's
-    /// schedules carry its effect; it is kept to reject divergent
-    /// overrides across ranks.
-    pub(crate) policy_override: Mutex<Option<CounterPolicy>>,
 }
 
-/// Process-wide map from live machines to their shared counter library,
-/// so every rank's [`Session`] resolves to the same instance — the way
-/// one linked copy of the interface library serves a whole job. Entries
-/// die with their machine (the library holds no machine reference, so
-/// there is no cycle).
-type LibraryRegistry = Mutex<Vec<(Weak<Machine>, Arc<CounterLibrary>)>>;
-static REGISTRY: OnceLock<LibraryRegistry> = OnceLock::new();
-
 impl CounterLibrary {
-    /// Bind the library to a machine (one instance per job). The
-    /// library registers itself for checkpoint capture (snapshot
-    /// section `app:counters`, see the [`state`] module), so only one
-    /// library may be bound per machine — use
-    /// [`CounterLibrary::for_machine`] to share an instance.
-    ///
-    /// # Panics
-    /// Panics if a library is already bound to `machine`.
-    pub fn new(machine: Arc<Machine>) -> Arc<CounterLibrary> {
-        let n_nodes = machine.num_nodes();
-        let mut ranks_per_node = vec![0usize; n_nodes];
-        for r in 0..machine.spec().ranks {
-            ranks_per_node[bgp_mpi::place(machine.spec(), r).node.0] += 1;
-        }
-        let lib = Arc::new(CounterLibrary {
-            spec: machine.spec().clone(),
-            nodes: Mutex::new((0..n_nodes).map(|_| NodeState::default()).collect()),
-            ranks_per_node,
-            policy_override: Mutex::new(None),
-        });
-        machine.register_app_state(Arc::clone(&lib) as Arc<dyn bgp_mpi::machine::AppState>);
-        lib
-    }
-
-    /// The shared library of `machine`, created on first use. All
+    /// The shared library of `machine`, created on first use — the way
+    /// one linked copy of the interface library serves a whole job. All
     /// [`Session`]s of a job meet here; concurrently-arriving ranks get
     /// the same instance.
     pub fn for_machine(machine: &Arc<Machine>) -> Arc<CounterLibrary> {
-        let reg = REGISTRY.get_or_init(|| Mutex::new(Vec::new()));
-        let mut reg = reg.lock();
-        reg.retain(|(m, _)| m.strong_count() > 0);
-        for (m, lib) in reg.iter() {
-            if m.upgrade().is_some_and(|m| Arc::ptr_eq(&m, machine)) {
-                return Arc::clone(lib);
+        let hook = machine.register_app_state(state::NAME, || {
+            let n_nodes = machine.num_nodes();
+            let mut ranks_per_node = vec![0usize; n_nodes];
+            for r in 0..machine.spec().ranks {
+                ranks_per_node[bgp_mpi::place(machine.spec(), r).node.0] += 1;
             }
-        }
-        let lib = CounterLibrary::new(Arc::clone(machine));
-        reg.push((Arc::downgrade(machine), Arc::clone(&lib)));
-        lib
+            Arc::new(CounterLibrary {
+                spec: machine.spec().clone(),
+                nodes: Mutex::new((0..n_nodes).map(|_| NodeState::default()).collect()),
+                ranks_per_node,
+            })
+        });
+        let hook: Arc<dyn std::any::Any + Send + Sync> = hook;
+        hook.downcast()
+            .unwrap_or_else(|_| panic!("app state {:?} is not a CounterLibrary", state::NAME))
     }
 
     /// `BGP_Initialize()`: zero the node's UPC counters and leave
     /// counting disabled until the first `BGP_Start`. The machine
-    /// already programmed the unit into the node's home mode (per the
-    /// job's [`bgp_mpi::CounterPolicy`] or a session override). Reached
-    /// through [`SessionBuilder::build`].
-    pub(crate) fn initialize_impl(&self, ctx: &mut RankCtx) -> Result<()> {
+    /// already programmed the unit into the node's home mode, per the
+    /// job's [`bgp_mpi::CounterPolicy`]. Reached through
+    /// [`Session::initialize`].
+    pub(crate) fn initialize_impl(&self, ctx: &mut RankCtx) {
         let node = ctx.node_id().0;
         {
             let mut nodes = self.nodes.lock();
@@ -212,7 +183,6 @@ impl CounterLibrary {
         }
         ctx.charge_cycles(INIT_CYCLES);
         ctx.trace_event(EventKind::SessionInit);
-        Ok(())
     }
 
     /// `BGP_Start(set)`: open a counting window for `set` on this rank's
@@ -545,7 +515,7 @@ where
     F: Fn(RankCtx) -> Fut,
     Fut: std::future::Future<Output = (RankCtx, R)>,
 {
-    lib.initialize_impl(&mut ctx).expect("BGP_Initialize");
+    lib.initialize_impl(&mut ctx);
     lib.start_impl(&mut ctx, WHOLE_PROGRAM_SET).expect("BGP_Start");
     let (mut ctx, r) = kernel(ctx).await;
     lib.stop_impl(&mut ctx, WHOLE_PROGRAM_SET).expect("BGP_Stop");
@@ -678,7 +648,7 @@ mod tests {
     fn work_outside_the_window_is_not_counted() {
         let m = machine(1, OpMode::Smp1, CounterPolicy::Fixed(CounterMode::Mode0));
         let out = m.run(|mut ctx| async move {
-            let mut s = Session::builder(&mut ctx).build().unwrap();
+            let mut s = Session::initialize(&mut ctx);
             s.fp1(SemOp::Add); // before start: invisible
             let mut s = s.start(1).unwrap();
             s.fp1(SemOp::Add);
@@ -696,7 +666,7 @@ mod tests {
     fn multiple_start_stop_pairs_accumulate_records() {
         let m = machine(1, OpMode::Smp1, CounterPolicy::Fixed(CounterMode::Mode0));
         let out = m.run(|mut ctx| async move {
-            let mut s = Session::builder(&mut ctx).build().unwrap();
+            let mut s = Session::initialize(&mut ctx);
             for _ in 0..3 {
                 let mut counting = s.start(7).unwrap();
                 counting.fp1(SemOp::Mul);
@@ -715,7 +685,7 @@ mod tests {
     #[test]
     fn protocol_violations_are_reported() {
         let m = machine(1, OpMode::Smp1, CounterPolicy::Fixed(CounterMode::Mode0));
-        let lib = CounterLibrary::new(Arc::clone(&m));
+        let lib = CounterLibrary::for_machine(&m);
         let lib2 = Arc::clone(&lib);
         let out = m.run(move |mut ctx| {
             let lib = Arc::clone(&lib2);
@@ -723,7 +693,7 @@ mod tests {
                 let ctx = &mut ctx;
                 // Start before initialize:
                 let e1 = lib.start_impl(ctx, 0).is_err();
-                lib.initialize_impl(ctx).unwrap();
+                lib.initialize_impl(ctx);
                 lib.start_impl(ctx, 0).unwrap();
                 // Nested different set:
                 let e2 = lib.start_impl(ctx, 1).is_err();
@@ -748,7 +718,7 @@ mod tests {
         let m = machine(1, OpMode::Smp1, CounterPolicy::Fixed(CounterMode::Mode0));
         let out = m.run(|mut ctx| async move {
             let t0 = ctx.cycles();
-            let s = Session::builder(&mut ctx).build().unwrap();
+            let s = Session::initialize(&mut ctx);
             let s = s.start(0).unwrap();
             let s = s.stop().unwrap();
             let t1 = s.cycles();
@@ -756,6 +726,19 @@ mod tests {
             t1 - t0
         });
         assert_eq!(out[0], TOTAL_OVERHEAD_CYCLES);
+    }
+
+    /// The machine's registry is the library's only owner besides the
+    /// caller: dropping both frees it, with no later lookup to sweep it.
+    #[test]
+    fn the_library_is_freed_with_its_machine() {
+        let m = machine(2, OpMode::Smp1, CounterPolicy::Fixed(CounterMode::Mode0));
+        let (_, lib) = run_instrumented(&m, |ctx| async move { (ctx, ()) });
+        let weak = Arc::downgrade(&lib);
+        drop(lib);
+        assert!(weak.upgrade().is_some(), "the machine keeps its library alive");
+        drop(m);
+        assert!(weak.upgrade().is_none(), "the library outlived its machine");
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! that protocol in the type system instead:
 //!
 //! ```text
-//! Session::builder(ctx).build()?        : Session<'_, Initialized>
+//! Session::initialize(ctx)              : Session<'_, Initialized>
 //!     .start(set)?                      : Session<'_, Counting>
 //!     .stop()?                          : Session<'_, Initialized>
-//!     .finalize()?                      : JobDump
+//!     .finalize()?                      : Arc<CounterLibrary>
 //! ```
 //!
 //! * `start` exists only on `Session<Initialized>` — *start before
@@ -30,9 +30,8 @@
 //! Sessions of the ranks of one job share the per-machine
 //! [`CounterLibrary`] (looked up via [`CounterLibrary::for_machine`]),
 //! exactly like the linked interface library on the real machine: one
-//! copy per job, state per node.
-//!
-//! # Migrating from the four-call API
+//! copy per job, state per node. The counter modes are the job's
+//! [`bgp_mpi::JobSpec::counter_policy`]; a session only scopes regions.
 //!
 //! ```
 //! use bgp_arch::OpMode;
@@ -40,29 +39,21 @@
 //! use bgp_mpi::{JobSpec, Machine, SemOp};
 //!
 //! let machine = Machine::new(JobSpec::new(2, OpMode::Smp1));
-//! let dumps = machine.run(|mut ctx| async move {
-//!     // Before: lib.bgp_initialize(ctx)?;
-//!     let session = Session::builder(&mut ctx).build().unwrap();
-//!     // Before: lib.bgp_start(ctx, set)?;
-//!     let mut session = session.start(WHOLE_PROGRAM_SET).unwrap();
+//! let libs = machine.run(|mut ctx| async move {
+//!     let session = Session::initialize(&mut ctx); // BGP_Initialize
+//!     let mut session = session.start(WHOLE_PROGRAM_SET).unwrap(); // BGP_Start
 //!     session.fp1(SemOp::MulAdd); // the measured region
-//!     // Before: lib.bgp_stop(ctx, set)?; — no set id: it cannot mismatch
-//!     let session = session.stop().unwrap();
-//!     // Before: lib.bgp_finalize(ctx)?;
-//!     session.finalize().unwrap()
+//!     let session = session.stop().unwrap(); // BGP_Stop: no set id, it cannot mismatch
+//!     session.finalize().unwrap() // BGP_Finalize
 //! });
-//! let dumps = dumps.into_iter().next().unwrap().dumps().unwrap();
+//! let dumps = libs[0].dumps().unwrap();
 //! assert_eq!(dumps.len(), 2);
 //! ```
 
-use crate::dump::NodeDump;
 use crate::CounterLibrary;
 use bgp_arch::error::Result;
-use bgp_arch::events::CounterMode;
-use bgp_arch::BgpError;
-use bgp_mpi::{CounterPolicy, Machine, RankCtx};
+use bgp_mpi::RankCtx;
 use std::ops::{Deref, DerefMut};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Typestate marker: UPC programmed, no counting window open.
@@ -96,11 +87,6 @@ impl<'a, S> Session<'a, S> {
     pub fn ctx(&mut self) -> &mut RankCtx {
         self.ctx
     }
-
-    /// The shared per-job counter library backing this session.
-    pub fn library(&self) -> &Arc<CounterLibrary> {
-        &self.lib
-    }
 }
 
 impl<S> Deref for Session<'_, S> {
@@ -116,48 +102,14 @@ impl<S> DerefMut for Session<'_, S> {
     }
 }
 
-/// Builder for a [`Session`]; performs `BGP_Initialize` on
-/// [`SessionBuilder::build`].
-pub struct SessionBuilder<'a> {
-    ctx: &'a mut RankCtx,
-    policy: Option<CounterPolicy>,
-}
-
-impl<'a> SessionBuilder<'a> {
-    /// Program every node into the single counter mode `m` instead of
-    /// the job's [`CounterPolicy`]. All ranks of a job must agree
-    /// (SPMD); divergent choices fail at [`SessionBuilder::build`].
-    pub fn counter_mode(self, m: CounterMode) -> Self {
-        self.counter_policy(CounterPolicy::Fixed(m))
-    }
-
-    /// Override the job's counter-mode assignment (e.g. the paper's
-    /// even/odd 512-event trick). All ranks of a job must agree.
-    pub fn counter_policy(mut self, p: CounterPolicy) -> Self {
-        self.policy = Some(p);
-        self
-    }
-
-    /// `BGP_Initialize`: program this rank's node per the policy, zero
-    /// the counters, leave counting disabled.
-    ///
-    /// # Errors
-    /// Fails if this rank's policy override disagrees with a peer's, or
-    /// arrives after a node was already programmed differently.
-    pub fn build(self) -> Result<Session<'a, Initialized>> {
-        let lib = CounterLibrary::for_machine(self.ctx.machine());
-        if let Some(p) = self.policy {
-            lib.set_policy_override(self.ctx.machine(), p)?;
-        }
-        lib.initialize_impl(self.ctx)?;
-        Ok(Session { ctx: self.ctx, lib, state: Initialized(()) })
-    }
-}
-
 impl<'a> Session<'a, Initialized> {
-    /// Begin building a session for `ctx`'s rank.
-    pub fn builder(ctx: &'a mut RankCtx) -> SessionBuilder<'a> {
-        SessionBuilder { ctx, policy: None }
+    /// `BGP_Initialize`: zero this rank's node's counters (the machine
+    /// already programmed its mode from the job's counter policy) and
+    /// leave counting disabled.
+    pub fn initialize(ctx: &'a mut RankCtx) -> Session<'a, Initialized> {
+        let lib = CounterLibrary::for_machine(ctx.machine());
+        lib.initialize_impl(ctx);
+        Session { ctx, lib, state: Initialized(()) }
     }
 
     /// `BGP_Start(set)`: open a counting window. The returned
@@ -173,12 +125,12 @@ impl<'a> Session<'a, Initialized> {
     }
 
     /// `BGP_Finalize`: close the protocol; the last rank of each node
-    /// assembles the node's binary dump. Returns the job-wide dump
-    /// handle (complete once every rank has finalized, i.e. after
-    /// [`bgp_mpi::Machine::run`] returns).
-    pub fn finalize(self) -> Result<JobDump> {
+    /// assembles the node's binary dump. Returns the job's library,
+    /// whose dumps are complete once every rank has finalized, i.e.
+    /// after [`bgp_mpi::Machine::run`] returns.
+    pub fn finalize(self) -> Result<Arc<CounterLibrary>> {
         self.lib.finalize_impl(self.ctx)?;
-        Ok(JobDump { lib: self.lib })
+        Ok(self.lib)
     }
 }
 
@@ -196,100 +148,29 @@ impl<'a> Session<'a, Counting> {
     }
 }
 
-/// Job-wide dump handle returned by [`Session::finalize`]. Complete
-/// once every rank of the job has finalized.
-#[derive(Clone)]
-pub struct JobDump {
-    lib: Arc<CounterLibrary>,
-}
-
-impl JobDump {
-    /// Decoded dumps of all nodes.
-    ///
-    /// # Errors
-    /// Fails while any node has not finalized yet.
-    pub fn dumps(&self) -> Result<Vec<NodeDump>> {
-        self.lib.dumps()
-    }
-
-    /// The encoded dump bytes of one node, if it finalized.
-    pub fn encoded(&self, node: usize) -> Option<Vec<u8>> {
-        self.lib.encoded_dump(node)
-    }
-
-    /// Write one `node_<id>.bgpc` file per node into `dir`, removing
-    /// any other `*.bgpc` file there (see
-    /// [`CounterLibrary::write_dumps`]).
-    pub fn write(&self, dir: &Path) -> Result<Vec<PathBuf>> {
-        self.lib.write_dumps(dir)
-    }
-
-    /// The backing library (retry-aware collection).
-    pub fn library(&self) -> &Arc<CounterLibrary> {
-        &self.lib
-    }
-}
-
-impl CounterLibrary {
-    /// Adopt a session's counter-policy override. The first one
-    /// reprograms the machine's one-mode schedules, so it must precede
-    /// every node's initialization.
-    pub(crate) fn set_policy_override(&self, machine: &Machine, p: CounterPolicy) -> Result<()> {
-        // Rotation state (sentinel thresholds, the mux engine itself) is
-        // wired when the machine is built, so an override can neither
-        // switch multiplexing on or off nor re-tune its dwell.
-        let spec_p = self.spec.counter_policy;
-        if (p.is_multiplexed() || spec_p.is_multiplexed()) && p != spec_p {
-            return Err(BgpError::protocol(format!(
-                "multiplexed counter policy is fixed at machine construction: \
-                 job runs {spec_p:?}, override asks for {p:?}"
-            )));
-        }
-        let mut cur = self.policy_override.lock();
-        match *cur {
-            None => {
-                if self.any_node_initialized() {
-                    return Err(BgpError::protocol(
-                        "counter policy override after a node was already programmed",
-                    ));
-                }
-                machine.reprogram_counter_modes(&p);
-                *cur = Some(p);
-                Ok(())
-            }
-            Some(existing) if existing == p => Ok(()),
-            Some(existing) => Err(BgpError::protocol(format!(
-                "divergent counter policy across ranks: {existing:?} vs {p:?}"
-            ))),
-        }
-    }
-
-    fn any_node_initialized(&self) -> bool {
-        self.nodes.lock().iter().any(|st| st.initialized)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bgp_arch::events::CounterMode;
     use bgp_arch::OpMode;
-    use bgp_mpi::{JobSpec, Machine, SemOp};
+    use bgp_mpi::{CounterPolicy, JobSpec, Machine, SemOp};
+
+    fn fixed(ranks: usize, mode: OpMode, m: CounterMode) -> Arc<Machine> {
+        let mut spec = JobSpec::new(ranks, mode);
+        spec.counter_policy = CounterPolicy::Fixed(m);
+        Machine::new(spec)
+    }
 
     #[test]
     fn session_round_trip_produces_dumps() {
-        let m = Machine::new(JobSpec::new(4, OpMode::VirtualNode));
-        let handles = m.run(|mut ctx| async move {
-            let s = Session::builder(&mut ctx)
-                .counter_mode(CounterMode::Mode0)
-                .build()
-                .unwrap();
-            let mut s = s.start(7).unwrap();
+        let m = fixed(4, OpMode::VirtualNode, CounterMode::Mode0);
+        let libs = m.run(|mut ctx| async move {
+            let mut s = Session::initialize(&mut ctx).start(7).unwrap();
             assert_eq!(s.set(), 7);
             s.fp1(SemOp::Add);
             s.stop().unwrap().finalize().unwrap()
         });
-        let dumps = handles[0].dumps().unwrap();
+        let dumps = libs[0].dumps().unwrap();
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].mode, CounterMode::Mode0);
         assert_eq!(dumps[0].set(7).unwrap().records, 1);
@@ -297,89 +178,49 @@ mod tests {
 
     #[test]
     fn sessions_share_one_library_per_machine() {
+        let job = |m: &Arc<Machine>| {
+            m.run(|mut ctx| async move { Session::initialize(&mut ctx).finalize().unwrap() })
+        };
         let m = Machine::new(JobSpec::new(2, OpMode::VirtualNode));
-        let libs = m.run(|mut ctx| async move {
-            let s = Session::builder(&mut ctx).build().unwrap();
-            let lib = Arc::clone(s.library());
-            s.finalize().unwrap();
-            lib
-        });
+        let libs = job(&m);
         assert!(
             Arc::ptr_eq(&libs[0], &libs[1]),
             "both ranks must resolve to the same per-machine library"
         );
-    }
-
-    #[test]
-    fn divergent_policies_are_rejected_at_build() {
-        let m = Machine::new(JobSpec::new(2, OpMode::Smp1));
-        let oks = m.run(|mut ctx| async move {
-            let mode = if ctx.rank() == 0 { CounterMode::Mode0 } else { CounterMode::Mode1 };
-            match Session::builder(&mut ctx).counter_mode(mode).build() {
-                Ok(s) => {
-                    s.finalize().unwrap();
-                    true
-                }
-                Err(_) => false,
-            }
-        });
-        assert_eq!(
-            oks.iter().filter(|&&ok| ok).count(),
-            1,
-            "exactly one rank wins the policy race; the other errors: {oks:?}"
+        assert!(Arc::ptr_eq(&libs[0], &CounterLibrary::for_machine(&m)));
+        let other = job(&Machine::new(JobSpec::new(2, OpMode::VirtualNode)));
+        assert!(
+            !Arc::ptr_eq(&libs[0], &other[0]),
+            "a second machine must get a library of its own"
         );
     }
 
+    /// The job's policy alone picks every node's mode: the dump header,
+    /// the machine's home mode and the unit agree on every node.
     #[test]
-    fn static_override_reprograms_every_node_before_initialization() {
-        // Two SMP/1 nodes under the default even/odd policy (modes 0, 1).
-        let m = Machine::new(JobSpec::new(2, OpMode::Smp1));
-        let handles = m.run(|mut ctx| async move {
-            let s = Session::builder(&mut ctx).counter_mode(CounterMode::Mode2).build().unwrap();
+    fn fixed_policy_programs_every_node_in_its_mode() {
+        // Two SMP/1 nodes, which the default even/odd policy would put
+        // in modes 0 and 1.
+        let m = fixed(2, OpMode::Smp1, CounterMode::Mode2);
+        let libs = m.run(|mut ctx| async move {
+            let s = Session::initialize(&mut ctx);
             s.start(1).unwrap().stop().unwrap().finalize().unwrap()
         });
-        for (node, d) in handles[0].dumps().unwrap().iter().enumerate() {
+        let dumps = libs[0].dumps().unwrap();
+        assert_eq!(dumps.len(), 2);
+        for (node, d) in dumps.iter().enumerate() {
             assert_eq!(d.mode, CounterMode::Mode2, "node {node} header");
-            assert_eq!(m.home_mode(node), CounterMode::Mode2);
-            assert_eq!(m.with_node(node, |n| n.upc().mode()), CounterMode::Mode2);
+            assert_eq!(m.home_mode(node), CounterMode::Mode2, "node {node} home mode");
+            let upc = m.with_node(node, |n| n.upc().mode());
+            assert_eq!(upc, CounterMode::Mode2, "node {node} UPC");
         }
-
-        // Once a node is programmed, an override is refused and changes
-        // nothing.
-        let m = Machine::new(JobSpec::new(1, OpMode::Smp1));
-        let late = m.run(|mut ctx| async move {
-            Session::builder(&mut ctx).build().unwrap().finalize().unwrap();
-            Session::builder(&mut ctx).counter_mode(CounterMode::Mode3).build().is_err()
-        });
-        assert!(late[0], "override after initialization must fail");
-        assert_eq!(m.home_mode(0), CounterMode::Mode0);
-    }
-
-    #[test]
-    fn mux_policy_cannot_be_switched_by_override() {
-        let mut spec = JobSpec::new(1, OpMode::Smp1);
-        spec.counter_policy = bgp_mpi::CounterPolicy::multiplexed();
-        let m = Machine::new(spec);
-        let errs = m.run(|mut ctx| async move {
-            // Turning rotation *off* is rejected...
-            let off = Session::builder(&mut ctx).counter_mode(CounterMode::Mode1).build();
-            let off_err = off.is_err();
-            // ...while restating the job's own policy is a no-op.
-            let same = Session::builder(&mut ctx)
-                .counter_policy(bgp_mpi::CounterPolicy::multiplexed())
-                .build()
-                .unwrap();
-            same.finalize().unwrap();
-            off_err
-        });
-        assert!(errs[0], "fixed-mode override over a multiplexed job must fail");
     }
 
     #[test]
     fn consecutive_sets_accumulate_separately() {
         let m = Machine::new(JobSpec::new(1, OpMode::Smp1));
-        let dump = m.run(|mut ctx| async move {
-            let s = Session::builder(&mut ctx).build().unwrap();
+        let libs = m.run(|mut ctx| async move {
+            let s = Session::initialize(&mut ctx);
             let mut s1 = s.start(1).unwrap();
             s1.fp1(SemOp::Add);
             let s = s1.stop().unwrap();
@@ -387,7 +228,7 @@ mod tests {
             s2.fp1(SemOp::Mul);
             s2.stop().unwrap().finalize().unwrap()
         });
-        let dumps = dump[0].dumps().unwrap();
+        let dumps = libs[0].dumps().unwrap();
         let d = &dumps[0];
         assert!(d.set(1).is_some() && d.set(2).is_some());
     }

@@ -7,9 +7,7 @@
 //! accumulated windows would diverge from the uninterrupted run.
 //! Instead the whole `Vec<NodeState>` is serialized into the snapshot's
 //! `app:counters` section at capture and spliced back wholesale at
-//! go-live, discarding whatever the replay built. (`policy_override` is *not* captured: it
-//! is pure configuration set by the kernel's session builder, which
-//! replay re-executes deterministically.)
+//! go-live, discarding whatever the replay built.
 
 use crate::{CounterLibrary, NodeState, SetState};
 use bgp_arch::error::{BgpError, Result};
@@ -17,6 +15,9 @@ use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS};
 use bgp_arch::wire::{put_bool, put_bytes, put_u32, put_u64, put_u64s, put_u8, Reader};
 use bgp_mpi::machine::AppState;
 use bgp_mpi::MuxMark;
+
+/// The library's app-state name: its snapshot section is `app:counters`.
+pub(crate) const NAME: &str = "counters";
 
 fn save_mark(out: &mut Vec<u8>, mark: &MuxMark) {
     put_u64s(out, &mark.totals);
@@ -127,7 +128,7 @@ fn load_node(r: &mut Reader<'_>) -> Result<NodeState> {
 
 impl AppState for CounterLibrary {
     fn name(&self) -> &'static str {
-        "counters"
+        NAME
     }
 
     fn save(&self) -> Vec<u8> {
@@ -255,15 +256,15 @@ mod tests {
         assert_eq!(lib.save(), encode(&[2, 5, 9]), "a refused restore changes nothing");
     }
 
-    /// The library registers itself as an app-state hook, so machines
-    /// with checkpointing capture an `app:counters` section.
+    /// The library is the machine's `counters` app-state hook, so
+    /// machines with checkpointing capture an `app:counters` section,
+    /// and a second lookup hands back the same instance.
     #[test]
     fn library_registers_snapshot_hook() {
         let m = Machine::new(JobSpec::new(1, OpMode::Smp1));
         let lib = CounterLibrary::for_machine(&m);
-        // A second registration of the same name would panic; the
-        // registry hands back the same instance instead.
-        let again = CounterLibrary::for_machine(&m);
-        assert!(Arc::ptr_eq(&lib, &again));
+        let hook = m.register_app_state(NAME, || unreachable!("already registered"));
+        assert_eq!(hook.name(), "counters");
+        assert!(Arc::ptr_eq(&lib, &CounterLibrary::for_machine(&m)));
     }
 }

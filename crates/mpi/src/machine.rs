@@ -17,6 +17,7 @@ use bgp_net::{BarrierNetwork, CollectiveNetwork, NetConfig, PhaseTraffic, TorusN
 use bgp_node::Node;
 use bgp_snapshot::{Snapshot, SnapshotStore};
 use bgp_trace::{EventKind, JobTrace, TraceConfig, TraceEvent, TraceState};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::path::PathBuf;
@@ -112,11 +113,6 @@ impl CounterPolicy {
         }
         census
     }
-
-    /// Whether this policy rotates modes at phase boundaries.
-    pub fn is_multiplexed(&self) -> bool {
-        matches!(self, CounterPolicy::Multiplexed { .. })
-    }
 }
 
 /// Periodic checkpointing of a running job into a snapshot directory.
@@ -151,10 +147,12 @@ pub(crate) struct RankPublish {
 
 /// Application-layer state captured into snapshots alongside the
 /// machine's own (runtime libraries layered over the rank context, e.g.
-/// the counter interface library in `bgp-core`). Hooks are registered
-/// with [`Machine::register_app_state`]; each contributes one snapshot
-/// section named `app:<name>` and is restored from it on resume.
-pub trait AppState: Send + Sync {
+/// the counter interface library in `bgp-core`). The machine keeps one
+/// hook per name ([`Machine::register_app_state`]) and drops it with
+/// itself; each contributes one snapshot section named `app:<name>` and
+/// is restored from it on resume. The `Any` supertrait lets the layer
+/// that registered a hook get its concrete type back.
+pub trait AppState: Any + Send + Sync {
     /// Stable section suffix (must be identical across runs of a job).
     fn name(&self) -> &'static str;
     /// Serialize the complete state.
@@ -177,7 +175,8 @@ pub struct JobSpec {
     pub machine: MachineConfig,
     /// Interconnect timing.
     pub net: NetConfig,
-    /// UPC counter-mode assignment.
+    /// UPC counter-mode assignment: the one switch for counter modes,
+    /// fixed when the machine is built (default: the even/odd split).
     pub counter_policy: CounterPolicy,
     /// Compiler flags the workload was "built" with.
     pub compile: CompileOpts,
@@ -586,19 +585,26 @@ impl Machine {
         self.kill_at_phase.store(phase, Ordering::SeqCst);
     }
 
-    /// Register application-layer state for checkpoint capture/restore
-    /// (one snapshot section per hook, named `app:<name>`).
+    /// The application-layer state registered under `name`, registering
+    /// `make()` first when there is none: the machine's one registry of
+    /// per-job runtime libraries. Concurrent callers get the same hook.
+    /// Each hook contributes one snapshot section, `app:<name>`.
     ///
     /// # Panics
-    /// Panics if a hook with the same name is already registered.
-    pub fn register_app_state(&self, hook: Arc<dyn AppState>) {
+    /// Panics if `make()` returns a hook with a different name.
+    pub fn register_app_state(
+        &self,
+        name: &str,
+        make: impl FnOnce() -> Arc<dyn AppState>,
+    ) -> Arc<dyn AppState> {
         let mut hooks = self.app_states.lock();
-        assert!(
-            hooks.iter().all(|h| h.name() != hook.name()),
-            "duplicate app-state hook {:?}",
-            hook.name()
-        );
-        hooks.push(hook);
+        if let Some(hook) = hooks.iter().find(|h| h.name() == name) {
+            return Arc::clone(hook);
+        }
+        let hook = make();
+        assert_eq!(hook.name(), name, "app-state hook registered under another name");
+        hooks.push(Arc::clone(&hook));
+        hook
     }
 
     /// A continuity mark of `node`'s counter totals under its schedule
@@ -614,16 +620,6 @@ impl Machine {
     /// and its primary sets report.
     pub fn home_mode(&self, node: usize) -> CounterMode {
         self.mux.home_mode(node)
-    }
-
-    /// Re-point every one-mode schedule at `policy`'s mode and reprogram
-    /// the node's UPC (a session's counter-policy override, applied
-    /// before any node initializes). Rotating schedules are fixed at
-    /// construction and stay as they are.
-    pub fn reprogram_counter_modes(&self, policy: &CounterPolicy) {
-        for (i, n) in self.nodes.iter().enumerate() {
-            self.mux.set_home(i, policy.mode_for(NodeId(i)), n.lock().upc_mut());
-        }
     }
 
     /// Aggregate rotation-schedule summary across all nodes, or `None`

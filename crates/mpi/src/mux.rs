@@ -274,17 +274,6 @@ impl MuxState {
         self.nodes[node].lock().home
     }
 
-    /// Point `node`'s one-mode schedule at `mode` and reprogram its UPC
-    /// (which clears it). A rotating schedule is fixed at construction
-    /// and left alone.
-    pub(crate) fn set_home(&self, node: usize, mode: CounterMode, upc: &mut Upc) {
-        let mut st = self.nodes[node].lock();
-        if st.rot.is_none() {
-            st.home = mode;
-            upc.set_mode(mode);
-        }
-    }
-
     /// Arm the sentinel slots of `node`'s UPC if its schedule rotates:
     /// edge-sensitive, interrupt on threshold, no freeze (the counter
     /// keeps counting; the interrupt is a scheduling signal, not a stop
@@ -605,19 +594,6 @@ mod tests {
         assert_eq!(window.block(CounterMode::Mode2)[7], 40);
         assert_eq!(window.occupancy, [0; NUM_MODES]);
         assert!(mux.summary().is_none());
-
-        // A one-mode schedule can be re-pointed; it reprograms the UPC.
-        mux.set_home(0, CounterMode::Mode3, &mut upc);
-        assert_eq!((mux.home_mode(0), upc.mode()), (CounterMode::Mode3, CounterMode::Mode3));
-        assert_eq!(upc.read(7), 0, "reprogramming clears the counters");
-    }
-
-    #[test]
-    fn rotating_schedule_ignores_set_home() {
-        let mux = rotating(1, CounterMode::Mode1, 2);
-        let mut upc = hot_upc(&mux);
-        mux.set_home(0, CounterMode::Mode3, &mut upc);
-        assert_eq!((mux.home_mode(0), upc.mode()), (CounterMode::Mode1, CounterMode::Mode1));
     }
 
     #[test]

@@ -7,30 +7,31 @@
 //! ```
 //!
 //! Builds a single simulated Blue Gene/P node, brackets a small DAXPY
-//! loop with a `Session` (`build` ≙ `BGP_Initialize`, `start`/`stop`
-//! ≙ `BGP_Start`/`BGP_Stop`, `finalize` ≙ `BGP_Finalize`), and prints
-//! the interesting counters of the monitored set.
+//! loop with a `Session` (`initialize` ≙ `BGP_Initialize`,
+//! `start`/`stop` ≙ `BGP_Start`/`BGP_Stop`, `finalize` ≙
+//! `BGP_Finalize`), and prints the interesting counters of the
+//! monitored set.
 
 use bgp::arch::events::{CoreEvent, CounterMode};
 use bgp::arch::OpMode;
 use bgp::counters::WHOLE_PROGRAM_SET;
-use bgp::mpi::SemOp;
+use bgp::mpi::{CounterPolicy, SemOp};
 use bgp::{JobSpec, Machine, Session};
 
 fn main() {
     // One node, one process (SMP/1), UPC in counter mode 0 so we can see
-    // core 0's pipeline, FPU and L1/L2 events.
-    let machine = Machine::new(JobSpec::new(1, OpMode::Smp1));
+    // core 0's pipeline, FPU and L1/L2 events. The counter mode is a
+    // per-job choice, fixed when the job is launched, so it rides on the
+    // JobSpec.
+    let mut spec = JobSpec::new(1, OpMode::Smp1);
+    spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode0);
+    let machine = Machine::new(spec);
 
     let job = machine.run(|mut ctx| async move {
         let ctx = &mut ctx;
-        // BGP_Initialize — the builder programs the UPC. The counter
-        // mode is a per-job choice, so it rides on the builder instead
-        // of the JobSpec.
-        let session = Session::builder(ctx)
-            .counter_mode(CounterMode::Mode0)
-            .build()
-            .expect("BGP_Initialize");
+        // BGP_Initialize — zeroes the counters the machine programmed
+        // into the job's mode.
+        let session = Session::initialize(ctx);
 
         // BGP_Start — opens the counting window; only now does a
         // `stop()` method exist, and it remembers the set id for us.
@@ -60,7 +61,7 @@ fn main() {
         // ------------------------------------------------------------------
 
         // BGP_Stop + BGP_Finalize — consuming the session closes the
-        // window and hands back the job-wide dump handle.
+        // window and hands back the job's counter library.
         s.stop().expect("BGP_Stop").finalize().expect("BGP_Finalize")
     });
 

@@ -42,6 +42,10 @@ if target/release/bgpc-diff "$trace_dir" "$trace_dir" --threshold abc 2>/dev/nul
     echo "trace smoke: bgpc-diff accepted a malformed --threshold"; exit 1
 fi
 
+echo "==> examples: quickstart (paper Fig. 4) and mpi_stencil (paper Fig. 5) run"
+cargo run --release --example quickstart > /dev/null
+cargo run --release --example mpi_stencil > /dev/null
+
 echo "==> repro_all fails closed (an unknown entry name exits non-zero)"
 if target/release/repro_all no_such_figure 2>/dev/null; then
     echo "repro_all accepted an unknown entry name"; exit 1
@@ -124,9 +128,11 @@ BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
     target/release/repro_all fig_ext_service --quick
 
 echo "==> full-machine scaling bound (73,728 nodes / 294,912 ranks, <= 10 KB/rank)"
-# Runs at Default scale so the 73k-node smoke actually executes, and
-# alone, because the per-rank RSS bound reads the process high-water
-# mark; the entry also checks verification (~10 s).
+# Runs at Default scale so the 73k-node smoke actually executes. The
+# per-rank RSS bound reads the process high-water mark, which holds
+# this entry alone: a single entry runs in-process, and a multi-entry
+# repro_all run gives each entry a child process. The entry also checks
+# verification (~10 s).
 BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
     target/release/repro_all fig_ext_fullmachine
 

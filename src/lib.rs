@@ -43,44 +43,45 @@
 //! use bgp::mpi::SemOp;
 //!
 //! let machine = Machine::new(JobSpec::new(2, OpMode::VirtualNode));
-//! let dumps = machine.run(|mut ctx| async move {
-//!     let mut session = Session::builder(&mut ctx).build()?.start(0)?;
+//! let libs = machine.run(|mut ctx| async move {
+//!     let mut session = Session::initialize(&mut ctx).start(0)?;
 //!     session.fp1(SemOp::MulAdd); // the measured region
 //!     session.stop()?.finalize()
 //! });
-//! let job = dumps.into_iter().next().unwrap().unwrap();
-//! assert_eq!(job.dumps().unwrap().len(), 1);
+//! let lib = libs.into_iter().next().unwrap().unwrap();
+//! assert_eq!(lib.dumps().unwrap().len(), 1);
 //! ```
 //!
-//! ## Migrating from the four-call API
+//! ## The paper's calls
 //!
-//! The free-standing `bgp_initialize` / `bgp_start` / `bgp_stop` /
-//! `bgp_finalize` quadruple on [`counters::CounterLibrary`] has been
-//! **removed**; the typestate [`Session`] and the rank-execution entry
-//! points (`Machine::run`, `counters::run_instrumented`,
-//! `counters::supervisor::supervise`) are the only public ways in.
-//! Each old call maps onto one session transition:
+//! Each of the paper's four interface-library calls is one session
+//! transition; the rank-execution entry points (`Machine::run`,
+//! `counters::run_instrumented`, `counters::supervisor::supervise`) are
+//! the only public ways in:
 //!
-//! | Before (removed)               | After                                   |
-//! |--------------------------------|-----------------------------------------|
-//! | `CounterLibrary::new(machine)` | *(implicit — sessions share the per-machine library)* |
-//! | `lib.bgp_initialize(ctx)?`     | `let s = Session::builder(ctx).build()?` |
-//! | `lib.bgp_start(ctx, set)?`     | `let s = s.start(set)?`                  |
-//! | *(run the measured kernel)*    | run it on `s` (derefs to `RankCtx`) or `s.ctx()` |
-//! | `lib.bgp_stop(ctx, set)?`      | `let s = s.stop()?` *(set id from the typestate)* |
-//! | `lib.bgp_finalize(ctx)?`       | `let dump = s.finalize()?`               |
-//! | `lib.dumps()?`                 | `dump.dumps()?`                          |
+//! | Paper (§IV)         | Session                                         |
+//! |---------------------|-------------------------------------------------|
+//! | `BGP_Initialize()`  | `let s = Session::initialize(ctx)`              |
+//! | `BGP_Start(set)`    | `let s = s.start(set)?`                         |
+//! | *(measured code)*   | run it on `s` (derefs to `RankCtx`) or `s.ctx()` |
+//! | `BGP_Stop(set)`     | `let s = s.stop()?` *(set id from the typestate)* |
+//! | `BGP_Finalize()`    | `let lib = s.finalize()?`, then `lib.dumps()?`  |
+//!
+//! The counter modes are chosen per job, as on the machine, where the
+//! even/odd split is fixed when the job is launched: set
+//! [`JobSpec`]`::counter_policy`. Sessions of one job share the
+//! machine's one `counters::CounterLibrary`.
 //!
 //! Whole-program instrumentation (the paper's "link the instrumented
 //! MPI library" flow) is `counters::run_instrumented(&machine, |ctx| ...)`,
 //! whose kernel takes the [`RankCtx`] by value and hands it back:
 //! `move |ctx| kernel.exec(class, ctx)`.
 //!
-//! What used to be runtime protocol errors — start before initialize,
-//! nested sets, mismatched stop, finalize with an open set — are now
-//! compile errors: the methods simply do not exist on the wrong state.
-//! Runtime errors remain only where the type system cannot see them
-//! (divergent SPMD usage across ranks of one node).
+//! What the paper's library reports as runtime protocol errors — start
+//! before initialize, nested sets, mismatched stop, finalize with an
+//! open set — are compile errors here: the methods simply do not exist
+//! on the wrong state. Runtime errors remain only where the type system
+//! cannot see them (divergent SPMD usage across ranks of one node).
 
 #![forbid(unsafe_code)]
 
@@ -110,5 +111,5 @@ pub use bgp_arch::BgpError as Error;
 /// Workspace-wide result alias over [`Error`].
 pub type Result<T> = std::result::Result<T, Error>;
 
-pub use bgp_core::{Counting, Initialized, JobDump, Session, SessionBuilder};
+pub use bgp_core::{Counting, Initialized, Session};
 pub use bgp_mpi::{JobSpec, Machine, RankCtx};

@@ -97,7 +97,7 @@ fn per_region_sets_isolate_phases() {
     let machine = Machine::new(spec);
     let job = machine.run(|mut ctx| async move {
         let ctx = &mut ctx;
-        let s = Session::builder(ctx).build().unwrap();
+        let s = Session::initialize(ctx);
         // Phase 1: pure FP.
         let mut s1 = s.start(1).unwrap();
         for _ in 0..100 {
