@@ -46,7 +46,9 @@ use bgp_arch::cli::ArgParser;
 use bgp_arch::events::CounterMode;
 use bgp_arch::OpMode;
 use bgp_bench::RunConfig;
-use bgp_core::supervisor::{supervise, AttemptOutcome, SupervisorConfig};
+use bgp_core::supervisor::{
+    install_rank_death_hook, supervise, AttemptOutcome, SupervisorConfig,
+};
 use bgp_mpi::machine::CheckpointConfig;
 use bgp_mpi::CounterPolicy;
 use bgp_nas::{Class, Kernel};
@@ -201,30 +203,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Rank panics inside a supervised run are expected control flow
-    // (watchdog kills, crash drills, budget violations): keep stderr to
-    // one line each and drop the peer-abort echoes entirely. Anything
-    // unrecognized still gets the default hook (it is a real bug).
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| info.payload().downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("");
-        if msg.contains(bgp_mpi::machine::ABORT_ECHO) {
-            return;
-        }
-        if msg.contains("supervisor watchdog")
-            || msg.contains("MPI deadlock")
-            || msg.contains("simulated-cycle budget exceeded")
-        {
-            eprintln!("bgpc-run: rank died: {msg}");
-            return;
-        }
-        default_hook(info);
-    }));
+    install_rank_death_hook("bgpc-run");
 
     // Checkpoint placement: `--resume DIR` implies that directory;
     // otherwise `--checkpoint-dir` (default `<out>/checkpoints`). A

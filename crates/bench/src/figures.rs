@@ -361,7 +361,7 @@ pub fn fig_ext_512events(scale: Scale) -> Csv {
 /// drift against the fault-free baseline. Every row uses the same seed,
 /// so the sweep is reproducible bit-for-bit.
 pub fn fig_ext_faults(scale: Scale) -> Csv {
-    use bgp_core::collect::{collect_dumps, RetryPolicy};
+    use bgp_core::collect::collect_dumps;
     use bgp_faults::{FaultPlan, FaultSpec};
 
     let kernel = Kernel::Mg;
@@ -406,7 +406,7 @@ pub fn fig_ext_faults(scale: Scale) -> Csv {
         spec.faults = Some(Arc::clone(&plan));
         let machine = Machine::new(spec);
         let (_, lib) = run_instrumented(&machine, move |ctx| kernel.exec(class, ctx));
-        let coll = collect_dumps(&lib, &plan, &RetryPolicy::default());
+        let coll = collect_dumps(&lib, &plan);
         let frame = Frame::from_survivors(&coll.dumps, WHOLE_PROGRAM_SET, census);
         let metric = if frame.coverage() > 0.0 {
             ddr_traffic_bytes_per_node(&frame)
@@ -649,7 +649,7 @@ pub struct MemThroughputReport {
     pub mg_ranks: usize,
 }
 
-/// Run the memory-engine throughput comparison. The microbench stream
+/// Run the memory-engine throughput comparison. The synthetic stream
 /// mirrors the NAS mix — three unit-stride double sweeps for every
 /// random-footprint burst — so the same-line run memoization is
 /// exercised at its real duty cycle, not a best case. Both engines see

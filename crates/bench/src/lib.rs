@@ -1,8 +1,9 @@
 //! # bgp-bench — the experiment harness
 //!
 //! One driver, `repro_all`, runs every table, figure, extension sweep and
-//! gate as a named entry of the [`repro`] registry; the dependency-free
-//! micro-benchmarks live in `benches/`. This library holds the shared
+//! gate as a named entry of the [`repro`] registry; host-time
+//! measurements of the simulator itself belong to `perfbench/`, the
+//! repository's one performance harness. This library holds the shared
 //! machinery: run a NAS kernel job under whole-program instrumentation,
 //! post-process the dumps into a [`Frame`], and extract the metrics the
 //! figures plot.
@@ -18,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod microbench;
 pub mod repro;
 
 use bgp_arch::events::{CoreEvent, CounterMode, NetEvent, SharedEvent, NUM_MODES};

@@ -5,7 +5,7 @@
 //! collective network; nodes die, links wedge, requests time out. This
 //! module models that gather against a [`FaultPlan`]: each node is
 //! fetched independently, transient failures ([`BgpError::is_retryable`])
-//! are retried up to [`RetryPolicy::max_attempts`] with doubling
+//! are retried up to [`MAX_ATTEMPTS`] times with doubling
 //! backoff, and fatal failures (lost nodes, corrupt-beyond-salvage
 //! dumps) are recorded without sinking the run. The result is a
 //! [`Collection`]: the surviving dumps plus a per-node account of what
@@ -16,29 +16,12 @@ use crate::CounterLibrary;
 use bgp_arch::BgpError;
 use bgp_faults::FaultPlan;
 
-/// Retry discipline for per-node collection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum fetch attempts per node (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff after the first failed attempt (cycles); doubles per
-    /// subsequent retry.
-    pub base_backoff_cycles: u64,
-}
+/// Maximum fetch attempts per node.
+pub const MAX_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_attempts: 4, base_backoff_cycles: 10_000 }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff charged before retry number `retry` (1-based): the
-    /// classic exponential `base << (retry - 1)`.
-    pub fn backoff_cycles(&self, retry: u32) -> u64 {
-        self.base_backoff_cycles.saturating_mul(1u64 << (retry - 1).min(32))
-    }
-}
+/// Backoff after the first failed attempt (cycles); doubles per
+/// subsequent retry.
+pub const BASE_BACKOFF_CYCLES: u64 = 10_000;
 
 /// What collection ultimately got out of one node.
 #[derive(Debug)]
@@ -119,8 +102,8 @@ impl Collection {
 ///    — fatal, never retried.
 /// 2. Each fetch attempt may time out per the plan; timeouts are
 ///    retryable, so collection backs off (doubling from
-///    [`RetryPolicy::base_backoff_cycles`]) and tries again, up to
-///    [`RetryPolicy::max_attempts`].
+///    [`BASE_BACKOFF_CYCLES`]) and tries again, up to [`MAX_ATTEMPTS`]
+///    attempts.
 /// 3. A fetched dump passes through the plan's dump fault (truncation,
 ///    byte flip, loss) and is decoded leniently: intact files and
 ///    partially salvaged files both count as delivered; only an
@@ -132,11 +115,7 @@ impl Collection {
 /// Nodes are fetched concurrently — like the I/O nodes gathering their
 /// processing sets in parallel — and the results assembled in node-id
 /// order, so the `Collection` is identical to a serial gather.
-pub fn collect_dumps(
-    lib: &CounterLibrary,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Collection {
+pub fn collect_dumps(lib: &CounterLibrary, plan: &FaultPlan) -> Collection {
     let n_nodes = plan.nodes();
     // One scoped worker per chunk of nodes, bounded by the host's
     // parallelism; each writes only its own result slots.
@@ -153,7 +132,7 @@ pub fn collect_dumps(
             let start = node0;
             s.spawn(move || {
                 for (i, slot) in head.iter_mut().enumerate() {
-                    *slot = Some(collect_node(lib, plan, policy, start + i as u32));
+                    *slot = Some(collect_node(lib, plan, start + i as u32));
                 }
             });
             rest = tail;
@@ -177,7 +156,6 @@ pub fn collect_dumps(
 fn collect_node(
     lib: &CounterLibrary,
     plan: &FaultPlan,
-    policy: &RetryPolicy,
     node: u32,
 ) -> (NodeReport, Option<NodeDump>) {
     if plan.node_lost(node) {
@@ -189,7 +167,6 @@ fn collect_node(
         };
         return (report, None);
     }
-    let max = policy.max_attempts.max(1);
     let mut backoff_cycles = 0u64;
     let mut attempts = 0u32;
     loop {
@@ -203,8 +180,9 @@ fn collect_node(
         // Retryable-vs-fatal classification is the error taxonomy's
         // job: timeouts and I/O hiccups earn another attempt, corrupt
         // data and lost nodes fail identically every time.
-        if err.is_retryable() && attempts < max {
-            backoff_cycles += policy.backoff_cycles(attempts);
+        if err.is_retryable() && attempts < MAX_ATTEMPTS {
+            // Doubles per retry: base, 2 × base, 4 × base, ...
+            backoff_cycles += BASE_BACKOFF_CYCLES << (attempts - 1);
             continue;
         }
         let report = NodeReport {
@@ -274,7 +252,7 @@ mod tests {
     fn fault_free_collection_is_full_coverage() {
         let plan = FaultPlan::inert(4);
         let lib = run_with(None, 16);
-        let c = collect_dumps(&lib, &plan, &RetryPolicy::default());
+        let c = collect_dumps(&lib, &plan);
         assert_eq!(c.coverage(), 1.0);
         assert_eq!(c.dumps.len(), 4);
         assert!(c.failed_nodes().is_empty());
@@ -286,7 +264,7 @@ mod tests {
         let spec = FaultSpec { node_loss_rate: 1.0, ..FaultSpec::none() };
         let plan = Arc::new(FaultPlan::new(spec, 3, 4));
         let lib = run_with(Some(Arc::clone(&plan)), 16);
-        let c = collect_dumps(&lib, &plan, &RetryPolicy::default());
+        let c = collect_dumps(&lib, &plan);
         assert_eq!(c.coverage(), 0.0);
         assert_eq!(c.failed_nodes(), vec![0, 1, 2, 3]);
         for r in &c.reports {
@@ -301,25 +279,23 @@ mod tests {
         let spec = FaultSpec { collection_timeout_rate: 1.0, ..FaultSpec::none() };
         let plan = Arc::new(FaultPlan::new(spec, 5, 1));
         let lib = run_with(Some(Arc::clone(&plan)), 4);
-        let policy = RetryPolicy { max_attempts: 4, base_backoff_cycles: 100 };
-        let c = collect_dumps(&lib, &plan, &policy);
+        let c = collect_dumps(&lib, &plan);
         assert_eq!(c.coverage(), 0.0);
         let r = &c.reports[0];
-        assert_eq!(r.attempts, 4);
-        // 100 + 200 + 400 after attempts 1-3; no backoff after the last.
-        assert_eq!(r.backoff_cycles, 700);
+        assert_eq!(r.attempts, MAX_ATTEMPTS);
+        // 1 + 2 + 4 base backoffs after attempts 1-3; none after the last.
+        assert_eq!(r.backoff_cycles, 7 * BASE_BACKOFF_CYCLES);
         assert!(matches!(r.outcome, NodeOutcome::Failed(BgpError::Timeout { .. })));
     }
 
     #[test]
     fn moderate_timeouts_usually_recover_via_retry() {
-        // ~30% per-attempt timeouts, 5 attempts: expected failure rate
-        // per node ≈ 0.3^5 ≈ 0.24% — all 8 nodes should deliver.
+        // ~30% per-attempt timeouts, 4 attempts: expected failure rate
+        // per node ≈ 0.3^4 ≈ 0.81% — all 8 nodes should deliver.
         let spec = FaultSpec { collection_timeout_rate: 0.3, ..FaultSpec::none() };
         let plan = Arc::new(FaultPlan::new(spec, 7, 8));
         let lib = run_with(Some(Arc::clone(&plan)), 32);
-        let policy = RetryPolicy { max_attempts: 5, base_backoff_cycles: 10 };
-        let c = collect_dumps(&lib, &plan, &policy);
+        let c = collect_dumps(&lib, &plan);
         assert_eq!(c.coverage(), 1.0, "failed: {:?}", c.failed_nodes());
         // At least one node should have needed a retry at this rate.
         assert!(
@@ -337,7 +313,7 @@ mod tests {
         let spec = FaultSpec { dump_byteflip_rate: 1.0, ..FaultSpec::none() };
         let plan = Arc::new(FaultPlan::new(spec, 11, 8));
         let lib = run_with(Some(Arc::clone(&plan)), 32);
-        let c = collect_dumps(&lib, &plan, &RetryPolicy::default());
+        let c = collect_dumps(&lib, &plan);
         let partial = c
             .reports
             .iter()

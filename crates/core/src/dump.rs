@@ -30,6 +30,7 @@
 use bgp_arch::events::{CounterMode, NUM_COUNTERS};
 use bgp_arch::wire::checksum;
 use bgp_arch::{error::Context, error::Result, BgpError};
+use std::collections::BTreeSet;
 
 /// File magic.
 pub const MAGIC: &[u8; 4] = b"BGPC";
@@ -47,9 +48,16 @@ pub const SET_RECORD_BYTES: usize = 8 + NUM_COUNTERS * 8 + 8;
 /// unchanged) plus four synthetic sets carrying the per-mode blocks:
 /// `id = MUX_SET_BASE | (user_set << 2) | mode`, with `records` holding
 /// the mode's **occupancy** (phases the window spent counting in that
-/// mode) — the weight reconstruction scales by. User set ids must stay
-/// below `2^29` for the encoding to be collision-free.
+/// mode) — the weight reconstruction scales by. User set ids stay
+/// below [`SET_ID_LIMIT`], so the encoding is collision-free.
 pub const MUX_SET_BASE: u32 = 0x8000_0000;
+
+/// Exclusive upper bound on user set ids (`2^29`). Below it,
+/// `user_set << 2` fits under bit 31 and `user_set` under bit 29, so
+/// [`mux_set_id`] and [`mux_sched_id`] never alias another set's ids.
+/// `BGP_Start` refuses larger ids, and a snapshot that names one is
+/// corrupt.
+pub const SET_ID_LIMIT: u32 = 1 << 29;
 
 /// Synthetic-set id of `user_set`'s mode-`mode` block (see
 /// [`MUX_SET_BASE`]).
@@ -75,8 +83,9 @@ pub fn mux_set_parts(id: u32) -> Option<(u32, usize)> {
 /// `counts[4..8]` the enabled *phases* per mode, the rest zero. Cycle
 /// weights are what reconstruction scales by; phase counts are the
 /// fallback for windows shorter than a phase. Distinct from
-/// [`MUX_SET_BASE`] ids because user set ids stay below `2^29`, so an
-/// ordinary set never has bit 30 set and a mode set always has bit 31.
+/// [`MUX_SET_BASE`] ids because user set ids stay below
+/// [`SET_ID_LIMIT`], so an ordinary set never has bit 30 set and a mode
+/// set always has bit 31.
 pub const MUX_SCHED_BASE: u32 = 0x4000_0000;
 
 /// Schedule-set id of a multiplexed `user_set` (see [`MUX_SCHED_BASE`]).
@@ -107,7 +116,9 @@ pub struct NodeDump {
     pub node: u32,
     /// Counter mode the node's UPC unit was programmed into.
     pub mode: CounterMode,
-    /// Per-set accumulated deltas, ordered by set id.
+    /// Per-set accumulated deltas: the user sets in id order, then,
+    /// under multiplexing, each user set's four per-mode sets and its
+    /// schedule set. No id appears twice.
     pub sets: Vec<SetDump>,
 }
 
@@ -147,8 +158,8 @@ pub struct RecoveredDump {
     pub quarantined: Vec<QuarantinedSet>,
     /// The file ended before all declared data (and the trailer) fit.
     pub truncated: bool,
-    /// The whole-file checksum verified (implies nothing was
-    /// quarantined and the header is trustworthy).
+    /// The whole-file checksum verified (the header is trustworthy;
+    /// only a repeated set id can still be quarantined).
     pub checksum_ok: bool,
 }
 
@@ -194,8 +205,9 @@ pub fn encode(dump: &NodeDump) -> Vec<u8> {
 /// Decode and integrity-check a dump, strictly.
 ///
 /// Any damage — a flipped bit anywhere, a truncated tail, trailing
-/// garbage — yields [`BgpError::Corrupt`] with the byte offset of the
-/// first problem found. Use [`decode_lenient`] to salvage what survives.
+/// garbage, a set id that appears twice — yields [`BgpError::Corrupt`]
+/// with the byte offset of the first problem found. Use
+/// [`decode_lenient`] to salvage what survives.
 pub fn decode(bytes: &[u8]) -> Result<NodeDump> {
     let header = decode_header(bytes)?;
     let body_len = HEADER_BYTES + header.n_sets * SET_RECORD_BYTES;
@@ -212,10 +224,11 @@ pub fn decode(bytes: &[u8]) -> Result<NodeDump> {
         ));
     }
     let mut sets = Vec::with_capacity(header.n_sets);
+    let mut seen = BTreeSet::new();
     for i in 0..header.n_sets {
         let start = HEADER_BYTES + i * SET_RECORD_BYTES;
         let rec = &bytes[start..start + SET_RECORD_BYTES];
-        let set = decode_set(rec).map_err(|reason| {
+        let set = decode_set(rec, &mut seen).map_err(|reason| {
             BgpError::Corrupt(
                 Context::new(reason)
                     .at_node(header.node)
@@ -245,10 +258,12 @@ pub fn decode(bytes: &[u8]) -> Result<NodeDump> {
 /// magic, unknown version or mode, or the file is shorter than the
 /// header) — without a trustworthy header there is no node to attribute
 /// data to. Otherwise every set whose own checksum verifies is
-/// recovered; the rest are quarantined with the reason and offset.
+/// recovered, unless an earlier recovered set has its id; the rest are
+/// quarantined with the reason and offset.
 pub fn decode_lenient(bytes: &[u8]) -> Result<RecoveredDump> {
     let header = decode_header(bytes)?;
     let mut sets = Vec::new();
+    let mut seen = BTreeSet::new();
     let mut quarantined = Vec::new();
     let mut truncated = false;
     for i in 0..header.n_sets {
@@ -281,7 +296,7 @@ pub fn decode_lenient(bytes: &[u8]) -> Result<RecoveredDump> {
             break;
         }
         let rec = &bytes[start..start + SET_RECORD_BYTES];
-        match decode_set(rec) {
+        match decode_set(rec, &mut seen) {
             Ok(set) => sets.push(set),
             Err(reason) => quarantined.push(QuarantinedSet {
                 index: i,
@@ -345,8 +360,10 @@ fn decode_header(bytes: &[u8]) -> Result<Header> {
     Ok(Header { node, mode, n_sets })
 }
 
-/// Decode one full-length set record, verifying its own checksum.
-fn decode_set(rec: &[u8]) -> std::result::Result<SetDump, String> {
+/// Decode one full-length set record, verifying its own checksum and
+/// that no set in `seen` (the file's earlier sets) carries its id —
+/// otherwise [`NodeDump::set`] would silently pick one of the copies.
+fn decode_set(rec: &[u8], seen: &mut BTreeSet<u32>) -> std::result::Result<SetDump, String> {
     debug_assert_eq!(rec.len(), SET_RECORD_BYTES);
     let payload = SET_RECORD_BYTES - 8;
     let declared = read_u64(&rec[payload..]);
@@ -357,6 +374,9 @@ fn decode_set(rec: &[u8]) -> std::result::Result<SetDump, String> {
         ));
     }
     let id = read_u32(&rec[0..4]);
+    if !seen.insert(id) {
+        return Err("repeated set id".into());
+    }
     let records = read_u32(&rec[4..8]);
     let counts = (0..NUM_COUNTERS)
         .map(|i| read_u64(&rec[8 + i * 8..16 + i * 8]))
@@ -476,6 +496,32 @@ mod tests {
         assert!(!r.checksum_ok);
         assert!(!r.truncated);
         assert!(!r.is_intact());
+    }
+
+    /// A set id that appears twice would let [`NodeDump::set`] pick
+    /// either copy: strict decoding refuses the file, naming the node
+    /// and the id; lenient decoding keeps the first copy and quarantines
+    /// the repeat.
+    #[test]
+    fn repeated_set_id_is_refused_or_quarantined() {
+        let mut d = sample();
+        d.sets.push(SetDump { id: 0, records: 9, counts: vec![1; 256] });
+        let b = encode(&d);
+        let repeat_at = (HEADER_BYTES + 2 * SET_RECORD_BYTES) as u64;
+        match decode(&b) {
+            Err(BgpError::Corrupt(c)) => {
+                assert_eq!((c.node, c.set, c.offset), (Some(7), Some(0), Some(repeat_at)));
+                assert_eq!(c.reason, "repeated set id");
+            }
+            other => panic!("expected Corrupt for a repeated id, got {other:?}"),
+        }
+        let r = decode_lenient(&b).unwrap();
+        assert!(r.checksum_ok && !r.truncated && !r.is_intact());
+        assert_eq!(r.sets, sample().sets);
+        assert_eq!(r.quarantined.len(), 1);
+        let q = &r.quarantined[0];
+        assert_eq!((q.index, q.id, q.offset), (2, Some(0), repeat_at));
+        assert_eq!(q.reason, "repeated set id");
     }
 
     #[test]

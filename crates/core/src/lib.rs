@@ -188,8 +188,15 @@ impl CounterLibrary {
     /// `BGP_Start(set)`: open a counting window for `set` on this rank's
     /// node. The first arriving rank enables the unit and takes the
     /// window's start mark; peers on the same node join the same window.
-    /// Reached through [`Session::start`].
+    /// Set ids must stay below [`dump::SET_ID_LIMIT`]. Reached through
+    /// [`Session::start`].
     pub(crate) fn start_impl(&self, ctx: &mut RankCtx, set: u32) -> Result<()> {
+        if set >= dump::SET_ID_LIMIT {
+            return Err(BgpError::protocol(format!(
+                "BGP_Start({set}): set ids must stay below {} (2^29)",
+                dump::SET_ID_LIMIT
+            )));
+        }
         let node = ctx.node_id().0;
         {
             let mut nodes = self.nodes.lock();
@@ -709,6 +716,52 @@ mod tests {
             }
         });
         assert_eq!(out[0], (true, true, true, true, true));
+    }
+
+    /// `BGP_Start` refuses set ids at or above `dump::SET_ID_LIMIT`:
+    /// there a set's synthetic multiplexing ids would alias another's.
+    #[test]
+    fn start_refuses_set_ids_at_the_limit() {
+        let m = machine(1, OpMode::Smp1, CounterPolicy::Fixed(CounterMode::Mode0));
+        let out = m.run(|mut ctx| async move {
+            let s = Session::initialize(&mut ctx);
+            s.start(1 << 29).err().map(|e| e.to_string())
+        });
+        let err = out[0].as_deref().expect("BGP_Start(2^29) must fail");
+        assert!(err.contains("BGP_Start(536870912)") && err.contains("below"), "{err}");
+    }
+
+    /// Under `Multiplexed`, a refused start changes nothing, and the
+    /// largest legal id's per-mode and schedule sets stay clear of set
+    /// 0's: the finalized dump holds twelve distinct ids.
+    #[test]
+    fn multiplexed_set_ids_stay_distinct_up_to_the_limit() {
+        let m = machine(
+            1,
+            OpMode::Smp1,
+            CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 2 },
+        );
+        let lib = CounterLibrary::for_machine(&m);
+        let lib2 = Arc::clone(&lib);
+        let out = m.run(move |mut ctx| {
+            let lib = Arc::clone(&lib2);
+            async move {
+                let ctx = &mut ctx;
+                lib.initialize_impl(ctx);
+                let refused = lib.start_impl(ctx, dump::SET_ID_LIMIT).is_err();
+                for set in [0, dump::SET_ID_LIMIT - 1] {
+                    lib.start_impl(ctx, set).unwrap();
+                    ctx.fp1(SemOp::Add);
+                    lib.stop_impl(ctx, set).unwrap();
+                }
+                lib.finalize_impl(ctx).unwrap();
+                refused
+            }
+        });
+        assert!(out[0], "BGP_Start(SET_ID_LIMIT) must be refused");
+        let ids: Vec<u32> = lib.dumps().unwrap()[0].sets.iter().map(|s| s.id).collect();
+        let distinct: HashSet<u32> = ids.iter().copied().collect();
+        assert_eq!((ids.len(), distinct.len()), (12, 12), "{ids:#x?}");
     }
 
     #[test]

@@ -117,8 +117,9 @@ impl<'a> Session<'a, Initialized> {
     /// window cannot be left open past `finalize` by construction.
     ///
     /// # Errors
-    /// Fails if a peer rank on the same node already opened a
-    /// *different* set (runtime SPMD divergence the types cannot see).
+    /// Fails if `set` is not below [`crate::dump::SET_ID_LIMIT`], or if a
+    /// peer rank on the same node already opened a *different* set
+    /// (runtime SPMD divergence the types cannot see).
     pub fn start(self, set: u32) -> Result<Session<'a, Counting>> {
         self.lib.start_impl(self.ctx, set)?;
         Ok(Session { ctx: self.ctx, lib: self.lib, state: Counting { set } })

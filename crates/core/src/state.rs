@@ -9,7 +9,7 @@
 //! `app:counters` section at capture and spliced back wholesale at
 //! go-live, discarding whatever the replay built.
 
-use crate::{CounterLibrary, NodeState, SetState};
+use crate::{dump, CounterLibrary, NodeState, SetState};
 use bgp_arch::error::{BgpError, Result};
 use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS};
 use bgp_arch::wire::{put_bool, put_bytes, put_u32, put_u64, put_u64s, put_u8, Reader};
@@ -53,8 +53,21 @@ fn save_set(out: &mut Vec<u8>, id: u32, s: &SetState) {
     save_mark(out, &s.window);
 }
 
+/// A set id at or above [`dump::SET_ID_LIMIT`] cannot have come from
+/// `BGP_Start`.
+fn load_set_id(r: &mut Reader<'_>, what: &str) -> Result<u32> {
+    let id = r.u32(what)?;
+    if id >= dump::SET_ID_LIMIT {
+        return Err(BgpError::corrupt(format!(
+            "{what} {id} is not below the set-id limit {}",
+            dump::SET_ID_LIMIT
+        )));
+    }
+    Ok(id)
+}
+
 fn load_set(r: &mut Reader<'_>) -> Result<(u32, SetState)> {
-    let id = r.u32("set id")?;
+    let id = load_set_id(r, "set id")?;
     let records = r.u32("set records")?;
     let start = match r.u8("start-mark tag")? {
         0 => None,
@@ -95,7 +108,7 @@ fn load_node(r: &mut Reader<'_>) -> Result<NodeState> {
     let init_arrivals = r.u64("init arrivals")? as usize;
     let active_set = match r.u8("active-set tag")? {
         0 => None,
-        1 => Some(r.u32("active set")?),
+        1 => Some(load_set_id(r, "active set")?),
         t => return Err(BgpError::corrupt(format!("bad active-set tag {t}"))),
     };
     let start_arrivals = r.u64("start arrivals")? as usize;
@@ -254,6 +267,33 @@ mod tests {
         let err = lib.restore(&encode(&[4, 7, 4])).unwrap_err();
         assert!(err.to_string().contains("duplicate set 4"), "{err}");
         assert_eq!(lib.save(), encode(&[2, 5, 9]), "a refused restore changes nothing");
+    }
+
+    /// No `BGP_Start` accepts a set id at or above the limit, so a
+    /// snapshot naming one, as a set or as the active set, is corrupt.
+    #[test]
+    fn restore_refuses_set_ids_at_the_limit() {
+        let lib = CounterLibrary::for_machine(&Machine::new(JobSpec::new(1, OpMode::Smp1)));
+        let before = lib.save();
+        let encode = |st: &NodeState| {
+            let mut out = Vec::new();
+            put_u64(&mut out, 1);
+            save_node(&mut out, st);
+            out
+        };
+        let set = NodeState {
+            sets: vec![(dump::SET_ID_LIMIT, SetState::default())],
+            ..NodeState::default()
+        };
+        let active = NodeState { active_set: Some(dump::SET_ID_LIMIT), ..NodeState::default() };
+        for (st, what) in [(set, "set id"), (active, "active set")] {
+            let err = lib.restore(&encode(&st)).unwrap_err();
+            assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
+            assert!(err.to_string().contains(&format!("{what} 536870912")), "{err}");
+            assert_eq!(lib.save(), before, "a refused restore changes nothing");
+        }
+        let legal = NodeState { active_set: Some(dump::SET_ID_LIMIT - 1), ..NodeState::default() };
+        lib.restore(&encode(&legal)).unwrap();
     }
 
     /// The library is the machine's `counters` app-state hook, so

@@ -191,6 +191,31 @@ pub trait RunObserver: Sync {
 
 impl RunObserver for () {}
 
+/// Install the process panic hook of a binary that runs supervised
+/// jobs (`bgpc-run`, `bgpc-serve`). Rank panics there are expected
+/// control flow — watchdog kills, crash drills, deadlock reports,
+/// budget violations — so each prints one `{program}: rank died: ...`
+/// line on stderr, and the peer-abort echoes
+/// ([`bgp_mpi::machine::ABORT_ECHO`]) print nothing. Any other panic
+/// still reaches the previous hook: it is a real bug.
+pub fn install_rank_death_hook(program: &'static str) {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = panic_message(info.payload());
+        if msg.contains(bgp_mpi::machine::ABORT_ECHO) {
+            return;
+        }
+        if msg.contains("supervisor watchdog")
+            || msg.contains("MPI deadlock")
+            || msg.contains("simulated-cycle budget exceeded")
+        {
+            eprintln!("{program}: rank died: {msg}");
+            return;
+        }
+        default_hook(info);
+    }));
+}
+
 /// Run `kernel` under whole-program instrumentation with supervision:
 /// budgets, watchdog kills, and bounded resume-from-checkpoint retries
 /// per `cfg`. Checkpointing and the simulated-cycle budget come from

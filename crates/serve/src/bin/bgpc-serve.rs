@@ -60,29 +60,7 @@ fn main() -> ExitCode {
         }
     };
 
-    // Supervised ranks die by panic on watchdog kills and budget
-    // violations — expected control flow, same policy as bgpc-run:
-    // one stderr line each, peer-abort echoes dropped.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| info.payload().downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("");
-        if msg.contains(bgp_mpi::machine::ABORT_ECHO) {
-            return;
-        }
-        if msg.contains("supervisor watchdog")
-            || msg.contains("MPI deadlock")
-            || msg.contains("simulated-cycle budget exceeded")
-        {
-            eprintln!("bgpc-serve: rank died: {msg}");
-            return;
-        }
-        default_hook(info);
-    }));
+    bgp_core::supervisor::install_rank_death_hook("bgpc-serve");
 
     let server = match Server::bind(cfg) {
         Ok(server) => server,

@@ -7,7 +7,7 @@
 
 use bgp::arch::events::{CounterMode, NUM_MODES};
 use bgp::arch::OpMode;
-use bgp::counters::collect::{collect_dumps, RetryPolicy};
+use bgp::counters::collect::collect_dumps;
 use bgp::counters::{run_instrumented, CounterLibrary, WHOLE_PROGRAM_SET};
 use bgp::faults::{FaultPlan, FaultSpec};
 use bgp::mpi::{CounterPolicy, JobSpec, Machine};
@@ -68,7 +68,7 @@ fn faulted_mg_degrades_gracefully_within_ten_percent() {
         "at 10% over {nodes} nodes this seed must lose at least one node"
     );
     let (lib, _) = run_mg(Some(Arc::clone(&plan)));
-    let coll = collect_dumps(&lib, &plan, &RetryPolicy::default());
+    let coll = collect_dumps(&lib, &plan);
 
     // Collection completed without panicking and reports honest losses.
     assert!(coll.coverage() < 1.0, "lost nodes must show up as coverage < 1");
