@@ -199,10 +199,10 @@ impl MemStats {
 /// The complete memory system of one node.
 pub struct MemorySystem {
     cfg: MachineConfig,
-    l1d: Vec<Cache>,
-    l1i: Vec<Cache>,
-    l2: Vec<Cache>,
-    pf: Vec<StreamPrefetcher>,
+    l1d: [Cache; CORES_PER_NODE],
+    l1i: [Cache; CORES_PER_NODE],
+    l2: [Cache; CORES_PER_NODE],
+    pf: [StreamPrefetcher; CORES_PER_NODE],
     /// L3 banks; empty when the configuration disables the L3.
     l3: Vec<Cache>,
     ddr: Vec<DdrController>,
@@ -328,18 +328,12 @@ impl MemorySystem {
             && region_bytes >= LINE_BYTES as u64)
             .then(|| region_bytes.trailing_zeros() - L2_SHIFT);
         MemorySystem {
-            l1d: (0..CORES_PER_NODE)
-                .map(|_| Cache::new(cfg.l1_sets(), cfg.l1_ways))
-                .collect(),
-            l1i: (0..CORES_PER_NODE)
-                .map(|_| Cache::new(cfg.l1_sets(), cfg.l1_ways))
-                .collect(),
-            l2: (0..CORES_PER_NODE)
-                .map(|_| Cache::new(cfg.l2_sets(), cfg.l2_ways))
-                .collect(),
-            pf: (0..CORES_PER_NODE)
-                .map(|_| StreamPrefetcher::new(cfg.l2_streams, cfg.l2_prefetch_depth))
-                .collect(),
+            l1d: std::array::from_fn(|_| Cache::new(cfg.l1_sets(), cfg.l1_ways)),
+            l1i: std::array::from_fn(|_| Cache::new(cfg.l1_sets(), cfg.l1_ways)),
+            l2: std::array::from_fn(|_| Cache::new(cfg.l2_sets(), cfg.l2_ways)),
+            pf: std::array::from_fn(|_| {
+                StreamPrefetcher::new(cfg.l2_streams, cfg.l2_prefetch_depth)
+            }),
             l3,
             ddr: (0..cfg.l3_banks)
                 .map(|_| DdrController::new(cfg.lat_ddr, cfg.lat_ddr_conflict))

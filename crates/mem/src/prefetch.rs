@@ -33,6 +33,8 @@ struct Stream {
 /// Sequential stream detector + scheduler for one core's L2.
 #[derive(Clone, Debug)]
 pub struct StreamPrefetcher {
+    /// Stream engines; the table is allocated (to `max_streams`) at
+    /// the first stream, so a core that never streams holds none.
     streams: Vec<Stream>,
     max_streams: usize,
     depth: usize,
@@ -49,7 +51,7 @@ impl StreamPrefetcher {
     /// `depth == 0` disables prefetching entirely.
     pub fn new(max_streams: usize, depth: usize) -> StreamPrefetcher {
         StreamPrefetcher {
-            streams: Vec::with_capacity(max_streams),
+            streams: Vec::new(),
             max_streams: max_streams.max(1),
             depth,
             recent_misses: [u64::MAX; Self::HISTORY],
@@ -106,6 +108,7 @@ impl StreamPrefetcher {
             out.allocated_stream = true;
             let s = Stream { expect: first, prefetched_to: until, stamp: clock };
             if self.streams.len() < self.max_streams {
+                self.streams.reserve_exact(self.max_streams - self.streams.len());
                 self.streams.push(s);
             } else {
                 // Replace the least recently used engine.

@@ -76,37 +76,37 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
-    /// Combine `b` into `a` element-wise. Both payloads must have equal
-    /// length and the right element granularity.
+    /// Combine `b` into `a` element-wise, in place. Both payloads must
+    /// have equal length and the right element granularity.
     pub fn combine(self, a: &mut Payload, b: &Payload) {
         assert_eq!(a.len(), b.len(), "reduction contributions differ in size");
         match self {
-            ReduceOp::SumF64 | ReduceOp::MaxF64 | ReduceOp::MinF64 => {
-                let mut av = bytes_to_f64s(a);
-                let bv = bytes_to_f64s(b);
-                for (x, y) in av.iter_mut().zip(&bv) {
-                    *x = match self {
-                        ReduceOp::SumF64 => *x + *y,
-                        ReduceOp::MaxF64 => x.max(*y),
-                        ReduceOp::MinF64 => x.min(*y),
-                        _ => unreachable!(),
-                    };
-                }
-                *a = f64s_to_bytes(&av);
-            }
-            ReduceOp::SumU64 | ReduceOp::MaxU64 => {
-                let mut av = bytes_to_u64s(a);
-                let bv = bytes_to_u64s(b);
-                for (x, y) in av.iter_mut().zip(&bv) {
-                    *x = match self {
-                        ReduceOp::SumU64 => x.wrapping_add(*y),
-                        ReduceOp::MaxU64 => (*x).max(*y),
-                        _ => unreachable!(),
-                    };
-                }
-                *a = u64s_to_bytes(&av);
-            }
+            ReduceOp::SumF64 => combine_words(a, b, "f64", |x, y| {
+                (f64::from_bits(x) + f64::from_bits(y)).to_bits()
+            }),
+            ReduceOp::MaxF64 => combine_words(a, b, "f64", |x, y| {
+                f64::from_bits(x).max(f64::from_bits(y)).to_bits()
+            }),
+            ReduceOp::MinF64 => combine_words(a, b, "f64", |x, y| {
+                f64::from_bits(x).min(f64::from_bits(y)).to_bits()
+            }),
+            ReduceOp::SumU64 => combine_words(a, b, "u64", u64::wrapping_add),
+            ReduceOp::MaxU64 => combine_words(a, b, "u64", u64::max),
         }
+    }
+}
+
+/// Replace every little-endian 8-byte word `x` of `a` with `f(x, y)`,
+/// `y` the word at the same offset of `b`.
+///
+/// # Panics
+/// Panics if the length is not a multiple of 8, naming `elem`.
+fn combine_words(a: &mut [u8], b: &[u8], elem: &str, f: impl Fn(u64, u64) -> u64) {
+    assert_eq!(a.len() % 8, 0, "payload is not a whole number of {elem}s");
+    for (x, y) in a.chunks_exact_mut(8).zip(b.chunks_exact(8)) {
+        let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes"));
+        let z = f(word(x), word(y));
+        x.copy_from_slice(&z.to_le_bytes());
     }
 }
 
@@ -227,6 +227,77 @@ mod tests {
         let mut a = u64s_to_bytes(&[7, 1]);
         ReduceOp::SumU64.combine(&mut a, &u64s_to_bytes(&[3, 2]));
         assert_eq!(bytes_to_u64s(&a), vec![10, 3]);
+    }
+
+    /// The reference definition: decode both payloads, combine, and
+    /// re-encode.
+    fn combine_decoded(op: ReduceOp, a: &[u8], b: &[u8]) -> Payload {
+        match op {
+            ReduceOp::SumF64 | ReduceOp::MaxF64 | ReduceOp::MinF64 => {
+                let f = |(x, y): (&f64, &f64)| match op {
+                    ReduceOp::SumF64 => x + y,
+                    ReduceOp::MaxF64 => x.max(*y),
+                    _ => x.min(*y),
+                };
+                let (av, bv) = (bytes_to_f64s(a), bytes_to_f64s(b));
+                f64s_to_bytes(&av.iter().zip(&bv).map(f).collect::<Vec<_>>())
+            }
+            ReduceOp::SumU64 | ReduceOp::MaxU64 => {
+                let f = |(x, y): (&u64, &u64)| match op {
+                    ReduceOp::SumU64 => x.wrapping_add(*y),
+                    _ => *x.max(y),
+                };
+                let (av, bv) = (bytes_to_u64s(a), bytes_to_u64s(b));
+                u64s_to_bytes(&av.iter().zip(&bv).map(f).collect::<Vec<_>>())
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_combine_matches_the_decoded_definition() {
+        use bgp_arch::rng::SimRng;
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            1.5,
+        ];
+        let mut rng = SimRng::seed_from_u64(0x5eed);
+        for op in [
+            ReduceOp::SumF64,
+            ReduceOp::MaxF64,
+            ReduceOp::MinF64,
+            ReduceOp::SumU64,
+            ReduceOp::MaxU64,
+        ] {
+            for round in 0..200 {
+                let len = round % 17;
+                let word = |rng: &mut SimRng| match rng.next_u64() % 4 {
+                    // Special floats, and the top of the u64 range so
+                    // sums wrap.
+                    0 => specials[(rng.next_u64() % 8) as usize].to_bits(),
+                    1 => u64::MAX - rng.next_u64() % 4,
+                    2 => (rng.next_f64() * 1e6 - 5e5).to_bits(),
+                    _ => rng.next_u64(),
+                };
+                let a: Vec<u64> = (0..len).map(|_| word(&mut rng)).collect();
+                let b: Vec<u64> = (0..len).map(|_| word(&mut rng)).collect();
+                let (a, b) = (u64s_to_bytes(&a), u64s_to_bytes(&b));
+                let mut got = a.clone();
+                op.combine(&mut got, &b);
+                assert_eq!(got, combine_decoded(op, &a, &b), "{op:?} round {round}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of u64s")]
+    fn ragged_contributions_are_rejected() {
+        ReduceOp::MaxU64.combine(&mut vec![0; 12], &vec![0; 12]);
     }
 
     #[test]

@@ -760,7 +760,7 @@ impl Machine {
 
         // 3. Wake every parked rank whose wait is now satisfied.
         let mut wake = Vec::new();
-        for (rank, wait) in self.sched.parked() {
+        self.sched.for_each_parked(|rank, wait| {
             let satisfied = match wait {
                 Wait::Recv { src, tag } => comm.mailboxes[rank]
                     .iter()
@@ -770,7 +770,7 @@ impl Machine {
             if satisfied {
                 wake.push(rank);
             }
-        }
+        });
         if tracing {
             events.push(TraceEvent {
                 cycle: self.job_cycles(),
@@ -1153,7 +1153,7 @@ where
             };
             match outcome {
                 LeaveOutcome::Continue => {
-                    view.ready[local] = false;
+                    view.unready(local);
                     let rotated = view.rotate();
                     debug_assert!(rotated, "Continue implies another ready rank");
                 }

@@ -44,7 +44,6 @@
 
 use bgp_arch::sync::{Condvar, Mutex};
 use std::cell::Cell;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -151,21 +150,27 @@ enum Status {
     Done,
 }
 
+/// Most ranks one node may host: a [`NodeView`]'s ready set is one
+/// bit per local rank.
+const MAX_NODE_RANKS: usize = u64::BITS as usize;
+
 /// A worker's exclusive view of one claimed node: which of the node's
 /// ranks are still ready this phase, and whose turn it is. The worker
 /// rotates this view locally — no engine lock on the yield fast path —
 /// which is sound because ready ranks only *leave* the set mid-phase
 /// (parks and finishes go through the worker itself) and only *enter*
 /// it at a phase commit, which cannot happen while this node still has
-/// a ready rank.
-#[derive(Clone, Debug)]
+/// a ready rank. The view is plain data: a claim allocates nothing.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct NodeView {
     /// The claimed node.
     pub node: usize,
-    /// The node's ranks, ascending (global rank ids).
-    pub ranks: Vec<usize>,
-    /// Readiness per local index.
-    pub ready: Vec<bool>,
+    /// The node's first rank; its ranks are `first..first + count`.
+    pub first: usize,
+    /// How many ranks the node hosts.
+    pub count: usize,
+    /// Readiness, bit `i` for local index `i`.
+    pub ready: u64,
     /// Local index of the rank holding the node's turn.
     pub cursor: usize,
 }
@@ -173,17 +178,22 @@ pub(crate) struct NodeView {
 impl NodeView {
     /// The rank holding the turn.
     pub fn current(&self) -> usize {
-        self.ranks[self.cursor]
+        self.first + self.cursor
+    }
+
+    /// Local index `local` left the frontier this phase.
+    pub fn unready(&mut self, local: usize) {
+        self.ready &= !(1 << local);
     }
 
     /// Rotate the turn to the next ready rank after the cursor
     /// (wrapping — a sole ready rank keeps the turn). Returns `false`
     /// if no rank of the node is ready.
     pub fn rotate(&mut self) -> bool {
-        let n = self.ranks.len();
+        let n = self.count;
         for off in 1..=n {
             let pos = (self.cursor + off) % n;
-            if self.ready[pos] {
+            if self.ready & (1 << pos) != 0 {
                 self.cursor = pos;
                 return true;
             }
@@ -225,16 +235,20 @@ struct Engine {
     status: Vec<Status>,
     /// Hosting node of each rank.
     node_of: Vec<usize>,
-    /// Ranks hosted per node, ascending.
-    node_ranks: Vec<Vec<usize>>,
+    /// Node `n` hosts ranks `first[n]..first[n + 1]` (block placement).
+    first: Vec<usize>,
     /// Per node: local index of the rank holding the node's turn.
     cursor: Vec<usize>,
     /// Per node: whether a worker currently holds the node.
     claimed: Vec<bool>,
-    /// Unclaimed nodes with at least one ready rank, ordered — workers
+    /// Per node: unclaimed, with at least one ready rank. Workers
     /// always claim the lowest, so single-worker execution visits nodes
     /// in canonical order.
-    ready_nodes: BTreeSet<usize>,
+    claimable: Vec<bool>,
+    /// No node below this one is claimable. Within a phase claims only
+    /// remove nodes, so the scan only moves forward; a commit, which
+    /// refills `claimable`, resets it.
+    scan: usize,
     /// Ready ranks remaining in the frontier.
     runnable: usize,
     /// Ranks whose kernels returned.
@@ -244,14 +258,42 @@ struct Engine {
 }
 
 impl Engine {
+    fn ranks(&self, node: usize) -> std::ops::Range<usize> {
+        self.first[node]..self.first[node + 1]
+    }
+
     fn node_has_ready(&self, node: usize) -> bool {
-        self.node_ranks[node].iter().any(|&r| self.status[r] == Status::Ready)
+        self.ranks(node).any(|r| self.status[r] == Status::Ready)
     }
 
     fn view(&self, node: usize) -> NodeView {
-        let ranks = self.node_ranks[node].clone();
-        let ready = ranks.iter().map(|&r| self.status[r] == Status::Ready).collect();
-        NodeView { node, ranks, ready, cursor: self.cursor[node] }
+        let ranks = self.ranks(node);
+        let ready = ranks
+            .clone()
+            .enumerate()
+            .filter(|&(_, r)| self.status[r] == Status::Ready)
+            .fold(0, |bits, (local, _)| bits | 1 << local);
+        let (first, count) = (ranks.start, ranks.len());
+        NodeView { node, first, count, ready, cursor: self.cursor[node] }
+    }
+
+    /// The lowest claimable node, if any.
+    fn next_claimable(&mut self) -> Option<usize> {
+        while self.scan < self.claimable.len() {
+            if self.claimable[self.scan] {
+                return Some(self.scan);
+            }
+            self.scan += 1;
+        }
+        None
+    }
+
+    /// Every parked rank and its wait, in rank order.
+    fn parked(&self) -> impl Iterator<Item = (usize, Wait)> + '_ {
+        self.status.iter().enumerate().filter_map(|(r, st)| match st {
+            Status::Parked(w) => Some((r, *w)),
+            _ => None,
+        })
     }
 }
 
@@ -281,22 +323,34 @@ pub struct PhaseEngine {
 impl PhaseEngine {
     /// An engine for ranks placed by `node_of` (rank → hosting node over
     /// `n_nodes` nodes), multiplexed over `workers` worker threads.
+    ///
+    /// # Panics
+    /// Panics unless every node's ranks form one contiguous block of at
+    /// most 64 ranks, as block placement (`crate::place`) makes them.
     pub fn new(node_of: Vec<usize>, n_nodes: usize, workers: usize) -> PhaseEngine {
         assert!(!node_of.is_empty());
+        assert!(
+            node_of.windows(2).all(|w| w[0] <= w[1]),
+            "ranks must be placed in one block per node"
+        );
         let n_ranks = node_of.len();
-        let mut node_ranks = vec![Vec::new(); n_nodes];
-        for (rank, &node) in node_of.iter().enumerate() {
-            node_ranks[node].push(rank);
+        let mut first = vec![0; n_nodes + 1];
+        for &node in &node_of {
+            first[node + 1] += 1;
         }
-        let ready_nodes: BTreeSet<usize> =
-            (0..n_nodes).filter(|&n| !node_ranks[n].is_empty()).collect();
+        for node in 0..n_nodes {
+            assert!(first[node + 1] <= MAX_NODE_RANKS, "node {node} hosts over 64 ranks");
+            first[node + 1] += first[node];
+        }
+        let claimable = (0..n_nodes).map(|n| first[n + 1] > first[n]).collect();
         let eng = Engine {
             status: vec![Status::Ready; n_ranks],
             node_of,
-            node_ranks,
+            first,
             cursor: vec![0; n_nodes],
             claimed: vec![false; n_nodes],
-            ready_nodes,
+            claimable,
+            scan: 0,
             runnable: n_ranks,
             done: 0,
             phase: 0,
@@ -354,8 +408,8 @@ impl PhaseEngine {
             if s.done == s.status.len() {
                 return Claim::Finished;
             }
-            if let Some(&node) = s.ready_nodes.iter().next() {
-                s.ready_nodes.remove(&node);
+            if let Some(node) = s.next_claimable() {
+                s.claimable[node] = false;
                 s.claimed[node] = true;
                 return Claim::Run(s.view(node));
             }
@@ -396,7 +450,7 @@ impl PhaseEngine {
             LeaveOutcome::Continue
         } else {
             // No ready ranks left on this node this phase: drop the
-            // claim. The node re-enters `ready_nodes` at the commit
+            // claim. The node becomes claimable again at the commit
             // that wakes one of its ranks.
             s.claimed[node] = false;
             LeaveOutcome::Released
@@ -421,16 +475,20 @@ impl PhaseEngine {
     /// Snapshot of every parked rank and its wait (valid only while the
     /// frontier is empty, i.e. inside phase resolution).
     pub fn parked(&self) -> Vec<(usize, Wait)> {
+        let mut out = Vec::new();
+        self.for_each_parked(|r, w| out.push((r, w)));
+        out
+    }
+
+    /// Call `f` on every parked rank and its wait, in rank order, under
+    /// the engine lock (resolution-time call, like [`PhaseEngine::parked`],
+    /// but without collecting them).
+    pub(crate) fn for_each_parked(&self, mut f: impl FnMut(usize, Wait)) {
         let s = self.m.lock();
-        debug_assert_eq!(s.runnable, 0, "parked() is a resolution-time call");
-        s.status
-            .iter()
-            .enumerate()
-            .filter_map(|(r, st)| match st {
-                Status::Parked(w) => Some((r, *w)),
-                _ => None,
-            })
-            .collect()
+        debug_assert_eq!(s.runnable, 0, "for_each_parked() is a resolution-time call");
+        for (r, w) in s.parked() {
+            f(r, w);
+        }
     }
 
     /// Open the next phase with `wake` as its frontier (resolution-time
@@ -449,15 +507,7 @@ impl PhaseEngine {
                 self.cv.notify_all(); // blocked claimers observe completion
                 return;
             }
-            let parked: Vec<(usize, Wait)> = s
-                .status
-                .iter()
-                .enumerate()
-                .filter_map(|(r, st)| match st {
-                    Status::Parked(w) => Some((r, *w)),
-                    _ => None,
-                })
-                .collect();
+            let parked: Vec<(usize, Wait)> = s.parked().collect();
             let blocked: Vec<String> =
                 parked.iter().map(|(r, w)| format!("rank {r}: {w}")).collect();
             s.aborted = true;
@@ -493,17 +543,13 @@ impl PhaseEngine {
         // so the next phase's intra-node interleaving is canonical.
         // Nodes with ready ranks become claimable again — except the
         // resolver's own node, which stays claimed until it reclaims.
-        s.ready_nodes.clear();
-        for node in 0..s.node_ranks.len() {
-            let pos = s.node_ranks[node]
-                .iter()
-                .position(|&r| s.status[r] == Status::Ready);
+        s.scan = 0;
+        for node in 0..s.claimable.len() {
+            let pos = s.ranks(node).position(|r| s.status[r] == Status::Ready);
             if let Some(p) = pos {
                 s.cursor[node] = p;
-                if !s.claimed[node] {
-                    s.ready_nodes.insert(node);
-                }
             }
+            s.claimable[node] = pos.is_some() && !s.claimed[node];
         }
         drop(s);
         self.cv.notify_all();
@@ -528,7 +574,7 @@ mod tests {
         yields: usize,
         log: &mut Vec<usize>,
     ) -> Option<LeaveOutcome> {
-        let mut remaining: Vec<usize> = vec![yields; view.ranks.len()];
+        let mut remaining: Vec<usize> = vec![yields; view.count];
         loop {
             let rank = view.current();
             let local = view.cursor;
@@ -540,7 +586,7 @@ mod tests {
             } else {
                 match eng.finish(rank) {
                     LeaveOutcome::Continue => {
-                        view.ready[local] = false;
+                        view.unready(local);
                         assert!(view.rotate());
                     }
                     out @ (LeaveOutcome::Released
@@ -559,7 +605,7 @@ mod tests {
             Claim::Run(v) => v,
             _ => panic!("one node with ready ranks must be claimable"),
         };
-        assert_eq!(view.ranks, vec![0, 1, 2, 3]);
+        assert_eq!((view.first, view.count, view.ready), (0, 4, 0b1111));
         let mut log = Vec::new();
         let out = drive_yield_then_finish(&eng, &mut view, 3, &mut log);
         assert_eq!(log, vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);

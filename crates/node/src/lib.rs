@@ -15,7 +15,7 @@ pub mod core;
 
 pub use crate::core::{Core, InstrCounts, MemRetire, ISSUE_WIDTH, MISPREDICT_PENALTY};
 
-use bgp_arch::events::{CoreEvent, CounterMode, NUM_COUNTERS};
+use bgp_arch::events::{CoreEvent, CounterMode, NetEvent, NUM_COUNTERS};
 use bgp_arch::geometry::{AddressLayout, NodeId};
 use bgp_arch::{MachineConfig, OpMode, CORES_PER_NODE};
 use bgp_mem::{HitLevel, MemorySystem};
@@ -73,12 +73,16 @@ const CODE_FOOTPRINT: u64 = 16 << 10;
 /// L1-I lines the footprint occupies.
 const CODE_LINES: u64 = CODE_FOOTPRINT / bgp_arch::L1_LINE_BYTES as u64;
 
+/// Network events (mode-3 slots `0..NET_EVENTS`); mode 3 has no other
+/// events, so the ground-truth mirror holds only these.
+pub const NET_EVENTS: usize = NetEvent::ALL.len();
+
 /// One compute node.
 pub struct Node {
     id: NodeId,
     mode: OpMode,
     layout: AddressLayout,
-    cores: Vec<Core>,
+    cores: [Core; CORES_PER_NODE],
     mem: MemorySystem,
     upc: Upc,
     /// Synthetic instruction-address cursor per core (loop-resident code).
@@ -96,7 +100,7 @@ pub struct Node {
     /// what it reported to the UPC independently of the mode the unit
     /// happened to be in — the reference the validation harness checks
     /// counted and reconstructed network events against.
-    net_truth: Box<[u64; NUM_COUNTERS]>,
+    net_truth: [u64; NET_EVENTS],
     /// Translated-address scratch buffer reused across batches.
     batch: Vec<bgp_mem::MemAccess>,
 }
@@ -111,13 +115,13 @@ impl Node {
             id,
             mode: op_mode,
             layout: AddressLayout::with_memory(op_mode, cfg.memory_bytes),
-            cores: (0..CORES_PER_NODE).map(Core::new).collect(),
+            cores: std::array::from_fn(Core::new),
             mem: MemorySystem::new(cfg),
             upc: Upc::new(counter_mode),
             icursor: [0; CORES_PER_NODE],
             ifetches: [0; CORES_PER_NODE],
             icache_fits: (CODE_LINES as usize).div_ceil(cfg.l1_sets()) <= cfg.l1_ways,
-            net_truth: Box::new([0; NUM_COUNTERS]),
+            net_truth: [0; NET_EVENTS],
             batch: Vec::new(),
         }
     }
@@ -281,14 +285,17 @@ impl Node {
     pub fn emit_event(&mut self, event: bgp_arch::EventId, count: u64) {
         if self.upc.enabled() && event.mode() == CounterMode::Mode3 {
             let slot = event.slot().0 as usize;
-            self.net_truth[slot] = self.net_truth[slot].wrapping_add(count);
+            debug_assert!(slot < NET_EVENTS, "mode-3 slot {slot} is not a network event");
+            if let Some(t) = self.net_truth.get_mut(slot) {
+                *t = t.wrapping_add(count);
+            }
         }
         self.upc.emit(event, count);
     }
 
     /// Ground-truth totals of mode-3 (network) events emitted while
-    /// counting was enabled, indexed by mode-3 slot.
-    pub fn net_truth(&self) -> &[u64; NUM_COUNTERS] {
+    /// counting was enabled, indexed by mode-3 slot ([`NetEvent`] order).
+    pub fn net_truth(&self) -> &[u64; NET_EVENTS] {
         &self.net_truth
     }
 
@@ -323,10 +330,11 @@ impl Node {
     }
 
     /// Serialize the node's complete runtime state (checkpoint support):
-    /// the four cores, the memory system, the UPC unit, and the synthetic
-    /// instruction-fetch cursors. Identity, operating mode, address
-    /// layout, and the `batch` scratch buffer are configuration or
-    /// transient scratch and are not captured.
+    /// the four cores, the memory system, the UPC unit, the synthetic
+    /// instruction-fetch cursors, and the network mirror as all 256
+    /// mode-3 slots (zero past the network events). Identity, operating
+    /// mode, address layout, and the `batch` scratch buffer are
+    /// configuration or transient scratch and are not captured.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         for c in &self.cores {
             c.save_state(out);
@@ -339,7 +347,8 @@ impl Node {
         for &v in &self.ifetches {
             bgp_arch::wire::put_u64(out, v);
         }
-        for &v in self.net_truth.iter() {
+        let zeros = [0; NUM_COUNTERS - NET_EVENTS];
+        for &v in self.net_truth.iter().chain(&zeros) {
             bgp_arch::wire::put_u64(out, v);
         }
     }
@@ -349,7 +358,8 @@ impl Node {
     ///
     /// # Errors
     /// [`bgp_arch::BgpError::Corrupt`] on truncated or inconsistent
-    /// input.
+    /// input, including a nonzero network mirror past the network
+    /// events.
     pub fn restore_state(
         &mut self,
         r: &mut bgp_arch::wire::Reader<'_>,
@@ -361,7 +371,16 @@ impl Node {
         self.upc.restore_state(r)?;
         r.u64_array(&mut self.icursor, "node icursor")?;
         r.u64_array(&mut self.ifetches, "node ifetches")?;
-        r.u64_array(&mut *self.net_truth, "node net truth")?;
+        r.u64_array(&mut self.net_truth, "node net truth")?;
+        for slot in NET_EVENTS..NUM_COUNTERS {
+            let v = r.u64("node net truth")?;
+            if v != 0 {
+                return Err(bgp_arch::BgpError::corrupt(format!(
+                    "node net truth slot {slot} holds {v}, but mode 3 has only \
+                     {NET_EVENTS} network events"
+                )));
+            }
+        }
         Ok(())
     }
 }
@@ -508,6 +527,24 @@ mod tests {
         n.emit_event(ev, 7); // outside the window: not truth either
         assert_eq!(n.net_truth()[ev.slot().0 as usize], 100);
         assert_eq!(n.upc().read_event(ev), None);
+    }
+
+    #[test]
+    fn restore_refuses_net_truth_past_the_network_events() {
+        let n = node(CounterMode::Mode3);
+        let mut bytes = Vec::new();
+        n.save_state(&mut bytes);
+        let mut fresh = node(CounterMode::Mode3);
+        let mut r = bgp_arch::wire::Reader::new(&bytes);
+        fresh.restore_state(&mut r).unwrap();
+        r.expect_end("node section").unwrap();
+        // The mirror is the section's last 256 words; poke slot 200.
+        let at = bytes.len() - (NUM_COUNTERS - 200) * 8;
+        bytes[at..at + 8].copy_from_slice(&5u64.to_le_bytes());
+        let err = node(CounterMode::Mode3)
+            .restore_state(&mut bgp_arch::wire::Reader::new(&bytes))
+            .expect_err("a nonzero non-network slot is corrupt");
+        assert!(err.to_string().contains("slot 200"), "{err}");
     }
 
     #[test]

@@ -78,6 +78,11 @@ impl Obs<'_> {
     /// Full-run estimate of counter `slot`: `raw × total / occ`, rounded
     /// to nearest and saturating at `u64::MAX`.
     pub(crate) fn estimate(&self, slot: usize) -> u64 {
+        // A mode that observed the whole run (every `Source::Header`
+        // observation) estimates its raw count: `(c·t + ⌊t/2⌋) / t = c`.
+        if self.occ == self.total {
+            return self.counts[slot];
+        }
         let (occ, total) = (u128::from(self.occ), u128::from(self.total));
         let est = (u128::from(self.counts[slot]) * total + occ / 2) / occ;
         est.min(u128::from(u64::MAX)) as u64
@@ -645,5 +650,24 @@ mod tests {
         assert_eq!(obs(&[77], 1, 1).estimate(0), 77);
         assert_eq!(obs(&[77], 1, 1).error_bar(77), 0.0);
         assert!(obs(&[250], 25, 100).error_bar(1000) > 0.0);
+    }
+
+    #[test]
+    fn full_occupancy_fast_path_equals_the_u128_formula() {
+        let mut rng = bgp_arch::rng::SimRng::seed_from_u64(0x0cc);
+        for _ in 0..10_000 {
+            let t = 1 + rng.next_u64() % 1_000_000;
+            let c = match rng.next_u64() % 3 {
+                0 => rng.next_u64(),
+                1 => u64::MAX - rng.next_u64() % 1024,
+                _ => rng.next_u64() % 1_000_000,
+            };
+            let counts = [c];
+            let mode = CounterMode::Mode0;
+            let o = Obs { node: 0, mode, records: 1, counts: &counts, occ: t, total: t };
+            let (c, t) = (u128::from(c), u128::from(t));
+            let formula = ((c * t + t / 2) / t).min(u128::from(u64::MAX)) as u64;
+            assert_eq!(o.estimate(0), formula, "c = {c}, o = t = {t}");
+        }
     }
 }

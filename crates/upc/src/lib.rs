@@ -77,6 +77,18 @@ pub struct ThresholdInterrupt {
     pub threshold: u64,
 }
 
+// A slot's control byte: the [`CounterConfig`] bits in the low nibble,
+// then the fired latch.
+/// [`CounterConfig::interrupt_enable`]'s control bit.
+const IRQ: u8 = 0b0100;
+/// [`CounterConfig::freeze_on_threshold`]'s control bit.
+const FREEZE: u8 = 0b1000;
+/// The low four control bits: the packed [`CounterConfig`].
+const CONFIG_BITS: u8 = 0b1111;
+/// Control-byte latch: the slot's threshold fired since it was last
+/// armed or cleared.
+const FIRED: u8 = 0b1_0000;
+
 /// The Universal Performance Counter unit of one node.
 ///
 /// ```
@@ -99,9 +111,13 @@ pub struct Upc {
     /// saturated counters.
     saturating: bool,
     counters: Box<[u64; NUM_COUNTERS]>,
-    configs: Box<[CounterConfig; NUM_COUNTERS]>,
-    thresholds: Box<[u64; NUM_COUNTERS]>,
-    fired: Box<[bool; NUM_COUNTERS]>,
+    /// One control byte per slot: the 4-bit [`CounterConfig::to_bits`]
+    /// encoding plus the [`FIRED`] latch.
+    ctrl: [u8; NUM_COUNTERS],
+    /// The threshold bank, built at the first finite
+    /// [`Upc::set_threshold`]. Absent, every slot reads `u64::MAX`: a
+    /// unit nobody arms never pays for 256 thresholds.
+    thresholds: Option<Box<[u64; NUM_COUNTERS]>>,
     pending: Vec<ThresholdInterrupt>,
     /// Total interrupts raised over the unit's lifetime (diagnostics).
     interrupts_raised: u64,
@@ -121,9 +137,8 @@ impl Upc {
             enabled: false,
             saturating: false,
             counters: Box::new([0; NUM_COUNTERS]),
-            configs: Box::new([CounterConfig::default(); NUM_COUNTERS]),
-            thresholds: Box::new([u64::MAX; NUM_COUNTERS]),
-            fired: Box::new([false; NUM_COUNTERS]),
+            ctrl: [CounterConfig::default().to_bits(); NUM_COUNTERS],
+            thresholds: None,
             pending: Vec::new(),
             interrupts_raised: 0,
         }
@@ -153,32 +168,42 @@ impl Upc {
         self.enabled = on;
     }
 
-    /// Zero all counters and re-arm all thresholds.
+    /// Zero all counters and re-arm all thresholds (configurations and
+    /// threshold values stay).
     pub fn clear(&mut self) {
         self.counters.fill(0);
-        self.fired.fill(false);
+        for c in &mut self.ctrl {
+            *c &= !FIRED;
+        }
         self.pending.clear();
     }
 
     /// Configure one counter slot.
     pub fn configure(&mut self, slot: u8, cfg: CounterConfig) {
-        self.configs[slot as usize] = cfg;
+        let c = &mut self.ctrl[slot as usize];
+        *c = (*c & FIRED) | cfg.to_bits();
     }
 
     /// Read one counter slot's configuration.
     pub fn config(&self, slot: u8) -> CounterConfig {
-        self.configs[slot as usize]
+        CounterConfig::from_bits(self.ctrl[slot as usize] & CONFIG_BITS)
     }
 
-    /// Set one counter slot's threshold. `u64::MAX` disarms it.
+    /// Set one counter slot's threshold and re-arm it. `u64::MAX`
+    /// disarms it, and never builds the threshold bank.
     pub fn set_threshold(&mut self, slot: u8, threshold: u64) {
-        self.thresholds[slot as usize] = threshold;
-        self.fired[slot as usize] = false;
+        self.ctrl[slot as usize] &= !FIRED;
+        if threshold == u64::MAX && self.thresholds.is_none() {
+            return;
+        }
+        let bank = self.thresholds.get_or_insert_with(|| Box::new([u64::MAX; NUM_COUNTERS]));
+        bank[slot as usize] = threshold;
     }
 
     /// Read one counter slot's threshold.
+    #[inline]
     pub fn threshold(&self, slot: u8) -> u64 {
-        self.thresholds[slot as usize]
+        self.thresholds.as_ref().map_or(u64::MAX, |bank| bank[slot as usize])
     }
 
     /// Current value of one counter slot.
@@ -219,8 +244,7 @@ impl Upc {
             return;
         }
         let slot = event.slot().0 as usize;
-        let cfg = self.configs[slot];
-        let delta = match cfg.sensitivity {
+        let delta = match Sensitivity::from_bits(self.ctrl[slot]) {
             // Both edge polarities see one transition per pulse.
             Sensitivity::EdgeRise | Sensitivity::EdgeFall => pulses,
             Sensitivity::LevelHigh | Sensitivity::LevelLow => 0,
@@ -238,8 +262,7 @@ impl Upc {
         }
         debug_assert!(high_cycles <= window_cycles);
         let slot = event.slot().0 as usize;
-        let cfg = self.configs[slot];
-        let delta = match cfg.sensitivity {
+        let delta = match Sensitivity::from_bits(self.ctrl[slot]) {
             Sensitivity::LevelHigh => high_cycles,
             Sensitivity::LevelLow => window_cycles - high_cycles,
             // An edge-configured counter sees one rising and one falling
@@ -254,8 +277,8 @@ impl Upc {
         if delta == 0 {
             return;
         }
-        let cfg = self.configs[slot];
-        if cfg.freeze_on_threshold && self.fired[slot] {
+        let ctrl = self.ctrl[slot];
+        if ctrl & (FREEZE | FIRED) == FREEZE | FIRED {
             return;
         }
         let v = if self.saturating {
@@ -264,9 +287,13 @@ impl Upc {
             self.counters[slot].wrapping_add(delta)
         };
         self.counters[slot] = v;
-        let th = self.thresholds[slot];
-        if cfg.interrupt_enable && !self.fired[slot] && v >= th {
-            self.fired[slot] = true;
+        // Only an armed, interrupt-enabled slot reads the bank.
+        if ctrl & (IRQ | FIRED) != IRQ {
+            return;
+        }
+        let th = self.threshold(slot as u8);
+        if v >= th {
+            self.ctrl[slot] |= FIRED;
             self.interrupts_raised += 1;
             self.pending.push(ThresholdInterrupt {
                 slot: slot as u8,
@@ -329,14 +356,14 @@ impl Upc {
         for &c in self.counters.iter() {
             wire::put_u64(out, c);
         }
-        for cfg in self.configs.iter() {
-            wire::put_u8(out, cfg.to_bits());
+        for &c in &self.ctrl {
+            wire::put_u8(out, c & CONFIG_BITS);
         }
-        for &t in self.thresholds.iter() {
-            wire::put_u64(out, t);
+        for slot in 0..NUM_COUNTERS {
+            wire::put_u64(out, self.threshold(slot as u8));
         }
-        for &f in self.fired.iter() {
-            wire::put_bool(out, f);
+        for &c in &self.ctrl {
+            wire::put_bool(out, c & FIRED != 0);
         }
         wire::put_u64(out, self.pending.len() as u64);
         for irq in &self.pending {
@@ -361,18 +388,24 @@ impl Upc {
         self.enabled = r.bool("upc enabled")?;
         self.saturating = r.bool("upc saturating")?;
         r.u64_array(&mut self.counters[..], "upc counters")?;
-        for cfg in self.configs.iter_mut() {
+        for c in &mut self.ctrl {
             let bits = r.u8("upc config")?;
-            if bits > 0b1111 {
+            if bits > CONFIG_BITS {
                 return Err(BgpError::corrupt(format!(
                     "invalid counter config bits {bits:#x}"
                 )));
             }
-            *cfg = CounterConfig::from_bits(bits);
+            *c = bits;
         }
-        r.u64_array(&mut self.thresholds[..], "upc thresholds")?;
-        for f in self.fired.iter_mut() {
-            *f = r.bool("upc fired")?;
+        let mut thresholds = [0u64; NUM_COUNTERS];
+        r.u64_array(&mut thresholds, "upc thresholds")?;
+        // An all-disarmed bank restores as no bank at all.
+        self.thresholds =
+            thresholds.iter().any(|&t| t != u64::MAX).then(|| Box::new(thresholds));
+        for c in &mut self.ctrl {
+            if r.bool("upc fired")? {
+                *c |= FIRED;
+            }
         }
         let n_pending = r.u64("upc pending len")?;
         if n_pending > NUM_COUNTERS as u64 {
@@ -702,6 +735,97 @@ mod tests {
                 "cut at {cut} decoded"
             );
         }
+    }
+
+    fn saved(u: &Upc) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        u.save_state(&mut bytes);
+        bytes
+    }
+
+    fn restored(bytes: &[u8]) -> Upc {
+        let mut u = Upc::default();
+        let mut r = bgp_arch::wire::Reader::new(bytes);
+        u.restore_state(&mut r).unwrap();
+        r.expect_end("upc state").unwrap();
+        u
+    }
+
+    #[test]
+    fn disarmed_bank_saves_like_no_bank_and_restores_without_one() {
+        let irq = CounterConfig { interrupt_enable: true, ..Default::default() };
+        let mut never = enabled_unit(CounterMode::Mode0);
+        let mut disarmed = enabled_unit(CounterMode::Mode0);
+        for u in [&mut never, &mut disarmed] {
+            for slot in 0..=255u8 {
+                u.configure(slot, irq);
+            }
+        }
+        assert!(never.thresholds.is_none(), "configuring arms nothing");
+        for slot in 0..=255u8 {
+            disarmed.set_threshold(slot, slot as u64 + 1);
+        }
+        assert!(disarmed.thresholds.is_some());
+        for slot in 0..=255u8 {
+            disarmed.set_threshold(slot, u64::MAX);
+        }
+        never.set_threshold(7, u64::MAX);
+        assert!(never.thresholds.is_none(), "a disarm never builds the bank");
+        let bytes = saved(&never);
+        assert_eq!(bytes, saved(&disarmed), "lazy and disarmed banks save alike");
+        for mut u in [restored(&bytes), restored(&saved(&disarmed))] {
+            assert!(u.thresholds.is_none(), "an all-disarmed bank restores as none");
+            assert!((0..=255u8).all(|s| u.threshold(s) == u64::MAX));
+            for &ev in CoreEvent::ALL {
+                u.emit(ev.id(0), 1 << 40);
+            }
+            assert!(u.take_interrupts().is_empty(), "nothing fires");
+            assert_eq!(u.interrupts_raised(), 0);
+        }
+    }
+
+    #[test]
+    fn restored_armed_bank_fires_at_the_original_count() {
+        let ev = CoreEvent::L1dMiss.id(1);
+        let slot = ev.slot().0;
+        let mut u = enabled_unit(CounterMode::Mode0);
+        u.configure(slot, CounterConfig { interrupt_enable: true, ..Default::default() });
+        u.set_threshold(slot, 40);
+        u.emit(ev, 25);
+        let mut r = restored(&saved(&u));
+        assert_eq!(r.threshold(slot), 40);
+        assert!((0..=255u8).filter(|&s| s != slot).all(|s| r.threshold(s) == u64::MAX));
+        for step in 0..5 {
+            u.emit(ev, 4);
+            r.emit(ev, 4);
+            assert_eq!(u.take_interrupts(), r.take_interrupts(), "step {step}");
+        }
+        assert_eq!(u.interrupts_raised(), 1, "fired once, at 41");
+        assert_eq!(r.interrupts_raised(), 1);
+        assert_eq!(saved(&u), saved(&r));
+    }
+
+    #[test]
+    fn clear_resets_only_the_fired_latches() {
+        let ev = CoreEvent::Load.id(0);
+        let slot = ev.slot().0;
+        let cfg = CounterConfig {
+            sensitivity: Sensitivity::EdgeFall,
+            interrupt_enable: true,
+            freeze_on_threshold: true,
+        };
+        let mut u = enabled_unit(CounterMode::Mode0);
+        u.configure(slot, cfg);
+        u.set_threshold(slot, 5);
+        u.emit(ev, 9);
+        assert_eq!(u.take_interrupts().len(), 1);
+        u.clear();
+        assert_eq!(u.config(slot), cfg, "configuration survives clear");
+        assert_eq!(u.threshold(slot), 5, "threshold survives clear");
+        u.emit(ev, 5);
+        assert_eq!(u.take_interrupts().len(), 1, "the latch re-armed");
+        u.emit(ev, 5);
+        assert_eq!(u.read_event(ev), Some(5), "and freezes again");
     }
 
     #[test]

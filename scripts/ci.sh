@@ -129,7 +129,7 @@ echo "==> counter service load bound (quick scale: 2k requests, byte-identical r
 BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
     target/release/repro_all fig_ext_service --quick
 
-echo "==> full-machine scaling bound (73,728 nodes / 294,912 ranks, <= 10 KB/rank)"
+echo "==> full-machine scaling bound (73,728 nodes / 294,912 ranks, <= 4 KB/rank)"
 # Runs at Default scale so the 73k-node smoke actually executes. The
 # per-rank RSS bound reads the process high-water mark, which holds
 # this entry alone: a single entry runs in-process, and a multi-entry
