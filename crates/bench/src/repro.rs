@@ -356,8 +356,9 @@ fn memthroughput(scale: Scale) -> Outcome {
 /// kernel keeps every simulated cache cold, so anything above this is
 /// runtime overhead. Nodes build the hardware a job may never use (the
 /// threshold bank, prefetch stream tables, cache arrays) on first use,
-/// which puts the 73,728-node point near 3.2 KB/rank.
-const RANK_RSS_BUDGET: f64 = 4.0 * 1024.0;
+/// and a rank's future holds only its hot context, which puts the
+/// 73,728-node point near 2.75 KB/rank.
+const RANK_RSS_BUDGET: f64 = 3.0 * 1024.0;
 
 /// Full-machine scaling of the multiplexed rank runtime, up to 73,728
 /// nodes / 294,912 ranks; recorded in `BENCH_fullmachine.json`. Bound:

@@ -513,21 +513,32 @@ where
 /// The whole-program bracket shared by [`run_instrumented`] and the
 /// [`supervisor`]: initialize + start(0) before the kernel, stop(0) +
 /// finalize after, all against the rank's own context.
-pub(crate) async fn instrumented_body<R, F, Fut>(
+///
+/// A plain `fn` returning an `async` block, not an `async fn`: an
+/// `async fn` stores a by-value argument twice (the captured argument
+/// and the rebound local the body borrows), so every rank's future
+/// would carry two extra `RankCtx` copies beside the kernel's own. The
+/// block captures the context once (`bracket_adds_one_context_to_the_kernel`
+/// pins it). Clippy's `manual_async_fn` suggests exactly that `async fn`.
+#[allow(clippy::manual_async_fn)]
+pub(crate) fn instrumented_body<'k, R, F, Fut>(
     lib: Arc<CounterLibrary>,
     mut ctx: RankCtx,
-    kernel: &F,
-) -> R
+    kernel: &'k F,
+) -> impl std::future::Future<Output = R> + 'k
 where
     F: Fn(RankCtx) -> Fut,
-    Fut: std::future::Future<Output = (RankCtx, R)>,
+    Fut: std::future::Future<Output = (RankCtx, R)> + 'k,
+    R: 'k,
 {
-    lib.initialize_impl(&mut ctx);
-    lib.start_impl(&mut ctx, WHOLE_PROGRAM_SET).expect("BGP_Start");
-    let (mut ctx, r) = kernel(ctx).await;
-    lib.stop_impl(&mut ctx, WHOLE_PROGRAM_SET).expect("BGP_Stop");
-    lib.finalize_impl(&mut ctx).expect("BGP_Finalize");
-    r
+    async move {
+        lib.initialize_impl(&mut ctx);
+        lib.start_impl(&mut ctx, WHOLE_PROGRAM_SET).expect("BGP_Start");
+        let (mut ctx, r) = kernel(ctx).await;
+        lib.stop_impl(&mut ctx, WHOLE_PROGRAM_SET).expect("BGP_Stop");
+        lib.finalize_impl(&mut ctx).expect("BGP_Finalize");
+        r
+    }
 }
 
 #[cfg(test)]
@@ -792,6 +803,31 @@ mod tests {
         assert!(weak.upgrade().is_some(), "the machine keeps its library alive");
         drop(m);
         assert!(weak.upgrade().is_none(), "the library outlived its machine");
+    }
+
+    /// The bracket adds the one context it captures and a few words to
+    /// the kernel's future, whatever the kernel; an `async fn` bracket
+    /// would add two contexts (the argument and its rebound local).
+    #[test]
+    fn bracket_adds_one_context_to_the_kernel() {
+        fn future_size<F: Fn(RankCtx) -> Fut, Fut>(_: &F) -> usize {
+            std::mem::size_of::<Fut>()
+        }
+        let kernel = |ctx: RankCtx| async move { (ctx, ()) };
+        let m = machine(1, OpMode::Smp1, CounterPolicy::Fixed(CounterMode::Mode0));
+        let lib = CounterLibrary::for_machine(&m);
+        let bracket = std::cell::Cell::new(0);
+        m.run(|ctx| {
+            let fut = instrumented_body(Arc::clone(&lib), ctx, &kernel);
+            bracket.set(std::mem::size_of_val(&fut));
+            fut
+        });
+        let limit = future_size(&kernel) + std::mem::size_of::<RankCtx>() + 32;
+        assert!(
+            bracket.get() <= limit,
+            "bracket future {} B exceeds kernel future + one RankCtx + 32 B = {limit} B",
+            bracket.get()
+        );
     }
 
     #[test]

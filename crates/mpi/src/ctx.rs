@@ -37,16 +37,16 @@
 //! `bgp-mem`/`bgp-node` pin this.
 
 use crate::comm::{bytes_to_f64s, f64s_to_bytes, CollKind, Payload, ReduceOp};
-use crate::machine::{place, Machine, OutMsg, Placement, RankPublish};
+use crate::machine::{place, Machine, OutMsg, Placement};
 use crate::sched::{Suspend, SuspendPoint, Wait};
 use crate::simvec::{SimElem, SimVec};
 use bgp_arch::events::NetEvent;
 use bgp_compiler::{CodeGen, PairPlan};
 use bgp_fpu::FpOp;
-use bgp_mem::MemStats;
 use bgp_node::{MemOp, MemWidth, Node};
 use bgp_trace::{EventKind, FaultEvent, WaitKind};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
@@ -124,18 +124,20 @@ impl Future for Access<'_> {
 }
 
 /// Execution context of one rank.
+///
+/// Every rank's future holds it, so it keeps only state a rank touches
+/// on its hot paths (at most 256 bytes, pinned by a test): what the
+/// spec fixes is read from [`Machine::spec`], and the trace-window
+/// state of a traced job lives in the machine's per-rank slot.
 pub struct RankCtx {
     machine: Arc<Machine>,
     rank: usize,
-    size: usize,
     place: Placement,
     /// Thread currently executing (OpenMP-style); selects the core
     /// within the process's core range. 0 = the master thread.
     active_thread: usize,
-    threads: usize,
     cg: CodeGen,
     alloc_cursor: u64,
-    alloc_limit: u64,
     tick: u64,
     quantum: u64,
     coll_count: u64,
@@ -146,10 +148,6 @@ pub struct RankCtx {
     /// `TraceConfig`. Cached rank-local, so every trace hook of an
     /// untraced job is a plain branch.
     tracing: bool,
-    /// Quantum windows completed while tracing.
-    windows: u64,
-    /// Node memory statistics at the last sample (for window deltas).
-    last_mem: MemStats,
     /// Resume replay: the kernel re-executes for its data effects only,
     /// with the cost model (retirement, cycle charges, UPC, tracing,
     /// network events) suppressed. Cached from the machine's flag and
@@ -157,9 +155,6 @@ pub struct RankCtx {
     /// ranks are parked, so the cache is exact (see
     /// [`Machine::resume`]).
     replay: bool,
-    /// Checkpointing is on: publish capture-relevant rank-local state at
-    /// every park (see [`RankPublish`]).
-    publish_state: bool,
     /// Ops queued since the last flush point. In a `RefCell` so the
     /// `&self` observation paths ([`RankCtx::cycles`],
     /// [`RankCtx::with_own_node`]) can drain it before reading.
@@ -172,48 +167,32 @@ impl RankCtx {
         let place = place(spec, rank);
         let cg = CodeGen::new(spec.compile);
         let quantum = spec.quantum.max(1);
-        let alloc_limit =
-            spec.machine.memory_bytes / spec.mode.processes_per_node() as u64;
-        let threads = spec.mode.threads_per_process();
         let straggler_penalty = spec
             .faults
             .as_ref()
             .map_or(0, |p| p.straggler_penalty(place.node.0 as u32));
         let replay = machine.replaying();
-        let publish_state = spec.checkpoint.is_some();
         let mut ctx = RankCtx {
             machine,
             rank,
-            size: 0, // fixed up below
             place,
             active_thread: 0,
-            threads,
             cg,
             alloc_cursor: 0,
-            alloc_limit,
             tick: 0,
             quantum,
             coll_count: 0,
             straggler_penalty,
             tracing: false,
-            windows: 0,
-            last_mem: MemStats::default(),
             replay,
-            publish_state,
             pending: RefCell::new(Pending::default()),
-        }
-        .with_size();
+        };
         // Tracing is a job property (JobSpec::trace): every rank of a
         // traced job records from cycle 0.
         if ctx.machine.spec().trace.is_some() {
             ctx.arm_tracing();
         }
         ctx
-    }
-
-    fn with_size(mut self) -> Self {
-        self.size = self.machine.spec().ranks;
-        self
     }
 
     /// This rank's id.
@@ -223,7 +202,7 @@ impl RankCtx {
 
     /// Total ranks in the job.
     pub fn size(&self) -> usize {
-        self.size
+        self.machine.spec().ranks
     }
 
     /// Hosting node id.
@@ -244,7 +223,7 @@ impl RankCtx {
 
     /// Hardware threads this process may run (per the operating mode).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.machine.spec().mode.threads_per_process()
     }
 
     /// Switch execution to OpenMP-style thread `t` (core
@@ -255,11 +234,8 @@ impl RankCtx {
     /// # Panics
     /// Panics if `t` exceeds the operating mode's threads per process.
     pub fn set_thread(&mut self, t: usize) {
-        assert!(
-            t < self.threads,
-            "thread {t} out of range: mode allows {} threads/process",
-            self.threads
-        );
+        let threads = self.threads();
+        assert!(t < threads, "thread {t} out of range: mode allows {threads} threads/process");
         if t != self.active_thread {
             // Queued ops belong to the *outgoing* thread's core.
             self.flush_pending();
@@ -286,7 +262,7 @@ impl RankCtx {
     /// on its own core under the simulator's bulk-synchronous execution,
     /// so the node's wall-clock is the slowest thread.)
     pub fn omp_chunks(&self, n: usize) -> Vec<(usize, core::ops::Range<usize>)> {
-        let threads = self.threads;
+        let threads = self.threads();
         let chunk = n.div_ceil(threads);
         (0..threads)
             .map(|t| (t, (t * chunk).min(n)..((t + 1) * chunk).min(n)))
@@ -298,7 +274,7 @@ impl RankCtx {
     /// and apply the fork/join barrier (the master resumes only after
     /// the slowest thread finished).
     pub fn omp_join(&mut self) {
-        let threads = self.threads;
+        let threads = self.threads();
         self.set_thread(0);
         // The join below reads timebases directly, so nothing may be
         // left queued (set_thread already flushed unless threads == 1).
@@ -457,7 +433,8 @@ impl RankCtx {
     fn arm_tracing(&mut self) {
         // The baseline memory snapshot must include everything queued.
         self.flush_pending();
-        self.last_mem = self.with_node(|n| *n.mem_stats());
+        let baseline = self.with_node(|n| *n.mem_stats());
+        self.machine.trace_window(self.rank).live.last_mem = baseline;
         self.tracing = true;
         // Surface this node's scheduled faults at the head of the
         // stream, so a perturbed timeline is self-explaining.
@@ -488,9 +465,11 @@ impl RankCtx {
     /// A quantum window closed while tracing: periodically sample live
     /// UPC counters and the node's memory-traffic window.
     fn trace_window_end(&mut self) {
-        self.windows += 1;
+        let mut slot = self.machine.trace_window(self.rank);
+        let w = &mut slot.live;
+        w.windows += 1;
         let cfg = self.machine.spec().trace.as_ref().expect("tracing implies a trace config");
-        if cfg.sample_every == 0 || !self.windows.is_multiple_of(cfg.sample_every) {
+        if cfg.sample_every == 0 || !w.windows.is_multiple_of(cfg.sample_every) {
             return;
         }
         let core = self.core();
@@ -506,13 +485,13 @@ impl RankCtx {
             )
         });
         if let Some(now) = mem_now {
-            let d = now.delta(&self.last_mem);
-            self.last_mem = now;
+            let d = now.delta(&w.last_mem);
+            w.last_mem = now;
             self.machine.trace.record_rank(
                 self.rank,
                 cycle,
                 EventKind::MemWindow {
-                    window: self.windows,
+                    window: w.windows,
                     l3_hits: d.l3_hits,
                     l3_misses: d.l3_misses,
                     ddr_reads: d.ddr_reads,
@@ -570,21 +549,17 @@ impl RankCtx {
             "rank parked with unretired pending ops"
         );
         self.trace_event(EventKind::RankPark { wait: wait_kind(wait) });
-        if self.publish_state && !self.replay {
-            // A checkpoint capture may run while this rank is parked;
-            // publish the rank-local fields it cannot otherwise see.
-            *self.machine.publish[self.rank].lock() =
-                RankPublish { windows: self.windows, last_mem: self.last_mem };
+        if self.tracing && !self.replay && self.machine.spec().checkpoint.is_some() {
+            // A checkpoint capture may run while this rank is parked.
+            let mut slot = self.machine.trace_window(self.rank);
+            slot.parked = slot.live;
         }
         SuspendPoint::new(Suspend::Park(wait)).await;
         self.tick = 0;
         if self.replay && !self.machine.replaying() {
             // Go-live: the resume snapshot was applied while everyone was
-            // parked. Pull the restored rank-local state and run live
-            // from the first instruction after this wake.
-            let p = *self.machine.publish[self.rank].lock();
-            self.windows = p.windows;
-            self.last_mem = p.last_mem;
+            // parked (trace-window state straight into the machine's
+            // slots); run live from the first instruction after this wake.
             self.replay = false;
         }
         self.trace_event(EventKind::RankWake);
@@ -602,13 +577,12 @@ impl RankCtx {
     pub fn alloc<T: SimElem>(&mut self, n: usize) -> SimVec<T> {
         let base = (self.alloc_cursor + 31) & !31;
         let bytes = n as u64 * T::BYTES;
+        let spec = self.machine.spec();
+        let limit = spec.machine.memory_bytes / spec.mode.processes_per_node() as u64;
         assert!(
-            base + bytes <= self.alloc_limit,
-            "rank {} out of simulated memory: {} + {} > {}",
-            self.rank,
-            base,
-            bytes,
-            self.alloc_limit
+            base + bytes <= limit,
+            "rank {} out of simulated memory: {base} + {bytes} > {limit}",
+            self.rank
         );
         self.alloc_cursor = base + bytes;
         SimVec::from_parts(vec![T::default(); n], base)
@@ -842,11 +816,11 @@ impl RankCtx {
 
     /// Send `data` to `dst` with `tag`. Non-overtaking per (src, dst).
     ///
-    /// Sends never block: the message buffers in this rank's outbox and
+    /// Sends never block: the message buffers in the phase outbox and
     /// is delivered — with per-phase torus link contention added to its
     /// arrival time — when the current phase resolves.
     pub async fn send(&mut self, dst: usize, tag: u32, data: Payload) {
-        assert!(dst < self.size, "send to invalid rank {dst}");
+        assert!(dst < self.size(), "send to invalid rank {dst}");
         // `sent_at` must see every queued op's stall.
         self.flush_pending();
         let bytes = data.len() as u64;
@@ -867,7 +841,8 @@ impl RankCtx {
                 n.timebase(core)
             })
         };
-        self.machine.comm.lock().outboxes[self.rank].push_back(OutMsg {
+        self.machine.comm.lock().outbox.push(OutMsg {
+            src: self.rank,
             dst,
             tag,
             data,
@@ -898,7 +873,13 @@ impl RankCtx {
                 let idx = mb
                     .iter()
                     .position(|m| m.tag == tag && src.is_none_or(|s| s == m.src));
-                idx.and_then(|i| mb.remove(i))
+                let msg = idx.and_then(|i| mb.remove(i));
+                if mb.is_empty() {
+                    // Most ranks hold no message between phases: an
+                    // empty mailbox keeps no buffer.
+                    *mb = VecDeque::new();
+                }
+                msg
             };
             if let Some(msg) = msg {
                 if !self.replay {
@@ -981,7 +962,7 @@ impl RankCtx {
     /// Personalized all-to-all: `rows[d]` goes to rank `d`; returns the
     /// chunks every rank addressed to this one (in source order).
     pub async fn alltoall(&mut self, rows: Vec<Payload>) -> Vec<Payload> {
-        assert_eq!(rows.len(), self.size, "alltoall needs one chunk per rank");
+        assert_eq!(rows.len(), self.size(), "alltoall needs one chunk per rank");
         match self.collective(CollKind::Alltoall, Contrib::Row(rows)).await {
             CollResult::Column(c) => c,
             _ => unreachable!("alltoall returns a column"),
@@ -991,7 +972,7 @@ impl RankCtx {
     async fn collective(&mut self, kind: CollKind, contrib: Contrib) -> CollResult {
         let slot_idx = (self.coll_count % 2) as usize;
         self.coll_count += 1;
-        let n = self.size;
+        let n = self.size();
         let my_cycles = self.cycles();
         {
             let mut comm = self.machine.comm.lock();
@@ -1155,4 +1136,16 @@ enum CollResult {
     None,
     Bytes(Payload),
     Column(Vec<Payload>),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every rank's future holds its context, so the context stays small.
+    #[test]
+    fn rank_ctx_fits_in_256_bytes() {
+        let size = std::mem::size_of::<RankCtx>();
+        assert!(size <= 256, "RankCtx is {size} B, over its 256-B budget");
+    }
 }

@@ -20,10 +20,11 @@ use bgp_trace::{EventKind, JobTrace, TraceConfig, TraceEvent, TraceState};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::future::Future;
+use std::ops::Index;
 use std::path::PathBuf;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
 /// Software overheads of the messaging layer (cycles).
@@ -135,14 +136,25 @@ impl CheckpointConfig {
     }
 }
 
-/// State a rank publishes at each park so the checkpoint capture — which
-/// runs while every rank is parked — can see rank-local fields that are
-/// not rebuilt by replay (the tracing window counter and the memory-stat
-/// baseline its deltas are taken against).
+/// A traced rank's quantum-window state: the window counter and the
+/// node memory statistics its `MemWindow` deltas are taken against.
+/// Replay does not rebuild it, so checkpoints capture it and a resume
+/// restores it in place.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct RankPublish {
+pub(crate) struct TraceWindow {
     pub windows: u64,
     pub last_mem: MemStats,
+}
+
+/// One rank's slot of a traced job ([`Machine::trace_window`]): the
+/// live window state, and the copy a checkpoint captures. A checkpointed
+/// rank copies `live` into `parked` at every park, so a capture records
+/// each rank as of its last park, also a rank that closed more windows
+/// after it and finished.
+#[derive(Debug, Default)]
+pub(crate) struct TraceSlot {
+    pub live: TraceWindow,
+    pub parked: TraceWindow,
 }
 
 /// Application-layer state captured into snapshots alongside the
@@ -321,9 +333,10 @@ pub fn place(spec: &JobSpec, rank: usize) -> Placement {
     }
 }
 
-/// A point-to-point message buffered in its sender's outbox until the
+/// A point-to-point message buffered in the phase outbox until the
 /// phase boundary delivers it.
 pub(crate) struct OutMsg {
+    pub src: usize,
     pub dst: usize,
     pub tag: u32,
     pub data: Payload,
@@ -335,13 +348,63 @@ pub(crate) struct OutMsg {
 
 pub(crate) struct CommInner {
     pub mailboxes: Vec<VecDeque<Message>>,
-    /// Per-rank send buffers, drained at phase resolution in (sender
+    /// The phase's sends, in push order: each sender's in send order,
+    /// different senders interleaved as workers ran them. Phase
+    /// resolution stable-sorts it by sender and drains it in (sender
     /// rank, send order) — the canonical order that makes delivery and
     /// link contention independent of thread scheduling.
-    pub outboxes: Vec<VecDeque<OutMsg>>,
+    pub outbox: Vec<OutMsg>,
     pub slots: [CollSlot; 2],
     /// Per-phase directed-link byte loads for torus queuing delays.
     pub traffic: PhaseTraffic,
+}
+
+/// Nodes per chunk of a [`NodeTable`].
+const NODE_CHUNK: usize = 1024;
+
+/// The partition's nodes, stored in chunks of [`NODE_CHUNK`].
+///
+/// A full-machine partition's nodes take about 245 MB. One allocation
+/// that large reuses freed heap only where an earlier job left a free run
+/// at least as long; otherwise the allocator maps it fresh and the job
+/// faults it in page by page. A chunk (about 3.4 MB) fits into the room
+/// earlier jobs freed.
+pub(crate) struct NodeTable {
+    chunks: Vec<Box<[Mutex<Node>]>>,
+    len: usize,
+}
+
+impl NodeTable {
+    /// A table of `len` nodes, node `i` built by `make(i)` in ascending
+    /// order.
+    fn new(len: usize, mut make: impl FnMut(usize) -> Node) -> NodeTable {
+        let chunks = (0..len)
+            .step_by(NODE_CHUNK)
+            .map(|start| {
+                let end = (start + NODE_CHUNK).min(len);
+                (start..end).map(|i| Mutex::new(make(i))).collect()
+            })
+            .collect();
+        NodeTable { chunks, len }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Every node, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Mutex<Node>> {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+}
+
+impl Index<usize> for NodeTable {
+    type Output = Mutex<Node>;
+
+    #[inline]
+    fn index(&self, node: usize) -> &Mutex<Node> {
+        &self.chunks[node / NODE_CHUNK][node % NODE_CHUNK]
+    }
 }
 
 /// The simulated partition.
@@ -361,7 +424,7 @@ pub(crate) struct CommInner {
 /// ```
 pub struct Machine {
     spec: JobSpec,
-    pub(crate) nodes: Vec<Mutex<Node>>,
+    pub(crate) nodes: NodeTable,
     pub(crate) torus: TorusNetwork,
     pub(crate) coll_net: CollectiveNetwork,
     pub(crate) barrier_net: BarrierNetwork,
@@ -384,8 +447,9 @@ pub struct Machine {
     /// when no resume is in flight).
     resume_phase: AtomicU64,
     resume_snap: Mutex<Option<Snapshot>>,
-    /// Per-rank state published at park time (see [`RankPublish`]).
-    pub(crate) publish: Vec<Mutex<RankPublish>>,
+    /// Per-rank trace-window state, present iff `spec.trace` is (see
+    /// [`TraceSlot`]).
+    trace_windows: Option<Box<[Mutex<TraceSlot>]>>,
     app_states: Mutex<Vec<Arc<dyn AppState>>>,
     /// Deterministic kill point for supervisor tests and fault drills:
     /// the resolving rank panics once the phase counter reaches this.
@@ -417,28 +481,26 @@ impl Machine {
         let n_nodes = spec.nodes();
         let dims = TorusDims::for_nodes(n_nodes);
         let mux = MuxState::new(n_nodes, &spec.counter_policy);
-        let nodes: Vec<_> = (0..n_nodes)
-            .map(|i| {
-                let mut node = Node::new(NodeId(i), &spec.machine, spec.mode, mux.home_mode(i));
-                mux.arm(i, node.upc_mut());
-                Mutex::new(node)
-            })
-            .collect();
+        let nodes = NodeTable::new(n_nodes, |i| {
+            let mut node = Node::new(NodeId(i), &spec.machine, spec.mode, mux.home_mode(i));
+            mux.arm(i, node.upc_mut());
+            node
+        });
         let mut torus = TorusNetwork::new(dims, spec.net.clone());
         if let Some(plan) = &spec.faults {
             torus.set_fault_plan(Arc::clone(plan));
         }
-        let node_of: Vec<usize> = (0..spec.ranks).map(|r| place(&spec, r).node.0).collect();
-        let trace = Arc::new(TraceState::new(node_of.clone(), spec.trace.as_ref()));
-        let sched = PhaseEngine::new(node_of.clone(), n_nodes, spec.resolved_sim_threads());
+        // Block placement (see `place`): rank `r` lives on node `r / ppn`.
+        let ppn = spec.mode.processes_per_node();
+        let trace = Arc::new(TraceState::new(spec.ranks, ppn, spec.trace.as_ref()));
+        let sched = PhaseEngine::new(spec.ranks, ppn, spec.resolved_sim_threads());
         // Deadlock forensics: append the scheduler-trace tail and any
         // scheduled faults to the panic, and drop a sidecar report.
         {
             let trace = Arc::clone(&trace);
             let faults = spec.faults.clone();
             sched.set_deadlock_reporter(Box::new(move |parked| {
-                let report =
-                    deadlock_report(&trace, &node_of, faults.as_deref(), parked);
+                let report = deadlock_report(&trace, ppn, faults.as_deref(), parked);
                 let sidecar = write_deadlock_sidecar(&report);
                 format!("\n{report}{sidecar}")
             }));
@@ -454,11 +516,13 @@ impl Machine {
             sched,
             comm: Mutex::new(CommInner {
                 mailboxes: (0..spec.ranks).map(|_| VecDeque::new()).collect(),
-                outboxes: (0..spec.ranks).map(|_| VecDeque::new()).collect(),
+                outbox: Vec::new(),
                 slots: [CollSlot::default(), CollSlot::default()],
                 traffic: PhaseTraffic::new(dims, &spec.net),
             }),
-            publish: (0..spec.ranks).map(|_| Mutex::new(RankPublish::default())).collect(),
+            trace_windows: spec.trace.as_ref().map(|_| {
+                (0..spec.ranks).map(|_| Mutex::new(TraceSlot::default())).collect()
+            }),
             nodes,
             spec,
             trace,
@@ -487,6 +551,15 @@ impl Machine {
         self.nodes.len()
     }
 
+    /// Rank `rank`'s trace-window slot.
+    ///
+    /// # Panics
+    /// Panics if the job is untraced: only a traced job keeps slots.
+    pub(crate) fn trace_window(&self, rank: usize) -> MutexGuard<'_, TraceSlot> {
+        let slots = self.trace_windows.as_ref().expect("trace windows exist only in traced jobs");
+        slots[rank].lock()
+    }
+
     /// Run `f` with exclusive access to one node (inspection, counter
     /// programming). Not for use from inside rank kernels.
     pub fn with_node<T>(&self, node: usize, f: impl FnOnce(&mut Node) -> T) -> T {
@@ -496,7 +569,7 @@ impl Machine {
     /// Enable every node's UPC unit (convenience for tests; the counter
     /// library performs the real `BGP_Initialize` protocol).
     pub fn enable_all_counters(&self) {
-        for n in &self.nodes {
+        for n in self.nodes.iter() {
             n.lock().upc_mut().set_enabled(true);
         }
     }
@@ -708,38 +781,43 @@ impl Machine {
         let mut delivered_bytes = 0u64;
         let mut collectives = 0u64;
 
-        // 1. Deliver outboxes in (sender rank, send order). Queuing
+        // 1. Deliver the outbox in (sender rank, send order). Queuing
         //    delay on shared torus links accrues in this order too.
         comm.traffic.reset();
         let mut route = Vec::new();
-        for src in 0..self.spec.ranks {
-            while let Some(m) = comm.outboxes[src].pop_front() {
-                self.torus.route_into(m.src_node, m.dst_node, &mut route);
-                let bytes = m.data.len() as u64;
-                let queue = comm.traffic.enqueue(&route, bytes);
-                let ready_at = m.sent_at + queue;
-                if tracing {
-                    delivered += 1;
-                    delivered_bytes += bytes;
-                    events.push(TraceEvent {
-                        cycle: ready_at,
-                        kind: EventKind::MsgDeliver {
-                            src: src as u32,
-                            dst: m.dst as u32,
-                            tag: m.tag,
-                            bytes,
-                            queue_cycles: queue,
-                        },
-                    });
-                }
-                comm.mailboxes[m.dst].push_back(Message {
-                    src,
-                    tag: m.tag,
-                    data: m.data,
-                    ready_at,
+        let mut outbox = std::mem::take(&mut comm.outbox);
+        if !outbox.is_sorted_by_key(|m| m.src) {
+            // Stable: each sender's messages keep their send order.
+            outbox.sort_by_key(|m| m.src);
+        }
+        for m in outbox.drain(..) {
+            self.torus.route_into(m.src_node, m.dst_node, &mut route);
+            let bytes = m.data.len() as u64;
+            let queue = comm.traffic.enqueue(&route, bytes);
+            let ready_at = m.sent_at + queue;
+            if tracing {
+                delivered += 1;
+                delivered_bytes += bytes;
+                events.push(TraceEvent {
+                    cycle: ready_at,
+                    kind: EventKind::MsgDeliver {
+                        src: m.src as u32,
+                        dst: m.dst as u32,
+                        tag: m.tag,
+                        bytes,
+                        queue_cycles: queue,
+                    },
                 });
             }
+            comm.mailboxes[m.dst].push_back(Message {
+                src: m.src,
+                tag: m.tag,
+                data: m.data,
+                ready_at,
+            });
         }
+        // Keep the drained buffer: the next phase sends about as much.
+        comm.outbox = outbox;
 
         // 2. Complete collectives whose every rank has arrived.
         for (idx, slot) in comm.slots.iter_mut().enumerate() {
@@ -839,26 +917,30 @@ impl Machine {
         // memory hierarchy, UPC units, instruction-fetch cursors.
         let mut buf = Vec::new();
         bgp_arch::wire::put_u64(&mut buf, self.nodes.len() as u64);
-        for n in &self.nodes {
+        for n in self.nodes.iter() {
             n.lock().save_state(&mut buf);
         }
         snap.add_section("nodes", buf);
 
         // Communication timing + a digest of the data state replay must
-        // reproduce (outboxes were drained by the merge above).
-        debug_assert!(comm.outboxes.iter().all(VecDeque::is_empty));
+        // reproduce (the outbox was drained by the merge above).
+        debug_assert!(comm.outbox.is_empty());
         let mut buf = Vec::new();
         save_comm(comm, &mut buf);
         snap.add_section("comm", buf);
 
-        // Rank-local fields not rebuilt by replay, as published at each
-        // rank's most recent park (all ranks are parked right now).
+        // Rank-local trace-window state as of each rank's last park,
+        // which replay does not rebuild. An untraced job keeps no slots
+        // and writes each rank's as zero.
         let mut buf = Vec::new();
-        bgp_arch::wire::put_u64(&mut buf, self.publish.len() as u64);
-        for p in &self.publish {
-            let p = p.lock();
-            bgp_arch::wire::put_u64(&mut buf, p.windows);
-            p.last_mem.save_state(&mut buf);
+        bgp_arch::wire::put_u64(&mut buf, self.spec.ranks as u64);
+        for rank in 0..self.spec.ranks {
+            let w = match &self.trace_windows {
+                Some(slots) => slots[rank].lock().parked,
+                None => TraceWindow::default(),
+            };
+            bgp_arch::wire::put_u64(&mut buf, w.windows);
+            w.last_mem.save_state(&mut buf);
         }
         snap.add_section("ranks", buf);
 
@@ -911,7 +993,7 @@ impl Machine {
         let mut r = bgp_arch::wire::Reader::new(bytes);
         let n = r.u64("node count").expect("node count");
         assert_eq!(n as usize, self.nodes.len(), "snapshot node count mismatch");
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             node.lock()
                 .restore_state(&mut r)
                 .expect("node state restore failed");
@@ -926,12 +1008,15 @@ impl Machine {
         let bytes = snap.section_required("ranks").expect("ranks section");
         let mut r = bgp_arch::wire::Reader::new(bytes);
         let n = r.u64("rank count").expect("rank count");
-        assert_eq!(n as usize, self.publish.len(), "snapshot rank count mismatch");
-        for p in &self.publish {
+        assert_eq!(n as usize, self.spec.ranks, "snapshot rank count mismatch");
+        for rank in 0..self.spec.ranks {
             let windows = r.u64("rank windows").expect("rank windows");
             let mut last_mem = MemStats::default();
             last_mem.restore_state(&mut r).expect("rank mem baseline");
-            *p.lock() = RankPublish { windows, last_mem };
+            if let Some(slots) = &self.trace_windows {
+                let w = TraceWindow { windows, last_mem };
+                *slots[rank].lock() = TraceSlot { live: w, parked: w };
+            }
         }
         r.expect_end("ranks section").expect("trailing bytes in ranks section");
 
@@ -1376,7 +1461,7 @@ const DEADLOCK_TRACE_TAIL: usize = 32;
 /// scheduled against the involved nodes.
 fn deadlock_report(
     trace: &TraceState,
-    node_of: &[usize],
+    ranks_per_node: usize,
     faults: Option<&FaultPlan>,
     parked: &[(usize, Wait)],
 ) -> String {
@@ -1384,7 +1469,7 @@ fn deadlock_report(
     let mut out = String::from("--- deadlock forensics ---\n");
     out.push_str("per-rank wait states:\n");
     for (rank, wait) in parked {
-        let _ = writeln!(out, "  rank {rank} (node {}): {wait}", node_of[*rank]);
+        let _ = writeln!(out, "  rank {rank} (node {}): {wait}", rank / ranks_per_node);
     }
     let recent = trace.recent_sched(DEADLOCK_TRACE_TAIL);
     if recent.is_empty() {
@@ -1399,7 +1484,7 @@ fn deadlock_report(
         }
     }
     if let Some(plan) = faults {
-        let mut nodes: Vec<usize> = parked.iter().map(|(r, _)| node_of[*r]).collect();
+        let mut nodes: Vec<usize> = parked.iter().map(|(r, _)| r / ranks_per_node).collect();
         nodes.sort_unstable();
         nodes.dedup();
         let mut any = false;

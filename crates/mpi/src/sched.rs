@@ -233,10 +233,9 @@ pub(crate) enum LeaveOutcome {
 
 struct Engine {
     status: Vec<Status>,
-    /// Hosting node of each rank.
-    node_of: Vec<usize>,
-    /// Node `n` hosts ranks `first[n]..first[n + 1]` (block placement).
-    first: Vec<usize>,
+    /// Ranks per node (block placement): rank `r` lives on node
+    /// `r / ranks_per_node`, the last node possibly partial.
+    ranks_per_node: usize,
     /// Per node: local index of the rank holding the node's turn.
     cursor: Vec<usize>,
     /// Per node: whether a worker currently holds the node.
@@ -259,7 +258,8 @@ struct Engine {
 
 impl Engine {
     fn ranks(&self, node: usize) -> std::ops::Range<usize> {
-        self.first[node]..self.first[node + 1]
+        let ppn = self.ranks_per_node;
+        node * ppn..((node + 1) * ppn).min(self.status.len())
     }
 
     fn node_has_ready(&self, node: usize) -> bool {
@@ -321,35 +321,25 @@ pub struct PhaseEngine {
 }
 
 impl PhaseEngine {
-    /// An engine for ranks placed by `node_of` (rank → hosting node over
-    /// `n_nodes` nodes), multiplexed over `workers` worker threads.
+    /// An engine for `n_ranks` ranks in block placement (`crate::place`):
+    /// `ranks_per_node` to a node, the last node possibly partial,
+    /// multiplexed over `workers` worker threads.
     ///
     /// # Panics
-    /// Panics unless every node's ranks form one contiguous block of at
-    /// most 64 ranks, as block placement (`crate::place`) makes them.
-    pub fn new(node_of: Vec<usize>, n_nodes: usize, workers: usize) -> PhaseEngine {
-        assert!(!node_of.is_empty());
+    /// Panics unless there is a rank and a node hosts at most 64.
+    pub fn new(n_ranks: usize, ranks_per_node: usize, workers: usize) -> PhaseEngine {
+        assert!(n_ranks > 0);
         assert!(
-            node_of.windows(2).all(|w| w[0] <= w[1]),
-            "ranks must be placed in one block per node"
+            (1..=MAX_NODE_RANKS).contains(&ranks_per_node),
+            "a node hosts 1 to 64 ranks, not {ranks_per_node}"
         );
-        let n_ranks = node_of.len();
-        let mut first = vec![0; n_nodes + 1];
-        for &node in &node_of {
-            first[node + 1] += 1;
-        }
-        for node in 0..n_nodes {
-            assert!(first[node + 1] <= MAX_NODE_RANKS, "node {node} hosts over 64 ranks");
-            first[node + 1] += first[node];
-        }
-        let claimable = (0..n_nodes).map(|n| first[n + 1] > first[n]).collect();
+        let n_nodes = n_ranks.div_ceil(ranks_per_node);
         let eng = Engine {
             status: vec![Status::Ready; n_ranks],
-            node_of,
-            first,
+            ranks_per_node,
             cursor: vec![0; n_nodes],
             claimed: vec![false; n_nodes],
-            claimable,
+            claimable: vec![true; n_nodes],
             scan: 0,
             runnable: n_ranks,
             done: 0,
@@ -445,7 +435,7 @@ impl PhaseEngine {
             // claim; commit_phase re-fills the frontier.
             return LeaveOutcome::Resolve;
         }
-        let node = s.node_of[rank];
+        let node = rank / s.ranks_per_node;
         if s.node_has_ready(node) {
             LeaveOutcome::Continue
         } else {
@@ -562,7 +552,7 @@ mod tests {
 
     /// Engine over `n` SMP/1 nodes (one rank each) and `workers` workers.
     fn smp(n: usize, workers: usize) -> PhaseEngine {
-        PhaseEngine::new((0..n).collect(), n, workers)
+        PhaseEngine::new(n, 1, workers)
     }
 
     /// Drive a claimed node the way a worker does, logging the rank at
@@ -600,7 +590,7 @@ mod tests {
     #[test]
     fn same_node_ranks_rotate_in_rank_order() {
         // 4 ranks on one node, like VNM.
-        let eng = PhaseEngine::new(vec![0; 4], 1, 8);
+        let eng = PhaseEngine::new(4, 4, 8);
         let mut view = match eng.claim() {
             Claim::Run(v) => v,
             _ => panic!("one node with ready ranks must be claimable"),

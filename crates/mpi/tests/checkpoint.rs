@@ -221,6 +221,140 @@ fn resume_rejects_wrong_experiment() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An untraced job keeps no trace-window slots, yet its checkpoints keep
+/// the `ranks` section's layout: the rank count, then a zero window
+/// counter and a zero memory baseline for every rank.
+#[test]
+fn untraced_checkpoints_keep_the_rank_section_layout() {
+    use bgp_arch::wire::put_u64;
+    let dir = tempdir("ranks-layout");
+    let mut s = spec(Some(&dir), false);
+    s.trace = None;
+    let ranks = s.ranks;
+    let m = Machine::new(s);
+    m.run(kernel);
+    let mut want = Vec::new();
+    put_u64(&mut want, ranks as u64);
+    for _ in 0..ranks {
+        put_u64(&mut want, 0);
+        bgp_mem::MemStats::default().save_state(&mut want);
+    }
+    let files = SnapshotStore::new(&dir, 8).list().expect("snapshot dir listable");
+    assert!(!files.is_empty(), "no snapshots written");
+    for path in files {
+        let snap = bgp_snapshot::Snapshot::decode(&std::fs::read(&path).expect("readable"))
+            .expect("snapshot decodes");
+        assert_eq!(snap.section("ranks"), Some(&want[..]), "phase {}", snap.phase);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A traced job resumed with a spec that drops the checkpoint config
+/// (the fingerprint excludes it) continues from the trace-window state
+/// the snapshot restored: every rank's `MemWindow` samples, window
+/// numbers included, equal the uninterrupted run's.
+#[test]
+fn traced_resume_without_checkpointing_keeps_mem_window_samples() {
+    use bgp_trace::EventKind;
+    let traced = |dir: Option<&std::path::Path>| {
+        let mut s = spec(dir, false);
+        s.quantum = 256;
+        s.trace = Some(TraceConfig { sample_every: 1, ..TraceConfig::default() });
+        s
+    };
+    let mem_windows = |m: &Machine| -> Vec<Vec<EventKind>> {
+        let trace = m.job_trace().expect("traced job");
+        trace
+            .ranks
+            .iter()
+            .map(|r| {
+                let windows = r.events.iter().map(|e| e.kind.clone());
+                windows.filter(|k| matches!(k, EventKind::MemWindow { .. })).collect()
+            })
+            .collect()
+    };
+    let reference = {
+        let m = Machine::new(traced(None));
+        m.run(kernel);
+        mem_windows(&m)
+    };
+    assert!(reference.iter().any(|w| w.len() > 8), "the kernel samples many windows");
+
+    let dir = tempdir("resume-traced-windows");
+    let m = Machine::new(traced(Some(&dir)));
+    m.set_kill_at_phase(7);
+    let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        m.run(kernel);
+    }));
+    assert!(killed.is_err(), "kill point must fire");
+
+    let s = traced(None);
+    let fp = s.fingerprint();
+    let snap = SnapshotStore::new(&dir, 8)
+        .load_latest_valid(fp)
+        .expect("store readable")
+        .snapshot
+        .expect("a valid snapshot exists")
+        .0;
+    assert!(snap.phase > 0);
+    let m = Machine::new(s);
+    m.resume(snap).expect("snapshot accepted");
+    m.run(kernel);
+    assert_eq!(mem_windows(&m), reference, "resumed MemWindow samples diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint records each rank's trace-window state as of its last
+/// park. Rank 0 here closes windows after its last park and finishes
+/// while its peers still exchange messages, so later phases capture it
+/// finished: the window count they record is the one it parked with.
+#[test]
+fn checkpoints_record_window_state_as_of_each_ranks_last_park() {
+    use bgp_trace::EventKind;
+    let dir = tempdir("ranks-last-park");
+    let mut s = JobSpec::new(8, bgp_arch::OpMode::VirtualNode);
+    s.trace = Some(TraceConfig { sample_every: 1, ..TraceConfig::default() });
+    s.quantum = 64;
+    s.sim_threads = Some(1);
+    s.checkpoint = Some(CheckpointConfig { every: 1, dir: dir.clone(), retain: 1000 });
+    let m = Machine::new(s);
+    m.run(|mut ctx| async move {
+        let mut v = ctx.alloc::<f64>(1024);
+        ctx.barrier().await;
+        let stores = if ctx.rank() == 0 { 4096 } else { 16 };
+        for i in 0..stores {
+            ctx.st(&mut v, i % 1024, 1.0).await;
+        }
+        let (r, n) = (ctx.rank(), ctx.size());
+        if r >= 1 && r + 1 < n {
+            ctx.send(r + 1, 1, vec![1]).await;
+        }
+        if r > 1 {
+            ctx.recv(Some(r - 1), 1).await;
+        }
+    });
+
+    let trace = m.job_trace().expect("traced job");
+    let events = &trace.ranks[0].events;
+    let last_park = events
+        .iter()
+        .rposition(|e| matches!(e.kind, EventKind::RankPark { .. }))
+        .expect("rank 0 parks at the barrier");
+    let is_window = |e: &&bgp_trace::TraceEvent| matches!(e.kind, EventKind::MemWindow { .. });
+    let parked_with = events[..last_park].iter().filter(is_window).count() as u64;
+    let finished_with = events.iter().filter(is_window).count() as u64;
+    assert!(finished_with > parked_with, "rank 0 closes windows after its last park");
+
+    let files = SnapshotStore::new(&dir, 1000).list().expect("snapshot dir listable");
+    let last = files.last().expect("snapshots written");
+    let snap = bgp_snapshot::Snapshot::decode(&std::fs::read(last).expect("readable"))
+        .expect("snapshot decodes");
+    let mut r = bgp_arch::wire::Reader::new(snap.section("ranks").expect("ranks section"));
+    assert_eq!(r.u64("rank count").unwrap(), 8);
+    assert_eq!(r.u64("rank 0 windows").unwrap(), parked_with, "phase {}", snap.phase);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("bgp-ckpt-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);

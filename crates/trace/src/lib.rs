@@ -170,7 +170,7 @@ pub enum EventKind {
     },
     /// The rank re-entered the frontier after a phase resolution.
     RankWake,
-    /// The rank buffered a point-to-point send into its outbox.
+    /// The rank buffered a point-to-point send into the phase outbox.
     MsgSend {
         /// Destination rank.
         dst: u32,
@@ -480,7 +480,8 @@ impl Recorder {
 /// so per-rank locks are uncontended and the recorded streams carry no
 /// cross-thread ordering.
 pub struct TraceState {
-    node_of: Vec<usize>,
+    /// Ranks per node: rank `r` lives on node `r / ranks_per_node`.
+    ranks_per_node: usize,
     /// The job traces (its spec carries a [`TraceConfig`]).
     traced: bool,
     pub(crate) ranks: Vec<Mutex<Recorder>>,
@@ -488,16 +489,17 @@ pub struct TraceState {
 }
 
 impl TraceState {
-    /// Trace state for a job whose rank `r` lives on node `node_of[r]`,
-    /// its rings sized once from the job's configuration. An untraced
-    /// job (`cfg` is `None`) gets capacity-0 rings that record nothing.
-    pub fn new(node_of: Vec<usize>, cfg: Option<&TraceConfig>) -> TraceState {
+    /// Trace state for a job of `ranks` ranks in block placement (rank
+    /// `r` lives on node `r / ranks_per_node`), its rings sized once from
+    /// the job's configuration. An untraced job (`cfg` is `None`) gets
+    /// capacity-0 rings that record nothing.
+    pub fn new(ranks: usize, ranks_per_node: usize, cfg: Option<&TraceConfig>) -> TraceState {
+        assert!(ranks_per_node > 0, "a node hosts at least one rank");
         let capacity = cfg.map_or(0, |c| c.capacity);
-        let n = node_of.len();
         TraceState {
-            node_of,
+            ranks_per_node,
             traced: cfg.is_some(),
-            ranks: (0..n).map(|_| Mutex::new(Recorder::new(capacity))).collect(),
+            ranks: (0..ranks).map(|_| Mutex::new(Recorder::new(capacity))).collect(),
             sched: Mutex::new(Recorder::new(capacity)),
         }
     }
@@ -540,7 +542,7 @@ impl TraceState {
                 let rec = rec.lock();
                 RankTrace {
                     rank,
-                    node: self.node_of[rank],
+                    node: rank / self.ranks_per_node,
                     events: rec.events(),
                     dropped: rec.dropped(),
                 }
@@ -611,7 +613,7 @@ mod tests {
 
     #[test]
     fn unconfigured_state_records_nothing_and_snapshots_none() {
-        let st = TraceState::new(vec![0], None);
+        let st = TraceState::new(1, 1, None);
         st.record_rank(0, 5, EventKind::RankWake);
         assert!(st.snapshot().is_none());
         assert_eq!(st.events_recorded(), 0, "capacity-0 rings drop everything");
@@ -623,7 +625,7 @@ mod tests {
         // interleaving of threads must be invisible: every rank stream
         // comes back exactly as its rank wrote it, in program order.
         let cfg = TraceConfig { capacity: 64, ..TraceConfig::default() };
-        let st = Arc::new(TraceState::new((0..8).collect(), Some(&cfg)));
+        let st = Arc::new(TraceState::new(8, 1, Some(&cfg)));
         std::thread::scope(|s| {
             for rank in 0..8usize {
                 let st = Arc::clone(&st);

@@ -419,16 +419,16 @@ mod tests {
     #[test]
     fn trace_state_restore_validates_rank_count() {
         let cfg = crate::TraceConfig::default();
-        let st = TraceState::new(vec![0, 0], Some(&cfg));
+        let st = TraceState::new(2, 2, Some(&cfg));
         st.record_rank(0, 1, EventKind::RankWake);
         let mut bytes = Vec::new();
         st.save_state(&mut bytes);
 
-        let same = TraceState::new(vec![0, 0], Some(&cfg));
+        let same = TraceState::new(2, 2, Some(&cfg));
         same.restore_state(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(same.events_recorded(), st.events_recorded());
 
-        let smaller = TraceState::new(vec![0], Some(&cfg));
+        let smaller = TraceState::new(1, 1, Some(&cfg));
         assert!(smaller.restore_state(&mut Reader::new(&bytes)).is_err());
     }
 }

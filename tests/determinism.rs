@@ -280,6 +280,55 @@ fn large_rank_dumps_are_thread_count_invariant() {
     assert_eq!(serial, par, "dumps not byte-identical at 4 threads");
 }
 
+/// Fan-in: every rank but 0 sends rank 0 three tagged messages, which
+/// rank 0 takes with a wildcard source. Same-node senders rotate at every
+/// send and workers on different nodes push concurrently, so the phase
+/// outbox holds the sends interleaved; returns what rank 0 received, as
+/// (sender, sequence number) pairs.
+async fn fan_in_rank(mut ctx: bgp::RankCtx) -> (bgp::RankCtx, Vec<(u8, u8)>) {
+    const TAG: u32 = 7;
+    let mut got = Vec::new();
+    if ctx.rank() == 0 {
+        for _ in 0..3 * (ctx.size() - 1) {
+            let m = ctx.recv(None, TAG).await;
+            got.push((m[0], m[1]));
+        }
+    } else {
+        for seq in 0..3u8 {
+            ctx.fp1(bgp::mpi::SemOp::Add);
+            let msg = vec![ctx.rank() as u8, seq];
+            ctx.send(0, TAG, msg).await;
+        }
+    }
+    ctx.barrier().await;
+    (ctx, got)
+}
+
+fn run_fan_in(threads: usize) -> (Vec<(u8, u8)>, Vec<Vec<u8>>) {
+    let mut spec = JobSpec::new(16, OpMode::VirtualNode);
+    spec.sim_threads = Some(threads);
+    let machine = Machine::new(spec);
+    let (mut out, lib) = run_instrumented(&machine, fan_in_rank);
+    let dumps = (0..machine.num_nodes())
+        .map(|n| lib.encoded_dump(n).expect("node finalized"))
+        .collect();
+    (out.swap_remove(0), dumps)
+}
+
+/// Messages reach their receiver in (sender rank, send order), however
+/// the senders' pushes interleaved, and the dumps are byte-identical
+/// across thread counts.
+#[test]
+fn fan_in_delivers_in_sender_rank_and_send_order() {
+    let want: Vec<(u8, u8)> =
+        (1..16u8).flat_map(|src| (0..3u8).map(move |seq| (src, seq))).collect();
+    let (serial_order, serial) = run_fan_in(1);
+    assert_eq!(serial_order, want, "1 thread: delivery out of canonical order");
+    let (par_order, par) = run_fan_in(4);
+    assert_eq!(par_order, want, "4 threads: delivery out of canonical order");
+    assert_eq!(serial, par, "dumps not byte-identical at 4 threads");
+}
+
 /// Stress test for the phase-merge path (loom is not available in this
 /// workspace, so we substitute repetition): the same faulted job runs
 /// many times at the maximum thread count, where OS scheduling shuffles
