@@ -143,6 +143,16 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// If the unread input starts with `expected`, consume it and return
+    /// `true`; otherwise leave the cursor where it is and return `false`.
+    pub fn skip_if(&mut self, expected: &[u8]) -> bool {
+        let hit = self.buf[self.pos..].starts_with(expected);
+        if hit {
+            self.pos += expected.len();
+        }
+        hit
+    }
+
     /// Read a `u8`.
     pub fn u8(&mut self, what: &str) -> Result<u8> {
         Ok(self.take(1, what)?[0])

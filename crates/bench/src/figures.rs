@@ -697,8 +697,8 @@ pub fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
 
     // Config `false` drives the per-op walk, `true` the batched engine.
     let engines = best_of_reps(&[false, true], scale.reps(), |&batched| {
-        let cfg = MachineConfig::default();
-        let mut node = Node::new(NodeId(0), &cfg, OpMode::VirtualNode, CounterMode::Mode2);
+        let cfg = std::sync::Arc::new(MachineConfig::default());
+        let mut node = Node::new(NodeId(0), cfg, OpMode::VirtualNode, CounterMode::Mode2);
         node.upc_mut().set_enabled(true);
         let t0 = Instant::now();
         if batched {

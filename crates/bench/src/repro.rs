@@ -355,10 +355,10 @@ fn memthroughput(scale: Scale) -> Outcome {
 /// `fig_ext_fullmachine`'s per-rank peak-RSS budget (bytes). The probe
 /// kernel keeps every simulated cache cold, so anything above this is
 /// runtime overhead. Nodes build the hardware a job may never use (the
-/// threshold bank, prefetch stream tables, cache arrays) on first use,
-/// and a rank's future holds only its hot context, which puts the
-/// 73,728-node point near 2.75 KB/rank.
-const RANK_RSS_BUDGET: f64 = 3.0 * 1024.0;
+/// memory hierarchy, the threshold bank) on first use, and a rank's
+/// future holds only its hot context, which puts the 73,728-node point
+/// near 2.1 KB/rank.
+const RANK_RSS_BUDGET: f64 = 2.25 * 1024.0;
 
 /// Full-machine scaling of the multiplexed rank runtime, up to 73,728
 /// nodes / 294,912 ranks; recorded in `BENCH_fullmachine.json`. Bound:
@@ -400,7 +400,7 @@ fn fullmachine(scale: Scale) -> Outcome {
     let verdict = bound(
         verified && last.rss_per_rank_bytes <= RANK_RSS_BUDGET,
         format!(
-            "every rank sum verified: {verified}; peak RSS {:.2} KB/rank at {} ranks (budget {:.0} KB)",
+            "every rank sum verified: {verified}; peak RSS {:.2} KB/rank at {} ranks (budget {:.2} KB)",
             last.rss_per_rank_bytes / 1024.0,
             last.ranks,
             RANK_RSS_BUDGET / 1024.0

@@ -177,29 +177,56 @@ impl RecoveredDump {
 
 /// Encode a dump (always writes the current [`VERSION`]).
 pub fn encode(dump: &NodeDump) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(HEADER_BYTES + dump.sets.len() * SET_RECORD_BYTES + 8);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&dump.node.to_le_bytes());
-    out.push(dump.mode.index() as u8);
-    out.extend_from_slice(&(dump.sets.len() as u32).to_le_bytes());
+    let mut enc = Encoder::new(dump.node, dump.mode, dump.sets.len());
     for s in &dump.sets {
-        assert_eq!(s.counts.len(), NUM_COUNTERS, "a set always carries 256 counters");
-        let start = out.len();
-        out.extend_from_slice(&s.id.to_le_bytes());
-        out.extend_from_slice(&s.records.to_le_bytes());
-        for c in &s.counts {
-            out.extend_from_slice(&c.to_le_bytes());
+        enc.set(s.id, s.records, &s.counts);
+    }
+    enc.finish()
+}
+
+/// Writes a dump set by set, from counts the caller keeps: the counter
+/// library encodes a node's dump straight from its windows this way.
+pub(crate) struct Encoder {
+    out: Vec<u8>,
+    /// Sets still to come.
+    left: usize,
+}
+
+impl Encoder {
+    /// A dump of `n_sets` sets for `node`, whose header advertises `mode`.
+    pub(crate) fn new(node: u32, mode: CounterMode, n_sets: usize) -> Encoder {
+        let mut out = Vec::with_capacity(HEADER_BYTES + n_sets * SET_RECORD_BYTES + 8);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&node.to_le_bytes());
+        out.push(mode.index() as u8);
+        out.extend_from_slice(&(n_sets as u32).to_le_bytes());
+        Encoder { out, left: n_sets }
+    }
+
+    /// Append the next set record.
+    pub(crate) fn set(&mut self, id: u32, records: u32, counts: &[u64]) {
+        assert_eq!(counts.len(), NUM_COUNTERS, "a set always carries 256 counters");
+        self.left = self.left.checked_sub(1).expect("more sets than the header declares");
+        let start = self.out.len();
+        self.out.extend_from_slice(&id.to_le_bytes());
+        self.out.extend_from_slice(&records.to_le_bytes());
+        for c in counts {
+            self.out.extend_from_slice(&c.to_le_bytes());
         }
         // Per-set checksum over the set's own bytes, so each record is
         // independently verifiable.
-        let sum = checksum(&out[start..]);
-        out.extend_from_slice(&sum.to_le_bytes());
+        let sum = checksum(&self.out[start..]);
+        self.out.extend_from_slice(&sum.to_le_bytes());
     }
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+
+    /// Append the file checksum and return the encoded dump.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        assert_eq!(self.left, 0, "fewer sets than the header declares");
+        let sum = checksum(&self.out);
+        self.out.extend_from_slice(&sum.to_le_bytes());
+        self.out
+    }
 }
 
 /// Decode and integrity-check a dump, strictly.

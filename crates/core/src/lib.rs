@@ -19,8 +19,8 @@
 //!   ([`bgp_mpi::CounterPolicy::EvenOdd`]), doubling event coverage of an
 //!   SPMD job. Each node's mode comes from its counter-mode schedule in
 //!   [`bgp_mpi::mux`], a one-mode schedule here; the library reads every
-//!   counting window as the difference of two schedule marks, the same
-//!   way for static and multiplexed policies.
+//!   counting window as the schedule's totals at stop minus its start
+//!   mark, the same way for static and multiplexed policies.
 //! * **Tiny overhead** — initialize + start + stop together charge
 //!   [`TOTAL_OVERHEAD_CYCLES`] (= 196, the number the paper measured
 //!   against the Time Base register). Dump assembly happens after
@@ -45,9 +45,9 @@ use bgp_arch::events::{CounterMode, NUM_COUNTERS, NUM_MODES};
 use bgp_arch::BgpError;
 use bgp_arch::sync::Mutex;
 use bgp_faults::CounterFault;
-use bgp_mpi::{JobSpec, Machine, MuxMark, RankCtx};
+use bgp_mpi::{CounterPolicy, JobSpec, Machine, MuxMark, RankCtx};
 use bgp_trace::{EventKind, FaultEvent};
-use dump::{NodeDump, RecoveredDump, SetDump};
+use dump::{NodeDump, RecoveredDump};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -73,12 +73,16 @@ pub const WHOLE_PROGRAM_SET: u32 = 0;
 
 #[derive(Default)]
 struct SetState {
-    /// Schedule mark taken at the open window's first `BGP_Start`.
+    /// Schedule mark taken at the open window's first `BGP_Start`. It
+    /// holds no totals when they are all zero, as in every first window
+    /// after `BGP_Initialize` (the unit was just cleared and idle).
     start: Option<MuxMark>,
-    /// The closed windows, accumulated mark to mark: counts per mode
-    /// the node's schedule visits, plus per-mode phases and job cycles
-    /// (the occupancy weights reconstruction scales by — phases vary in
-    /// length, cycles are the honest time base).
+    /// The closed windows, accumulated from start mark to stop: counts
+    /// per mode the node's schedule visits, plus per-mode phases and job
+    /// cycles (the occupancy weights reconstruction scales by — phases
+    /// vary in length, cycles are the honest time base). Released once
+    /// `BGP_Finalize` encodes them into the node's dump, which is then
+    /// their only copy (the [`state`] module re-derives them from it).
     window: MuxMark,
     records: u32,
 }
@@ -100,6 +104,13 @@ impl NodeState {
     /// Where set `id` sits in `sets`, or where it would be inserted.
     fn find_set(&self, id: u32) -> std::result::Result<usize, usize> {
         self.sets.binary_search_by_key(&id, |&(k, _)| k)
+    }
+
+    /// Insert set `id` at `i` (from [`NodeState::find_set`]), growing the
+    /// table by exactly one entry: most nodes hold one set.
+    fn insert_set(&mut self, i: usize, id: u32, set: SetState) {
+        self.sets.reserve_exact(1);
+        self.sets.insert(i, (id, set));
     }
 }
 
@@ -206,6 +217,12 @@ impl CounterLibrary {
                     "BGP_Start before BGP_Initialize".into(),
                 ));
             }
+            // No dump would carry a window opened now.
+            if st.dump.is_some() {
+                return Err(BgpError::protocol(format!(
+                    "BGP_Start({set}) on node {node} after BGP_Finalize wrote its dump"
+                )));
+            }
             match st.active_set {
                 None => {
                     st.active_set = Some(set);
@@ -217,7 +234,7 @@ impl CounterLibrary {
                     ctx.with_own_node(|n| n.upc_mut().set_enabled(true));
                     let mark = ctx.machine().mux_mark(node);
                     let i = st.find_set(set).unwrap_or_else(|i| {
-                        st.sets.insert(i, (set, SetState::default()));
+                        st.insert_set(i, set, SetState::default());
                         i
                     });
                     st.sets[i].1.start = Some(mark);
@@ -244,11 +261,10 @@ impl CounterLibrary {
 
     /// `BGP_Stop(set)`: close the counting window. The last rank of the
     /// node to stop disables the unit ("monitoring of counters is
-    /// stopped after the BGP_Stop()"), takes the closing mark and
-    /// accumulates the window into the set. Reached through
-    /// [`Session::stop`].
+    /// stopped after the BGP_Stop()") and adds the counts since the start
+    /// mark into the set's window. Reached through [`Session::stop`].
     pub(crate) fn stop_impl(&self, ctx: &mut RankCtx, set: u32) -> Result<()> {
-        // Charge before the closing mark so the call's own cost is
+        // Charge before the window closes so the call's own cost is
         // visible to the counters exactly once (the paper includes
         // start/stop cost in its 196-cycle figure).
         ctx.charge_cycles(STOP_CYCLES);
@@ -265,7 +281,7 @@ impl CounterLibrary {
                     // Fault injection: planned counter faults strike as
                     // the window closes — a bit flip in the counter
                     // SRAM, or a counter pegged at the saturation
-                    // ceiling — so they land in the closing mark.
+                    // ceiling — so they land in the closing window.
                     if let Some(plan) = &self.spec.faults {
                         for f in plan.counter_faults(node as u32) {
                             ctx.with_own_node(|n| match f {
@@ -287,11 +303,10 @@ impl CounterLibrary {
                         }
                     }
                     ctx.with_own_node(|n| n.upc_mut().set_enabled(false));
-                    let stop = ctx.machine().mux_mark(node);
                     let i = st.find_set(set).expect("set created at start");
                     let s = &mut st.sets[i].1;
                     let start = s.start.take().expect("start mark present");
-                    s.window.accumulate(&start, &stop);
+                    ctx.machine().mux_close_window(node, &start, &mut s.window);
                     s.records += 1;
                     st.active_set = None;
                 }
@@ -307,10 +322,10 @@ impl CounterLibrary {
         }
     }
 
-    /// `BGP_Finalize()`: after the last rank of a node arrives, assemble
-    /// the node's binary dump. Charged after counting is disabled, so the
-    /// "printing" cost never pollutes the data. Reached through
-    /// [`Session::finalize`].
+    /// `BGP_Finalize()`: after the last rank of a node arrives, encode
+    /// the node's binary dump straight from its windows and release
+    /// them. Charged after counting is disabled, so the "printing" cost
+    /// never pollutes the data. Reached through [`Session::finalize`].
     pub(crate) fn finalize_impl(&self, ctx: &mut RankCtx) -> Result<()> {
         let node = ctx.node_id().0;
         {
@@ -331,41 +346,33 @@ impl CounterLibrary {
                 // block the primary sets report (under rotation the unit
                 // sits in whatever mode the last dwell left it).
                 let mode = ctx.machine().home_mode(node);
-                let mut sets: Vec<SetDump> = st
-                    .sets
-                    .iter()
-                    .map(|(id, s)| SetDump {
-                        id: *id,
-                        records: s.records,
-                        counts: s.window.block(mode).to_vec(),
-                    })
-                    .collect();
+                let rotating = st.sets.iter().filter(|(_, s)| s.window.rotates()).count();
+                let n_sets = st.sets.len() + rotating * (NUM_MODES + 1);
+                let mut enc = dump::Encoder::new(node as u32, mode, n_sets);
+                for (id, s) in &st.sets {
+                    enc.set(*id, s.records, s.window.block(mode));
+                }
                 // Rotating schedules add synthetic per-mode sets: the raw
                 // block each mode observed, with the mode's occupancy as
                 // the record count (see [`dump::MUX_SET_BASE`]).
                 for (id, s) in st.sets.iter().filter(|(_, s)| s.window.rotates()) {
                     for (m, &mode) in CounterMode::ALL.iter().enumerate() {
-                        sets.push(SetDump {
-                            id: dump::mux_set_id(*id, m),
-                            records: s.window.occupancy[m].min(u64::from(u32::MAX)) as u32,
-                            counts: s.window.block(mode).to_vec(),
-                        });
+                        let occupancy = s.window.occupancy[m].min(u64::from(u32::MAX)) as u32;
+                        enc.set(dump::mux_set_id(*id, m), occupancy, s.window.block(mode));
                     }
                     // Schedule set: per-mode enabled job cycles (the
                     // honest occupancy weight — dwell phases vary wildly
                     // in length) and enabled phase counts (see
                     // [`dump::MUX_SCHED_BASE`]).
-                    let mut counts = vec![0u64; NUM_COUNTERS];
+                    let mut counts = [0u64; NUM_COUNTERS];
                     counts[..NUM_MODES].copy_from_slice(&s.window.cycles);
                     counts[NUM_MODES..2 * NUM_MODES].copy_from_slice(&s.window.occupancy);
-                    sets.push(SetDump {
-                        id: dump::mux_sched_id(*id),
-                        records: 1,
-                        counts,
-                    });
+                    enc.set(dump::mux_sched_id(*id), 1, &counts);
                 }
-                let d = NodeDump { node: node as u32, mode, sets };
-                let encoded = dump::encode(&d);
+                let encoded = enc.finish();
+                for (_, s) in &mut st.sets {
+                    s.window = MuxMark::default();
+                }
                 ctx.trace_event(EventKind::CounterDump { bytes: encoded.len() as u64 });
                 st.dump = Some(encoded);
             }
@@ -373,6 +380,12 @@ impl CounterLibrary {
         ctx.charge_cycles(FINALIZE_CYCLES);
         ctx.trace_event(EventKind::SessionFinalize);
         Ok(())
+    }
+
+    /// Whether this job's schedules rotate, so that its marks cover
+    /// every mode's totals rather than the home mode's.
+    fn rotates(&self) -> bool {
+        matches!(self.spec.counter_policy, CounterPolicy::Multiplexed { .. })
     }
 
     /// Decoded dumps of all nodes (available after every rank finalized).

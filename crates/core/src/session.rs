@@ -217,6 +217,24 @@ mod tests {
         }
     }
 
+    /// A node's dump is written once, at its last `BGP_Finalize`; a
+    /// window opened after it would count into no dump, so it is refused.
+    #[test]
+    fn start_after_finalize_is_refused() {
+        let m = fixed(2, OpMode::Smp1, CounterMode::Mode0);
+        let errs = m.run(|mut ctx| async move {
+            let s = Session::initialize(&mut ctx);
+            s.start(1).unwrap().stop().unwrap().finalize().unwrap();
+            Session::initialize(&mut ctx).start(2).err().expect("start after finalize")
+        });
+        for (node, e) in errs.iter().enumerate() {
+            assert!(matches!(e, bgp_arch::BgpError::Protocol(_)), "{e}");
+            assert!(e.to_string().contains(&format!("node {node}")), "{e}");
+        }
+        let dumps = CounterLibrary::for_machine(&m).dumps().unwrap();
+        assert!(dumps.iter().all(|d| d.set(2).is_none()), "no dump gained a set");
+    }
+
     #[test]
     fn consecutive_sets_accumulate_separately() {
         let m = Machine::new(JobSpec::new(1, OpMode::Smp1));

@@ -8,10 +8,16 @@
 //! Instead the whole `Vec<NodeState>` is serialized into the snapshot's
 //! `app:counters` section at capture and spliced back wholesale at
 //! go-live, discarding whatever the replay built.
+//!
+//! The section spells out what memory holds more compactly: a start
+//! mark without totals is written as its zero totals, and a finalized
+//! node's windows, released once its dump was encoded, are re-derived
+//! from that dump. Restore keeps both compact again, and refuses a
+//! finalized node whose windows disagree with its dump.
 
 use crate::{dump, CounterLibrary, NodeState, SetState};
 use bgp_arch::error::{BgpError, Result};
-use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS};
+use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS, NUM_MODES};
 use bgp_arch::wire::{put_bool, put_bytes, put_u32, put_u64, put_u64s, put_u8, Reader};
 use bgp_mpi::machine::AppState;
 use bgp_mpi::MuxMark;
@@ -19,8 +25,16 @@ use bgp_mpi::MuxMark;
 /// The library's app-state name: its snapshot section is `app:counters`.
 pub(crate) const NAME: &str = "counters";
 
-fn save_mark(out: &mut Vec<u8>, mark: &MuxMark) {
-    put_u64s(out, &mark.totals);
+/// Write `mark`; a mark without totals as `width` zeros when `width` is
+/// given (a start mark), as no totals otherwise (a window none closed).
+fn save_mark(out: &mut Vec<u8>, mark: &MuxMark, width: Option<usize>) {
+    match width {
+        Some(width) if mark.totals.is_empty() => {
+            put_u64(out, width as u64);
+            out.resize(out.len() + width * 8, 0);
+        }
+        _ => put_u64s(out, &mark.totals),
+    }
     for &v in mark.occupancy.iter().chain(&mark.cycles) {
         put_u64(out, v);
     }
@@ -40,17 +54,45 @@ fn load_mark(r: &mut Reader<'_>) -> Result<MuxMark> {
     Ok(mark)
 }
 
-fn save_set(out: &mut Vec<u8>, id: u32, s: &SetState) {
+fn save_set(out: &mut Vec<u8>, id: u32, s: &SetState, window: &MuxMark, width: usize) {
     put_u32(out, id);
     put_u32(out, s.records);
     match &s.start {
         Some(mark) => {
             put_u8(out, 1);
-            save_mark(out, mark);
+            save_mark(out, mark, Some(width));
         }
         None => put_u8(out, 0),
     }
-    save_mark(out, &s.window);
+    save_mark(out, window, None);
+}
+
+/// The windows of `st`'s sets as encoded in its dump `bytes`: each set's
+/// primary counts, or, when the schedule rotates, its four mode blocks
+/// with the schedule set's per-mode cycles and phases.
+fn windows_in_dump(st: &NodeState, bytes: &[u8], rotates: bool) -> Result<Vec<MuxMark>> {
+    let d = dump::decode(bytes)?;
+    let counts = |id: u32| {
+        d.set(id)
+            .map(|s| s.counts.as_slice())
+            .ok_or_else(|| BgpError::corrupt(format!("node {} dump lacks set {id:#x}", d.node)))
+    };
+    st.sets
+        .iter()
+        .map(|&(id, _)| {
+            if !rotates {
+                return Ok(MuxMark { totals: counts(id)?.to_vec(), ..MuxMark::default() });
+            }
+            let mut mark = MuxMark { totals: Vec::with_capacity(NUM_EVENTS), ..MuxMark::default() };
+            for m in 0..NUM_MODES {
+                mark.totals.extend_from_slice(counts(dump::mux_set_id(id, m))?);
+            }
+            let sched = counts(dump::mux_sched_id(id))?;
+            mark.cycles.copy_from_slice(&sched[..NUM_MODES]);
+            mark.occupancy.copy_from_slice(&sched[NUM_MODES..2 * NUM_MODES]);
+            Ok(mark)
+        })
+        .collect()
 }
 
 /// A set id at or above [`dump::SET_ID_LIMIT`] cannot have come from
@@ -77,7 +119,9 @@ fn load_set(r: &mut Reader<'_>) -> Result<(u32, SetState)> {
     Ok((id, SetState { start, window: load_mark(r)?, records }))
 }
 
-fn save_node(out: &mut Vec<u8>, st: &NodeState) {
+/// Write `st` of a job whose schedules rotate (see
+/// [`CounterLibrary::rotates`]) or not.
+fn save_node(out: &mut Vec<u8>, st: &NodeState, rotates: bool) {
     put_bool(out, st.initialized);
     put_u64(out, st.init_arrivals as u64);
     match st.active_set {
@@ -91,8 +135,13 @@ fn save_node(out: &mut Vec<u8>, st: &NodeState) {
     put_u64(out, st.stop_arrivals as u64);
     put_u64(out, st.finalize_arrivals as u64);
     put_u64(out, st.sets.len() as u64);
-    for (id, s) in &st.sets {
-        save_set(out, *id, s);
+    let released = st.dump.as_ref().map(|d| {
+        windows_in_dump(st, d, rotates).expect("a finalized node's dump holds its windows")
+    });
+    let width = if rotates { NUM_EVENTS } else { NUM_COUNTERS };
+    for (k, (id, s)) in st.sets.iter().enumerate() {
+        let window = released.as_ref().map_or(&s.window, |w| &w[k]);
+        save_set(out, *id, s, window, width);
     }
     match &st.dump {
         Some(d) => {
@@ -128,7 +177,7 @@ fn load_node(r: &mut Reader<'_>) -> Result<NodeState> {
         let (id, s) = load_set(r)?;
         match st.find_set(id) {
             Ok(_) => return Err(BgpError::corrupt(format!("duplicate set {id}"))),
-            Err(i) => st.sets.insert(i, (id, s)),
+            Err(i) => st.insert_set(i, id, s),
         }
     }
     st.dump = match r.u8("dump tag")? {
@@ -137,6 +186,30 @@ fn load_node(r: &mut Reader<'_>) -> Result<NodeState> {
         t => return Err(BgpError::corrupt(format!("bad dump tag {t}"))),
     };
     Ok(st)
+}
+
+/// Bring a loaded node to its in-memory form: drop all-zero start-mark
+/// totals and, once the node is finalized, release its windows after
+/// checking them against its dump (the capture re-derives them from it).
+fn compact(st: &mut NodeState, rotates: bool) -> Result<()> {
+    for (_, s) in &mut st.sets {
+        if let Some(start) = &mut s.start {
+            if start.totals.iter().all(|&v| v == 0) {
+                start.totals = Vec::new();
+            }
+        }
+    }
+    let Some(bytes) = &st.dump else { return Ok(()) };
+    let derived = windows_in_dump(st, bytes, rotates)?;
+    for ((id, s), w) in st.sets.iter_mut().zip(derived) {
+        if s.window != w {
+            return Err(BgpError::corrupt(format!(
+                "set {id}'s window disagrees with its node's dump"
+            )));
+        }
+        s.window = MuxMark::default();
+    }
+    Ok(())
 }
 
 impl AppState for CounterLibrary {
@@ -149,7 +222,7 @@ impl AppState for CounterLibrary {
         let mut out = Vec::new();
         put_u64(&mut out, nodes.len() as u64);
         for st in nodes.iter() {
-            save_node(&mut out, st);
+            save_node(&mut out, st, self.rotates());
         }
         out
     }
@@ -159,7 +232,9 @@ impl AppState for CounterLibrary {
         let n = r.u64("node count")? as usize;
         let mut fresh = Vec::with_capacity(n);
         for _ in 0..n {
-            fresh.push(load_node(&mut r)?);
+            let mut st = load_node(&mut r)?;
+            compact(&mut st, self.rotates())?;
+            fresh.push(st);
         }
         r.expect_end("counter-library state")?;
         let mut nodes = self.nodes.lock();
@@ -207,13 +282,134 @@ mod tests {
             };
             let set = SetState { start: Some(start), window, records: 5 };
             st.sets.push((7, set));
-            nodes[0].dump = Some(vec![1, 2, 3]);
+            let empty = dump::NodeDump { node: 0, mode: CounterMode::Mode1, sets: Vec::new() };
+            nodes[0].dump = Some(dump::encode(&empty));
         }
         let bytes = lib.save();
         let m2 = Machine::new(spec);
         let lib2 = CounterLibrary::for_machine(&m2);
         lib2.restore(&bytes).unwrap();
         assert_eq!(lib2.save(), bytes);
+    }
+
+    /// Every set window of every node in an `app:counters` section.
+    fn windows(bytes: &[u8]) -> Vec<Vec<MuxMark>> {
+        let mut r = Reader::new(bytes);
+        let n = r.u64("node count").unwrap();
+        let nodes = (0..n).map(|_| load_node(&mut r).unwrap());
+        nodes.map(|st| st.sets.into_iter().map(|(_, s)| s.window).collect()).collect()
+    }
+
+    /// The library holds a zero start mark and a finalized node's windows
+    /// without their totals, yet writes them in full, under every kind of
+    /// policy: the open window's marks as zeros, the finalized windows as
+    /// they were before finalize released them. Restore takes both back to
+    /// the compact form, and saves the same bytes again.
+    #[test]
+    fn compact_marks_and_released_windows_round_trip() {
+        let policies = [
+            CounterPolicy::Fixed(CounterMode::Mode2),
+            CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode3 },
+            CounterPolicy::Multiplexed { first: CounterMode::Mode1, base_dwell: 2 },
+        ];
+        for policy in policies {
+            let mut spec = JobSpec::new(2, OpMode::Smp1);
+            spec.counter_policy = policy;
+            let width = if matches!(policy, CounterPolicy::Multiplexed { .. }) {
+                NUM_EVENTS
+            } else {
+                NUM_COUNTERS
+            };
+            let m = Machine::new(spec.clone());
+            let lib = CounterLibrary::for_machine(&m);
+            let held = |lib: &CounterLibrary| -> Vec<(usize, usize)> {
+                let nodes = lib.nodes.lock();
+                let set = |st: &NodeState| {
+                    let s = &st.sets[0].1;
+                    (s.start.as_ref().map_or(0, |m| m.totals.len()), s.window.totals.len())
+                };
+                nodes.iter().map(set).collect()
+            };
+            let lib2 = Arc::clone(&lib);
+            let out = m.run(move |mut ctx| {
+                let lib = Arc::clone(&lib2);
+                async move {
+                    let ctx = &mut ctx;
+                    lib.initialize_impl(ctx);
+                    lib.start_impl(ctx, 3).unwrap();
+                    ctx.allreduce_sum_f64(&[1.0]).await;
+                    let open = (ctx.rank() == 0).then(|| (lib.save(), held(&lib)));
+                    for _ in 0..8 {
+                        ctx.fp1(bgp_mpi::SemOp::MulAdd);
+                        ctx.allreduce_sum_f64(&[1.0]).await;
+                    }
+                    lib.stop_impl(ctx, 3).unwrap();
+                    ctx.allreduce_sum_f64(&[1.0]).await;
+                    let closed = (ctx.rank() == 0).then(|| lib.save());
+                    ctx.allreduce_sum_f64(&[1.0]).await;
+                    lib.finalize_impl(ctx).unwrap();
+                    (open, closed)
+                }
+            });
+            let (open, held_open) = out[0].0.clone().unwrap();
+            let closed = out[0].1.clone().unwrap();
+            let finalized = lib.save();
+
+            // Open zero start marks: held empty, written as zeros.
+            assert_eq!(held_open, vec![(0, 0); 2], "{policy:?}");
+            let mut r = Reader::new(&open);
+            r.u64("node count").unwrap();
+            let st = load_node(&mut r).unwrap();
+            let start = st.sets[0].1.start.as_ref().unwrap();
+            assert_eq!(start.totals, vec![0; width], "{policy:?}");
+
+            // Finalized: windows released, written as before the release.
+            assert_eq!(held(&lib), vec![(0, 0); 2], "{policy:?}");
+            assert_eq!(windows(&finalized), windows(&closed), "{policy:?}");
+            assert!(windows(&closed).iter().flatten().all(|w| w.totals.len() == width));
+
+            for bytes in [&open, &closed, &finalized] {
+                let back = CounterLibrary::for_machine(&Machine::new(spec.clone()));
+                back.restore(bytes).unwrap();
+                assert_eq!(&back.save(), bytes, "{policy:?}");
+                if bytes != &closed {
+                    assert_eq!(held(&back), vec![(0, 0); 2], "{policy:?}: restored compact");
+                }
+            }
+        }
+    }
+
+    /// A finalized node's windows must be the ones its dump encodes: the
+    /// capture writes them from the dump, so a section where they differ
+    /// is refused.
+    #[test]
+    fn restore_refuses_windows_that_disagree_with_the_dump() {
+        let spec = JobSpec::new(1, OpMode::Smp1);
+        let m = Machine::new(spec.clone());
+        let (_, honest) = crate::run_instrumented(&m, |mut ctx| async move {
+            ctx.fp1(bgp_mpi::SemOp::Add);
+            (ctx, ())
+        });
+        let mut window = MuxMark { totals: vec![0; NUM_COUNTERS], ..MuxMark::default() };
+        window.totals[5] = 1;
+        let forged = NodeState {
+            initialized: true,
+            init_arrivals: 1,
+            finalize_arrivals: 1,
+            sets: vec![(0, SetState { start: None, window, records: 1 })],
+            ..NodeState::default()
+        };
+        let mut bytes = Vec::new();
+        put_u64(&mut bytes, 1);
+        save_node(&mut bytes, &forged, false);
+        bytes.pop(); // the "no dump" tag: splice in the honest dump
+        put_u8(&mut bytes, 1);
+        put_bytes(&mut bytes, &honest.encoded_dump(0).unwrap());
+        let victim = CounterLibrary::for_machine(&Machine::new(spec));
+        let err = victim.restore(&bytes).unwrap_err();
+        assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("disagrees with its node's dump"), "{err}");
+        victim.restore(&honest.save()).unwrap();
     }
 
     /// Truncation at any byte boundary must surface as a corrupt-data
@@ -259,7 +455,7 @@ mod tests {
             };
             let mut out = Vec::new();
             put_u64(&mut out, 1);
-            save_node(&mut out, &st);
+            save_node(&mut out, &st, false);
             out
         };
         lib.restore(&encode(&[9, 2, 5])).unwrap();
@@ -278,7 +474,7 @@ mod tests {
         let encode = |st: &NodeState| {
             let mut out = Vec::new();
             put_u64(&mut out, 1);
-            save_node(&mut out, st);
+            save_node(&mut out, st, false);
             out
         };
         let set = NodeState {

@@ -198,7 +198,10 @@ impl MemStats {
 
 /// The complete memory system of one node.
 pub struct MemorySystem {
-    cfg: MachineConfig,
+    /// L2-hit latency (cycles), also charged for an L1-I miss.
+    lat_l2: u64,
+    /// L3-hit latency (cycles).
+    lat_l3: u64,
     l1d: [Cache; CORES_PER_NODE],
     l1i: [Cache; CORES_PER_NODE],
     l2: [Cache; CORES_PER_NODE],
@@ -338,7 +341,8 @@ impl MemorySystem {
             ddr: (0..cfg.l3_banks)
                 .map(|_| DdrController::new(cfg.lat_ddr, cfg.lat_ddr_conflict))
                 .collect(),
-            cfg: cfg.clone(),
+            lat_l2: cfg.lat_l2,
+            lat_l3: cfg.lat_l3,
             stats: MemStats::default(),
             access_clock: 0,
             pf_scratch: PrefetchDecision::default(),
@@ -368,11 +372,6 @@ impl MemorySystem {
     /// Ground-truth statistics.
     pub fn stats(&self) -> &MemStats {
         &self.stats
-    }
-
-    /// The machine configuration this system was built with.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
     }
 
     /// One demand **data** access of `size` ≤ 32 bytes at `addr`
@@ -513,7 +512,7 @@ impl MemorySystem {
             self.stats.l1i_misses += 1;
             upc.emit(CoreEvent::L1iMiss.id(core), 1);
             self.l1i[core].fill_absent(line, false, false);
-            self.cfg.lat_l2
+            self.lat_l2
         }
     }
 
@@ -553,7 +552,7 @@ impl MemorySystem {
             self.pf[core].on_hit_into(line, &mut d);
             self.issue_prefetches(core, &d.prefetch_lines, wc);
             self.pf_scratch = d;
-            return (self.cfg.lat_l2, level);
+            return (self.lat_l2, level);
         }
         self.stats.l2_misses += 1;
         wc.l2_miss += 1;
@@ -608,7 +607,7 @@ impl MemorySystem {
         if self.l3[bank].access(bline, false).hit {
             self.stats.l3_hits += 1;
             wc.l3_hit[bank & 1] += 1;
-            return (self.cfg.lat_l3, false);
+            return (self.lat_l3, false);
         }
         self.stats.l3_misses += 1;
         wc.l3_miss[bank & 1] += 1;
@@ -814,7 +813,7 @@ mod tests {
         m.access(0, 0x1000, false, &mut upc);
         let o = m.access(0, 0x1020, false, &mut upc); // next 32 B line, same 128 B line
         assert_eq!(o.level, HitLevel::L2);
-        assert_eq!(o.stall, m.config().lat_l2);
+        assert_eq!(o.stall, small_cfg().lat_l2);
     }
 
     #[test]

@@ -433,7 +433,7 @@ impl RankCtx {
     fn arm_tracing(&mut self) {
         // The baseline memory snapshot must include everything queued.
         self.flush_pending();
-        let baseline = self.with_node(|n| *n.mem_stats());
+        let baseline = self.with_node(|n| n.mem_stats());
         self.machine.trace_window(self.rank).live.last_mem = baseline;
         self.tracing = true;
         // Surface this node's scheduled faults at the head of the
@@ -480,7 +480,7 @@ impl RankCtx {
         let (cycle, mem_now, values) = self.with_node(|n| {
             (
                 n.timebase(core),
-                sample_mem.then(|| *n.mem_stats()),
+                sample_mem.then(|| n.mem_stats()),
                 n.upc().read_slots(slots),
             )
         });

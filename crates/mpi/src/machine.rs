@@ -481,8 +481,9 @@ impl Machine {
         let n_nodes = spec.nodes();
         let dims = TorusDims::for_nodes(n_nodes);
         let mux = MuxState::new(n_nodes, &spec.counter_policy);
+        let cfg = Arc::new(spec.machine.clone());
         let nodes = NodeTable::new(n_nodes, |i| {
-            let mut node = Node::new(NodeId(i), &spec.machine, spec.mode, mux.home_mode(i));
+            let mut node = Node::new(NodeId(i), Arc::clone(&cfg), spec.mode, mux.home_mode(i));
             mux.arm(i, node.upc_mut());
             node
         });
@@ -681,12 +682,20 @@ impl Machine {
     }
 
     /// A continuity mark of `node`'s counter totals under its schedule
-    /// (see [`MuxMark`]). The counter library brackets each session
-    /// window with two marks; their difference is the window's counts.
-    /// Takes only `node`'s own locks.
+    /// (see [`MuxMark`]). The counter library opens each session window
+    /// with one and closes it with [`Machine::mux_close_window`]. Takes
+    /// only `node`'s own locks.
     pub fn mux_mark(&self, node: usize) -> MuxMark {
         let n = self.nodes[node].lock();
         self.mux.mark(node, n.upc(), n.node_cycles())
+    }
+
+    /// Add the counts since `start` (a [`Machine::mux_mark`] of `node`)
+    /// to the accumulated `window` (see [`MuxState::close_window`]).
+    /// Takes only `node`'s own locks.
+    pub fn mux_close_window(&self, node: usize, start: &MuxMark, window: &mut MuxMark) {
+        let n = self.nodes[node].lock();
+        self.mux.close_window(node, n.upc(), n.node_cycles(), start, window);
     }
 
     /// `node`'s home counter mode: the mode its dump header advertises
@@ -915,10 +924,11 @@ impl Machine {
 
         // Nodes: cores (issue/stall/instruction counters, FPU), the
         // memory hierarchy, UPC units, instruction-fetch cursors.
+        let idle_mem = std::cell::OnceCell::new();
         let mut buf = Vec::new();
         bgp_arch::wire::put_u64(&mut buf, self.nodes.len() as u64);
         for n in self.nodes.iter() {
-            n.lock().save_state(&mut buf);
+            n.lock().save_state(&mut buf, &idle_mem);
         }
         snap.add_section("nodes", buf);
 
@@ -993,9 +1003,10 @@ impl Machine {
         let mut r = bgp_arch::wire::Reader::new(bytes);
         let n = r.u64("node count").expect("node count");
         assert_eq!(n as usize, self.nodes.len(), "snapshot node count mismatch");
+        let idle_mem = std::cell::OnceCell::new();
         for node in self.nodes.iter() {
             node.lock()
-                .restore_state(&mut r)
+                .restore_state(&mut r, &idle_mem)
                 .expect("node state restore failed");
         }
         r.expect_end("nodes section").expect("trailing bytes in nodes section");
@@ -1594,15 +1605,12 @@ mod tests {
         let s = m.mux_summary().expect("mux policy has a summary");
         assert!(s.rotations > 0, "32 collectives must cross a 2-phase dwell");
         assert!(s.occupancy.iter().sum::<u64>() > 0);
-        // Marks are monotone: the stop totals dominate the start totals.
-        assert!(stop
-            .totals
-            .iter()
-            .zip(&start.totals)
-            .all(|(after, before)| after >= before));
+        // Nothing counted before the job; its counts land in every mode.
+        assert!(start.totals.is_empty(), "an all-zero mark holds no totals");
+        assert_eq!(stop.totals.len(), bgp_arch::events::NUM_EVENTS);
         let mut w = MuxMark::default();
-        w.accumulate(&start, &stop);
-        assert_eq!(w.totals.len(), bgp_arch::events::NUM_EVENTS);
+        m.mux_close_window(0, &start, &mut w);
+        assert_eq!(w.totals, stop.totals);
         assert!(w.occupancy.iter().sum::<u64>() > 0);
         assert!(
             w.cycles.iter().sum::<u64>() > 0,

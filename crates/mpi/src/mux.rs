@@ -16,10 +16,10 @@
 //!   phases and cycles spent in the mode), so `bgp-postproc` can scale
 //!   the sampled counts back up to full-run estimates with error bars.
 //!
-//! The counter library reads every session window as the difference of
-//! two [`MuxMark`]s, whatever the schedule. Rotation adapts on two
-//! signals, both read at phase granularity so the whole thing is
-//! byte-identical for every `BGP_SIM_THREADS` value:
+//! The counter library reads every session window as the schedule's
+//! totals at stop minus its start [`MuxMark`], whatever the schedule.
+//! Rotation adapts on two signals, both read at phase granularity so the
+//! whole thing is byte-identical for every `BGP_SIM_THREADS` value:
 //!
 //! * **threshold interrupts** — a small set of sentinel counter slots is
 //!   armed with UPC threshold interrupts; a firing means the current
@@ -136,15 +136,18 @@ pub struct MuxPhaseOutcome {
 }
 
 /// A point-in-time reading of a node's schedule totals, taken by the
-/// counter library at session start/stop so a window's counts are the
-/// difference of two marks (continuous across rotations). The same
-/// shape accumulates closed windows.
+/// counter library at session start so a window's counts are the
+/// difference between it and the schedule at stop (continuous across
+/// rotations, see [`MuxState::close_window`]). The same shape
+/// accumulates closed windows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MuxMark {
     /// Continuous per-event totals. A rotating schedule's cover every
     /// mode, `[mode * 256 + slot]`: harvested accumulator plus the live
     /// counters of the current mode. A one-mode schedule's are the 256
-    /// live counters of its home mode.
+    /// live counters of its home mode. Empty when every total is zero:
+    /// a mark taken right after `BGP_Initialize` cleared the unit, or an
+    /// accumulator with no closed window yet.
     pub totals: Vec<u64>,
     /// Enabled phases spent in each mode so far (rotating schedules).
     pub occupancy: [u64; NUM_MODES],
@@ -154,24 +157,6 @@ pub struct MuxMark {
 }
 
 impl MuxMark {
-    /// Add the window from `start` to `stop` into this accumulator:
-    /// counts wrap like the counters themselves, occupancy saturates.
-    /// An empty accumulator takes the marks' shape.
-    pub fn accumulate(&mut self, start: &MuxMark, stop: &MuxMark) {
-        if self.totals.is_empty() {
-            self.totals = vec![0; stop.totals.len()];
-        }
-        for ((a, stop), start) in self.totals.iter_mut().zip(&stop.totals).zip(&start.totals) {
-            *a = a.wrapping_add(stop.wrapping_sub(*start));
-        }
-        for m in 0..NUM_MODES {
-            let occ = stop.occupancy[m].saturating_sub(start.occupancy[m]);
-            self.occupancy[m] = self.occupancy[m].saturating_add(occ);
-            let cyc = stop.cycles[m].saturating_sub(start.cycles[m]);
-            self.cycles[m] = self.cycles[m].saturating_add(cyc);
-        }
-    }
-
     /// Whether the totals cover every mode (a rotating schedule's).
     pub fn rotates(&self) -> bool {
         self.totals.len() == NUM_EVENTS
@@ -182,6 +167,29 @@ impl MuxMark {
     pub fn block(&self, mode: CounterMode) -> &[u64] {
         let off = if self.rotates() { mode.index() * NUM_COUNTERS } else { 0 };
         &self.totals[off..off + NUM_COUNTERS]
+    }
+}
+
+/// How many totals a schedule's marks hold: every mode's under rotation,
+/// the home mode's otherwise.
+fn schedule_width(rot: Option<&Rotation>) -> usize {
+    if rot.is_some() {
+        NUM_EVENTS
+    } else {
+        NUM_COUNTERS
+    }
+}
+
+/// Continuous total `i` of a schedule whose UPC reads `live`: the live
+/// counter for a one-mode schedule; under rotation the harvested
+/// accumulator plus, in the current mode's block, the live counter.
+fn schedule_total(rot: Option<&Rotation>, live: &[u64; NUM_COUNTERS], i: usize) -> u64 {
+    match rot {
+        None => live[i],
+        Some(rot) if i / NUM_COUNTERS == rot.cur => {
+            rot.accum[i].wrapping_add(live[i % NUM_COUNTERS])
+        }
+        Some(rot) => rot.accum[i],
     }
 }
 
@@ -400,7 +408,8 @@ impl MuxState {
     /// A continuity mark for `node` whose UPC reads `upc`: the live
     /// counters, plus under rotation the harvested totals and the
     /// occupancy so far. The counter library takes one at session start
-    /// and one at stop; the window's counts are their difference.
+    /// and closes the window against it with [`MuxState::close_window`].
+    /// A mark whose totals are all zero holds none.
     ///
     /// `node_clock` is the node's own cycle count at the mark (a
     /// deterministic quantity, unlike the job clock mid-phase): the
@@ -412,15 +421,62 @@ impl MuxState {
     pub fn mark(&self, node: usize, upc: &Upc, node_clock: u64) -> MuxMark {
         let live = upc.snapshot();
         let st = self.nodes[node].lock();
-        let Some(rot) = st.rot.as_deref() else {
-            return MuxMark { totals: live.to_vec(), ..MuxMark::default() };
+        let rot = st.rot.as_deref();
+        let width = schedule_width(rot);
+        let total = |i| schedule_total(rot, &live, i);
+        let totals = if (0..width).all(|i| total(i) == 0) {
+            Vec::new()
+        } else {
+            (0..width).map(total).collect()
         };
-        let mut totals = rot.accum.clone();
-        fold_block(&mut totals, rot.cur, &live);
+        let (occupancy, cycles) = self.occupancy_at(rot, node_clock);
+        MuxMark { totals, occupancy, cycles }
+    }
+
+    /// Add the window from `start` (a [`MuxState::mark`] of `node`) to
+    /// now into `window`, with no closing mark: counts wrap like the
+    /// counters themselves, occupancy saturates. An empty `window` takes
+    /// the schedule's shape. `upc` and `node_clock` are as for `mark`.
+    pub fn close_window(
+        &self,
+        node: usize,
+        upc: &Upc,
+        node_clock: u64,
+        start: &MuxMark,
+        window: &mut MuxMark,
+    ) {
+        let live = upc.snapshot();
+        let st = self.nodes[node].lock();
+        let rot = st.rot.as_deref();
+        if window.totals.is_empty() {
+            window.totals = vec![0; schedule_width(rot)];
+        }
+        for (i, w) in window.totals.iter_mut().enumerate() {
+            let from = start.totals.get(i).copied().unwrap_or(0);
+            *w = w.wrapping_add(schedule_total(rot, &live, i).wrapping_sub(from));
+        }
+        let (occupancy, cycles) = self.occupancy_at(rot, node_clock);
+        for m in 0..NUM_MODES {
+            let occ = occupancy[m].saturating_sub(start.occupancy[m]);
+            window.occupancy[m] = window.occupancy[m].saturating_add(occ);
+            let cyc = cycles[m].saturating_sub(start.cycles[m]);
+            window.cycles[m] = window.cycles[m].saturating_add(cyc);
+        }
+    }
+
+    /// Enabled phases and cycles per mode as of `node_clock`, the
+    /// in-flight partial phase attributed to the current mode (see
+    /// [`MuxState::mark`]); zeros for a one-mode schedule.
+    fn occupancy_at(
+        &self,
+        rot: Option<&Rotation>,
+        node_clock: u64,
+    ) -> ([u64; NUM_MODES], [u64; NUM_MODES]) {
+        let Some(rot) = rot else { return ([0; NUM_MODES], [0; NUM_MODES]) };
         let mut cycles = rot.cycle_occ;
         let last = self.last_cycle.load(Ordering::Relaxed);
         cycles[rot.cur] = cycles[rot.cur].saturating_add(node_clock.saturating_sub(last));
-        MuxMark { totals, occupancy: rot.occupancy, cycles }
+        (rot.occupancy, cycles)
     }
 
     /// Aggregate schedule summary over all nodes, or `None` when no
@@ -588,7 +644,7 @@ mod tests {
             assert!(out.rotated.is_none() && out.interrupts.is_empty());
         }
         let mut window = MuxMark::default();
-        window.accumulate(&start, &mux.mark(0, &upc, 6400));
+        mux.close_window(0, &upc, 6400, &start, &mut window);
         assert!(!window.rotates());
         assert_eq!(window.totals.len(), NUM_COUNTERS, "one 256-slot block, no more");
         assert_eq!(window.block(CounterMode::Mode2)[7], 40);
@@ -659,12 +715,13 @@ mod tests {
         let mut upc = hot_upc(&mux);
         let ev = EventId::new(CounterMode::Mode0, 7);
         let start = mux.mark(0, &upc, 0);
+        assert!(start.totals.is_empty(), "an all-zero mark holds no totals");
         upc.emit(ev, 500);
         let delta = mux.advance_clock(100);
         mux.step_node(0, &mut upc, delta); // rotates out of mode 0, harvesting 500
         upc.emit(ev, 999); // mode 1 now: not wired, not counted
         let mut w = MuxMark::default();
-        w.accumulate(&start, &mux.mark(0, &upc, 100));
+        mux.close_window(0, &upc, 100, &start, &mut w);
         assert!(w.rotates());
         assert_eq!(w.totals[ev.index()], 500);
         assert_eq!(w.block(CounterMode::Mode0)[7], 500);
@@ -676,7 +733,7 @@ mod tests {
         // phase to the current mode — counts entering the window always
         // carry weight.
         let mut w = MuxMark::default();
-        w.accumulate(&start, &mux.mark(0, &upc, 160));
+        mux.close_window(0, &upc, 160, &start, &mut w);
         assert_eq!(w.cycles[1], 60, "partial phase lands on the occupied mode");
     }
 

@@ -68,9 +68,10 @@ fn observe(m: &Machine, results: &[u64]) -> Vec<(String, Vec<u8>)> {
     bgp_arch::wire::put_u64(&mut buf, m.job_cycles());
     bgp_arch::wire::put_u64(&mut buf, m.phases());
     parts.push(("clocks".to_string(), buf));
+    let idle_mem = std::cell::OnceCell::new();
     for node in 0..m.num_nodes() {
         let mut buf = Vec::new();
-        m.with_node(node, |n| n.save_state(&mut buf));
+        m.with_node(node, |n| n.save_state(&mut buf, &idle_mem));
         parts.push((format!("node {node}"), buf));
     }
     let mut buf = Vec::new();

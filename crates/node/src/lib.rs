@@ -18,8 +18,10 @@ pub use crate::core::{Core, InstrCounts, MemRetire, ISSUE_WIDTH, MISPREDICT_PENA
 use bgp_arch::events::{CoreEvent, CounterMode, NetEvent, NUM_COUNTERS};
 use bgp_arch::geometry::{AddressLayout, NodeId};
 use bgp_arch::{MachineConfig, OpMode, CORES_PER_NODE};
-use bgp_mem::{HitLevel, MemorySystem};
+use bgp_mem::{HitLevel, MemStats, MemorySystem};
 use bgp_upc::Upc;
+use std::cell::OnceCell;
+use std::sync::Arc;
 
 /// Memory-operation width as seen by the instruction set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,9 +83,14 @@ pub const NET_EVENTS: usize = NetEvent::ALL.len();
 pub struct Node {
     id: NodeId,
     mode: OpMode,
+    /// The partition's configuration, shared by all of its nodes.
+    cfg: Arc<MachineConfig>,
     layout: AddressLayout,
     cores: [Core; CORES_PER_NODE],
-    mem: MemorySystem,
+    /// The memory hierarchy, built by the first memory operation: a node
+    /// that never touches memory holds none (see [`Node::mem_stats`] and
+    /// [`Node::save_state`] for how an unbuilt one reads).
+    mem: Option<Box<MemorySystem>>,
     upc: Upc,
     /// Synthetic instruction-address cursor per core (loop-resident code).
     icursor: [u64; CORES_PER_NODE],
@@ -110,19 +117,29 @@ impl Node {
     ///
     /// `counter_mode` selects which 256 of the 1024 events its UPC unit
     /// observes (the interface library sets this per node parity).
-    pub fn new(id: NodeId, cfg: &MachineConfig, op_mode: OpMode, counter_mode: CounterMode) -> Node {
+    ///
+    /// # Panics
+    /// Panics if `cfg` fails [`MachineConfig::validate`].
+    pub fn new(
+        id: NodeId,
+        cfg: Arc<MachineConfig>,
+        op_mode: OpMode,
+        counter_mode: CounterMode,
+    ) -> Node {
+        cfg.validate().expect("invalid machine configuration");
         Node {
             id,
             mode: op_mode,
             layout: AddressLayout::with_memory(op_mode, cfg.memory_bytes),
             cores: std::array::from_fn(Core::new),
-            mem: MemorySystem::new(cfg),
+            mem: None,
             upc: Upc::new(counter_mode),
             icursor: [0; CORES_PER_NODE],
             ifetches: [0; CORES_PER_NODE],
             icache_fits: (CODE_LINES as usize).div_ceil(cfg.l1_sets()) <= cfg.l1_ways,
             net_truth: [0; NET_EVENTS],
             batch: Vec::new(),
+            cfg,
         }
     }
 
@@ -156,14 +173,15 @@ impl Node {
         &self.cores[core]
     }
 
-    /// Ground-truth memory statistics.
-    pub fn mem_stats(&self) -> &bgp_mem::MemStats {
-        self.mem.stats()
+    /// Ground-truth memory statistics; all zero until the first memory
+    /// operation.
+    pub fn mem_stats(&self) -> MemStats {
+        self.mem.as_ref().map_or_else(MemStats::default, |m| *m.stats())
     }
 
     /// The machine configuration.
     pub fn config(&self) -> &MachineConfig {
-        self.mem.config()
+        &self.cfg
     }
 
     /// The chip Time Base as observed by `core`: its own cycle count
@@ -197,7 +215,7 @@ impl Node {
         // retirement batch keeps the L1-I warm without per-instruction
         // cost (kernels are loop-resident).
         self.touch_icache(core);
-        let outcome = self.mem.access(core, paddr, write, &mut self.upc);
+        let outcome = built(&mut self.mem, &self.cfg).access(core, paddr, write, &mut self.upc);
         // A 16-byte quadword can straddle two 32-byte L1 lines only when
         // misaligned; workloads keep quadword data 16-byte aligned, so a
         // single hierarchy access suffices for every width.
@@ -238,7 +256,7 @@ impl Node {
                 retire.loads += 1;
             }
         }
-        let stall = self.mem.access_batch(core, &self.batch, &mut self.upc);
+        let stall = built(&mut self.mem, &self.cfg).access_batch(core, &self.batch, &mut self.upc);
         self.cores[core].retire_mem_batch(&retire, stall, &mut self.upc);
         self.cores[core].sync_cycle_counter(&mut self.upc);
     }
@@ -306,7 +324,7 @@ impl Node {
         self.icursor[core] = (cur + 32) % CODE_FOOTPRINT;
         self.ifetches[core] += 1;
         let iaddr = u64::MAX - CODE_FOOTPRINT + cur;
-        let stall = self.mem.ifetch(core, iaddr, &mut self.upc);
+        let stall = built(&mut self.mem, &self.cfg).ifetch(core, iaddr, &mut self.upc);
         if stall > 0 {
             self.cores[core].add_cycles(stall);
         }
@@ -321,7 +339,7 @@ impl Node {
         if self.icache_fits && self.ifetches[core] >= CODE_LINES {
             self.ifetches[core] += n;
             self.icursor[core] = (self.icursor[core] + 32 * n) % CODE_FOOTPRINT;
-            self.mem.ifetch_hits(core, n, &mut self.upc);
+            built(&mut self.mem, &self.cfg).ifetch_hits(core, n, &mut self.upc);
         } else {
             for _ in 0..n {
                 self.touch_icache(core);
@@ -334,12 +352,18 @@ impl Node {
     /// instruction-fetch cursors, and the network mirror as all 256
     /// mode-3 slots (zero past the network events). Identity, operating
     /// mode, address layout, and the `batch` scratch buffer are
-    /// configuration or transient scratch and are not captured.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
+    /// configuration or transient scratch and are not captured. An
+    /// unbuilt memory hierarchy writes the image of a fresh one, which
+    /// the first such node computes into `idle_mem`: share one cell
+    /// between all nodes of a capture.
+    pub fn save_state(&self, out: &mut Vec<u8>, idle_mem: &OnceCell<Vec<u8>>) {
         for c in &self.cores {
             c.save_state(out);
         }
-        self.mem.save_state(out);
+        match &self.mem {
+            Some(m) => m.save_state(out),
+            None => out.extend_from_slice(self.idle_mem_image(idle_mem)),
+        }
         self.upc.save_state(out);
         for &v in &self.icursor {
             bgp_arch::wire::put_u64(out, v);
@@ -354,7 +378,8 @@ impl Node {
     }
 
     /// Restore state previously written by [`Node::save_state`] into a
-    /// node built with the same configuration.
+    /// node built with the same configuration; `idle_mem` is as there.
+    /// The image of a fresh memory hierarchy leaves it unbuilt.
     ///
     /// # Errors
     /// [`bgp_arch::BgpError::Corrupt`] on truncated or inconsistent
@@ -363,11 +388,20 @@ impl Node {
     pub fn restore_state(
         &mut self,
         r: &mut bgp_arch::wire::Reader<'_>,
+        idle_mem: &OnceCell<Vec<u8>>,
     ) -> bgp_arch::error::Result<()> {
         for c in &mut self.cores {
             c.restore_state(r)?;
         }
-        self.mem.restore_state(r)?;
+        // The image format is self-delimiting, so input that starts with
+        // the idle image holds exactly that image at this point.
+        if r.skip_if(self.idle_mem_image(idle_mem)) {
+            self.mem = None;
+        } else {
+            let mut mem = Box::new(MemorySystem::new(&self.cfg));
+            mem.restore_state(r)?;
+            self.mem = Some(mem);
+        }
         self.upc.restore_state(r)?;
         r.u64_array(&mut self.icursor, "node icursor")?;
         r.u64_array(&mut self.ifetches, "node ifetches")?;
@@ -383,6 +417,22 @@ impl Node {
         }
         Ok(())
     }
+
+    /// The image of a memory hierarchy fresh from this node's
+    /// configuration, computed into `cell` if it is empty.
+    fn idle_mem_image<'a>(&self, cell: &'a OnceCell<Vec<u8>>) -> &'a [u8] {
+        cell.get_or_init(|| {
+            let mut out = Vec::new();
+            MemorySystem::new(&self.cfg).save_state(&mut out);
+            out
+        })
+    }
+}
+
+/// `mem`'s hierarchy, built from `cfg` on first use.
+#[inline]
+fn built<'a>(mem: &'a mut Option<Box<MemorySystem>>, cfg: &MachineConfig) -> &'a mut MemorySystem {
+    mem.get_or_insert_with(|| Box::new(MemorySystem::new(cfg)))
 }
 
 #[cfg(test)]
@@ -394,7 +444,7 @@ mod tests {
     fn node(counter_mode: CounterMode) -> Node {
         let mut n = Node::new(
             NodeId(0),
-            &MachineConfig::default(),
+            Arc::new(MachineConfig::default()),
             OpMode::VirtualNode,
             counter_mode,
         );
@@ -532,17 +582,18 @@ mod tests {
     #[test]
     fn restore_refuses_net_truth_past_the_network_events() {
         let n = node(CounterMode::Mode3);
+        let idle = OnceCell::new();
         let mut bytes = Vec::new();
-        n.save_state(&mut bytes);
+        n.save_state(&mut bytes, &idle);
         let mut fresh = node(CounterMode::Mode3);
         let mut r = bgp_arch::wire::Reader::new(&bytes);
-        fresh.restore_state(&mut r).unwrap();
+        fresh.restore_state(&mut r, &idle).unwrap();
         r.expect_end("node section").unwrap();
         // The mirror is the section's last 256 words; poke slot 200.
         let at = bytes.len() - (NUM_COUNTERS - 200) * 8;
         bytes[at..at + 8].copy_from_slice(&5u64.to_le_bytes());
         let err = node(CounterMode::Mode3)
-            .restore_state(&mut bgp_arch::wire::Reader::new(&bytes))
+            .restore_state(&mut bgp_arch::wire::Reader::new(&bytes), &idle)
             .expect_err("a nonzero non-network slot is corrupt");
         assert!(err.to_string().contains("slot 200"), "{err}");
     }
@@ -601,8 +652,50 @@ mod tests {
         assert_eq!(n.upc().read_event(CoreEvent::CycleCount.id(3)), None);
     }
 
+    /// The full-machine probe builds 73,728 nodes that never touch
+    /// memory; the hierarchy lives behind a pointer so they do not pay
+    /// for it.
+    #[test]
+    fn node_fits_in_1400_bytes() {
+        let size = std::mem::size_of::<Node>();
+        assert!(size <= 1400, "Node is {size} B");
+    }
+
+    /// An untouched node reads zero memory statistics, saves the image of
+    /// a fresh hierarchy, and stays unbuilt through a restore of it; a
+    /// touched node's image builds the hierarchy back.
+    #[test]
+    fn an_untouched_node_saves_a_fresh_hierarchy_and_restores_unbuilt() {
+        let idle = OnceCell::new();
+        let mut n = node(CounterMode::Mode0);
+        n.int_op(0, 10);
+        assert_eq!(n.mem_stats(), MemStats::default());
+        assert!(n.mem.is_none());
+        let mut bytes = Vec::new();
+        n.save_state(&mut bytes, &idle);
+        let mut fresh = Vec::new();
+        MemorySystem::new(n.config()).save_state(&mut fresh);
+        assert_eq!(idle.get(), Some(&fresh), "the unbuilt node wrote a fresh hierarchy");
+        let mut back = node(CounterMode::Mode0);
+        back.mem_op(1, 1, 0x40, MemWidth::Word, true);
+        back.restore_state(&mut bgp_arch::wire::Reader::new(&bytes), &idle).unwrap();
+        assert!(back.mem.is_none(), "a fresh image leaves the hierarchy unbuilt");
+        let mut again = Vec::new();
+        back.save_state(&mut again, &idle);
+        assert_eq!(again, bytes);
+
+        n.mem_op(0, 0, 0x1000, MemWidth::Double, false);
+        let mut touched = Vec::new();
+        n.save_state(&mut touched, &idle);
+        let mut back = node(CounterMode::Mode0);
+        back.restore_state(&mut bgp_arch::wire::Reader::new(&touched), &idle).unwrap();
+        assert_eq!(back.mem_stats(), n.mem_stats());
+        assert_eq!(back.mem_stats().ddr_reads, 1);
+    }
+
     #[test]
     fn node_save_restore_resumes_byte_identically() {
+        let idle = OnceCell::new();
         let run = |resume_at: Option<u64>| -> (Vec<u8>, u64) {
             let mut n = node(CounterMode::Mode2);
             let mut restored: Option<Node> = None;
@@ -610,10 +703,10 @@ mod tests {
                 if Some(i) == resume_at {
                     // Snapshot, restore into a fresh node, continue there.
                     let mut bytes = Vec::new();
-                    n.save_state(&mut bytes);
+                    n.save_state(&mut bytes, &idle);
                     let mut fresh = node(CounterMode::Mode2);
                     let mut r = bgp_arch::wire::Reader::new(&bytes);
-                    fresh.restore_state(&mut r).unwrap();
+                    fresh.restore_state(&mut r, &idle).unwrap();
                     r.expect_end("node section").unwrap();
                     restored = Some(std::mem::replace(&mut n, fresh));
                 }
@@ -625,7 +718,7 @@ mod tests {
             }
             drop(restored);
             let mut out = Vec::new();
-            n.save_state(&mut out);
+            n.save_state(&mut out, &idle);
             (out, n.node_cycles())
         };
         let (straight, cyc_a) = run(None);

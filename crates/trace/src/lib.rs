@@ -480,33 +480,38 @@ impl Recorder {
 /// so per-rank locks are uncontended and the recorded streams carry no
 /// cross-thread ordering.
 pub struct TraceState {
+    /// Ranks in the job.
+    n_ranks: usize,
     /// Ranks per node: rank `r` lives on node `r / ranks_per_node`.
     ranks_per_node: usize,
-    /// The job traces (its spec carries a [`TraceConfig`]).
-    traced: bool,
-    pub(crate) ranks: Vec<Mutex<Recorder>>,
+    /// One recorder per rank, present iff the job traces (its spec
+    /// carries a [`TraceConfig`]).
+    pub(crate) ranks: Option<Box<[Mutex<Recorder>]>>,
     pub(crate) sched: Mutex<Recorder>,
 }
 
 impl TraceState {
     /// Trace state for a job of `ranks` ranks in block placement (rank
     /// `r` lives on node `r / ranks_per_node`), its rings sized once from
-    /// the job's configuration. An untraced job (`cfg` is `None`) gets
-    /// capacity-0 rings that record nothing.
+    /// the job's configuration. An untraced job (`cfg` is `None`) keeps
+    /// no rank recorders and a capacity-0 scheduler ring: it records
+    /// nothing.
     pub fn new(ranks: usize, ranks_per_node: usize, cfg: Option<&TraceConfig>) -> TraceState {
         assert!(ranks_per_node > 0, "a node hosts at least one rank");
         let capacity = cfg.map_or(0, |c| c.capacity);
         TraceState {
+            n_ranks: ranks,
             ranks_per_node,
-            traced: cfg.is_some(),
-            ranks: (0..ranks).map(|_| Mutex::new(Recorder::new(capacity))).collect(),
+            ranks: cfg.map(|_| (0..ranks).map(|_| Mutex::new(Recorder::new(capacity))).collect()),
             sched: Mutex::new(Recorder::new(capacity)),
         }
     }
 
-    /// Record into `rank`'s stream.
+    /// Record into `rank`'s stream; a no-op in an untraced job.
     pub fn record_rank(&self, rank: usize, cycle: u64, kind: EventKind) {
-        self.ranks[rank].lock().record(cycle, kind);
+        if let Some(ranks) = &self.ranks {
+            ranks[rank].lock().record(cycle, kind);
+        }
     }
 
     /// Append a batch to the scheduler stream under one lock.
@@ -524,18 +529,16 @@ impl TraceState {
 
     /// Total events currently retained across all streams.
     pub fn events_recorded(&self) -> u64 {
-        let ranks: usize = self.ranks.iter().map(|r| r.lock().len()).sum();
+        let ranks: usize = self.ranks.iter().flatten().map(|r| r.lock().len()).sum();
         (ranks + self.sched.lock().len()) as u64
     }
 
     /// Clone the retained streams into an exportable [`JobTrace`].
     /// Returns `None` for an untraced job.
     pub fn snapshot(&self) -> Option<JobTrace> {
-        if !self.traced {
-            return None;
-        }
         let ranks = self
             .ranks
+            .as_ref()?
             .iter()
             .enumerate()
             .map(|(rank, rec)| {

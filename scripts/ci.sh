@@ -75,24 +75,28 @@ BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
     target/release/repro_all fig_ext_validation --quick
 
 echo "==> checkpoint/restart smoke (crash MG S mid-run, resume, byte-diff)"
-ck_dir="$trace_dir/ck"
-target/release/bgpc-run --out "$ck_dir/reference" --kernel mg --class s --ranks 8 \
-    --mode vnm --threads 1 --trace
-# Crash drill: die deterministically at phase 40 with retries disabled;
-# the process must exit non-zero and leave snapshots behind.
-if target/release/bgpc-run --out "$ck_dir/crashed" --kernel mg --class s --ranks 8 \
-    --mode vnm --threads 1 --trace --checkpoint-every 8 --crash-at-phase 40 \
-    --max-retries 0; then
-    echo "checkpoint smoke: crash drill unexpectedly succeeded"; exit 1
-fi
-test -n "$(ls "$ck_dir/crashed/checkpoints" 2>/dev/null)" \
-    || { echo "checkpoint smoke: crash left no snapshots"; exit 1; }
-# Resume from the snapshots in a fresh process and byte-diff every
-# output surface against the uninterrupted reference.
-target/release/bgpc-run --out "$ck_dir/crashed" --kernel mg --class s --ranks 8 \
-    --mode vnm --threads 1 --trace --resume "$ck_dir/crashed/checkpoints"
-diff -r --exclude=checkpoints "$ck_dir/reference" "$ck_dir/crashed" \
-    || { echo "checkpoint smoke: resumed outputs diverge from reference"; exit 1; }
+# Once per counter-policy kind: even/odd start marks and windows are
+# one mode's 256 words, multiplexed ones every mode's 1,024.
+for policy in evenodd mux; do
+    echo "    policy $policy"
+    ck_dir="$trace_dir/ck-$policy"
+    run=(target/release/bgpc-run --kernel mg --class s --ranks 8 --mode vnm --threads 1
+        --trace --policy "$policy")
+    "${run[@]}" --out "$ck_dir/reference"
+    # Crash drill: die deterministically at phase 40 with retries
+    # disabled; the process must exit non-zero and leave snapshots behind.
+    if "${run[@]}" --out "$ck_dir/crashed" --checkpoint-every 8 --crash-at-phase 40 \
+        --max-retries 0; then
+        echo "checkpoint smoke ($policy): crash drill unexpectedly succeeded"; exit 1
+    fi
+    test -n "$(ls "$ck_dir/crashed/checkpoints" 2>/dev/null)" \
+        || { echo "checkpoint smoke ($policy): crash left no snapshots"; exit 1; }
+    # Resume from the snapshots in a fresh process and byte-diff every
+    # output surface against the uninterrupted reference.
+    "${run[@]}" --out "$ck_dir/crashed" --resume "$ck_dir/crashed/checkpoints"
+    diff -r --exclude=checkpoints "$ck_dir/reference" "$ck_dir/crashed" \
+        || { echo "checkpoint smoke ($policy): resumed outputs diverge from reference"; exit 1; }
+done
 
 echo "==> counter service smoke (bgpc-serve + bgpc-load: hit byte-identity, drain, shutdown)"
 svc_dir="$trace_dir/svc"
@@ -129,7 +133,7 @@ echo "==> counter service load bound (quick scale: 2k requests, byte-identical r
 BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
     target/release/repro_all fig_ext_service --quick
 
-echo "==> full-machine scaling bound (73,728 nodes / 294,912 ranks, <= 3 KB/rank)"
+echo "==> full-machine scaling bound (73,728 nodes / 294,912 ranks, <= 2.25 KB/rank)"
 # Runs at Default scale so the 73k-node smoke actually executes. The
 # per-rank RSS bound reads the process high-water mark, which holds
 # this entry alone: a single entry runs in-process, and a multi-entry

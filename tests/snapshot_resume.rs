@@ -326,6 +326,84 @@ fn resume_with_ranks_suspended_mid_phase_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Kernel whose first node finishes early: after a common barrier the
+/// ranks of node 0 return, so that node's last `BGP_Finalize` writes its
+/// dump while the other node's ranks still ping-pong through several
+/// more phases.
+async fn early_finisher(mut ctx: bgp::RankCtx) -> (bgp::RankCtx, bool) {
+    let rank = ctx.rank();
+    ctx.barrier().await;
+    if rank < RANKS / 2 {
+        return (ctx, true);
+    }
+    let partner = rank ^ 1;
+    let mut got = 0;
+    for round in 0..6u8 {
+        ctx.fp1(bgp::mpi::SemOp::MulAdd);
+        if rank.is_multiple_of(2) {
+            ctx.send(partner, 1, vec![round; 8]).await;
+            got += ctx.recv(Some(partner), 2).await.len();
+        } else {
+            got += ctx.recv(Some(partner), 1).await.len();
+            ctx.send(partner, 2, vec![round; 8]).await;
+        }
+    }
+    (ctx, got == 48)
+}
+
+/// A snapshot that holds a finalized node (its windows live only in its
+/// dump) resumes to byte-identical dumps, under a one-mode and a
+/// rotating policy.
+#[test]
+fn resume_with_a_finalized_node_is_byte_identical() {
+    let policies = [
+        CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode1 },
+        CounterPolicy::Multiplexed { first: CounterMode::Mode2, base_dwell: 1 },
+    ];
+    for (k, policy) in policies.into_iter().enumerate() {
+        let dir = tempdir(&format!("finalized{k}"));
+        let job_spec = || {
+            let mut s = spec(1, None);
+            s.counter_policy = policy;
+            s
+        };
+        let mut ref_spec = job_spec();
+        ref_spec.checkpoint =
+            Some(CheckpointConfig { every: 1, dir: dir.clone(), retain: RETAIN_ALL });
+        let machine = Machine::new(ref_spec);
+        let (out, lib) = run_instrumented(&machine, early_finisher);
+        assert!(out.iter().all(|&ok| ok), "{policy:?}: kernel failed verification");
+        let reference = observe(&machine, &lib);
+
+        let files = SnapshotStore::new(&dir, RETAIN_ALL).list().expect("list snapshots");
+        let mut with_finalized = 0;
+        for path in &files {
+            let snap = Snapshot::decode(&std::fs::read(path).unwrap()).expect("snapshot decodes");
+            let phase = snap.phase;
+            let saved = bgp::counters::CounterLibrary::for_machine(&Machine::new(job_spec()));
+            bgp::mpi::AppState::restore(&*saved, snap.section_required("app:counters").unwrap())
+                .expect("library section restores");
+            if saved.encoded_dump(0).is_some() && saved.encoded_dump(1).is_none() {
+                with_finalized += 1;
+            }
+            let machine = Machine::new(job_spec());
+            machine.resume(snap).expect("snapshot accepted");
+            let (out, lib) = run_instrumented(&machine, early_finisher);
+            assert!(out.iter().all(|&ok| ok), "{policy:?}: resume from phase {phase} failed");
+            assert_same(
+                &observe(&machine, &lib),
+                &reference,
+                &format!("{policy:?}: resume from phase {phase}"),
+            );
+        }
+        assert!(
+            with_finalized >= 2,
+            "{policy:?}: {with_finalized} snapshots hold node 0 finalized and node 1 running"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Damaged snapshot files must never resume: every corruption is
 /// quarantined with a reason, the loader falls back to the newest
 /// intact snapshot, and a fully poisoned store yields a cold start.
