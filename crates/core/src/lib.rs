@@ -47,7 +47,7 @@ use bgp_arch::sync::Mutex;
 use bgp_faults::CounterFault;
 use bgp_mpi::{CounterPolicy, JobSpec, Machine, MuxMark, RankCtx};
 use bgp_trace::{EventKind, FaultEvent};
-use dump::{NodeDump, RecoveredDump};
+use dump::{NodeDump, RecoveredDump, SetDump};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -80,9 +80,9 @@ struct SetState {
     /// The closed windows, accumulated from start mark to stop: counts
     /// per mode the node's schedule visits, plus per-mode phases and job
     /// cycles (the occupancy weights reconstruction scales by — phases
-    /// vary in length, cycles are the honest time base). Released once
-    /// `BGP_Finalize` encodes them into the node's dump, which is then
-    /// their only copy (the [`state`] module re-derives them from it).
+    /// vary in length, cycles are the honest time base). After
+    /// `BGP_Finalize` they are the node's dump: [`NodeState::dump`]
+    /// builds it from them whenever it is asked for.
     window: MuxMark,
     records: u32,
 }
@@ -97,7 +97,10 @@ struct NodeState {
     finalize_arrivals: usize,
     /// The node's sets, sorted by id (the order dumps list them in).
     sets: Vec<(u32, SetState)>,
-    dump: Option<Vec<u8>>,
+    /// Set by `BGP_Finalize`: the home mode the node's dump header
+    /// advertises. The dump itself is never stored; it is built from
+    /// the windows each time it is read.
+    finalized: Option<CounterMode>,
 }
 
 impl NodeState {
@@ -111,6 +114,48 @@ impl NodeState {
     fn insert_set(&mut self, i: usize, id: u32, set: SetState) {
         self.sets.reserve_exact(1);
         self.sets.insert(i, (id, set));
+    }
+
+    /// How many sets the node's dump lists: each set once, and each set
+    /// whose schedule rotates four more times plus its schedule set.
+    fn dump_sets(&self) -> usize {
+        let rotating = self.sets.iter().filter(|(_, s)| s.window.rotates()).count();
+        self.sets.len() + rotating * (NUM_MODES + 1)
+    }
+
+    /// Node `node`'s dump, built from its windows, with `mode` (the node's
+    /// home mode) in the header. Each set reports its `mode` block.
+    /// Rotating schedules add synthetic per-mode sets: the raw block each
+    /// mode observed, with the mode's occupancy as the record count (see
+    /// [`dump::MUX_SET_BASE`]), and a schedule set of per-mode enabled
+    /// job cycles (the honest occupancy weight — dwell phases vary
+    /// wildly in length) and enabled phase counts (see
+    /// [`dump::MUX_SCHED_BASE`]).
+    fn dump(&self, node: usize, mode: CounterMode) -> NodeDump {
+        let mut sets = Vec::with_capacity(self.dump_sets());
+        for (id, s) in &self.sets {
+            let counts = s.window.block(mode).to_vec();
+            sets.push(SetDump { id: *id, records: s.records, counts });
+        }
+        for (id, s) in self.sets.iter().filter(|(_, s)| s.window.rotates()) {
+            for (m, &mode) in CounterMode::ALL.iter().enumerate() {
+                sets.push(SetDump {
+                    id: dump::mux_set_id(*id, m),
+                    records: s.window.occupancy[m].min(u64::from(u32::MAX)) as u32,
+                    counts: s.window.block(mode).to_vec(),
+                });
+            }
+            let mut counts = vec![0u64; NUM_COUNTERS];
+            counts[..NUM_MODES].copy_from_slice(&s.window.cycles);
+            counts[NUM_MODES..2 * NUM_MODES].copy_from_slice(&s.window.occupancy);
+            sets.push(SetDump { id: dump::mux_sched_id(*id), records: 1, counts });
+        }
+        NodeDump { node: node as u32, mode, sets }
+    }
+
+    /// Node `node`'s encoded dump, if it finalized.
+    fn encoded_dump(&self, node: usize) -> Option<Vec<u8>> {
+        self.finalized.map(|mode| dump::encode(&self.dump(node, mode)))
     }
 }
 
@@ -218,9 +263,9 @@ impl CounterLibrary {
                 ));
             }
             // No dump would carry a window opened now.
-            if st.dump.is_some() {
+            if st.finalized.is_some() {
                 return Err(BgpError::protocol(format!(
-                    "BGP_Start({set}) on node {node} after BGP_Finalize wrote its dump"
+                    "BGP_Start({set}) on node {node} after BGP_Finalize closed its dump"
                 )));
             }
             match st.active_set {
@@ -322,10 +367,11 @@ impl CounterLibrary {
         }
     }
 
-    /// `BGP_Finalize()`: after the last rank of a node arrives, encode
-    /// the node's binary dump straight from its windows and release
-    /// them. Charged after counting is disabled, so the "printing" cost
-    /// never pollutes the data. Reached through [`Session::finalize`].
+    /// `BGP_Finalize()`: after the last rank of a node arrives, mark the
+    /// node finalized: its windows are its dump from now on, encoded only
+    /// when the dump leaves the library. Charged after counting is
+    /// disabled, so the "printing" cost never pollutes the data. Reached
+    /// through [`Session::finalize`].
     pub(crate) fn finalize_impl(&self, ctx: &mut RankCtx) -> Result<()> {
         let node = ctx.node_id().0;
         {
@@ -345,36 +391,9 @@ impl CounterLibrary {
                 // The dump header advertises the node's home mode — the
                 // block the primary sets report (under rotation the unit
                 // sits in whatever mode the last dwell left it).
-                let mode = ctx.machine().home_mode(node);
-                let rotating = st.sets.iter().filter(|(_, s)| s.window.rotates()).count();
-                let n_sets = st.sets.len() + rotating * (NUM_MODES + 1);
-                let mut enc = dump::Encoder::new(node as u32, mode, n_sets);
-                for (id, s) in &st.sets {
-                    enc.set(*id, s.records, s.window.block(mode));
-                }
-                // Rotating schedules add synthetic per-mode sets: the raw
-                // block each mode observed, with the mode's occupancy as
-                // the record count (see [`dump::MUX_SET_BASE`]).
-                for (id, s) in st.sets.iter().filter(|(_, s)| s.window.rotates()) {
-                    for (m, &mode) in CounterMode::ALL.iter().enumerate() {
-                        let occupancy = s.window.occupancy[m].min(u64::from(u32::MAX)) as u32;
-                        enc.set(dump::mux_set_id(*id, m), occupancy, s.window.block(mode));
-                    }
-                    // Schedule set: per-mode enabled job cycles (the
-                    // honest occupancy weight — dwell phases vary wildly
-                    // in length) and enabled phase counts (see
-                    // [`dump::MUX_SCHED_BASE`]).
-                    let mut counts = [0u64; NUM_COUNTERS];
-                    counts[..NUM_MODES].copy_from_slice(&s.window.cycles);
-                    counts[NUM_MODES..2 * NUM_MODES].copy_from_slice(&s.window.occupancy);
-                    enc.set(dump::mux_sched_id(*id), 1, &counts);
-                }
-                let encoded = enc.finish();
-                for (_, s) in &mut st.sets {
-                    s.window = MuxMark::default();
-                }
-                ctx.trace_event(EventKind::CounterDump { bytes: encoded.len() as u64 });
-                st.dump = Some(encoded);
+                st.finalized = Some(ctx.machine().home_mode(node));
+                let bytes = dump::encoded_len(st.dump_sets()) as u64;
+                ctx.trace_event(EventKind::CounterDump { bytes });
             }
         }
         ctx.charge_cycles(FINALIZE_CYCLES);
@@ -388,17 +407,19 @@ impl CounterLibrary {
         matches!(self.spec.counter_policy, CounterPolicy::Multiplexed { .. })
     }
 
-    /// Decoded dumps of all nodes (available after every rank finalized).
+    /// The dumps of all nodes (available after every rank finalized),
+    /// built from their windows: the records [`dump::decode`] would read
+    /// back from [`CounterLibrary::encoded_dump`].
     pub fn dumps(&self) -> Result<Vec<NodeDump>> {
         let nodes = self.nodes.lock();
         nodes
             .iter()
             .enumerate()
             .map(|(i, st)| {
-                let bytes = st.dump.as_ref().ok_or_else(|| {
-                    BgpError::protocol(format!("node {i} never finalized"))
-                })?;
-                dump::decode(bytes)
+                let mode = st.finalized.ok_or_else(|| never_finalized(i))?;
+                let d = st.dump(i, mode);
+                debug_assert_eq!(dump::decode(&dump::encode(&d)).ok().as_ref(), Some(&d));
+                Ok(d)
             })
             .collect()
     }
@@ -412,10 +433,7 @@ impl CounterLibrary {
         let nodes = self.nodes.lock();
         let mut paths = Vec::with_capacity(nodes.len());
         for (i, st) in nodes.iter().enumerate() {
-            let bytes = st
-                .dump
-                .as_ref()
-                .ok_or_else(|| BgpError::protocol(format!("node {i} never finalized")))?;
+            let bytes = st.encoded_dump(i).ok_or_else(|| never_finalized(i))?;
             let p = dir.join(format!("node_{i:05}.bgpc"));
             std::fs::write(&p, bytes)?;
             paths.push(p);
@@ -433,8 +451,12 @@ impl CounterLibrary {
     /// material the collection pipeline fetches and decodes).
     pub fn encoded_dump(&self, node: usize) -> Option<Vec<u8>> {
         let nodes = self.nodes.lock();
-        nodes.get(node).and_then(|st| st.dump.clone())
+        nodes.get(node).and_then(|st| st.encoded_dump(node))
     }
+}
+
+fn never_finalized(node: usize) -> BgpError {
+    BgpError::protocol(format!("node {node} never finalized"))
 }
 
 /// Every `*.bgpc` file in `dir`, sorted by name.

@@ -11,13 +11,14 @@
 //!
 //! The section spells out what memory holds more compactly: a start
 //! mark without totals is written as its zero totals, and a finalized
-//! node's windows, released once its dump was encoded, are re-derived
-//! from that dump. Restore keeps both compact again, and refuses a
-//! finalized node whose windows disagree with its dump.
+//! node, which holds only its windows and home mode, is written with its
+//! windows and the dump encoded from them. Restore drops the zero totals
+//! again, decodes each dump strictly, refuses a finalized node whose
+//! windows disagree with its dump, and keeps the windows, not the bytes.
 
 use crate::{dump, CounterLibrary, NodeState, SetState};
 use bgp_arch::error::{BgpError, Result};
-use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS, NUM_MODES};
+use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS};
 use bgp_arch::wire::{put_bool, put_bytes, put_u32, put_u64, put_u64s, put_u8, Reader};
 use bgp_mpi::machine::AppState;
 use bgp_mpi::MuxMark;
@@ -54,7 +55,7 @@ fn load_mark(r: &mut Reader<'_>) -> Result<MuxMark> {
     Ok(mark)
 }
 
-fn save_set(out: &mut Vec<u8>, id: u32, s: &SetState, window: &MuxMark, width: usize) {
+fn save_set(out: &mut Vec<u8>, id: u32, s: &SetState, width: usize) {
     put_u32(out, id);
     put_u32(out, s.records);
     match &s.start {
@@ -64,35 +65,7 @@ fn save_set(out: &mut Vec<u8>, id: u32, s: &SetState, window: &MuxMark, width: u
         }
         None => put_u8(out, 0),
     }
-    save_mark(out, window, None);
-}
-
-/// The windows of `st`'s sets as encoded in its dump `bytes`: each set's
-/// primary counts, or, when the schedule rotates, its four mode blocks
-/// with the schedule set's per-mode cycles and phases.
-fn windows_in_dump(st: &NodeState, bytes: &[u8], rotates: bool) -> Result<Vec<MuxMark>> {
-    let d = dump::decode(bytes)?;
-    let counts = |id: u32| {
-        d.set(id)
-            .map(|s| s.counts.as_slice())
-            .ok_or_else(|| BgpError::corrupt(format!("node {} dump lacks set {id:#x}", d.node)))
-    };
-    st.sets
-        .iter()
-        .map(|&(id, _)| {
-            if !rotates {
-                return Ok(MuxMark { totals: counts(id)?.to_vec(), ..MuxMark::default() });
-            }
-            let mut mark = MuxMark { totals: Vec::with_capacity(NUM_EVENTS), ..MuxMark::default() };
-            for m in 0..NUM_MODES {
-                mark.totals.extend_from_slice(counts(dump::mux_set_id(id, m))?);
-            }
-            let sched = counts(dump::mux_sched_id(id))?;
-            mark.cycles.copy_from_slice(&sched[..NUM_MODES]);
-            mark.occupancy.copy_from_slice(&sched[NUM_MODES..2 * NUM_MODES]);
-            Ok(mark)
-        })
-        .collect()
+    save_mark(out, &s.window, None);
 }
 
 /// A set id at or above [`dump::SET_ID_LIMIT`] cannot have come from
@@ -119,9 +92,9 @@ fn load_set(r: &mut Reader<'_>) -> Result<(u32, SetState)> {
     Ok((id, SetState { start, window: load_mark(r)?, records }))
 }
 
-/// Write `st` of a job whose schedules rotate (see
-/// [`CounterLibrary::rotates`]) or not.
-fn save_node(out: &mut Vec<u8>, st: &NodeState, rotates: bool) {
+/// Write `st`, the state of node `node` of a job whose schedules rotate
+/// (see [`CounterLibrary::rotates`]) or not.
+fn save_node(out: &mut Vec<u8>, node: usize, st: &NodeState, rotates: bool) {
     put_bool(out, st.initialized);
     put_u64(out, st.init_arrivals as u64);
     match st.active_set {
@@ -135,24 +108,22 @@ fn save_node(out: &mut Vec<u8>, st: &NodeState, rotates: bool) {
     put_u64(out, st.stop_arrivals as u64);
     put_u64(out, st.finalize_arrivals as u64);
     put_u64(out, st.sets.len() as u64);
-    let released = st.dump.as_ref().map(|d| {
-        windows_in_dump(st, d, rotates).expect("a finalized node's dump holds its windows")
-    });
     let width = if rotates { NUM_EVENTS } else { NUM_COUNTERS };
-    for (k, (id, s)) in st.sets.iter().enumerate() {
-        let window = released.as_ref().map_or(&s.window, |w| &w[k]);
-        save_set(out, *id, s, window, width);
+    for (id, s) in &st.sets {
+        save_set(out, *id, s, width);
     }
-    match &st.dump {
+    match st.encoded_dump(node) {
         Some(d) => {
             put_u8(out, 1);
-            put_bytes(out, d);
+            put_bytes(out, &d);
         }
         None => put_u8(out, 0),
     }
 }
 
-fn load_node(r: &mut Reader<'_>) -> Result<NodeState> {
+/// Read one node's state and the dump bytes its section carries, if it
+/// finalized.
+fn load_node<'a>(r: &mut Reader<'a>) -> Result<(NodeState, Option<&'a [u8]>)> {
     let initialized = r.bool("initialized")?;
     let init_arrivals = r.u64("init arrivals")? as usize;
     let active_set = match r.u8("active-set tag")? {
@@ -180,18 +151,21 @@ fn load_node(r: &mut Reader<'_>) -> Result<NodeState> {
             Err(i) => st.insert_set(i, id, s),
         }
     }
-    st.dump = match r.u8("dump tag")? {
+    let dump = match r.u8("dump tag")? {
         0 => None,
-        1 => Some(r.bytes("dump bytes")?.to_vec()),
+        1 => Some(r.bytes("dump bytes")?),
         t => return Err(BgpError::corrupt(format!("bad dump tag {t}"))),
     };
-    Ok(st)
+    Ok((st, dump))
 }
 
-/// Bring a loaded node to its in-memory form: drop all-zero start-mark
-/// totals and, once the node is finalized, release its windows after
-/// checking them against its dump (the capture re-derives them from it).
-fn compact(st: &mut NodeState, rotates: bool) -> Result<()> {
+/// Bring loaded node `node` to its in-memory form: drop all-zero
+/// start-mark totals and, if it finalized, check its windows against
+/// the `dump` its section carries and keep the dump's header mode. The
+/// windows must be the ones the capture encoded the dump from: full
+/// width, and with the dump's records, so the node encodes the same
+/// bytes again.
+fn compact(st: &mut NodeState, node: usize, dump: Option<&[u8]>, rotates: bool) -> Result<()> {
     for (_, s) in &mut st.sets {
         if let Some(start) = &mut s.start {
             if start.totals.iter().all(|&v| v == 0) {
@@ -199,16 +173,13 @@ fn compact(st: &mut NodeState, rotates: bool) -> Result<()> {
             }
         }
     }
-    let Some(bytes) = &st.dump else { return Ok(()) };
-    let derived = windows_in_dump(st, bytes, rotates)?;
-    for ((id, s), w) in st.sets.iter_mut().zip(derived) {
-        if s.window != w {
-            return Err(BgpError::corrupt(format!(
-                "set {id}'s window disagrees with its node's dump"
-            )));
-        }
-        s.window = MuxMark::default();
+    let Some(bytes) = dump else { return Ok(()) };
+    let d = dump::decode(bytes)?;
+    let width = if rotates { NUM_EVENTS } else { NUM_COUNTERS };
+    if st.sets.iter().any(|(_, s)| s.window.totals.len() != width) || st.dump(node, d.mode) != d {
+        return Err(BgpError::corrupt(format!("node {node}'s windows disagree with its dump")));
     }
+    st.finalized = Some(d.mode);
     Ok(())
 }
 
@@ -221,31 +192,29 @@ impl AppState for CounterLibrary {
         let nodes = self.nodes.lock();
         let mut out = Vec::new();
         put_u64(&mut out, nodes.len() as u64);
-        for st in nodes.iter() {
-            save_node(&mut out, st, self.rotates());
+        for (node, st) in nodes.iter().enumerate() {
+            save_node(&mut out, node, st, self.rotates());
         }
         out
     }
 
     fn restore(&self, bytes: &[u8]) -> Result<()> {
         let mut r = Reader::new(bytes);
-        let n = r.u64("node count")? as usize;
-        let mut fresh = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut st = load_node(&mut r)?;
-            compact(&mut st, self.rotates())?;
+        let n = r.u64("node count")?;
+        let machine = self.ranks_per_node.len(); // one entry per node
+        if n != machine as u64 {
+            return Err(BgpError::corrupt(format!(
+                "snapshot has {n} counter-library nodes, machine has {machine}"
+            )));
+        }
+        let mut fresh = Vec::with_capacity(machine);
+        for node in 0..machine {
+            let (mut st, dump) = load_node(&mut r)?;
+            compact(&mut st, node, dump, self.rotates())?;
             fresh.push(st);
         }
         r.expect_end("counter-library state")?;
-        let mut nodes = self.nodes.lock();
-        if fresh.len() != nodes.len() {
-            return Err(BgpError::corrupt(format!(
-                "snapshot has {} counter-library nodes, machine has {}",
-                fresh.len(),
-                nodes.len()
-            )));
-        }
-        *nodes = fresh;
+        *self.nodes.lock() = fresh;
         Ok(())
     }
 }
@@ -282,8 +251,15 @@ mod tests {
             };
             let set = SetState { start: Some(start), window, records: 5 };
             st.sets.push((7, set));
-            let empty = dump::NodeDump { node: 0, mode: CounterMode::Mode1, sets: Vec::new() };
-            nodes[0].dump = Some(dump::encode(&empty));
+            // Node 0 finalized: a closed window and the flag, no bytes.
+            let st = &mut nodes[0];
+            st.initialized = true;
+            st.init_arrivals = 2;
+            st.finalize_arrivals = 2;
+            let totals = (0..NUM_COUNTERS as u64).collect();
+            let window = MuxMark { totals, ..MuxMark::default() };
+            st.sets.push((0, SetState { start: None, window, records: 1 }));
+            st.finalized = Some(CounterMode::Mode1);
         }
         let bytes = lib.save();
         let m2 = Machine::new(spec);
@@ -296,17 +272,17 @@ mod tests {
     fn windows(bytes: &[u8]) -> Vec<Vec<MuxMark>> {
         let mut r = Reader::new(bytes);
         let n = r.u64("node count").unwrap();
-        let nodes = (0..n).map(|_| load_node(&mut r).unwrap());
+        let nodes = (0..n).map(|_| load_node(&mut r).unwrap().0);
         nodes.map(|st| st.sets.into_iter().map(|(_, s)| s.window).collect()).collect()
     }
 
-    /// The library holds a zero start mark and a finalized node's windows
-    /// without their totals, yet writes them in full, under every kind of
-    /// policy: the open window's marks as zeros, the finalized windows as
-    /// they were before finalize released them. Restore takes both back to
-    /// the compact form, and saves the same bytes again.
+    /// The library holds a zero start mark without its totals, yet writes
+    /// it in full, under every kind of policy; restore takes it back to
+    /// the compact form. A finalized node keeps its windows, written as
+    /// they were before finalize, beside the dump encoded from them.
+    /// Every form saves the same bytes again after a restore.
     #[test]
-    fn compact_marks_and_released_windows_round_trip() {
+    fn compact_marks_and_finalized_windows_round_trip() {
         let policies = [
             CounterPolicy::Fixed(CounterMode::Mode2),
             CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode3 },
@@ -359,29 +335,37 @@ mod tests {
             assert_eq!(held_open, vec![(0, 0); 2], "{policy:?}");
             let mut r = Reader::new(&open);
             r.u64("node count").unwrap();
-            let st = load_node(&mut r).unwrap();
+            let (st, dump) = load_node(&mut r).unwrap();
             let start = st.sets[0].1.start.as_ref().unwrap();
             assert_eq!(start.totals, vec![0; width], "{policy:?}");
+            assert!(dump.is_none(), "{policy:?}");
 
-            // Finalized: windows released, written as before the release.
-            assert_eq!(held(&lib), vec![(0, 0); 2], "{policy:?}");
+            // Finalized: windows kept, written as before finalize.
+            assert_eq!(held(&lib), vec![(0, width); 2], "{policy:?}");
             assert_eq!(windows(&finalized), windows(&closed), "{policy:?}");
             assert!(windows(&closed).iter().flatten().all(|w| w.totals.len() == width));
+            let mut r = Reader::new(&finalized);
+            r.u64("node count").unwrap();
+            let dump = load_node(&mut r).unwrap().1;
+            assert_eq!(dump, lib.encoded_dump(0).as_deref(), "{policy:?}");
 
-            for bytes in [&open, &closed, &finalized] {
+            let forms = [(&open, (0, 0)), (&closed, (0, width)), (&finalized, (0, width))];
+            for (bytes, compact) in forms {
                 let back = CounterLibrary::for_machine(&Machine::new(spec.clone()));
                 back.restore(bytes).unwrap();
                 assert_eq!(&back.save(), bytes, "{policy:?}");
-                if bytes != &closed {
-                    assert_eq!(held(&back), vec![(0, 0); 2], "{policy:?}: restored compact");
-                }
+                assert_eq!(held(&back), vec![compact; 2], "{policy:?}: restored compact");
             }
+            let back = CounterLibrary::for_machine(&Machine::new(spec.clone()));
+            back.restore(&finalized).unwrap();
+            assert_eq!(back.dumps().unwrap(), lib.dumps().unwrap(), "{policy:?}");
         }
     }
 
     /// A finalized node's windows must be the ones its dump encodes: the
-    /// capture writes them from the dump, so a section where they differ
-    /// is refused.
+    /// capture encodes the dump from them, so a section whose dump
+    /// differs in a count, a record count or the node id is refused, and
+    /// a refused restore changes nothing.
     #[test]
     fn restore_refuses_windows_that_disagree_with_the_dump() {
         let spec = JobSpec::new(1, OpMode::Smp1);
@@ -390,26 +374,45 @@ mod tests {
             ctx.fp1(bgp_mpi::SemOp::Add);
             (ctx, ())
         });
-        let mut window = MuxMark { totals: vec![0; NUM_COUNTERS], ..MuxMark::default() };
-        window.totals[5] = 1;
-        let forged = NodeState {
-            initialized: true,
-            init_arrivals: 1,
-            finalize_arrivals: 1,
-            sets: vec![(0, SetState { start: None, window, records: 1 })],
-            ..NodeState::default()
+        let section = honest.save();
+        let bytes = honest.encoded_dump(0).unwrap();
+        let d = dump::decode(&bytes).unwrap();
+        // The section ends with the node's dump: swap in a forged one.
+        let head = &section[..section.len() - bytes.len() - 8];
+        let with = |forged: &dump::NodeDump| {
+            let mut out = head.to_vec();
+            put_bytes(&mut out, &dump::encode(forged));
+            out
         };
-        let mut bytes = Vec::new();
-        put_u64(&mut bytes, 1);
-        save_node(&mut bytes, &forged, false);
-        bytes.pop(); // the "no dump" tag: splice in the honest dump
-        put_u8(&mut bytes, 1);
-        put_bytes(&mut bytes, &honest.encoded_dump(0).unwrap());
+        let mut count = d.clone();
+        count.sets[0].counts[5] ^= 1;
+        let mut records = d.clone();
+        records.sets[0].records += 1;
+        let mut node = d.clone();
+        node.node = 3;
         let victim = CounterLibrary::for_machine(&Machine::new(spec));
-        let err = victim.restore(&bytes).unwrap_err();
+        let before = victim.save();
+        for forged in [count, records, node] {
+            let err = victim.restore(&with(&forged)).unwrap_err();
+            assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
+            assert!(err.to_string().contains("node 0's windows disagree with its dump"), "{err}");
+            assert_eq!(victim.save(), before, "a refused restore changes nothing");
+        }
+        victim.restore(&with(&d)).unwrap();
+        assert_eq!(victim.save(), section);
+    }
+
+    /// The node count is checked before anything is reserved for it: a
+    /// section that claims 2^40 nodes is refused, naming both counts.
+    #[test]
+    fn restore_checks_the_node_count_first() {
+        let lib = CounterLibrary::for_machine(&Machine::new(JobSpec::new(1, OpMode::Smp1)));
+        let mut bytes = Vec::new();
+        put_u64(&mut bytes, 1 << 40);
+        let err = lib.restore(&bytes).unwrap_err();
         assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
-        assert!(err.to_string().contains("disagrees with its node's dump"), "{err}");
-        victim.restore(&honest.save()).unwrap();
+        let msg = err.to_string();
+        assert!(msg.contains("1099511627776 counter-library nodes, machine has 1"), "{msg}");
     }
 
     /// Truncation at any byte boundary must surface as a corrupt-data
@@ -455,7 +458,7 @@ mod tests {
             };
             let mut out = Vec::new();
             put_u64(&mut out, 1);
-            save_node(&mut out, &st, false);
+            save_node(&mut out, 0, &st, false);
             out
         };
         lib.restore(&encode(&[9, 2, 5])).unwrap();
@@ -474,7 +477,7 @@ mod tests {
         let encode = |st: &NodeState| {
             let mut out = Vec::new();
             put_u64(&mut out, 1);
-            save_node(&mut out, st, false);
+            save_node(&mut out, 0, st, false);
             out
         };
         let set = NodeState {

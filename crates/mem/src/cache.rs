@@ -430,7 +430,9 @@ impl Cache {
     /// regardless of materialization state.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         if self.is_cold() {
-            bgp_arch::wire::put_u64s(out, &vec![INVALID; self.num_sets * self.assoc]);
+            let n = self.num_sets * self.assoc;
+            bgp_arch::wire::put_u64(out, n as u64);
+            out.resize(out.len() + n * 8, 0xff); // `n` INVALID words
         } else {
             bgp_arch::wire::put_u64s(out, &self.ents);
         }
@@ -657,6 +659,26 @@ mod tests {
         touched.restore_state(&mut r).unwrap();
         assert!(touched.ents.is_empty(), "all-invalid restore de-materializes");
         assert!(!touched.contains(3));
+    }
+
+    /// A cold cache writes its all-invalid image without building it:
+    /// the bytes are those of the `sets × ways` INVALID words, for the
+    /// default L1 and for a default L3 bank.
+    #[test]
+    fn cold_save_writes_the_all_invalid_image() {
+        let cfg = bgp_arch::MachineConfig::default();
+        let l1 = Cache::new(cfg.l1_sets(), cfg.l1_ways);
+        let l3 = Cache::unfiltered(cfg.l3_sets_per_bank(), cfg.l3_ways);
+        let l1_n = cfg.l1_sets() * cfg.l1_ways;
+        let l3_n = cfg.l3_sets_per_bank() * cfg.l3_ways;
+        for (c, n) in [(l1, l1_n), (l3, l3_n)] {
+            let mut want = vec![7u8];
+            bgp_arch::wire::put_u64s(&mut want, &vec![INVALID; n]);
+            let mut got = vec![7u8];
+            c.save_state(&mut got);
+            assert!(c.is_cold());
+            assert_eq!(got, want, "{n} entries");
+        }
     }
 
     #[test]

@@ -1256,13 +1256,11 @@ where
                 LeaveOutcome::Released => continue 'claims,
                 LeaveOutcome::Resolve => {
                     // This worker emptied the frontier: merge the
-                    // phase's buffered effects and open the next one.
+                    // phase's buffered effects, open the next one and
+                    // claim from the lowest node.
                     let wake = mach.resolve_phase();
                     mach.sched.commit_phase(&wake);
-                    match mach.sched.reclaim(view.node) {
-                        Some(v) => view = v,
-                        None => continue 'claims,
-                    }
+                    continue 'claims;
                 }
                 LeaveOutcome::Aborted => return,
             }

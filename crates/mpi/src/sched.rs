@@ -29,7 +29,9 @@
 //!   effects in canonical (sender rank, send sequence) order —
 //!   delivering messages with per-phase torus link contention,
 //!   completing collectives — and reports which parked ranks are now
-//!   runnable. The engine wakes them and the next phase begins.
+//!   runnable. The engine wakes them and the next phase begins; the
+//!   resolver goes back to claiming like every other worker, so one
+//!   worker runs every phase's nodes in ascending order.
 //!
 //! Because per-rank effects only meet at phase boundaries, and boundary
 //! resolution iterates in rank order over deterministic state, the
@@ -163,8 +165,6 @@ const MAX_NODE_RANKS: usize = u64::BITS as usize;
 /// a ready rank. The view is plain data: a claim allocates nothing.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct NodeView {
-    /// The claimed node.
-    pub node: usize,
     /// The node's first rank; its ranks are `first..first + count`.
     pub first: usize,
     /// How many ranks the node hosts.
@@ -223,9 +223,9 @@ pub(crate) enum LeaveOutcome {
     /// The node has no ready ranks left; the engine released the claim.
     /// Go claim another node.
     Released,
-    /// The frontier emptied: this worker is the resolver. Merge the
-    /// machine's buffered effects, call [`PhaseEngine::commit_phase`],
-    /// then [`PhaseEngine::reclaim`] the node.
+    /// The frontier emptied and the engine released the claim: this
+    /// worker is the resolver. Merge the machine's buffered effects, call
+    /// [`PhaseEngine::commit_phase`], then go claim a node.
     Resolve,
     /// The job aborted; the worker should exit.
     Aborted,
@@ -238,11 +238,10 @@ struct Engine {
     ranks_per_node: usize,
     /// Per node: local index of the rank holding the node's turn.
     cursor: Vec<usize>,
-    /// Per node: whether a worker currently holds the node.
-    claimed: Vec<bool>,
     /// Per node: unclaimed, with at least one ready rank. Workers
     /// always claim the lowest, so single-worker execution visits nodes
-    /// in canonical order.
+    /// in canonical order. A worker holds a node from its claim until
+    /// none of its ranks is ready, so at a commit no node is held.
     claimable: Vec<bool>,
     /// No node below this one is claimable. Within a phase claims only
     /// remove nodes, so the scan only moves forward; a commit, which
@@ -274,7 +273,7 @@ impl Engine {
             .filter(|&(_, r)| self.status[r] == Status::Ready)
             .fold(0, |bits, (local, _)| bits | 1 << local);
         let (first, count) = (ranks.start, ranks.len());
-        NodeView { node, first, count, ready, cursor: self.cursor[node] }
+        NodeView { first, count, ready, cursor: self.cursor[node] }
     }
 
     /// The lowest claimable node, if any.
@@ -338,7 +337,6 @@ impl PhaseEngine {
             status: vec![Status::Ready; n_ranks],
             ranks_per_node,
             cursor: vec![0; n_nodes],
-            claimed: vec![false; n_nodes],
             claimable: vec![true; n_nodes],
             scan: 0,
             runnable: n_ranks,
@@ -400,7 +398,6 @@ impl PhaseEngine {
             }
             if let Some(node) = s.next_claimable() {
                 s.claimable[node] = false;
-                s.claimed[node] = true;
                 return Claim::Run(s.view(node));
             }
             s = self.cv.wait(s);
@@ -430,36 +427,17 @@ impl PhaseEngine {
         if to == Status::Done {
             s.done += 1;
         }
+        // A node with no ready rank left this phase drops its claim, the
+        // resolver's included (an empty frontier leaves no ready rank
+        // anywhere). It becomes claimable again at the commit that wakes
+        // one of its ranks.
         if s.runnable == 0 {
-            // The caller resolves the phase while still holding its
-            // claim; commit_phase re-fills the frontier.
-            return LeaveOutcome::Resolve;
-        }
-        let node = rank / s.ranks_per_node;
-        if s.node_has_ready(node) {
+            LeaveOutcome::Resolve
+        } else if s.node_has_ready(rank / s.ranks_per_node) {
             LeaveOutcome::Continue
         } else {
-            // No ready ranks left on this node this phase: drop the
-            // claim. The node becomes claimable again at the commit
-            // that wakes one of its ranks.
-            s.claimed[node] = false;
             LeaveOutcome::Released
         }
-    }
-
-    /// Resolver epilogue: after [`PhaseEngine::commit_phase`], refresh
-    /// the claim on `node`. Returns the node's new view if it has ready
-    /// ranks again (the worker keeps driving it), or releases the claim
-    /// and returns `None` (the worker goes back to [`PhaseEngine::claim`]).
-    pub(crate) fn reclaim(&self, node: usize) -> Option<NodeView> {
-        let mut s = self.m.lock();
-        debug_assert!(s.claimed[node], "reclaim of an unclaimed node");
-        if !s.aborted && s.node_has_ready(node) {
-            let view = s.view(node);
-            return Some(view);
-        }
-        s.claimed[node] = false;
-        None
     }
 
     /// Snapshot of every parked rank and its wait (valid only while the
@@ -531,15 +509,14 @@ impl PhaseEngine {
         }
         // Every node's rotation restarts at its lowest-ranked ready rank
         // so the next phase's intra-node interleaving is canonical.
-        // Nodes with ready ranks become claimable again — except the
-        // resolver's own node, which stays claimed until it reclaims.
+        // Nodes with ready ranks become claimable again.
         s.scan = 0;
         for node in 0..s.claimable.len() {
             let pos = s.ranks(node).position(|r| s.status[r] == Status::Ready);
             if let Some(p) = pos {
                 s.cursor[node] = p;
             }
-            s.claimable[node] = pos.is_some() && !s.claimed[node];
+            s.claimable[node] = pos.is_some();
         }
         drop(s);
         self.cv.notify_all();
@@ -601,8 +578,7 @@ mod tests {
         assert_eq!(log, vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
         assert_eq!(out, Some(LeaveOutcome::Resolve), "last finisher resolves");
         eng.commit_phase(&[]);
-        assert!(eng.reclaim(view.node).is_none(), "nothing left to run");
-        assert!(matches!(eng.claim(), Claim::Finished));
+        assert!(matches!(eng.claim(), Claim::Finished), "nothing left to run");
     }
 
     #[test]
@@ -618,23 +594,33 @@ mod tests {
         }
         assert_eq!(eng.finish(0), LeaveOutcome::Resolve);
         eng.commit_phase(&[]);
-        assert!(eng.reclaim(0).is_none());
+        assert!(matches!(eng.claim(), Claim::Finished));
     }
 
+    /// Every phase, the resolver's included, visits the nodes from the
+    /// lowest: each rank parks once, is woken, and finishes.
     #[test]
     fn single_worker_claims_nodes_in_ascending_order() {
         let eng = smp(4, 1);
         let mut order = Vec::new();
+        let mut parked = 0;
         loop {
             match eng.claim() {
                 Claim::Run(view) => {
-                    order.push(view.node);
-                    match eng.finish(view.current()) {
-                        LeaveOutcome::Released => {}
-                        LeaveOutcome::Resolve => {
-                            eng.commit_phase(&[]);
-                            assert!(eng.reclaim(view.node).is_none());
+                    order.push(view.first); // one rank per node
+                    let rank = view.current();
+                    let out = if order.len() <= 4 {
+                        eng.park(rank, Wait::Collective { slot: 0 })
+                    } else {
+                        eng.finish(rank)
+                    };
+                    match out {
+                        LeaveOutcome::Released => parked += 1,
+                        LeaveOutcome::Resolve if order.len() == 4 => {
+                            assert_eq!(parked, 3);
+                            eng.commit_phase(&[0, 1, 2, 3]);
                         }
+                        LeaveOutcome::Resolve => eng.commit_phase(&[]),
                         other => panic!("unexpected outcome {other:?}"),
                     }
                 }
@@ -642,7 +628,7 @@ mod tests {
                 Claim::Aborted => panic!("no abort in this test"),
             }
         }
-        assert_eq!(order, vec![0, 1, 2, 3], "canonical claim order");
+        assert_eq!(order, vec![0, 1, 2, 3, 0, 1, 2, 3], "canonical claim order");
     }
 
     #[test]
@@ -657,24 +643,24 @@ mod tests {
             Claim::Run(v) => v,
             _ => panic!("node 1 claimable"),
         };
-        assert_eq!((v0.node, v1.node), (0, 1));
+        assert_eq!((v0.first, v1.first), (0, 1));
         assert_eq!(eng.park(0, w), LeaveOutcome::Released);
         assert_eq!(eng.park(1, w), LeaveOutcome::Resolve, "last parker resolves");
         assert_eq!(eng.parked().len(), 2, "both ranks parked at resolution");
         eng.commit_phase(&[0, 1]);
-        // The resolver still holds node 1; rank 1 woke, so it reclaims.
-        let v1 = eng.reclaim(1).expect("woken rank makes node 1 reclaimable");
-        assert_eq!(v1.current(), 1);
-        // Node 0 re-entered the claimable set at commit.
-        let v0 = match eng.claim() {
-            Claim::Run(v) => v,
-            _ => panic!("node 0 claimable again"),
-        };
-        assert_eq!(v0.current(), 0);
+        // The resolver released node 1 with the rest: both nodes
+        // re-entered the claimable set at commit and are claimed from
+        // the lowest, the resolver's own node last.
+        for node in [0, 1] {
+            let v = match eng.claim() {
+                Claim::Run(v) => v,
+                _ => panic!("node {node} claimable again"),
+            };
+            assert_eq!((v.first, v.current()), (node, node));
+        }
         assert_eq!(eng.finish(0), LeaveOutcome::Released);
         assert_eq!(eng.finish(1), LeaveOutcome::Resolve);
         eng.commit_phase(&[]);
-        assert!(eng.reclaim(1).is_none());
         assert!(matches!(eng.claim(), Claim::Finished));
         assert!(eng.phases() >= 2);
     }
@@ -690,7 +676,6 @@ mod tests {
         assert!(eng.is_aborted());
         assert!(matches!(eng.claim(), Claim::Aborted));
         assert_eq!(eng.park(view.current(), Wait::Collective { slot: 0 }), LeaveOutcome::Aborted);
-        assert!(eng.reclaim(view.node).is_none());
     }
 
     #[test]

@@ -157,6 +157,16 @@ for workload in mg-a16 cg-supervised fullmachine-probe serve-mix; do
     esac
 done
 
+echo "==> perfbench traced probe (every node's dump encoded on demand: 73,728 x 2,089 B)"
+# --trace 1 sums the encoded length of every node's dump, so the
+# on-demand encode runs at full scale and its size is pinned; ~10 s.
+last="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload fullmachine-probe --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+case "$last" in
+    '{"correct":true,'*'"core.dump_bytes":{"value":154017792,'*) ;;
+    *) echo "perfbench traced probe: wrong output or dump bytes: $last"; exit 1 ;;
+esac
+
 echo "==> snapshot overhead bound (checkpoint every 64 phases < 5%, Default scale)"
 # Runs at Default scale (MG class A), the scale of the acceptance
 # criterion; ~1 min.

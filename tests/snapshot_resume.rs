@@ -351,9 +351,9 @@ async fn early_finisher(mut ctx: bgp::RankCtx) -> (bgp::RankCtx, bool) {
     (ctx, got == 48)
 }
 
-/// A snapshot that holds a finalized node (its windows live only in its
-/// dump) resumes to byte-identical dumps, under a one-mode and a
-/// rotating policy.
+/// A snapshot that holds a finalized node (its windows, and the dump
+/// encoded from them) resumes to byte-identical dumps, under a one-mode
+/// and a rotating policy.
 #[test]
 fn resume_with_a_finalized_node_is_byte_identical() {
     let policies = [
