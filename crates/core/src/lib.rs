@@ -41,6 +41,7 @@ pub mod state;
 pub mod supervisor;
 
 use bgp_arch::error::Result;
+use bgp_arch::geometry::NodeId;
 use bgp_arch::events::{CounterMode, NUM_COUNTERS, NUM_MODES};
 use bgp_arch::BgpError;
 use bgp_arch::sync::Mutex;
@@ -97,10 +98,10 @@ struct NodeState {
     finalize_arrivals: usize,
     /// The node's sets, sorted by id (the order dumps list them in).
     sets: Vec<(u32, SetState)>,
-    /// Set by `BGP_Finalize`: the home mode the node's dump header
-    /// advertises. The dump itself is never stored; it is built from
-    /// the windows each time it is read.
-    finalized: Option<CounterMode>,
+    /// Set by `BGP_Finalize`. The dump itself is never stored; it is
+    /// built from the windows each time it is read, with the node's home
+    /// mode ([`CounterPolicy::mode_for`]) in its header.
+    finalized: bool,
 }
 
 impl NodeState {
@@ -151,11 +152,6 @@ impl NodeState {
             sets.push(SetDump { id: dump::mux_sched_id(*id), records: 1, counts });
         }
         NodeDump { node: node as u32, mode, sets }
-    }
-
-    /// Node `node`'s encoded dump, if it finalized.
-    fn encoded_dump(&self, node: usize) -> Option<Vec<u8>> {
-        self.finalized.map(|mode| dump::encode(&self.dump(node, mode)))
     }
 }
 
@@ -263,7 +259,7 @@ impl CounterLibrary {
                 ));
             }
             // No dump would carry a window opened now.
-            if st.finalized.is_some() {
+            if st.finalized {
                 return Err(BgpError::protocol(format!(
                     "BGP_Start({set}) on node {node} after BGP_Finalize closed its dump"
                 )));
@@ -388,10 +384,7 @@ impl CounterLibrary {
                         "BGP_Finalize with set {active} still active"
                     )));
                 }
-                // The dump header advertises the node's home mode — the
-                // block the primary sets report (under rotation the unit
-                // sits in whatever mode the last dwell left it).
-                st.finalized = Some(ctx.machine().home_mode(node));
+                st.finalized = true;
                 let bytes = dump::encoded_len(st.dump_sets()) as u64;
                 ctx.trace_event(EventKind::CounterDump { bytes });
             }
@@ -407,6 +400,17 @@ impl CounterLibrary {
         matches!(self.spec.counter_policy, CounterPolicy::Multiplexed { .. })
     }
 
+    /// Node `node`'s dump, built from the windows of its state `st`, if it
+    /// finalized. The header advertises the node's home mode — the block
+    /// the primary sets report (under rotation the unit sits in whatever
+    /// mode the last dwell left it).
+    fn dump_of(&self, node: usize, st: &NodeState) -> Result<NodeDump> {
+        if !st.finalized {
+            return Err(never_finalized(node));
+        }
+        Ok(st.dump(node, self.spec.counter_policy.mode_for(NodeId(node))))
+    }
+
     /// The dumps of all nodes (available after every rank finalized),
     /// built from their windows: the records [`dump::decode`] would read
     /// back from [`CounterLibrary::encoded_dump`].
@@ -416,8 +420,7 @@ impl CounterLibrary {
             .iter()
             .enumerate()
             .map(|(i, st)| {
-                let mode = st.finalized.ok_or_else(|| never_finalized(i))?;
-                let d = st.dump(i, mode);
+                let d = self.dump_of(i, st)?;
                 debug_assert_eq!(dump::decode(&dump::encode(&d)).ok().as_ref(), Some(&d));
                 Ok(d)
             })
@@ -433,7 +436,7 @@ impl CounterLibrary {
         let nodes = self.nodes.lock();
         let mut paths = Vec::with_capacity(nodes.len());
         for (i, st) in nodes.iter().enumerate() {
-            let bytes = st.encoded_dump(i).ok_or_else(|| never_finalized(i))?;
+            let bytes = dump::encode(&self.dump_of(i, st)?);
             let p = dir.join(format!("node_{i:05}.bgpc"));
             std::fs::write(&p, bytes)?;
             paths.push(p);
@@ -451,7 +454,8 @@ impl CounterLibrary {
     /// material the collection pipeline fetches and decodes).
     pub fn encoded_dump(&self, node: usize) -> Option<Vec<u8>> {
         let nodes = self.nodes.lock();
-        nodes.get(node).and_then(|st| st.encoded_dump(node))
+        let d = nodes.get(node).and_then(|st| self.dump_of(node, st).ok())?;
+        Some(dump::encode(&d))
     }
 }
 

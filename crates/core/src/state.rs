@@ -9,44 +9,39 @@
 //! `app:counters` section at capture and spliced back wholesale at
 //! go-live, discarding whatever the replay built.
 //!
-//! The section spells out what memory holds more compactly: a start
-//! mark without totals is written as its zero totals, and a finalized
-//! node, which holds only its windows and home mode, is written with its
-//! windows and the dump encoded from them. Restore drops the zero totals
-//! again, decodes each dump strictly, refuses a finalized node whose
-//! windows disagree with its dump, and keeps the windows, not the bytes.
+//! The section holds what memory holds: a start mark without totals is
+//! written without totals, and a finalized node is its flag and its
+//! windows (its dump is built from them, with the home mode the policy
+//! gives the node). Restore refuses a mark whose totals are neither
+//! empty nor the job's schedule width, and a finalized node with a
+//! window no stop closed, naming the node.
 
 use crate::{dump, CounterLibrary, NodeState, SetState};
 use bgp_arch::error::{BgpError, Result};
 use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS};
-use bgp_arch::wire::{put_bool, put_bytes, put_u32, put_u64, put_u64s, put_u8, Reader};
+use bgp_arch::wire::{put_bool, put_u32, put_u64, put_u64s, put_u8, Reader};
 use bgp_mpi::machine::AppState;
 use bgp_mpi::MuxMark;
 
 /// The library's app-state name: its snapshot section is `app:counters`.
 pub(crate) const NAME: &str = "counters";
 
-/// Write `mark`; a mark without totals as `width` zeros when `width` is
-/// given (a start mark), as no totals otherwise (a window none closed).
-fn save_mark(out: &mut Vec<u8>, mark: &MuxMark, width: Option<usize>) {
-    match width {
-        Some(width) if mark.totals.is_empty() => {
-            put_u64(out, width as u64);
-            out.resize(out.len() + width * 8, 0);
-        }
-        _ => put_u64s(out, &mark.totals),
-    }
+fn save_mark(out: &mut Vec<u8>, mark: &MuxMark) {
+    put_u64s(out, &mark.totals);
     for &v in mark.occupancy.iter().chain(&mark.cycles) {
         put_u64(out, v);
     }
 }
 
-/// A mark covers one mode's block, every mode's, or (an accumulator
-/// with no closed window yet) nothing.
-fn load_mark(r: &mut Reader<'_>) -> Result<MuxMark> {
+/// A mark of node `node` holds no totals or the `width` of the job's
+/// schedule: every mode's under rotation, one mode's otherwise.
+fn load_mark(r: &mut Reader<'_>, node: usize, width: usize, what: &str) -> Result<MuxMark> {
     let totals = r.u64s("mark totals")?;
-    if ![0, NUM_COUNTERS, NUM_EVENTS].contains(&totals.len()) {
-        return Err(BgpError::corrupt(format!("mark has {} totals", totals.len())));
+    if !totals.is_empty() && totals.len() != width {
+        return Err(BgpError::corrupt(format!(
+            "node {node}'s {what} holds {} totals; the job's schedule holds {width}",
+            totals.len()
+        )));
     }
     let mut mark = MuxMark { totals, ..MuxMark::default() };
     for v in mark.occupancy.iter_mut().chain(&mut mark.cycles) {
@@ -55,17 +50,17 @@ fn load_mark(r: &mut Reader<'_>) -> Result<MuxMark> {
     Ok(mark)
 }
 
-fn save_set(out: &mut Vec<u8>, id: u32, s: &SetState, width: usize) {
+fn save_set(out: &mut Vec<u8>, id: u32, s: &SetState) {
     put_u32(out, id);
     put_u32(out, s.records);
     match &s.start {
         Some(mark) => {
             put_u8(out, 1);
-            save_mark(out, mark, Some(width));
+            save_mark(out, mark);
         }
         None => put_u8(out, 0),
     }
-    save_mark(out, &s.window, None);
+    save_mark(out, &s.window);
 }
 
 /// A set id at or above [`dump::SET_ID_LIMIT`] cannot have come from
@@ -81,20 +76,19 @@ fn load_set_id(r: &mut Reader<'_>, what: &str) -> Result<u32> {
     Ok(id)
 }
 
-fn load_set(r: &mut Reader<'_>) -> Result<(u32, SetState)> {
+fn load_set(r: &mut Reader<'_>, node: usize, width: usize) -> Result<(u32, SetState)> {
     let id = load_set_id(r, "set id")?;
     let records = r.u32("set records")?;
     let start = match r.u8("start-mark tag")? {
         0 => None,
-        1 => Some(load_mark(r)?),
+        1 => Some(load_mark(r, node, width, "start mark")?),
         t => return Err(BgpError::corrupt(format!("bad start-mark tag {t}"))),
     };
-    Ok((id, SetState { start, window: load_mark(r)?, records }))
+    let window = load_mark(r, node, width, "window")?;
+    Ok((id, SetState { start, window, records }))
 }
 
-/// Write `st`, the state of node `node` of a job whose schedules rotate
-/// (see [`CounterLibrary::rotates`]) or not.
-fn save_node(out: &mut Vec<u8>, node: usize, st: &NodeState, rotates: bool) {
+fn save_node(out: &mut Vec<u8>, st: &NodeState) {
     put_bool(out, st.initialized);
     put_u64(out, st.init_arrivals as u64);
     match st.active_set {
@@ -108,22 +102,16 @@ fn save_node(out: &mut Vec<u8>, node: usize, st: &NodeState, rotates: bool) {
     put_u64(out, st.stop_arrivals as u64);
     put_u64(out, st.finalize_arrivals as u64);
     put_u64(out, st.sets.len() as u64);
-    let width = if rotates { NUM_EVENTS } else { NUM_COUNTERS };
     for (id, s) in &st.sets {
-        save_set(out, *id, s, width);
+        save_set(out, *id, s);
     }
-    match st.encoded_dump(node) {
-        Some(d) => {
-            put_u8(out, 1);
-            put_bytes(out, &d);
-        }
-        None => put_u8(out, 0),
-    }
+    put_bool(out, st.finalized);
 }
 
-/// Read one node's state and the dump bytes its section carries, if it
-/// finalized.
-fn load_node<'a>(r: &mut Reader<'a>) -> Result<(NodeState, Option<&'a [u8]>)> {
+/// Read the state of node `node` of a job whose marks hold `width`
+/// totals. A finalized node's dump is built from its windows, so each
+/// must have been closed by a stop.
+fn load_node(r: &mut Reader<'_>, node: usize, width: usize) -> Result<NodeState> {
     let initialized = r.bool("initialized")?;
     let init_arrivals = r.u64("init arrivals")? as usize;
     let active_set = match r.u8("active-set tag")? {
@@ -145,42 +133,21 @@ fn load_node<'a>(r: &mut Reader<'a>) -> Result<(NodeState, Option<&'a [u8]>)> {
         ..NodeState::default()
     };
     for _ in 0..n_sets {
-        let (id, s) = load_set(r)?;
+        let (id, s) = load_set(r, node, width)?;
         match st.find_set(id) {
             Ok(_) => return Err(BgpError::corrupt(format!("duplicate set {id}"))),
             Err(i) => st.insert_set(i, id, s),
         }
     }
-    let dump = match r.u8("dump tag")? {
-        0 => None,
-        1 => Some(r.bytes("dump bytes")?),
-        t => return Err(BgpError::corrupt(format!("bad dump tag {t}"))),
-    };
-    Ok((st, dump))
-}
-
-/// Bring loaded node `node` to its in-memory form: drop all-zero
-/// start-mark totals and, if it finalized, check its windows against
-/// the `dump` its section carries and keep the dump's header mode. The
-/// windows must be the ones the capture encoded the dump from: full
-/// width, and with the dump's records, so the node encodes the same
-/// bytes again.
-fn compact(st: &mut NodeState, node: usize, dump: Option<&[u8]>, rotates: bool) -> Result<()> {
-    for (_, s) in &mut st.sets {
-        if let Some(start) = &mut s.start {
-            if start.totals.iter().all(|&v| v == 0) {
-                start.totals = Vec::new();
-            }
+    st.finalized = r.bool("finalized")?;
+    if st.finalized {
+        if let Some((id, _)) = st.sets.iter().find(|(_, s)| s.window.totals.is_empty()) {
+            return Err(BgpError::corrupt(format!(
+                "node {node} finalized with set {id}'s window never closed"
+            )));
         }
     }
-    let Some(bytes) = dump else { return Ok(()) };
-    let d = dump::decode(bytes)?;
-    let width = if rotates { NUM_EVENTS } else { NUM_COUNTERS };
-    if st.sets.iter().any(|(_, s)| s.window.totals.len() != width) || st.dump(node, d.mode) != d {
-        return Err(BgpError::corrupt(format!("node {node}'s windows disagree with its dump")));
-    }
-    st.finalized = Some(d.mode);
-    Ok(())
+    Ok(st)
 }
 
 impl AppState for CounterLibrary {
@@ -192,8 +159,8 @@ impl AppState for CounterLibrary {
         let nodes = self.nodes.lock();
         let mut out = Vec::new();
         put_u64(&mut out, nodes.len() as u64);
-        for (node, st) in nodes.iter().enumerate() {
-            save_node(&mut out, node, st, self.rotates());
+        for st in nodes.iter() {
+            save_node(&mut out, st);
         }
         out
     }
@@ -207,12 +174,9 @@ impl AppState for CounterLibrary {
                 "snapshot has {n} counter-library nodes, machine has {machine}"
             )));
         }
-        let mut fresh = Vec::with_capacity(machine);
-        for node in 0..machine {
-            let (mut st, dump) = load_node(&mut r)?;
-            compact(&mut st, node, dump, self.rotates())?;
-            fresh.push(st);
-        }
+        let width = if self.rotates() { NUM_EVENTS } else { NUM_COUNTERS };
+        let fresh = (0..machine).map(|node| load_node(&mut r, node, width));
+        let fresh = fresh.collect::<Result<Vec<_>>>()?;
         r.expect_end("counter-library state")?;
         *self.nodes.lock() = fresh;
         Ok(())
@@ -245,7 +209,7 @@ mod tests {
             let mut window = MuxMark { totals: vec![9; NUM_COUNTERS], ..MuxMark::default() };
             window.totals[17] = u64::MAX;
             let start = MuxMark {
-                totals: vec![2; NUM_EVENTS],
+                totals: vec![2; NUM_COUNTERS],
                 occupancy: [1, 2, 3, 4],
                 cycles: [10, 20, 30, 40],
             };
@@ -259,7 +223,7 @@ mod tests {
             let totals = (0..NUM_COUNTERS as u64).collect();
             let window = MuxMark { totals, ..MuxMark::default() };
             st.sets.push((0, SetState { start: None, window, records: 1 }));
-            st.finalized = Some(CounterMode::Mode1);
+            st.finalized = true;
         }
         let bytes = lib.save();
         let m2 = Machine::new(spec);
@@ -268,21 +232,28 @@ mod tests {
         assert_eq!(lib2.save(), bytes);
     }
 
-    /// Every set window of every node in an `app:counters` section.
-    fn windows(bytes: &[u8]) -> Vec<Vec<MuxMark>> {
+    /// Every node of an `app:counters` section of a job whose marks hold
+    /// `width` totals.
+    fn nodes_of(bytes: &[u8], width: usize) -> Vec<NodeState> {
         let mut r = Reader::new(bytes);
         let n = r.u64("node count").unwrap();
-        let nodes = (0..n).map(|_| load_node(&mut r).unwrap().0);
+        (0..n as usize).map(|node| load_node(&mut r, node, width).unwrap()).collect()
+    }
+
+    /// Every set window of every node in an `app:counters` section.
+    fn windows(bytes: &[u8], width: usize) -> Vec<Vec<MuxMark>> {
+        let nodes = nodes_of(bytes, width).into_iter();
         nodes.map(|st| st.sets.into_iter().map(|(_, s)| s.window).collect()).collect()
     }
 
-    /// The library holds a zero start mark without its totals, yet writes
-    /// it in full, under every kind of policy; restore takes it back to
-    /// the compact form. A finalized node keeps its windows, written as
-    /// they were before finalize, beside the dump encoded from them.
-    /// Every form saves the same bytes again after a restore.
+    /// The section holds what memory holds, under every kind of policy:
+    /// a zero start mark is written without totals, and a finalized
+    /// node as its flag and its windows, written as they were before
+    /// finalize, with no dump bytes. Every form restores as it was held,
+    /// saves the same bytes again, and a restored finalized library
+    /// gives the same dumps.
     #[test]
-    fn compact_marks_and_finalized_windows_round_trip() {
+    fn marks_and_finalized_windows_are_written_as_held() {
         let policies = [
             CounterPolicy::Fixed(CounterMode::Mode2),
             CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode3 },
@@ -298,11 +269,12 @@ mod tests {
             };
             let m = Machine::new(spec.clone());
             let lib = CounterLibrary::for_machine(&m);
-            let held = |lib: &CounterLibrary| -> Vec<(usize, usize)> {
+            let held = |lib: &CounterLibrary| -> Vec<(usize, usize, bool)> {
                 let nodes = lib.nodes.lock();
                 let set = |st: &NodeState| {
                     let s = &st.sets[0].1;
-                    (s.start.as_ref().map_or(0, |m| m.totals.len()), s.window.totals.len())
+                    let start = s.start.as_ref().map_or(0, |m| m.totals.len());
+                    (start, s.window.totals.len(), st.finalized)
                 };
                 nodes.iter().map(set).collect()
             };
@@ -331,75 +303,106 @@ mod tests {
             let closed = out[0].1.clone().unwrap();
             let finalized = lib.save();
 
-            // Open zero start marks: held empty, written as zeros.
-            assert_eq!(held_open, vec![(0, 0); 2], "{policy:?}");
-            let mut r = Reader::new(&open);
-            r.u64("node count").unwrap();
-            let (st, dump) = load_node(&mut r).unwrap();
-            let start = st.sets[0].1.start.as_ref().unwrap();
-            assert_eq!(start.totals, vec![0; width], "{policy:?}");
-            assert!(dump.is_none(), "{policy:?}");
+            // Open zero start marks: held empty, written empty.
+            assert_eq!(held_open, vec![(0, 0, false); 2], "{policy:?}");
+            let start = nodes_of(&open, width)[0].sets[0].1.start.clone().unwrap();
+            assert!(start.totals.is_empty(), "{policy:?}");
 
-            // Finalized: windows kept, written as before finalize.
-            assert_eq!(held(&lib), vec![(0, width); 2], "{policy:?}");
-            assert_eq!(windows(&finalized), windows(&closed), "{policy:?}");
-            assert!(windows(&closed).iter().flatten().all(|w| w.totals.len() == width));
-            let mut r = Reader::new(&finalized);
-            r.u64("node count").unwrap();
-            let dump = load_node(&mut r).unwrap().1;
-            assert_eq!(dump, lib.encoded_dump(0).as_deref(), "{policy:?}");
+            // Finalized: the flag and the windows as they were before
+            // finalize; nothing else distinguishes the two sections.
+            assert_eq!(held(&lib), vec![(0, width, true); 2], "{policy:?}");
+            assert_eq!(windows(&finalized, width), windows(&closed, width), "{policy:?}");
+            assert_eq!(finalized.len(), closed.len(), "{policy:?}: no dump bytes");
 
-            let forms = [(&open, (0, 0)), (&closed, (0, width)), (&finalized, (0, width))];
-            for (bytes, compact) in forms {
+            let forms = [(&open, (0, 0, false)), (&closed, (0, width, false))];
+            for (bytes, form) in forms.into_iter().chain([(&finalized, (0, width, true))]) {
                 let back = CounterLibrary::for_machine(&Machine::new(spec.clone()));
                 back.restore(bytes).unwrap();
                 assert_eq!(&back.save(), bytes, "{policy:?}");
-                assert_eq!(held(&back), vec![compact; 2], "{policy:?}: restored compact");
+                assert_eq!(held(&back), vec![form; 2], "{policy:?}: restored as held");
             }
             let back = CounterLibrary::for_machine(&Machine::new(spec.clone()));
             back.restore(&finalized).unwrap();
             assert_eq!(back.dumps().unwrap(), lib.dumps().unwrap(), "{policy:?}");
+            assert_eq!(back.encoded_dump(1), lib.encoded_dump(1), "{policy:?}");
         }
     }
 
-    /// A finalized node's windows must be the ones its dump encodes: the
-    /// capture encodes the dump from them, so a section whose dump
-    /// differs in a count, a record count or the node id is refused, and
-    /// a refused restore changes nothing.
-    #[test]
-    fn restore_refuses_windows_that_disagree_with_the_dump() {
-        let spec = JobSpec::new(1, OpMode::Smp1);
-        let m = Machine::new(spec.clone());
-        let (_, honest) = crate::run_instrumented(&m, |mut ctx| async move {
-            ctx.fp1(bgp_mpi::SemOp::Add);
-            (ctx, ())
-        });
-        let section = honest.save();
-        let bytes = honest.encoded_dump(0).unwrap();
-        let d = dump::decode(&bytes).unwrap();
-        // The section ends with the node's dump: swap in a forged one.
-        let head = &section[..section.len() - bytes.len() - 8];
-        let with = |forged: &dump::NodeDump| {
-            let mut out = head.to_vec();
-            put_bytes(&mut out, &dump::encode(forged));
-            out
-        };
-        let mut count = d.clone();
-        count.sets[0].counts[5] ^= 1;
-        let mut records = d.clone();
-        records.sets[0].records += 1;
-        let mut node = d.clone();
-        node.node = 3;
-        let victim = CounterLibrary::for_machine(&Machine::new(spec));
-        let before = victim.save();
-        for forged in [count, records, node] {
-            let err = victim.restore(&with(&forged)).unwrap_err();
-            assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
-            assert!(err.to_string().contains("node 0's windows disagree with its dump"), "{err}");
-            assert_eq!(victim.save(), before, "a refused restore changes nothing");
+    /// A library of a 2-node job under `policy` whose node 1 holds an
+    /// open set with a `window_width`-wide window (and a start mark of
+    /// `start_width` totals), saved; and an empty library to restore it.
+    fn section_with_widths(
+        policy: CounterPolicy,
+        start_width: usize,
+        window_width: usize,
+    ) -> (Vec<u8>, Arc<CounterLibrary>) {
+        let mut spec = JobSpec::new(2, OpMode::Smp1);
+        spec.counter_policy = policy;
+        let lib = CounterLibrary::for_machine(&Machine::new(spec.clone()));
+        {
+            let mut nodes = lib.nodes.lock();
+            let st = &mut nodes[1];
+            st.initialized = true;
+            st.init_arrivals = 1;
+            st.active_set = Some(4);
+            st.start_arrivals = 1;
+            let start = MuxMark { totals: vec![3; start_width], ..MuxMark::default() };
+            let window = MuxMark { totals: vec![5; window_width], ..MuxMark::default() };
+            st.sets.push((4, SetState { start: Some(start), window, records: 1 }));
         }
-        victim.restore(&with(&d)).unwrap();
-        assert_eq!(victim.save(), section);
+        (lib.save(), CounterLibrary::for_machine(&Machine::new(spec)))
+    }
+
+    fn assert_refused(bytes: &[u8], victim: &CounterLibrary, want: &str) {
+        let before = victim.save();
+        let err = victim.restore(bytes).expect_err("a mark of the wrong width restored");
+        assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains(want), "{err}");
+        assert_eq!(victim.save(), before, "a refused restore changes nothing");
+    }
+
+    /// Under `Multiplexed` every mark holds all four modes' totals. An
+    /// open node's 256-wide window would restore as a one-mode window,
+    /// and its dump would then lose the per-mode and schedule sets.
+    #[test]
+    fn multiplexed_restore_refuses_a_one_mode_window_on_an_open_node() {
+        let policy = CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 2 };
+        let (bytes, victim) = section_with_widths(policy, NUM_EVENTS, NUM_COUNTERS);
+        assert_refused(&bytes, &victim, "node 1's window holds 256 totals");
+        let (bytes, victim) = section_with_widths(policy, NUM_COUNTERS, 0);
+        assert_refused(&bytes, &victim, "node 1's start mark holds 256 totals");
+        let (bytes, victim) = section_with_widths(policy, NUM_EVENTS, NUM_EVENTS);
+        victim.restore(&bytes).unwrap();
+    }
+
+    /// Under a one-mode policy every mark holds one mode's 256 totals. An
+    /// open node's 1,024-wide window would reach past the live counters
+    /// at the next `BGP_Stop`.
+    #[test]
+    fn fixed_restore_refuses_an_every_mode_window_on_an_open_node() {
+        let policy = CounterPolicy::Fixed(CounterMode::Mode2);
+        let (bytes, victim) = section_with_widths(policy, NUM_COUNTERS, NUM_EVENTS);
+        assert_refused(&bytes, &victim, "node 1's window holds 1024 totals");
+        let (bytes, victim) = section_with_widths(policy, NUM_EVENTS, NUM_COUNTERS);
+        assert_refused(&bytes, &victim, "node 1's start mark holds 1024 totals");
+        let (bytes, victim) = section_with_widths(policy, 0, NUM_COUNTERS);
+        victim.restore(&bytes).unwrap();
+    }
+
+    /// A finalized node's dump is built from its windows, so a section
+    /// that holds one with a window no stop closed is refused.
+    #[test]
+    fn restore_refuses_a_finalized_node_with_an_unclosed_window() {
+        let lib = CounterLibrary::for_machine(&Machine::new(JobSpec::new(1, OpMode::Smp1)));
+        let st = NodeState {
+            sets: vec![(2, SetState::default())],
+            finalized: true,
+            ..NodeState::default()
+        };
+        let mut bytes = Vec::new();
+        put_u64(&mut bytes, 1);
+        save_node(&mut bytes, &st);
+        assert_refused(&bytes, &lib, "node 0 finalized with set 2's window never closed");
     }
 
     /// The node count is checked before anything is reserved for it: a
@@ -458,7 +461,7 @@ mod tests {
             };
             let mut out = Vec::new();
             put_u64(&mut out, 1);
-            save_node(&mut out, 0, &st, false);
+            save_node(&mut out, &st);
             out
         };
         lib.restore(&encode(&[9, 2, 5])).unwrap();
@@ -477,7 +480,7 @@ mod tests {
         let encode = |st: &NodeState| {
             let mut out = Vec::new();
             put_u64(&mut out, 1);
-            save_node(&mut out, 0, st, false);
+            save_node(&mut out, st);
             out
         };
         let set = NodeState {

@@ -164,7 +164,7 @@ impl Cache {
     }
 
     /// Whether the backing arrays have not been allocated yet (no line
-    /// was ever installed, or every restore image was all-invalid).
+    /// was ever installed, or the last restore image held no entries).
     #[inline]
     fn is_cold(&self) -> bool {
         self.ents.is_empty()
@@ -425,47 +425,31 @@ impl Cache {
     /// Only the packed way entries are written: the membership filter and
     /// the valid-way count are exact counts of resident lines, so
     /// [`Cache::restore_state`] rebuilds them from the entries. A cold
-    /// (never-filled) cache writes the same all-invalid image an eagerly
-    /// allocated empty cache would, so snapshots stay byte-identical
-    /// regardless of materialization state.
+    /// (never-filled) cache writes zero entries.
     pub fn save_state(&self, out: &mut Vec<u8>) {
-        if self.is_cold() {
-            let n = self.num_sets * self.assoc;
-            bgp_arch::wire::put_u64(out, n as u64);
-            out.resize(out.len() + n * 8, 0xff); // `n` INVALID words
-        } else {
-            bgp_arch::wire::put_u64s(out, &self.ents);
-        }
+        bgp_arch::wire::put_u64s(out, &self.ents);
     }
 
     /// Restore state previously written by [`Cache::save_state`] into a
-    /// cache of identical geometry.
+    /// cache of identical geometry; zero entries leave it cold.
     ///
     /// # Errors
     /// [`bgp_arch::BgpError::Corrupt`] on truncated input or an entry
-    /// count that does not match this cache's `sets × ways`.
+    /// count that is neither zero nor this cache's `sets × ways`.
     pub fn restore_state(
         &mut self,
         r: &mut bgp_arch::wire::Reader<'_>,
     ) -> bgp_arch::error::Result<()> {
         let ents = r.u64s("cache entries")?;
-        if ents.len() != self.num_sets * self.assoc {
+        if !ents.is_empty() && ents.len() != self.num_sets * self.assoc {
             return Err(bgp_arch::BgpError::corrupt(format!(
                 "cache geometry mismatch: snapshot has {} entries, cache holds {}",
                 ents.len(),
                 self.num_sets * self.assoc
             )));
         }
-        if ents.iter().all(|&e| e == INVALID) {
-            // All-invalid image: stay (or return to) the cold
-            // representation so restored idle nodes cost nothing.
-            self.ents = Vec::new();
-            self.filt = Vec::new();
-            self.valid = 0;
-            return Ok(());
-        }
+        self.filt = if ents.is_empty() { Vec::new() } else { vec![0; self.filt_len] };
         self.ents = ents;
-        self.filt = vec![0; self.filt_len];
         self.valid = 0;
         for i in 0..self.ents.len() {
             let e = self.ents[i];
@@ -643,42 +627,36 @@ mod tests {
         assert_eq!(c.flush(), vec![42]);
     }
 
+    /// A cold cache writes zero entries and restores cold; a built but
+    /// empty one writes its `sets × ways` invalid entries and restores
+    /// built. Either image replaces whatever the target held.
     #[test]
-    fn cold_and_eager_empty_caches_snapshot_identically() {
+    fn cold_and_built_empty_caches_snapshot_as_they_are_held() {
         let cold = Cache::new(8, 2);
-        let mut touched = Cache::new(8, 2);
-        touched.fill(3, false, false);
-        touched.invalidate(3);
-        // `touched` is materialized but empty; images must match.
+        let mut emptied = Cache::new(8, 2);
+        emptied.fill(3, false, false);
+        emptied.invalidate(3);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         cold.save_state(&mut a);
-        touched.save_state(&mut b);
-        assert_eq!(a, b);
-        // Restoring an all-invalid image returns the cache to cold.
-        let mut r = bgp_arch::wire::Reader::new(&a);
-        touched.restore_state(&mut r).unwrap();
-        assert!(touched.ents.is_empty(), "all-invalid restore de-materializes");
-        assert!(!touched.contains(3));
-    }
+        emptied.save_state(&mut b);
+        let mut want = Vec::new();
+        bgp_arch::wire::put_u64s(&mut want, &[]);
+        assert_eq!(a, want, "a cold cache writes zero entries");
+        want.clear();
+        bgp_arch::wire::put_u64s(&mut want, &[INVALID; 16]);
+        assert_eq!(b, want, "a built cache writes every way");
 
-    /// A cold cache writes its all-invalid image without building it:
-    /// the bytes are those of the `sets × ways` INVALID words, for the
-    /// default L1 and for a default L3 bank.
-    #[test]
-    fn cold_save_writes_the_all_invalid_image() {
-        let cfg = bgp_arch::MachineConfig::default();
-        let l1 = Cache::new(cfg.l1_sets(), cfg.l1_ways);
-        let l3 = Cache::unfiltered(cfg.l3_sets_per_bank(), cfg.l3_ways);
-        let l1_n = cfg.l1_sets() * cfg.l1_ways;
-        let l3_n = cfg.l3_sets_per_bank() * cfg.l3_ways;
-        for (c, n) in [(l1, l1_n), (l3, l3_n)] {
-            let mut want = vec![7u8];
-            bgp_arch::wire::put_u64s(&mut want, &vec![INVALID; n]);
-            let mut got = vec![7u8];
-            c.save_state(&mut got);
-            assert!(c.is_cold());
-            assert_eq!(got, want, "{n} entries");
-        }
+        let mut target = Cache::new(8, 2);
+        target.fill(5, true, false);
+        target.restore_state(&mut bgp_arch::wire::Reader::new(&a)).unwrap();
+        assert!(target.is_cold() && target.filt.is_empty(), "zero entries restore cold");
+        assert!(!target.contains(5));
+        target.restore_state(&mut bgp_arch::wire::Reader::new(&b)).unwrap();
+        assert!(!target.is_cold(), "a built image restores built");
+        assert_eq!((target.valid, target.filt.len()), (0, emptied.filt.len()));
+        let mut again = Vec::new();
+        target.save_state(&mut again);
+        assert_eq!(again, b);
     }
 
     #[test]

@@ -483,7 +483,8 @@ impl Machine {
         let mux = MuxState::new(n_nodes, &spec.counter_policy);
         let cfg = Arc::new(spec.machine.clone());
         let nodes = NodeTable::new(n_nodes, |i| {
-            let mut node = Node::new(NodeId(i), Arc::clone(&cfg), spec.mode, mux.home_mode(i));
+            let home = spec.counter_policy.mode_for(NodeId(i));
+            let mut node = Node::new(NodeId(i), Arc::clone(&cfg), spec.mode, home);
             mux.arm(i, node.upc_mut());
             node
         });
@@ -701,7 +702,7 @@ impl Machine {
     /// `node`'s home counter mode: the mode its dump header advertises
     /// and its primary sets report.
     pub fn home_mode(&self, node: usize) -> CounterMode {
-        self.mux.home_mode(node)
+        self.spec.counter_policy.mode_for(NodeId(node))
     }
 
     /// Aggregate rotation-schedule summary across all nodes, or `None`
@@ -924,11 +925,10 @@ impl Machine {
 
         // Nodes: cores (issue/stall/instruction counters, FPU), the
         // memory hierarchy, UPC units, instruction-fetch cursors.
-        let idle_mem = std::cell::OnceCell::new();
         let mut buf = Vec::new();
         bgp_arch::wire::put_u64(&mut buf, self.nodes.len() as u64);
         for n in self.nodes.iter() {
-            n.lock().save_state(&mut buf, &idle_mem);
+            n.lock().save_state(&mut buf);
         }
         snap.add_section("nodes", buf);
 
@@ -941,14 +941,12 @@ impl Machine {
 
         // Rank-local trace-window state as of each rank's last park,
         // which replay does not rebuild. An untraced job keeps no slots
-        // and writes each rank's as zero.
+        // and writes a count of 0.
+        let slots = self.trace_windows.as_deref().unwrap_or_default();
         let mut buf = Vec::new();
-        bgp_arch::wire::put_u64(&mut buf, self.spec.ranks as u64);
-        for rank in 0..self.spec.ranks {
-            let w = match &self.trace_windows {
-                Some(slots) => slots[rank].lock().parked,
-                None => TraceWindow::default(),
-            };
+        bgp_arch::wire::put_u64(&mut buf, slots.len() as u64);
+        for slot in slots {
+            let w = slot.lock().parked;
             bgp_arch::wire::put_u64(&mut buf, w.windows);
             w.last_mem.save_state(&mut buf);
         }
@@ -1003,11 +1001,8 @@ impl Machine {
         let mut r = bgp_arch::wire::Reader::new(bytes);
         let n = r.u64("node count").expect("node count");
         assert_eq!(n as usize, self.nodes.len(), "snapshot node count mismatch");
-        let idle_mem = std::cell::OnceCell::new();
         for node in self.nodes.iter() {
-            node.lock()
-                .restore_state(&mut r, &idle_mem)
-                .expect("node state restore failed");
+            node.lock().restore_state(&mut r).expect("node state restore failed");
         }
         r.expect_end("nodes section").expect("trailing bytes in nodes section");
 
@@ -1018,16 +1013,15 @@ impl Machine {
 
         let bytes = snap.section_required("ranks").expect("ranks section");
         let mut r = bgp_arch::wire::Reader::new(bytes);
+        let slots = self.trace_windows.as_deref().unwrap_or_default();
         let n = r.u64("rank count").expect("rank count");
-        assert_eq!(n as usize, self.spec.ranks, "snapshot rank count mismatch");
-        for rank in 0..self.spec.ranks {
+        assert_eq!(n as usize, slots.len(), "snapshot rank-slot count mismatch");
+        for slot in slots {
             let windows = r.u64("rank windows").expect("rank windows");
             let mut last_mem = MemStats::default();
             last_mem.restore_state(&mut r).expect("rank mem baseline");
-            if let Some(slots) = &self.trace_windows {
-                let w = TraceWindow { windows, last_mem };
-                *slots[rank].lock() = TraceSlot { live: w, parked: w };
-            }
+            let w = TraceWindow { windows, last_mem };
+            *slot.lock() = TraceSlot { live: w, parked: w };
         }
         r.expect_end("ranks section").expect("trailing bytes in ranks section");
 

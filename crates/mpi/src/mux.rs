@@ -61,16 +61,6 @@ pub const SENTINEL_MIN_THRESHOLD: u64 = 1024;
 /// Dwell-extension ceiling, as a multiple of the base dwell.
 pub const MAX_DWELL_FACTOR: u64 = 8;
 
-/// One node's counter-mode schedule.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MuxNode {
-    /// The node's home mode ([`CounterPolicy::mode_for`]).
-    home: CounterMode,
-    /// Rotation state; `None` for a one-mode schedule, which holds no
-    /// counter storage of its own.
-    rot: Option<Box<Rotation>>,
-}
-
 /// Rotation state of a node on a rotating schedule.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct Rotation {
@@ -221,9 +211,10 @@ pub struct MuxSummary {
     pub cycle_occupancy: [u64; NUM_MODES],
 }
 
-/// Whole-machine schedule state: one [`MuxNode`] per node, each under
-/// its own lock, so a mark never takes a machine-wide lock. Lock order
-/// is the node's lock, then its schedule's.
+/// Whole-machine schedule state: one schedule per node, each under its
+/// own lock, so a mark never takes a machine-wide lock. Lock order is
+/// the node's lock, then its schedule's. A node's home mode is not held
+/// here: it is [`CounterPolicy::mode_for`] of the job's policy.
 #[derive(Debug)]
 pub struct MuxState {
     /// Baseline dwell of the rotating schedules; 0 when none rotates.
@@ -234,7 +225,9 @@ pub struct MuxState {
     /// parked, and the phase engine's wake-up orders that write before
     /// any mark a rank takes next; it publishes no other data.
     last_cycle: AtomicU64,
-    nodes: Vec<Mutex<MuxNode>>,
+    /// Each node's rotation state; `None` for a one-mode schedule, which
+    /// holds no counter storage of its own.
+    nodes: Vec<Mutex<Option<Box<Rotation>>>>,
 }
 
 impl MuxState {
@@ -254,17 +247,15 @@ impl MuxState {
         };
         let nodes = (0..n_nodes)
             .map(|i| {
-                let home = policy.mode_for(NodeId(i));
-                let rot = (base_dwell > 0).then(|| {
+                Mutex::new((base_dwell > 0).then(|| {
                     Box::new(Rotation {
-                        cur: home.index(),
+                        cur: policy.mode_for(NodeId(i)).index(),
                         phases_in_mode: (i / NUM_MODES) as u64 % base_dwell,
                         dwell: base_dwell,
                         accum: vec![0; NUM_EVENTS],
                         ..Rotation::default()
                     })
-                });
-                Mutex::new(MuxNode { home, rot })
+                }))
             })
             .collect();
         MuxState { base_dwell, last_cycle: AtomicU64::new(0), nodes }
@@ -276,18 +267,12 @@ impl MuxState {
         self.base_dwell > 0
     }
 
-    /// `node`'s home mode: the mode its dump header advertises and its
-    /// primary sets report.
-    pub(crate) fn home_mode(&self, node: usize) -> CounterMode {
-        self.nodes[node].lock().home
-    }
-
     /// Arm the sentinel slots of `node`'s UPC if its schedule rotates:
     /// edge-sensitive, interrupt on threshold, no freeze (the counter
     /// keeps counting; the interrupt is a scheduling signal, not a stop
     /// condition). A one-mode schedule arms nothing.
     pub(crate) fn arm(&self, node: usize, upc: &mut Upc) {
-        if self.nodes[node].lock().rot.is_none() {
+        if self.nodes[node].lock().is_none() {
             return;
         }
         let cfg = CounterConfig {
@@ -317,7 +302,7 @@ impl MuxState {
         let base = self.base_dwell;
         let mut out = MuxPhaseOutcome::default();
         let mut guard = self.nodes[node].lock();
-        let Some(st) = guard.rot.as_deref_mut() else { return out };
+        let Some(st) = guard.as_deref_mut() else { return out };
 
         // Drain threshold interrupts raised since the last boundary.
         // `Upc::pending` preserves raise order, which is deterministic
@@ -421,7 +406,7 @@ impl MuxState {
     pub fn mark(&self, node: usize, upc: &Upc, node_clock: u64) -> MuxMark {
         let live = upc.snapshot();
         let st = self.nodes[node].lock();
-        let rot = st.rot.as_deref();
+        let rot = st.as_deref();
         let width = schedule_width(rot);
         let total = |i| schedule_total(rot, &live, i);
         let totals = if (0..width).all(|i| total(i) == 0) {
@@ -447,7 +432,7 @@ impl MuxState {
     ) {
         let live = upc.snapshot();
         let st = self.nodes[node].lock();
-        let rot = st.rot.as_deref();
+        let rot = st.as_deref();
         if window.totals.is_empty() {
             window.totals = vec![0; schedule_width(rot)];
         }
@@ -488,7 +473,7 @@ impl MuxState {
         let mut s = MuxSummary { base_dwell: self.base_dwell, ..MuxSummary::default() };
         for st in &self.nodes {
             let st = st.lock();
-            let Some(rot) = st.rot.as_deref() else { continue };
+            let Some(rot) = st.as_deref() else { continue };
             s.rotations += rot.rotations;
             s.irq_extends += rot.irq_extends;
             s.early_rotates += rot.early_rotates;
@@ -508,8 +493,7 @@ impl MuxState {
         put_u64(out, self.nodes.len() as u64);
         for st in &self.nodes {
             let st = st.lock();
-            put_u8(out, st.home.index() as u8);
-            let Some(rot) = st.rot.as_deref() else {
+            let Some(rot) = st.as_deref() else {
                 put_u8(out, 0);
                 continue;
             };
@@ -556,7 +540,6 @@ impl MuxState {
         };
         let mut nodes = Vec::with_capacity(n);
         for _ in 0..n {
-            let home = CounterMode::from_index(mode(r, "mux home mode")?).expect("in range");
             let rot = match r.u8("mux schedule tag")? {
                 0 => None,
                 1 => {
@@ -594,7 +577,7 @@ impl MuxState {
             if rot.is_some() != self.rotates() {
                 return Err(BgpError::corrupt("mux snapshot schedule kind differs from machine's"));
             }
-            nodes.push(MuxNode { home, rot });
+            nodes.push(rot);
         }
         self.last_cycle.store(last_cycle, Ordering::Relaxed);
         for (slot, st) in self.nodes.iter().zip(nodes) {
@@ -613,9 +596,10 @@ mod tests {
         MuxState::new(n_nodes, &CounterPolicy::Multiplexed { first, base_dwell })
     }
 
-    /// Node 0's UPC, armed for its schedule and counting.
-    fn hot_upc(mux: &MuxState) -> Upc {
-        let mut upc = Upc::new(mux.home_mode(0));
+    /// Node 0's UPC in its home mode `home`, armed for its schedule and
+    /// counting.
+    fn hot_upc(mux: &MuxState, home: CounterMode) -> Upc {
+        let mut upc = Upc::new(home);
         mux.arm(0, &mut upc);
         upc.set_enabled(true);
         upc
@@ -632,8 +616,7 @@ mod tests {
         let policy = CounterPolicy::EvenOdd { even: CounterMode::Mode2, odd: CounterMode::Mode1 };
         let mux = MuxState::new(2, &policy);
         assert!(!mux.rotates());
-        assert_eq!(mux.home_mode(1), CounterMode::Mode1);
-        let mut upc = hot_upc(&mux);
+        let mut upc = hot_upc(&mux, CounterMode::Mode2);
         assert!(!upc.config(SENTINEL_SLOTS[0]).interrupt_enable, "no sentinels armed");
         let ev = EventId::new(CounterMode::Mode2, 7);
         upc.emit(ev, 5000);
@@ -655,7 +638,7 @@ mod tests {
     #[test]
     fn dwell_rotates_through_all_four_modes() {
         let mux = rotating(1, CounterMode::Mode0, 2);
-        let mut upc = hot_upc(&mux);
+        let mut upc = hot_upc(&mux, CounterMode::Mode0);
         let mut seen = vec![CounterMode::Mode0];
         for _ in 0..16 {
             if let Some((_, to, _)) = mux.step_node(0, &mut upc, 100).rotated {
@@ -672,7 +655,7 @@ mod tests {
     #[test]
     fn sentinel_interrupt_extends_the_dwell() {
         let mux = rotating(1, CounterMode::Mode0, 4);
-        let mut upc = hot_upc(&mux);
+        let mut upc = hot_upc(&mux, CounterMode::Mode0);
         // Drive the slot-2 sentinel (core 0 event at slot 2 in mode 0)
         // past its floor threshold in the first phase.
         upc.emit(EventId::new(CounterMode::Mode0, 2), SENTINEL_MIN_THRESHOLD);
@@ -692,7 +675,7 @@ mod tests {
     #[test]
     fn derivative_collapse_rotates_early() {
         let mux = rotating(1, CounterMode::Mode0, 2);
-        let mut upc = hot_upc(&mux);
+        let mut upc = hot_upc(&mux, CounterMode::Mode0);
         // Slot 2 is a sentinel: the first phase fires its threshold and
         // extends the dwell 2 -> 4, opening the window where the
         // derivative detector can beat the dwell timer.
@@ -712,7 +695,7 @@ mod tests {
     #[test]
     fn marks_are_continuous_across_rotations() {
         let mux = rotating(1, CounterMode::Mode0, 1);
-        let mut upc = hot_upc(&mux);
+        let mut upc = hot_upc(&mux, CounterMode::Mode0);
         let ev = EventId::new(CounterMode::Mode0, 7);
         let start = mux.mark(0, &upc, 0);
         assert!(start.totals.is_empty(), "an all-zero mark holds no totals");
@@ -740,7 +723,7 @@ mod tests {
     #[test]
     fn state_round_trips_and_fails_closed_when_truncated() {
         let mux = rotating(2, CounterMode::Mode1, 3);
-        let mut upc = hot_upc(&mux);
+        let mut upc = hot_upc(&mux, CounterMode::Mode1);
         for _ in 0..10 {
             upc.emit(EventId::new(upc.mode(), 4), 2000);
             mux.advance_clock(mux.last_cycle.load(Ordering::Relaxed) + 100);

@@ -68,10 +68,9 @@ fn observe(m: &Machine, results: &[u64]) -> Vec<(String, Vec<u8>)> {
     bgp_arch::wire::put_u64(&mut buf, m.job_cycles());
     bgp_arch::wire::put_u64(&mut buf, m.phases());
     parts.push(("clocks".to_string(), buf));
-    let idle_mem = std::cell::OnceCell::new();
     for node in 0..m.num_nodes() {
         let mut buf = Vec::new();
-        m.with_node(node, |n| n.save_state(&mut buf, &idle_mem));
+        m.with_node(node, |n| n.save_state(&mut buf));
         parts.push((format!("node {node}"), buf));
     }
     let mut buf = Vec::new();
@@ -222,30 +221,43 @@ fn resume_rejects_wrong_experiment() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An untraced job keeps no trace-window slots, yet its checkpoints keep
-/// the `ranks` section's layout: the rank count, then a zero window
-/// counter and a zero memory baseline for every rank.
+/// An untraced job keeps no trace-window slots and no rank trace rings,
+/// so its checkpoints write a count of 0 for both: the `ranks` section
+/// is that count alone, and the `trace` section that count and the
+/// empty scheduler ring. Each one resumes to the uninterrupted run.
 #[test]
-fn untraced_checkpoints_keep_the_rank_section_layout() {
+fn untraced_checkpoints_write_no_rank_slots_or_rings() {
     use bgp_arch::wire::put_u64;
     let dir = tempdir("ranks-layout");
-    let mut s = spec(Some(&dir), false);
-    s.trace = None;
-    let ranks = s.ranks;
-    let m = Machine::new(s);
+    let untraced = |dir: Option<&std::path::Path>| {
+        let mut s = spec(dir, false);
+        s.trace = None;
+        s
+    };
+    let reference = {
+        let m = Machine::new(untraced(None));
+        let r = m.run(kernel);
+        observe(&m, &r)
+    };
+    let m = Machine::new(untraced(Some(&dir)));
     m.run(kernel);
-    let mut want = Vec::new();
-    put_u64(&mut want, ranks as u64);
-    for _ in 0..ranks {
-        put_u64(&mut want, 0);
-        bgp_mem::MemStats::default().save_state(&mut want);
-    }
+    let mut zero = Vec::new();
+    put_u64(&mut zero, 0);
+    let mut no_rings = zero.clone();
+    put_u64(&mut no_rings, 0); // scheduler events
+    put_u64(&mut no_rings, 0); // scheduler dropped
     let files = SnapshotStore::new(&dir, 8).list().expect("snapshot dir listable");
     assert!(!files.is_empty(), "no snapshots written");
     for path in files {
         let snap = bgp_snapshot::Snapshot::decode(&std::fs::read(&path).expect("readable"))
             .expect("snapshot decodes");
-        assert_eq!(snap.section("ranks"), Some(&want[..]), "phase {}", snap.phase);
+        let phase = snap.phase;
+        assert_eq!(snap.section("ranks"), Some(&zero[..]), "phase {phase}");
+        assert_eq!(snap.section("trace"), Some(&no_rings[..]), "phase {phase}");
+        let m = Machine::new(untraced(Some(&dir)));
+        m.resume(snap).expect("snapshot accepted");
+        let r = m.run(kernel);
+        assert_same(&observe(&m, &r), &reference, &format!("untraced resume from {phase}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

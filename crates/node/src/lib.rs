@@ -15,12 +15,11 @@ pub mod core;
 
 pub use crate::core::{Core, InstrCounts, MemRetire, ISSUE_WIDTH, MISPREDICT_PENALTY};
 
-use bgp_arch::events::{CoreEvent, CounterMode, NetEvent, NUM_COUNTERS};
+use bgp_arch::events::{CoreEvent, CounterMode, NetEvent};
 use bgp_arch::geometry::{AddressLayout, NodeId};
 use bgp_arch::{MachineConfig, OpMode, CORES_PER_NODE};
 use bgp_mem::{HitLevel, MemStats, MemorySystem};
 use bgp_upc::Upc;
-use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// Memory-operation width as seen by the instruction set.
@@ -88,8 +87,8 @@ pub struct Node {
     layout: AddressLayout,
     cores: [Core; CORES_PER_NODE],
     /// The memory hierarchy, built by the first memory operation: a node
-    /// that never touches memory holds none (see [`Node::mem_stats`] and
-    /// [`Node::save_state`] for how an unbuilt one reads).
+    /// that never touches memory holds none (see [`Node::mem_stats`] for
+    /// how an unbuilt one reads).
     mem: Option<Box<MemorySystem>>,
     upc: Upc,
     /// Synthetic instruction-address cursor per core (loop-resident code).
@@ -348,84 +347,51 @@ impl Node {
     }
 
     /// Serialize the node's complete runtime state (checkpoint support):
-    /// the four cores, the memory system, the UPC unit, the synthetic
-    /// instruction-fetch cursors, and the network mirror as all 256
-    /// mode-3 slots (zero past the network events). Identity, operating
-    /// mode, address layout, and the `batch` scratch buffer are
-    /// configuration or transient scratch and are not captured. An
-    /// unbuilt memory hierarchy writes the image of a fresh one, which
-    /// the first such node computes into `idle_mem`: share one cell
-    /// between all nodes of a capture.
-    pub fn save_state(&self, out: &mut Vec<u8>, idle_mem: &OnceCell<Vec<u8>>) {
+    /// the four cores, a tag and the memory system if it was built, the
+    /// UPC unit, the synthetic instruction-fetch cursors, and the
+    /// network mirror. Identity, operating mode, address layout, and the
+    /// `batch` scratch buffer are configuration or transient scratch and
+    /// are not captured.
+    pub fn save_state(&self, out: &mut Vec<u8>) {
         for c in &self.cores {
             c.save_state(out);
         }
-        match &self.mem {
-            Some(m) => m.save_state(out),
-            None => out.extend_from_slice(self.idle_mem_image(idle_mem)),
+        bgp_arch::wire::put_bool(out, self.mem.is_some());
+        if let Some(m) = &self.mem {
+            m.save_state(out);
         }
         self.upc.save_state(out);
-        for &v in &self.icursor {
-            bgp_arch::wire::put_u64(out, v);
-        }
-        for &v in &self.ifetches {
-            bgp_arch::wire::put_u64(out, v);
-        }
-        let zeros = [0; NUM_COUNTERS - NET_EVENTS];
-        for &v in self.net_truth.iter().chain(&zeros) {
+        for &v in self.icursor.iter().chain(&self.ifetches).chain(&self.net_truth) {
             bgp_arch::wire::put_u64(out, v);
         }
     }
 
     /// Restore state previously written by [`Node::save_state`] into a
-    /// node built with the same configuration; `idle_mem` is as there.
-    /// The image of a fresh memory hierarchy leaves it unbuilt.
+    /// node built with the same configuration. A section without a
+    /// memory system leaves the hierarchy unbuilt.
     ///
     /// # Errors
     /// [`bgp_arch::BgpError::Corrupt`] on truncated or inconsistent
-    /// input, including a nonzero network mirror past the network
-    /// events.
+    /// input, including a hierarchy tag other than 0 or 1.
     pub fn restore_state(
         &mut self,
         r: &mut bgp_arch::wire::Reader<'_>,
-        idle_mem: &OnceCell<Vec<u8>>,
     ) -> bgp_arch::error::Result<()> {
         for c in &mut self.cores {
             c.restore_state(r)?;
         }
-        // The image format is self-delimiting, so input that starts with
-        // the idle image holds exactly that image at this point.
-        if r.skip_if(self.idle_mem_image(idle_mem)) {
-            self.mem = None;
-        } else {
+        self.mem = if r.bool("node memory-hierarchy tag")? {
             let mut mem = Box::new(MemorySystem::new(&self.cfg));
             mem.restore_state(r)?;
-            self.mem = Some(mem);
-        }
+            Some(mem)
+        } else {
+            None
+        };
         self.upc.restore_state(r)?;
         r.u64_array(&mut self.icursor, "node icursor")?;
         r.u64_array(&mut self.ifetches, "node ifetches")?;
         r.u64_array(&mut self.net_truth, "node net truth")?;
-        for slot in NET_EVENTS..NUM_COUNTERS {
-            let v = r.u64("node net truth")?;
-            if v != 0 {
-                return Err(bgp_arch::BgpError::corrupt(format!(
-                    "node net truth slot {slot} holds {v}, but mode 3 has only \
-                     {NET_EVENTS} network events"
-                )));
-            }
-        }
         Ok(())
-    }
-
-    /// The image of a memory hierarchy fresh from this node's
-    /// configuration, computed into `cell` if it is empty.
-    fn idle_mem_image<'a>(&self, cell: &'a OnceCell<Vec<u8>>) -> &'a [u8] {
-        cell.get_or_init(|| {
-            let mut out = Vec::new();
-            MemorySystem::new(&self.cfg).save_state(&mut out);
-            out
-        })
     }
 }
 
@@ -579,23 +545,59 @@ mod tests {
         assert_eq!(n.upc().read_event(ev), None);
     }
 
+    /// Where a node's memory-hierarchy tag sits in its section: after
+    /// the four cores.
+    fn mem_tag_at(n: &Node) -> usize {
+        let mut cores = Vec::new();
+        n.cores.iter().for_each(|c| c.save_state(&mut cores));
+        cores.len()
+    }
+
+    fn upc_len(n: &Node) -> usize {
+        let mut upc = Vec::new();
+        n.upc().save_state(&mut upc);
+        upc.len()
+    }
+
+    /// A `nodes` section of a built node with a threshold bank and an
+    /// unbuilt one fails closed: every truncation is `Corrupt`, never a
+    /// panic, and a memory-hierarchy tag other than 0 or 1 is refused
+    /// with the field named.
     #[test]
-    fn restore_refuses_net_truth_past_the_network_events() {
-        let n = node(CounterMode::Mode3);
-        let idle = OnceCell::new();
-        let mut bytes = Vec::new();
-        n.save_state(&mut bytes, &idle);
-        let mut fresh = node(CounterMode::Mode3);
-        let mut r = bgp_arch::wire::Reader::new(&bytes);
-        fresh.restore_state(&mut r, &idle).unwrap();
-        r.expect_end("node section").unwrap();
-        // The mirror is the section's last 256 words; poke slot 200.
-        let at = bytes.len() - (NUM_COUNTERS - 200) * 8;
-        bytes[at..at + 8].copy_from_slice(&5u64.to_le_bytes());
-        let err = node(CounterMode::Mode3)
-            .restore_state(&mut bgp_arch::wire::Reader::new(&bytes), &idle)
-            .expect_err("a nonzero non-network slot is corrupt");
-        assert!(err.to_string().contains("slot 200"), "{err}");
+    fn node_sections_fail_closed_on_truncation_and_bad_tags() {
+        // Small caches keep the every-byte truncation sweep quick.
+        let cfg = Arc::new(MachineConfig {
+            l1_bytes: 2 << 10,
+            l3_bytes: 16 << 10,
+            ..MachineConfig::default()
+        });
+        let small = || Node::new(NodeId(0), Arc::clone(&cfg), OpMode::VirtualNode, CounterMode::Mode0);
+        let mut built = small();
+        built.mem_op(0, 0, 0x1000, MemWidth::Double, false);
+        built.upc_mut().set_threshold(20, 64);
+        let unbuilt = small();
+        let mut section = Vec::new();
+        built.save_state(&mut section);
+        let unbuilt_at = section.len();
+        unbuilt.save_state(&mut section);
+        let restore = |bytes: &[u8]| -> bgp_arch::error::Result<()> {
+            let mut r = bgp_arch::wire::Reader::new(bytes);
+            small().restore_state(&mut r)?;
+            small().restore_state(&mut r)?;
+            r.expect_end("nodes section")
+        };
+        restore(&section).unwrap();
+        for cut in 0..section.len() {
+            let err = restore(&section[..cut]).unwrap_err();
+            assert!(matches!(err, bgp_arch::BgpError::Corrupt(_)), "cut {cut}: {err}");
+        }
+        for (at, tag) in [(mem_tag_at(&built), 1), (unbuilt_at + mem_tag_at(&unbuilt), 0)] {
+            assert_eq!(section[at], tag);
+            let mut bad = section.clone();
+            bad[at] = 2;
+            let err = restore(&bad).unwrap_err();
+            assert!(err.to_string().contains("node memory-hierarchy tag"), "{err}");
+        }
     }
 
     #[test]
@@ -661,41 +663,38 @@ mod tests {
         assert!(size <= 1400, "Node is {size} B");
     }
 
-    /// An untouched node reads zero memory statistics, saves the image of
-    /// a fresh hierarchy, and stays unbuilt through a restore of it; a
-    /// touched node's image builds the hierarchy back.
+    /// An untouched node reads zero memory statistics, saves no
+    /// hierarchy, and restores unbuilt over a built one; a touched
+    /// node's image builds the hierarchy back.
     #[test]
-    fn an_untouched_node_saves_a_fresh_hierarchy_and_restores_unbuilt() {
-        let idle = OnceCell::new();
+    fn an_untouched_node_saves_no_hierarchy_and_restores_unbuilt() {
         let mut n = node(CounterMode::Mode0);
         n.int_op(0, 10);
         assert_eq!(n.mem_stats(), MemStats::default());
         assert!(n.mem.is_none());
         let mut bytes = Vec::new();
-        n.save_state(&mut bytes, &idle);
-        let mut fresh = Vec::new();
-        MemorySystem::new(n.config()).save_state(&mut fresh);
-        assert_eq!(idle.get(), Some(&fresh), "the unbuilt node wrote a fresh hierarchy");
+        n.save_state(&mut bytes);
+        assert_eq!(bytes[mem_tag_at(&n)], 0, "the unbuilt node wrote tag 0 and no image");
+        assert_eq!(bytes.len(), mem_tag_at(&n) + 1 + upc_len(&n) + 8 * (2 * CORES_PER_NODE + NET_EVENTS));
         let mut back = node(CounterMode::Mode0);
         back.mem_op(1, 1, 0x40, MemWidth::Word, true);
-        back.restore_state(&mut bgp_arch::wire::Reader::new(&bytes), &idle).unwrap();
-        assert!(back.mem.is_none(), "a fresh image leaves the hierarchy unbuilt");
+        back.restore_state(&mut bgp_arch::wire::Reader::new(&bytes)).unwrap();
+        assert!(back.mem.is_none(), "tag 0 leaves the hierarchy unbuilt");
         let mut again = Vec::new();
-        back.save_state(&mut again, &idle);
+        back.save_state(&mut again);
         assert_eq!(again, bytes);
 
         n.mem_op(0, 0, 0x1000, MemWidth::Double, false);
         let mut touched = Vec::new();
-        n.save_state(&mut touched, &idle);
+        n.save_state(&mut touched);
         let mut back = node(CounterMode::Mode0);
-        back.restore_state(&mut bgp_arch::wire::Reader::new(&touched), &idle).unwrap();
+        back.restore_state(&mut bgp_arch::wire::Reader::new(&touched)).unwrap();
         assert_eq!(back.mem_stats(), n.mem_stats());
         assert_eq!(back.mem_stats().ddr_reads, 1);
     }
 
     #[test]
     fn node_save_restore_resumes_byte_identically() {
-        let idle = OnceCell::new();
         let run = |resume_at: Option<u64>| -> (Vec<u8>, u64) {
             let mut n = node(CounterMode::Mode2);
             let mut restored: Option<Node> = None;
@@ -703,10 +702,10 @@ mod tests {
                 if Some(i) == resume_at {
                     // Snapshot, restore into a fresh node, continue there.
                     let mut bytes = Vec::new();
-                    n.save_state(&mut bytes, &idle);
+                    n.save_state(&mut bytes);
                     let mut fresh = node(CounterMode::Mode2);
                     let mut r = bgp_arch::wire::Reader::new(&bytes);
-                    fresh.restore_state(&mut r, &idle).unwrap();
+                    fresh.restore_state(&mut r).unwrap();
                     r.expect_end("node section").unwrap();
                     restored = Some(std::mem::replace(&mut n, fresh));
                 }
@@ -718,7 +717,7 @@ mod tests {
             }
             drop(restored);
             let mut out = Vec::new();
-            n.save_state(&mut out, &idle);
+            n.save_state(&mut out);
             (out, n.node_cycles())
         };
         let (straight, cyc_a) = run(None);

@@ -41,9 +41,16 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: [u8; 4] = *b"BGPS";
 /// Container format version. Version 2 changed the `app:counters` and
 /// `mux` section layouts (every counter policy became a per-node mode
-/// schedule read through marks); the loader refuses version-1 files
-/// before any section is replayed.
-pub const VERSION: u32 = 2;
+/// schedule read through marks). Version 3 writes each section in the
+/// form memory holds it: an unbuilt memory hierarchy, a cold cache, a
+/// missing threshold bank, an untraced job's rank rings and slots, and
+/// a zero start mark take no room; the UPC writes its packed control
+/// bytes and the node its eleven network-mirror words; a finalized node
+/// is a flag beside its windows, with no dump bytes; and the `mux`
+/// section no longer holds home modes, which come from the counter
+/// policy. The loader refuses files of any other version before any
+/// section is replayed.
+pub const VERSION: u32 = 3;
 /// File extension of live snapshots.
 pub const EXTENSION: &str = "bgps";
 

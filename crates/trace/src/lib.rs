@@ -480,8 +480,6 @@ impl Recorder {
 /// so per-rank locks are uncontended and the recorded streams carry no
 /// cross-thread ordering.
 pub struct TraceState {
-    /// Ranks in the job.
-    n_ranks: usize,
     /// Ranks per node: rank `r` lives on node `r / ranks_per_node`.
     ranks_per_node: usize,
     /// One recorder per rank, present iff the job traces (its spec
@@ -500,7 +498,6 @@ impl TraceState {
         assert!(ranks_per_node > 0, "a node hosts at least one rank");
         let capacity = cfg.map_or(0, |c| c.capacity);
         TraceState {
-            n_ranks: ranks,
             ranks_per_node,
             ranks: cfg.map(|_| (0..ranks).map(|_| Mutex::new(Recorder::new(capacity))).collect()),
             sched: Mutex::new(Recorder::new(capacity)),

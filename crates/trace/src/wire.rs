@@ -287,32 +287,17 @@ impl Recorder {
     }
 }
 
-/// The saved form of a ring that recorded nothing.
-fn empty_ring() -> Vec<u8> {
-    let mut out = Vec::new();
-    Recorder::new(0).save_state(&mut out);
-    out
-}
-
 impl TraceState {
-    /// Serialize every retained stream — all rank rings plus the
-    /// scheduler ring (checkpoint support); an untraced job writes an
-    /// empty ring per rank. The configuration is **not** captured: it is
-    /// part of the job spec the resumed job is built from.
+    /// Serialize every retained stream — the rank rings of a traced job
+    /// (an untraced job keeps none and writes a count of 0), then the
+    /// scheduler ring (checkpoint support). The configuration is **not**
+    /// captured: it is part of the job spec the resumed job is built
+    /// from.
     pub fn save_state(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.n_ranks as u64);
-        match &self.ranks {
-            Some(ranks) => {
-                for rec in ranks.iter() {
-                    rec.lock().save_state(out);
-                }
-            }
-            None => {
-                let empty = empty_ring();
-                for _ in 0..self.n_ranks {
-                    out.extend_from_slice(&empty);
-                }
-            }
+        let ranks = self.ranks.as_deref().unwrap_or_default();
+        put_u64(out, ranks.len() as u64);
+        for rec in ranks {
+            rec.lock().save_state(out);
         }
         self.sched.lock().save_state(out);
     }
@@ -321,32 +306,20 @@ impl TraceState {
     ///
     /// # Errors
     /// [`bgp_arch::BgpError::Corrupt`] on truncated or malformed input,
-    /// a rank-count mismatch with this job, or, in an untraced job, a
-    /// rank ring that is not empty.
+    /// or a rank-ring count other than this job's: its rank count when
+    /// traced, 0 when not.
     pub fn restore_state(&self, r: &mut Reader<'_>) -> Result<()> {
-        let n = r.u64("trace rank count")?;
-        if n != self.n_ranks as u64 {
+        let ranks = self.ranks.as_deref().unwrap_or_default();
+        let n = r.u64("trace rank-ring count")?;
+        if n != ranks.len() as u64 {
             return Err(BgpError::corrupt(format!(
-                "snapshot has {n} rank trace streams, job has {}",
-                self.n_ranks
+                "trace rank-ring count {n} does not match the job's {} \
+                 (an untraced job keeps none)",
+                ranks.len()
             )));
         }
-        match &self.ranks {
-            Some(ranks) => {
-                for rec in ranks.iter() {
-                    rec.lock().restore_state(r)?;
-                }
-            }
-            None => {
-                let empty = empty_ring();
-                for rank in 0..self.n_ranks {
-                    if !r.skip_if(&empty) {
-                        return Err(BgpError::corrupt(format!(
-                            "untraced job's snapshot holds trace events for rank {rank}"
-                        )));
-                    }
-                }
-            }
+        for rec in ranks {
+            rec.lock().restore_state(r)?;
         }
         self.sched.lock().restore_state(r)?;
         Ok(())
@@ -464,37 +437,44 @@ mod tests {
         assert!(smaller.restore_state(&mut Reader::new(&bytes)).is_err());
     }
 
-    /// An untraced job keeps no rank recorders, yet writes the section a
-    /// traced job with empty rings writes, and refuses a ring that holds
-    /// events.
+    /// An untraced job keeps no rank recorders and writes a rank-ring
+    /// count of 0, then its scheduler ring. The section fails closed: a
+    /// truncation is `Corrupt`, and a nonzero count (a traced job's
+    /// section, or a forged one) is refused with the field named.
     #[test]
-    fn untraced_state_writes_empty_rings_and_refuses_events() {
+    fn untraced_state_writes_no_rank_rings_and_refuses_any() {
         let untraced = TraceState::new(3, 2, None);
         assert!(untraced.ranks.is_none());
         let mut bytes = Vec::new();
         untraced.save_state(&mut bytes);
         let mut want = Vec::new();
-        put_u64(&mut want, 3);
-        for _ in 0..4 {
-            put_u64(&mut want, 0); // events
-            put_u64(&mut want, 0); // dropped
-        }
-        assert_eq!(bytes, want, "three empty rank rings and an empty scheduler ring");
+        put_u64(&mut want, 0); // rank rings
+        put_u64(&mut want, 0); // scheduler events
+        put_u64(&mut want, 0); // scheduler dropped
+        assert_eq!(bytes, want, "no rank rings and an empty scheduler ring");
         let mut r = Reader::new(&bytes);
         TraceState::new(3, 2, None).restore_state(&mut r).unwrap();
         r.expect_end("trace section").unwrap();
+        for cut in 0..bytes.len() {
+            let err = TraceState::new(3, 2, None)
+                .restore_state(&mut Reader::new(&bytes[..cut]))
+                .unwrap_err();
+            assert!(matches!(err, BgpError::Corrupt(_)), "cut {cut}: {err}");
+        }
 
         let traced = TraceState::new(3, 2, Some(&crate::TraceConfig::default()));
         let mut empty = Vec::new();
         traced.save_state(&mut empty);
-        assert_eq!(empty, bytes, "an empty traced job writes the same bytes");
-        traced.record_rank(1, 7, EventKind::RankWake);
-        let mut busy = Vec::new();
-        traced.save_state(&mut busy);
-        let err = TraceState::new(3, 2, None)
-            .restore_state(&mut Reader::new(&busy))
-            .expect_err("an untraced job has no ring to restore events into");
-        assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
-        assert!(err.to_string().contains("rank 1"), "{err}");
+        let mut forged = bytes.clone();
+        forged[0] = 1;
+        for other in [empty, forged] {
+            let err = TraceState::new(3, 2, None)
+                .restore_state(&mut Reader::new(&other))
+                .expect_err("an untraced job has no ring to restore into");
+            assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
+            assert!(err.to_string().contains("trace rank-ring count"), "{err}");
+        }
+        let err = traced.restore_state(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(err.to_string().contains("rank-ring count 0"), "{err}");
     }
 }

@@ -347,8 +347,9 @@ impl Upc {
     }
 
     /// Serialize the unit's complete runtime state (checkpoint support):
-    /// mode, enables, all 256 counters/configs/thresholds/fired flags,
-    /// and the pending threshold-interrupt queue.
+    /// mode, enables, all 256 counters and control bytes, the threshold
+    /// bank behind a tag (only when one was built), and the pending
+    /// threshold-interrupt queue.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         wire::put_u8(out, self.mode.index() as u8);
         wire::put_bool(out, self.enabled);
@@ -356,14 +357,10 @@ impl Upc {
         for &c in self.counters.iter() {
             wire::put_u64(out, c);
         }
-        for &c in &self.ctrl {
-            wire::put_u8(out, c & CONFIG_BITS);
-        }
-        for slot in 0..NUM_COUNTERS {
-            wire::put_u64(out, self.threshold(slot as u8));
-        }
-        for &c in &self.ctrl {
-            wire::put_bool(out, c & FIRED != 0);
+        out.extend_from_slice(&self.ctrl);
+        wire::put_bool(out, self.thresholds.is_some());
+        for &t in self.thresholds.iter().flat_map(|bank| bank.iter()) {
+            wire::put_u64(out, t);
         }
         wire::put_u64(out, self.pending.len() as u64);
         for irq in &self.pending {
@@ -379,8 +376,8 @@ impl Upc {
     /// Restore state previously written by [`Upc::save_state`].
     ///
     /// # Errors
-    /// [`bgp_arch::BgpError::Corrupt`] on truncated input or invalid
-    /// mode/config encodings.
+    /// [`bgp_arch::BgpError::Corrupt`] on truncated input, invalid
+    /// mode or control-byte encodings, or a bank tag other than 0 or 1.
     pub fn restore_state(&mut self, r: &mut wire::Reader<'_>) -> Result<()> {
         let mode = r.u8("upc mode")?;
         self.mode = CounterMode::from_index(mode as usize)
@@ -388,25 +385,18 @@ impl Upc {
         self.enabled = r.bool("upc enabled")?;
         self.saturating = r.bool("upc saturating")?;
         r.u64_array(&mut self.counters[..], "upc counters")?;
-        for c in &mut self.ctrl {
-            let bits = r.u8("upc config")?;
-            if bits > CONFIG_BITS {
-                return Err(BgpError::corrupt(format!(
-                    "invalid counter config bits {bits:#x}"
-                )));
-            }
-            *c = bits;
+        let ctrl = r.take(NUM_COUNTERS, "upc control bytes")?;
+        if let Some(&bits) = ctrl.iter().find(|&&c| c & !(CONFIG_BITS | FIRED) != 0) {
+            return Err(BgpError::corrupt(format!("invalid counter control byte {bits:#x}")));
         }
-        let mut thresholds = [0u64; NUM_COUNTERS];
-        r.u64_array(&mut thresholds, "upc thresholds")?;
-        // An all-disarmed bank restores as no bank at all.
-        self.thresholds =
-            thresholds.iter().any(|&t| t != u64::MAX).then(|| Box::new(thresholds));
-        for c in &mut self.ctrl {
-            if r.bool("upc fired")? {
-                *c |= FIRED;
-            }
-        }
+        self.ctrl.copy_from_slice(ctrl);
+        self.thresholds = if r.bool("upc threshold-bank tag")? {
+            let mut bank = Box::new([0u64; NUM_COUNTERS]);
+            r.u64_array(&mut bank[..], "upc thresholds")?;
+            Some(bank)
+        } else {
+            None
+        };
         let n_pending = r.u64("upc pending len")?;
         if n_pending > NUM_COUNTERS as u64 {
             return Err(BgpError::corrupt(format!(
@@ -751,8 +741,11 @@ mod tests {
         u
     }
 
+    /// A unit saves the threshold bank it holds: none when it was never
+    /// armed, all 256 thresholds once one was, even after every slot was
+    /// disarmed again. Each restores as it was saved, and neither fires.
     #[test]
-    fn disarmed_bank_saves_like_no_bank_and_restores_without_one() {
+    fn a_bank_is_saved_only_when_built_and_restores_as_saved() {
         let irq = CounterConfig { interrupt_enable: true, ..Default::default() };
         let mut never = enabled_unit(CounterMode::Mode0);
         let mut disarmed = enabled_unit(CounterMode::Mode0);
@@ -764,17 +757,16 @@ mod tests {
         assert!(never.thresholds.is_none(), "configuring arms nothing");
         for slot in 0..=255u8 {
             disarmed.set_threshold(slot, slot as u64 + 1);
-        }
-        assert!(disarmed.thresholds.is_some());
-        for slot in 0..=255u8 {
             disarmed.set_threshold(slot, u64::MAX);
         }
         never.set_threshold(7, u64::MAX);
         assert!(never.thresholds.is_none(), "a disarm never builds the bank");
-        let bytes = saved(&never);
-        assert_eq!(bytes, saved(&disarmed), "lazy and disarmed banks save alike");
-        for mut u in [restored(&bytes), restored(&saved(&disarmed))] {
-            assert!(u.thresholds.is_none(), "an all-disarmed bank restores as none");
+        let (lazy, built) = (saved(&never), saved(&disarmed));
+        assert_eq!(built.len(), lazy.len() + NUM_COUNTERS * 8, "only the built bank is written");
+        for (bytes, has_bank) in [(&lazy, false), (&built, true)] {
+            let mut u = restored(bytes);
+            assert_eq!(u.thresholds.is_some(), has_bank);
+            assert_eq!(&saved(&u), bytes);
             assert!((0..=255u8).all(|s| u.threshold(s) == u64::MAX));
             for &ev in CoreEvent::ALL {
                 u.emit(ev.id(0), 1 << 40);
@@ -782,6 +774,26 @@ mod tests {
             assert!(u.take_interrupts().is_empty(), "nothing fires");
             assert_eq!(u.interrupts_raised(), 0);
         }
+    }
+
+    /// The control bytes are written packed, so a byte with bits past the
+    /// config nibble and the fired latch is refused, as is a bank tag
+    /// other than 0 or 1, which names its field.
+    #[test]
+    fn restore_refuses_bad_control_bytes_and_bank_tags() {
+        let bytes = saved(&enabled_unit(CounterMode::Mode1));
+        let ctrl_at = 3 + NUM_COUNTERS * 8;
+        let mut fired = bytes.clone();
+        fired[ctrl_at + 9] = 0b1_0101;
+        assert_eq!(restored(&fired).ctrl[9], 0b1_0101, "a fired latch restores");
+        let mut bad = bytes.clone();
+        bad[ctrl_at + 9] = 0b10_0000;
+        let err = Upc::default().restore_state(&mut wire::Reader::new(&bad)).unwrap_err();
+        assert!(err.to_string().contains("control byte 0x20"), "{err}");
+        let mut tag = bytes.clone();
+        tag[ctrl_at + NUM_COUNTERS] = 2;
+        let err = Upc::default().restore_state(&mut wire::Reader::new(&tag)).unwrap_err();
+        assert!(err.to_string().contains("threshold-bank tag"), "{err}");
     }
 
     #[test]

@@ -76,26 +76,30 @@ BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
 
 echo "==> checkpoint/restart smoke (crash MG S mid-run, resume, byte-diff)"
 # Once per counter-policy kind: even/odd start marks and windows are
-# one mode's 256 words, multiplexed ones every mode's 1,024.
-for policy in evenodd mux; do
-    echo "    policy $policy"
-    ck_dir="$trace_dir/ck-$policy"
+# one mode's 256 words, multiplexed ones every mode's 1,024. The
+# untraced run's checkpoints hold no rank trace slots or rings (their
+# `ranks` and `trace` sections count 0).
+for variant in evenodd:traced mux:traced evenodd:untraced; do
+    name="${variant/:/-}"
+    echo "    $name"
+    ck_dir="$trace_dir/ck-$name"
     run=(target/release/bgpc-run --kernel mg --class s --ranks 8 --mode vnm --threads 1
-        --trace --policy "$policy")
+        --policy "${variant%:*}")
+    if [ "${variant#*:}" = traced ]; then run+=(--trace); fi
     "${run[@]}" --out "$ck_dir/reference"
     # Crash drill: die deterministically at phase 40 with retries
     # disabled; the process must exit non-zero and leave snapshots behind.
     if "${run[@]}" --out "$ck_dir/crashed" --checkpoint-every 8 --crash-at-phase 40 \
         --max-retries 0; then
-        echo "checkpoint smoke ($policy): crash drill unexpectedly succeeded"; exit 1
+        echo "checkpoint smoke ($name): crash drill unexpectedly succeeded"; exit 1
     fi
     test -n "$(ls "$ck_dir/crashed/checkpoints" 2>/dev/null)" \
-        || { echo "checkpoint smoke ($policy): crash left no snapshots"; exit 1; }
+        || { echo "checkpoint smoke ($name): crash left no snapshots"; exit 1; }
     # Resume from the snapshots in a fresh process and byte-diff every
     # output surface against the uninterrupted reference.
     "${run[@]}" --out "$ck_dir/crashed" --resume "$ck_dir/crashed/checkpoints"
     diff -r --exclude=checkpoints "$ck_dir/reference" "$ck_dir/crashed" \
-        || { echo "checkpoint smoke ($policy): resumed outputs diverge from reference"; exit 1; }
+        || { echo "checkpoint smoke ($name): resumed outputs diverge from reference"; exit 1; }
 done
 
 echo "==> counter service smoke (bgpc-serve + bgpc-load: hit byte-identity, drain, shutdown)"

@@ -186,38 +186,42 @@ fn multiplexed_mg_s_resumes_byte_identically_with_its_trace() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot in the version-1 container layout passes its checksums
-/// but is refused at load, naming its version, and quarantined: the
-/// supervisor cold-starts instead of replaying it.
+/// A snapshot in an older container layout (version 1 or 2) passes its
+/// checksums but is refused at load, naming its version, and
+/// quarantined: the supervisor cold-starts instead of replaying it.
 #[test]
 fn version_1_snapshots_are_refused_before_replay() {
-    let dir = tempdir("v1");
-    let mut job = spec(1, None);
-    job.checkpoint = Some(CheckpointConfig { every: 16, dir: dir.clone(), retain: 1 });
-    run_mg(job.clone(), Class::S, None);
-    let store = SnapshotStore::new(&dir, 1);
-    let path = store.list().expect("list").pop().expect("a snapshot");
-
-    // Rewrite the header's version to 1 and re-seal the file checksum,
-    // so the version is the only thing wrong with the file.
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-    let body = bytes.len() - 8;
-    let total = bgp::arch::wire::checksum(&bytes[..body]);
-    bytes[body..].copy_from_slice(&total.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-    let err = Snapshot::decode(&bytes).expect_err("version 1 must not decode");
-    assert!(err.to_string().contains("version 1"), "error names the version: {err}");
-
-    let cfg = SupervisorConfig { max_retries: 0, ..Default::default() };
-    let run = supervise(&job, &cfg, |ctx| Kernel::Mg.exec(Class::S, ctx)).expect("cold start");
-    assert_eq!(run.attempts[0].resumed_from, None, "a v1 snapshot must never replay");
-    assert!(path.with_extension("quarantined").exists(), "the v1 file was set aside");
-    let report = std::fs::read_to_string(path.with_extension("quarantine.txt")).unwrap();
-    assert!(report.contains("version 1"), "quarantine report names the version:\n{report}");
     let reference = run_mg(spec(1, None), Class::S, None);
-    assert_same(&observe(&run.machine, &run.library), &reference, "cold start after refusal");
-    let _ = std::fs::remove_dir_all(&dir);
+    for version in [1u32, 2] {
+        let dir = tempdir(&format!("v{version}"));
+        let mut job = spec(1, None);
+        job.checkpoint = Some(CheckpointConfig { every: 16, dir: dir.clone(), retain: 1 });
+        run_mg(job.clone(), Class::S, None);
+        let store = SnapshotStore::new(&dir, 1);
+        let path = store.list().expect("list").pop().expect("a snapshot");
+
+        // Rewrite the header's version and re-seal the file checksum, so
+        // the version is the only thing wrong with the file.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        let body = bytes.len() - 8;
+        let total = bgp::arch::wire::checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&total.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let named = format!("version {version}");
+        let err = Snapshot::decode(&bytes).expect_err("an old version must not decode");
+        assert!(err.to_string().contains(&named), "error names the version: {err}");
+
+        let cfg = SupervisorConfig { max_retries: 0, ..Default::default() };
+        let run =
+            supervise(&job, &cfg, |ctx| Kernel::Mg.exec(Class::S, ctx)).expect("cold start");
+        assert_eq!(run.attempts[0].resumed_from, None, "a v{version} snapshot must never replay");
+        assert!(path.with_extension("quarantined").exists(), "the v{version} file was set aside");
+        let report = std::fs::read_to_string(path.with_extension("quarantine.txt")).unwrap();
+        assert!(report.contains(&named), "quarantine report names the version:\n{report}");
+        assert_same(&observe(&run.machine, &run.library), &reference, "cold start after refusal");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Acceptance matrix: resumed runs are byte-identical to the
@@ -351,9 +355,9 @@ async fn early_finisher(mut ctx: bgp::RankCtx) -> (bgp::RankCtx, bool) {
     (ctx, got == 48)
 }
 
-/// A snapshot that holds a finalized node (its windows, and the dump
-/// encoded from them) resumes to byte-identical dumps, under a one-mode
-/// and a rotating policy.
+/// A snapshot that holds a finalized node (its flag and its windows)
+/// resumes to byte-identical dumps, under a one-mode and a rotating
+/// policy.
 #[test]
 fn resume_with_a_finalized_node_is_byte_identical() {
     let policies = [
