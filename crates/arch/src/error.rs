@@ -94,7 +94,8 @@ pub enum BgpError {
     /// The counter interface was used out of protocol
     /// (e.g. `BGP_Start` before `BGP_Initialize`, mismatched stop).
     Protocol(Context),
-    /// A counter dump was malformed.
+    /// Input data (a counter dump, a snapshot or one of its sections, a
+    /// cached blob) was malformed.
     Corrupt(Context),
     /// An I/O error while reading or writing dump files.
     Io(std::io::Error),
@@ -172,7 +173,7 @@ impl fmt::Display for BgpError {
         match self {
             BgpError::Config(m) => write!(f, "configuration error: {m}"),
             BgpError::Protocol(c) => write!(f, "counter-interface protocol error: {c}"),
-            BgpError::Corrupt(c) => write!(f, "corrupt counter dump: {c}"),
+            BgpError::Corrupt(c) => write!(f, "corrupt data: {c}"),
             BgpError::Io(e) => write!(f, "i/o error: {e}"),
             BgpError::Mpi(m) => write!(f, "mpi error: {m}"),
             BgpError::Timeout { node, attempts } => {
@@ -226,7 +227,7 @@ mod tests {
         assert!(s.contains("set 0"), "{s}");
         assert!(s.contains("offset 17"), "{s}");
         // A bare-reason context prints no empty parens.
-        assert_eq!(BgpError::corrupt("plain").to_string(), "corrupt counter dump: plain");
+        assert_eq!(BgpError::corrupt("plain").to_string(), "corrupt data: plain");
     }
 
     #[test]

@@ -797,8 +797,8 @@ pub fn peak_rss_bytes() -> u64 {
 }
 
 /// The probe rank body: pure FP plus collectives, **no array traffic**,
-/// so every node's caches stay in their cold (unmaterialized) state and
-/// the sweep measures the runtime's true per-rank overhead.
+/// so no node builds its memory hierarchy and the sweep measures the
+/// runtime's true per-rank overhead.
 async fn fullmachine_rank(mut ctx: bgp_mpi::RankCtx) -> bool {
     for _ in 0..FULLMACHINE_FP {
         ctx.fp1(SemOp::MulAdd);

@@ -74,9 +74,11 @@ pub const WHOLE_PROGRAM_SET: u32 = 0;
 
 #[derive(Default)]
 struct SetState {
-    /// Schedule mark taken at the open window's first `BGP_Start`. It
-    /// holds no totals when they are all zero, as in every first window
-    /// after `BGP_Initialize` (the unit was just cleared and idle).
+    /// Schedule mark taken at the open window's first `BGP_Start`, held
+    /// until its last `BGP_Stop`: the set whose window is open is the one
+    /// set of its node with a start mark. It holds no totals when they
+    /// are all zero, as in every first window after `BGP_Initialize`
+    /// (the unit was just cleared and idle).
     start: Option<MuxMark>,
     /// The closed windows, accumulated from start mark to stop: counts
     /// per mode the node's schedule visits, plus per-mode phases and job
@@ -88,23 +90,29 @@ struct SetState {
     records: u32,
 }
 
+/// One node's protocol state. Arrival counts say how far the node's
+/// ranks got: it is initialized once one rank initialized, and finalized
+/// once all of its ranks finalized ([`CounterLibrary::finalized`]). A
+/// finalized node's dump is never stored; it is built from the windows
+/// each time it is read, with the node's home mode
+/// ([`CounterPolicy::mode_for`]) in its header.
 #[derive(Default)]
 struct NodeState {
-    initialized: bool,
     init_arrivals: usize,
-    active_set: Option<u32>,
     start_arrivals: usize,
     stop_arrivals: usize,
     finalize_arrivals: usize,
     /// The node's sets, sorted by id (the order dumps list them in).
     sets: Vec<(u32, SetState)>,
-    /// Set by `BGP_Finalize`. The dump itself is never stored; it is
-    /// built from the windows each time it is read, with the node's home
-    /// mode ([`CounterPolicy::mode_for`]) in its header.
-    finalized: bool,
 }
 
 impl NodeState {
+    /// Where in `sets` the set whose window is open sits: the one with a
+    /// start mark.
+    fn open_set(&self) -> Option<usize> {
+        self.sets.iter().position(|(_, s)| s.start.is_some())
+    }
+
     /// Where set `id` sits in `sets`, or where it would be inserted.
     fn find_set(&self, id: u32) -> std::result::Result<usize, usize> {
         self.sets.binary_search_by_key(&id, |&(k, _)| k)
@@ -179,7 +187,6 @@ impl NodeState {
 pub struct CounterLibrary {
     spec: JobSpec,
     pub(crate) nodes: Mutex<Vec<NodeState>>,
-    ranks_per_node: Vec<usize>,
 }
 
 impl CounterLibrary {
@@ -190,14 +197,9 @@ impl CounterLibrary {
     pub fn for_machine(machine: &Arc<Machine>) -> Arc<CounterLibrary> {
         let hook = machine.register_app_state(state::NAME, || {
             let n_nodes = machine.num_nodes();
-            let mut ranks_per_node = vec![0usize; n_nodes];
-            for r in 0..machine.spec().ranks {
-                ranks_per_node[bgp_mpi::place(machine.spec(), r).node.0] += 1;
-            }
             Arc::new(CounterLibrary {
                 spec: machine.spec().clone(),
                 nodes: Mutex::new((0..n_nodes).map(|_| NodeState::default()).collect()),
-                ranks_per_node,
             })
         });
         let hook: Arc<dyn std::any::Any + Send + Sync> = hook;
@@ -229,7 +231,6 @@ impl CounterLibrary {
                     upc.clear();
                     upc.set_saturating(saturate);
                 });
-                st.initialized = true;
             }
             st.init_arrivals += 1;
         }
@@ -253,20 +254,19 @@ impl CounterLibrary {
         {
             let mut nodes = self.nodes.lock();
             let st = &mut nodes[node];
-            if !st.initialized {
+            if st.init_arrivals == 0 {
                 return Err(BgpError::Protocol(
                     "BGP_Start before BGP_Initialize".into(),
                 ));
             }
             // No dump would carry a window opened now.
-            if st.finalized {
+            if self.finalized(node, st) {
                 return Err(BgpError::protocol(format!(
                     "BGP_Start({set}) on node {node} after BGP_Finalize closed its dump"
                 )));
             }
-            match st.active_set {
+            match st.open_set().map(|i| st.sets[i].0) {
                 None => {
-                    st.active_set = Some(set);
                     st.start_arrivals = 1;
                     st.stop_arrivals = 0;
                     // `with_own_node` retires the rank's queued work, so
@@ -282,7 +282,7 @@ impl CounterLibrary {
                 }
                 Some(active) if active == set => {
                     st.start_arrivals += 1;
-                    if st.start_arrivals > self.ranks_per_node[node] {
+                    if st.start_arrivals > self.spec.ranks_on(node) {
                         return Err(BgpError::protocol(format!(
                             "set {set} started more times than ranks on node {node}"
                         )));
@@ -312,13 +312,13 @@ impl CounterLibrary {
         let node = ctx.node_id().0;
         let mut nodes = self.nodes.lock();
         let st = &mut nodes[node];
-        match st.active_set {
-            Some(active) if active == set => {
+        match st.open_set() {
+            Some(i) if st.sets[i].0 == set => {
                 st.stop_arrivals += 1;
                 // The node's window spans first start → last stop: it
                 // closes when every resident rank has stopped (SPMD
                 // programs instrument the same regions on every rank).
-                if st.stop_arrivals == self.ranks_per_node[node] {
+                if st.stop_arrivals == self.spec.ranks_on(node) {
                     // Fault injection: planned counter faults strike as
                     // the window closes — a bit flip in the counter
                     // SRAM, or a counter pegged at the saturation
@@ -344,18 +344,17 @@ impl CounterLibrary {
                         }
                     }
                     ctx.with_own_node(|n| n.upc_mut().set_enabled(false));
-                    let i = st.find_set(set).expect("set created at start");
                     let s = &mut st.sets[i].1;
-                    let start = s.start.take().expect("start mark present");
+                    let start = s.start.take().expect("the open set holds its start mark");
                     ctx.machine().mux_close_window(node, &start, &mut s.window);
                     s.records += 1;
-                    st.active_set = None;
                 }
                 ctx.trace_event(EventKind::SessionStop { set });
                 Ok(())
             }
-            Some(active) => Err(BgpError::protocol(format!(
-                "BGP_Stop({set}) while set {active} is active"
+            Some(i) => Err(BgpError::protocol(format!(
+                "BGP_Stop({set}) while set {} is active",
+                st.sets[i].0
             ))),
             None => Err(BgpError::protocol(format!(
                 "BGP_Stop({set}) without a matching BGP_Start"
@@ -374,17 +373,17 @@ impl CounterLibrary {
             let mut nodes = self.nodes.lock();
             let st = &mut nodes[node];
             st.finalize_arrivals += 1;
-            if st.finalize_arrivals == self.ranks_per_node[node] {
+            if self.finalized(node, st) {
                 // Ranks finalize in their own time; only the last one can
                 // check the window (its own stop preceded this call, and
                 // SPMD order means everyone else's did too).
-                if let Some(active) = st.active_set {
+                if let Some(i) = st.open_set() {
                     st.finalize_arrivals -= 1;
                     return Err(BgpError::protocol(format!(
-                        "BGP_Finalize with set {active} still active"
+                        "BGP_Finalize with set {} still active",
+                        st.sets[i].0
                     )));
                 }
-                st.finalized = true;
                 let bytes = dump::encoded_len(st.dump_sets()) as u64;
                 ctx.trace_event(EventKind::CounterDump { bytes });
             }
@@ -400,12 +399,18 @@ impl CounterLibrary {
         matches!(self.spec.counter_policy, CounterPolicy::Multiplexed { .. })
     }
 
+    /// Whether node `node`, whose state is `st`, finalized: every rank it
+    /// hosts passed `BGP_Finalize`.
+    fn finalized(&self, node: usize, st: &NodeState) -> bool {
+        st.finalize_arrivals == self.spec.ranks_on(node)
+    }
+
     /// Node `node`'s dump, built from the windows of its state `st`, if it
     /// finalized. The header advertises the node's home mode — the block
     /// the primary sets report (under rotation the unit sits in whatever
     /// mode the last dwell left it).
     fn dump_of(&self, node: usize, st: &NodeState) -> Result<NodeDump> {
-        if !st.finalized {
+        if !self.finalized(node, st) {
             return Err(never_finalized(node));
         }
         Ok(st.dump(node, self.spec.counter_policy.mode_for(NodeId(node))))

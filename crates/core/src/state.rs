@@ -9,17 +9,20 @@
 //! `app:counters` section at capture and spliced back wholesale at
 //! go-live, discarding whatever the replay built.
 //!
-//! The section holds what memory holds: a start mark without totals is
-//! written without totals, and a finalized node is its flag and its
-//! windows (its dump is built from them, with the home mode the policy
-//! gives the node). Restore refuses a mark whose totals are neither
-//! empty nor the job's schedule width, and a finalized node with a
-//! window no stop closed, naming the node.
+//! The section holds what memory holds, each fact once: a node is its
+//! four arrival counts and its sets, a start mark without totals is
+//! written without totals, and a finalized node (every rank it hosts
+//! finalized) is its windows, from which its dump is built with the
+//! home mode the policy gives the node. Which set is open is which set
+//! holds a start mark. Restore refuses, naming the node, a mark whose
+//! totals are neither empty nor the job's schedule width, a node with
+//! more than one start mark, and a finalized node with a window no stop
+//! closed.
 
 use crate::{dump, CounterLibrary, NodeState, SetState};
 use bgp_arch::error::{BgpError, Result};
 use bgp_arch::events::{NUM_COUNTERS, NUM_EVENTS};
-use bgp_arch::wire::{put_bool, put_u32, put_u64, put_u64s, put_u8, Reader};
+use bgp_arch::wire::{put_u32, put_u64, put_u64s, put_u8, Reader};
 use bgp_mpi::machine::AppState;
 use bgp_mpi::MuxMark;
 
@@ -63,21 +66,15 @@ fn save_set(out: &mut Vec<u8>, id: u32, s: &SetState) {
     save_mark(out, &s.window);
 }
 
-/// A set id at or above [`dump::SET_ID_LIMIT`] cannot have come from
-/// `BGP_Start`.
-fn load_set_id(r: &mut Reader<'_>, what: &str) -> Result<u32> {
-    let id = r.u32(what)?;
+fn load_set(r: &mut Reader<'_>, node: usize, width: usize) -> Result<(u32, SetState)> {
+    // A set id at or above the limit cannot have come from `BGP_Start`.
+    let id = r.u32("set id")?;
     if id >= dump::SET_ID_LIMIT {
         return Err(BgpError::corrupt(format!(
-            "{what} {id} is not below the set-id limit {}",
+            "set id {id} is not below the set-id limit {}",
             dump::SET_ID_LIMIT
         )));
     }
-    Ok(id)
-}
-
-fn load_set(r: &mut Reader<'_>, node: usize, width: usize) -> Result<(u32, SetState)> {
-    let id = load_set_id(r, "set id")?;
     let records = r.u32("set records")?;
     let start = match r.u8("start-mark tag")? {
         0 => None,
@@ -89,49 +86,29 @@ fn load_set(r: &mut Reader<'_>, node: usize, width: usize) -> Result<(u32, SetSt
 }
 
 fn save_node(out: &mut Vec<u8>, st: &NodeState) {
-    put_bool(out, st.initialized);
-    put_u64(out, st.init_arrivals as u64);
-    match st.active_set {
-        Some(set) => {
-            put_u8(out, 1);
-            put_u32(out, set);
-        }
-        None => put_u8(out, 0),
+    let arrivals = [st.init_arrivals, st.start_arrivals, st.stop_arrivals, st.finalize_arrivals];
+    for n in arrivals {
+        put_u64(out, n as u64);
     }
-    put_u64(out, st.start_arrivals as u64);
-    put_u64(out, st.stop_arrivals as u64);
-    put_u64(out, st.finalize_arrivals as u64);
     put_u64(out, st.sets.len() as u64);
     for (id, s) in &st.sets {
         save_set(out, *id, s);
     }
-    put_bool(out, st.finalized);
 }
 
-/// Read the state of node `node` of a job whose marks hold `width`
-/// totals. A finalized node's dump is built from its windows, so each
-/// must have been closed by a stop.
-fn load_node(r: &mut Reader<'_>, node: usize, width: usize) -> Result<NodeState> {
-    let initialized = r.bool("initialized")?;
-    let init_arrivals = r.u64("init arrivals")? as usize;
-    let active_set = match r.u8("active-set tag")? {
-        0 => None,
-        1 => Some(load_set_id(r, "active set")?),
-        t => return Err(BgpError::corrupt(format!("bad active-set tag {t}"))),
-    };
-    let start_arrivals = r.u64("start arrivals")? as usize;
-    let stop_arrivals = r.u64("stop arrivals")? as usize;
-    let finalize_arrivals = r.u64("finalize arrivals")? as usize;
-    let n_sets = r.u64("set count")?;
+/// Read the state of node `node`, which hosts `ranks` ranks, of a job
+/// whose marks hold `width` totals. At most one set's window is open.
+/// A finalized node's dump is built from its windows, so each must have
+/// been closed by a stop.
+fn load_node(r: &mut Reader<'_>, node: usize, ranks: usize, width: usize) -> Result<NodeState> {
     let mut st = NodeState {
-        initialized,
-        init_arrivals,
-        active_set,
-        start_arrivals,
-        stop_arrivals,
-        finalize_arrivals,
-        ..NodeState::default()
+        init_arrivals: r.u64("init arrivals")? as usize,
+        start_arrivals: r.u64("start arrivals")? as usize,
+        stop_arrivals: r.u64("stop arrivals")? as usize,
+        finalize_arrivals: r.u64("finalize arrivals")? as usize,
+        sets: Vec::new(),
     };
+    let n_sets = r.u64("set count")?;
     for _ in 0..n_sets {
         let (id, s) = load_set(r, node, width)?;
         match st.find_set(id) {
@@ -139,9 +116,15 @@ fn load_node(r: &mut Reader<'_>, node: usize, width: usize) -> Result<NodeState>
             Err(i) => st.insert_set(i, id, s),
         }
     }
-    st.finalized = r.bool("finalized")?;
-    if st.finalized {
-        if let Some((id, _)) = st.sets.iter().find(|(_, s)| s.window.totals.is_empty()) {
+    let mut open = st.sets.iter().filter(|(_, s)| s.start.is_some()).map(|&(id, _)| id);
+    if let (Some(a), Some(b)) = (open.next(), open.next()) {
+        return Err(BgpError::corrupt(format!(
+            "node {node} holds start marks for sets {a} and {b}; one window at most is open"
+        )));
+    }
+    if st.finalize_arrivals == ranks {
+        let unclosed = |s: &SetState| s.start.is_some() || s.window.totals.is_empty();
+        if let Some((id, _)) = st.sets.iter().find(|(_, s)| unclosed(s)) {
             return Err(BgpError::corrupt(format!(
                 "node {node} finalized with set {id}'s window never closed"
             )));
@@ -168,15 +151,16 @@ impl AppState for CounterLibrary {
     fn restore(&self, bytes: &[u8]) -> Result<()> {
         let mut r = Reader::new(bytes);
         let n = r.u64("node count")?;
-        let machine = self.ranks_per_node.len(); // one entry per node
+        let machine = self.spec.nodes();
         if n != machine as u64 {
             return Err(BgpError::corrupt(format!(
                 "snapshot has {n} counter-library nodes, machine has {machine}"
             )));
         }
         let width = if self.rotates() { NUM_EVENTS } else { NUM_COUNTERS };
-        let fresh = (0..machine).map(|node| load_node(&mut r, node, width));
-        let fresh = fresh.collect::<Result<Vec<_>>>()?;
+        let fresh = (0..machine)
+            .map(|node| load_node(&mut r, node, self.spec.ranks_on(node), width))
+            .collect::<Result<Vec<_>>>()?;
         r.expect_end("counter-library state")?;
         *self.nodes.lock() = fresh;
         Ok(())
@@ -202,9 +186,7 @@ mod tests {
         {
             let mut nodes = lib.nodes.lock();
             let st = &mut nodes[1];
-            st.initialized = true;
             st.init_arrivals = 2;
-            st.active_set = Some(7);
             st.start_arrivals = 1;
             let mut window = MuxMark { totals: vec![9; NUM_COUNTERS], ..MuxMark::default() };
             window.totals[17] = u64::MAX;
@@ -215,15 +197,14 @@ mod tests {
             };
             let set = SetState { start: Some(start), window, records: 5 };
             st.sets.push((7, set));
-            // Node 0 finalized: a closed window and the flag, no bytes.
+            // Node 0 finalized (both its ranks did): a closed window, no
+            // dump bytes.
             let st = &mut nodes[0];
-            st.initialized = true;
             st.init_arrivals = 2;
             st.finalize_arrivals = 2;
             let totals = (0..NUM_COUNTERS as u64).collect();
             let window = MuxMark { totals, ..MuxMark::default() };
             st.sets.push((0, SetState { start: None, window, records: 1 }));
-            st.finalized = true;
         }
         let bytes = lib.save();
         let m2 = Machine::new(spec);
@@ -232,12 +213,12 @@ mod tests {
         assert_eq!(lib2.save(), bytes);
     }
 
-    /// Every node of an `app:counters` section of a job whose marks hold
-    /// `width` totals.
+    /// Every node of an `app:counters` section of a job with one rank
+    /// per node whose marks hold `width` totals.
     fn nodes_of(bytes: &[u8], width: usize) -> Vec<NodeState> {
         let mut r = Reader::new(bytes);
         let n = r.u64("node count").unwrap();
-        (0..n as usize).map(|node| load_node(&mut r, node, width).unwrap()).collect()
+        (0..n as usize).map(|node| load_node(&mut r, node, 1, width).unwrap()).collect()
     }
 
     /// Every set window of every node in an `app:counters` section.
@@ -248,8 +229,8 @@ mod tests {
 
     /// The section holds what memory holds, under every kind of policy:
     /// a zero start mark is written without totals, and a finalized
-    /// node as its flag and its windows, written as they were before
-    /// finalize, with no dump bytes. Every form restores as it was held,
+    /// node as its arrival counts and its windows, written as they were
+    /// before finalize, with no dump bytes. Every form restores as it was held,
     /// saves the same bytes again, and a restored finalized library
     /// gives the same dumps.
     #[test]
@@ -271,12 +252,12 @@ mod tests {
             let lib = CounterLibrary::for_machine(&m);
             let held = |lib: &CounterLibrary| -> Vec<(usize, usize, bool)> {
                 let nodes = lib.nodes.lock();
-                let set = |st: &NodeState| {
+                let set = |(node, st): (usize, &NodeState)| {
                     let s = &st.sets[0].1;
                     let start = s.start.as_ref().map_or(0, |m| m.totals.len());
-                    (start, s.window.totals.len(), st.finalized)
+                    (start, s.window.totals.len(), lib.finalized(node, st))
                 };
-                nodes.iter().map(set).collect()
+                nodes.iter().enumerate().map(set).collect()
             };
             let lib2 = Arc::clone(&lib);
             let out = m.run(move |mut ctx| {
@@ -308,8 +289,8 @@ mod tests {
             let start = nodes_of(&open, width)[0].sets[0].1.start.clone().unwrap();
             assert!(start.totals.is_empty(), "{policy:?}");
 
-            // Finalized: the flag and the windows as they were before
-            // finalize; nothing else distinguishes the two sections.
+            // Finalized: the windows as they were before finalize; only
+            // the finalize arrival count distinguishes the two sections.
             assert_eq!(held(&lib), vec![(0, width, true); 2], "{policy:?}");
             assert_eq!(windows(&finalized, width), windows(&closed, width), "{policy:?}");
             assert_eq!(finalized.len(), closed.len(), "{policy:?}: no dump bytes");
@@ -342,9 +323,7 @@ mod tests {
         {
             let mut nodes = lib.nodes.lock();
             let st = &mut nodes[1];
-            st.initialized = true;
             st.init_arrivals = 1;
-            st.active_set = Some(4);
             st.start_arrivals = 1;
             let start = MuxMark { totals: vec![3; start_width], ..MuxMark::default() };
             let window = MuxMark { totals: vec![5; window_width], ..MuxMark::default() };
@@ -390,19 +369,43 @@ mod tests {
     }
 
     /// A finalized node's dump is built from its windows, so a section
-    /// that holds one with a window no stop closed is refused.
+    /// that holds one with a window no stop closed is refused: an empty
+    /// window, or one whose start mark is still held.
     #[test]
     fn restore_refuses_a_finalized_node_with_an_unclosed_window() {
         let lib = CounterLibrary::for_machine(&Machine::new(JobSpec::new(1, OpMode::Smp1)));
-        let st = NodeState {
-            sets: vec![(2, SetState::default())],
-            finalized: true,
+        let closed = MuxMark { totals: vec![1; NUM_COUNTERS], ..MuxMark::default() };
+        let open = SetState { start: Some(MuxMark::default()), window: closed, records: 1 };
+        for set in [SetState::default(), open] {
+            let st =
+                NodeState { finalize_arrivals: 1, sets: vec![(2, set)], ..NodeState::default() };
+            let mut bytes = Vec::new();
+            put_u64(&mut bytes, 1);
+            save_node(&mut bytes, &st);
+            assert_refused(&bytes, &lib, "node 0 finalized with set 2's window never closed");
+        }
+    }
+
+    /// One window at most is open on a node, and the set holding the
+    /// start mark is the one. A section with two start marks on a node
+    /// is refused, naming the node and both sets.
+    #[test]
+    fn restore_refuses_a_node_with_two_start_marks() {
+        let lib = CounterLibrary::for_machine(&Machine::new(JobSpec::new(2, OpMode::Smp1)));
+        let open = || SetState { start: Some(MuxMark::default()), ..SetState::default() };
+        let node = |sets| NodeState {
+            init_arrivals: 1,
+            start_arrivals: 1,
+            sets,
             ..NodeState::default()
         };
+        let nodes = [node(vec![(3, open())]), node(vec![(3, open()), (8, open())])];
         let mut bytes = Vec::new();
-        put_u64(&mut bytes, 1);
-        save_node(&mut bytes, &st);
-        assert_refused(&bytes, &lib, "node 0 finalized with set 2's window never closed");
+        put_u64(&mut bytes, 2);
+        for st in &nodes {
+            save_node(&mut bytes, st);
+        }
+        assert_refused(&bytes, &lib, "node 1 holds start marks for sets 3 and 8");
     }
 
     /// The node count is checked before anything is reserved for it: a
@@ -472,30 +475,23 @@ mod tests {
     }
 
     /// No `BGP_Start` accepts a set id at or above the limit, so a
-    /// snapshot naming one, as a set or as the active set, is corrupt.
+    /// snapshot naming one is corrupt.
     #[test]
     fn restore_refuses_set_ids_at_the_limit() {
         let lib = CounterLibrary::for_machine(&Machine::new(JobSpec::new(1, OpMode::Smp1)));
         let before = lib.save();
-        let encode = |st: &NodeState| {
+        let encode = |id: u32| {
+            let st = NodeState { sets: vec![(id, SetState::default())], ..NodeState::default() };
             let mut out = Vec::new();
             put_u64(&mut out, 1);
-            save_node(&mut out, st);
+            save_node(&mut out, &st);
             out
         };
-        let set = NodeState {
-            sets: vec![(dump::SET_ID_LIMIT, SetState::default())],
-            ..NodeState::default()
-        };
-        let active = NodeState { active_set: Some(dump::SET_ID_LIMIT), ..NodeState::default() };
-        for (st, what) in [(set, "set id"), (active, "active set")] {
-            let err = lib.restore(&encode(&st)).unwrap_err();
-            assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
-            assert!(err.to_string().contains(&format!("{what} 536870912")), "{err}");
-            assert_eq!(lib.save(), before, "a refused restore changes nothing");
-        }
-        let legal = NodeState { active_set: Some(dump::SET_ID_LIMIT - 1), ..NodeState::default() };
-        lib.restore(&encode(&legal)).unwrap();
+        let err = lib.restore(&encode(dump::SET_ID_LIMIT)).unwrap_err();
+        assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("set id 536870912"), "{err}");
+        assert_eq!(lib.save(), before, "a refused restore changes nothing");
+        lib.restore(&encode(dump::SET_ID_LIMIT - 1)).unwrap();
     }
 
     /// The library is the machine's `counters` app-state hook, so

@@ -89,12 +89,9 @@ pub struct Hit {
 /// assert!(c.access(7, true).hit);     // write hit marks the line dirty
 /// assert_eq!(c.flush(), vec![7]);     // flush returns the dirty lines
 /// ```
-/// Backing storage allocates **lazily**: a freshly built cache holds no
-/// way array and no filter until the first [`Cache::fill`] (cold probes
-/// answer "miss"/"absent" straight from the empty state). A machine with
-/// tens of thousands of idle nodes therefore pays a few machine words
-/// per cache, not `sets × ways`; the first line installed materializes
-/// the arrays and behavior is identical from then on.
+/// The way array and the filter are allocated when the cache is built.
+/// Laziness lives one level up: a node builds its memory hierarchy, and
+/// with it every cache, only on its first memory operation.
 ///
 /// A fill of a line the caller knows is absent should use
 /// [`Cache::fill_absent`], which skips [`Cache::fill`]'s presence scan
@@ -103,19 +100,14 @@ pub struct Hit {
 pub struct Cache {
     /// Packed way entries (`line << ENT_SHIFT | flags`), `sets × ways`,
     /// set-major, each set ordered most- to least-recently-used.
-    /// Empty until the first fill materializes it.
     ents: Vec<u64>,
     /// Counting membership filter: `filt[hash(line)]` is the number of
     /// resident lines hashing to that bucket. Zero proves absence.
-    /// Empty until the first fill (or always, for unfiltered caches).
+    /// Empty for unfiltered caches.
     filt: Vec<u16>,
-    /// Length the filter materializes to (0 = unfiltered).
-    filt_len: usize,
     /// Right-shift applied to the hashed line to index `filt`.
     filt_shift: u32,
-    /// Number of valid ways. A `u32` so it packs beside `filt_shift`
-    /// and the struct does not grow (the full-machine probe builds
-    /// about a million caches).
+    /// Number of valid ways.
     valid: u32,
     num_sets: usize,
     assoc: usize,
@@ -152,29 +144,13 @@ impl Cache {
             0
         };
         Cache {
-            ents: Vec::new(),
-            filt: Vec::new(),
-            filt_len,
+            ents: vec![INVALID; sets * assoc],
+            filt: vec![0; filt_len],
             filt_shift: 64 - filt_len.trailing_zeros().min(63),
             valid: 0,
             num_sets: sets,
             assoc,
             set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
-        }
-    }
-
-    /// Whether the backing arrays have not been allocated yet (no line
-    /// was ever installed, or the last restore image held no entries).
-    #[inline]
-    fn is_cold(&self) -> bool {
-        self.ents.is_empty()
-    }
-
-    /// Allocate the way array and filter. Idempotent.
-    fn materialize(&mut self) {
-        if self.is_cold() {
-            self.ents = vec![INVALID; self.num_sets * self.assoc];
-            self.filt = vec![0; self.filt_len];
         }
     }
 
@@ -187,9 +163,6 @@ impl Cache {
     /// means "maybe resident" and callers fall back to the tag scan.
     #[inline]
     fn maybe_resident(&self, line: u64) -> bool {
-        if self.is_cold() {
-            return false;
-        }
         self.filt.is_empty() || self.filt[self.filt_idx(line)] != 0
     }
 
@@ -235,9 +208,6 @@ impl Cache {
     /// the line dirty (write hit).
     #[inline]
     pub fn access(&mut self, line: u64, write: bool) -> Hit {
-        if self.is_cold() {
-            return Hit { hit: false, first_prefetch_use: false };
-        }
         let base = self.set_of(line) * self.assoc;
         let target = line << ENT_SHIFT;
         let wflag = if write { FLAG_DIRTY } else { 0 };
@@ -289,7 +259,6 @@ impl Cache {
     /// [`Cache::fill_absent`].
     #[inline]
     pub fn fill(&mut self, line: u64, dirty: bool, prefetched: bool) -> Option<Evicted> {
-        self.materialize();
         let base = self.set_of(line) * self.assoc;
         let target = line << ENT_SHIFT;
         let dflag = if dirty { FLAG_DIRTY } else { 0 };
@@ -326,7 +295,6 @@ impl Cache {
     #[inline]
     pub fn fill_absent(&mut self, line: u64, dirty: bool, prefetched: bool) -> Option<Evicted> {
         debug_assert!(!self.contains(line), "fill_absent of resident line {line:#x}");
-        self.materialize();
         let base = self.set_of(line) * self.assoc;
         let free = if self.valid as usize == self.ents.len() {
             None
@@ -424,31 +392,30 @@ impl Cache {
     ///
     /// Only the packed way entries are written: the membership filter and
     /// the valid-way count are exact counts of resident lines, so
-    /// [`Cache::restore_state`] rebuilds them from the entries. A cold
-    /// (never-filled) cache writes zero entries.
+    /// [`Cache::restore_state`] rebuilds them from the entries.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         bgp_arch::wire::put_u64s(out, &self.ents);
     }
 
     /// Restore state previously written by [`Cache::save_state`] into a
-    /// cache of identical geometry; zero entries leave it cold.
+    /// cache of identical geometry.
     ///
     /// # Errors
     /// [`bgp_arch::BgpError::Corrupt`] on truncated input or an entry
-    /// count that is neither zero nor this cache's `sets × ways`.
+    /// count other than this cache's `sets × ways`.
     pub fn restore_state(
         &mut self,
         r: &mut bgp_arch::wire::Reader<'_>,
     ) -> bgp_arch::error::Result<()> {
         let ents = r.u64s("cache entries")?;
-        if !ents.is_empty() && ents.len() != self.num_sets * self.assoc {
+        if ents.len() != self.num_sets * self.assoc {
             return Err(bgp_arch::BgpError::corrupt(format!(
                 "cache geometry mismatch: snapshot has {} entries, cache holds {}",
                 ents.len(),
                 self.num_sets * self.assoc
             )));
         }
-        self.filt = if ents.is_empty() { Vec::new() } else { vec![0; self.filt_len] };
+        self.filt.fill(0);
         self.ents = ents;
         self.valid = 0;
         for i in 0..self.ents.len() {
@@ -608,55 +575,31 @@ mod tests {
         assert!(wrong.restore_state(&mut bgp_arch::wire::Reader::new(&bytes)).is_err());
     }
 
+    /// A cache writes its `sets × ways` entries, empty or not, and
+    /// restores only an image of exactly that many: any other count,
+    /// zero included, is refused and leaves the cache as it was.
     #[test]
-    fn cold_cache_allocates_nothing_until_first_fill() {
-        let mut c = Cache::new(1024, 8);
-        assert!(c.ents.is_empty() && c.filt.is_empty(), "built cold");
-        // Cold probes answer without materializing.
-        assert!(!c.access(42, true).hit);
-        assert!(!c.contains(42));
-        assert!(!c.mark_dirty(42));
-        assert_eq!(c.invalidate(42), None);
-        assert_eq!(c.flush(), Vec::<u64>::new());
-        assert_eq!(c.resident_lines(), 0);
-        assert!(c.ents.is_empty() && c.filt.is_empty(), "still cold");
-        // First fill materializes; behavior is the eager cache's.
-        c.fill(42, true, false);
-        assert_eq!(c.ents.len(), 1024 * 8);
-        assert!(c.access(42, false).hit);
-        assert_eq!(c.flush(), vec![42]);
-    }
-
-    /// A cold cache writes zero entries and restores cold; a built but
-    /// empty one writes its `sets × ways` invalid entries and restores
-    /// built. Either image replaces whatever the target held.
-    #[test]
-    fn cold_and_built_empty_caches_snapshot_as_they_are_held() {
-        let cold = Cache::new(8, 2);
-        let mut emptied = Cache::new(8, 2);
-        emptied.fill(3, false, false);
-        emptied.invalidate(3);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        cold.save_state(&mut a);
-        emptied.save_state(&mut b);
+    fn restore_takes_exactly_sets_times_ways_entries() {
+        let empty = Cache::new(8, 2);
+        let mut bytes = Vec::new();
+        empty.save_state(&mut bytes);
         let mut want = Vec::new();
-        bgp_arch::wire::put_u64s(&mut want, &[]);
-        assert_eq!(a, want, "a cold cache writes zero entries");
-        want.clear();
         bgp_arch::wire::put_u64s(&mut want, &[INVALID; 16]);
-        assert_eq!(b, want, "a built cache writes every way");
+        assert_eq!(bytes, want, "an empty cache writes every way");
 
         let mut target = Cache::new(8, 2);
         target.fill(5, true, false);
-        target.restore_state(&mut bgp_arch::wire::Reader::new(&a)).unwrap();
-        assert!(target.is_cold() && target.filt.is_empty(), "zero entries restore cold");
+        for n in [0usize, 1, 15, 17, 32] {
+            let mut image = Vec::new();
+            bgp_arch::wire::put_u64s(&mut image, &vec![INVALID; n]);
+            let err = target.restore_state(&mut bgp_arch::wire::Reader::new(&image)).unwrap_err();
+            assert!(matches!(err, bgp_arch::BgpError::Corrupt(_)), "{err}");
+            assert!(err.to_string().contains(&format!("snapshot has {n} entries")), "{err}");
+            assert!(target.contains(5) && target.valid == 1, "a refused image changes nothing");
+        }
+        target.restore_state(&mut bgp_arch::wire::Reader::new(&bytes)).unwrap();
         assert!(!target.contains(5));
-        target.restore_state(&mut bgp_arch::wire::Reader::new(&b)).unwrap();
-        assert!(!target.is_cold(), "a built image restores built");
-        assert_eq!((target.valid, target.filt.len()), (0, emptied.filt.len()));
-        let mut again = Vec::new();
-        target.save_state(&mut again);
-        assert_eq!(again, b);
+        assert_eq!((target.valid, target.filt.clone()), (0, empty.filt.clone()));
     }
 
     #[test]
@@ -695,10 +638,8 @@ mod tests {
                 for c in [&a, &b] {
                     assert_eq!(c.valid as usize, c.resident_lines(), "case {case} step {step}");
                 }
-                if !a.is_cold() && !b.is_cold() {
-                    assert_eq!(a.ents, b.ents, "case {case} step {step}: entries");
-                    assert_eq!(a.filt, b.filt, "case {case} step {step}: filter");
-                }
+                assert_eq!(a.ents, b.ents, "case {case} step {step}: entries");
+                assert_eq!(a.filt, b.filt, "case {case} step {step}: filter");
             }
         }
     }
@@ -717,14 +658,6 @@ mod tests {
         c.invalidate(0);
         assert!(c.fill_absent(6, false, false).is_none());
         assert_eq!(c.resident_lines(), 4);
-    }
-
-    #[test]
-    #[cfg(target_pointer_width = "64")]
-    fn cache_does_not_grow_with_the_valid_count() {
-        // The count packs beside `filt_shift`; the full-machine probe
-        // builds about a million caches.
-        assert_eq!(std::mem::size_of::<Cache>(), 96);
     }
 
     #[test]

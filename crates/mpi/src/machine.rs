@@ -293,6 +293,18 @@ impl JobSpec {
         self.ranks.div_ceil(self.mode.processes_per_node())
     }
 
+    /// Number of ranks node `node` hosts under [`place`]'s block
+    /// placement: a full node's processes per node, or what is left on
+    /// the last node.
+    ///
+    /// # Panics
+    /// Panics if `node` is not one of the job's nodes.
+    pub fn ranks_on(&self, node: usize) -> usize {
+        let ppn = self.mode.processes_per_node();
+        assert!(node < self.nodes(), "node {node} is not one of the job's {}", self.nodes());
+        ppn.min(self.ranks - node * ppn)
+    }
+
     /// The effective worker cap: `sim_threads`, else the
     /// `BGP_SIM_THREADS` environment variable, else the host's available
     /// parallelism (min 1).
@@ -437,14 +449,12 @@ pub struct Machine {
     ran: AtomicBool,
     /// Rotating snapshot writer (present iff `spec.checkpoint` is).
     store: Option<SnapshotStore>,
-    /// True from [`Machine::resume`] until the replayed phase counter
-    /// reaches the snapshot's phase and the restore goes live. While set,
-    /// ranks re-execute the kernel for its *data* effects only: the cost
+    /// Phase at which the pending resume snapshot applies: set by
+    /// [`Machine::resume`], `u64::MAX` once the restore goes live (or when
+    /// no resume was asked for). Until then the machine replays: ranks
+    /// re-execute the kernel for its *data* effects only, and the cost
     /// model (cycle charges, memory retirement, UPC, tracing, network
     /// events) is suppressed.
-    replay: AtomicBool,
-    /// Phase at which the pending resume snapshot applies (`u64::MAX`
-    /// when no resume is in flight).
     resume_phase: AtomicU64,
     resume_snap: Mutex<Option<Snapshot>>,
     /// Per-rank trace-window state, present iff `spec.trace` is (see
@@ -485,7 +495,7 @@ impl Machine {
         let nodes = NodeTable::new(n_nodes, |i| {
             let home = spec.counter_policy.mode_for(NodeId(i));
             let mut node = Node::new(NodeId(i), Arc::clone(&cfg), spec.mode, home);
-            mux.arm(i, node.upc_mut());
+            mux.arm(node.upc_mut());
             node
         });
         let mut torus = TorusNetwork::new(dims, spec.net.clone());
@@ -531,7 +541,6 @@ impl Machine {
             mux,
             ran: AtomicBool::new(false),
             store,
-            replay: AtomicBool::new(false),
             resume_phase: AtomicU64::new(u64::MAX),
             resume_snap: Mutex::new(None),
             app_states: Mutex::new(Vec::new()),
@@ -635,15 +644,15 @@ impl Machine {
         if snap.phase == 0 {
             return Err("snapshot phase is 0; start the job cold instead".into());
         }
-        self.resume_phase.store(snap.phase, Ordering::SeqCst);
+        let phase = snap.phase;
         *self.resume_snap.lock() = Some(snap);
-        self.replay.store(true, Ordering::SeqCst);
+        self.resume_phase.store(phase, Ordering::SeqCst);
         Ok(())
     }
 
     /// Whether the machine is still replaying toward a resume point.
     pub fn replaying(&self) -> bool {
-        self.replay.load(Ordering::Acquire)
+        self.resume_phase.load(Ordering::Acquire) != u64::MAX
     }
 
     /// Abort the job from outside (supervisor watchdog): every rank
@@ -781,7 +790,8 @@ impl Machine {
     pub(crate) fn resolve_phase(&self) -> Vec<usize> {
         let mut guard = self.comm.lock();
         let comm = &mut *guard;
-        let replaying = self.replay.load(Ordering::Acquire);
+        let resume_phase = self.resume_phase.load(Ordering::Acquire);
+        let replaying = resume_phase != u64::MAX;
         // A traced job records the scheduler stream at every live
         // phase. Replay records nothing: the trace rings are restored
         // whole at go-live.
@@ -882,7 +892,7 @@ impl Machine {
         // state capture — or the restore replacing one — is well defined.
         let phase = self.sched.phases();
         if replaying {
-            if phase == self.resume_phase.load(Ordering::Acquire) {
+            if phase == resume_phase {
                 self.apply_restore(comm);
             }
         } else {
@@ -1061,7 +1071,6 @@ impl Machine {
         // (see `RankCtx::park_on`) — i.e. before any of them executes
         // another instruction.
         self.resume_phase.store(u64::MAX, Ordering::SeqCst);
-        self.replay.store(false, Ordering::Release);
     }
 
     /// Finish one collective: combine contributions, price the network

@@ -6,8 +6,10 @@
 //! header advertises) and either stays in it or rotates.
 //!
 //! * `Fixed` and `EvenOdd` nodes get a **one-mode schedule**. It never
-//!   rotates, arms no sentinels, harvests nothing and does no work at
-//!   phase boundaries; its marks are the live counters of the home mode.
+//!   rotates, arms no sentinels, harvests nothing, holds no state and
+//!   takes no lock; its marks are the live counters of the home mode.
+//!   The job's policy says so for every node at once: there is no
+//!   per-node record of it.
 //! * `Multiplexed` nodes get a **rotating schedule**. At every phase
 //!   boundary, the only points where the whole machine is quiescent,
 //!   the node decides whether to stay in the current mode or rotate to
@@ -44,6 +46,7 @@ use bgp_arch::wire::{put_u64, put_u8, Reader};
 use bgp_arch::BgpError;
 use bgp_upc::{CounterConfig, Upc};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::MutexGuard;
 
 /// Counter slots armed with threshold interrupts under multiplexing.
 ///
@@ -211,13 +214,16 @@ pub struct MuxSummary {
     pub cycle_occupancy: [u64; NUM_MODES],
 }
 
-/// Whole-machine schedule state: one schedule per node, each under its
-/// own lock, so a mark never takes a machine-wide lock. Lock order is
-/// the node's lock, then its schedule's. A node's home mode is not held
-/// here: it is [`CounterPolicy::mode_for`] of the job's policy.
+/// Whole-machine schedule state. Under a rotating policy every node has
+/// a rotation under its own lock, so a mark never takes a machine-wide
+/// lock; lock order is the node's lock, then its rotation's. One-mode
+/// schedules hold nothing here and take no lock. A node's home mode is
+/// not held here either: it is [`CounterPolicy::mode_for`] of the job's
+/// policy.
 #[derive(Debug)]
 pub struct MuxState {
     /// Baseline dwell of the rotating schedules; 0 when none rotates.
+    /// Every node rotates or none does.
     base_dwell: u64,
     /// Job clock at the previous phase boundary (cycle-occupancy
     /// attribution base; one clock serves every node). `Relaxed` is
@@ -225,9 +231,9 @@ pub struct MuxState {
     /// parked, and the phase engine's wake-up orders that write before
     /// any mark a rank takes next; it publishes no other data.
     last_cycle: AtomicU64,
-    /// Each node's rotation state; `None` for a one-mode schedule, which
-    /// holds no counter storage of its own.
-    nodes: Vec<Mutex<Option<Box<Rotation>>>>,
+    /// Each node's rotation state when the schedules rotate; empty for
+    /// one-mode schedules, which hold no counter storage of their own.
+    nodes: Vec<Mutex<Rotation>>,
 }
 
 impl MuxState {
@@ -245,17 +251,16 @@ impl MuxState {
             CounterPolicy::Multiplexed { base_dwell, .. } => u64::from(base_dwell).max(1),
             _ => 0,
         };
-        let nodes = (0..n_nodes)
+        let rotating = if base_dwell > 0 { n_nodes } else { 0 };
+        let nodes = (0..rotating)
             .map(|i| {
-                Mutex::new((base_dwell > 0).then(|| {
-                    Box::new(Rotation {
-                        cur: policy.mode_for(NodeId(i)).index(),
-                        phases_in_mode: (i / NUM_MODES) as u64 % base_dwell,
-                        dwell: base_dwell,
-                        accum: vec![0; NUM_EVENTS],
-                        ..Rotation::default()
-                    })
-                }))
+                Mutex::new(Rotation {
+                    cur: policy.mode_for(NodeId(i)).index(),
+                    phases_in_mode: (i / NUM_MODES) as u64 % base_dwell,
+                    dwell: base_dwell,
+                    accum: vec![0; NUM_EVENTS],
+                    ..Rotation::default()
+                })
             })
             .collect();
         MuxState { base_dwell, last_cycle: AtomicU64::new(0), nodes }
@@ -267,12 +272,18 @@ impl MuxState {
         self.base_dwell > 0
     }
 
-    /// Arm the sentinel slots of `node`'s UPC if its schedule rotates:
+    /// `node`'s rotation, locked; `None`, with no lock taken, when the
+    /// schedules do not rotate.
+    fn rotation(&self, node: usize) -> Option<MutexGuard<'_, Rotation>> {
+        self.rotates().then(|| self.nodes[node].lock())
+    }
+
+    /// Arm the sentinel slots of a node's UPC if the schedules rotate:
     /// edge-sensitive, interrupt on threshold, no freeze (the counter
     /// keeps counting; the interrupt is a scheduling signal, not a stop
     /// condition). A one-mode schedule arms nothing.
-    pub(crate) fn arm(&self, node: usize, upc: &mut Upc) {
-        if self.nodes[node].lock().is_none() {
+    pub(crate) fn arm(&self, upc: &mut Upc) {
+        if !self.rotates() {
             return;
         }
         let cfg = CounterConfig {
@@ -301,8 +312,8 @@ impl MuxState {
     pub fn step_node(&self, node: usize, upc: &mut Upc, cycle_delta: u64) -> MuxPhaseOutcome {
         let base = self.base_dwell;
         let mut out = MuxPhaseOutcome::default();
-        let mut guard = self.nodes[node].lock();
-        let Some(st) = guard.as_deref_mut() else { return out };
+        let Some(mut guard) = self.rotation(node) else { return out };
+        let st = &mut *guard;
 
         // Drain threshold interrupts raised since the last boundary.
         // `Upc::pending` preserves raise order, which is deterministic
@@ -405,7 +416,7 @@ impl MuxState {
     /// enter the window with no weight, biasing reconstruction.
     pub fn mark(&self, node: usize, upc: &Upc, node_clock: u64) -> MuxMark {
         let live = upc.snapshot();
-        let st = self.nodes[node].lock();
+        let st = self.rotation(node);
         let rot = st.as_deref();
         let width = schedule_width(rot);
         let total = |i| schedule_total(rot, &live, i);
@@ -431,7 +442,7 @@ impl MuxState {
         window: &mut MuxMark,
     ) {
         let live = upc.snapshot();
-        let st = self.nodes[node].lock();
+        let st = self.rotation(node);
         let rot = st.as_deref();
         if window.totals.is_empty() {
             window.totals = vec![0; schedule_width(rot)];
@@ -471,9 +482,8 @@ impl MuxState {
             return None;
         }
         let mut s = MuxSummary { base_dwell: self.base_dwell, ..MuxSummary::default() };
-        for st in &self.nodes {
-            let st = st.lock();
-            let Some(rot) = st.as_deref() else { continue };
+        for rot in &self.nodes {
+            let rot = rot.lock();
             s.rotations += rot.rotations;
             s.irq_extends += rot.irq_extends;
             s.early_rotates += rot.early_rotates;
@@ -491,13 +501,8 @@ impl MuxState {
         put_u64(out, self.base_dwell);
         put_u64(out, self.last_cycle.load(Ordering::Relaxed));
         put_u64(out, self.nodes.len() as u64);
-        for st in &self.nodes {
-            let st = st.lock();
-            let Some(rot) = st.as_deref() else {
-                put_u8(out, 0);
-                continue;
-            };
-            put_u8(out, 1);
+        for rot in &self.nodes {
+            let rot = rot.lock();
             put_u8(out, rot.cur as u8);
             put_u64(out, rot.phases_in_mode);
             put_u64(out, rot.dwell);
@@ -518,70 +523,57 @@ impl MuxState {
     }
 
     /// Restore state saved by [`MuxState::save_state`]. Fails closed on
-    /// any shape mismatch, including a snapshot whose schedules rotate
-    /// where this machine's do not; on error `self` is unchanged.
+    /// any shape mismatch, including a base dwell or a count of rotating
+    /// schedules other than this machine's; on error `self` is unchanged.
     pub fn restore_state(&self, r: &mut Reader<'_>) -> Result<()> {
         let base_dwell = r.u64("mux base dwell")?;
         let last_cycle = r.u64("mux last cycle")?;
-        let n = r.u64("mux node count")? as usize;
-        if n != self.nodes.len() || base_dwell != self.base_dwell {
+        let n = r.u64("mux rotating schedule count")?;
+        if n != self.nodes.len() as u64 || base_dwell != self.base_dwell {
             return Err(BgpError::corrupt(format!(
-                "mux snapshot has {n} nodes at base dwell {base_dwell}, machine has {} at {}",
+                "mux snapshot has {n} rotating schedules at base dwell {base_dwell}, \
+                 machine has {} at {}",
                 self.nodes.len(),
                 self.base_dwell
             )));
         }
-        let mode = |r: &mut Reader<'_>, what: &str| -> Result<usize> {
-            let m = r.u8(what)? as usize;
-            if m >= NUM_MODES {
-                return Err(BgpError::corrupt(format!("{what} {m} out of range")));
-            }
-            Ok(m)
-        };
-        let mut nodes = Vec::with_capacity(n);
+        let mut rotations = Vec::with_capacity(self.nodes.len());
         for _ in 0..n {
-            let rot = match r.u8("mux schedule tag")? {
-                0 => None,
-                1 => {
-                    let cur = mode(r, "mux mode index")?;
-                    let phases_in_mode = r.u64("mux phases in mode")?;
-                    let dwell = r.u64("mux dwell")?;
-                    let mut accum = vec![0u64; NUM_EVENTS];
-                    let mut occupancy = [0u64; NUM_MODES];
-                    let mut cycle_occ = [0u64; NUM_MODES];
-                    let mut rate = [0u64; NUM_MODES];
-                    let mut sentinel_rate = [[0u64; SENTINEL_SLOTS.len()]; NUM_MODES];
-                    let words = accum.iter_mut().chain(&mut occupancy).chain(&mut cycle_occ);
-                    for v in words.chain(&mut rate).chain(sentinel_rate.iter_mut().flatten()) {
-                        *v = r.u64("mux schedule counters")?;
-                    }
-                    Some(Box::new(Rotation {
-                        cur,
-                        phases_in_mode,
-                        dwell,
-                        accum,
-                        occupancy,
-                        cycle_occ,
-                        last_total: r.u64("mux last total")?,
-                        last_delta: r.u64("mux last delta")?,
-                        rate,
-                        sentinel_rate,
-                        rotations: r.u64("mux rotations")?,
-                        irq_extends: r.u64("mux irq extends")?,
-                        early_rotates: r.u64("mux early rotates")?,
-                        irq_drained: r.u64("mux irq drained")?,
-                    }))
-                }
-                t => return Err(BgpError::corrupt(format!("bad mux schedule tag {t}"))),
-            };
-            if rot.is_some() != self.rotates() {
-                return Err(BgpError::corrupt("mux snapshot schedule kind differs from machine's"));
+            let cur = r.u8("mux mode index")? as usize;
+            if cur >= NUM_MODES {
+                return Err(BgpError::corrupt(format!("mux mode index {cur} out of range")));
             }
-            nodes.push(rot);
+            let phases_in_mode = r.u64("mux phases in mode")?;
+            let dwell = r.u64("mux dwell")?;
+            let mut accum = vec![0u64; NUM_EVENTS];
+            let mut occupancy = [0u64; NUM_MODES];
+            let mut cycle_occ = [0u64; NUM_MODES];
+            let mut rate = [0u64; NUM_MODES];
+            let mut sentinel_rate = [[0u64; SENTINEL_SLOTS.len()]; NUM_MODES];
+            let words = accum.iter_mut().chain(&mut occupancy).chain(&mut cycle_occ);
+            for v in words.chain(&mut rate).chain(sentinel_rate.iter_mut().flatten()) {
+                *v = r.u64("mux schedule counters")?;
+            }
+            rotations.push(Rotation {
+                cur,
+                phases_in_mode,
+                dwell,
+                accum,
+                occupancy,
+                cycle_occ,
+                last_total: r.u64("mux last total")?,
+                last_delta: r.u64("mux last delta")?,
+                rate,
+                sentinel_rate,
+                rotations: r.u64("mux rotations")?,
+                irq_extends: r.u64("mux irq extends")?,
+                early_rotates: r.u64("mux early rotates")?,
+                irq_drained: r.u64("mux irq drained")?,
+            });
         }
         self.last_cycle.store(last_cycle, Ordering::Relaxed);
-        for (slot, st) in self.nodes.iter().zip(nodes) {
-            *slot.lock() = st;
+        for (slot, rot) in self.nodes.iter().zip(rotations) {
+            *slot.lock() = rot;
         }
         Ok(())
     }
@@ -600,7 +592,7 @@ mod tests {
     /// counting.
     fn hot_upc(mux: &MuxState, home: CounterMode) -> Upc {
         let mut upc = Upc::new(home);
-        mux.arm(0, &mut upc);
+        mux.arm(&mut upc);
         upc.set_enabled(true);
         upc
     }
@@ -633,6 +625,7 @@ mod tests {
         assert_eq!(window.block(CounterMode::Mode2)[7], 40);
         assert_eq!(window.occupancy, [0; NUM_MODES]);
         assert!(mux.summary().is_none());
+        assert_eq!(saved(&mux).len(), 24, "base dwell, clock and a zero count: nothing per node");
     }
 
     #[test]

@@ -48,9 +48,14 @@ pub const MAGIC: [u8; 4] = *b"BGPS";
 /// bytes and the node its eleven network-mirror words; a finalized node
 /// is a flag beside its windows, with no dump bytes; and the `mux`
 /// section no longer holds home modes, which come from the counter
-/// policy. The loader refuses files of any other version before any
-/// section is replayed.
-pub const VERSION: u32 = 3;
+/// policy. Version 4 writes each fact once: a cache writes its `sets ×
+/// ways` entries whether or not a line was ever installed (laziness is
+/// the node's unbuilt hierarchy), the `mux` section holds one rotation
+/// per node only under a rotating policy, with no per-node tag, and a
+/// counter-library node is its arrival counts and sets, with no
+/// initialized, active-set or finalized flag. The loader refuses files
+/// of any other version before any section is replayed.
+pub const VERSION: u32 = 4;
 /// File extension of live snapshots.
 pub const EXTENSION: &str = "bgps";
 

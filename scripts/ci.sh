@@ -77,15 +77,18 @@ BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
 echo "==> checkpoint/restart smoke (crash MG S mid-run, resume, byte-diff)"
 # Once per counter-policy kind: even/odd start marks and windows are
 # one mode's 256 words, multiplexed ones every mode's 1,024. The
-# untraced run's checkpoints hold no rank trace slots or rings (their
-# `ranks` and `trace` sections count 0).
-for variant in evenodd:traced mux:traced evenodd:untraced; do
-    name="${variant/:/-}"
+# untraced runs' checkpoints hold no rank trace slots or rings (their
+# `ranks` and `trace` sections count 0). The SMP/1 run leaves three
+# cores of each node idle, so its built hierarchies hold caches that
+# no line ever entered.
+for variant in evenodd:traced:vnm mux:traced:vnm evenodd:untraced:vnm evenodd:untraced:smp1; do
+    IFS=: read -r policy tracing mode <<< "$variant"
+    name="$policy-$tracing-$mode"
     echo "    $name"
     ck_dir="$trace_dir/ck-$name"
-    run=(target/release/bgpc-run --kernel mg --class s --ranks 8 --mode vnm --threads 1
-        --policy "${variant%:*}")
-    if [ "${variant#*:}" = traced ]; then run+=(--trace); fi
+    run=(target/release/bgpc-run --kernel mg --class s --ranks 8 --mode "$mode" --threads 1
+        --policy "$policy")
+    if [ "$tracing" = traced ]; then run+=(--trace); fi
     "${run[@]}" --out "$ck_dir/reference"
     # Crash drill: die deterministically at phase 40 with retries
     # disabled; the process must exit non-zero and leave snapshots behind.

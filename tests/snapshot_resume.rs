@@ -186,13 +186,14 @@ fn multiplexed_mg_s_resumes_byte_identically_with_its_trace() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A snapshot in an older container layout (version 1 or 2) passes its
-/// checksums but is refused at load, naming its version, and
-/// quarantined: the supervisor cold-starts instead of replaying it.
+/// A snapshot in an older container layout (version 1, 2 or 3) passes
+/// its checksums but is refused at load, naming its version, and
+/// quarantined: the supervisor cold-starts instead of replaying it. The
+/// refusal is reported as corrupt data, not as a corrupt counter dump.
 #[test]
 fn version_1_snapshots_are_refused_before_replay() {
     let reference = run_mg(spec(1, None), Class::S, None);
-    for version in [1u32, 2] {
+    for version in [1u32, 2, 3] {
         let dir = tempdir(&format!("v{version}"));
         let mut job = spec(1, None);
         job.checkpoint = Some(CheckpointConfig { every: 16, dir: dir.clone(), retain: 1 });
@@ -219,6 +220,7 @@ fn version_1_snapshots_are_refused_before_replay() {
         assert!(path.with_extension("quarantined").exists(), "the v{version} file was set aside");
         let report = std::fs::read_to_string(path.with_extension("quarantine.txt")).unwrap();
         assert!(report.contains(&named), "quarantine report names the version:\n{report}");
+        assert!(!report.contains("counter dump"), "a snapshot is not a dump:\n{report}");
         assert_same(&observe(&run.machine, &run.library), &reference, "cold start after refusal");
         let _ = std::fs::remove_dir_all(&dir);
     }
