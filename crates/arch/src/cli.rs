@@ -43,7 +43,10 @@ impl ArgParser {
 
     /// Parse an explicit argument vector (tests).
     pub fn from_args(usage: &'static str, argv: Vec<String>) -> ArgParser {
-        ArgParser { usage, argv: argv.into_iter() }
+        ArgParser {
+            usage,
+            argv: argv.into_iter(),
+        }
     }
 
     /// The tool's usage synopsis.
@@ -69,7 +72,9 @@ impl ArgParser {
     /// # Errors
     /// `"{flag} needs a value"` when the arguments ran out.
     pub fn value(&mut self, flag: &str) -> Result<String, String> {
-        self.argv.next().ok_or_else(|| format!("{flag} needs a value"))
+        self.argv
+            .next()
+            .ok_or_else(|| format!("{flag} needs a value"))
     }
 
     /// The value following `flag`, parsed via `FromStr`.
@@ -81,7 +86,9 @@ impl ArgParser {
         T: std::str::FromStr,
         T::Err: std::fmt::Display,
     {
-        self.value(flag)?.parse().map_err(|e| format!("{flag}: {e}"))
+        self.value(flag)?
+            .parse()
+            .map_err(|e| format!("{flag}: {e}"))
     }
 
     /// The value following `flag` as a filesystem path.
@@ -147,7 +154,10 @@ mod tests {
     fn errors_are_uniform() {
         let mut p = parser(&["--ranks"]);
         p.next_flag().unwrap();
-        assert_eq!(p.parse::<usize>("--ranks").unwrap_err(), "--ranks needs a value");
+        assert_eq!(
+            p.parse::<usize>("--ranks").unwrap_err(),
+            "--ranks needs a value"
+        );
 
         let mut p = parser(&["--ranks", "many"]);
         p.next_flag().unwrap();
@@ -160,7 +170,10 @@ mod tests {
         assert_eq!(err, "--mode: unknown value \"zz\" (expected vnm)");
 
         let p = parser(&[]);
-        assert_eq!(p.unexpected("--bogus"), "unexpected argument --bogus\nusage: test");
+        assert_eq!(
+            p.unexpected("--bogus"),
+            "unexpected argument --bogus\nusage: test"
+        );
         assert_eq!(p.missing("--out DIR"), "missing --out DIR\nusage: test");
     }
 

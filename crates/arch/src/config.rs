@@ -174,29 +174,50 @@ mod tests {
 
     #[test]
     fn invalid_geometry_is_rejected() {
-        let c = MachineConfig { l1_bytes: 1000, ..MachineConfig::default() };
+        let c = MachineConfig {
+            l1_bytes: 1000,
+            ..MachineConfig::default()
+        };
         assert!(c.validate().is_err(), "l1 not line/way aligned");
 
-        let c = MachineConfig { l3_banks: 0, ..MachineConfig::default() };
+        let c = MachineConfig {
+            l3_banks: 0,
+            ..MachineConfig::default()
+        };
         assert!(c.validate().is_err());
 
-        let c = MachineConfig { l3_bytes: 1000, ..MachineConfig::default() };
-        assert!(c.validate().is_err(), "l3 not divisible into ways × lines per bank");
+        let c = MachineConfig {
+            l3_bytes: 1000,
+            ..MachineConfig::default()
+        };
+        assert!(
+            c.validate().is_err(),
+            "l3 not divisible into ways × lines per bank"
+        );
     }
 
     #[test]
     fn non_power_of_two_l1_or_l2_sets_are_rejected() {
         // 24 KB / 16 ways / 32 B lines = 48 L1 sets: aligned but not pow2.
-        let c = MachineConfig { l1_bytes: 24 << 10, ..MachineConfig::default() };
+        let c = MachineConfig {
+            l1_bytes: 24 << 10,
+            ..MachineConfig::default()
+        };
         assert!(c.validate().is_err(), "48 L1 sets must be rejected");
 
         // 6 KB / 16 ways / 128 B lines = 3 L2 sets: aligned but not pow2,
         // which would force the modulo path on every L2 probe.
-        let c = MachineConfig { l2_bytes: 6 << 10, ..MachineConfig::default() };
+        let c = MachineConfig {
+            l2_bytes: 6 << 10,
+            ..MachineConfig::default()
+        };
         assert!(c.validate().is_err(), "3 L2 sets must be rejected");
 
         // Doubling the default L2 stays a power of two and validates.
-        let c = MachineConfig { l2_bytes: 4 << 10, ..MachineConfig::default() };
+        let c = MachineConfig {
+            l2_bytes: 4 << 10,
+            ..MachineConfig::default()
+        };
         c.validate().unwrap();
     }
 

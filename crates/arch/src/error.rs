@@ -29,7 +29,10 @@ pub struct Context {
 impl Context {
     /// A context carrying only a reason.
     pub fn new(reason: impl Into<String>) -> Context {
-        Context { reason: reason.into(), ..Context::default() }
+        Context {
+            reason: reason.into(),
+            ..Context::default()
+        }
     }
 
     /// Attach the node id.
@@ -177,7 +180,10 @@ impl fmt::Display for BgpError {
             BgpError::Io(e) => write!(f, "i/o error: {e}"),
             BgpError::Mpi(m) => write!(f, "mpi error: {m}"),
             BgpError::Timeout { node, attempts } => {
-                write!(f, "collection timeout on node {node} after {attempts} attempt(s)")
+                write!(
+                    f,
+                    "collection timeout on node {node} after {attempts} attempt(s)"
+                )
             }
             BgpError::NodeLost { node } => write!(f, "node {node} lost mid-run"),
             BgpError::PartialData { node, set } => match set {
@@ -220,20 +226,36 @@ mod tests {
 
     #[test]
     fn context_display_includes_location() {
-        let e = BgpError::Corrupt(Context::new("bad checksum").at_node(3).at_set(0).at_offset(17));
+        let e = BgpError::Corrupt(
+            Context::new("bad checksum")
+                .at_node(3)
+                .at_set(0)
+                .at_offset(17),
+        );
         let s = e.to_string();
         assert!(s.contains("bad checksum"), "{s}");
         assert!(s.contains("node 3"), "{s}");
         assert!(s.contains("set 0"), "{s}");
         assert!(s.contains("offset 17"), "{s}");
         // A bare-reason context prints no empty parens.
-        assert_eq!(BgpError::corrupt("plain").to_string(), "corrupt data: plain");
+        assert_eq!(
+            BgpError::corrupt("plain").to_string(),
+            "corrupt data: plain"
+        );
     }
 
     #[test]
     fn retryable_classification() {
-        assert!(BgpError::Timeout { node: 1, attempts: 1 }.is_retryable());
-        assert!(BgpError::PartialData { node: 1, set: Some(0) }.is_retryable());
+        assert!(BgpError::Timeout {
+            node: 1,
+            attempts: 1
+        }
+        .is_retryable());
+        assert!(BgpError::PartialData {
+            node: 1,
+            set: Some(0)
+        }
+        .is_retryable());
         assert!(BgpError::Io(std::io::Error::other("transient")).is_retryable());
         assert!(!BgpError::NodeLost { node: 1 }.is_retryable());
         assert!(!BgpError::corrupt("x").is_retryable());
@@ -245,8 +267,18 @@ mod tests {
     #[test]
     fn node_accessor_covers_structured_variants() {
         assert_eq!(BgpError::NodeLost { node: 9 }.node(), Some(9));
-        assert_eq!(BgpError::Timeout { node: 2, attempts: 3 }.node(), Some(2));
-        assert_eq!(BgpError::Corrupt(Context::new("x").at_node(4)).node(), Some(4));
+        assert_eq!(
+            BgpError::Timeout {
+                node: 2,
+                attempts: 3
+            }
+            .node(),
+            Some(2)
+        );
+        assert_eq!(
+            BgpError::Corrupt(Context::new("x").at_node(4)).node(),
+            Some(4)
+        );
         assert_eq!(BgpError::corrupt("x").node(), None);
         assert_eq!(BgpError::Config("x".into()).node(), None);
     }
@@ -261,9 +293,15 @@ mod tests {
             BgpError::Corrupt(Context::new("bad checksum").at_offset(17)),
             BgpError::Io(std::io::Error::other("disk")),
             BgpError::Mpi("rank out of range".into()),
-            BgpError::Timeout { node: 3, attempts: 2 },
+            BgpError::Timeout {
+                node: 3,
+                attempts: 2,
+            },
             BgpError::NodeLost { node: 4 },
-            BgpError::PartialData { node: 5, set: Some(6) },
+            BgpError::PartialData {
+                node: 5,
+                set: Some(6),
+            },
         ];
         for e in &all {
             match e {

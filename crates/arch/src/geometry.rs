@@ -144,7 +144,9 @@ impl AddressLayout {
     /// Layout with an explicit node memory size (bytes).
     pub fn with_memory(mode: OpMode, node_bytes: u64) -> AddressLayout {
         assert!(node_bytes > 0);
-        AddressLayout { span: node_bytes / mode.processes_per_node() as u64 }
+        AddressLayout {
+            span: node_bytes / mode.processes_per_node() as u64,
+        }
     }
 
     /// Bytes of DDR owned by each process.

@@ -34,7 +34,12 @@ pub enum OpMode {
 
 impl OpMode {
     /// All modes, in the order of the paper's Fig. 3 table.
-    pub const ALL: [OpMode; 4] = [OpMode::Smp1, OpMode::Smp4, OpMode::Dual, OpMode::VirtualNode];
+    pub const ALL: [OpMode; 4] = [
+        OpMode::Smp1,
+        OpMode::Smp4,
+        OpMode::Dual,
+        OpMode::VirtualNode,
+    ];
 
     /// MPI processes booted per node in this mode.
     #[inline]
@@ -63,7 +68,10 @@ impl OpMode {
     /// {0,1} and process 1 gets cores {2,3}; in VNM process *p* gets core
     /// *p*.
     pub fn cores_of_process(self, p: usize) -> core::ops::Range<usize> {
-        assert!(p < self.processes_per_node(), "process {p} out of range for {self}");
+        assert!(
+            p < self.processes_per_node(),
+            "process {p} out of range for {self}"
+        );
         let per = CORES_PER_NODE / self.processes_per_node();
         p * per..(p + 1) * per
     }

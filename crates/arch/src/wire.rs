@@ -93,7 +93,9 @@ pub fn checksum(bytes: &[u8]) -> u64 {
         base += CHUNK as u64;
     }
     for (j, &b) in chunks.remainder().iter().enumerate() {
-        acc = acc.wrapping_mul(31).wrapping_add(u64::from(b) ^ (base + j as u64));
+        acc = acc
+            .wrapping_mul(31)
+            .wrapping_add(u64::from(b) ^ (base + j as u64));
     }
     acc
 }
@@ -128,8 +130,7 @@ impl<'a> Reader<'a> {
 
     fn truncated(&self, what: &str) -> BgpError {
         BgpError::Corrupt(
-            Context::new(format!("truncated while reading {what}"))
-                .at_offset(self.pos as u64),
+            Context::new(format!("truncated while reading {what}")).at_offset(self.pos as u64),
         )
     }
 
@@ -163,7 +164,9 @@ impl<'a> Reader<'a> {
     /// Read a `u64`.
     pub fn u64(&mut self, what: &str) -> Result<u64> {
         let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        Ok(u64::from_le_bytes([
+            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+        ]))
     }
 
     /// Read a `bool`; any byte other than 0/1 is corruption.
@@ -301,10 +304,9 @@ mod tests {
 
     /// The checksum's definition, one byte at a time.
     fn serial_checksum(bytes: &[u8]) -> u64 {
-        bytes
-            .iter()
-            .enumerate()
-            .fold(0u64, |acc, (i, &b)| acc.wrapping_mul(31).wrapping_add(u64::from(b) ^ i as u64))
+        bytes.iter().enumerate().fold(0u64, |acc, (i, &b)| {
+            acc.wrapping_mul(31).wrapping_add(u64::from(b) ^ i as u64)
+        })
     }
 
     #[test]
@@ -316,7 +318,11 @@ mod tests {
         for offset in 0..16 {
             for len in 0..=4200 {
                 let bytes = &buf[offset..offset + len];
-                assert_eq!(checksum(bytes), serial_checksum(bytes), "offset {offset} len {len}");
+                assert_eq!(
+                    checksum(bytes),
+                    serial_checksum(bytes),
+                    "offset {offset} len {len}"
+                );
             }
         }
     }

@@ -46,9 +46,7 @@ use bgp_arch::cli::ArgParser;
 use bgp_arch::events::CounterMode;
 use bgp_arch::OpMode;
 use bgp_bench::RunConfig;
-use bgp_core::supervisor::{
-    install_rank_death_hook, supervise, AttemptOutcome, SupervisorConfig,
-};
+use bgp_core::supervisor::{install_rank_death_hook, supervise, AttemptOutcome, SupervisorConfig};
 use bgp_mpi::machine::CheckpointConfig;
 use bgp_mpi::CounterPolicy;
 use bgp_nas::{Class, Kernel};
@@ -95,7 +93,10 @@ fn parse_policy(s: &str) -> Option<CounterPolicy> {
         "fixed1" => Some(CounterPolicy::Fixed(mode(1))),
         "fixed2" => Some(CounterPolicy::Fixed(mode(2))),
         "fixed3" => Some(CounterPolicy::Fixed(mode(3))),
-        "evenodd" => Some(CounterPolicy::EvenOdd { even: mode(0), odd: mode(1) }),
+        "evenodd" => Some(CounterPolicy::EvenOdd {
+            even: mode(0),
+            odd: mode(1),
+        }),
         "mux" => Some(CounterPolicy::Multiplexed {
             first: mode(0),
             base_dwell: DEFAULT_MUX_DWELL,
@@ -247,7 +248,10 @@ fn main() -> ExitCode {
     spec.cycle_budget = args.cycle_budget;
     if args.trace {
         let sample_slots = args.slots.clone().unwrap_or_default();
-        spec.trace = Some(TraceConfig { sample_slots, ..TraceConfig::default() });
+        spec.trace = Some(TraceConfig {
+            sample_slots,
+            ..TraceConfig::default()
+        });
     }
     if checkpointing {
         spec.checkpoint = Some(CheckpointConfig {
@@ -259,7 +263,10 @@ fn main() -> ExitCode {
 
     let sup = SupervisorConfig {
         // 0 disables the watchdog, same convention as bgpc-serve.
-        wall_budget: args.wall_budget_ms.filter(|&ms| ms > 0).map(Duration::from_millis),
+        wall_budget: args
+            .wall_budget_ms
+            .filter(|&ms| ms > 0)
+            .map(Duration::from_millis),
         max_retries: args.max_retries,
         backoff_base: Duration::from_millis(50),
         backoff_cap: Duration::from_secs(2),
@@ -299,8 +306,10 @@ fn main() -> ExitCode {
     // budgets), so the ci.sh crash drill can diff this file against an
     // uninterrupted run, and the counter service would serve both from
     // one cache entry.
-    let cache_key =
-        bgp_snapshot::CacheKey { spec: spec.fingerprint(), seed: 0 };
+    let cache_key = bgp_snapshot::CacheKey {
+        spec: spec.fingerprint(),
+        seed: 0,
+    };
     let mut run_json = format!(
         "{{\n  \"kernel\": \"{}\",\n  \"class\": \"{}\",\n  \"ranks\": {},\n  \
          \"mode\": \"{}\",\n  \"policy\": \"{}\",\n  \"spec_hash\": \"{:#018x}\",\n  \
@@ -339,9 +348,10 @@ fn main() -> ExitCode {
     }
     if args.trace {
         let trace = run.machine.job_trace().expect("tracing was enabled");
-        for (name, body) in
-            [("trace.json", trace.chrome_json()), ("phases.csv", trace.phase_metrics_csv())]
-        {
+        for (name, body) in [
+            ("trace.json", trace.chrome_json()),
+            ("phases.csv", trace.phase_metrics_csv()),
+        ] {
             if let Err(e) = std::fs::write(args.out.join(name), body) {
                 eprintln!("bgpc-run: writing {name}: {e}");
                 return ExitCode::FAILURE;

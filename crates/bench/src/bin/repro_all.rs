@@ -21,7 +21,11 @@ fn main() -> ExitCode {
     let isolate = entries.len() > 1;
     let mut failed = Vec::new();
     for entry in entries {
-        let verdict = if isolate { entry.run_in_child(scale) } else { entry.run(scale) };
+        let verdict = if isolate {
+            entry.run_in_child(scale)
+        } else {
+            entry.run(scale)
+        };
         match verdict {
             Ok(()) => eprintln!("[repro_all] {} done", entry.name),
             Err(e) => {

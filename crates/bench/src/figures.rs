@@ -54,12 +54,21 @@ pub fn tab_overhead() -> Csv {
         (t_total, t_pair)
     })[0];
     let mut csv = Csv::new(["quantity", "cycles"]);
-    csv.row(["measured initialize+start+stop".into(), measured.0.to_string()]);
-    csv.row(["measured marginal start+stop pair".into(), measured.1.to_string()]);
+    csv.row([
+        "measured initialize+start+stop".into(),
+        measured.0.to_string(),
+    ]);
+    csv.row([
+        "measured marginal start+stop pair".into(),
+        measured.1.to_string(),
+    ]);
     csv.row(["model BGP_Initialize".into(), INIT_CYCLES.to_string()]);
     csv.row(["model BGP_Start".into(), START_CYCLES.to_string()]);
     csv.row(["model BGP_Stop".into(), STOP_CYCLES.to_string()]);
-    csv.row(["paper total (196)".into(), TOTAL_OVERHEAD_CYCLES.to_string()]);
+    csv.row([
+        "paper total (196)".into(),
+        TOTAL_OVERHEAD_CYCLES.to_string(),
+    ]);
     csv
 }
 
@@ -113,7 +122,9 @@ pub fn fig_simd_sweep(kernel: Kernel, scale: Scale) -> Csv {
         let m = measure_cores(&cfg);
         let mix = fp_mix(&m.frame);
         let quadload: u64 = (0..4).map(|c| m.frame.sum(CoreEvent::Quadload.id(c))).sum();
-        let quadstore: u64 = (0..4).map(|c| m.frame.sum(CoreEvent::Quadstore.id(c))).sum();
+        let quadstore: u64 = (0..4)
+            .map(|c| m.frame.sum(CoreEvent::Quadstore.id(c)))
+            .sum();
         csv.row([
             compile.label(),
             mix.count(MixCategory::SimdAddSub).to_string(),
@@ -229,7 +240,12 @@ pub fn mode_comparison(scale: Scale) -> Vec<ModeRow> {
 
 /// Fig. 12: per-chip DDR-traffic ratio, VNM ÷ SMP/1.
 pub fn fig12(rows: &[ModeRow]) -> Csv {
-    let mut csv = Csv::new(["kernel", "vnm_bytes_per_chip", "smp_bytes_per_chip", "ratio"]);
+    let mut csv = Csv::new([
+        "kernel",
+        "vnm_bytes_per_chip",
+        "smp_bytes_per_chip",
+        "ratio",
+    ]);
     let mut sum = 0.0;
     for r in rows {
         let ratio = r.vnm_traffic / r.smp_traffic.max(1.0);
@@ -275,7 +291,12 @@ pub fn fig13(rows: &[ModeRow]) -> Csv {
 
 /// Fig. 14: achieved MFLOPS per chip, VNM vs SMP/1.
 pub fn fig14(rows: &[ModeRow]) -> Csv {
-    let mut csv = Csv::new(["kernel", "vnm_mflops_per_chip", "smp_mflops_per_chip", "ratio"]);
+    let mut csv = Csv::new([
+        "kernel",
+        "vnm_mflops_per_chip",
+        "smp_mflops_per_chip",
+        "ratio",
+    ]);
     let mut sum = 0.0;
     for r in rows {
         let ratio = r.vnm_mflops / r.smp_mflops.max(1e-9);
@@ -299,7 +320,12 @@ pub fn fig14(rows: &[ModeRow]) -> Csv {
 /// Extension (§IX future work): sweep the L2 prefetch depth and observe
 /// execution time and DDR traffic for the streaming kernels.
 pub fn fig_ext_prefetch(scale: Scale) -> Csv {
-    let mut csv = Csv::new(["kernel", "prefetch_depth", "cycles", "ddr_traffic_bytes_per_node"]);
+    let mut csv = Csv::new([
+        "kernel",
+        "prefetch_depth",
+        "cycles",
+        "ddr_traffic_bytes_per_node",
+    ]);
     for kernel in [Kernel::Mg, Kernel::Cg] {
         for depth in [0usize, 2, 8] {
             let mut cfg = RunConfig::new(kernel, scale.class(), scale.ranks());
@@ -331,7 +357,10 @@ pub fn fig_ext_modes(scale: Scale) -> Csv {
                 mode.label().to_string(),
                 spec_nodes.to_string(),
                 m.job_cycles.to_string(),
-                format!("{:.1}", mflops_per_chip(&m.frame, mode.processes_per_node())),
+                format!(
+                    "{:.1}",
+                    mflops_per_chip(&m.frame, mode.processes_per_node())
+                ),
             ]);
         }
     }
@@ -351,8 +380,16 @@ pub fn fig_ext_512events(scale: Scale) -> Csv {
     let m1 = crate::measure(&cfg, CounterPolicy::Fixed(CounterMode::Mode1));
     let fixed_events = m0.frame.all_stats().len() + m1.frame.all_stats().len();
     let mut csv = Csv::new(["strategy", "runs", "events_observed"]);
-    csv.row(["even/odd nodes (the paper's)".into(), "1".into(), eo_events.to_string()]);
-    csv.row(["two fixed-mode runs".into(), "2".into(), fixed_events.to_string()]);
+    csv.row([
+        "even/odd nodes (the paper's)".into(),
+        "1".into(),
+        eo_events.to_string(),
+    ]);
+    csv.row([
+        "two fixed-mode runs".into(),
+        "2".into(),
+        fixed_events.to_string(),
+    ]);
     csv
 }
 
@@ -414,8 +451,11 @@ pub fn fig_ext_faults(scale: Scale) -> Csv {
             f64::NAN
         };
         let clean = *clean_metric.get_or_insert(metric);
-        let deviation =
-            if clean > 0.0 { (metric - clean) / clean * 100.0 } else { 0.0 };
+        let deviation = if clean > 0.0 {
+            (metric - clean) / clean * 100.0
+        } else {
+            0.0
+        };
         csv.row([
             format!("{loss:.2}"),
             nodes.to_string(),
@@ -452,7 +492,13 @@ pub struct TraceOverheadSample {
 /// VNM, nothing else switched on.
 fn mg_job(scale: Scale) -> (Class, JobSpec) {
     let class = scale.class();
-    (class, JobSpec::new(Kernel::Mg.clamp_ranks(scale.ranks(), class), OpMode::VirtualNode))
+    (
+        class,
+        JobSpec::new(
+            Kernel::Mg.clamp_ranks(scale.ranks(), class),
+            OpMode::VirtualNode,
+        ),
+    )
 }
 
 /// Host wall milliseconds of one verified run of the shared MG job on
@@ -484,7 +530,9 @@ fn best_of_reps<C, R>(
             *last = Some(r);
         }
     }
-    best.into_iter().map(|(ms, r)| (ms, r.expect("at least one rep"))).collect()
+    best.into_iter()
+        .map(|(ms, r)| (ms, r.expect("at least one rep")))
+        .collect()
 }
 
 /// Slowdown of `ms` over `base_ms`, percent, clamped at 0 (host timing
@@ -501,23 +549,29 @@ pub fn trace_overhead_sweep(scale: Scale) -> Vec<TraceOverheadSample> {
 
     let (class, off) = mg_job(scale);
     let mut enabled = off.clone();
-    enabled.trace = Some(TraceConfig { sample_slots: vec![0, 1, 2], ..TraceConfig::default() });
+    enabled.trace = Some(TraceConfig {
+        sample_slots: vec![0, 1, 2],
+        ..TraceConfig::default()
+    });
     let best = best_of_reps(&[off, enabled], scale.reps(), |spec| {
         mg_timed(class, Machine::new(spec.clone()), |m| {
-            m.job_trace().map_or((0, 0), |t| (t.total_events() as u64, t.total_dropped()))
+            m.job_trace()
+                .map_or((0, 0), |t| (t.total_events() as u64, t.total_dropped()))
         })
     });
     let base_ms = best[0].0;
     ["off", "enabled"]
         .into_iter()
         .zip(best)
-        .map(|(config, (wall_ms, (events, dropped)))| TraceOverheadSample {
-            config,
-            wall_ms,
-            overhead_pct: slowdown_pct(wall_ms, base_ms),
-            events,
-            dropped,
-        })
+        .map(
+            |(config, (wall_ms, (events, dropped)))| TraceOverheadSample {
+                config,
+                wall_ms,
+                overhead_pct: slowdown_pct(wall_ms, base_ms),
+                events,
+                dropped,
+            },
+        )
         .collect()
 }
 
@@ -564,7 +618,11 @@ pub fn snapshot_overhead_sweep(scale: Scale) -> SnapshotSweep {
     let dir = std::env::temp_dir().join(format!("bgp-snapbench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut every64 = off.clone();
-    every64.checkpoint = Some(CheckpointConfig { every: 64, dir: dir.clone(), retain: 2 });
+    every64.checkpoint = Some(CheckpointConfig {
+        every: 64,
+        dir: dir.clone(),
+        retain: 2,
+    });
     let best = best_of_reps(&[off, every64.clone()], scale.reps(), |spec| {
         mg_timed(class, Machine::new(spec.clone()), Machine::snapshot_stats)
     });
@@ -609,8 +667,14 @@ pub fn snapshot_overhead_sweep(scale: Scale) -> SnapshotSweep {
 /// Extension (checkpointing): wall cost of snapshots every 64 phases
 /// over none, and of one real resume, from [`snapshot_overhead_sweep`].
 pub fn fig_ext_snapshot(sweep: &SnapshotSweep) -> Csv {
-    let mut csv =
-        Csv::new(["config", "wall_ms", "overhead_pct", "snapshots", "mean_bytes", "save_ms"]);
+    let mut csv = Csv::new([
+        "config",
+        "wall_ms",
+        "overhead_pct",
+        "snapshots",
+        "mean_bytes",
+        "save_ms",
+    ]);
     for s in &sweep.samples {
         csv.row([
             s.config.to_string(),
@@ -659,7 +723,11 @@ pub fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
     use bgp_arch::{MachineConfig, NodeId};
     use bgp_node::{MemOp, MemWidth, Node};
 
-    let n_accesses = if scale == Scale::Quick { 1usize << 20 } else { 1 << 22 };
+    let n_accesses = if scale == Scale::Quick {
+        1usize << 20
+    } else {
+        1 << 22
+    };
     // The kernels' dominant pattern: a 5-point stencil sweeping three
     // fields (u read with spatial reuse, rhs streamed, res written) —
     // mostly L1 hits with unit-stride runs, as in the MG/LU/SP inner
@@ -676,10 +744,22 @@ pub fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
         for _ in 0..16 {
             let p = (idx % (1 << 20)) * 8;
             for off in [p - NX * 8, p - 8, p, p + 8, p + NX * 8] {
-                stream.push(MemOp { vaddr: U + off, width: MemWidth::Double, write: false });
+                stream.push(MemOp {
+                    vaddr: U + off,
+                    width: MemWidth::Double,
+                    write: false,
+                });
             }
-            stream.push(MemOp { vaddr: RHS + p, width: MemWidth::Double, write: false });
-            stream.push(MemOp { vaddr: RES + p, width: MemWidth::Double, write: true });
+            stream.push(MemOp {
+                vaddr: RHS + p,
+                width: MemWidth::Double,
+                write: false,
+            });
+            stream.push(MemOp {
+                vaddr: RES + p,
+                width: MemWidth::Double,
+                write: true,
+            });
             idx += 1;
         }
         for _ in 0..14 {
@@ -739,8 +819,14 @@ pub fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
 /// from [`mem_throughput_sweep`].
 pub fn fig_ext_memthroughput(r: &MemThroughputReport) -> Csv {
     let mut csv = Csv::new(["measure", "value"]);
-    csv.row(["scalar_maccesses_per_s".into(), format!("{:.1}", r.scalar_maps)]);
-    csv.row(["batched_maccesses_per_s".into(), format!("{:.1}", r.batched_maps)]);
+    csv.row([
+        "scalar_maccesses_per_s".into(),
+        format!("{:.1}", r.scalar_maps),
+    ]);
+    csv.row([
+        "batched_maccesses_per_s".into(),
+        format!("{:.1}", r.batched_maps),
+    ]);
     csv.row(["batch_speedup".into(), format!("{:.2}", r.speedup)]);
     csv.row([
         format!("mg_{:?}_{}_wall_ms", r.mg_class, r.mg_ranks),
@@ -875,8 +961,13 @@ pub fn fig_ext_fullmachine(samples: &[FullMachineSample]) -> Csv {
 /// Extension (tracing): cost of the deterministic trace layer on an MG
 /// job — untraced vs. traced, from [`trace_overhead_sweep`].
 pub fn fig_ext_trace_overhead(samples: &[TraceOverheadSample]) -> Csv {
-    let mut csv =
-        Csv::new(["trace_config", "wall_ms", "overhead_pct", "events_recorded", "events_dropped"]);
+    let mut csv = Csv::new([
+        "trace_config",
+        "wall_ms",
+        "overhead_pct",
+        "events_recorded",
+        "events_dropped",
+    ]);
     for s in samples {
         csv.row([
             s.config.to_string(),
@@ -917,8 +1008,10 @@ pub fn fig_ext_multiplex(scale: Scale) -> Csv {
         let cfg = RunConfig::new(kernel, scale.class(), scale.ranks());
         let exact = measure_every_mode(&cfg);
         for dwell in [4, 8, 16] {
-            let policy =
-                CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: dwell };
+            let policy = CounterPolicy::Multiplexed {
+                first: CounterMode::Mode0,
+                base_dwell: dwell,
+            };
             let mux = measure_with_truth(&cfg, policy, None, None);
             let summary = mux.mux.expect("multiplexed run has a summary");
             let report = ValidationReport::build(
@@ -989,11 +1082,17 @@ pub fn validate_kernel(kernel: Kernel, scale: Scale) -> KernelValidation {
     use bgp_faults::{FaultPlan, FaultSpec};
 
     let cfg = RunConfig::new(kernel, scale.class(), scale.ranks());
-    let mux_policy = CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 12 };
+    let mux_policy = CounterPolicy::Multiplexed {
+        first: CounterMode::Mode0,
+        base_dwell: 12,
+    };
     let exact = measure_every_mode(&cfg);
     let mux1 = measure_with_truth(&cfg, mux_policy, None, Some(1));
     let mux4 = measure_with_truth(&cfg, mux_policy, None, Some(4));
-    let fault_spec = FaultSpec { counter_bitflip_rate: 1.0, ..FaultSpec::none() };
+    let fault_spec = FaultSpec {
+        counter_bitflip_rate: 1.0,
+        ..FaultSpec::none()
+    };
     let plan = Arc::new(FaultPlan::new(fault_spec, 7, mux1.dumps.len()));
     let degraded = measure_with_truth(&cfg, mux_policy, Some(plan), None);
 

@@ -97,7 +97,11 @@ pub fn measure(cfg: &RunConfig, policy: CounterPolicy) -> Measured {
     );
     let dumps = lib.dumps().expect("all nodes finalized");
     let frame = Frame::from_dumps(&dumps, WHOLE_PROGRAM_SET).expect("valid dumps");
-    Measured { frame, job_cycles: machine.job_cycles(), verified }
+    Measured {
+        frame,
+        job_cycles: machine.job_cycles(),
+        verified,
+    }
 }
 
 /// Run with the even/odd mode-0/1 policy: per-core events (FPU mix,
@@ -105,7 +109,10 @@ pub fn measure(cfg: &RunConfig, policy: CounterPolicy) -> Measured {
 pub fn measure_cores(cfg: &RunConfig) -> Measured {
     measure(
         cfg,
-        CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode1 },
+        CounterPolicy::EvenOdd {
+            even: CounterMode::Mode0,
+            odd: CounterMode::Mode1,
+        },
     )
 }
 
@@ -195,11 +202,19 @@ pub(crate) fn measure_every_mode(cfg: &RunConfig) -> EveryMode {
         cycles += r.job_cycles;
         match &truth {
             None => truth = Some(r.truth),
-            Some(t) => assert_eq!(t.len(), r.truth.len(), "fixed runs must see the same machine"),
+            Some(t) => assert_eq!(
+                t.len(),
+                r.truth.len(),
+                "fixed runs must see the same machine"
+            ),
         }
         r.dumps
     });
-    EveryMode { dumps, truth: truth.expect("at least one mode"), cycles }
+    EveryMode {
+        dumps,
+        truth: truth.expect("at least one mode"),
+        cycles,
+    }
 }
 
 /// Read every node's independent ground truth off the machine. Valid
@@ -212,7 +227,11 @@ pub fn ground_truth(machine: &Machine) -> Vec<NodeTruth> {
 }
 
 fn entry(name: String, events: Vec<bgp_arch::EventId>, truth: u64) -> TruthEntry {
-    TruthEntry { name, events: events.into_iter().map(|e| e.index()).collect(), truth }
+    TruthEntry {
+        name,
+        events: events.into_iter().map(|e| e.index()).collect(),
+        truth,
+    }
 }
 
 /// Every derivable quantity of one node. Per-core instruction, FPU and
@@ -305,28 +324,56 @@ fn node_truth(id: u32, n: &Node) -> NodeTruth {
         ("l1i_misses", CoreEvent::L1iMiss, ms.l1i_misses),
         ("l2_hits", CoreEvent::L2Hit, ms.l2_hits),
         ("l2_misses", CoreEvent::L2Miss, ms.l2_misses),
-        ("l2_prefetch_hits", CoreEvent::L2PrefetchHit, ms.l2_prefetch_hits),
-        ("l2_prefetches_issued", CoreEvent::L2PrefetchIssued, ms.l2_prefetches_issued),
+        (
+            "l2_prefetch_hits",
+            CoreEvent::L2PrefetchHit,
+            ms.l2_prefetch_hits,
+        ),
+        (
+            "l2_prefetches_issued",
+            CoreEvent::L2PrefetchIssued,
+            ms.l2_prefetches_issued,
+        ),
     ] {
         entries.push(entry(name.into(), per_core_family(ev), truth));
     }
     for (name, evs, truth) in [
-        ("l3_hits", vec![SharedEvent::L3Hit0, SharedEvent::L3Hit1], ms.l3_hits),
-        ("l3_misses", vec![SharedEvent::L3Miss0, SharedEvent::L3Miss1], ms.l3_misses),
+        (
+            "l3_hits",
+            vec![SharedEvent::L3Hit0, SharedEvent::L3Hit1],
+            ms.l3_hits,
+        ),
+        (
+            "l3_misses",
+            vec![SharedEvent::L3Miss0, SharedEvent::L3Miss1],
+            ms.l3_misses,
+        ),
         (
             "l3_writebacks",
             vec![SharedEvent::L3Writeback0, SharedEvent::L3Writeback1],
             ms.l3_writebacks,
         ),
-        ("ddr_reads", vec![SharedEvent::DdrRead0, SharedEvent::DdrRead1], ms.ddr_reads),
-        ("ddr_writes", vec![SharedEvent::DdrWrite0, SharedEvent::DdrWrite1], ms.ddr_writes),
+        (
+            "ddr_reads",
+            vec![SharedEvent::DdrRead0, SharedEvent::DdrRead1],
+            ms.ddr_reads,
+        ),
+        (
+            "ddr_writes",
+            vec![SharedEvent::DdrWrite0, SharedEvent::DdrWrite1],
+            ms.ddr_writes,
+        ),
         (
             "ddr_conflicts",
             vec![SharedEvent::DdrConflict0, SharedEvent::DdrConflict1],
             ms.ddr_conflicts,
         ),
     ] {
-        entries.push(entry(name.into(), evs.into_iter().map(|e| e.id()).collect(), truth));
+        entries.push(entry(
+            name.into(),
+            evs.into_iter().map(|e| e.id()).collect(),
+            truth,
+        ));
     }
     // Network events against the node's always-on mode-3 mirror.
     for &ev in NetEvent::ALL {

@@ -39,7 +39,12 @@ impl Entry {
     /// record) are written first, so the failing measurement is kept.
     pub fn run(&self, scale: Scale) -> Result<(), String> {
         let (csvs, verdict) = (self.measure)(scale);
-        assert_eq!(csvs.len(), self.csvs.len(), "{} returned the wrong CSV count", self.name);
+        assert_eq!(
+            csvs.len(),
+            self.csvs.len(),
+            "{} returned the wrong CSV count",
+            self.name
+        );
         for (name, csv) in self.csvs.iter().zip(&csvs) {
             emit(name, csv);
         }
@@ -109,7 +114,10 @@ pub static ENTRIES: &[Entry] = &[
         csvs: &["fig09_exec_time"],
         default: true,
         measure: |s| {
-            plain(figures::fig_exec_time(&[Kernel::Mg, Kernel::Ft, Kernel::Ep, Kernel::Cg], s))
+            plain(figures::fig_exec_time(
+                &[Kernel::Mg, Kernel::Ft, Kernel::Ep, Kernel::Cg],
+                s,
+            ))
         },
     },
     Entry {
@@ -117,7 +125,10 @@ pub static ENTRIES: &[Entry] = &[
         csvs: &["fig10_exec_time"],
         default: true,
         measure: |s| {
-            plain(figures::fig_exec_time(&[Kernel::Is, Kernel::Lu, Kernel::Sp, Kernel::Bt], s))
+            plain(figures::fig_exec_time(
+                &[Kernel::Is, Kernel::Lu, Kernel::Sp, Kernel::Bt],
+                s,
+            ))
         },
     },
     Entry {
@@ -128,11 +139,22 @@ pub static ENTRIES: &[Entry] = &[
     },
     Entry {
         name: "fig12_14_vnm_vs_smp",
-        csvs: &["fig12_ddr_ratio", "fig13_time_increase", "fig14_mflops_chip"],
+        csvs: &[
+            "fig12_ddr_ratio",
+            "fig13_time_increase",
+            "fig14_mflops_chip",
+        ],
         default: true,
         measure: |s| {
             let rows = figures::mode_comparison(s);
-            (vec![figures::fig12(&rows), figures::fig13(&rows), figures::fig14(&rows)], Ok(()))
+            (
+                vec![
+                    figures::fig12(&rows),
+                    figures::fig13(&rows),
+                    figures::fig14(&rows),
+                ],
+                Ok(()),
+            )
         },
     },
     Entry {
@@ -185,11 +207,20 @@ pub static ENTRIES: &[Entry] = &[
     },
     Entry {
         name: "fig_ext_validation",
-        csvs: &["fig_ext_validation_mg", "fig_ext_validation_cg", "fig_ext_validation"],
+        csvs: &[
+            "fig_ext_validation_mg",
+            "fig_ext_validation_cg",
+            "fig_ext_validation",
+        ],
         default: false,
         measure: validation,
     },
-    Entry { name: "fig_ext_service", csvs: &["fig_ext_service"], default: false, measure: service },
+    Entry {
+        name: "fig_ext_service",
+        csvs: &["fig_ext_service"],
+        default: false,
+        measure: service,
+    },
     Entry {
         name: "fig_ext_snapshot",
         csvs: &["fig_ext_snapshot"],
@@ -240,7 +271,9 @@ pub fn parse_args(argv: Vec<String>) -> Result<(Scale, Vec<&'static Entry>), Str
             },
         };
         if scale.replace(s).is_some() {
-            return Err(listed(format!("give at most one of --quick and --paper\n{USAGE}")));
+            return Err(listed(format!(
+                "give at most one of --quick and --paper\n{USAGE}"
+            )));
         }
     }
     if picked.is_empty() {
@@ -269,7 +302,10 @@ const RETRIES: usize = 2;
 fn remeasure<T>(name: &str, mut measure: impl FnMut() -> T, holds: impl Fn(&T) -> bool) -> Vec<T> {
     let mut attempts = vec![measure()];
     while attempts.len() <= RETRIES && !holds(attempts.last().expect("one attempt")) {
-        eprintln!("{name}: bound missed, re-measuring ({}/{RETRIES})", attempts.len());
+        eprintln!(
+            "{name}: bound missed, re-measuring ({}/{RETRIES})",
+            attempts.len()
+        );
         attempts.push(measure());
     }
     attempts
@@ -325,8 +361,11 @@ const MIN_BATCH_SPEEDUP: f64 = 1.5;
 /// per-op walk, plus the end-to-end MG job; recorded in `BENCH_mem.json`.
 fn memthroughput(scale: Scale) -> Outcome {
     let holds = |r: &figures::MemThroughputReport| r.speedup >= MIN_BATCH_SPEEDUP;
-    let attempts =
-        remeasure("fig_ext_memthroughput", || figures::mem_throughput_sweep(scale), holds);
+    let attempts = remeasure(
+        "fig_ext_memthroughput",
+        || figures::mem_throughput_sweep(scale),
+        holds,
+    );
     let r = attempts.last().expect("one attempt");
     write_bench(
         "BENCH_mem.json",
@@ -422,8 +461,10 @@ const MAX_MUX_MEDIAN: f64 = 0.05;
 /// mode meaningfully, so reconstruction quality is reported there but
 /// not bounded.
 fn validation(scale: Scale) -> Outcome {
-    let rows: Vec<KernelValidation> =
-        [Kernel::Mg, Kernel::Cg].into_iter().map(|k| figures::validate_kernel(k, scale)).collect();
+    let rows: Vec<KernelValidation> = [Kernel::Mg, Kernel::Cg]
+        .into_iter()
+        .map(|k| figures::validate_kernel(k, scale))
+        .collect();
     let mut json = String::from("{\n  \"benchmark\": \"fig_ext_validation (exact / multiplexed-reconstructed / fault-degraded counts vs simulator ground truth)\",\n");
     json.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
     json.push_str(&format!(
@@ -524,7 +565,10 @@ fn service(scale: Scale) -> Outcome {
     };
     let server = Server::spawn(ServerConfig {
         workers,
-        queue: QueueConfig { capacity: 64, age_to_boost: Duration::from_millis(500) },
+        queue: QueueConfig {
+            capacity: 64,
+            age_to_boost: Duration::from_millis(500),
+        },
         quiet: true,
         ..ServerConfig::default()
     })
@@ -540,7 +584,10 @@ fn service(scale: Scale) -> Outcome {
     server.shutdown();
 
     let json = Obj::new()
-        .field_str("benchmark", "fig_ext_service (bgpc-serve loopback, MG class S submissions)")
+        .field_str(
+            "benchmark",
+            "fig_ext_service (bgpc-serve loopback, MG class S submissions)",
+        )
         .field_str("scale", &format!("{scale:?}"))
         .field_u64("host_cpus", host_cpus() as u64)
         .field_str(
@@ -602,7 +649,12 @@ fn service(scale: Scale) -> Outcome {
 const MAX_SNAPSHOT_PCT: f64 = 5.0;
 
 fn every64_pct(sweep: &SnapshotSweep) -> f64 {
-    sweep.samples.iter().find(|s| s.config == "every64").expect("every64 row").overhead_pct
+    sweep
+        .samples
+        .iter()
+        .find(|s| s.config == "every64")
+        .expect("every64 row")
+        .overhead_pct
 }
 
 /// Wall-clock cost of checkpointing an MG job every 64 phases, plus one
@@ -610,8 +662,11 @@ fn every64_pct(sweep: &SnapshotSweep) -> f64 {
 /// every attempt, so a re-measurement never hides what was measured.
 fn snapshot(scale: Scale) -> Outcome {
     let holds = |s: &SnapshotSweep| every64_pct(s) < MAX_SNAPSHOT_PCT;
-    let attempts =
-        remeasure("fig_ext_snapshot", || figures::snapshot_overhead_sweep(scale), holds);
+    let attempts = remeasure(
+        "fig_ext_snapshot",
+        || figures::snapshot_overhead_sweep(scale),
+        holds,
+    );
     let latest = attempts.last().expect("one attempt");
     let rows: Vec<String> = latest
         .samples
@@ -623,8 +678,10 @@ fn snapshot(scale: Scale) -> Outcome {
             )
         })
         .collect();
-    let attempt_pcts: Vec<String> =
-        attempts.iter().map(|a| format!("{:.2}", every64_pct(a))).collect();
+    let attempt_pcts: Vec<String> = attempts
+        .iter()
+        .map(|a| format!("{:.2}", every64_pct(a)))
+        .collect();
     write_bench(
         "BENCH_snapshot.json",
         &format!(
@@ -674,12 +731,22 @@ mod tests {
         for f in std::fs::read_dir(&results).expect("results/ readable") {
             let path = f.expect("dir entry").path();
             if path.extension().is_some_and(|x| x == "csv") {
-                let stem = path.file_stem().and_then(|s| s.to_str()).expect("utf-8 stem");
-                assert!(owner.contains_key(stem), "results/{stem}.csv is declared by no entry");
+                let stem = path
+                    .file_stem()
+                    .and_then(|s| s.to_str())
+                    .expect("utf-8 stem");
+                assert!(
+                    owner.contains_key(stem),
+                    "results/{stem}.csv is declared by no entry"
+                );
                 committed += 1;
             }
         }
-        assert!(committed > 0, "no committed CSV found under {}", results.display());
+        assert!(
+            committed > 0,
+            "no committed CSV found under {}",
+            results.display()
+        );
     }
 
     #[test]
@@ -708,7 +775,10 @@ mod tests {
             ]
         );
         let (scale, names) = parse(&["--quick", "fig_ext_snapshot", "fig03_modes"]).unwrap();
-        assert_eq!((scale, names), (Scale::Quick, vec!["fig_ext_snapshot", "fig03_modes"]));
+        assert_eq!(
+            (scale, names),
+            (Scale::Quick, vec!["fig_ext_snapshot", "fig03_modes"])
+        );
         assert_eq!(parse(&["--paper"]).unwrap().0, Scale::Paper);
     }
 
@@ -732,7 +802,11 @@ mod tests {
         ] {
             let err = parse(argv).expect_err(&format!("{argv:?} must be refused"));
             for e in ENTRIES {
-                assert!(err.contains(e.name), "{argv:?}: error does not list {}: {err}", e.name);
+                assert!(
+                    err.contains(e.name),
+                    "{argv:?}: error does not list {}: {err}",
+                    e.name
+                );
             }
         }
     }

@@ -28,7 +28,11 @@ impl FractionSelector {
     /// Selector with frequency `num/den` (clamped to ≤ 1).
     pub fn new(num: u32, den: u32) -> FractionSelector {
         assert!(den > 0);
-        FractionSelector { num: num.min(den), den, acc: 0 }
+        FractionSelector {
+            num: num.min(den),
+            den,
+            acc: 0,
+        }
     }
 
     /// Selector from a float fraction with 1/1024 resolution.
@@ -183,9 +187,7 @@ impl CodeGen {
                 0.0
             }),
             red_mem_sel: FractionSelector::from_fraction(params.redundant_mem_frac),
-            int_acc: FractionSelector::from_fraction(
-                params.int_overhead_per_elem.fract().max(0.0),
-            ),
+            int_acc: FractionSelector::from_fraction(params.int_overhead_per_elem.fract().max(0.0)),
             mispred_sel: FractionSelector::from_fraction(params.mispredict_frac),
             branch_rem: 0,
             opts,
@@ -224,10 +226,30 @@ impl CodeGen {
     /// [`LibmProfile`]).
     pub fn libm(&self) -> LibmProfile {
         match self.opts.opt {
-            OptLevel::O2 => LibmProfile { fma: 22, mul: 6, div: 2, int_ops: 12 },
-            OptLevel::O3 => LibmProfile { fma: 16, mul: 4, div: 2, int_ops: 4 },
-            OptLevel::O4 => LibmProfile { fma: 12, mul: 3, div: 1, int_ops: 2 },
-            OptLevel::O5 => LibmProfile { fma: 10, mul: 2, div: 1, int_ops: 1 },
+            OptLevel::O2 => LibmProfile {
+                fma: 22,
+                mul: 6,
+                div: 2,
+                int_ops: 12,
+            },
+            OptLevel::O3 => LibmProfile {
+                fma: 16,
+                mul: 4,
+                div: 2,
+                int_ops: 4,
+            },
+            OptLevel::O4 => LibmProfile {
+                fma: 12,
+                mul: 3,
+                div: 1,
+                int_ops: 2,
+            },
+            OptLevel::O5 => LibmProfile {
+                fma: 10,
+                mul: 2,
+                div: 1,
+                int_ops: 1,
+            },
         }
     }
 
@@ -260,7 +282,11 @@ impl CodeGen {
                 }
             }
         }
-        Overhead { int_ops, branches, mispredicts }
+        Overhead {
+            int_ops,
+            branches,
+            mispredicts,
+        }
     }
 }
 
@@ -308,7 +334,9 @@ mod tests {
     fn simd_coverage_grows_with_level() {
         let count = |opts: CompileOpts| {
             let mut cg = CodeGen::new(opts);
-            (0..10_000).filter(|_| cg.plan_pair(true) == PairPlan::Simd).count()
+            (0..10_000)
+                .filter(|_| cg.plan_pair(true) == PairPlan::Simd)
+                .count()
         };
         let o3 = count(CompileOpts::o3());
         let o4 = count(CompileOpts::o4());

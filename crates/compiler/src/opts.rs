@@ -120,12 +120,20 @@ impl CompileOpts {
 
     /// `-O5` (everything `-O4` does plus interprocedural analysis).
     pub fn o5() -> CompileOpts {
-        CompileOpts { opt: OptLevel::O5, ..CompileOpts::o4() }
+        CompileOpts {
+            opt: OptLevel::O5,
+            ..CompileOpts::o4()
+        }
     }
 
     /// The four builds of the paper's Figs. 9–10 sweep, in order.
     pub fn paper_sweep() -> [CompileOpts; 4] {
-        [CompileOpts::baseline(), CompileOpts::o3(), CompileOpts::o4(), CompileOpts::o5()]
+        [
+            CompileOpts::baseline(),
+            CompileOpts::o3(),
+            CompileOpts::o4(),
+            CompileOpts::o5(),
+        ]
     }
 
     /// Copy with a different `-qarch` (Figs. 7–8 compare ±`440d`).
@@ -187,7 +195,10 @@ mod tests {
         assert!(CompileOpts::o5().simd_enabled());
         assert!(!CompileOpts::o3().with_qarch(QArch::Ppc440).simd_enabled());
         // -O with 440d still cannot SIMD-ize (no loop analysis).
-        let low = CompileOpts { opt: OptLevel::O2, ..CompileOpts::o3() };
+        let low = CompileOpts {
+            opt: OptLevel::O2,
+            ..CompileOpts::o3()
+        };
         assert!(!low.simd_enabled());
     }
 

@@ -30,7 +30,11 @@ fn selector_rate_is_exact() {
         let den = 64;
         let mut s = FractionSelector::new(num, den);
         let hits = (0..rounds * den as usize).filter(|_| s.next()).count();
-        assert_eq!(hits, rounds * num as usize, "case {case}: num={num} rounds={rounds}");
+        assert_eq!(
+            hits,
+            rounds * num as usize,
+            "case {case}: num={num} rounds={rounds}"
+        );
     }
 }
 
@@ -49,7 +53,10 @@ fn simd_gating() {
             let plan = cg.plan_pair(vectorizable);
             if plan == PairPlan::Simd {
                 any_simd = true;
-                assert!(vectorizable, "case {case}: SIMD plan for a non-vectorizable pair");
+                assert!(
+                    vectorizable,
+                    "case {case}: SIMD plan for a non-vectorizable pair"
+                );
                 assert!(opts.simd_enabled(), "case {case}: SIMD plan under {opts:?}");
             }
         }
@@ -76,7 +83,11 @@ fn overhead_is_additive() {
         let o = cg2.overhead(a + b);
         assert_eq!(o.int_ops, o1.int_ops + o2.int_ops, "case {case}");
         assert_eq!(o.branches, o1.branches + o2.branches, "case {case}");
-        assert_eq!(o.mispredicts, o1.mispredicts + o2.mispredicts, "case {case}");
+        assert_eq!(
+            o.mispredicts,
+            o1.mispredicts + o2.mispredicts,
+            "case {case}"
+        );
     }
 }
 
@@ -127,7 +138,10 @@ fn overhead_monotone_in_level() {
         let n = rng.gen_range(100u64..5_000);
         let mut last = u64::MAX;
         for opt in OptLevel::ALL {
-            let opts = CompileOpts { opt, ..CompileOpts::o4() };
+            let opts = CompileOpts {
+                opt,
+                ..CompileOpts::o4()
+            };
             let mut cg = CodeGen::new(opts);
             let o = cg.overhead(n);
             let total = o.int_ops + o.branches;

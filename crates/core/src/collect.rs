@@ -76,7 +76,11 @@ impl Collection {
         if self.reports.is_empty() {
             return 1.0;
         }
-        let ok = self.reports.iter().filter(|r| r.outcome.delivered()).count();
+        let ok = self
+            .reports
+            .iter()
+            .filter(|r| r.outcome.delivered())
+            .count();
         ok as f64 / self.reports.len() as f64
     }
 
@@ -119,7 +123,9 @@ pub fn collect_dumps(lib: &CounterLibrary, plan: &FaultPlan) -> Collection {
     let n_nodes = plan.nodes();
     // One scoped worker per chunk of nodes, bounded by the host's
     // parallelism; each writes only its own result slots.
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(n_nodes.max(1));
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(n_nodes.max(1));
     let chunk = n_nodes.div_ceil(workers.max(1)).max(1);
     let mut results: Vec<Option<(NodeReport, Option<NodeDump>)>> = Vec::new();
     results.resize_with(n_nodes, || None);
@@ -173,7 +179,15 @@ fn collect_node(
         attempts += 1;
         let err = match attempt_fetch(lib, plan, node, attempts - 1) {
             Ok((outcome, dump)) => {
-                return (NodeReport { node, attempts, backoff_cycles, outcome }, Some(dump));
+                return (
+                    NodeReport {
+                        node,
+                        attempts,
+                        backoff_cycles,
+                        outcome,
+                    },
+                    Some(dump),
+                );
             }
             Err(e) => e,
         };
@@ -203,7 +217,10 @@ fn attempt_fetch(
     attempt: u32,
 ) -> Result<(NodeOutcome, NodeDump), BgpError> {
     if plan.collection_timeout(node, attempt) {
-        return Err(BgpError::Timeout { node, attempts: attempt + 1 });
+        return Err(BgpError::Timeout {
+            node,
+            attempts: attempt + 1,
+        });
     }
     let bytes = lib
         .encoded_dump(node as usize)
@@ -256,12 +273,18 @@ mod tests {
         assert_eq!(c.coverage(), 1.0);
         assert_eq!(c.dumps.len(), 4);
         assert!(c.failed_nodes().is_empty());
-        assert!(c.reports.iter().all(|r| r.attempts == 1 && r.backoff_cycles == 0));
+        assert!(c
+            .reports
+            .iter()
+            .all(|r| r.attempts == 1 && r.backoff_cycles == 0));
     }
 
     #[test]
     fn lost_nodes_fail_without_retries() {
-        let spec = FaultSpec { node_loss_rate: 1.0, ..FaultSpec::none() };
+        let spec = FaultSpec {
+            node_loss_rate: 1.0,
+            ..FaultSpec::none()
+        };
         let plan = Arc::new(FaultPlan::new(spec, 3, 4));
         let lib = run_with(Some(Arc::clone(&plan)), 16);
         let c = collect_dumps(&lib, &plan);
@@ -269,14 +292,20 @@ mod tests {
         assert_eq!(c.failed_nodes(), vec![0, 1, 2, 3]);
         for r in &c.reports {
             assert_eq!(r.attempts, 0, "lost nodes are never fetched");
-            assert!(matches!(r.outcome, NodeOutcome::Failed(BgpError::NodeLost { .. })));
+            assert!(matches!(
+                r.outcome,
+                NodeOutcome::Failed(BgpError::NodeLost { .. })
+            ));
         }
     }
 
     #[test]
     fn timeouts_retry_with_exponential_backoff() {
         // 100% timeout rate: every attempt fails, exhausting the policy.
-        let spec = FaultSpec { collection_timeout_rate: 1.0, ..FaultSpec::none() };
+        let spec = FaultSpec {
+            collection_timeout_rate: 1.0,
+            ..FaultSpec::none()
+        };
         let plan = Arc::new(FaultPlan::new(spec, 5, 1));
         let lib = run_with(Some(Arc::clone(&plan)), 4);
         let c = collect_dumps(&lib, &plan);
@@ -285,14 +314,20 @@ mod tests {
         assert_eq!(r.attempts, MAX_ATTEMPTS);
         // 1 + 2 + 4 base backoffs after attempts 1-3; none after the last.
         assert_eq!(r.backoff_cycles, 7 * BASE_BACKOFF_CYCLES);
-        assert!(matches!(r.outcome, NodeOutcome::Failed(BgpError::Timeout { .. })));
+        assert!(matches!(
+            r.outcome,
+            NodeOutcome::Failed(BgpError::Timeout { .. })
+        ));
     }
 
     #[test]
     fn moderate_timeouts_usually_recover_via_retry() {
         // ~30% per-attempt timeouts, 4 attempts: expected failure rate
         // per node ≈ 0.3^4 ≈ 0.81% — all 8 nodes should deliver.
-        let spec = FaultSpec { collection_timeout_rate: 0.3, ..FaultSpec::none() };
+        let spec = FaultSpec {
+            collection_timeout_rate: 0.3,
+            ..FaultSpec::none()
+        };
         let plan = Arc::new(FaultPlan::new(spec, 7, 8));
         let lib = run_with(Some(Arc::clone(&plan)), 32);
         let c = collect_dumps(&lib, &plan);
@@ -310,7 +345,10 @@ mod tests {
         // Byte flips on every dump: most strike inside a set record and
         // quarantine just that set; header hits fail the node. Either
         // way collection completes and reports honestly.
-        let spec = FaultSpec { dump_byteflip_rate: 1.0, ..FaultSpec::none() };
+        let spec = FaultSpec {
+            dump_byteflip_rate: 1.0,
+            ..FaultSpec::none()
+        };
         let plan = Arc::new(FaultPlan::new(spec, 11, 8));
         let lib = run_with(Some(Arc::clone(&plan)), 32);
         let c = collect_dumps(&lib, &plan);
@@ -319,7 +357,11 @@ mod tests {
             .iter()
             .filter(|r| matches!(r.outcome, NodeOutcome::Partial { .. }))
             .count();
-        assert!(partial > 0, "expected partial recoveries, got {:?}", c.reports);
+        assert!(
+            partial > 0,
+            "expected partial recoveries, got {:?}",
+            c.reports
+        );
         // Dumps list only contains delivered nodes.
         assert_eq!(
             c.dumps.len(),

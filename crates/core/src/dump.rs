@@ -171,7 +171,11 @@ impl RecoveredDump {
 
     /// Convert to a [`NodeDump`] carrying only the surviving sets.
     pub fn into_dump(self) -> NodeDump {
-        NodeDump { node: self.node, mode: self.mode, sets: self.sets }
+        NodeDump {
+            node: self.node,
+            mode: self.mode,
+            sets: self.sets,
+        }
     }
 }
 
@@ -193,7 +197,11 @@ pub fn encode(dump: &NodeDump) -> Vec<u8> {
     out.push(dump.mode.index() as u8);
     out.extend_from_slice(&(dump.sets.len() as u32).to_le_bytes());
     for s in &dump.sets {
-        assert_eq!(s.counts.len(), NUM_COUNTERS, "a set always carries 256 counters");
+        assert_eq!(
+            s.counts.len(),
+            NUM_COUNTERS,
+            "a set always carries 256 counters"
+        );
         let start = out.len();
         out.extend_from_slice(&s.id.to_le_bytes());
         out.extend_from_slice(&s.records.to_le_bytes());
@@ -257,7 +265,11 @@ pub fn decode(bytes: &[u8]) -> Result<NodeDump> {
             .at_offset(body_len as u64),
         ));
     }
-    Ok(NodeDump { node: header.node, mode: header.mode, sets })
+    Ok(NodeDump {
+        node: header.node,
+        mode: header.mode,
+        sets,
+    })
 }
 
 /// Decode as much of a damaged dump as possible.
@@ -280,8 +292,7 @@ pub fn decode_lenient(bytes: &[u8]) -> Result<RecoveredDump> {
             truncated = true;
             quarantined.push(QuarantinedSet {
                 index: i,
-                id: (start + 4 <= bytes.len())
-                    .then(|| read_u32(&bytes[start..start + 4])),
+                id: (start + 4 <= bytes.len()).then(|| read_u32(&bytes[start..start + 4])),
                 offset: start.min(bytes.len()) as u64,
                 reason: "file ends mid-record".into(),
             });
@@ -389,7 +400,11 @@ fn decode_set(rec: &[u8], seen: &mut BTreeSet<u32>) -> std::result::Result<SetDu
     let counts = (0..NUM_COUNTERS)
         .map(|i| read_u64(&rec[8 + i * 8..16 + i * 8]))
         .collect();
-    Ok(SetDump { id, records, counts })
+    Ok(SetDump {
+        id,
+        records,
+        counts,
+    })
 }
 
 fn read_u32(b: &[u8]) -> u32 {
@@ -409,8 +424,16 @@ mod tests {
             node: 7,
             mode: CounterMode::Mode2,
             sets: vec![
-                SetDump { id: 0, records: 1, counts: (0..256).map(|i| i as u64 * 3).collect() },
-                SetDump { id: 5, records: 2, counts: vec![u64::MAX; 256] },
+                SetDump {
+                    id: 0,
+                    records: 1,
+                    counts: (0..256).map(|i| i as u64 * 3).collect(),
+                },
+                SetDump {
+                    id: 5,
+                    records: 2,
+                    counts: vec![u64::MAX; 256],
+                },
             ],
         }
     }
@@ -423,7 +446,11 @@ mod tests {
 
     #[test]
     fn empty_dump_round_trips() {
-        let d = NodeDump { node: 0, mode: CounterMode::Mode0, sets: vec![] };
+        let d = NodeDump {
+            node: 0,
+            mode: CounterMode::Mode0,
+            sets: vec![],
+        };
         assert_eq!(decode(&encode(&d)).unwrap(), d);
     }
 
@@ -488,7 +515,11 @@ mod tests {
             node: 3,
             mode: CounterMode::Mode1,
             sets: (0..4)
-                .map(|i| SetDump { id: i, records: 1, counts: vec![i as u64; 256] })
+                .map(|i| SetDump {
+                    id: i,
+                    records: 1,
+                    counts: vec![i as u64; 256],
+                })
                 .collect(),
         };
         let mut b = encode(&d);
@@ -497,7 +528,10 @@ mod tests {
         b[bad] ^= 0xFF;
         let r = decode_lenient(&b).unwrap();
         assert_eq!(r.node, 3);
-        assert_eq!(r.sets.iter().map(|s| s.id).collect::<Vec<_>>(), vec![0, 1, 3]);
+        assert_eq!(
+            r.sets.iter().map(|s| s.id).collect::<Vec<_>>(),
+            vec![0, 1, 3]
+        );
         assert_eq!(r.quarantined.len(), 1);
         assert_eq!(r.quarantined[0].index, 2);
         assert_eq!(r.quarantined[0].id, Some(2));
@@ -513,12 +547,19 @@ mod tests {
     #[test]
     fn repeated_set_id_is_refused_or_quarantined() {
         let mut d = sample();
-        d.sets.push(SetDump { id: 0, records: 9, counts: vec![1; 256] });
+        d.sets.push(SetDump {
+            id: 0,
+            records: 9,
+            counts: vec![1; 256],
+        });
         let b = encode(&d);
         let repeat_at = (HEADER_BYTES + 2 * SET_RECORD_BYTES) as u64;
         match decode(&b) {
             Err(BgpError::Corrupt(c)) => {
-                assert_eq!((c.node, c.set, c.offset), (Some(7), Some(0), Some(repeat_at)));
+                assert_eq!(
+                    (c.node, c.set, c.offset),
+                    (Some(7), Some(0), Some(repeat_at))
+                );
                 assert_eq!(c.reason, "repeated set id");
             }
             other => panic!("expected Corrupt for a repeated id, got {other:?}"),

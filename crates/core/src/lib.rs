@@ -41,10 +41,10 @@ pub mod state;
 pub mod supervisor;
 
 use bgp_arch::error::Result;
-use bgp_arch::geometry::NodeId;
 use bgp_arch::events::{CounterMode, NUM_COUNTERS, NUM_MODES};
-use bgp_arch::BgpError;
+use bgp_arch::geometry::NodeId;
 use bgp_arch::sync::Mutex;
+use bgp_arch::BgpError;
 use bgp_faults::CounterFault;
 use bgp_mpi::{CounterPolicy, JobSpec, Machine, MuxMark, RankCtx};
 use bgp_trace::{EventKind, FaultEvent};
@@ -144,7 +144,11 @@ impl NodeState {
         let mut sets = Vec::with_capacity(self.dump_sets());
         for (id, s) in &self.sets {
             let counts = s.window.block(mode).to_vec();
-            sets.push(SetDump { id: *id, records: s.records, counts });
+            sets.push(SetDump {
+                id: *id,
+                records: s.records,
+                counts,
+            });
         }
         for (id, s) in self.sets.iter().filter(|(_, s)| s.window.rotates()) {
             for (m, &mode) in CounterMode::ALL.iter().enumerate() {
@@ -157,9 +161,17 @@ impl NodeState {
             let mut counts = vec![0u64; NUM_COUNTERS];
             counts[..NUM_MODES].copy_from_slice(&s.window.cycles);
             counts[NUM_MODES..2 * NUM_MODES].copy_from_slice(&s.window.occupancy);
-            sets.push(SetDump { id: dump::mux_sched_id(*id), records: 1, counts });
+            sets.push(SetDump {
+                id: dump::mux_sched_id(*id),
+                records: 1,
+                counts,
+            });
         }
-        NodeDump { node: node as u32, mode, sets }
+        NodeDump {
+            node: node as u32,
+            mode,
+            sets,
+        }
     }
 }
 
@@ -255,9 +267,7 @@ impl CounterLibrary {
             let mut nodes = self.nodes.lock();
             let st = &mut nodes[node];
             if st.init_arrivals == 0 {
-                return Err(BgpError::Protocol(
-                    "BGP_Start before BGP_Initialize".into(),
-                ));
+                return Err(BgpError::Protocol("BGP_Start before BGP_Initialize".into()));
             }
             // No dump would carry a window opened now.
             if self.finalized(node, st) {
@@ -334,9 +344,10 @@ impl CounterLibrary {
                                 }
                             });
                             ctx.trace_event(EventKind::Fault(match f {
-                                CounterFault::BitFlip { slot, bit } => {
-                                    FaultEvent::CounterBitFlip { slot: slot as u16, bit }
-                                }
+                                CounterFault::BitFlip { slot, bit } => FaultEvent::CounterBitFlip {
+                                    slot: slot as u16,
+                                    bit,
+                                },
                                 CounterFault::Saturate { slot } => {
                                     FaultEvent::CounterSaturate { slot: slot as u16 }
                                 }
@@ -501,7 +512,11 @@ pub struct LenientRead {
 impl LenientRead {
     /// The surviving per-node dumps (damaged sets already dropped).
     pub fn dumps(&self) -> Vec<NodeDump> {
-        self.recovered.iter().cloned().map(RecoveredDump::into_dump).collect()
+        self.recovered
+            .iter()
+            .cloned()
+            .map(RecoveredDump::into_dump)
+            .collect()
     }
 }
 
@@ -509,7 +524,10 @@ impl LenientRead {
 /// each file's per-set checksums allow. Only an unreadable *directory*
 /// is an error; unusable files are reported, not fatal.
 pub fn read_dumps_lenient(dir: &Path) -> Result<LenientRead> {
-    let mut out = LenientRead { recovered: Vec::new(), unreadable: Vec::new() };
+    let mut out = LenientRead {
+        recovered: Vec::new(),
+        unreadable: Vec::new(),
+    };
     for p in dump_files(dir)? {
         let bytes = match std::fs::read(&p) {
             Ok(b) => b,
@@ -549,8 +567,7 @@ where
     let lib = CounterLibrary::for_machine(machine);
     let kernel = &kernel;
     let lib_ref = &lib;
-    let out =
-        machine.run(move |ctx| instrumented_body(Arc::clone(lib_ref), ctx, kernel));
+    let out = machine.run(move |ctx| instrumented_body(Arc::clone(lib_ref), ctx, kernel));
     (out, lib)
 }
 
@@ -577,9 +594,11 @@ where
 {
     async move {
         lib.initialize_impl(&mut ctx);
-        lib.start_impl(&mut ctx, WHOLE_PROGRAM_SET).expect("BGP_Start");
+        lib.start_impl(&mut ctx, WHOLE_PROGRAM_SET)
+            .expect("BGP_Start");
         let (mut ctx, r) = kernel(ctx).await;
-        lib.stop_impl(&mut ctx, WHOLE_PROGRAM_SET).expect("BGP_Stop");
+        lib.stop_impl(&mut ctx, WHOLE_PROGRAM_SET)
+            .expect("BGP_Stop");
         lib.finalize_impl(&mut ctx).expect("BGP_Finalize");
         r
     }
@@ -632,7 +651,10 @@ mod tests {
         let m = machine(
             8, // two VNM nodes
             OpMode::VirtualNode,
-            CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode1 },
+            CounterPolicy::EvenOdd {
+                even: CounterMode::Mode0,
+                odd: CounterMode::Mode1,
+            },
         );
         let (_, lib) = run_instrumented(&m, |mut ctx| async move {
             ctx.fp1(SemOp::Add); // every rank, every core
@@ -657,7 +679,10 @@ mod tests {
         let m = machine(
             8, // two VNM nodes
             OpMode::VirtualNode,
-            CounterPolicy::Multiplexed { first: CounterMode::Mode1, base_dwell: 2 },
+            CounterPolicy::Multiplexed {
+                first: CounterMode::Mode1,
+                base_dwell: 2,
+            },
         );
         let (_, lib) = run_instrumented(&m, |mut ctx| async move {
             for _ in 0..24 {
@@ -700,8 +725,14 @@ mod tests {
             let nm = bgp_arch::events::NUM_MODES;
             let cycles: u64 = sched.counts[..nm].iter().sum();
             let phases: u64 = sched.counts[nm..2 * nm].iter().sum();
-            assert!(cycles > 0, "schedule set must attribute job cycles to modes");
-            assert_eq!(phases, occ_total, "schedule phases mirror synthetic records");
+            assert!(
+                cycles > 0,
+                "schedule set must attribute job cycles to modes"
+            );
+            assert_eq!(
+                phases, occ_total,
+                "schedule phases mirror synthetic records"
+            );
             assert!(sched.counts[2 * nm..].iter().all(|&c| c == 0));
         }
     }
@@ -783,7 +814,10 @@ mod tests {
             s.start(1 << 29).err().map(|e| e.to_string())
         });
         let err = out[0].as_deref().expect("BGP_Start(2^29) must fail");
-        assert!(err.contains("BGP_Start(536870912)") && err.contains("below"), "{err}");
+        assert!(
+            err.contains("BGP_Start(536870912)") && err.contains("below"),
+            "{err}"
+        );
     }
 
     /// Under `Multiplexed`, a refused start changes nothing, and the
@@ -794,7 +828,10 @@ mod tests {
         let m = machine(
             1,
             OpMode::Smp1,
-            CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 2 },
+            CounterPolicy::Multiplexed {
+                first: CounterMode::Mode0,
+                base_dwell: 2,
+            },
         );
         let lib = CounterLibrary::for_machine(&m);
         let lib2 = Arc::clone(&lib);
@@ -844,7 +881,10 @@ mod tests {
         let (_, lib) = run_instrumented(&m, |ctx| async move { (ctx, ()) });
         let weak = Arc::downgrade(&lib);
         drop(lib);
-        assert!(weak.upgrade().is_some(), "the machine keeps its library alive");
+        assert!(
+            weak.upgrade().is_some(),
+            "the machine keeps its library alive"
+        );
         drop(m);
         assert!(weak.upgrade().is_none(), "the library outlived its machine");
     }
@@ -895,7 +935,11 @@ mod tests {
     #[test]
     fn rewriting_a_dump_dir_removes_the_previous_jobs_extra_nodes() {
         let job = |ranks| {
-            let m = machine(ranks, OpMode::Smp1, CounterPolicy::Fixed(CounterMode::Mode0));
+            let m = machine(
+                ranks,
+                OpMode::Smp1,
+                CounterPolicy::Fixed(CounterMode::Mode0),
+            );
             run_instrumented(&m, |ctx| async move { (ctx, ()) }).1
         };
         let dir = std::env::temp_dir().join(format!("bgpc_stale_{}", std::process::id()));

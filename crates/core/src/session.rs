@@ -109,7 +109,11 @@ impl<'a> Session<'a, Initialized> {
     pub fn initialize(ctx: &'a mut RankCtx) -> Session<'a, Initialized> {
         let lib = CounterLibrary::for_machine(ctx.machine());
         lib.initialize_impl(ctx);
-        Session { ctx, lib, state: Initialized(()) }
+        Session {
+            ctx,
+            lib,
+            state: Initialized(()),
+        }
     }
 
     /// `BGP_Start(set)`: open a counting window. The returned
@@ -122,7 +126,11 @@ impl<'a> Session<'a, Initialized> {
     /// (runtime SPMD divergence the types cannot see).
     pub fn start(self, set: u32) -> Result<Session<'a, Counting>> {
         self.lib.start_impl(self.ctx, set)?;
-        Ok(Session { ctx: self.ctx, lib: self.lib, state: Counting { set } })
+        Ok(Session {
+            ctx: self.ctx,
+            lib: self.lib,
+            state: Counting { set },
+        })
     }
 
     /// `BGP_Finalize`: close the protocol; the last rank of each node
@@ -145,7 +153,11 @@ impl<'a> Session<'a, Counting> {
     /// set id comes from the typestate, so it cannot mismatch.
     pub fn stop(self) -> Result<Session<'a, Initialized>> {
         self.lib.stop_impl(self.ctx, self.state.set)?;
-        Ok(Session { ctx: self.ctx, lib: self.lib, state: Initialized(()) })
+        Ok(Session {
+            ctx: self.ctx,
+            lib: self.lib,
+            state: Initialized(()),
+        })
     }
 }
 
@@ -211,7 +223,11 @@ mod tests {
         assert_eq!(dumps.len(), 2);
         for (node, d) in dumps.iter().enumerate() {
             assert_eq!(d.mode, CounterMode::Mode2, "node {node} header");
-            assert_eq!(m.home_mode(node), CounterMode::Mode2, "node {node} home mode");
+            assert_eq!(
+                m.home_mode(node),
+                CounterMode::Mode2,
+                "node {node} home mode"
+            );
             let upc = m.with_node(node, |n| n.upc().mode());
             assert_eq!(upc, CounterMode::Mode2, "node {node} UPC");
         }
@@ -225,14 +241,20 @@ mod tests {
         let errs = m.run(|mut ctx| async move {
             let s = Session::initialize(&mut ctx);
             s.start(1).unwrap().stop().unwrap().finalize().unwrap();
-            Session::initialize(&mut ctx).start(2).err().expect("start after finalize")
+            Session::initialize(&mut ctx)
+                .start(2)
+                .err()
+                .expect("start after finalize")
         });
         for (node, e) in errs.iter().enumerate() {
             assert!(matches!(e, bgp_arch::BgpError::Protocol(_)), "{e}");
             assert!(e.to_string().contains(&format!("node {node}")), "{e}");
         }
         let dumps = CounterLibrary::for_machine(&m).dumps().unwrap();
-        assert!(dumps.iter().all(|d| d.set(2).is_none()), "no dump gained a set");
+        assert!(
+            dumps.iter().all(|d| d.set(2).is_none()),
+            "no dump gained a set"
+        );
     }
 
     #[test]

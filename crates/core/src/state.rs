@@ -46,7 +46,10 @@ fn load_mark(r: &mut Reader<'_>, node: usize, width: usize, what: &str) -> Resul
             totals.len()
         )));
     }
-    let mut mark = MuxMark { totals, ..MuxMark::default() };
+    let mut mark = MuxMark {
+        totals,
+        ..MuxMark::default()
+    };
     for v in mark.occupancy.iter_mut().chain(&mut mark.cycles) {
         *v = r.u64("mark occupancy")?;
     }
@@ -82,11 +85,23 @@ fn load_set(r: &mut Reader<'_>, node: usize, width: usize) -> Result<(u32, SetSt
         t => return Err(BgpError::corrupt(format!("bad start-mark tag {t}"))),
     };
     let window = load_mark(r, node, width, "window")?;
-    Ok((id, SetState { start, window, records }))
+    Ok((
+        id,
+        SetState {
+            start,
+            window,
+            records,
+        },
+    ))
 }
 
 fn save_node(out: &mut Vec<u8>, st: &NodeState) {
-    let arrivals = [st.init_arrivals, st.start_arrivals, st.stop_arrivals, st.finalize_arrivals];
+    let arrivals = [
+        st.init_arrivals,
+        st.start_arrivals,
+        st.stop_arrivals,
+        st.finalize_arrivals,
+    ];
     for n in arrivals {
         put_u64(out, n as u64);
     }
@@ -116,7 +131,11 @@ fn load_node(r: &mut Reader<'_>, node: usize, ranks: usize, width: usize) -> Res
             Err(i) => st.insert_set(i, id, s),
         }
     }
-    let mut open = st.sets.iter().filter(|(_, s)| s.start.is_some()).map(|&(id, _)| id);
+    let mut open = st
+        .sets
+        .iter()
+        .filter(|(_, s)| s.start.is_some())
+        .map(|&(id, _)| id);
     if let (Some(a), Some(b)) = (open.next(), open.next()) {
         return Err(BgpError::corrupt(format!(
             "node {node} holds start marks for sets {a} and {b}; one window at most is open"
@@ -157,7 +176,11 @@ impl AppState for CounterLibrary {
                 "snapshot has {n} counter-library nodes, machine has {machine}"
             )));
         }
-        let width = if self.rotates() { NUM_EVENTS } else { NUM_COUNTERS };
+        let width = if self.rotates() {
+            NUM_EVENTS
+        } else {
+            NUM_COUNTERS
+        };
         let fresh = (0..machine)
             .map(|node| load_node(&mut r, node, self.spec.ranks_on(node), width))
             .collect::<Result<Vec<_>>>()?;
@@ -188,14 +211,21 @@ mod tests {
             let st = &mut nodes[1];
             st.init_arrivals = 2;
             st.start_arrivals = 1;
-            let mut window = MuxMark { totals: vec![9; NUM_COUNTERS], ..MuxMark::default() };
+            let mut window = MuxMark {
+                totals: vec![9; NUM_COUNTERS],
+                ..MuxMark::default()
+            };
             window.totals[17] = u64::MAX;
             let start = MuxMark {
                 totals: vec![2; NUM_COUNTERS],
                 occupancy: [1, 2, 3, 4],
                 cycles: [10, 20, 30, 40],
             };
-            let set = SetState { start: Some(start), window, records: 5 };
+            let set = SetState {
+                start: Some(start),
+                window,
+                records: 5,
+            };
             st.sets.push((7, set));
             // Node 0 finalized (both its ranks did): a closed window, no
             // dump bytes.
@@ -203,8 +233,18 @@ mod tests {
             st.init_arrivals = 2;
             st.finalize_arrivals = 2;
             let totals = (0..NUM_COUNTERS as u64).collect();
-            let window = MuxMark { totals, ..MuxMark::default() };
-            st.sets.push((0, SetState { start: None, window, records: 1 }));
+            let window = MuxMark {
+                totals,
+                ..MuxMark::default()
+            };
+            st.sets.push((
+                0,
+                SetState {
+                    start: None,
+                    window,
+                    records: 1,
+                },
+            ));
         }
         let bytes = lib.save();
         let m2 = Machine::new(spec);
@@ -218,13 +258,17 @@ mod tests {
     fn nodes_of(bytes: &[u8], width: usize) -> Vec<NodeState> {
         let mut r = Reader::new(bytes);
         let n = r.u64("node count").unwrap();
-        (0..n as usize).map(|node| load_node(&mut r, node, 1, width).unwrap()).collect()
+        (0..n as usize)
+            .map(|node| load_node(&mut r, node, 1, width).unwrap())
+            .collect()
     }
 
     /// Every set window of every node in an `app:counters` section.
     fn windows(bytes: &[u8], width: usize) -> Vec<Vec<MuxMark>> {
         let nodes = nodes_of(bytes, width).into_iter();
-        nodes.map(|st| st.sets.into_iter().map(|(_, s)| s.window).collect()).collect()
+        nodes
+            .map(|st| st.sets.into_iter().map(|(_, s)| s.window).collect())
+            .collect()
     }
 
     /// The section holds what memory holds, under every kind of policy:
@@ -237,8 +281,14 @@ mod tests {
     fn marks_and_finalized_windows_are_written_as_held() {
         let policies = [
             CounterPolicy::Fixed(CounterMode::Mode2),
-            CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode3 },
-            CounterPolicy::Multiplexed { first: CounterMode::Mode1, base_dwell: 2 },
+            CounterPolicy::EvenOdd {
+                even: CounterMode::Mode0,
+                odd: CounterMode::Mode3,
+            },
+            CounterPolicy::Multiplexed {
+                first: CounterMode::Mode1,
+                base_dwell: 2,
+            },
         ];
         for policy in policies {
             let mut spec = JobSpec::new(2, OpMode::Smp1);
@@ -292,7 +342,11 @@ mod tests {
             // Finalized: the windows as they were before finalize; only
             // the finalize arrival count distinguishes the two sections.
             assert_eq!(held(&lib), vec![(0, width, true); 2], "{policy:?}");
-            assert_eq!(windows(&finalized, width), windows(&closed, width), "{policy:?}");
+            assert_eq!(
+                windows(&finalized, width),
+                windows(&closed, width),
+                "{policy:?}"
+            );
             assert_eq!(finalized.len(), closed.len(), "{policy:?}: no dump bytes");
 
             let forms = [(&open, (0, 0, false)), (&closed, (0, width, false))];
@@ -325,16 +379,31 @@ mod tests {
             let st = &mut nodes[1];
             st.init_arrivals = 1;
             st.start_arrivals = 1;
-            let start = MuxMark { totals: vec![3; start_width], ..MuxMark::default() };
-            let window = MuxMark { totals: vec![5; window_width], ..MuxMark::default() };
-            st.sets.push((4, SetState { start: Some(start), window, records: 1 }));
+            let start = MuxMark {
+                totals: vec![3; start_width],
+                ..MuxMark::default()
+            };
+            let window = MuxMark {
+                totals: vec![5; window_width],
+                ..MuxMark::default()
+            };
+            st.sets.push((
+                4,
+                SetState {
+                    start: Some(start),
+                    window,
+                    records: 1,
+                },
+            ));
         }
         (lib.save(), CounterLibrary::for_machine(&Machine::new(spec)))
     }
 
     fn assert_refused(bytes: &[u8], victim: &CounterLibrary, want: &str) {
         let before = victim.save();
-        let err = victim.restore(bytes).expect_err("a mark of the wrong width restored");
+        let err = victim
+            .restore(bytes)
+            .expect_err("a mark of the wrong width restored");
         assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains(want), "{err}");
         assert_eq!(victim.save(), before, "a refused restore changes nothing");
@@ -345,7 +414,10 @@ mod tests {
     /// and its dump would then lose the per-mode and schedule sets.
     #[test]
     fn multiplexed_restore_refuses_a_one_mode_window_on_an_open_node() {
-        let policy = CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 2 };
+        let policy = CounterPolicy::Multiplexed {
+            first: CounterMode::Mode0,
+            base_dwell: 2,
+        };
         let (bytes, victim) = section_with_widths(policy, NUM_EVENTS, NUM_COUNTERS);
         assert_refused(&bytes, &victim, "node 1's window holds 256 totals");
         let (bytes, victim) = section_with_widths(policy, NUM_COUNTERS, 0);
@@ -374,15 +446,29 @@ mod tests {
     #[test]
     fn restore_refuses_a_finalized_node_with_an_unclosed_window() {
         let lib = CounterLibrary::for_machine(&Machine::new(JobSpec::new(1, OpMode::Smp1)));
-        let closed = MuxMark { totals: vec![1; NUM_COUNTERS], ..MuxMark::default() };
-        let open = SetState { start: Some(MuxMark::default()), window: closed, records: 1 };
+        let closed = MuxMark {
+            totals: vec![1; NUM_COUNTERS],
+            ..MuxMark::default()
+        };
+        let open = SetState {
+            start: Some(MuxMark::default()),
+            window: closed,
+            records: 1,
+        };
         for set in [SetState::default(), open] {
-            let st =
-                NodeState { finalize_arrivals: 1, sets: vec![(2, set)], ..NodeState::default() };
+            let st = NodeState {
+                finalize_arrivals: 1,
+                sets: vec![(2, set)],
+                ..NodeState::default()
+            };
             let mut bytes = Vec::new();
             put_u64(&mut bytes, 1);
             save_node(&mut bytes, &st);
-            assert_refused(&bytes, &lib, "node 0 finalized with set 2's window never closed");
+            assert_refused(
+                &bytes,
+                &lib,
+                "node 0 finalized with set 2's window never closed",
+            );
         }
     }
 
@@ -392,14 +478,20 @@ mod tests {
     #[test]
     fn restore_refuses_a_node_with_two_start_marks() {
         let lib = CounterLibrary::for_machine(&Machine::new(JobSpec::new(2, OpMode::Smp1)));
-        let open = || SetState { start: Some(MuxMark::default()), ..SetState::default() };
+        let open = || SetState {
+            start: Some(MuxMark::default()),
+            ..SetState::default()
+        };
         let node = |sets| NodeState {
             init_arrivals: 1,
             start_arrivals: 1,
             sets,
             ..NodeState::default()
         };
-        let nodes = [node(vec![(3, open())]), node(vec![(3, open()), (8, open())])];
+        let nodes = [
+            node(vec![(3, open())]),
+            node(vec![(3, open()), (8, open())]),
+        ];
         let mut bytes = Vec::new();
         put_u64(&mut bytes, 2);
         for st in &nodes {
@@ -418,7 +510,10 @@ mod tests {
         let err = lib.restore(&bytes).unwrap_err();
         assert!(matches!(err, BgpError::Corrupt(_)), "{err}");
         let msg = err.to_string();
-        assert!(msg.contains("1099511627776 counter-library nodes, machine has 1"), "{msg}");
+        assert!(
+            msg.contains("1099511627776 counter-library nodes, machine has 1"),
+            "{msg}"
+        );
     }
 
     /// Truncation at any byte boundary must surface as a corrupt-data
@@ -431,7 +526,10 @@ mod tests {
         lib.nodes.lock()[0].sets.push((
             0,
             SetState {
-                window: MuxMark { totals: vec![1; NUM_COUNTERS], ..MuxMark::default() },
+                window: MuxMark {
+                    totals: vec![1; NUM_COUNTERS],
+                    ..MuxMark::default()
+                },
                 records: 1,
                 ..SetState::default()
             },
@@ -458,7 +556,15 @@ mod tests {
             let st = NodeState {
                 sets: ids
                     .iter()
-                    .map(|&id| (id, SetState { records: id, ..SetState::default() }))
+                    .map(|&id| {
+                        (
+                            id,
+                            SetState {
+                                records: id,
+                                ..SetState::default()
+                            },
+                        )
+                    })
                     .collect(),
                 ..NodeState::default()
             };
@@ -471,7 +577,11 @@ mod tests {
         assert_eq!(lib.save(), encode(&[2, 5, 9]));
         let err = lib.restore(&encode(&[4, 7, 4])).unwrap_err();
         assert!(err.to_string().contains("duplicate set 4"), "{err}");
-        assert_eq!(lib.save(), encode(&[2, 5, 9]), "a refused restore changes nothing");
+        assert_eq!(
+            lib.save(),
+            encode(&[2, 5, 9]),
+            "a refused restore changes nothing"
+        );
     }
 
     /// No `BGP_Start` accepts a set id at or above the limit, so a
@@ -481,7 +591,10 @@ mod tests {
         let lib = CounterLibrary::for_machine(&Machine::new(JobSpec::new(1, OpMode::Smp1)));
         let before = lib.save();
         let encode = |id: u32| {
-            let st = NodeState { sets: vec![(id, SetState::default())], ..NodeState::default() };
+            let st = NodeState {
+                sets: vec![(id, SetState::default())],
+                ..NodeState::default()
+            };
             let mut out = Vec::new();
             put_u64(&mut out, 1);
             save_node(&mut out, &st);

@@ -126,11 +126,9 @@ pub enum SupervisorError {
 impl std::fmt::Display for SupervisorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SupervisorError::Fatal { attempts, message } => write!(
-                f,
-                "fatal failure on attempt {}: {message}",
-                attempts.len()
-            ),
+            SupervisorError::Fatal { attempts, message } => {
+                write!(f, "fatal failure on attempt {}: {message}", attempts.len())
+            }
             SupervisorError::RetriesExhausted { attempts } => write!(
                 f,
                 "gave up after {} attempts; last: {}",
@@ -174,12 +172,7 @@ pub trait RunObserver: Sync {
     /// attempt; its atomic phase counter (`Machine::phases`) may be
     /// sampled concurrently, and `Machine::abort_job` may be called to
     /// kill the attempt from outside.
-    fn attempt_started(
-        &self,
-        attempt: u32,
-        resumed_from: Option<u64>,
-        machine: &Arc<Machine>,
-    ) {
+    fn attempt_started(&self, attempt: u32, resumed_from: Option<u64>, machine: &Arc<Machine>) {
         let _ = (attempt, resumed_from, machine);
     }
 
@@ -293,9 +286,7 @@ where
         let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let kernel = &kernel;
             let lib_ref = &library;
-            machine.run(move |ctx| {
-                crate::instrumented_body(Arc::clone(lib_ref), ctx, kernel)
-            })
+            machine.run(move |ctx| crate::instrumented_body(Arc::clone(lib_ref), ctx, kernel))
         }));
         drop(done_tx);
         if let Some(w) = watchdog {
@@ -306,8 +297,16 @@ where
             Ok(results) => {
                 let outcome = AttemptOutcome::Completed;
                 observer.attempt_ended(attempt, &outcome);
-                attempts.push(Attempt { resumed_from, outcome });
-                return Ok(SupervisedRun { results, library, machine, attempts });
+                attempts.push(Attempt {
+                    resumed_from,
+                    outcome,
+                });
+                return Ok(SupervisedRun {
+                    results,
+                    library,
+                    machine,
+                    attempts,
+                });
             }
             Err(payload) => {
                 let fired = watchdog_fired.load(Ordering::SeqCst);
@@ -323,7 +322,10 @@ where
                     watchdog_fired: fired,
                 };
                 observer.attempt_ended(attempt, &outcome);
-                attempts.push(Attempt { resumed_from, outcome });
+                attempts.push(Attempt {
+                    resumed_from,
+                    outcome,
+                });
                 if !retryable {
                     return Err(SupervisorError::Fatal { attempts, message });
                 }
@@ -354,10 +356,7 @@ fn try_resume(machine: &Arc<Machine>, spec: &JobSpec) -> Option<u64> {
             match machine.resume(snap) {
                 Ok(()) => Some(phase),
                 Err(e) => {
-                    eprintln!(
-                        "supervisor: refusing snapshot {}: {e}",
-                        path.display()
-                    );
+                    eprintln!("supervisor: refusing snapshot {}: {e}", path.display());
                     None
                 }
             }
@@ -402,8 +401,7 @@ mod tests {
     }
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir()
-            .join(format!("bgp-sup-{}-{tag}", std::process::id()));
+        let d = std::env::temp_dir().join(format!("bgp-sup-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
@@ -433,7 +431,11 @@ mod tests {
         let run = supervise(&spec(Some(&dir)), &cfg, kernel).expect("recovers");
         assert_eq!(run.attempts.len(), 2, "one kill, one recovery");
         match &run.attempts[0].outcome {
-            AttemptOutcome::Failed { message, retryable, watchdog_fired } => {
+            AttemptOutcome::Failed {
+                message,
+                retryable,
+                watchdog_fired,
+            } => {
                 assert!(message.contains("supervisor watchdog"), "{message}");
                 assert!(retryable);
                 assert!(!watchdog_fired, "injected kill, not the wall watchdog");
@@ -479,7 +481,11 @@ mod tests {
                 assert_eq!(attempts.len(), 2);
                 for a in &attempts {
                     match &a.outcome {
-                        AttemptOutcome::Failed { watchdog_fired, retryable, .. } => {
+                        AttemptOutcome::Failed {
+                            watchdog_fired,
+                            retryable,
+                            ..
+                        } => {
                             assert!(*watchdog_fired && *retryable);
                         }
                         other => panic!("attempt completed: {other:?}"),
@@ -493,8 +499,12 @@ mod tests {
 
     #[test]
     fn classification_table() {
-        assert!(!classify_panic("simulated-cycle budget exceeded: 10 > 1 cycles at phase 64"));
-        assert!(classify_panic("job killed by supervisor watchdog at phase 5 (injected kill point)"));
+        assert!(!classify_panic(
+            "simulated-cycle budget exceeded: 10 > 1 cycles at phase 64"
+        ));
+        assert!(classify_panic(
+            "job killed by supervisor watchdog at phase 5 (injected kill point)"
+        ));
         assert!(classify_panic("MPI deadlock: all live ranks blocked"));
         assert!(classify_panic(bgp_mpi::machine::ABORT_ECHO));
         assert!(!classify_panic("index out of bounds: the len is 3"));

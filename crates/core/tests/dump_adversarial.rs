@@ -46,10 +46,20 @@ fn round_trip_at_every_set_count() {
                 .collect(),
         };
         let bytes = encode(&dump);
-        assert_eq!(bytes.len(), HEADER_BYTES + n_sets as usize * SET_RECORD_BYTES + 8);
-        assert_eq!(decode(&bytes).unwrap(), dump, "strict round trip, {n_sets} sets");
+        assert_eq!(
+            bytes.len(),
+            HEADER_BYTES + n_sets as usize * SET_RECORD_BYTES + 8
+        );
+        assert_eq!(
+            decode(&bytes).unwrap(),
+            dump,
+            "strict round trip, {n_sets} sets"
+        );
         let rec = decode_lenient(&bytes).unwrap();
-        assert!(rec.is_intact(), "lenient sees an intact file, {n_sets} sets");
+        assert!(
+            rec.is_intact(),
+            "lenient sees an intact file, {n_sets} sets"
+        );
         assert_eq!(rec.into_dump(), dump, "lenient round trip, {n_sets} sets");
     }
 }
@@ -67,7 +77,10 @@ fn truncation_at_every_byte_boundary_never_panics() {
             "truncation at {len} gave {err:?}, want Corrupt"
         );
         if let Some(off) = err.context().and_then(|c| c.offset) {
-            assert!(off <= bytes.len() as u64, "offset {off} out of bounds at len {len}");
+            assert!(
+                off <= bytes.len() as u64,
+                "offset {off} out of bounds at len {len}"
+            );
         }
         // Lenient: an unusable header is an error; anything longer
         // salvages exactly the complete, verifying set records.
@@ -111,7 +124,10 @@ fn single_byte_flip_at_every_position_is_caught() {
         );
         let ctx = err.context().expect("corrupt errors carry context");
         if let Some(off) = ctx.offset {
-            assert!(off <= bytes.len() as u64, "offset {off} out of bounds, flip {pos}");
+            assert!(
+                off <= bytes.len() as u64,
+                "offset {off} out of bounds, flip {pos}"
+            );
         }
         // A flip inside a set record is located to that record's start.
         for i in 0..dump.sets.len() {
@@ -121,7 +137,11 @@ fn single_byte_flip_at_every_position_is_caught() {
                     Some(set_start(i) as u64),
                     "flip at {pos} should be pinned to set {i}"
                 );
-                assert_eq!(ctx.node, Some(dump.node), "flip at {pos} should name the node");
+                assert_eq!(
+                    ctx.node,
+                    Some(dump.node),
+                    "flip at {pos} should name the node"
+                );
             }
         }
         // Lenient: no panic; a salvaged set is always bit-exact — a
@@ -129,10 +149,7 @@ fn single_byte_flip_at_every_position_is_caught() {
         match decode_lenient(&bad) {
             Err(_) => {
                 // Only header damage (magic, version, mode) is fatal.
-                assert!(
-                    pos < 13,
-                    "lenient gave up on non-header damage at {pos}"
-                );
+                assert!(pos < 13, "lenient gave up on non-header damage at {pos}");
             }
             Ok(rec) => {
                 assert!(!rec.is_intact(), "flip at {pos} must not look intact");

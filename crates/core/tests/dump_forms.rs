@@ -42,8 +42,20 @@ async fn early_finisher(mut ctx: RankCtx) -> (RankCtx, bool) {
 fn every_dump_form_agrees_under_every_policy() {
     let policies = [
         (CounterPolicy::Fixed(CounterMode::Mode2), 1),
-        (CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode3 }, 1),
-        (CounterPolicy::Multiplexed { first: CounterMode::Mode1, base_dwell: 1 }, 6),
+        (
+            CounterPolicy::EvenOdd {
+                even: CounterMode::Mode0,
+                odd: CounterMode::Mode3,
+            },
+            1,
+        ),
+        (
+            CounterPolicy::Multiplexed {
+                first: CounterMode::Mode1,
+                base_dwell: 1,
+            },
+            6,
+        ),
     ];
     for (k, (policy, n_sets)) in policies.into_iter().enumerate() {
         let mut spec = JobSpec::new(RANKS, OpMode::VirtualNode);
@@ -52,12 +64,14 @@ fn every_dump_form_agrees_under_every_policy() {
         let machine = Machine::new(spec);
         let (ok, lib): (_, std::sync::Arc<CounterLibrary>) =
             run_instrumented(&machine, early_finisher);
-        assert!(ok.iter().all(|&v| v), "{policy:?}: a rank failed its exchange");
+        assert!(
+            ok.iter().all(|&v| v),
+            "{policy:?}: a rank failed its exchange"
+        );
 
         let dumps = lib.dumps().unwrap();
         assert_eq!(dumps.len(), 3, "{policy:?}");
-        let dir = std::env::temp_dir()
-            .join(format!("bgpc_dump_forms_{}_{k}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("bgpc_dump_forms_{}_{k}", std::process::id()));
         lib.write_dumps(&dir).unwrap();
         assert_eq!(read_dumps(&dir).unwrap(), dumps, "{policy:?}: files");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -75,10 +89,22 @@ fn every_dump_form_agrees_under_every_policy() {
         for (i, d) in dumps.iter().enumerate() {
             assert_eq!((d.node as usize, d.sets.len()), (i, n_sets), "{policy:?}");
             let bytes = lib.encoded_dump(i).expect("node finalized");
-            assert_eq!(&dump::decode(&bytes).unwrap(), d, "{policy:?}: node {i} bytes");
-            assert_eq!(bytes.len(), dump::encoded_len(n_sets), "{policy:?}: node {i}");
+            assert_eq!(
+                &dump::decode(&bytes).unwrap(),
+                d,
+                "{policy:?}: node {i} bytes"
+            );
+            assert_eq!(
+                bytes.len(),
+                dump::encoded_len(n_sets),
+                "{policy:?}: node {i}"
+            );
             assert_eq!(events[i].len(), 1, "{policy:?}: node {i} dump events");
-            assert_eq!(events[i][0].1, bytes.len() as u64, "{policy:?}: node {i} event");
+            assert_eq!(
+                events[i][0].1,
+                bytes.len() as u64,
+                "{policy:?}: node {i} event"
+            );
         }
         assert!(
             events[1..].iter().all(|e| e[0].0 > events[0][0].0),

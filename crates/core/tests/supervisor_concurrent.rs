@@ -6,8 +6,7 @@
 
 use bgp_arch::OpMode;
 use bgp_core::supervisor::{
-    supervise, supervise_observed, AttemptOutcome, RunObserver, SupervisorConfig,
-    SupervisorError,
+    supervise, supervise_observed, AttemptOutcome, RunObserver, SupervisorConfig, SupervisorError,
 };
 use bgp_core::{run_instrumented, CounterLibrary};
 use bgp_mpi::machine::CheckpointConfig;
@@ -40,7 +39,10 @@ fn spec(dir: Option<&std::path::Path>) -> JobSpec {
 }
 
 fn fast() -> SupervisorConfig {
-    SupervisorConfig { backoff_base: Duration::ZERO, ..SupervisorConfig::default() }
+    SupervisorConfig {
+        backoff_base: Duration::ZERO,
+        ..SupervisorConfig::default()
+    }
 }
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
@@ -123,7 +125,9 @@ fn mixed_outcomes_are_interleaving_independent() {
                 (Scripted::WatchdogRetry, Ok(run)) => {
                     assert_eq!(run.attempts.len(), 2, "job {i}: one kill, one recovery");
                     match &run.attempts[0].outcome {
-                        AttemptOutcome::Failed { message, retryable, .. } => {
+                        AttemptOutcome::Failed {
+                            message, retryable, ..
+                        } => {
                             assert!(
                                 message.contains("supervisor watchdog"),
                                 "job {i}: {message}"
@@ -165,18 +169,14 @@ struct Recording {
 }
 
 impl RunObserver for Recording {
-    fn attempt_started(
-        &self,
-        attempt: u32,
-        resumed_from: Option<u64>,
-        machine: &Arc<Machine>,
-    ) {
+    fn attempt_started(&self, attempt: u32, resumed_from: Option<u64>, machine: &Arc<Machine>) {
         self.started.lock().unwrap().push((attempt, resumed_from));
         // The hook's contract: the machine's phase counter is safely
         // samplable from outside while the attempt runs.
         let m = Arc::clone(machine);
         let max = self.live_phase_max.load(Ordering::SeqCst);
-        self.live_phase_max.store(max.max(m.phases()), Ordering::SeqCst);
+        self.live_phase_max
+            .store(max.max(m.phases()), Ordering::SeqCst);
     }
 
     fn attempt_ended(&self, attempt: u32, outcome: &AttemptOutcome) {
@@ -199,7 +199,10 @@ fn observer_sees_every_attempt_in_order() {
     assert_eq!(started.len(), 2, "one start per attempt");
     assert_eq!(started[0], (0, None), "first attempt is a cold start");
     assert_eq!(started[1].0, 1);
-    assert!(started[1].1.is_some(), "second attempt resumes from a snapshot");
+    assert!(
+        started[1].1.is_some(),
+        "second attempt resumes from a snapshot"
+    );
     assert_eq!(ended, vec![(0, false), (1, true)]);
     // Dumps are still byte-identical to an unobserved run.
     let reference = {

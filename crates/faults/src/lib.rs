@@ -301,7 +301,9 @@ impl FaultPlan {
         if self.spec.dump_truncate_rate > 0.0
             && unit(self.draw(salt::DUMP, node, 1)) < self.spec.dump_truncate_rate
         {
-            return Some(DumpFault::Truncate { num: self.draw(salt::DUMP, node, 2) });
+            return Some(DumpFault::Truncate {
+                num: self.draw(salt::DUMP, node, 2),
+            });
         }
         if self.spec.dump_byteflip_rate > 0.0
             && unit(self.draw(salt::DUMP, node, 3)) < self.spec.dump_byteflip_rate
@@ -315,7 +317,9 @@ impl FaultPlan {
 
     /// Nodes the plan declares lost, in ascending order.
     pub fn lost_nodes(&self) -> Vec<u32> {
-        (0..self.nodes as u32).filter(|&n| self.node_lost(n)).collect()
+        (0..self.nodes as u32)
+            .filter(|&n| self.node_lost(n))
+            .collect()
     }
 
     /// Human-readable summary of every fault scheduled against `node`
@@ -331,7 +335,10 @@ impl FaultPlan {
             out.push(format!("straggler (+{penalty} cycles/boundary)"));
         }
         if self.router_degraded(node) {
-            out.push(format!("router degraded (x{} hop latency)", self.spec.link_slowdown.max(1)));
+            out.push(format!(
+                "router degraded (x{} hop latency)",
+                self.spec.link_slowdown.max(1)
+            ));
         }
         for f in self.counter_faults(node) {
             match f {
@@ -431,7 +438,10 @@ mod tests {
     fn rates_are_roughly_honored() {
         // 5% node loss over 2000 nodes: expect ~100, accept a wide band.
         let p = FaultPlan::new(
-            FaultSpec { node_loss_rate: 0.05, ..FaultSpec::none() },
+            FaultSpec {
+                node_loss_rate: 0.05,
+                ..FaultSpec::none()
+            },
             7,
             2000,
         );
@@ -442,12 +452,20 @@ mod tests {
     #[test]
     fn raising_one_rate_does_not_reshuffle_another_domain() {
         let a = FaultPlan::new(
-            FaultSpec { node_loss_rate: 0.05, dump_byteflip_rate: 0.0, ..FaultSpec::none() },
+            FaultSpec {
+                node_loss_rate: 0.05,
+                dump_byteflip_rate: 0.0,
+                ..FaultSpec::none()
+            },
             9,
             256,
         );
         let b = FaultPlan::new(
-            FaultSpec { node_loss_rate: 0.05, dump_byteflip_rate: 0.5, ..FaultSpec::none() },
+            FaultSpec {
+                node_loss_rate: 0.05,
+                dump_byteflip_rate: 0.5,
+                ..FaultSpec::none()
+            },
             9,
             256,
         );
@@ -457,12 +475,18 @@ mod tests {
     #[test]
     fn loss_sets_nest_as_rate_rises() {
         let lo = FaultPlan::new(
-            FaultSpec { node_loss_rate: 0.05, ..FaultSpec::none() },
+            FaultSpec {
+                node_loss_rate: 0.05,
+                ..FaultSpec::none()
+            },
             11,
             512,
         );
         let hi = FaultPlan::new(
-            FaultSpec { node_loss_rate: 0.20, ..FaultSpec::none() },
+            FaultSpec {
+                node_loss_rate: 0.20,
+                ..FaultSpec::none()
+            },
             11,
             512,
         );
@@ -475,7 +499,10 @@ mod tests {
     #[test]
     fn timeout_draws_independent_per_attempt() {
         let p = FaultPlan::new(
-            FaultSpec { collection_timeout_rate: 0.5, ..FaultSpec::none() },
+            FaultSpec {
+                collection_timeout_rate: 0.5,
+                ..FaultSpec::none()
+            },
             13,
             1,
         );
@@ -490,21 +517,34 @@ mod tests {
     fn dump_fault_apply() {
         let bytes = vec![0xAAu8; 100];
         assert!(DumpFault::Missing.apply(bytes.clone()).is_none());
-        let t = DumpFault::Truncate { num: 37 }.apply(bytes.clone()).unwrap();
+        let t = DumpFault::Truncate { num: 37 }
+            .apply(bytes.clone())
+            .unwrap();
         assert_eq!(t.len(), 37);
-        let f = DumpFault::ByteFlip { pos: 205, mask: 0x01 }.apply(bytes.clone()).unwrap();
+        let f = DumpFault::ByteFlip {
+            pos: 205,
+            mask: 0x01,
+        }
+        .apply(bytes.clone())
+        .unwrap();
         assert_eq!(f.len(), 100);
         assert_eq!(f[5], 0xAB);
         assert_eq!(f.iter().filter(|&&b| b != 0xAA).count(), 1);
         // Empty input never panics.
-        assert_eq!(DumpFault::Truncate { num: 3 }.apply(Vec::new()).unwrap(), Vec::<u8>::new());
+        assert_eq!(
+            DumpFault::Truncate { num: 3 }.apply(Vec::new()).unwrap(),
+            Vec::<u8>::new()
+        );
     }
 
     #[test]
     fn byteflip_mask_is_never_zero() {
         for seed in 0..50u64 {
             let p = FaultPlan::new(
-                FaultSpec { dump_byteflip_rate: 1.0, ..FaultSpec::none() },
+                FaultSpec {
+                    dump_byteflip_rate: 1.0,
+                    ..FaultSpec::none()
+                },
                 seed,
                 32,
             );

@@ -216,7 +216,10 @@ impl Cache {
         let e0 = set[0];
         if e0 & !FLAG_MASK == target {
             set[0] = target | ((e0 & FLAG_DIRTY) | wflag);
-            return Hit { hit: true, first_prefetch_use: e0 & FLAG_PREFETCHED != 0 };
+            return Hit {
+                hit: true,
+                first_prefetch_use: e0 & FLAG_PREFETCHED != 0,
+            };
         }
         for i in 1..set.len() {
             let e = set[i];
@@ -230,10 +233,16 @@ impl Cache {
                     k -= 1;
                 }
                 set[0] = target | ((e & FLAG_DIRTY) | wflag);
-                return Hit { hit: true, first_prefetch_use: e & FLAG_PREFETCHED != 0 };
+                return Hit {
+                    hit: true,
+                    first_prefetch_use: e & FLAG_PREFETCHED != 0,
+                };
             }
         }
-        Hit { hit: false, first_prefetch_use: false }
+        Hit {
+            hit: false,
+            first_prefetch_use: false,
+        }
     }
 
     /// Probe without disturbing LRU or prefetch state (snoop path).
@@ -246,7 +255,9 @@ impl Cache {
         }
         let base = self.set_of(line) * self.assoc;
         let target = line << ENT_SHIFT;
-        self.ents[base..base + self.assoc].iter().any(|&e| e & !FLAG_MASK == target)
+        self.ents[base..base + self.assoc]
+            .iter()
+            .any(|&e| e & !FLAG_MASK == target)
     }
 
     /// Install `line`, evicting the LRU way if the set is full.
@@ -294,12 +305,17 @@ impl Cache {
     /// eviction `fill` would.
     #[inline]
     pub fn fill_absent(&mut self, line: u64, dirty: bool, prefetched: bool) -> Option<Evicted> {
-        debug_assert!(!self.contains(line), "fill_absent of resident line {line:#x}");
+        debug_assert!(
+            !self.contains(line),
+            "fill_absent of resident line {line:#x}"
+        );
         let base = self.set_of(line) * self.assoc;
         let free = if self.valid as usize == self.ents.len() {
             None
         } else {
-            self.ents[base..base + self.assoc].iter().position(|&e| e == INVALID)
+            self.ents[base..base + self.assoc]
+                .iter()
+                .position(|&e| e == INVALID)
         };
         self.install(base, free, line, dirty, prefetched)
     }
@@ -324,7 +340,13 @@ impl Cache {
             Some(i) => (i, None),
             None => {
                 let victim = set[last];
-                (last, Some(Evicted { line: victim >> ENT_SHIFT, dirty: victim & FLAG_DIRTY != 0 }))
+                (
+                    last,
+                    Some(Evicted {
+                        line: victim >> ENT_SHIFT,
+                        dirty: victim & FLAG_DIRTY != 0,
+                    }),
+                )
             }
         };
         // Usually a whole-set shift (the LRU way is evicted), where one
@@ -385,7 +407,10 @@ impl Cache {
 
     /// The resident lines, in way-array order (O(capacity)).
     pub(crate) fn lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ents.iter().filter(|&&e| e != INVALID).map(|&e| e >> ENT_SHIFT)
+        self.ents
+            .iter()
+            .filter(|&&e| e != INVALID)
+            .map(|&e| e >> ENT_SHIFT)
     }
 
     /// Serialize the cache's runtime state (checkpoint support).
@@ -473,9 +498,21 @@ mod tests {
         c.fill(7, false, false);
         assert!(c.mark_dirty(7));
         let ev = c.fill(8, false, false).unwrap();
-        assert_eq!(ev, Evicted { line: 7, dirty: true });
+        assert_eq!(
+            ev,
+            Evicted {
+                line: 7,
+                dirty: true
+            }
+        );
         let ev2 = c.fill(9, false, false).unwrap();
-        assert_eq!(ev2, Evicted { line: 8, dirty: false });
+        assert_eq!(
+            ev2,
+            Evicted {
+                line: 8,
+                dirty: false
+            }
+        );
     }
 
     #[test]
@@ -572,7 +609,9 @@ mod tests {
 
         // Geometry mismatch fails closed.
         let mut wrong = Cache::new(8, 2);
-        assert!(wrong.restore_state(&mut bgp_arch::wire::Reader::new(&bytes)).is_err());
+        assert!(wrong
+            .restore_state(&mut bgp_arch::wire::Reader::new(&bytes))
+            .is_err());
     }
 
     /// A cache writes its `sets × ways` entries, empty or not, and
@@ -592,12 +631,23 @@ mod tests {
         for n in [0usize, 1, 15, 17, 32] {
             let mut image = Vec::new();
             bgp_arch::wire::put_u64s(&mut image, &vec![INVALID; n]);
-            let err = target.restore_state(&mut bgp_arch::wire::Reader::new(&image)).unwrap_err();
+            let err = target
+                .restore_state(&mut bgp_arch::wire::Reader::new(&image))
+                .unwrap_err();
             assert!(matches!(err, bgp_arch::BgpError::Corrupt(_)), "{err}");
-            assert!(err.to_string().contains(&format!("snapshot has {n} entries")), "{err}");
-            assert!(target.contains(5) && target.valid == 1, "a refused image changes nothing");
+            assert!(
+                err.to_string()
+                    .contains(&format!("snapshot has {n} entries")),
+                "{err}"
+            );
+            assert!(
+                target.contains(5) && target.valid == 1,
+                "a refused image changes nothing"
+            );
         }
-        target.restore_state(&mut bgp_arch::wire::Reader::new(&bytes)).unwrap();
+        target
+            .restore_state(&mut bgp_arch::wire::Reader::new(&bytes))
+            .unwrap();
         assert!(!target.contains(5));
         assert_eq!((target.valid, target.filt.clone()), (0, empty.filt.clone()));
     }
@@ -621,7 +671,8 @@ mod tests {
                     1 => {
                         let mut bytes = Vec::new();
                         b.save_state(&mut bytes);
-                        b.restore_state(&mut bgp_arch::wire::Reader::new(&bytes)).unwrap();
+                        b.restore_state(&mut bgp_arch::wire::Reader::new(&bytes))
+                            .unwrap();
                     }
                     2..=5 => assert_eq!(a.invalidate(line), b.invalidate(line)),
                     _ => {
@@ -636,7 +687,11 @@ mod tests {
                     }
                 }
                 for c in [&a, &b] {
-                    assert_eq!(c.valid as usize, c.resident_lines(), "case {case} step {step}");
+                    assert_eq!(
+                        c.valid as usize,
+                        c.resident_lines(),
+                        "case {case} step {step}"
+                    );
                 }
                 assert_eq!(a.ents, b.ents, "case {case} step {step}: entries");
                 assert_eq!(a.filt, b.filt, "case {case} step {step}: filter");
@@ -652,7 +707,13 @@ mod tests {
         }
         assert_eq!(c.valid, 4);
         // Full: the victim is the last (LRU) way of the set.
-        assert_eq!(c.fill_absent(5, false, false), Some(Evicted { line: 1, dirty: true }));
+        assert_eq!(
+            c.fill_absent(5, false, false),
+            Some(Evicted {
+                line: 1,
+                dirty: true
+            })
+        );
         assert_eq!(c.valid, 4);
         // An invalidation frees a way, which the next fill takes.
         c.invalidate(0);

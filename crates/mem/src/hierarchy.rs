@@ -176,7 +176,10 @@ impl MemStats {
     ///
     /// # Errors
     /// [`bgp_arch::BgpError::Corrupt`] on truncated input.
-    pub fn restore_state(&mut self, r: &mut bgp_arch::wire::Reader<'_>) -> bgp_arch::error::Result<()> {
+    pub fn restore_state(
+        &mut self,
+        r: &mut bgp_arch::wire::Reader<'_>,
+    ) -> bgp_arch::error::Result<()> {
         self.l1d_hits = r.u64("l1d hits")?;
         self.l1d_misses = r.u64("l1d misses")?;
         self.l1d_writebacks = r.u64("l1d writebacks")?;
@@ -286,10 +289,22 @@ impl WalkCounts {
             (SharedEvent::L3Hit0, SharedEvent::L3Hit1, self.l3_hit),
             (SharedEvent::L3Miss0, SharedEvent::L3Miss1, self.l3_miss),
             (SharedEvent::L3Alloc0, SharedEvent::L3Alloc1, self.l3_alloc),
-            (SharedEvent::L3Writeback0, SharedEvent::L3Writeback1, self.l3_writeback),
+            (
+                SharedEvent::L3Writeback0,
+                SharedEvent::L3Writeback1,
+                self.l3_writeback,
+            ),
             (SharedEvent::DdrRead0, SharedEvent::DdrRead1, self.ddr_read),
-            (SharedEvent::DdrWrite0, SharedEvent::DdrWrite1, self.ddr_write),
-            (SharedEvent::DdrConflict0, SharedEvent::DdrConflict1, self.ddr_conflict),
+            (
+                SharedEvent::DdrWrite0,
+                SharedEvent::DdrWrite1,
+                self.ddr_write,
+            ),
+            (
+                SharedEvent::DdrConflict0,
+                SharedEvent::DdrConflict1,
+                self.ddr_conflict,
+            ),
         ];
         for (ev0, ev1, n) in shared_events {
             if n[0] > 0 {
@@ -379,8 +394,13 @@ impl MemorySystem {
     /// Callers with more than one access in hand should prefer
     /// [`MemorySystem::access_batch`], which amortizes the walk.
     pub fn access(&mut self, core: usize, addr: u64, write: bool, upc: &mut Upc) -> Outcome {
-        let mut outcome = Outcome { stall: 0, level: HitLevel::L1 };
-        self.batch_walk(core, &[MemAccess { addr, write }], upc, &mut |o| outcome = o);
+        let mut outcome = Outcome {
+            stall: 0,
+            level: HitLevel::L1,
+        };
+        self.batch_walk(core, &[MemAccess { addr, write }], upc, &mut |o| {
+            outcome = o
+        });
         outcome
     }
 
@@ -453,7 +473,10 @@ impl MemorySystem {
             if h.hit {
                 self.stats.l1d_hits += 1;
                 wc.l1d_hit += 1;
-                sink(Outcome { stall: 0, level: HitLevel::L1 });
+                sink(Outcome {
+                    stall: 0,
+                    level: HitLevel::L1,
+                });
             } else {
                 self.stats.l1d_misses += 1;
                 wc.l1d_miss += 1;
@@ -488,7 +511,10 @@ impl MemorySystem {
                     self.l1d[core].mark_dirty(l1_line);
                 }
                 for _ in 0..k {
-                    sink(Outcome { stall: 0, level: HitLevel::L1 });
+                    sink(Outcome {
+                        stall: 0,
+                        level: HitLevel::L1,
+                    });
                 }
             }
             i = j;
@@ -568,7 +594,14 @@ impl MemorySystem {
         self.fill_l2(core, line, false, wc);
         self.issue_prefetches(core, &d.prefetch_lines, wc);
         self.pf_scratch = d;
-        (stall, if from_ddr { HitLevel::Ddr } else { HitLevel::L3 })
+        (
+            stall,
+            if from_ddr {
+                HitLevel::Ddr
+            } else {
+                HitLevel::L3
+            },
+        )
     }
 
     fn issue_prefetches(&mut self, core: usize, lines: &[u64], wc: &mut WalkCounts) {
@@ -633,7 +666,14 @@ impl MemorySystem {
         self.l3_install(core, bank, bline, true, wc);
     }
 
-    fn l3_install(&mut self, core: usize, bank: usize, bline: u64, dirty: bool, wc: &mut WalkCounts) {
+    fn l3_install(
+        &mut self,
+        core: usize,
+        bank: usize,
+        bline: u64,
+        dirty: bool,
+        wc: &mut WalkCounts,
+    ) {
         wc.l3_alloc[bank & 1] += 1;
         if let Some(ev) = self.l3[bank].fill_absent(bline, dirty, false) {
             if ev.dirty {
@@ -740,7 +780,10 @@ impl MemorySystem {
     /// # Errors
     /// [`bgp_arch::BgpError::Corrupt`] on truncated input or a geometry
     /// mismatch between the snapshot and this system's configuration.
-    pub fn restore_state(&mut self, r: &mut bgp_arch::wire::Reader<'_>) -> bgp_arch::error::Result<()> {
+    pub fn restore_state(
+        &mut self,
+        r: &mut bgp_arch::wire::Reader<'_>,
+    ) -> bgp_arch::error::Result<()> {
         for c in self.l1d.iter_mut().chain(&mut self.l1i).chain(&mut self.l2) {
             c.restore_state(r)?;
         }
@@ -770,7 +813,6 @@ impl MemorySystem {
         Ok(())
     }
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -835,7 +877,11 @@ mod tests {
 
     #[test]
     fn no_l3_config_routes_misses_to_ddr() {
-        let cfg = MachineConfig { l3_bytes: 0, l2_prefetch_depth: 0, ..MachineConfig::default() };
+        let cfg = MachineConfig {
+            l3_bytes: 0,
+            l2_prefetch_depth: 0,
+            ..MachineConfig::default()
+        };
         let (mut m, mut upc) = sys(cfg);
         m.access(0, 0, false, &mut upc);
         assert_eq!(m.stats().ddr_reads, 1);
@@ -859,21 +905,30 @@ mod tests {
         for i in 4096..8192u64 {
             m.access(0, i * 32, true, &mut upc);
         }
-        assert!(m.stats().ddr_writes > 0, "dirty data must eventually burst to DDR");
+        assert!(
+            m.stats().ddr_writes > 0,
+            "dirty data must eventually burst to DDR"
+        );
         assert!(m.stats().l3_writebacks > 0);
         assert!(m.stats().l1d_writebacks > 0);
     }
 
     #[test]
     fn sequential_walk_triggers_prefetching_and_prefetch_hits() {
-        let cfg = MachineConfig { l2_prefetch_depth: 2, ..small_cfg() };
+        let cfg = MachineConfig {
+            l2_prefetch_depth: 2,
+            ..small_cfg()
+        };
         let (mut m, mut upc) = sys(cfg);
         for i in 0..64u64 {
             m.access(0, i * 128, false, &mut upc);
         }
         let s = m.stats();
         assert!(s.l2_prefetches_issued > 0, "stream detector must engage");
-        assert!(s.l2_prefetch_hits > 0, "demand stream must catch prefetched lines");
+        assert!(
+            s.l2_prefetch_hits > 0,
+            "demand stream must catch prefetched lines"
+        );
         // Prefetching converts most L2 misses into prefetch hits.
         assert!(s.l2_prefetch_hits + 4 >= s.l2_misses, "stats: {s:?}");
     }
@@ -881,7 +936,10 @@ mod tests {
     #[test]
     fn prefetch_reduces_stall_cycles_on_streams() {
         let run = |depth: usize| {
-            let cfg = MachineConfig { l2_prefetch_depth: depth, ..small_cfg() };
+            let cfg = MachineConfig {
+                l2_prefetch_depth: depth,
+                ..small_cfg()
+            };
             let (mut m, mut upc) = sys(cfg);
             let mut stall = 0;
             for i in 0..512u64 {
@@ -889,7 +947,10 @@ mod tests {
             }
             stall
         };
-        assert!(run(4) < run(0), "prefetching must hide miss latency on streams");
+        assert!(
+            run(4) < run(0),
+            "prefetching must hide miss latency on streams"
+        );
     }
 
     #[test]
@@ -952,21 +1013,31 @@ mod tests {
         let trace: Vec<u64> = (0..20_000u64).map(|i| (i * 7919) % 100_000 * 32).collect();
         let mut last = u64::MAX;
         for mb in [0usize, 2, 4, 8] {
-            let cfg = MachineConfig { l2_prefetch_depth: 0, ..MachineConfig::default() }
-                .with_l3_bytes(mb << 20);
+            let cfg = MachineConfig {
+                l2_prefetch_depth: 0,
+                ..MachineConfig::default()
+            }
+            .with_l3_bytes(mb << 20);
             let (mut m, mut upc) = sys(cfg);
             for &a in &trace {
                 m.access(0, a, false, &mut upc);
             }
             let to_ddr = m.stats().ddr_reads;
-            assert!(to_ddr <= last, "{mb} MB L3 raised DDR reads: {to_ddr} > {last}");
+            assert!(
+                to_ddr <= last,
+                "{mb} MB L3 raised DDR reads: {to_ddr} > {last}"
+            );
             last = to_ddr;
         }
     }
 
     #[test]
     fn ddr_traffic_metric_counts_both_directions() {
-        let s = MemStats { ddr_reads: 10, ddr_writes: 5, ..MemStats::default() };
+        let s = MemStats {
+            ddr_reads: 10,
+            ddr_writes: 5,
+            ..MemStats::default()
+        };
         assert_eq!(s.ddr_traffic_bytes(), 15 * 128);
     }
 
@@ -975,7 +1046,10 @@ mod tests {
         // Run a mixed workload, snapshot mid-stream, continue both the
         // original and a restored copy with the same access tail: stats
         // and a re-snapshot must agree exactly.
-        let cfg = MachineConfig { l2_prefetch_depth: 2, ..small_cfg() };
+        let cfg = MachineConfig {
+            l2_prefetch_depth: 2,
+            ..small_cfg()
+        };
         let (mut m, mut upc) = sys(cfg.clone());
         for i in 0..4000u64 {
             let core = (i % 4) as usize;
@@ -1009,7 +1083,10 @@ mod tests {
         let (m, _) = sys(small_cfg());
         let mut bytes = Vec::new();
         m.save_state(&mut bytes);
-        let other = MachineConfig { l3_bytes: 0, ..small_cfg() };
+        let other = MachineConfig {
+            l3_bytes: 0,
+            ..small_cfg()
+        };
         let (mut target, _) = sys(other);
         let mut r = bgp_arch::wire::Reader::new(&bytes);
         assert!(target.restore_state(&mut r).is_err() || r.expect_end("mem").is_err());

@@ -87,9 +87,11 @@ impl StreamPrefetcher {
 
         // An existing stream predicted this line (the prefetch may have
         // been evicted before use — still treat as stream progress).
-        if let Some(s) = self.streams.iter_mut().find(|s| {
-            line >= s.expect && line < s.prefetched_to.max(s.expect + 1)
-        }) {
+        if let Some(s) = self
+            .streams
+            .iter_mut()
+            .find(|s| line >= s.expect && line < s.prefetched_to.max(s.expect + 1))
+        {
             s.expect = line + 1;
             s.stamp = clock;
             let target = line + 1 + self.depth as u64;
@@ -106,9 +108,14 @@ impl StreamPrefetcher {
             let until = first + self.depth as u64;
             out.prefetch_lines.extend(first..until);
             out.allocated_stream = true;
-            let s = Stream { expect: first, prefetched_to: until, stamp: clock };
+            let s = Stream {
+                expect: first,
+                prefetched_to: until,
+                stamp: clock,
+            };
             if self.streams.len() < self.max_streams {
-                self.streams.reserve_exact(self.max_streams - self.streams.len());
+                self.streams
+                    .reserve_exact(self.max_streams - self.streams.len());
                 self.streams.push(s);
             } else {
                 // Replace the least recently used engine.

@@ -43,7 +43,10 @@ fn random_stream(seed: u64, n: usize) -> Vec<MemAccess> {
         .map(|_| {
             let r = rng.next();
             // 1 MB footprint, 8-byte aligned, ~25 % stores.
-            MemAccess { addr: ((r >> 8) % (1 << 20)) & !7, write: r & 3 == 0 }
+            MemAccess {
+                addr: ((r >> 8) % (1 << 20)) & !7,
+                write: r & 3 == 0,
+            }
         })
         .collect()
 }
@@ -58,7 +61,10 @@ fn stride_stream(n: usize) -> Vec<MemAccess> {
         let base = pass as u64 * (1 << 21);
         let write = pass % 2 == 1;
         for i in 0..n as u64 / 5 {
-            v.push(MemAccess { addr: base + i * stride, write });
+            v.push(MemAccess {
+                addr: base + i * stride,
+                write,
+            });
         }
     }
     v
@@ -71,8 +77,14 @@ fn chase_stream(seed: u64, n: usize) -> Vec<MemAccess> {
     let mut x = seed % slots;
     (0..n)
         .map(|i| {
-            x = (x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)) % slots;
-            MemAccess { addr: x * 8, write: i % 7 == 0 }
+            x = (x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407))
+                % slots;
+            MemAccess {
+                addr: x * 8,
+                write: i % 7 == 0,
+            }
         })
         .collect()
 }
@@ -104,8 +116,14 @@ fn assert_differential(cfg: &MachineConfig, mode: CounterMode, stream: &[MemAcce
         batch_sys.stats(),
         "MemStats diverged (chunk {chunk})"
     );
-    assert_eq!(scalar_stall, batch_stall, "total stall diverged (chunk {chunk})");
-    assert_eq!(scalar_out, batch_out, "per-access outcome sequence diverged (chunk {chunk})");
+    assert_eq!(
+        scalar_stall, batch_stall,
+        "total stall diverged (chunk {chunk})"
+    );
+    assert_eq!(
+        scalar_out, batch_out,
+        "per-access outcome sequence diverged (chunk {chunk})"
+    );
     assert_eq!(
         scalar_upc.snapshot(),
         batch_upc.snapshot(),
@@ -117,7 +135,10 @@ fn configs() -> Vec<MachineConfig> {
     vec![
         MachineConfig::default(),
         // Prefetching off: the pure demand path.
-        MachineConfig { l2_prefetch_depth: 0, ..MachineConfig::default() },
+        MachineConfig {
+            l2_prefetch_depth: 0,
+            ..MachineConfig::default()
+        },
         // Tiny caches force heavy eviction/write-back traffic.
         MachineConfig {
             l2_streams: 4,
@@ -126,7 +147,10 @@ fn configs() -> Vec<MachineConfig> {
             ..MachineConfig::default()
         },
         // No L3: every L2 miss goes straight to a DDR controller.
-        MachineConfig { l3_bytes: 0, ..MachineConfig::default() },
+        MachineConfig {
+            l3_bytes: 0,
+            ..MachineConfig::default()
+        },
         // Non-power-of-two L3 (6 MB, 3072 sets/bank): the modulo bank path.
         MachineConfig::default().with_l3_bytes(6 << 20),
     ]
@@ -168,7 +192,11 @@ fn pointer_chase_streams_are_batch_invariant() {
 fn shared_event_counters_are_batch_invariant() {
     // Mode 2 observes the L3/DDR/snoop shared events, the coalescing-
     // sensitive side the core-event runs above cannot see.
-    let cfg = MachineConfig { l3_bytes: 64 << 10, l3_ways: 4, ..MachineConfig::default() };
+    let cfg = MachineConfig {
+        l3_bytes: 64 << 10,
+        l3_ways: 4,
+        ..MachineConfig::default()
+    };
     let stream = random_stream(0xFEED, 30_000);
     for chunk in [1usize, 29, 2048] {
         assert_differential(&cfg, CounterMode::Mode2, &stream, chunk);
@@ -180,7 +208,10 @@ fn multi_core_interleaved_batches_match_scalar() {
     // Snoop coherence across cores: interleave per-core batches in the
     // same order the scalar loop interleaves individual accesses, with
     // overlapping footprints so write snoops actually invalidate.
-    let cfg = MachineConfig { l2_prefetch_depth: 0, ..MachineConfig::default() };
+    let cfg = MachineConfig {
+        l2_prefetch_depth: 0,
+        ..MachineConfig::default()
+    };
     let mut scalar_sys = MemorySystem::new(&cfg);
     let mut batch_sys = MemorySystem::new(&cfg);
     let mut scalar_upc = upc(CounterMode::Mode2);
@@ -194,7 +225,10 @@ fn multi_core_interleaved_batches_match_scalar() {
             let accs: Vec<MemAccess> = (0..64)
                 .map(|_| {
                     let r = rng.next();
-                    MemAccess { addr: ((r >> 5) % (64 << 10)) & !7, write: r & 1 == 0 }
+                    MemAccess {
+                        addr: ((r >> 5) % (64 << 10)) & !7,
+                        write: r & 1 == 0,
+                    }
                 })
                 .collect();
             (core, accs)
@@ -205,7 +239,9 @@ fn multi_core_interleaved_batches_match_scalar() {
     let mut batch_stall = 0u64;
     for (core, accs) in &slices {
         for a in accs {
-            scalar_stall += scalar_sys.access(*core, a.addr, a.write, &mut scalar_upc).stall;
+            scalar_stall += scalar_sys
+                .access(*core, a.addr, a.write, &mut scalar_upc)
+                .stall;
         }
         batch_stall += batch_sys.access_batch(*core, accs, &mut batch_upc);
     }
@@ -220,10 +256,17 @@ fn same_line_runs_collapse_to_one_walk() {
     // (4 accesses per 32-byte line) must produce exactly one L1 probe
     // outcome pattern — miss, hit, hit, hit — per line, and the run tail
     // must still mark write-runs dirty (visible as L1 write-backs later).
-    let cfg = MachineConfig { l2_prefetch_depth: 0, ..MachineConfig::default() };
+    let cfg = MachineConfig {
+        l2_prefetch_depth: 0,
+        ..MachineConfig::default()
+    };
     let (mut m, mut u) = (MemorySystem::new(&cfg), upc(CounterMode::Mode0));
-    let batch: Vec<MemAccess> =
-        (0..256u64).map(|i| MemAccess { addr: i * 8, write: i % 4 != 0 }).collect();
+    let batch: Vec<MemAccess> = (0..256u64)
+        .map(|i| MemAccess {
+            addr: i * 8,
+            write: i % 4 != 0,
+        })
+        .collect();
     let mut out = Vec::new();
     m.access_batch_outcomes(0, &batch, &mut u, &mut out);
     assert_eq!(m.stats().l1d_misses, 64, "one miss per 32-byte line");
@@ -234,6 +277,10 @@ fn same_line_runs_collapse_to_one_walk() {
     for i in 0..4096u64 {
         m.access(0, (1 << 20) + i * 32, false, &mut u);
     }
-    assert_eq!(m.stats().l1d_writebacks, 64, "run-tail writes must dirty their lines");
+    assert_eq!(
+        m.stats().l1d_writebacks,
+        64,
+        "run-tail writes must dirty their lines"
+    );
     assert_eq!(out.len(), 256);
 }

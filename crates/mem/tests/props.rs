@@ -19,7 +19,11 @@ fn upc() -> Upc {
 }
 
 fn small_cfg() -> MachineConfig {
-    MachineConfig { l3_bytes: 64 << 10, l3_ways: 4, ..MachineConfig::default() }
+    MachineConfig {
+        l3_bytes: 64 << 10,
+        l3_ways: 4,
+        ..MachineConfig::default()
+    }
 }
 
 /// Level accounting is conservative: every L1 miss is absorbed by
@@ -31,9 +35,18 @@ fn miss_flow_conservation() {
     for case in 0..CASES {
         let len = rng.gen_range(1usize..800);
         let trace: Vec<(u64, bool, usize)> = (0..len)
-            .map(|_| (rng.gen_range(0u64..100_000), rng.gen_bool(0.5), rng.gen_range(0usize..4)))
+            .map(|_| {
+                (
+                    rng.gen_range(0u64..100_000),
+                    rng.gen_bool(0.5),
+                    rng.gen_range(0usize..4),
+                )
+            })
             .collect();
-        let cfg = MachineConfig { l2_prefetch_depth: 0, ..small_cfg() };
+        let cfg = MachineConfig {
+            l2_prefetch_depth: 0,
+            ..small_cfg()
+        };
         let mut m = MemorySystem::new(&cfg);
         let mut u = upc();
         for &(addr, write, core) in &trace {
@@ -58,7 +71,10 @@ fn prefetch_accounting() {
         let streams: Vec<(u64, u64)> = (0..n_streams)
             .map(|_| (rng.gen_range(0u64..64), rng.gen_range(1u64..64)))
             .collect();
-        let cfg = MachineConfig { l2_prefetch_depth: 2, ..small_cfg() };
+        let cfg = MachineConfig {
+            l2_prefetch_depth: 2,
+            ..small_cfg()
+        };
         let mut m = MemorySystem::new(&cfg);
         let mut u = upc();
         for &(start, len) in &streams {
@@ -95,7 +111,7 @@ fn single_writer_coherence() {
             let addr = a * 128 + 0x100_0000;
             m.access(0, addr, false, &mut u); // core 0 caches it
             m.access(1, addr, true, &mut u); // core 1 takes ownership
-            // Core 0 must re-miss on its next touch of that line.
+                                             // Core 0 must re-miss on its next touch of that line.
             let before = m.stats().l1d_misses;
             m.access(0, addr, false, &mut u);
             assert_eq!(m.stats().l1d_misses, before + 1, "case {case}, line {a}");
@@ -135,7 +151,10 @@ fn prefetcher_targets_are_ahead() {
             let line = start + i;
             let d = p.on_miss(line);
             for &t in &d.prefetch_lines {
-                assert!(t > line, "case {case}: prefetch {t} not ahead of miss {line}");
+                assert!(
+                    t > line,
+                    "case {case}: prefetch {t} not ahead of miss {line}"
+                );
             }
         }
     }

@@ -167,9 +167,13 @@ fn restore_mid_stream_matches_the_uninterrupted_run() {
     // boundary, then every core walks a shared range.
     let (mut tail_u, mut restored_u) = (upc(), upc());
     let mut tail: Vec<(usize, u64, bool)> = (n..n + 2).map(|l| (1, l * 128, true)).collect();
-    tail.extend(
-        (0..1_500u64).map(|i| ((i % 4) as usize, (n - 4) * 128 + (i * 40) % 4096, i % 3 == 0)),
-    );
+    tail.extend((0..1_500u64).map(|i| {
+        (
+            (i % 4) as usize,
+            (n - 4) * 128 + (i * 40) % 4096,
+            i % 3 == 0,
+        )
+    }));
     for &(core, addr, write) in &tail {
         let a = m.access(core, addr, write, &mut tail_u);
         let b = restored.access(core, addr, write, &mut restored_u);
@@ -178,5 +182,8 @@ fn restore_mid_stream_matches_the_uninterrupted_run() {
     assert_eq!(restored.stats(), m.stats());
     assert_eq!(restored_u.snapshot(), tail_u.snapshot());
     assert_eq!(state(&restored), state(&m));
-    assert!(snoops(&tail_u).1 >= 1, "core 0's prefetched copy must be invalidated");
+    assert!(
+        snoops(&tail_u).1 >= 1,
+        "core 0's prefetched copy must be invalidated"
+    );
 }

@@ -235,7 +235,10 @@ impl RankCtx {
     /// Panics if `t` exceeds the operating mode's threads per process.
     pub fn set_thread(&mut self, t: usize) {
         let threads = self.threads();
-        assert!(t < threads, "thread {t} out of range: mode allows {threads} threads/process");
+        assert!(
+            t < threads,
+            "thread {t} out of range: mode allows {threads} threads/process"
+        );
         if t != self.active_thread {
             // Queued ops belong to the *outgoing* thread's core.
             self.flush_pending();
@@ -359,9 +362,7 @@ impl RankCtx {
                 match *op {
                     CpuOp::Fp { op, n } => node.fp_op(core, op, n),
                     CpuOp::Int { n } => node.int_op(core, n),
-                    CpuOp::Branch { n, mispredicted } => {
-                        node.branch_op(core, n, mispredicted)
-                    }
+                    CpuOp::Branch { n, mispredicted } => node.branch_op(core, n, mispredicted),
                 }
             }
         });
@@ -387,7 +388,10 @@ impl RankCtx {
                 }
                 (
                     CpuOp::Branch { n, mispredicted },
-                    CpuOp::Branch { n: m, mispredicted: mm },
+                    CpuOp::Branch {
+                        n: m,
+                        mispredicted: mm,
+                    },
                 ) => {
                     *n += m;
                     *mispredicted += mm;
@@ -468,7 +472,12 @@ impl RankCtx {
         let mut slot = self.machine.trace_window(self.rank);
         let w = &mut slot.live;
         w.windows += 1;
-        let cfg = self.machine.spec().trace.as_ref().expect("tracing implies a trace config");
+        let cfg = self
+            .machine
+            .spec()
+            .trace
+            .as_ref()
+            .expect("tracing implies a trace config");
         if cfg.sample_every == 0 || !w.windows.is_multiple_of(cfg.sample_every) {
             return;
         }
@@ -548,7 +557,9 @@ impl RankCtx {
             },
             "rank parked with unretired pending ops"
         );
-        self.trace_event(EventKind::RankPark { wait: wait_kind(wait) });
+        self.trace_event(EventKind::RankPark {
+            wait: wait_kind(wait),
+        });
         if self.tracing && !self.replay && self.machine.spec().checkpoint.is_some() {
             // A checkpoint capture may run while this rank is parked.
             let mut slot = self.machine.trace_window(self.rank);
@@ -591,7 +602,13 @@ impl RankCtx {
     /// One access of `width` at `vaddr`, to be awaited.
     #[inline]
     fn access(&mut self, vaddr: u64, width: MemWidth, write: bool) -> Access<'_> {
-        Access { ctx: self, vaddr, width, write, boundary: None }
+        Access {
+            ctx: self,
+            vaddr,
+            width,
+            write,
+            boundary: None,
+        }
     }
 
     /// Count one access against the scheduling quantum; `true` when it
@@ -618,11 +635,19 @@ impl RankCtx {
             return;
         }
         let p = self.pending.get_mut();
-        p.mem.push(MemOp { vaddr, width, write });
+        p.mem.push(MemOp {
+            vaddr,
+            width,
+            write,
+        });
         if redundant {
             // Spill/reload pair of a register-starved build: reload
             // the same datum (an extra issued load, usually L1-hot).
-            p.mem.push(MemOp { vaddr, width: MemWidth::Double, write: false });
+            p.mem.push(MemOp {
+                vaddr,
+                width: MemWidth::Double,
+                write: false,
+            });
         }
     }
 
@@ -662,11 +687,7 @@ impl RankCtx {
 
     /// Charge sequential stores to `v[r]`; the caller writes the values
     /// through [`SimVec::raw_mut`] (or already has).
-    pub async fn st_range<T: SimElem>(
-        &mut self,
-        v: &mut SimVec<T>,
-        r: core::ops::Range<usize>,
-    ) {
+    pub async fn st_range<T: SimElem>(&mut self, v: &mut SimVec<T>, r: core::ops::Range<usize>) {
         for i in r {
             self.access(v.addr(i), T::WIDTH, true).await;
         }
@@ -830,7 +851,10 @@ impl RankCtx {
             // must flow; its injection cost and timestamp are not.
             0
         } else {
-            let cost = self.machine.torus.transfer(self.place.node, dst_node, bytes);
+            let cost = self
+                .machine
+                .torus
+                .transfer(self.place.node, dst_node, bytes);
             let overhead = self.machine.spec().mpi.send_overhead;
             let core = self.core();
             self.with_node(|n| {
@@ -854,7 +878,11 @@ impl RankCtx {
             self.machine.trace.record_rank(
                 self.rank,
                 sent_at,
-                EventKind::MsgSend { dst: dst as u32, tag, bytes },
+                EventKind::MsgSend {
+                    dst: dst as u32,
+                    tag,
+                    bytes,
+                },
             );
         }
         self.yield_now().await;
@@ -933,13 +961,11 @@ impl RankCtx {
 
     /// Reduce `data` to `root` with `op`; only the root receives the
     /// combined payload.
-    pub async fn reduce(
-        &mut self,
-        root: usize,
-        op: ReduceOp,
-        data: Payload,
-    ) -> Option<Payload> {
-        match self.collective(CollKind::Reduce { root, op }, Contrib::Bytes(data)).await {
+    pub async fn reduce(&mut self, root: usize, op: ReduceOp, data: Payload) -> Option<Payload> {
+        match self
+            .collective(CollKind::Reduce { root, op }, Contrib::Bytes(data))
+            .await
+        {
             CollResult::Bytes(b) => Some(b),
             CollResult::None => None,
             _ => unreachable!("reduce returns bytes or nothing"),
@@ -948,7 +974,10 @@ impl RankCtx {
 
     /// All-reduce with `op`; every rank receives the combined payload.
     pub async fn allreduce(&mut self, op: ReduceOp, data: Payload) -> Payload {
-        match self.collective(CollKind::Allreduce { op }, Contrib::Bytes(data)).await {
+        match self
+            .collective(CollKind::Allreduce { op }, Contrib::Bytes(data))
+            .await
+        {
             CollResult::Bytes(b) => b,
             _ => unreachable!("allreduce returns bytes"),
         }
@@ -963,7 +992,10 @@ impl RankCtx {
     /// chunks every rank addressed to this one (in source order).
     pub async fn alltoall(&mut self, rows: Vec<Payload>) -> Vec<Payload> {
         assert_eq!(rows.len(), self.size(), "alltoall needs one chunk per rank");
-        match self.collective(CollKind::Alltoall, Contrib::Row(rows)).await {
+        match self
+            .collective(CollKind::Alltoall, Contrib::Row(rows))
+            .await
+        {
             CollResult::Column(c) => c,
             _ => unreachable!("alltoall returns a column"),
         }
@@ -1017,7 +1049,9 @@ impl RankCtx {
                     (CollResult::Bytes(b.clone()), sent, b.len() as u64)
                 }
                 CollKind::Reduce { root, .. } => {
-                    let mine = slot.contrib[self.rank].as_ref().map_or(0, |p| p.len() as u64);
+                    let mine = slot.contrib[self.rank]
+                        .as_ref()
+                        .map_or(0, |p| p.len() as u64);
                     if self.rank == root {
                         let b = slot.result.clone();
                         let len = b.len() as u64;
@@ -1027,14 +1061,17 @@ impl RankCtx {
                     }
                 }
                 CollKind::Allreduce { .. } => {
-                    let mine = slot.contrib[self.rank].as_ref().map_or(0, |p| p.len() as u64);
+                    let mine = slot.contrib[self.rank]
+                        .as_ref()
+                        .map_or(0, |p| p.len() as u64);
                     let b = slot.result.clone();
                     let len = b.len() as u64;
                     (CollResult::Bytes(b), mine, len)
                 }
                 CollKind::Alltoall => {
-                    let col: Vec<Payload> =
-                        (0..n).map(|src| slot.matrix[src][self.rank].clone()).collect();
+                    let col: Vec<Payload> = (0..n)
+                        .map(|src| slot.matrix[src][self.rank].clone())
+                        .collect();
                     let sent: u64 = slot.matrix[self.rank]
                         .iter()
                         .enumerate()
@@ -1067,17 +1104,11 @@ impl RankCtx {
                 CollKind::Alltoall => {
                     // All-to-all rides the torus.
                     if sent_bytes > 0 {
-                        node.emit_event(
-                            NetEvent::TorusPktSent.id(),
-                            sent_bytes.div_ceil(packet),
-                        );
+                        node.emit_event(NetEvent::TorusPktSent.id(), sent_bytes.div_ceil(packet));
                         node.emit_event(NetEvent::TorusBytesSent.id(), sent_bytes);
                     }
                     if recv_bytes > 0 {
-                        node.emit_event(
-                            NetEvent::TorusPktRecv.id(),
-                            recv_bytes.div_ceil(packet),
-                        );
+                        node.emit_event(NetEvent::TorusPktRecv.id(), recv_bytes.div_ceil(packet));
                         node.emit_event(NetEvent::TorusBytesRecv.id(), recv_bytes);
                     }
                 }
@@ -1121,7 +1152,10 @@ impl Drop for RankCtx {
 /// (`bgp-trace` stays independent of the MPI runtime).
 fn wait_kind(w: Wait) -> WaitKind {
     match w {
-        Wait::Recv { src, tag } => WaitKind::Recv { src: src.map(|s| s as u32), tag },
+        Wait::Recv { src, tag } => WaitKind::Recv {
+            src: src.map(|s| s as u32),
+            tag,
+        },
         Wait::Collective { slot } => WaitKind::Collective { slot: slot as u8 },
     }
 }

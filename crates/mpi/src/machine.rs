@@ -40,7 +40,11 @@ pub struct MpiCosts {
 
 impl Default for MpiCosts {
     fn default() -> Self {
-        MpiCosts { send_overhead: 450, recv_overhead: 450, coll_overhead: 900 }
+        MpiCosts {
+            send_overhead: 450,
+            recv_overhead: 450,
+            coll_overhead: 900,
+        }
     }
 }
 
@@ -83,7 +87,10 @@ impl CounterPolicy {
     /// The default adaptive-multiplexing policy: start in mode 0,
     /// dwell 8 phases per mode at baseline.
     pub fn multiplexed() -> CounterPolicy {
-        CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 8 }
+        CounterPolicy::Multiplexed {
+            first: CounterMode::Mode0,
+            base_dwell: 8,
+        }
     }
 
     /// Mode assigned to `node` at job start.
@@ -132,7 +139,11 @@ pub struct CheckpointConfig {
 impl CheckpointConfig {
     /// Checkpoint into `dir` every `every` phases, keeping 3 files.
     pub fn new(dir: impl Into<PathBuf>, every: u64) -> CheckpointConfig {
-        CheckpointConfig { every: every.max(1), dir: dir.into(), retain: 3 }
+        CheckpointConfig {
+            every: every.max(1),
+            dir: dir.into(),
+            retain: 3,
+        }
     }
 }
 
@@ -301,7 +312,11 @@ impl JobSpec {
     /// Panics if `node` is not one of the job's nodes.
     pub fn ranks_on(&self, node: usize) -> usize {
         let ppn = self.mode.processes_per_node();
-        assert!(node < self.nodes(), "node {node} is not one of the job's {}", self.nodes());
+        assert!(
+            node < self.nodes(),
+            "node {node} is not one of the job's {}",
+            self.nodes()
+        );
         ppn.min(self.ranks - node * ppn)
     }
 
@@ -487,7 +502,9 @@ pub struct SnapshotStats {
 impl Machine {
     /// Boot a partition for `spec`.
     pub fn new(spec: JobSpec) -> Arc<Machine> {
-        spec.machine.validate().expect("invalid machine configuration");
+        spec.machine
+            .validate()
+            .expect("invalid machine configuration");
         let n_nodes = spec.nodes();
         let dims = TorusDims::for_nodes(n_nodes);
         let mux = MuxState::new(n_nodes, &spec.counter_policy);
@@ -533,7 +550,9 @@ impl Machine {
                 traffic: PhaseTraffic::new(dims, &spec.net),
             }),
             trace_windows: spec.trace.as_ref().map(|_| {
-                (0..spec.ranks).map(|_| Mutex::new(TraceSlot::default())).collect()
+                (0..spec.ranks)
+                    .map(|_| Mutex::new(TraceSlot::default()))
+                    .collect()
             }),
             nodes,
             spec,
@@ -567,7 +586,10 @@ impl Machine {
     /// # Panics
     /// Panics if the job is untraced: only a traced job keeps slots.
     pub(crate) fn trace_window(&self, rank: usize) -> MutexGuard<'_, TraceSlot> {
-        let slots = self.trace_windows.as_ref().expect("trace windows exist only in traced jobs");
+        let slots = self
+            .trace_windows
+            .as_ref()
+            .expect("trace windows exist only in traced jobs");
         slots[rank].lock()
     }
 
@@ -587,7 +609,11 @@ impl Machine {
 
     /// Job wall-clock in cycles: the slowest core of the slowest node.
     pub fn job_cycles(&self) -> u64 {
-        self.nodes.iter().map(|n| n.lock().node_cycles()).max().unwrap_or(0)
+        self.nodes
+            .iter()
+            .map(|n| n.lock().node_cycles())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Completed scheduling phases (diagnostics).
@@ -686,7 +712,11 @@ impl Machine {
             return Arc::clone(hook);
         }
         let hook = make();
-        assert_eq!(hook.name(), name, "app-state hook registered under another name");
+        assert_eq!(
+            hook.name(),
+            name,
+            "app-state hook registered under another name"
+        );
         hooks.push(Arc::clone(&hook));
         hook
     }
@@ -705,7 +735,8 @@ impl Machine {
     /// Takes only `node`'s own locks.
     pub fn mux_close_window(&self, node: usize, start: &MuxMark, window: &mut MuxMark) {
         let n = self.nodes[node].lock();
-        self.mux.close_window(node, n.upc(), n.node_cycles(), start, window);
+        self.mux
+            .close_window(node, n.upc(), n.node_cycles(), start, window);
     }
 
     /// `node`'s home counter mode: the mode its dump header advertises
@@ -841,9 +872,8 @@ impl Machine {
 
         // 2. Complete collectives whose every rank has arrived.
         for (idx, slot) in comm.slots.iter_mut().enumerate() {
-            let fully_arrived = slot.kind.is_some()
-                && !slot.complete
-                && slot.arrived == self.spec.ranks;
+            let fully_arrived =
+                slot.kind.is_some() && !slot.complete && slot.arrived == self.spec.ranks;
             if fully_arrived {
                 self.complete_slot(slot);
                 if tracing {
@@ -1012,14 +1042,18 @@ impl Machine {
         let n = r.u64("node count").expect("node count");
         assert_eq!(n as usize, self.nodes.len(), "snapshot node count mismatch");
         for node in self.nodes.iter() {
-            node.lock().restore_state(&mut r).expect("node state restore failed");
+            node.lock()
+                .restore_state(&mut r)
+                .expect("node state restore failed");
         }
-        r.expect_end("nodes section").expect("trailing bytes in nodes section");
+        r.expect_end("nodes section")
+            .expect("trailing bytes in nodes section");
 
         let bytes = snap.section_required("comm").expect("comm section");
         let mut r = bgp_arch::wire::Reader::new(bytes);
         restore_comm(comm, &mut r).expect("comm state restore failed");
-        r.expect_end("comm section").expect("trailing bytes in comm section");
+        r.expect_end("comm section")
+            .expect("trailing bytes in comm section");
 
         let bytes = snap.section_required("ranks").expect("ranks section");
         let mut r = bgp_arch::wire::Reader::new(bytes);
@@ -1033,17 +1067,24 @@ impl Machine {
             let w = TraceWindow { windows, last_mem };
             *slot.lock() = TraceSlot { live: w, parked: w };
         }
-        r.expect_end("ranks section").expect("trailing bytes in ranks section");
+        r.expect_end("ranks section")
+            .expect("trailing bytes in ranks section");
 
         let bytes = snap.section_required("trace").expect("trace section");
         let mut r = bgp_arch::wire::Reader::new(bytes);
-        self.trace.restore_state(&mut r).expect("trace state restore failed");
-        r.expect_end("trace section").expect("trailing bytes in trace section");
+        self.trace
+            .restore_state(&mut r)
+            .expect("trace state restore failed");
+        r.expect_end("trace section")
+            .expect("trailing bytes in trace section");
 
         let bytes = snap.section_required("mux").expect("mux section");
         let mut r = bgp_arch::wire::Reader::new(bytes);
-        self.mux.restore_state(&mut r).expect("mux state restore failed");
-        r.expect_end("mux section").expect("trailing bytes in mux section");
+        self.mux
+            .restore_state(&mut r)
+            .expect("mux state restore failed");
+        r.expect_end("mux section")
+            .expect("trailing bytes in mux section");
 
         let hooks = self.app_states.lock();
         for hook in hooks.iter() {
@@ -1082,7 +1123,9 @@ impl Machine {
         slot.ready_at = slot.t_max + self.spec.mpi.coll_overhead + cost;
         match kind {
             CollKind::Reduce { op, .. } | CollKind::Allreduce { op } => {
-                let mut acc = slot.contrib[0].clone().expect("rank 0 contribution missing");
+                let mut acc = slot.contrib[0]
+                    .clone()
+                    .expect("rank 0 contribution missing");
                 for r in 1..n {
                     op.combine(
                         &mut acc,
@@ -1092,7 +1135,9 @@ impl Machine {
                 slot.result = acc;
             }
             CollKind::Bcast { root } => {
-                slot.result = slot.contrib[root].clone().expect("root contribution missing");
+                slot.result = slot.contrib[root]
+                    .clone()
+                    .expect("root contribution missing");
             }
             CollKind::Barrier | CollKind::Alltoall => {}
         }
@@ -1133,7 +1178,10 @@ impl Machine {
         let slots: Vec<Mutex<RankSlot<Fut, R>>> = (0..self.spec.ranks)
             .map(|rank| {
                 let ctx = RankCtx::new(Arc::clone(self), rank);
-                Mutex::new(RankSlot { fut: Some(Box::pin(kernel(ctx))), result: None })
+                Mutex::new(RankSlot {
+                    fut: Some(Box::pin(kernel(ctx))),
+                    result: None,
+                })
             })
             .collect();
         // First panic payload wins: the root cause (deadlock report,
@@ -1176,7 +1224,12 @@ impl Machine {
         }
         slots
             .iter()
-            .map(|s| s.lock().result.take().expect("rank finished without a result"))
+            .map(|s| {
+                s.lock()
+                    .result
+                    .take()
+                    .expect("rank finished without a result")
+            })
             .collect()
     }
 }
@@ -1323,7 +1376,10 @@ fn save_comm(comm: &CommInner, out: &mut Vec<u8>) {
 
 /// Restore the timing fields written by [`save_comm`] onto the replayed
 /// communication state, verifying the data digests match.
-fn restore_comm(comm: &mut CommInner, r: &mut bgp_arch::wire::Reader<'_>) -> bgp_arch::error::Result<()> {
+fn restore_comm(
+    comm: &mut CommInner,
+    r: &mut bgp_arch::wire::Reader<'_>,
+) -> bgp_arch::error::Result<()> {
     use bgp_arch::error::BgpError;
     use bgp_arch::wire::{checksum, put_bytes, put_u32, put_u64};
     let n = r.u64("mailbox count")? as usize;
@@ -1481,7 +1537,11 @@ fn deadlock_report(
     let mut out = String::from("--- deadlock forensics ---\n");
     out.push_str("per-rank wait states:\n");
     for (rank, wait) in parked {
-        let _ = writeln!(out, "  rank {rank} (node {}): {wait}", rank / ranks_per_node);
+        let _ = writeln!(
+            out,
+            "  rank {rank} (node {}): {wait}",
+            rank / ranks_per_node
+        );
     }
     let recent = trace.recent_sched(DEADLOCK_TRACE_TAIL);
     if recent.is_empty() {
@@ -1538,9 +1598,30 @@ mod tests {
     fn placement_fills_nodes_in_block_order() {
         let spec = JobSpec::new(8, OpMode::VirtualNode);
         assert_eq!(spec.nodes(), 2);
-        assert_eq!(place(&spec, 0), Placement { node: NodeId(0), process: 0, core: 0 });
-        assert_eq!(place(&spec, 3), Placement { node: NodeId(0), process: 3, core: 3 });
-        assert_eq!(place(&spec, 4), Placement { node: NodeId(1), process: 0, core: 0 });
+        assert_eq!(
+            place(&spec, 0),
+            Placement {
+                node: NodeId(0),
+                process: 0,
+                core: 0
+            }
+        );
+        assert_eq!(
+            place(&spec, 3),
+            Placement {
+                node: NodeId(0),
+                process: 3,
+                core: 3
+            }
+        );
+        assert_eq!(
+            place(&spec, 4),
+            Placement {
+                node: NodeId(1),
+                process: 0,
+                core: 0
+            }
+        );
     }
 
     #[test]
@@ -1558,7 +1639,14 @@ mod tests {
     fn dual_mode_packs_two_processes_per_node() {
         let spec = JobSpec::new(4, OpMode::Dual);
         assert_eq!(spec.nodes(), 2);
-        assert_eq!(place(&spec, 1), Placement { node: NodeId(0), process: 1, core: 2 });
+        assert_eq!(
+            place(&spec, 1),
+            Placement {
+                node: NodeId(0),
+                process: 1,
+                core: 2
+            }
+        );
     }
 
     #[test]
@@ -1570,10 +1658,19 @@ mod tests {
 
     #[test]
     fn census_counts_nodes_per_starting_mode() {
-        let even_odd = CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode1 };
+        let even_odd = CounterPolicy::EvenOdd {
+            even: CounterMode::Mode0,
+            odd: CounterMode::Mode1,
+        };
         assert_eq!(even_odd.census(5), [3, 2, 0, 0]);
-        assert_eq!(CounterPolicy::Fixed(CounterMode::Mode2).census(7), [0, 0, 7, 0]);
-        let mux = CounterPolicy::Multiplexed { first: CounterMode::Mode3, base_dwell: 8 };
+        assert_eq!(
+            CounterPolicy::Fixed(CounterMode::Mode2).census(7),
+            [0, 0, 7, 0]
+        );
+        let mux = CounterPolicy::Multiplexed {
+            first: CounterMode::Mode3,
+            base_dwell: 8,
+        };
         assert_eq!(mux.census(7), [2, 2, 1, 2]);
     }
 
@@ -1645,14 +1742,29 @@ mod tests {
         };
         let untraced = run(None);
         assert!(untraced.job_trace().is_none());
-        assert_eq!(untraced.trace_state().events_recorded(), 0, "every ring stays empty");
+        assert_eq!(
+            untraced.trace_state().events_recorded(),
+            0,
+            "every ring stays empty"
+        );
 
         let traced = run(Some(TraceConfig::default()));
         let trace = traced.job_trace().expect("traced job exports a trace");
-        let resolves = trace.sched.iter().filter(|e| e.kind.name() == "phase_resolve").count();
-        assert_eq!(resolves as u64, traced.phases(), "one phase_resolve per phase");
+        let resolves = trace
+            .sched
+            .iter()
+            .filter(|e| e.kind.name() == "phase_resolve")
+            .count();
+        assert_eq!(
+            resolves as u64,
+            traced.phases(),
+            "one phase_resolve per phase"
+        );
         assert_eq!(trace.ranks.len(), 8);
-        assert!(trace.ranks.iter().all(|r| !r.events.is_empty()), "every rank records");
+        assert!(
+            trace.ranks.iter().all(|r| !r.events.is_empty()),
+            "every rank records"
+        );
     }
 
     #[test]
@@ -1668,16 +1780,21 @@ mod tests {
             });
         }));
         assert!(res.is_err(), "deadlocked job must panic");
-        let sidecar =
-            std::env::temp_dir().join(format!("bgp-deadlock-{}.txt", std::process::id()));
+        let sidecar = std::env::temp_dir().join(format!("bgp-deadlock-{}.txt", std::process::id()));
         let report = std::fs::read_to_string(&sidecar).expect("sidecar report written");
         let _ = std::fs::remove_file(&sidecar);
-        assert!(report.contains("deadlock forensics"), "missing header:\n{report}");
+        assert!(
+            report.contains("deadlock forensics"),
+            "missing header:\n{report}"
+        );
         assert!(
             report.contains("rank 0 (node 0): recv(src=1, tag=99)"),
             "missing wait state:\n{report}"
         );
-        assert!(report.contains("phase_resolve"), "missing scheduler trace tail:\n{report}");
+        assert!(
+            report.contains("phase_resolve"),
+            "missing scheduler trace tail:\n{report}"
+        );
     }
 
     #[test]
@@ -1686,6 +1803,10 @@ mod tests {
         spec.sim_threads = Some(3);
         assert_eq!(spec.resolved_sim_threads(), 3);
         spec.sim_threads = Some(0);
-        assert_eq!(spec.resolved_sim_threads(), 1, "cap is clamped to at least one");
+        assert_eq!(
+            spec.resolved_sim_threads(),
+            1,
+            "cap is clamped to at least one"
+        );
     }
 }

@@ -158,7 +158,11 @@ impl MuxMark {
     /// The 256 totals of `mode`. A one-mode mark holds only its home
     /// mode's block, so `mode` must be that home mode.
     pub fn block(&self, mode: CounterMode) -> &[u64] {
-        let off = if self.rotates() { mode.index() * NUM_COUNTERS } else { 0 };
+        let off = if self.rotates() {
+            mode.index() * NUM_COUNTERS
+        } else {
+            0
+        };
         &self.totals[off..off + NUM_COUNTERS]
     }
 }
@@ -263,7 +267,11 @@ impl MuxState {
                 })
             })
             .collect();
-        MuxState { base_dwell, last_cycle: AtomicU64::new(0), nodes }
+        MuxState {
+            base_dwell,
+            last_cycle: AtomicU64::new(0),
+            nodes,
+        }
     }
 
     /// Whether any node's schedule rotates. When none does, phase
@@ -312,7 +320,9 @@ impl MuxState {
     pub fn step_node(&self, node: usize, upc: &mut Upc, cycle_delta: u64) -> MuxPhaseOutcome {
         let base = self.base_dwell;
         let mut out = MuxPhaseOutcome::default();
-        let Some(mut guard) = self.rotation(node) else { return out };
+        let Some(mut guard) = self.rotation(node) else {
+            return out;
+        };
         let st = &mut *guard;
 
         // Drain threshold interrupts raised since the last boundary.
@@ -426,7 +436,11 @@ impl MuxState {
             (0..width).map(total).collect()
         };
         let (occupancy, cycles) = self.occupancy_at(rot, node_clock);
-        MuxMark { totals, occupancy, cycles }
+        MuxMark {
+            totals,
+            occupancy,
+            cycles,
+        }
     }
 
     /// Add the window from `start` (a [`MuxState::mark`] of `node`) to
@@ -468,7 +482,9 @@ impl MuxState {
         rot: Option<&Rotation>,
         node_clock: u64,
     ) -> ([u64; NUM_MODES], [u64; NUM_MODES]) {
-        let Some(rot) = rot else { return ([0; NUM_MODES], [0; NUM_MODES]) };
+        let Some(rot) = rot else {
+            return ([0; NUM_MODES], [0; NUM_MODES]);
+        };
         let mut cycles = rot.cycle_occ;
         let last = self.last_cycle.load(Ordering::Relaxed);
         cycles[rot.cur] = cycles[rot.cur].saturating_add(node_clock.saturating_sub(last));
@@ -481,7 +497,10 @@ impl MuxState {
         if !self.rotates() {
             return None;
         }
-        let mut s = MuxSummary { base_dwell: self.base_dwell, ..MuxSummary::default() };
+        let mut s = MuxSummary {
+            base_dwell: self.base_dwell,
+            ..MuxSummary::default()
+        };
         for rot in &self.nodes {
             let rot = rot.lock();
             s.rotations += rot.rotations;
@@ -515,7 +534,9 @@ impl MuxState {
                 rot.irq_drained,
             ];
             let words = rot.accum.iter().chain(&rot.occupancy).chain(&rot.cycle_occ);
-            let words = words.chain(&rot.rate).chain(rot.sentinel_rate.iter().flatten());
+            let words = words
+                .chain(&rot.rate)
+                .chain(rot.sentinel_rate.iter().flatten());
             for &v in words.chain(&scalars) {
                 put_u64(out, v);
             }
@@ -541,7 +562,9 @@ impl MuxState {
         for _ in 0..n {
             let cur = r.u8("mux mode index")? as usize;
             if cur >= NUM_MODES {
-                return Err(BgpError::corrupt(format!("mux mode index {cur} out of range")));
+                return Err(BgpError::corrupt(format!(
+                    "mux mode index {cur} out of range"
+                )));
             }
             let phases_in_mode = r.u64("mux phases in mode")?;
             let dwell = r.u64("mux dwell")?;
@@ -551,7 +574,10 @@ impl MuxState {
             let mut rate = [0u64; NUM_MODES];
             let mut sentinel_rate = [[0u64; SENTINEL_SLOTS.len()]; NUM_MODES];
             let words = accum.iter_mut().chain(&mut occupancy).chain(&mut cycle_occ);
-            for v in words.chain(&mut rate).chain(sentinel_rate.iter_mut().flatten()) {
+            for v in words
+                .chain(&mut rate)
+                .chain(sentinel_rate.iter_mut().flatten())
+            {
                 *v = r.u64("mux schedule counters")?;
             }
             rotations.push(Rotation {
@@ -605,11 +631,17 @@ mod tests {
 
     #[test]
     fn one_mode_schedule_never_rotates_and_marks_live_counters() {
-        let policy = CounterPolicy::EvenOdd { even: CounterMode::Mode2, odd: CounterMode::Mode1 };
+        let policy = CounterPolicy::EvenOdd {
+            even: CounterMode::Mode2,
+            odd: CounterMode::Mode1,
+        };
         let mux = MuxState::new(2, &policy);
         assert!(!mux.rotates());
         let mut upc = hot_upc(&mux, CounterMode::Mode2);
-        assert!(!upc.config(SENTINEL_SLOTS[0]).interrupt_enable, "no sentinels armed");
+        assert!(
+            !upc.config(SENTINEL_SLOTS[0]).interrupt_enable,
+            "no sentinels armed"
+        );
         let ev = EventId::new(CounterMode::Mode2, 7);
         upc.emit(ev, 5000);
         let start = mux.mark(0, &upc, 0);
@@ -621,11 +653,19 @@ mod tests {
         let mut window = MuxMark::default();
         mux.close_window(0, &upc, 6400, &start, &mut window);
         assert!(!window.rotates());
-        assert_eq!(window.totals.len(), NUM_COUNTERS, "one 256-slot block, no more");
+        assert_eq!(
+            window.totals.len(),
+            NUM_COUNTERS,
+            "one 256-slot block, no more"
+        );
         assert_eq!(window.block(CounterMode::Mode2)[7], 40);
         assert_eq!(window.occupancy, [0; NUM_MODES]);
         assert!(mux.summary().is_none());
-        assert_eq!(saved(&mux).len(), 24, "base dwell, clock and a zero count: nothing per node");
+        assert_eq!(
+            saved(&mux).len(),
+            24,
+            "base dwell, clock and a zero count: nothing per node"
+        );
     }
 
     #[test]
@@ -677,8 +717,8 @@ mod tests {
         assert!(mux.step_node(0, &mut upc, 100).rotated.is_none()); // delta 2000
         upc.emit(ev, 2000);
         assert!(mux.step_node(0, &mut upc, 100).rotated.is_none()); // delta 2000
-        // Third phase: one short of the extended dwell, but the delta
-        // collapses 2000 -> 100, so the phase detector rotates early.
+                                                                    // Third phase: one short of the extended dwell, but the delta
+                                                                    // collapses 2000 -> 100, so the phase detector rotates early.
         upc.emit(ev, 100);
         let out = mux.step_node(0, &mut upc, 100);
         assert!(out.rotated.is_some());
@@ -702,8 +742,14 @@ mod tests {
         assert_eq!(w.totals[ev.index()], 500);
         assert_eq!(w.block(CounterMode::Mode0)[7], 500);
         assert_eq!(w.occupancy[0], 1);
-        assert_eq!(w.cycles[0], 100, "the boundary's cycle span lands on mode 0");
-        assert_eq!(w.cycles[1], 0, "no cycles past the boundary: nothing to attribute");
+        assert_eq!(
+            w.cycles[0], 100,
+            "the boundary's cycle span lands on mode 0"
+        );
+        assert_eq!(
+            w.cycles[1], 0,
+            "no cycles past the boundary: nothing to attribute"
+        );
 
         // A stop mark taken mid-phase attributes the in-flight partial
         // phase to the current mode — counts entering the window always
@@ -733,10 +779,16 @@ mod tests {
             let victim = rotating(2, CounterMode::Mode1, 3);
             let before = saved(&victim);
             assert!(
-                victim.restore_state(&mut Reader::new(&bytes[..cut])).is_err(),
+                victim
+                    .restore_state(&mut Reader::new(&bytes[..cut]))
+                    .is_err(),
                 "cut at {cut} must fail"
             );
-            assert_eq!(saved(&victim), before, "failed restore must not partially apply");
+            assert_eq!(
+                saved(&victim),
+                before,
+                "failed restore must not partially apply"
+            );
         }
         // Schedules that rotate never restore into one-mode ones.
         let fixed = MuxState::new(2, &CounterPolicy::Fixed(CounterMode::Mode1));

@@ -120,7 +120,9 @@ pub(crate) struct SuspendPoint {
 
 impl SuspendPoint {
     pub(crate) fn new(reason: Suspend) -> SuspendPoint {
-        SuspendPoint { reason: Some(reason) }
+        SuspendPoint {
+            reason: Some(reason),
+        }
     }
 }
 
@@ -273,7 +275,12 @@ impl Engine {
             .filter(|&(_, r)| self.status[r] == Status::Ready)
             .fold(0, |bits, (local, _)| bits | 1 << local);
         let (first, count) = (ranks.start, ranks.len());
-        NodeView { first, count, ready, cursor: self.cursor[node] }
+        NodeView {
+            first,
+            count,
+            ready,
+            cursor: self.cursor[node],
+        }
     }
 
     /// The lowest claimable node, if any.
@@ -289,10 +296,13 @@ impl Engine {
 
     /// Every parked rank and its wait, in rank order.
     fn parked(&self) -> impl Iterator<Item = (usize, Wait)> + '_ {
-        self.status.iter().enumerate().filter_map(|(r, st)| match st {
-            Status::Parked(w) => Some((r, *w)),
-            _ => None,
-        })
+        self.status
+            .iter()
+            .enumerate()
+            .filter_map(|(r, st)| match st {
+                Status::Parked(w) => Some((r, *w)),
+                _ => None,
+            })
     }
 }
 
@@ -476,8 +486,10 @@ impl PhaseEngine {
                 return;
             }
             let parked: Vec<(usize, Wait)> = s.parked().collect();
-            let blocked: Vec<String> =
-                parked.iter().map(|(r, w)| format!("rank {r}: {w}")).collect();
+            let blocked: Vec<String> = parked
+                .iter()
+                .map(|(r, w)| format!("rank {r}: {w}"))
+                .collect();
             s.aborted = true;
             self.aborted.store(true, Ordering::Release);
             let phase = s.phase;
@@ -578,7 +590,10 @@ mod tests {
         assert_eq!(log, vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
         assert_eq!(out, Some(LeaveOutcome::Resolve), "last finisher resolves");
         eng.commit_phase(&[]);
-        assert!(matches!(eng.claim(), Claim::Finished), "nothing left to run");
+        assert!(
+            matches!(eng.claim(), Claim::Finished),
+            "nothing left to run"
+        );
     }
 
     #[test]
@@ -645,7 +660,11 @@ mod tests {
         };
         assert_eq!((v0.first, v1.first), (0, 1));
         assert_eq!(eng.park(0, w), LeaveOutcome::Released);
-        assert_eq!(eng.park(1, w), LeaveOutcome::Resolve, "last parker resolves");
+        assert_eq!(
+            eng.park(1, w),
+            LeaveOutcome::Resolve,
+            "last parker resolves"
+        );
         assert_eq!(eng.parked().len(), 2, "both ranks parked at resolution");
         eng.commit_phase(&[0, 1]);
         // The resolver released node 1 with the rest: both nodes
@@ -675,7 +694,10 @@ mod tests {
         eng.abort();
         assert!(eng.is_aborted());
         assert!(matches!(eng.claim(), Claim::Aborted));
-        assert_eq!(eng.park(view.current(), Wait::Collective { slot: 0 }), LeaveOutcome::Aborted);
+        assert_eq!(
+            eng.park(view.current(), Wait::Collective { slot: 0 }),
+            LeaveOutcome::Aborted
+        );
     }
 
     #[test]
@@ -684,11 +706,23 @@ mod tests {
         let _v0 = eng.claim();
         let _v1 = eng.claim();
         assert_eq!(
-            eng.park(0, Wait::Recv { src: Some(1), tag: 9 }),
+            eng.park(
+                0,
+                Wait::Recv {
+                    src: Some(1),
+                    tag: 9
+                }
+            ),
             LeaveOutcome::Released
         );
         assert_eq!(
-            eng.park(1, Wait::Recv { src: Some(0), tag: 9 }),
+            eng.park(
+                1,
+                Wait::Recv {
+                    src: Some(0),
+                    tag: 9
+                }
+            ),
             LeaveOutcome::Resolve
         );
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -30,7 +30,8 @@ async fn kernel(mut ctx: RankCtx) -> u64 {
         ctx.fp_scalar_n(SemOp::MulAdd, 256);
         let peer = (ctx.rank() + 1) % n;
         let from = (ctx.rank() + n - 1) % n;
-        ctx.send(peer, round as u32, vec![round as u8; 64 + ctx.rank()]).await;
+        ctx.send(peer, round as u32, vec![round as u8; 64 + ctx.rank()])
+            .await;
         let got = ctx.recv(Some(from), round as u32).await;
         acc += got.len() as f64;
         acc = ctx.allreduce_sum_f64(&[acc]).await[0];
@@ -54,8 +55,11 @@ fn spec(dir: Option<&std::path::Path>, faulted: bool) -> JobSpec {
         spec.faults = Some(Arc::new(FaultPlan::new(fs, 7, spec.nodes())));
     }
     if let Some(dir) = dir {
-        spec.checkpoint =
-            Some(CheckpointConfig { every: 2, dir: dir.into(), retain: 8 });
+        spec.checkpoint = Some(CheckpointConfig {
+            every: 2,
+            dir: dir.into(),
+            retain: 8,
+        });
     }
     spec
 }
@@ -137,10 +141,9 @@ fn resumed_run_is_byte_identical_to_uninterrupted() {
         let files = store.list().expect("snapshot dir listable");
         assert!(files.len() >= 2, "expected several retained snapshots");
         for path in files {
-            let snap = bgp_snapshot::Snapshot::decode(
-                &std::fs::read(&path).expect("snapshot readable"),
-            )
-            .expect("snapshot decodes");
+            let snap =
+                bgp_snapshot::Snapshot::decode(&std::fs::read(&path).expect("snapshot readable"))
+                    .expect("snapshot decodes");
             let phase = snap.phase;
             let m = Machine::new(spec(Some(&dir), faulted));
             m.resume(snap).expect("snapshot accepted");
@@ -217,7 +220,10 @@ fn resume_rejects_wrong_experiment() {
         outcome.snapshot.is_none(),
         "fingerprint-mismatched snapshots must not load"
     );
-    assert!(!outcome.quarantined.is_empty(), "mismatches are quarantined");
+    assert!(
+        !outcome.quarantined.is_empty(),
+        "mismatches are quarantined"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -246,7 +252,9 @@ fn untraced_checkpoints_write_no_rank_slots_or_rings() {
     let mut no_rings = zero.clone();
     put_u64(&mut no_rings, 0); // scheduler events
     put_u64(&mut no_rings, 0); // scheduler dropped
-    let files = SnapshotStore::new(&dir, 8).list().expect("snapshot dir listable");
+    let files = SnapshotStore::new(&dir, 8)
+        .list()
+        .expect("snapshot dir listable");
     assert!(!files.is_empty(), "no snapshots written");
     for path in files {
         let snap = bgp_snapshot::Snapshot::decode(&std::fs::read(&path).expect("readable"))
@@ -257,7 +265,11 @@ fn untraced_checkpoints_write_no_rank_slots_or_rings() {
         let m = Machine::new(untraced(Some(&dir)));
         m.resume(snap).expect("snapshot accepted");
         let r = m.run(kernel);
-        assert_same(&observe(&m, &r), &reference, &format!("untraced resume from {phase}"));
+        assert_same(
+            &observe(&m, &r),
+            &reference,
+            &format!("untraced resume from {phase}"),
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -272,7 +284,10 @@ fn traced_resume_without_checkpointing_keeps_mem_window_samples() {
     let traced = |dir: Option<&std::path::Path>| {
         let mut s = spec(dir, false);
         s.quantum = 256;
-        s.trace = Some(TraceConfig { sample_every: 1, ..TraceConfig::default() });
+        s.trace = Some(TraceConfig {
+            sample_every: 1,
+            ..TraceConfig::default()
+        });
         s
     };
     let mem_windows = |m: &Machine| -> Vec<Vec<EventKind>> {
@@ -282,7 +297,9 @@ fn traced_resume_without_checkpointing_keeps_mem_window_samples() {
             .iter()
             .map(|r| {
                 let windows = r.events.iter().map(|e| e.kind.clone());
-                windows.filter(|k| matches!(k, EventKind::MemWindow { .. })).collect()
+                windows
+                    .filter(|k| matches!(k, EventKind::MemWindow { .. }))
+                    .collect()
             })
             .collect()
     };
@@ -291,7 +308,10 @@ fn traced_resume_without_checkpointing_keeps_mem_window_samples() {
         m.run(kernel);
         mem_windows(&m)
     };
-    assert!(reference.iter().any(|w| w.len() > 8), "the kernel samples many windows");
+    assert!(
+        reference.iter().any(|w| w.len() > 8),
+        "the kernel samples many windows"
+    );
 
     let dir = tempdir("resume-traced-windows");
     let m = Machine::new(traced(Some(&dir)));
@@ -313,7 +333,11 @@ fn traced_resume_without_checkpointing_keeps_mem_window_samples() {
     let m = Machine::new(s);
     m.resume(snap).expect("snapshot accepted");
     m.run(kernel);
-    assert_eq!(mem_windows(&m), reference, "resumed MemWindow samples diverged");
+    assert_eq!(
+        mem_windows(&m),
+        reference,
+        "resumed MemWindow samples diverged"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -326,10 +350,17 @@ fn checkpoints_record_window_state_as_of_each_ranks_last_park() {
     use bgp_trace::EventKind;
     let dir = tempdir("ranks-last-park");
     let mut s = JobSpec::new(8, bgp_arch::OpMode::VirtualNode);
-    s.trace = Some(TraceConfig { sample_every: 1, ..TraceConfig::default() });
+    s.trace = Some(TraceConfig {
+        sample_every: 1,
+        ..TraceConfig::default()
+    });
     s.quantum = 64;
     s.sim_threads = Some(1);
-    s.checkpoint = Some(CheckpointConfig { every: 1, dir: dir.clone(), retain: 1000 });
+    s.checkpoint = Some(CheckpointConfig {
+        every: 1,
+        dir: dir.clone(),
+        retain: 1000,
+    });
     let m = Machine::new(s);
     m.run(|mut ctx| async move {
         let mut v = ctx.alloc::<f64>(1024);
@@ -356,15 +387,25 @@ fn checkpoints_record_window_state_as_of_each_ranks_last_park() {
     let is_window = |e: &&bgp_trace::TraceEvent| matches!(e.kind, EventKind::MemWindow { .. });
     let parked_with = events[..last_park].iter().filter(is_window).count() as u64;
     let finished_with = events.iter().filter(is_window).count() as u64;
-    assert!(finished_with > parked_with, "rank 0 closes windows after its last park");
+    assert!(
+        finished_with > parked_with,
+        "rank 0 closes windows after its last park"
+    );
 
-    let files = SnapshotStore::new(&dir, 1000).list().expect("snapshot dir listable");
+    let files = SnapshotStore::new(&dir, 1000)
+        .list()
+        .expect("snapshot dir listable");
     let last = files.last().expect("snapshots written");
     let snap = bgp_snapshot::Snapshot::decode(&std::fs::read(last).expect("readable"))
         .expect("snapshot decodes");
     let mut r = bgp_arch::wire::Reader::new(snap.section("ranks").expect("ranks section"));
     assert_eq!(r.u64("rank count").unwrap(), 8);
-    assert_eq!(r.u64("rank 0 windows").unwrap(), parked_with, "phase {}", snap.phase);
+    assert_eq!(
+        r.u64("rank 0 windows").unwrap(),
+        parked_with,
+        "phase {}",
+        snap.phase
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

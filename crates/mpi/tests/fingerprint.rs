@@ -27,7 +27,11 @@ fn cosmetic_fields_do_not_move_the_fingerprint() {
 
     let mut threads = base();
     threads.sim_threads = Some(16);
-    assert_eq!(threads.fingerprint(), reference, "sim_threads is wall-clock only");
+    assert_eq!(
+        threads.fingerprint(),
+        reference,
+        "sim_threads is wall-clock only"
+    );
 
     let mut budget = base();
     budget.cycle_budget = Some(1);
@@ -77,7 +81,11 @@ fn outcome_relevant_fields_each_move_the_fingerprint() {
     let mut faulted = base();
     let nodes = faulted.nodes();
     faulted.faults = Some(Arc::new(FaultPlan::new(
-        FaultSpec { straggler_rate: 0.4, straggler_penalty_cycles: 800, ..FaultSpec::none() },
+        FaultSpec {
+            straggler_rate: 0.4,
+            straggler_penalty_cycles: 800,
+            ..FaultSpec::none()
+        },
         1,
         nodes,
     )));
@@ -91,7 +99,11 @@ fn outcome_relevant_fields_each_move_the_fingerprint() {
     assert_ne!(named.fingerprint(), reference, "workload name");
     let mut other = base();
     other.workload = Some("nas-cg-s".into());
-    assert_ne!(named.fingerprint(), other.fingerprint(), "distinct workloads");
+    assert_ne!(
+        named.fingerprint(),
+        other.fingerprint(),
+        "distinct workloads"
+    );
 }
 
 #[test]

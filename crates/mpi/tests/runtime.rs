@@ -22,15 +22,21 @@ fn point_to_point_ring_delivers_in_order() {
     let out = m.run(|mut ctx| async move {
         let right = (ctx.rank() + 1) % ctx.size();
         let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
-        ctx.send(right, 7, u64s_to_bytes(&[ctx.rank() as u64, 100 + ctx.rank() as u64]))
-            .await;
+        ctx.send(
+            right,
+            7,
+            u64s_to_bytes(&[ctx.rank() as u64, 100 + ctx.rank() as u64]),
+        )
+        .await;
         let got = bytes_to_u64s(&ctx.recv(Some(left), 7).await);
         assert_eq!(got, vec![left as u64, 100 + left as u64]);
         got[0]
     });
     assert_eq!(out, vec![3, 0, 1, 2]);
     // Torus events were observed in mode 3.
-    let pkts = m.with_node(0, |n| n.upc().read_event(NetEvent::TorusPktSent.id()).unwrap());
+    let pkts = m.with_node(0, |n| {
+        n.upc().read_event(NetEvent::TorusPktSent.id()).unwrap()
+    });
     assert!(pkts >= 1);
 }
 
@@ -87,7 +93,9 @@ fn reduce_max_reaches_only_root() {
     let m = Machine::new(spec(5, OpMode::VirtualNode));
     let out = m.run(|mut ctx| async move {
         let v = f64s_to_bytes(&[ctx.rank() as f64 * 1.5]);
-        ctx.reduce(2, ReduceOp::MaxF64, v).await.map(|b| bytes_to_f64s(&b)[0])
+        ctx.reduce(2, ReduceOp::MaxF64, v)
+            .await
+            .map(|b| bytes_to_f64s(&b)[0])
     });
     assert_eq!(out, vec![None, None, Some(6.0), None, None]);
 }
@@ -129,7 +137,9 @@ fn consecutive_collectives_of_mixed_kinds_work() {
             ctx.barrier().await;
             let s = ctx.allreduce_sum_f64(&[round as f64]).await[0];
             assert_eq!(s, 3.0 * round as f64);
-            let b = ctx.bcast(round as usize % 3, Some(u64s_to_bytes(&[round]))).await;
+            let b = ctx
+                .bcast(round as usize % 3, Some(u64s_to_bytes(&[round])))
+                .await;
             assert_eq!(bytes_to_u64s(&b), vec![round]);
         }
     });
@@ -152,7 +162,10 @@ fn barrier_synchronizes_clocks() {
         max - min < max / 100,
         "post-barrier clocks must be (nearly) aligned: {out:?}"
     );
-    assert!(max >= 500_000, "rank 0's work must dominate the barrier exit time");
+    assert!(
+        max >= 500_000,
+        "rank 0's work must dominate the barrier exit time"
+    );
 }
 
 #[test]
@@ -169,7 +182,12 @@ fn recv_waits_for_message_arrival_time() {
         }
     });
     // The receiver cannot have the data before the sender produced it.
-    assert!(out[1] >= out[0], "receiver clock {} < sender clock {}", out[1], out[0]);
+    assert!(
+        out[1] >= out[0],
+        "receiver clock {} < sender clock {}",
+        out[1],
+        out[0]
+    );
 }
 
 #[test]
@@ -244,7 +262,10 @@ fn vnm_ranks_share_a_node_and_contend() {
     assert_eq!(m.num_nodes(), 1);
     m.with_node(0, |n| {
         let s = n.mem_stats();
-        assert!(s.ddr_conflicts > 0, "interleaved ranks must contend at the DDR ports");
+        assert!(
+            s.ddr_conflicts > 0,
+            "interleaved ranks must contend at the DDR ports"
+        );
         // All four cores advanced.
         for c in 0..4 {
             assert!(n.core(c).cycles() > 0, "core {c} idle");

@@ -9,8 +9,8 @@
 //! — recorded in DESIGN.md as a documented substitution.
 
 use crate::common::{Class, Kernel, KernelResult};
-use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 use bgp_arch::rng::SimRng;
+use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 
 /// Unknowns per grid point.
 pub const NB: usize = 3;
@@ -29,7 +29,11 @@ type Vec3 = [f64; NB];
 
 /// Off-diagonal block (used on both sides: the operator is symmetric).
 fn mat_a() -> Mat {
-    [[-0.25, -0.05, 0.0], [-0.05, -0.25, -0.05], [0.0, -0.05, -0.25]]
+    [
+        [-0.25, -0.05, 0.0],
+        [-0.05, -0.25, -0.05],
+        [0.0, -0.05, -0.25],
+    ]
 }
 
 /// Diagonal block: strongly block-diagonally dominant.
@@ -108,9 +112,17 @@ async fn factor(ctx: &mut RankCtx, len: usize) -> BlockElim {
     let mut e = ctx.alloc::<f64>(len * NB * NB);
     let mut e_prev = [[0.0; NB]; NB];
     for k in 0..len {
-        let d = if k == 0 { bmat } else { mat_sub(&bmat, &mat_mul(&a, &e_prev)) };
+        let d = if k == 0 {
+            bmat
+        } else {
+            mat_sub(&bmat, &mat_mul(&a, &e_prev))
+        };
         let di = mat_inv(&d);
-        let ek = if k + 1 < len { mat_mul(&di, &a) } else { [[0.0; NB]; NB] };
+        let ek = if k + 1 < len {
+            mat_mul(&di, &a)
+        } else {
+            [[0.0; NB]; NB]
+        };
         for i in 0..NB {
             for j in 0..NB {
                 ctx.st(&mut dinv, (k * NB + i) * NB + j, di[i][j]).await;
@@ -177,7 +189,13 @@ async fn st_vec(ctx: &mut RankCtx, u: &mut SimVec<f64>, base: usize, v: &Vec3) {
 }
 
 /// Solve the block-tridiagonal system along a local line.
-async fn solve_local_line(ctx: &mut RankCtx, b: &mut Block, base: usize, stride_pts: usize, el: &BlockElim) {
+async fn solve_local_line(
+    ctx: &mut RankCtx,
+    b: &mut Block,
+    base: usize,
+    stride_pts: usize,
+    el: &BlockElim,
+) {
     let a = mat_a();
     let len = el.len;
     // Forward: y_k = D_k⁻¹ (b_k − A y_{k−1}).
@@ -386,7 +404,12 @@ pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let (nx, ny, nz) = dims(class);
     let size = ctx.size();
     let n = nx * ny * nz * NB;
-    let mut b = Block { nx, ny, nz, u: ctx.alloc(n) };
+    let mut b = Block {
+        nx,
+        ny,
+        nz,
+        u: ctx.alloc(n),
+    };
     let mut rng = SimRng::seed_from_u64(0x4254 ^ (ctx.rank() as u64) << 6);
     let mut exact = Vec::with_capacity(n);
     for i in 0..n {
@@ -434,9 +457,14 @@ pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
         max_err = max_err.max((b.u.raw(i) - want).abs());
     }
     let global = bytes_to_f64s(
-        &ctx.allreduce(bgp_mpi::ReduceOp::MaxF64, f64s_to_bytes(&[max_err])).await,
+        &ctx.allreduce(bgp_mpi::ReduceOp::MaxF64, f64s_to_bytes(&[max_err]))
+            .await,
     )[0];
-    KernelResult { kernel: Kernel::Bt, verified: global < 1e-8, checksum: global }
+    KernelResult {
+        kernel: Kernel::Bt,
+        verified: global < 1e-8,
+        checksum: global,
+    }
 }
 
 #[cfg(test)]
@@ -526,7 +554,12 @@ mod tests {
                 async move {
                     let ctx = &mut ctx;
                     let el = factor(ctx, len).await;
-                    let mut b = Block { nx: len, ny: 1, nz: 1, u: ctx.alloc(len * NB) };
+                    let mut b = Block {
+                        nx: len,
+                        ny: 1,
+                        nz: 1,
+                        u: ctx.alloc(len * NB),
+                    };
                     for (i, &v) in rhs.iter().enumerate() {
                         ctx.st(&mut b.u, i, v).await;
                     }
@@ -550,7 +583,12 @@ mod tests {
             async move {
                 let ctx = &mut ctx;
                 let el = factor(ctx, len).await;
-                let mut b = Block { nx: len, ny: 1, nz: 1, u: ctx.alloc(len * NB) };
+                let mut b = Block {
+                    nx: len,
+                    ny: 1,
+                    nz: 1,
+                    u: ctx.alloc(len * NB),
+                };
                 for (i, &v) in original.iter().enumerate() {
                     ctx.st(&mut b.u, i, v).await;
                 }

@@ -170,7 +170,11 @@ async fn spmv(
 /// Run CG on this rank.
 pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let rows = rows_per_rank(class);
-    let part = Partition { rank: ctx.rank(), size: ctx.size(), rows };
+    let part = Partition {
+        rank: ctx.rank(),
+        size: ctx.size(),
+        rows,
+    };
     assert!(
         part.size == 1 || part.size.is_multiple_of(2),
         "CG needs an even rank count for the antipodal exchange"

@@ -146,7 +146,14 @@ pub struct KernelResult {
 /// `vectorizable` declares whether the loop's data parallelism is visible
 /// to the compiler (unit stride, no aliasing) — SIMD-ization then depends
 /// on the build's flags.
-pub async fn axpy(ctx: &mut RankCtx, a: f64, x: &SimVec<f64>, y: &mut SimVec<f64>, n: usize, vectorizable: bool) {
+pub async fn axpy(
+    ctx: &mut RankCtx,
+    a: f64,
+    x: &SimVec<f64>,
+    y: &mut SimVec<f64>,
+    n: usize,
+    vectorizable: bool,
+) {
     debug_assert!(n <= x.len() && n <= y.len());
     let mut i = 0;
     while i + 1 < n {
@@ -167,7 +174,13 @@ pub async fn axpy(ctx: &mut RankCtx, a: f64, x: &SimVec<f64>, y: &mut SimVec<f64
 }
 
 /// Compiled dot product over `n` elements.
-pub async fn dot(ctx: &mut RankCtx, x: &SimVec<f64>, y: &SimVec<f64>, n: usize, vectorizable: bool) -> f64 {
+pub async fn dot(
+    ctx: &mut RankCtx,
+    x: &SimVec<f64>,
+    y: &SimVec<f64>,
+    n: usize,
+    vectorizable: bool,
+) -> f64 {
     debug_assert!(n <= x.len() && n <= y.len());
     let mut acc = 0.0;
     let mut i = 0;
@@ -207,7 +220,14 @@ pub async fn copy(ctx: &mut RankCtx, x: &SimVec<f64>, y: &mut SimVec<f64>, n: us
 }
 
 /// Compiled `y[i] = a * x[i]` over `n` elements.
-pub async fn scale(ctx: &mut RankCtx, a: f64, x: &SimVec<f64>, y: &mut SimVec<f64>, n: usize, vectorizable: bool) {
+pub async fn scale(
+    ctx: &mut RankCtx,
+    a: f64,
+    x: &SimVec<f64>,
+    y: &mut SimVec<f64>,
+    n: usize,
+    vectorizable: bool,
+) {
     let mut i = 0;
     while i + 1 < n {
         let plan = ctx.plan_pair(vectorizable);
@@ -238,7 +258,10 @@ mod tests {
     fn rank_validity_rules() {
         assert!(Kernel::Mg.valid_ranks(128));
         assert!(!Kernel::Mg.valid_ranks(96));
-        assert!(Kernel::Sp.valid_ranks(121), "the paper runs SP at 121 ranks");
+        assert!(
+            Kernel::Sp.valid_ranks(121),
+            "the paper runs SP at 121 ranks"
+        );
         assert!(Kernel::Bt.valid_ranks(16));
         assert!(!Kernel::Sp.valid_ranks(128));
         assert!(!Kernel::Ft.valid_ranks(0));

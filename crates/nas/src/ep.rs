@@ -6,8 +6,8 @@
 //! single-FMA-heavy bar in the paper's Fig. 6.
 
 use crate::common::{Class, Kernel, KernelResult};
-use bgp_mpi::{RankCtx, ReduceOp, SemOp};
 use bgp_arch::rng::SimRng;
+use bgp_mpi::{RankCtx, ReduceOp, SemOp};
 
 /// Gaussian pairs attempted per rank.
 pub fn samples_per_rank(class: Class) -> usize {
@@ -95,7 +95,9 @@ pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     }
 
     // Global sums, exactly like the benchmark's final reductions.
-    let sums = ctx.allreduce_sum_f64(&[sx, sy, accepted_total as f64]).await;
+    let sums = ctx
+        .allreduce_sum_f64(&[sx, sy, accepted_total as f64])
+        .await;
     let counts = ctx
         .allreduce(
             ReduceOp::SumU64,
@@ -107,10 +109,8 @@ pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     // Verification: local recomputation matches, and the global annulus
     // counts account for every accepted pair.
     let (osx, osy, oq, oacc) = oracle(ctx.rank(), n);
-    let local_ok = osx == sx
-        && osy == sy
-        && oacc == accepted_total
-        && (0..ANNULI).all(|i| oq[i] == q.raw(i));
+    let local_ok =
+        osx == sx && osy == sy && oacc == accepted_total && (0..ANNULI).all(|i| oq[i] == q.raw(i));
     let global_ok = counts.iter().sum::<u64>() == sums[2] as u64;
     KernelResult {
         kernel: Kernel::Ep,

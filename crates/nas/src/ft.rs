@@ -7,8 +7,8 @@
 //! memory-heaviest kernel (the >4× DDR ratio of Fig. 12).
 
 use crate::common::{Class, Kernel, KernelResult};
-use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 use bgp_arch::rng::SimRng;
+use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 
 /// (NX = NY, local z planes) per class. The global NZ is `lz × ranks`.
 pub fn dims(class: Class) -> (usize, usize) {
@@ -197,7 +197,9 @@ async fn transpose(
         ctx.overhead((lx * g.ny * lz) as u64);
         rows.push(chunk);
     }
-    let cols = ctx.alltoall(rows.into_iter().map(|r| f64s_to_bytes(&r)).collect()).await;
+    let cols = ctx
+        .alltoall(rows.into_iter().map(|r| f64s_to_bytes(&r)).collect())
+        .await;
     for (srcr, bytes) in cols.iter().enumerate() {
         let vals = bytes_to_f64s(bytes);
         let mut it = vals.chunks_exact(2);
@@ -235,10 +237,17 @@ async fn transpose(
 pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let (n, lz) = dims(class);
     let p = ctx.size();
-    assert!(p <= n, "FT needs ranks <= {n} so every rank owns an x-plane");
+    assert!(
+        p <= n,
+        "FT needs ranks <= {n} so every rank owns an x-plane"
+    );
     assert!(n % p == 0, "FT needs ranks to divide {n}");
     let nzg = lz * p;
-    let g = Grid { nx: n, ny: n, nz: lz };
+    let g = Grid {
+        nx: n,
+        ny: n,
+        nz: lz,
+    };
     let elems = n * n * lz;
 
     // Initial condition: seeded pseudo-random complex field.
@@ -264,13 +273,31 @@ pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     // x-direction: contiguous lines in the z-slab.
     for zl in 0..lz {
         for y in 0..n {
-            fft_line(ctx, &mut data, (zl * n + y) * n, 1, &tw_xy, false, &mut line_buf).await;
+            fft_line(
+                ctx,
+                &mut data,
+                (zl * n + y) * n,
+                1,
+                &tw_xy,
+                false,
+                &mut line_buf,
+            )
+            .await;
         }
     }
     // y-direction: stride-n lines, staged through the scratch buffer.
     for zl in 0..lz {
         for x in 0..n {
-            fft_line(ctx, &mut data, zl * n * n + x, n, &tw_xy, false, &mut line_buf).await;
+            fft_line(
+                ctx,
+                &mut data,
+                zl * n * n + x,
+                n,
+                &tw_xy,
+                false,
+                &mut line_buf,
+            )
+            .await;
         }
     }
     // Global transpose to x-slabs, then z-direction (contiguous).
@@ -278,7 +305,16 @@ pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let lx = n / p;
     for xl in 0..lx {
         for y in 0..n {
-            fft_line(ctx, &mut work, (xl * n + y) * nzg, 1, &tw_z, false, &mut line_buf).await;
+            fft_line(
+                ctx,
+                &mut work,
+                (xl * n + y) * nzg,
+                1,
+                &tw_z,
+                false,
+                &mut line_buf,
+            )
+            .await;
         }
     }
 
@@ -330,18 +366,45 @@ pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     }
     for xl in 0..lx {
         for y in 0..n {
-            fft_line(ctx, &mut work, (xl * n + y) * nzg, 1, &tw_z, true, &mut line_buf).await;
+            fft_line(
+                ctx,
+                &mut work,
+                (xl * n + y) * nzg,
+                1,
+                &tw_z,
+                true,
+                &mut line_buf,
+            )
+            .await;
         }
     }
     transpose(ctx, &work, &mut data, &g, false).await;
     for zl in 0..lz {
         for x in 0..n {
-            fft_line(ctx, &mut data, zl * n * n + x, n, &tw_xy, true, &mut line_buf).await;
+            fft_line(
+                ctx,
+                &mut data,
+                zl * n * n + x,
+                n,
+                &tw_xy,
+                true,
+                &mut line_buf,
+            )
+            .await;
         }
     }
     for zl in 0..lz {
         for y in 0..n {
-            fft_line(ctx, &mut data, (zl * n + y) * n, 1, &tw_xy, true, &mut line_buf).await;
+            fft_line(
+                ctx,
+                &mut data,
+                (zl * n + y) * n,
+                1,
+                &tw_xy,
+                true,
+                &mut line_buf,
+            )
+            .await;
         }
     }
     // Scale by 1/(NX·NY·NZG).
@@ -411,7 +474,9 @@ mod tests {
                     }
                     let mut scratch = ctx.alloc::<f64>(2 * len);
                     fft_line(ctx, &mut data, 0, 1, &tw, false, &mut scratch).await;
-                    (0..len).map(|i| (data.raw(2 * i), data.raw(2 * i + 1))).collect::<Vec<_>>()
+                    (0..len)
+                        .map(|i| (data.raw(2 * i), data.raw(2 * i + 1)))
+                        .collect::<Vec<_>>()
                 }
             });
             let want = naive_dft(&signal, false);
@@ -469,7 +534,12 @@ mod tests {
                 fft_line(ctx, &mut data, 0, 1, &tw, false, &mut scratch).await;
                 fft_line(ctx, &mut data, 0, 1, &tw, true, &mut scratch).await;
                 (0..len)
-                    .map(|i| (data.raw(2 * i) / len as f64, data.raw(2 * i + 1) / len as f64))
+                    .map(|i| {
+                        (
+                            data.raw(2 * i) / len as f64,
+                            data.raw(2 * i + 1) / len as f64,
+                        )
+                    })
                     .collect::<Vec<_>>()
             }
         });

@@ -7,8 +7,8 @@
 //! (scattered access patterns thrash a shared L3).
 
 use crate::common::{Class, Kernel, KernelResult};
-use bgp_mpi::{bytes_to_u64s, u64s_to_bytes, RankCtx, ReduceOp, SemOp};
 use bgp_arch::rng::SimRng;
+use bgp_mpi::{bytes_to_u64s, u64s_to_bytes, RankCtx, ReduceOp, SemOp};
 
 /// Keys generated per rank.
 pub fn keys_per_rank(class: Class) -> usize {
@@ -87,8 +87,9 @@ pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
         ctx.int_ops(3);
     }
     ctx.overhead(n as u64);
-    let received =
-        ctx.alltoall(outgoing.into_iter().map(|v| u64s_to_bytes(&v)).collect()).await;
+    let received = ctx
+        .alltoall(outgoing.into_iter().map(|v| u64s_to_bytes(&v)).collect())
+        .await;
     let mut mine: Vec<u64> = Vec::new();
     for chunk in &received {
         mine.extend(bytes_to_u64s(chunk));
@@ -144,12 +145,14 @@ pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     // boundary keys through a vector all-reduce (max per slot).
     let mut maxes = vec![0u64; size];
     maxes[rank] = if m > 0 { sorted.raw(m - 1) as u64 } else { 0 };
-    let maxes =
-        bytes_to_u64s(&ctx.allreduce(ReduceOp::MaxU64, u64s_to_bytes(&maxes)).await);
+    let maxes = bytes_to_u64s(&ctx.allreduce(ReduceOp::MaxU64, u64s_to_bytes(&maxes)).await);
     let mut mins = vec![0u64; size];
-    mins[rank] = if m > 0 { sorted.raw(0) as u64 } else { u64::MAX >> 1 };
-    let mins =
-        bytes_to_u64s(&ctx.allreduce(ReduceOp::MaxU64, u64s_to_bytes(&mins)).await);
+    mins[rank] = if m > 0 {
+        sorted.raw(0) as u64
+    } else {
+        u64::MAX >> 1
+    };
+    let mins = bytes_to_u64s(&ctx.allreduce(ReduceOp::MaxU64, u64s_to_bytes(&mins)).await);
     let mut boundaries_ok = true;
     for r in 0..size - 1 {
         // Empty ranks report max 0 / min large: both sides hold.

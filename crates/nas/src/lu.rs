@@ -7,8 +7,8 @@
 //! profile.
 
 use crate::common::{Class, Kernel, KernelResult};
-use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 use bgp_arch::rng::SimRng;
+use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 
 /// Per-rank grid (nx, ny, local nz).
 pub fn dims(class: Class) -> (usize, usize, usize) {
@@ -79,7 +79,11 @@ async fn sweep(ctx: &mut RankCtx, b: &mut Block, forward: bool, tag: u32) {
     } else if rank + 1 < size {
         recv_plane(ctx, b, rank + 1, tag, nz + 1).await;
     }
-    let zs: Vec<usize> = if forward { (1..=nz).collect() } else { (1..=nz).rev().collect() };
+    let zs: Vec<usize> = if forward {
+        (1..=nz).collect()
+    } else {
+        (1..=nz).rev().collect()
+    };
     for z in zs {
         for yy in 0..ny {
             let y = if forward { yy } else { ny - 1 - yy };
@@ -88,10 +92,26 @@ async fn sweep(ctx: &mut RankCtx, b: &mut Block, forward: bool, tag: u32) {
                 let idx = b.idx(x, y, z);
                 let u0 = ctx.ld(&b.u, idx).await;
                 let f = ctx.ld(&b.rhs, idx).await;
-                let xm = if x > 0 { ctx.ld(&b.u, idx - 1).await } else { 0.0 };
-                let xp = if x + 1 < nx { ctx.ld(&b.u, idx + 1).await } else { 0.0 };
-                let ym = if y > 0 { ctx.ld(&b.u, b.idx(x, y - 1, z)).await } else { 0.0 };
-                let yp = if y + 1 < ny { ctx.ld(&b.u, b.idx(x, y + 1, z)).await } else { 0.0 };
+                let xm = if x > 0 {
+                    ctx.ld(&b.u, idx - 1).await
+                } else {
+                    0.0
+                };
+                let xp = if x + 1 < nx {
+                    ctx.ld(&b.u, idx + 1).await
+                } else {
+                    0.0
+                };
+                let ym = if y > 0 {
+                    ctx.ld(&b.u, b.idx(x, y - 1, z)).await
+                } else {
+                    0.0
+                };
+                let yp = if y + 1 < ny {
+                    ctx.ld(&b.u, b.idx(x, y + 1, z)).await
+                } else {
+                    0.0
+                };
                 let zm = ctx.ld(&b.u, b.idx(x, y, z - 1)).await;
                 let zp = ctx.ld(&b.u, b.idx(x, y, z + 1)).await;
                 // Recurrence-bound scalar arithmetic (Gauss–Seidel uses
@@ -139,10 +159,26 @@ async fn residual(ctx: &mut RankCtx, b: &mut Block) -> f64 {
                 let idx = b.idx(x, y, z);
                 let u0 = ctx.ld(&b.u, idx).await;
                 let f = ctx.ld(&b.rhs, idx).await;
-                let xm = if x > 0 { ctx.ld(&b.u, idx - 1).await } else { 0.0 };
-                let xp = if x + 1 < nx { ctx.ld(&b.u, idx + 1).await } else { 0.0 };
-                let ym = if y > 0 { ctx.ld(&b.u, b.idx(x, y - 1, z)).await } else { 0.0 };
-                let yp = if y + 1 < ny { ctx.ld(&b.u, b.idx(x, y + 1, z)).await } else { 0.0 };
+                let xm = if x > 0 {
+                    ctx.ld(&b.u, idx - 1).await
+                } else {
+                    0.0
+                };
+                let xp = if x + 1 < nx {
+                    ctx.ld(&b.u, idx + 1).await
+                } else {
+                    0.0
+                };
+                let ym = if y > 0 {
+                    ctx.ld(&b.u, b.idx(x, y - 1, z)).await
+                } else {
+                    0.0
+                };
+                let yp = if y + 1 < ny {
+                    ctx.ld(&b.u, b.idx(x, y + 1, z)).await
+                } else {
+                    0.0
+                };
                 let zm = ctx.ld(&b.u, b.idx(x, y, z - 1)).await;
                 let zp = ctx.ld(&b.u, b.idx(x, y, z + 1)).await;
                 ctx.fp1(SemOp::Add);
@@ -162,7 +198,13 @@ async fn residual(ctx: &mut RankCtx, b: &mut Block) -> f64 {
 pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let (nx, ny, nz) = dims(class);
     let n = nx * ny * (nz + 2);
-    let mut b = Block { nx, ny, nz, u: ctx.alloc(n), rhs: ctx.alloc(n) };
+    let mut b = Block {
+        nx,
+        ny,
+        nz,
+        u: ctx.alloc(n),
+        rhs: ctx.alloc(n),
+    };
     let mut rng = SimRng::seed_from_u64(0x4c55 ^ (ctx.rank() as u64) << 8);
     for i in 0..n {
         ctx.st(&mut b.u, i, 0.0).await;

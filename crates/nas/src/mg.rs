@@ -6,8 +6,8 @@
 //! the paper's Fig. 6 and the strong O-level response of Fig. 8.
 
 use crate::common::{Class, Kernel, KernelResult};
-use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 use bgp_arch::rng::SimRng;
+use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 
 /// Per-rank finest-grid dimensions (nx, ny, local nz).
 pub fn dims(class: Class) -> (usize, usize, usize) {
@@ -72,13 +72,7 @@ async fn exchange_halo(ctx: &mut RankCtx, lv: &mut Level, field: usize, tag: u32
         ctx.ld_range(v, base..base + plane).await;
         v.as_slice()[base..base + plane].to_vec()
     }
-    async fn unpack(
-        ctx: &mut RankCtx,
-        lv: &mut Level,
-        field: usize,
-        z: usize,
-        data: &[f64],
-    ) {
+    async fn unpack(ctx: &mut RankCtx, lv: &mut Level, field: usize, z: usize, data: &[f64]) {
         let base = z * (lv.nx * lv.ny);
         let v = match field {
             0 => &mut lv.u,
@@ -129,8 +123,16 @@ async fn smooth(ctx: &mut RankCtx, lv: &mut Level) {
                     let (b0, b1) = ctx.ld2(&lv.rhs, idx, plan).await;
                     // Six neighbour arms per point (x arms overlap the
                     // pair; y/z arms are unit-stride pair loads).
-                    let xm0 = if x > 0 { ctx.ld(&lv.u, idx - 1).await } else { 0.0 };
-                    let xp1 = if x + 2 < nx { ctx.ld(&lv.u, idx + 2).await } else { 0.0 };
+                    let xm0 = if x > 0 {
+                        ctx.ld(&lv.u, idx - 1).await
+                    } else {
+                        0.0
+                    };
+                    let xp1 = if x + 2 < nx {
+                        ctx.ld(&lv.u, idx + 2).await
+                    } else {
+                        0.0
+                    };
                     let (ym0, ym1) = if y > 0 {
                         ctx.ld2(&lv.u, lv.idx(x, y - 1, z), plan).await
                     } else {
@@ -164,11 +166,23 @@ async fn smooth(ctx: &mut RankCtx, lv: &mut Level) {
                 } else {
                     let u0 = ctx.ld(&lv.u, idx).await;
                     let b0 = ctx.ld(&lv.rhs, idx).await;
-                    let xm = if x > 0 { ctx.ld(&lv.u, idx - 1).await } else { 0.0 };
+                    let xm = if x > 0 {
+                        ctx.ld(&lv.u, idx - 1).await
+                    } else {
+                        0.0
+                    };
                     let zm = ctx.ld(&lv.u, lv.idx(x, y, z - 1)).await;
                     let zp = ctx.ld(&lv.u, lv.idx(x, y, z + 1)).await;
-                    let ym = if y > 0 { ctx.ld(&lv.u, lv.idx(x, y - 1, z)).await } else { 0.0 };
-                    let yp = if y + 1 < ny { ctx.ld(&lv.u, lv.idx(x, y + 1, z)).await } else { 0.0 };
+                    let ym = if y > 0 {
+                        ctx.ld(&lv.u, lv.idx(x, y - 1, z)).await
+                    } else {
+                        0.0
+                    };
+                    let yp = if y + 1 < ny {
+                        ctx.ld(&lv.u, lv.idx(x, y + 1, z)).await
+                    } else {
+                        0.0
+                    };
                     for _ in 0..3 {
                         ctx.fp1(SemOp::Add);
                     }
@@ -196,10 +210,26 @@ async fn residual(ctx: &mut RankCtx, lv: &mut Level) -> f64 {
                 let idx = lv.idx(x, y, z);
                 let u0 = ctx.ld(&lv.u, idx).await;
                 let b0 = ctx.ld(&lv.rhs, idx).await;
-                let xm = if x > 0 { ctx.ld(&lv.u, idx - 1).await } else { 0.0 };
-                let xp = if x + 1 < nx { ctx.ld(&lv.u, idx + 1).await } else { 0.0 };
-                let ym = if y > 0 { ctx.ld(&lv.u, lv.idx(x, y - 1, z)).await } else { 0.0 };
-                let yp = if y + 1 < ny { ctx.ld(&lv.u, lv.idx(x, y + 1, z)).await } else { 0.0 };
+                let xm = if x > 0 {
+                    ctx.ld(&lv.u, idx - 1).await
+                } else {
+                    0.0
+                };
+                let xp = if x + 1 < nx {
+                    ctx.ld(&lv.u, idx + 1).await
+                } else {
+                    0.0
+                };
+                let ym = if y > 0 {
+                    ctx.ld(&lv.u, lv.idx(x, y - 1, z)).await
+                } else {
+                    0.0
+                };
+                let yp = if y + 1 < ny {
+                    ctx.ld(&lv.u, lv.idx(x, y + 1, z)).await
+                } else {
+                    0.0
+                };
                 let zm = ctx.ld(&lv.u, lv.idx(x, y, z - 1)).await;
                 let zp = ctx.ld(&lv.u, lv.idx(x, y, z + 1)).await;
                 // Vectorizable stencil: charge as pair-ops every 2 points
@@ -256,7 +286,8 @@ async fn restrict(ctx: &mut RankCtx, fine: &mut Level, coarse: &mut Level) {
                         ctx.fp_pair(plan, SemOp::Add);
                     }
                     ctx.fp_pair(plan, SemOp::Mul);
-                    ctx.st2(&mut coarse.rhs, cidx, (sum[0] / 8.0, sum[1] / 8.0), plan).await;
+                    ctx.st2(&mut coarse.rhs, cidx, (sum[0] / 8.0, sum[1] / 8.0), plan)
+                        .await;
                     x += 2;
                 } else {
                     for _ in 0..7 {

@@ -11,8 +11,8 @@
 //! operators to form `b`, solve, and compare against `u*`.
 
 use crate::common::{Class, Kernel, KernelResult};
-use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 use bgp_arch::rng::SimRng;
+use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 
 /// Per-rank grid (nx, ny, local nz).
 pub fn dims(class: Class) -> (usize, usize, usize) {
@@ -138,7 +138,14 @@ async fn solve_local_line(ctx: &mut RankCtx, b: &mut Block, base: usize, stride:
 
 /// Apply the pentadiagonal operator along a rank-local direction
 /// (`u ← P u`). Unit-stride application is vectorizable.
-async fn apply_local(ctx: &mut RankCtx, b: &mut Block, base: usize, stride: usize, len: usize, scratch: &mut Vec<f64>) {
+async fn apply_local(
+    ctx: &mut RankCtx,
+    b: &mut Block,
+    base: usize,
+    stride: usize,
+    len: usize,
+    scratch: &mut Vec<f64>,
+) {
     scratch.clear();
     for k in 0..len {
         scratch.push(ctx.ld(&b.u, base + k * stride).await);
@@ -196,7 +203,16 @@ async fn apply_z(ctx: &mut RankCtx, b: &mut Block) {
     if rank + 1 < size {
         above = bytes_to_f64s(&ctx.recv(Some(rank + 1), 61).await);
     }
-    let at = |below: &[f64], above: &[f64], b: &Block, vals: &Vec<Vec<f64>>, x: usize, y: usize, gz: i64, z0: i64, nzl: i64| -> f64 {
+    let at = |below: &[f64],
+              above: &[f64],
+              b: &Block,
+              vals: &Vec<Vec<f64>>,
+              x: usize,
+              y: usize,
+              gz: i64,
+              z0: i64,
+              nzl: i64|
+     -> f64 {
         if gz < 0 || gz >= (z0 + nzl) && above.is_empty() {
             0.0
         } else if gz < z0 {
@@ -323,7 +339,12 @@ pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let (nx, ny, nz) = dims(class);
     let size = ctx.size();
     let n = nx * ny * nz;
-    let mut b = Block { nx, ny, nz, u: ctx.alloc(n) };
+    let mut b = Block {
+        nx,
+        ny,
+        nz,
+        u: ctx.alloc(n),
+    };
 
     // Manufactured solution u*.
     let mut rng = SimRng::seed_from_u64(0x5350 ^ (ctx.rank() as u64) << 4);
@@ -378,7 +399,11 @@ pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
         &ctx.allreduce(bgp_mpi::ReduceOp::MaxF64, f64s_to_bytes(&[max_err]))
             .await,
     )[0];
-    KernelResult { kernel: Kernel::Sp, verified: global < 1e-8, checksum: global }
+    KernelResult {
+        kernel: Kernel::Sp,
+        verified: global < 1e-8,
+        checksum: global,
+    }
 }
 
 #[cfg(test)]
@@ -440,7 +465,12 @@ mod tests {
                 async move {
                     let ctx = &mut ctx;
                     let el = factor(ctx, len).await;
-                    let mut b = Block { nx: len, ny: 1, nz: 1, u: ctx.alloc(len) };
+                    let mut b = Block {
+                        nx: len,
+                        ny: 1,
+                        nz: 1,
+                        u: ctx.alloc(len),
+                    };
                     for (i, &v) in rhs.iter().enumerate() {
                         ctx.st(&mut b.u, i, v).await;
                     }
@@ -448,7 +478,12 @@ mod tests {
                     (0..len).map(|i| b.u.raw(i)).collect::<Vec<_>>()
                 }
             });
-            let want = dense_solve(len, &(0..len).map(|i| ((i * 7) % 13) as f64 - 6.0).collect::<Vec<_>>());
+            let want = dense_solve(
+                len,
+                &(0..len)
+                    .map(|i| ((i * 7) % 13) as f64 - 6.0)
+                    .collect::<Vec<_>>(),
+            );
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() < 1e-10, "len {len}: {got:?} vs {want:?}");
             }
@@ -464,7 +499,12 @@ mod tests {
             async move {
                 let ctx = &mut ctx;
                 let el = factor(ctx, len).await;
-                let mut b = Block { nx: len, ny: 1, nz: 1, u: ctx.alloc(len) };
+                let mut b = Block {
+                    nx: len,
+                    ny: 1,
+                    nz: 1,
+                    u: ctx.alloc(len),
+                };
                 for (i, &v) in rhs.iter().enumerate() {
                     ctx.st(&mut b.u, i, v).await;
                 }
@@ -478,7 +518,12 @@ mod tests {
                 let ctx = &mut ctx;
                 let el = factor(ctx, len).await;
                 // Same system living along a stride-4 line of a bigger array.
-                let mut b = Block { nx: 4, ny: len, nz: 1, u: ctx.alloc(4 * len) };
+                let mut b = Block {
+                    nx: 4,
+                    ny: len,
+                    nz: 1,
+                    u: ctx.alloc(4 * len),
+                };
                 for (i, &v) in rhs.iter().enumerate() {
                     ctx.st(&mut b.u, 2 + 4 * i, v).await;
                 }
@@ -498,7 +543,12 @@ mod tests {
             async move {
                 let ctx = &mut ctx;
                 let el = factor(ctx, len).await;
-                let mut b = Block { nx: len, ny: 1, nz: 1, u: ctx.alloc(len) };
+                let mut b = Block {
+                    nx: len,
+                    ny: 1,
+                    nz: 1,
+                    u: ctx.alloc(len),
+                };
                 for (i, &v) in original.iter().enumerate() {
                     ctx.st(&mut b.u, i, v).await;
                 }

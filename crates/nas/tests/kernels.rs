@@ -3,13 +3,16 @@
 
 use bgp_arch::events::CounterMode;
 use bgp_arch::OpMode;
-use bgp_mpi::{CounterPolicy, JobSpec, Machine};
-use bgp_nas::{Class, Kernel};
 #[allow(unused_imports)]
 use bgp_compiler as _;
+use bgp_mpi::{CounterPolicy, JobSpec, Machine};
+use bgp_nas::{Class, Kernel};
 
 fn run_kernel(kernel: Kernel, ranks: usize, mode: OpMode) -> (bool, f64) {
-    assert!(kernel.valid_ranks(ranks), "{kernel}: invalid rank count {ranks}");
+    assert!(
+        kernel.valid_ranks(ranks),
+        "{kernel}: invalid rank count {ranks}"
+    );
     let mut spec = JobSpec::new(ranks, mode);
     spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode0);
     let m = Machine::new(spec);
@@ -118,6 +121,12 @@ fn timing_depends_on_compiler_build_but_math_does_not() {
     };
     let (base_sum, base_cycles) = run_with(bgp_compiler::CompileOpts::baseline());
     let (best_sum, best_cycles) = run_with(bgp_compiler::CompileOpts::o5());
-    assert_eq!(base_sum, best_sum, "builds must not change the computed residual");
-    assert!(best_cycles < base_cycles, "-O5 must be faster than the baseline");
+    assert_eq!(
+        base_sum, best_sum,
+        "builds must not change the computed residual"
+    );
+    assert!(
+        best_cycles < base_cycles,
+        "-O5 must be faster than the baseline"
+    );
 }

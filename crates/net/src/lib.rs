@@ -80,7 +80,11 @@ pub struct TorusNetwork {
 impl TorusNetwork {
     /// A torus over `dims` with timing `cfg`.
     pub fn new(dims: TorusDims, cfg: NetConfig) -> TorusNetwork {
-        TorusNetwork { dims, cfg, faults: None }
+        TorusNetwork {
+            dims,
+            cfg,
+            faults: None,
+        }
     }
 
     /// Attach a fault plan: hops through a degraded endpoint router pay
@@ -174,13 +178,21 @@ impl TorusNetwork {
             let positive = fwd <= bwd;
             let steps = fwd.min(bwd);
             for _ in 0..steps {
-                links.push(LinkId { from: dims.node(cur), axis, positive });
+                links.push(LinkId {
+                    from: dims.node(cur),
+                    axis,
+                    positive,
+                });
                 let c = match axis {
                     0 => &mut cur.x,
                     1 => &mut cur.y,
                     _ => &mut cur.z,
                 };
-                *c = if positive { (*c + 1) % extent } else { (*c + extent - 1) % extent };
+                *c = if positive {
+                    (*c + 1) % extent
+                } else {
+                    (*c + extent - 1) % extent
+                };
             }
         }
         debug_assert_eq!(dims.node(cur), dst, "route must terminate at dst");
@@ -246,7 +258,11 @@ impl PhaseTraffic {
     /// delay (cycles) it suffers behind traffic enqueued earlier in the
     /// same phase. Empty routes (on-node copies) never queue.
     pub fn enqueue(&mut self, route: &[LinkId], bytes: u64) -> u64 {
-        let backlog = route.iter().map(|&l| self.load[link_index(l)]).max().unwrap_or(0);
+        let backlog = route
+            .iter()
+            .map(|&l| self.load[link_index(l)])
+            .max()
+            .unwrap_or(0);
         for &l in route {
             let i = link_index(l);
             if !self.touched[i] {
@@ -405,7 +421,9 @@ mod tests {
         // Broadcasting 8 bytes to 511 peers point-to-point costs far more
         // than one tree traversal.
         let tree = c.broadcast(bytes).cycles;
-        let p2p: u64 = (1..512).map(|d| t.transfer(NodeId(0), NodeId(d), bytes).cycles).sum();
+        let p2p: u64 = (1..512)
+            .map(|d| t.transfer(NodeId(0), NodeId(d), bytes).cycles)
+            .sum();
         assert!(tree * 100 < p2p);
     }
 
@@ -415,7 +433,11 @@ mod tests {
         let mut t = torus(8);
         let clean = t.transfer(NodeId(0), NodeId(1), 1024).cycles;
         // Every router degraded, 4x slowdown.
-        let spec = FaultSpec { link_degrade_rate: 1.0, link_slowdown: 4, ..FaultSpec::none() };
+        let spec = FaultSpec {
+            link_degrade_rate: 1.0,
+            link_slowdown: 4,
+            ..FaultSpec::none()
+        };
         t.set_fault_plan(Arc::new(FaultPlan::new(spec, 1, 8)));
         assert_eq!(t.transfer(NodeId(0), NodeId(1), 1024).cycles, clean * 4);
     }
@@ -469,7 +491,10 @@ mod tests {
         // A disjoint route is unaffected. Node 0's +X link is 0->1; the
         // reverse direction 1->0 is a different cable.
         let r10 = t.route(NodeId(1), NodeId(0));
-        assert!(r10.iter().all(|l| !r01.contains(l)), "directions must not share links");
+        assert!(
+            r10.iter().all(|l| !r01.contains(l)),
+            "directions must not share links"
+        );
         assert_eq!(pt.enqueue(&r10, 64), 0);
         assert_eq!(pt.peak_link_bytes(), 4096 + 64);
         pt.reset();
@@ -485,8 +510,11 @@ mod tests {
 
     impl ReferenceTraffic {
         fn enqueue(&mut self, route: &[LinkId], bytes: u64) -> u64 {
-            let backlog =
-                route.iter().map(|l| self.load.get(l).copied().unwrap_or(0)).max().unwrap_or(0);
+            let backlog = route
+                .iter()
+                .map(|l| self.load.get(l).copied().unwrap_or(0))
+                .max()
+                .unwrap_or(0);
             for l in route {
                 *self.load.entry(*l).or_insert(0) += bytes;
             }
@@ -498,7 +526,11 @@ mod tests {
     fn dense_link_loads_match_the_sparse_reference() {
         use bgp_arch::rng::SimRng;
         // The paper's full machine.
-        let dims = TorusDims { x: 72, y: 32, z: 32 };
+        let dims = TorusDims {
+            x: 72,
+            y: 32,
+            z: 32,
+        };
         let t = TorusNetwork::new(dims, NetConfig::default());
         let cfg = NetConfig::default();
         let mut dense = PhaseTraffic::new(dims, &cfg);
@@ -531,9 +563,16 @@ mod tests {
                 );
             }
             let r = &reference.load;
-            assert_eq!(dense.peak_link_bytes(), r.values().copied().max().unwrap_or(0));
+            assert_eq!(
+                dense.peak_link_bytes(),
+                r.values().copied().max().unwrap_or(0)
+            );
             assert_eq!(dense.links_loaded(), r.len(), "phase {phase}");
-            assert_eq!(dense.total_bytes(), r.values().sum::<u64>(), "phase {phase}");
+            assert_eq!(
+                dense.total_bytes(),
+                r.values().sum::<u64>(),
+                "phase {phase}"
+            );
         }
     }
 

@@ -188,13 +188,7 @@ impl Core {
 
     /// Account a retired memory instruction (the node performs the actual
     /// cache walk and passes the resulting stall here).
-    pub fn retire_mem(
-        &mut self,
-        write: bool,
-        width_event: CoreEvent,
-        stall: u64,
-        upc: &mut Upc,
-    ) {
+    pub fn retire_mem(&mut self, write: bool, width_event: CoreEvent, stall: u64, upc: &mut Upc) {
         self.issued += 1;
         if write {
             self.instr.stores += 1;

@@ -175,7 +175,9 @@ impl Node {
     /// Ground-truth memory statistics; all zero until the first memory
     /// operation.
     pub fn mem_stats(&self) -> MemStats {
-        self.mem.as_ref().map_or_else(MemStats::default, |m| *m.stats())
+        self.mem
+            .as_ref()
+            .map_or_else(MemStats::default, |m| *m.stats())
     }
 
     /// The machine configuration.
@@ -302,7 +304,10 @@ impl Node {
     pub fn emit_event(&mut self, event: bgp_arch::EventId, count: u64) {
         if self.upc.enabled() && event.mode() == CounterMode::Mode3 {
             let slot = event.slot().0 as usize;
-            debug_assert!(slot < NET_EVENTS, "mode-3 slot {slot} is not a network event");
+            debug_assert!(
+                slot < NET_EVENTS,
+                "mode-3 slot {slot} is not a network event"
+            );
             if let Some(t) = self.net_truth.get_mut(slot) {
                 *t = t.wrapping_add(count);
             }
@@ -361,7 +366,12 @@ impl Node {
             m.save_state(out);
         }
         self.upc.save_state(out);
-        for &v in self.icursor.iter().chain(&self.ifetches).chain(&self.net_truth) {
+        for &v in self
+            .icursor
+            .iter()
+            .chain(&self.ifetches)
+            .chain(&self.net_truth)
+        {
             bgp_arch::wire::put_u64(out, v);
         }
     }
@@ -525,7 +535,10 @@ mod tests {
             assert_eq!(scalar.mem_stats(), batched.mem_stats());
             for c in 0..CORES_PER_NODE {
                 assert_eq!(scalar.core(c).cycles(), batched.core(c).cycles());
-                assert_eq!(scalar.core(c).instr_counts(), batched.core(c).instr_counts());
+                assert_eq!(
+                    scalar.core(c).instr_counts(),
+                    batched.core(c).instr_counts()
+                );
             }
             assert_eq!(scalar.upc().snapshot(), batched.upc().snapshot());
         }
@@ -571,7 +584,14 @@ mod tests {
             l3_bytes: 16 << 10,
             ..MachineConfig::default()
         });
-        let small = || Node::new(NodeId(0), Arc::clone(&cfg), OpMode::VirtualNode, CounterMode::Mode0);
+        let small = || {
+            Node::new(
+                NodeId(0),
+                Arc::clone(&cfg),
+                OpMode::VirtualNode,
+                CounterMode::Mode0,
+            )
+        };
         let mut built = small();
         built.mem_op(0, 0, 0x1000, MemWidth::Double, false);
         built.upc_mut().set_threshold(20, 64);
@@ -589,14 +609,23 @@ mod tests {
         restore(&section).unwrap();
         for cut in 0..section.len() {
             let err = restore(&section[..cut]).unwrap_err();
-            assert!(matches!(err, bgp_arch::BgpError::Corrupt(_)), "cut {cut}: {err}");
+            assert!(
+                matches!(err, bgp_arch::BgpError::Corrupt(_)),
+                "cut {cut}: {err}"
+            );
         }
-        for (at, tag) in [(mem_tag_at(&built), 1), (unbuilt_at + mem_tag_at(&unbuilt), 0)] {
+        for (at, tag) in [
+            (mem_tag_at(&built), 1),
+            (unbuilt_at + mem_tag_at(&unbuilt), 0),
+        ] {
             assert_eq!(section[at], tag);
             let mut bad = section.clone();
             bad[at] = 2;
             let err = restore(&bad).unwrap_err();
-            assert!(err.to_string().contains("node memory-hierarchy tag"), "{err}");
+            assert!(
+                err.to_string().contains("node memory-hierarchy tag"),
+                "{err}"
+            );
         }
     }
 
@@ -611,14 +640,21 @@ mod tests {
         // only the captured value-at-fire may differ.
         let mk = || {
             let mut n = node(CounterMode::Mode0);
-            let cfg = CounterConfig { interrupt_enable: true, ..CounterConfig::default() };
+            let cfg = CounterConfig {
+                interrupt_enable: true,
+                ..CounterConfig::default()
+            };
             n.upc_mut().configure(20, cfg);
             n.upc_mut().set_threshold(20, 10);
             n
         };
         let (mut scalar, mut batched) = (mk(), mk());
         let ops: Vec<MemOp> = (0..2000u64)
-            .map(|i| MemOp { vaddr: i * 64, width: MemWidth::Double, write: false })
+            .map(|i| MemOp {
+                vaddr: i * 64,
+                width: MemWidth::Double,
+                write: false,
+            })
             .collect();
         for o in &ops {
             scalar.mem_op(0, 0, o.vaddr, o.width, o.write);
@@ -674,11 +710,19 @@ mod tests {
         assert!(n.mem.is_none());
         let mut bytes = Vec::new();
         n.save_state(&mut bytes);
-        assert_eq!(bytes[mem_tag_at(&n)], 0, "the unbuilt node wrote tag 0 and no image");
-        assert_eq!(bytes.len(), mem_tag_at(&n) + 1 + upc_len(&n) + 8 * (2 * CORES_PER_NODE + NET_EVENTS));
+        assert_eq!(
+            bytes[mem_tag_at(&n)],
+            0,
+            "the unbuilt node wrote tag 0 and no image"
+        );
+        assert_eq!(
+            bytes.len(),
+            mem_tag_at(&n) + 1 + upc_len(&n) + 8 * (2 * CORES_PER_NODE + NET_EVENTS)
+        );
         let mut back = node(CounterMode::Mode0);
         back.mem_op(1, 1, 0x40, MemWidth::Word, true);
-        back.restore_state(&mut bgp_arch::wire::Reader::new(&bytes)).unwrap();
+        back.restore_state(&mut bgp_arch::wire::Reader::new(&bytes))
+            .unwrap();
         assert!(back.mem.is_none(), "tag 0 leaves the hierarchy unbuilt");
         let mut again = Vec::new();
         back.save_state(&mut again);
@@ -688,7 +732,8 @@ mod tests {
         let mut touched = Vec::new();
         n.save_state(&mut touched);
         let mut back = node(CounterMode::Mode0);
-        back.restore_state(&mut bgp_arch::wire::Reader::new(&touched)).unwrap();
+        back.restore_state(&mut bgp_arch::wire::Reader::new(&touched))
+            .unwrap();
         assert_eq!(back.mem_stats(), n.mem_stats());
         assert_eq!(back.mem_stats().ddr_reads, 1);
     }

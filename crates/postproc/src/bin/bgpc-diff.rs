@@ -41,9 +41,14 @@ impl Args {
         if !(threshold.is_finite() && threshold >= 0.0) {
             return Err(format!("--threshold: {threshold} is not a percentage"));
         }
-        let dirs: [PathBuf; 2] =
-            dirs.try_into().map_err(|_| p.missing("exactly two dump directories"))?;
-        Ok(Args { dirs, set, threshold })
+        let dirs: [PathBuf; 2] = dirs
+            .try_into()
+            .map_err(|_| p.missing("exactly two dump directories"))?;
+        Ok(Args {
+            dirs,
+            set,
+            threshold,
+        })
     }
 }
 
@@ -55,7 +60,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Args { dirs, set, threshold } = args;
+    let Args {
+        dirs,
+        set,
+        threshold,
+    } = args;
 
     let frames: Vec<Frame> = match dirs
         .iter()
@@ -137,7 +146,9 @@ mod tests {
         }
         assert!(parse(&["a"]).unwrap_err().contains("two dump directories"));
         assert!(parse(&["a", "b", "c"]).is_err());
-        assert!(parse(&["a", "b", "--bogus"]).unwrap_err().contains("--bogus"));
+        assert!(parse(&["a", "b", "--bogus"])
+            .unwrap_err()
+            .contains("--bogus"));
         assert_eq!(parse(&["--help"]).unwrap_err(), USAGE);
     }
 }

@@ -98,7 +98,10 @@ fn run_meta(input: &Path) -> Option<RunMeta> {
     let text = std::fs::read_to_string(input.join("run.json")).ok()?;
     let v = bgp_trace::json::parse(&text).ok()?;
     let spec = v.get("spec_hash")?.as_str()?.to_string();
-    let seed = v.get("seed").and_then(bgp_trace::json::Value::as_u64).unwrap_or(0);
+    let seed = v
+        .get("seed")
+        .and_then(bgp_trace::json::Value::as_u64)
+        .unwrap_or(0);
     let policy = v.get("policy").and_then(|p| p.as_str()).map(str::to_string);
     Some(RunMeta { spec, seed, policy })
 }
@@ -166,8 +169,11 @@ fn render_json(
         out.push_str(if i + 1 < dumps.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n  \"warnings\": [");
-    let warnings: Vec<String> =
-        frame.anomalies().iter().map(|a| escape(&a.to_string())).collect();
+    let warnings: Vec<String> = frame
+        .anomalies()
+        .iter()
+        .map(|a| escape(&a.to_string()))
+        .collect();
     out.push_str(&warnings.join(", "));
     out.push_str("],\n  \"counters\": [\n");
     for (i, (ev, s)) in stats.iter().enumerate() {
@@ -191,7 +197,9 @@ fn load(input: &Path) -> Result<Vec<NodeDump>, String> {
         bgp_core::read_dumps(input).map_err(|e| e.to_string())
     } else {
         let bytes = std::fs::read(input).map_err(|e| e.to_string())?;
-        Ok(vec![bgp_core::dump::decode(&bytes).map_err(|e| e.to_string())?])
+        Ok(vec![
+            bgp_core::dump::decode(&bytes).map_err(|e| e.to_string())?
+        ])
     }
 }
 
@@ -227,7 +235,10 @@ fn main() -> ExitCode {
             stats.sort_by_key(|(_, s)| std::cmp::Reverse(s.sum));
             stats.truncate(args.top);
         }
-        print!("{}", render_json(&dumps, &frame, args.set, meta.as_ref(), &stats));
+        print!(
+            "{}",
+            render_json(&dumps, &frame, args.set, meta.as_ref(), &stats)
+        );
         if let Some(path) = args.csv {
             if let Err(e) = stats_csv(&frame).write(&path) {
                 eprintln!("bgpc-dump: writing {}: {e}", path.display());
@@ -250,7 +261,12 @@ fn main() -> ExitCode {
             .iter()
             .map(|s| format!("{} ({} records)", set_label(s.id), s.records))
             .collect();
-        println!("  node {:>5}  {}  sets: [{}]", d.node, d.mode, sets.join(", "));
+        println!(
+            "  node {:>5}  {}  sets: [{}]",
+            d.node,
+            d.mode,
+            sets.join(", ")
+        );
     }
     if let Some((w, basis)) = mux_weights(&dumps, args.set) {
         println!("mux weights (pooled {basis}): {w:?}");
@@ -273,9 +289,16 @@ fn main() -> ExitCode {
         "\nset {} — {} counters{}:",
         args.set,
         stats.len(),
-        if args.all { "" } else { " (by total, use --all for every slot)" }
+        if args.all {
+            ""
+        } else {
+            " (by total, use --all for every slot)"
+        }
     );
-    println!("{:<32} {:>14} {:>14} {:>16} {:>6}", "event", "min", "max", "mean", "nodes");
+    println!(
+        "{:<32} {:>14} {:>14} {:>16} {:>6}",
+        "event", "min", "max", "mean", "nodes"
+    );
     for (ev, s) in &stats {
         println!(
             "{:<32} {:>14} {:>14} {:>16.1} {:>6}",
@@ -307,10 +330,15 @@ mod tests {
 
     #[test]
     fn flags_and_input_parse() {
-        let a = parse(&["--set", "2", "dumps", "--csv", "o.csv", "--top", "5", "--report"])
-            .unwrap();
+        let a = parse(&[
+            "--set", "2", "dumps", "--csv", "o.csv", "--top", "5", "--report",
+        ])
+        .unwrap();
         assert_eq!(a.input, PathBuf::from("dumps"));
-        assert_eq!((a.set, a.top, a.report, a.all, a.json), (2, 5, true, false, false));
+        assert_eq!(
+            (a.set, a.top, a.report, a.all, a.json),
+            (2, 5, true, false, false)
+        );
         assert_eq!(a.csv, Some(PathBuf::from("o.csv")));
         let a = parse(&["dumps", "--all", "--json"]).unwrap();
         assert_eq!((a.set, a.top, a.all, a.json), (0, 20, true, true));
@@ -328,7 +356,9 @@ mod tests {
             assert!(err.starts_with(flag), "{argv:?}: {err}");
         }
         assert!(parse(&[]).unwrap_err().contains("missing input path"));
-        assert!(parse(&["a", "b"]).unwrap_err().contains("unexpected argument b"));
+        assert!(parse(&["a", "b"])
+            .unwrap_err()
+            .contains("unexpected argument b"));
         assert!(parse(&["--help"]).unwrap_err().contains("--report"));
     }
 }

@@ -18,7 +18,10 @@ impl Csv {
     pub fn new<S: Into<String>>(header: impl IntoIterator<Item = S>) -> Csv {
         let header: Vec<String> = header.into_iter().map(Into::into).collect();
         assert!(!header.is_empty());
-        Csv { header, rows: Vec::new() }
+        Csv {
+            header,
+            rows: Vec::new(),
+        }
     }
 
     /// Append one row (must match the header width).
@@ -55,9 +58,21 @@ impl Csv {
                 s.to_string()
             }
         };
-        let _ = writeln!(out, "{}", self.header.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
+        let _ = writeln!(
+            out,
+            "{}",
+            self.header
+                .iter()
+                .map(|c| esc(c))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
         for r in &self.rows {
-            let _ = writeln!(out, "{}", r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
+            let _ = writeln!(
+                out,
+                "{}",
+                r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
+            );
         }
         out
     }
@@ -117,12 +132,18 @@ mod tests {
         let d = NodeDump {
             node: 0,
             mode: CounterMode::Mode0,
-            sets: vec![SetDump { id: 0, records: 1, counts: vec![1; NUM_COUNTERS] }],
+            sets: vec![SetDump {
+                id: 0,
+                records: 1,
+                counts: vec![1; NUM_COUNTERS],
+            }],
         };
         let f = Frame::from_dumps(&[d], 0).unwrap();
         let csv = stats_csv(&f);
         assert_eq!(csv.len(), NUM_COUNTERS);
-        assert!(csv.render().starts_with("event,mnemonic,min,max,mean,sum,nodes"));
+        assert!(csv
+            .render()
+            .starts_with("event,mnemonic,min,max,mean,sum,nodes"));
     }
 
     #[test]

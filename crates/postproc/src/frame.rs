@@ -148,7 +148,9 @@ impl Source {
             Source::Mux(w) => {
                 let total = w.iter().sum();
                 for (mode, &occ) in CounterMode::ALL.into_iter().zip(&w) {
-                    let Some(s) = d.set(mux_set_id(set, mode.index())) else { continue };
+                    let Some(s) = d.set(mux_set_id(set, mode.index())) else {
+                        continue;
+                    };
                     if occ > 0 && s.counts.len() == NUM_COUNTERS {
                         out.push(obs(mode, s.records, &s.counts, occ, total));
                     }
@@ -198,7 +200,11 @@ pub fn mux_weights(dumps: &[NodeDump], set: u32) -> Option<([u64; NUM_MODES], &'
     let usable = cycles_ok
         && cycles.iter().sum::<u64>() > 0
         && (0..NUM_MODES).all(|m| phases[m] == 0 || cycles[m] > 0);
-    multiplexed.then_some(if usable { (cycles, "cycles") } else { (phases, "phases") })
+    multiplexed.then_some(if usable {
+        (cycles, "cycles")
+    } else {
+        (phases, "phases")
+    })
 }
 
 /// Each event's estimates over `obs`, indexed by [`EventId::index`], in
@@ -236,7 +242,9 @@ impl Frame {
         for d in dumps {
             Source::Header.observe(d, set, &mut obs)?;
         }
-        let first = obs.first().ok_or_else(|| BgpError::corrupt("no dumps to aggregate"))?;
+        let first = obs
+            .first()
+            .ok_or_else(|| BgpError::corrupt("no dumps to aggregate"))?;
         let records = first.records;
         if let Some(o) = obs.iter().find(|o| o.records != records) {
             return Err(BgpError::corrupt(format!(
@@ -319,7 +327,10 @@ impl Frame {
             let ev = EventId::from_index(i).expect("event index in range");
             let observers = kept.len();
             if let Some(&max) = kept.iter().max().filter(|&&m| m >= SATURATION_SUSPECT) {
-                flags.push(format!("{}: value {max:#x} looks saturated/implausible", ev.name()));
+                flags.push(format!(
+                    "{}: value {max:#x} looks saturated/implausible",
+                    ev.name()
+                ));
             }
             if observers >= 3 {
                 let mut sorted = kept.clone();
@@ -346,9 +357,21 @@ impl Frame {
             }
             let observed = nodes_by_mode[ev.mode().index()];
             let mean = kept.iter().map(|&v| v as f64).sum::<f64>() / kept.len() as f64;
-            per_event.push(stats(&kept, mean, (mean * observed as f64).round() as u64, observed));
+            per_event.push(stats(
+                &kept,
+                mean,
+                (mean * observed as f64).round() as u64,
+                observed,
+            ));
         }
-        Frame { set, per_event, nodes_by_mode, records, coverage, flags }
+        Frame {
+            set,
+            per_event,
+            nodes_by_mode,
+            records,
+            coverage,
+            flags,
+        }
     }
 
     /// The set this frame aggregates.
@@ -460,7 +483,11 @@ mod tests {
         NodeDump {
             node,
             mode,
-            sets: vec![SetDump { id: 0, records: 1, counts: vec![fill; NUM_COUNTERS] }],
+            sets: vec![SetDump {
+                id: 0,
+                records: 1,
+                counts: vec![fill; NUM_COUNTERS],
+            }],
         }
     }
 
@@ -533,7 +560,10 @@ mod tests {
     #[test]
     fn anomaly_scan_flags_all_zero_and_asymmetric_data() {
         let f = Frame::from_dumps(&[dump(0, CounterMode::Mode0, 0)], 0).unwrap();
-        assert!(f.anomalies().iter().any(|a| a.contains("every counter is zero")));
+        assert!(f
+            .anomalies()
+            .iter()
+            .any(|a| a.contains("every counter is zero")));
 
         let mut d1 = dump(1, CounterMode::Mode0, 0);
         d1.sets[0].counts[3] = 5_000_000;
@@ -543,7 +573,10 @@ mod tests {
 
     #[test]
     fn full_survival_matches_strict_aggregation() {
-        let dumps = vec![dump(0, CounterMode::Mode2, 10), dump(1, CounterMode::Mode2, 30)];
+        let dumps = vec![
+            dump(0, CounterMode::Mode2, 10),
+            dump(1, CounterMode::Mode2, 30),
+        ];
         let d = Frame::from_survivors(&dumps, 0, mode2(2));
         let f = Frame::from_dumps(&dumps, 0).unwrap();
         assert_eq!(d.coverage(), 1.0);
@@ -565,7 +598,9 @@ mod tests {
         ];
         let d = Frame::from_survivors(&dumps, 0, mode2(4));
         assert!((d.coverage() - 0.75).abs() < 1e-12);
-        let st = d.stats(EventId::new(CounterMode::Mode2, 0)).expect("75% beats the floor");
+        let st = d
+            .stats(EventId::new(CounterMode::Mode2, 0))
+            .expect("75% beats the floor");
         assert!((st.mean - 12.0).abs() < 1e-12, "mean unchanged by loss");
         assert_eq!((st.sum, st.nodes), (36, 3), "sum scaled to the survivors");
         assert!(d.anomalies().iter().any(|s| s.contains("3 of 4")));
@@ -574,9 +609,16 @@ mod tests {
     #[test]
     fn coverage_floor_drops_unreliable_events() {
         let d = Frame::from_survivors(&[dump(0, CounterMode::Mode2, 5)], 0, mode2(4));
-        assert!(d.stats(EventId::new(CounterMode::Mode2, 0)).is_none(), "25% < 50%");
+        assert!(
+            d.stats(EventId::new(CounterMode::Mode2, 0)).is_none(),
+            "25% < 50%"
+        );
         assert!(d.all_stats().is_empty());
-        let unreliable = d.anomalies().iter().filter(|s| s.contains("unreliable")).count();
+        let unreliable = d
+            .anomalies()
+            .iter()
+            .filter(|s| s.contains("unreliable"))
+            .count();
         assert_eq!(unreliable, NUM_COUNTERS);
     }
 
@@ -584,12 +626,18 @@ mod tests {
     fn bitflipped_outlier_is_dropped_from_the_mean() {
         let mut bad = dump(2, CounterMode::Mode2, 100);
         bad.sets[0].counts[7] = 100 + (1 << 55); // high-bit flip
-        let dumps =
-            vec![dump(0, CounterMode::Mode2, 100), dump(1, CounterMode::Mode2, 100), bad];
+        let dumps = vec![
+            dump(0, CounterMode::Mode2, 100),
+            dump(1, CounterMode::Mode2, 100),
+            bad,
+        ];
         let d = Frame::from_survivors(&dumps, 0, mode2(3));
         let st = d.stats(EventId::new(CounterMode::Mode2, 7)).unwrap();
         assert_eq!((st.max, st.sum), (100, 300), "mean survives the flip");
-        assert!(d.anomalies().iter().any(|s| s.contains("dropped 1 outlier")));
+        assert!(d
+            .anomalies()
+            .iter()
+            .any(|s| s.contains("dropped 1 outlier")));
     }
 
     #[test]
@@ -598,7 +646,11 @@ mod tests {
         // mean, but the saturation is still reported.
         let mut bad = dump(0, CounterMode::Mode2, 50);
         bad.sets[0].counts[3] = u64::MAX;
-        let dumps = vec![bad, dump(1, CounterMode::Mode2, 50), dump(2, CounterMode::Mode2, 50)];
+        let dumps = vec![
+            bad,
+            dump(1, CounterMode::Mode2, 50),
+            dump(2, CounterMode::Mode2, 50),
+        ];
         let d = Frame::from_survivors(&dumps, 0, mode2(3));
         assert!(d.anomalies().iter().any(|s| s.contains("saturated")));
         let st = d.stats(EventId::new(CounterMode::Mode2, 3)).unwrap();
@@ -632,14 +684,25 @@ mod tests {
     fn record_disagreements_resolve_to_the_mode() {
         let mut odd = dump(2, CounterMode::Mode2, 1);
         odd.sets[0].records = 9;
-        let dumps = vec![dump(0, CounterMode::Mode2, 1), dump(1, CounterMode::Mode2, 1), odd];
+        let dumps = vec![
+            dump(0, CounterMode::Mode2, 1),
+            dump(1, CounterMode::Mode2, 1),
+            odd,
+        ];
         assert_eq!(Frame::from_survivors(&dumps, 0, mode2(3)).records(), 1);
     }
 
     #[test]
     fn observations_scale_by_their_share_of_the_run() {
         fn obs(counts: &[u64], occ: u64, total: u64) -> Obs<'_> {
-            Obs { node: 0, mode: CounterMode::Mode0, records: 1, counts, occ, total }
+            Obs {
+                node: 0,
+                mode: CounterMode::Mode0,
+                records: 1,
+                counts,
+                occ,
+                total,
+            }
         }
         // 250 counts during the 1/4 of the run this mode occupied
         // extrapolate to the full run.
@@ -664,7 +727,14 @@ mod tests {
             };
             let counts = [c];
             let mode = CounterMode::Mode0;
-            let o = Obs { node: 0, mode, records: 1, counts: &counts, occ: t, total: t };
+            let o = Obs {
+                node: 0,
+                mode,
+                records: 1,
+                counts: &counts,
+                occ: t,
+                total: t,
+            };
             let (c, t) = (u128::from(c), u128::from(t));
             let formula = ((c * t + t / 2) / t).min(u128::from(u64::MAX)) as u64;
             assert_eq!(o.estimate(0), formula, "c = {c}, o = t = {t}");

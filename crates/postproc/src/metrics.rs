@@ -219,7 +219,15 @@ mod tests {
         for &(s, v) in slots {
             counts[s] = v;
         }
-        NodeDump { node, mode, sets: vec![SetDump { id: 0, records: 1, counts }] }
+        NodeDump {
+            node,
+            mode,
+            sets: vec![SetDump {
+                id: 0,
+                records: 1,
+                counts,
+            }],
+        }
     }
 
     #[test]
@@ -228,12 +236,18 @@ mod tests {
         let d0 = dump_with(
             0,
             CounterMode::Mode0,
-            &[(slot(CoreEvent::FpFma, 0), 10), (slot(CoreEvent::FpFma, 1), 20)],
+            &[
+                (slot(CoreEvent::FpFma, 0), 10),
+                (slot(CoreEvent::FpFma, 1), 20),
+            ],
         );
         let d1 = dump_with(
             1,
             CounterMode::Mode1,
-            &[(slot(CoreEvent::FpSimdFma, 2), 5), (slot(CoreEvent::FpAddSub, 3), 1)],
+            &[
+                (slot(CoreEvent::FpSimdFma, 2), 5),
+                (slot(CoreEvent::FpAddSub, 3), 1),
+            ],
         );
         let f = Frame::from_dumps(&[d0, d1], 0).unwrap();
         let mix = fp_mix(&f);

@@ -15,7 +15,12 @@ use std::fmt::Write as _;
 /// Render a text report for one instrumentation set across all nodes.
 pub fn render(dumps: &[NodeDump], frame: &Frame) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "UPC counter report — set {}, {} node(s)", frame.set(), dumps.len());
+    let _ = writeln!(
+        out,
+        "UPC counter report — set {}, {} node(s)",
+        frame.set(),
+        dumps.len()
+    );
     let _ = writeln!(out, "{}", "=".repeat(60));
 
     // Node roster.
@@ -69,7 +74,11 @@ pub fn render(dumps: &[NodeDump], frame: &Frame) -> String {
                     let _ = writeln!(out, "  {:<14} {:>5.1}% {bar}", cat.label(), f * 100.0);
                 }
             }
-            let _ = writeln!(out, "  SIMD fraction  {:>6.1}%", mix.simd_fraction() * 100.0);
+            let _ = writeln!(
+                out,
+                "  SIMD fraction  {:>6.1}%",
+                mix.simd_fraction() * 100.0
+            );
         }
     }
 
@@ -81,7 +90,11 @@ pub fn render(dumps: &[NodeDump], frame: &Frame) -> String {
             "  L3→DDR traffic  : {:.2} MB",
             ddr_traffic_bytes_per_node(frame) / 1e6
         );
-        let _ = writeln!(out, "  L3 miss ratio   : {:.1}%", l3_miss_ratio(frame) * 100.0);
+        let _ = writeln!(
+            out,
+            "  L3 miss ratio   : {:.1}%",
+            l3_miss_ratio(frame) * 100.0
+        );
     }
     out
 }
@@ -100,7 +113,11 @@ mod tests {
         NodeDump {
             node: 0,
             mode: CounterMode::Mode0,
-            sets: vec![SetDump { id: 0, records: 1, counts }],
+            sets: vec![SetDump {
+                id: 0,
+                records: 1,
+                counts,
+            }],
         }
     }
 
@@ -122,13 +139,20 @@ mod tests {
         let d = NodeDump {
             node: 1,
             mode: CounterMode::Mode3,
-            sets: vec![SetDump { id: 0, records: 1, counts: vec![0; NUM_COUNTERS] }],
+            sets: vec![SetDump {
+                id: 0,
+                records: 1,
+                counts: vec![0; NUM_COUNTERS],
+            }],
         };
         let dumps = vec![d];
         let frame = Frame::from_dumps(&dumps, 0).unwrap();
         let r = render(&dumps, &frame);
         assert!(!r.contains("MFLOPS"));
         assert!(!r.contains("L3 miss"));
-        assert!(r.contains("every counter is zero"), "anomaly surfaced:\n{r}");
+        assert!(
+            r.contains("every counter is zero"),
+            "anomaly surfaced:\n{r}"
+        );
     }
 }

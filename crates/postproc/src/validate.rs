@@ -133,10 +133,15 @@ impl ValidationReport {
     ) -> ValidationReport {
         // A leg is a run's dumps and how they observe the set; the exact
         // leg's four `Fixed` runs observe one mode each.
-        let exact_legs: Vec<Leg> =
-            exact.iter().map(|run| (run.as_slice(), Source::Header)).collect();
+        let exact_legs: Vec<Leg> = exact
+            .iter()
+            .map(|run| (run.as_slice(), Source::Header))
+            .collect();
         let mux_leg = [(mux, Source::pooled(mux, set))];
-        let deg_leg: Vec<Leg> = degraded.map(|d| (d, Source::pooled(d, set))).into_iter().collect();
+        let deg_leg: Vec<Leg> = degraded
+            .map(|d| (d, Source::pooled(d, set)))
+            .into_iter()
+            .collect();
         let mut rows: Vec<EventAccuracy> = Vec::new();
         for nt in truth {
             for entry in &nt.entries {
@@ -197,8 +202,15 @@ impl ValidationReport {
     /// Render the per-event accuracy table.
     pub fn to_csv(&self) -> Csv {
         let mut csv = Csv::new([
-            "event", "truth", "exact", "exact_err", "mux_est", "mux_err", "mux_bar",
-            "degraded_est", "degraded_err",
+            "event",
+            "truth",
+            "exact",
+            "exact_err",
+            "mux_est",
+            "mux_err",
+            "mux_bar",
+            "degraded_est",
+            "degraded_err",
         ]);
         for r in &self.rows {
             csv.row([
@@ -224,8 +236,14 @@ impl ValidationReport {
         out.push_str(&format!("  \"significant\": {},\n", self.significant));
         out.push_str(&format!("  \"exact_checked\": {},\n", self.exact_checked));
         out.push_str(&format!("  \"exact_matches\": {},\n", self.exact_matches));
-        out.push_str(&format!("  \"exact_max_err\": {:.6},\n", self.exact_max_err));
-        out.push_str(&format!("  \"mux_median_err\": {:.6},\n", self.mux_median_err));
+        out.push_str(&format!(
+            "  \"exact_max_err\": {:.6},\n",
+            self.exact_max_err
+        ));
+        out.push_str(&format!(
+            "  \"mux_median_err\": {:.6},\n",
+            self.mux_median_err
+        ));
         out.push_str(&format!("  \"mux_max_err\": {:.6},\n", self.mux_max_err));
         out.push_str(&format!("  \"coverage\": {:.4},\n", self.coverage));
         out.push_str("  \"events\": [\n");
@@ -304,7 +322,10 @@ fn merge_row(
     row.exact = row.exact.zip(exact).map(|(a, b)| a.wrapping_add(b));
     row.mux_est = row.mux_est.zip(mux).map(|(a, b)| a.wrapping_add(b));
     row.mux_bar += bar;
-    row.degraded_est = row.degraded_est.zip(degraded).map(|(a, b)| a.wrapping_add(b));
+    row.degraded_est = row
+        .degraded_est
+        .zip(degraded)
+        .map(|(a, b)| a.wrapping_add(b));
 }
 
 /// Fraction of counter slots the rotation observed (mode occupancy > 0),
@@ -375,14 +396,22 @@ mod tests {
         let ev = EventId::new(CounterMode::Mode0, 4).index();
         let truth = vec![NodeTruth {
             node: 0,
-            entries: vec![TruthEntry { name: "load".into(), events: vec![ev], truth: 1000 }],
+            entries: vec![TruthEntry {
+                name: "load".into(),
+                events: vec![ev],
+                truth: 1000,
+            }],
         }];
         // Exact mode-0 run saw precisely the truth.
         let exact: [Vec<NodeDump>; NUM_MODES] = [
             vec![dump_with(
                 0,
                 CounterMode::Mode0,
-                vec![SetDump { id: 0, records: 1, counts: counts_with(4, 1000) }],
+                vec![SetDump {
+                    id: 0,
+                    records: 1,
+                    counts: counts_with(4, 1000),
+                }],
             )],
             vec![],
             vec![],
@@ -391,12 +420,20 @@ mod tests {
         // Mux run without a schedule set: the phase fallback sees mode 0
         // occupy 5 of 20 phases with 240 counts — reconstructs to 960, a
         // 4% error.
-        let mut sets = vec![SetDump { id: 0, records: 1, counts: vec![0; NUM_COUNTERS] }];
+        let mut sets = vec![SetDump {
+            id: 0,
+            records: 1,
+            counts: vec![0; NUM_COUNTERS],
+        }];
         for m in 0..NUM_MODES {
             sets.push(SetDump {
                 id: mux_set_id(0, m),
                 records: 5,
-                counts: if m == 0 { counts_with(4, 240) } else { vec![0; NUM_COUNTERS] },
+                counts: if m == 0 {
+                    counts_with(4, 240)
+                } else {
+                    vec![0; NUM_COUNTERS]
+                },
             });
         }
         let mux = vec![dump_with(0, CounterMode::Mode0, sets)];
@@ -421,7 +458,11 @@ mod tests {
         let ev = EventId::new(CounterMode::Mode0, 4).index();
         let truth = vec![NodeTruth {
             node: 0,
-            entries: vec![TruthEntry { name: "load".into(), events: vec![ev], truth: 500 }],
+            entries: vec![TruthEntry {
+                name: "load".into(),
+                events: vec![ev],
+                truth: 500,
+            }],
         }];
         let exact: [Vec<NodeDump>; NUM_MODES] = [vec![], vec![], vec![], vec![]];
         // Equal phase counts, but mode 0's phases spanned half the job's
@@ -433,13 +474,21 @@ mod tests {
             sets.push(SetDump {
                 id: mux_set_id(0, m),
                 records: 5,
-                counts: if m == 0 { counts_with(4, 240) } else { vec![0; NUM_COUNTERS] },
+                counts: if m == 0 {
+                    counts_with(4, 240)
+                } else {
+                    vec![0; NUM_COUNTERS]
+                },
             });
         }
         let mut sched = vec![0u64; NUM_COUNTERS];
         sched[..NUM_MODES].copy_from_slice(&[500, 300, 100, 100]);
         sched[NUM_MODES..2 * NUM_MODES].copy_from_slice(&[5, 5, 5, 5]);
-        sets.push(SetDump { id: mux_sched_id(0), records: 1, counts: sched });
+        sets.push(SetDump {
+            id: mux_sched_id(0),
+            records: 1,
+            counts: sched,
+        });
         let mux = vec![dump_with(0, CounterMode::Mode0, sets)];
         let report = ValidationReport::build("test", &truth, &exact, &mux, None, 0);
         assert_eq!(report.rows[0].mux_est, Some(480));
@@ -487,7 +536,10 @@ mod tests {
         assert_eq!(r.mux_est, None, "unobserved mode");
         assert_eq!(report.exact_checked, 0);
         assert!(!report.exact_ok());
-        assert_eq!(report.mux_median_err, 1.0, "unobserved significant row is a full miss");
+        assert_eq!(
+            report.mux_median_err, 1.0,
+            "unobserved significant row is a full miss"
+        );
         assert!(report.coverage < 1.0);
     }
 }

@@ -21,9 +21,7 @@
 
 use bgp_arch::cli::ArgParser;
 use bgp_serve::load::{run_load, str_member, LoadConfig};
-use bgp_serve::proto::{
-    parse_class, parse_kernel, parse_mode, result_payload, Request, SubmitReq,
-};
+use bgp_serve::proto::{parse_class, parse_kernel, parse_mode, result_payload, Request, SubmitReq};
 use bgp_serve::Client;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
@@ -81,8 +79,7 @@ fn parse_args() -> Result<Args, String> {
             "--concurrency" => args.concurrency = p.parse(&a)?,
             "--distinct" => args.distinct = p.parse(&a)?,
             "--kernel" => {
-                args.template.kernel =
-                    p.token(&a, "mg|ft|ep|cg|is|lu|sp|bt", parse_kernel)?;
+                args.template.kernel = p.token(&a, "mg|ft|ep|cg|is|lu|sp|bt", parse_kernel)?;
             }
             "--class" => args.template.class = p.token(&a, "s|w|a", parse_class)?,
             "--ranks" => args.template.ranks = p.parse(&a)?,
@@ -144,15 +141,13 @@ fn main() -> ExitCode {
     };
     let result = match &args.op {
         Op::Once => run_once(&args),
-        Op::Admin(req) => {
-            match bgp_serve::request_once(args.addr, &req.encode()) {
-                Ok(resp) => {
-                    println!("{resp}");
-                    Ok(())
-                }
-                Err(e) => Err(e.to_string()),
+        Op::Admin(req) => match bgp_serve::request_once(args.addr, &req.encode()) {
+            Ok(resp) => {
+                println!("{resp}");
+                Ok(())
             }
-        }
+            Err(e) => Err(e.to_string()),
+        },
         Op::Load => {
             let cfg = LoadConfig {
                 addr: args.addr,

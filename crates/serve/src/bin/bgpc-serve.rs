@@ -74,8 +74,8 @@ fn main() -> ExitCode {
     if let Some(path) = addr_file {
         // Written atomically so a watcher never reads a partial line.
         let tmp = path.with_extension("tmp");
-        let write = std::fs::write(&tmp, format!("{addr}\n"))
-            .and_then(|()| std::fs::rename(&tmp, &path));
+        let write =
+            std::fs::write(&tmp, format!("{addr}\n")).and_then(|()| std::fs::rename(&tmp, &path));
         if let Err(e) = write {
             eprintln!("bgpc-serve: writing {}: {e}", path.display());
             return ExitCode::FAILURE;

@@ -43,7 +43,10 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
-        Ok(Client { reader: BufReader::new(stream), writer })
+        Ok(Client {
+            reader: BufReader::new(stream),
+            writer,
+        })
     }
 
     /// Send one request line and return the terminal response,
@@ -299,7 +302,10 @@ fn load_worker(
         if i >= cfg.requests {
             return Ok(lat);
         }
-        let req = SubmitReq { seed: i % cfg.distinct.max(1), ..cfg.template };
+        let req = SubmitReq {
+            seed: i % cfg.distinct.max(1),
+            ..cfg.template
+        };
         let line = req.encode();
         let started = Instant::now();
         loop {
@@ -332,8 +338,7 @@ fn load_worker(
 /// Check the spliced result bytes against the first response seen for
 /// this key.
 fn audit_payload(resp: &str, tally: &Tally, prints: &Fingerprints) {
-    let (Some(key), Some(payload)) = (str_member(resp, "key"), result_payload(resp))
-    else {
+    let (Some(key), Some(payload)) = (str_member(resp, "key"), result_payload(resp)) else {
         tally.mismatches.fetch_add(1, Ordering::Relaxed);
         return;
     };

@@ -203,7 +203,10 @@ impl SubmitReq {
     /// The content-address of this submission's result under the given
     /// server policy: `(spec fingerprint, seed)`.
     pub fn cache_key(&self, sim_threads: usize, trace: bool) -> CacheKey {
-        CacheKey { spec: self.job_spec(sim_threads, trace).fingerprint(), seed: self.seed }
+        CacheKey {
+            spec: self.job_spec(sim_threads, trace).fingerprint(),
+            seed: self.seed,
+        }
     }
 
     /// Append this request's job members to `obj` (shared between the
@@ -220,7 +223,8 @@ impl SubmitReq {
 
     /// Serialize as a submit request line (no trailing newline).
     pub fn encode(&self) -> String {
-        self.members(json::Obj::new().field_str("op", "submit")).finish()
+        self.members(json::Obj::new().field_str("op", "submit"))
+            .finish()
     }
 }
 
@@ -382,7 +386,9 @@ impl Request {
             "stats" => Ok(Request::Stats),
             "drain" => Ok(Request::Drain),
             "shutdown" => Ok(Request::Shutdown),
-            "status" => Ok(Request::Status { key: parse_key_member(&v, op)? }),
+            "status" => Ok(Request::Status {
+                key: parse_key_member(&v, op)?,
+            }),
             "submit" => Ok(Request::Submit(parse_submit_members(&v)?)),
             "subscribe" => {
                 let key = parse_key_member(&v, op)?;
@@ -411,9 +417,7 @@ impl Request {
                 let jobs = jobs
                     .iter()
                     .enumerate()
-                    .map(|(i, j)| {
-                        parse_submit_members(j).map_err(|e| format!("jobs[{i}]: {e}"))
-                    })
+                    .map(|(i, j)| parse_submit_members(j).map_err(|e| format!("jobs[{i}]: {e}")))
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Request::Batch(jobs))
             }
@@ -525,10 +529,18 @@ mod tests {
 
     #[test]
     fn admin_ops_round_trip() {
-        for op in [Request::Ping, Request::Stats, Request::Drain, Request::Shutdown] {
+        for op in [
+            Request::Ping,
+            Request::Stats,
+            Request::Drain,
+            Request::Shutdown,
+        ] {
             assert_eq!(Request::parse(&op.encode()).unwrap(), op);
         }
-        let key = CacheKey { spec: 0xabc, seed: 7 };
+        let key = CacheKey {
+            spec: 0xabc,
+            seed: 7,
+        };
         let st = Request::Status { key };
         assert_eq!(Request::parse(&st.encode()).unwrap(), st);
     }
@@ -558,12 +570,19 @@ mod tests {
     fn batch_and_subscribe_round_trip() {
         let jobs = vec![
             SubmitReq::default(),
-            SubmitReq { kernel: Kernel::Ft, seed: 3, ..SubmitReq::default() },
+            SubmitReq {
+                kernel: Kernel::Ft,
+                seed: 3,
+                ..SubmitReq::default()
+            },
         ];
         let batch = Request::Batch(jobs);
         assert_eq!(Request::parse(&batch.encode()).unwrap(), batch);
         let sub = Request::Subscribe {
-            key: CacheKey { spec: 0xfeed, seed: 9 },
+            key: CacheKey {
+                spec: 0xfeed,
+                seed: 9,
+            },
             stream: true,
         };
         assert_eq!(Request::parse(&sub.encode()).unwrap(), sub);
@@ -591,8 +610,14 @@ mod tests {
             r#"{"op":"batch","v":1,"jobs":[{"kernel":"mg"}]}"#,
         ] {
             match Request::parse(line).unwrap_err() {
-                ParseError::UnsupportedVersion { requested: 1, detail } => {
-                    assert!(detail.contains("requires protocol v2"), "{line} -> {detail}");
+                ParseError::UnsupportedVersion {
+                    requested: 1,
+                    detail,
+                } => {
+                    assert!(
+                        detail.contains("requires protocol v2"),
+                        "{line} -> {detail}"
+                    );
                 }
                 other => panic!("{line} -> {other:?}"),
             }
@@ -637,9 +662,7 @@ mod tests {
     #[test]
     fn result_payload_is_byte_exact() {
         let cached = r#"{"job_cycles":37719054,"dumps":["00ff"]}"#;
-        let line = format!(
-            "{{\"ok\":true,\"cache\":\"hit\",\"result\":{cached}}}\n"
-        );
+        let line = format!("{{\"ok\":true,\"cache\":\"hit\",\"result\":{cached}}}\n");
         assert_eq!(result_payload(&line), Some(cached));
         assert_eq!(result_payload("{\"ok\":false}"), None);
     }

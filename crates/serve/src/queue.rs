@@ -26,7 +26,10 @@ pub struct QueueConfig {
 
 impl Default for QueueConfig {
     fn default() -> QueueConfig {
-        QueueConfig { capacity: 64, age_to_boost: Duration::from_millis(500) }
+        QueueConfig {
+            capacity: 64,
+            age_to_boost: Duration::from_millis(500),
+        }
     }
 }
 
@@ -54,7 +57,8 @@ impl QueueItem {
             (now.saturating_duration_since(self.enqueued).as_nanos()
                 / age_to_boost.as_nanos().max(1)) as u32
         };
-        self.priority.saturating_sub(boosts.min(u8::MAX as u32) as u8)
+        self.priority
+            .saturating_sub(boosts.min(u8::MAX as u32) as u8)
     }
 }
 
@@ -188,7 +192,10 @@ mod tests {
     }
 
     fn req(priority: u8) -> SubmitReq {
-        SubmitReq { priority, ..SubmitReq::default() }
+        SubmitReq {
+            priority,
+            ..SubmitReq::default()
+        }
     }
 
     fn queue(capacity: usize, age_ms: u64) -> JobQueue {
@@ -205,8 +212,7 @@ mod tests {
         q.push(key(2), req(0)).unwrap();
         q.push(key(3), req(0)).unwrap();
         q.push(key(4), req(1)).unwrap();
-        let order: Vec<u64> =
-            (0..4).map(|_| q.pop_blocking().unwrap().key.seed).collect();
+        let order: Vec<u64> = (0..4).map(|_| q.pop_blocking().unwrap().key.seed).collect();
         assert_eq!(order, vec![2, 3, 4, 1], "priority levels, FIFO within each");
     }
 
@@ -225,8 +231,8 @@ mod tests {
         q.push(key(1), req(7)).unwrap(); // lowest priority, first in
         std::thread::sleep(Duration::from_millis(150));
         q.push(key(2), req(0)).unwrap(); // fresh high-priority
-        // The old job has aged 7 levels down to 0 and wins the FIFO
-        // tie-break at that level.
+                                         // The old job has aged 7 levels down to 0 and wins the FIFO
+                                         // tie-break at that level.
         assert_eq!(q.pop_blocking().unwrap().key.seed, 1);
         assert_eq!(q.pop_blocking().unwrap().key.seed, 2);
     }

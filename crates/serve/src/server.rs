@@ -23,13 +23,9 @@
 //!    store; every waiter (submitter + joiners) is notified and the
 //!    key leaves the in-flight table, so later submits hit the cache.
 
-use crate::proto::{
-    mode_token, CacheOutcome, ParseError, Request, SubmitReq, PROTO_VERSION,
-};
+use crate::proto::{mode_token, CacheOutcome, ParseError, Request, SubmitReq, PROTO_VERSION};
 use crate::queue::{JobQueue, PushError, QueueConfig, QueueItem};
-use bgp_core::supervisor::{
-    supervise_observed, RunObserver, SupervisorConfig, SupervisedRun,
-};
+use bgp_core::supervisor::{supervise_observed, RunObserver, SupervisedRun, SupervisorConfig};
 use bgp_mpi::Machine;
 use bgp_nas::KernelResult;
 use bgp_snapshot::{BlobStore, CacheKey};
@@ -110,7 +106,10 @@ struct JobSlot {
 
 impl JobSlot {
     fn new() -> JobSlot {
-        JobSlot { st: Mutex::new(SlotState::Queued), cv: Condvar::new() }
+        JobSlot {
+            st: Mutex::new(SlotState::Queued),
+            cv: Condvar::new(),
+        }
     }
 
     fn set(&self, next: SlotState) {
@@ -191,7 +190,12 @@ impl ServeState {
     /// Rough per-job wall time for the retry-after hint.
     fn mean_job_ms(&self) -> u64 {
         let done = self.stats.completed.load(Ordering::Relaxed);
-        match self.stats.job_wall_ms.load(Ordering::Relaxed).checked_div(done) {
+        match self
+            .stats
+            .job_wall_ms
+            .load(Ordering::Relaxed)
+            .checked_div(done)
+        {
             None => DEFAULT_JOB_MS,
             Some(mean) => mean.max(1),
         }
@@ -394,11 +398,7 @@ fn handle_connection(state: &Arc<ServeState>, stream: TcpStream) -> std::io::Res
 
 /// Handle one request line; `Ok(true)` means the connection should
 /// close (shutdown acknowledged).
-fn dispatch(
-    state: &Arc<ServeState>,
-    line: &str,
-    out: &mut TcpStream,
-) -> std::io::Result<bool> {
+fn dispatch(state: &Arc<ServeState>, line: &str, out: &mut TcpStream) -> std::io::Result<bool> {
     let req = match Request::parse(line) {
         Ok(req) => req,
         Err(ParseError::UnsupportedVersion { requested, detail }) => {
@@ -428,7 +428,10 @@ fn dispatch(
         Request::Ping => {
             write_line(
                 out,
-                &Obj::new().field_bool("ok", true).field_bool("pong", true).finish(),
+                &Obj::new()
+                    .field_bool("ok", true)
+                    .field_bool("pong", true)
+                    .finish(),
             )?;
             Ok(false)
         }
@@ -483,8 +486,11 @@ fn dispatch(
 
 fn stats_response(state: &ServeState) -> String {
     let s = &state.stats;
-    let (p50, p90, p99, samples) =
-        s.latency.lock().unwrap_or_else(|e| e.into_inner()).percentiles();
+    let (p50, p90, p99, samples) = s
+        .latency
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .percentiles();
     let body = Obj::new()
         .field_u64("submits", s.submits.load(Ordering::Relaxed))
         .field_u64("batches", s.batches.load(Ordering::Relaxed))
@@ -492,8 +498,14 @@ fn stats_response(state: &ServeState) -> String {
         .field_u64("hits", s.hits.load(Ordering::Relaxed))
         .field_u64("misses", s.misses.load(Ordering::Relaxed))
         .field_u64("joined", s.joined.load(Ordering::Relaxed))
-        .field_u64("rejected_backpressure", s.rejected_backpressure.load(Ordering::Relaxed))
-        .field_u64("rejected_draining", s.rejected_draining.load(Ordering::Relaxed))
+        .field_u64(
+            "rejected_backpressure",
+            s.rejected_backpressure.load(Ordering::Relaxed),
+        )
+        .field_u64(
+            "rejected_draining",
+            s.rejected_draining.load(Ordering::Relaxed),
+        )
         .field_u64("bad_requests", s.bad_requests.load(Ordering::Relaxed))
         .field_u64("completed", s.completed.load(Ordering::Relaxed))
         .field_u64("failed", s.failed.load(Ordering::Relaxed))
@@ -507,7 +519,10 @@ fn stats_response(state: &ServeState) -> String {
         .field_u64("workers", state.cfg.workers.max(1) as u64)
         .field_bool("draining", state.draining.load(Ordering::SeqCst))
         .finish();
-    Obj::new().field_bool("ok", true).field_raw("stats", &body).finish()
+    Obj::new()
+        .field_bool("ok", true)
+        .field_raw("stats", &body)
+        .finish()
 }
 
 fn status_response(state: &ServeState, key: CacheKey) -> String {
@@ -535,12 +550,7 @@ fn status_response(state: &ServeState, key: CacheKey) -> String {
 /// Terminal response for a satisfied submit. `result` is spliced
 /// verbatim from the canonical cached bytes and is always the LAST
 /// member (see [`crate::proto::result_payload`]).
-fn submit_response(
-    outcome: CacheOutcome,
-    key: CacheKey,
-    queue_ms: u64,
-    bytes: &[u8],
-) -> String {
+fn submit_response(outcome: CacheOutcome, key: CacheKey, queue_ms: u64, bytes: &[u8]) -> String {
     let result = std::str::from_utf8(bytes).expect("results are UTF-8 JSON");
     Obj::new()
         .field_bool("ok", true)
@@ -552,7 +562,10 @@ fn submit_response(
 }
 
 fn reject_backpressure(state: &ServeState, depth: usize) -> String {
-    state.stats.rejected_backpressure.fetch_add(1, Ordering::Relaxed);
+    state
+        .stats
+        .rejected_backpressure
+        .fetch_add(1, Ordering::Relaxed);
     Obj::new()
         .field_bool("ok", false)
         .field_str("error", "backpressure")
@@ -562,8 +575,14 @@ fn reject_backpressure(state: &ServeState, depth: usize) -> String {
 }
 
 fn reject_draining(state: &ServeState) -> String {
-    state.stats.rejected_draining.fetch_add(1, Ordering::Relaxed);
-    Obj::new().field_bool("ok", false).field_str("error", "draining").finish()
+    state
+        .stats
+        .rejected_draining
+        .fetch_add(1, Ordering::Relaxed);
+    Obj::new()
+        .field_bool("ok", false)
+        .field_str("error", "draining")
+        .finish()
 }
 
 fn job_failed_response(key: CacheKey, detail: &str) -> String {
@@ -730,13 +749,9 @@ fn handle_batch(
     let mut results = Arr::new();
     for (key, admission) in admitted {
         let terminal = match admission {
-            Admission::Cached(bytes) => {
-                submit_response(CacheOutcome::Hit, key, 0, &bytes)
-            }
+            Admission::Cached(bytes) => submit_response(CacheOutcome::Hit, key, 0, &bytes),
             Admission::Reject(line) => line,
-            Admission::Wait(slot, outcome) => {
-                await_job(&slot, key, outcome, false, out)?
-            }
+            Admission::Wait(slot, outcome) => await_job(&slot, key, outcome, false, out)?,
         };
         results = results.push_raw(&terminal);
     }
@@ -793,12 +808,7 @@ struct SlotObserver<'a> {
 }
 
 impl RunObserver for SlotObserver<'_> {
-    fn attempt_started(
-        &self,
-        _attempt: u32,
-        _resumed_from: Option<u64>,
-        machine: &Arc<Machine>,
-    ) {
+    fn attempt_started(&self, _attempt: u32, _resumed_from: Option<u64>, machine: &Arc<Machine>) {
         self.slot.set(SlotState::Running(Arc::clone(machine)));
     }
 }
@@ -820,7 +830,10 @@ fn worker_loop(state: &Arc<ServeState>) {
         let next = match outcome {
             Ok(bytes) => {
                 state.stats.completed.fetch_add(1, Ordering::Relaxed);
-                state.stats.job_wall_ms.fetch_add(wall_ms, Ordering::Relaxed);
+                state
+                    .stats
+                    .job_wall_ms
+                    .fetch_add(wall_ms, Ordering::Relaxed);
                 state
                     .stats
                     .latency
@@ -854,7 +867,9 @@ fn worker_loop(state: &Arc<ServeState>) {
 /// Run one admitted job under supervision and build its canonical
 /// result bytes.
 fn run_job(state: &Arc<ServeState>, item: &QueueItem) -> Result<Arc<Vec<u8>>, String> {
-    let spec = item.req.job_spec(state.cfg.job_sim_threads, state.cfg.trace_jobs);
+    let spec = item
+        .req
+        .job_spec(state.cfg.job_sim_threads, state.cfg.trace_jobs);
     let sup = SupervisorConfig {
         wall_budget: state.cfg.wall_budget,
         max_retries: state.cfg.max_retries,
@@ -963,13 +978,20 @@ mod tests {
     /// it, finish the job the way a worker does, then release.
     #[test]
     fn job_finishing_after_the_cache_probe_is_a_hit() {
-        let cfg = ServerConfig { quiet: true, ..ServerConfig::default() };
+        let cfg = ServerConfig {
+            quiet: true,
+            ..ServerConfig::default()
+        };
         let state = Server::bind(cfg).expect("bind loopback").state;
         let sub = SubmitReq::default();
         let key = sub.cache_key(state.cfg.job_sim_threads, state.cfg.trace_jobs);
         assert!(state.cache.get(key).is_none(), "admission's probe misses");
         // The job admitted earlier, still running.
-        state.inflight.lock().unwrap().insert(key, Arc::new(JobSlot::new()));
+        state
+            .inflight
+            .lock()
+            .unwrap()
+            .insert(key, Arc::new(JobSlot::new()));
         let admission = std::thread::scope(|s| {
             let mut inflight = state.inflight.lock().unwrap();
             let admitting = s.spawn(|| admit_uncached(&state, key, sub));

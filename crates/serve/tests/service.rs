@@ -3,13 +3,16 @@
 //! backpressure, drain semantics, streamed updates, and cache
 //! persistence across a server restart.
 
-use bgp_serve::load::{str_member, u64_member};
 use bgp_nas::Kernel;
+use bgp_serve::load::{str_member, u64_member};
 use bgp_serve::proto::{result_payload, Request, SubmitReq};
 use bgp_serve::{request_once, Client, QueueConfig, Server, ServerConfig, ServerHandle};
 
 fn quiet_cfg() -> ServerConfig {
-    ServerConfig { quiet: true, ..ServerConfig::default() }
+    ServerConfig {
+        quiet: true,
+        ..ServerConfig::default()
+    }
 }
 
 fn spawn(cfg: ServerConfig) -> ServerHandle {
@@ -24,11 +27,16 @@ fn submit(client: &mut Client, req: &SubmitReq) -> String {
 fn miss_then_hit_is_byte_identical() {
     let server = spawn(quiet_cfg());
     let mut client = Client::connect(server.addr()).unwrap();
-    let req = SubmitReq { seed: 7, ..SubmitReq::default() };
+    let req = SubmitReq {
+        seed: 7,
+        ..SubmitReq::default()
+    };
 
     let first = submit(&mut client, &req);
     assert_eq!(str_member(&first, "cache"), Some("miss"), "{first}");
-    let key = str_member(&first, "key").expect("key in envelope").to_string();
+    let key = str_member(&first, "key")
+        .expect("key in envelope")
+        .to_string();
     let payload = result_payload(&first).expect("result spliced").to_string();
     assert!(payload.contains("\"verified\":true"), "{payload}");
     assert!(payload.contains("\"seed\":7"));
@@ -48,7 +56,12 @@ fn miss_then_hit_is_byte_identical() {
 
     // Status sees the completed key; stats counted one hit.
     let status = client
-        .request(&Request::Status { key: bgp_snapshot::CacheKey::parse_hex(&key).unwrap() }.encode())
+        .request(
+            &Request::Status {
+                key: bgp_snapshot::CacheKey::parse_hex(&key).unwrap(),
+            }
+            .encode(),
+        )
         .unwrap();
     assert_eq!(str_member(&status, "state"), Some("done"), "{status}");
     let stats = client.request(&Request::Stats.encode()).unwrap();
@@ -71,9 +84,15 @@ fn miss_then_hit_is_byte_identical() {
 fn concurrent_identical_submits_run_once() {
     // One worker, four simultaneous submissions of one key: exactly one
     // job may run; everyone gets identical bytes.
-    let server = spawn(ServerConfig { workers: 1, ..quiet_cfg() });
+    let server = spawn(ServerConfig {
+        workers: 1,
+        ..quiet_cfg()
+    });
     let addr = server.addr();
-    let req = SubmitReq { seed: 42, ..SubmitReq::default() };
+    let req = SubmitReq {
+        seed: 42,
+        ..SubmitReq::default()
+    };
 
     let responses: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
@@ -88,9 +107,14 @@ fn concurrent_identical_submits_run_once() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let payloads: Vec<&str> =
-        responses.iter().map(|r| result_payload(r).expect("result")).collect();
-    assert!(payloads.windows(2).all(|w| w[0] == w[1]), "all responses identical");
+    let payloads: Vec<&str> = responses
+        .iter()
+        .map(|r| result_payload(r).expect("result"))
+        .collect();
+    assert!(
+        payloads.windows(2).all(|w| w[0] == w[1]),
+        "all responses identical"
+    );
     let misses = responses
         .iter()
         .filter(|r| str_member(r, "cache") == Some("miss"))
@@ -98,14 +122,21 @@ fn concurrent_identical_submits_run_once() {
     assert!(misses <= 1, "at most one submission runs the job");
 
     let stats = request_once(addr, &Request::Stats.encode()).unwrap();
-    assert_eq!(u64_member(&stats, "completed"), Some(1), "job ran once: {stats}");
+    assert_eq!(
+        u64_member(&stats, "completed"),
+        Some(1),
+        "job ran once: {stats}"
+    );
     server.shutdown();
 }
 
 #[test]
 fn zero_capacity_queue_rejects_with_retry_after() {
     let server = spawn(ServerConfig {
-        queue: QueueConfig { capacity: 0, ..QueueConfig::default() },
+        queue: QueueConfig {
+            capacity: 0,
+            ..QueueConfig::default()
+        },
         ..quiet_cfg()
     });
     let mut client = Client::connect(server.addr()).unwrap();
@@ -121,7 +152,10 @@ fn zero_capacity_queue_rejects_with_retry_after() {
 fn drain_serves_hits_but_rejects_new_work() {
     let server = spawn(quiet_cfg());
     let mut client = Client::connect(server.addr()).unwrap();
-    let req = SubmitReq { seed: 3, ..SubmitReq::default() };
+    let req = SubmitReq {
+        seed: 3,
+        ..SubmitReq::default()
+    };
     let first = submit(&mut client, &req);
     assert_eq!(str_member(&first, "cache"), Some("miss"));
 
@@ -133,7 +167,11 @@ fn drain_serves_hits_but_rejects_new_work() {
     assert_eq!(str_member(&hit, "cache"), Some("hit"), "{hit}");
     assert_eq!(result_payload(&hit), result_payload(&first));
     let rejected = submit(&mut client, &SubmitReq { seed: 4, ..req });
-    assert_eq!(str_member(&rejected, "error"), Some("draining"), "{rejected}");
+    assert_eq!(
+        str_member(&rejected, "error"),
+        Some("draining"),
+        "{rejected}"
+    );
 
     server.shutdown();
 }
@@ -142,13 +180,20 @@ fn drain_serves_hits_but_rejects_new_work() {
 fn streamed_submit_sees_updates_before_the_result() {
     let server = spawn(quiet_cfg());
     let mut client = Client::connect(server.addr()).unwrap();
-    let req = SubmitReq { seed: 99, stream: true, ..SubmitReq::default() };
+    let req = SubmitReq {
+        seed: 99,
+        stream: true,
+        ..SubmitReq::default()
+    };
     let mut updates = Vec::new();
     let resp = client
         .request_with_updates(&req.encode(), |u| updates.push(u.to_string()))
         .unwrap();
     assert_eq!(str_member(&resp, "cache"), Some("miss"), "{resp}");
-    assert!(!updates.is_empty(), "a pending miss streams at least one update");
+    assert!(
+        !updates.is_empty(),
+        "a pending miss streams at least one update"
+    );
     for u in &updates {
         assert!(u.starts_with("{\"update\""), "{u}");
         let state = str_member(u, "state").expect("update carries a state");
@@ -168,10 +213,16 @@ fn streamed_submit_sees_updates_before_the_result() {
 fn persistent_cache_survives_restart() {
     let dir = std::env::temp_dir().join(format!("bgp-serve-persist-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let req = SubmitReq { seed: 5, ..SubmitReq::default() };
+    let req = SubmitReq {
+        seed: 5,
+        ..SubmitReq::default()
+    };
 
     let payload = {
-        let server = spawn(ServerConfig { cache_dir: Some(dir.clone()), ..quiet_cfg() });
+        let server = spawn(ServerConfig {
+            cache_dir: Some(dir.clone()),
+            ..quiet_cfg()
+        });
         let mut client = Client::connect(server.addr()).unwrap();
         let resp = submit(&mut client, &req);
         assert_eq!(str_member(&resp, "cache"), Some("miss"));
@@ -182,7 +233,10 @@ fn persistent_cache_survives_restart() {
 
     // A fresh daemon over the same store serves the key as a hit
     // without running anything.
-    let server = spawn(ServerConfig { cache_dir: Some(dir.clone()), ..quiet_cfg() });
+    let server = spawn(ServerConfig {
+        cache_dir: Some(dir.clone()),
+        ..quiet_cfg()
+    });
     let mut client = Client::connect(server.addr()).unwrap();
     let resp = submit(&mut client, &req);
     assert_eq!(str_member(&resp, "cache"), Some("hit"), "{resp}");
@@ -201,12 +255,24 @@ fn batch_envelope_runs_all_jobs_and_replays_as_hits() {
     // hardware, different experiment, so it must get its own key
     // (the workload tag keeps them apart in the spec fingerprint).
     let jobs = vec![
-        SubmitReq { seed: 11, ..SubmitReq::default() },
-        SubmitReq { seed: 11, kernel: Kernel::Cg, ..SubmitReq::default() },
-        SubmitReq { seed: 11, ..SubmitReq::default() }, // duplicate of job 0
+        SubmitReq {
+            seed: 11,
+            ..SubmitReq::default()
+        },
+        SubmitReq {
+            seed: 11,
+            kernel: Kernel::Cg,
+            ..SubmitReq::default()
+        },
+        SubmitReq {
+            seed: 11,
+            ..SubmitReq::default()
+        }, // duplicate of job 0
     ];
     assert_ne!(jobs[0].cache_key(1, false), jobs[1].cache_key(1, false));
-    let resp = client.request(&Request::Batch(jobs.clone()).encode()).unwrap();
+    let resp = client
+        .request(&Request::Batch(jobs.clone()).encode())
+        .unwrap();
     assert_eq!(u64_member(&resp, "jobs"), Some(3), "{resp}");
     assert!(resp.contains("\"results\":["), "{resp}");
     // Every job completed and verified; the duplicate coalesced or hit
@@ -214,7 +280,11 @@ fn batch_envelope_runs_all_jobs_and_replays_as_hits() {
     assert_eq!(resp.matches("\"verified\":true").count(), 3, "{resp}");
     let stats = client.request(&Request::Stats.encode()).unwrap();
     assert_eq!(u64_member(&stats, "batches"), Some(1), "{stats}");
-    assert_eq!(u64_member(&stats, "completed"), Some(2), "duplicate ran once: {stats}");
+    assert_eq!(
+        u64_member(&stats, "completed"),
+        Some(2),
+        "duplicate ran once: {stats}"
+    );
 
     // Replaying the envelope is pure cache traffic.
     let replay = client.request(&Request::Batch(jobs).encode()).unwrap();
@@ -226,14 +296,21 @@ fn batch_envelope_runs_all_jobs_and_replays_as_hits() {
 fn subscribe_attaches_without_submitting() {
     let server = spawn(quiet_cfg());
     let mut client = Client::connect(server.addr()).unwrap();
-    let req = SubmitReq { seed: 21, ..SubmitReq::default() };
+    let req = SubmitReq {
+        seed: 21,
+        ..SubmitReq::default()
+    };
     let key = req.cache_key(1, false);
 
     // Subscribing to a key the server has never seen enqueues nothing.
     let unknown = client
         .request(&Request::Subscribe { key, stream: false }.encode())
         .unwrap();
-    assert_eq!(str_member(&unknown, "error"), Some("unknown-key"), "{unknown}");
+    assert_eq!(
+        str_member(&unknown, "error"),
+        Some("unknown-key"),
+        "{unknown}"
+    );
 
     // After a submit resolves the key, a subscribe serves the same
     // bytes without running anything.
@@ -246,7 +323,11 @@ fn subscribe_attaches_without_submitting() {
     assert_eq!(result_payload(&sub), Some(payload.as_str()));
     let stats = client.request(&Request::Stats.encode()).unwrap();
     assert_eq!(u64_member(&stats, "subscribes"), Some(2), "{stats}");
-    assert_eq!(u64_member(&stats, "completed"), Some(1), "subscribe never runs jobs");
+    assert_eq!(
+        u64_member(&stats, "completed"),
+        Some(1),
+        "subscribe never runs jobs"
+    );
     server.shutdown();
 }
 
@@ -258,12 +339,20 @@ fn old_clients_get_a_structured_version_error() {
     let resp = client
         .request("{\"op\":\"batch\",\"jobs\":[{\"kernel\":\"mg\"}]}")
         .unwrap();
-    assert_eq!(str_member(&resp, "error"), Some("unsupported-version"), "{resp}");
+    assert_eq!(
+        str_member(&resp, "error"),
+        Some("unsupported-version"),
+        "{resp}"
+    );
     assert_eq!(u64_member(&resp, "requested"), Some(1));
     assert_eq!(u64_member(&resp, "supported"), Some(2));
     // A client from the future.
     let resp = client.request("{\"op\":\"ping\",\"v\":9}").unwrap();
-    assert_eq!(str_member(&resp, "error"), Some("unsupported-version"), "{resp}");
+    assert_eq!(
+        str_member(&resp, "error"),
+        Some("unsupported-version"),
+        "{resp}"
+    );
     assert_eq!(u64_member(&resp, "requested"), Some(9));
     // The connection survives both rejects.
     let pong = client.request(&Request::Ping.encode()).unwrap();

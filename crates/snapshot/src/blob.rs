@@ -104,7 +104,9 @@ fn decode_blob(key: CacheKey, bytes: &[u8]) -> Result<Vec<u8>> {
     let mut r = Reader::new(body);
     let raw_magic = r.take(4, "blob magic")?;
     if raw_magic != BLOB_MAGIC {
-        return Err(BgpError::corrupt(format!("bad blob magic {raw_magic:02x?}")));
+        return Err(BgpError::corrupt(format!(
+            "bad blob magic {raw_magic:02x?}"
+        )));
     }
     let version = r.u32("blob version")?;
     if version != BLOB_VERSION {
@@ -135,13 +137,19 @@ pub struct BlobStore {
 impl BlobStore {
     /// A purely in-memory store (dies with the process).
     pub fn in_memory() -> BlobStore {
-        BlobStore { dir: None, mem: Mutex::new(HashMap::new()) }
+        BlobStore {
+            dir: None,
+            mem: Mutex::new(HashMap::new()),
+        }
     }
 
     /// A store backed by `dir`; entries written there are found again
     /// after a restart. The directory is created on first `put`.
     pub fn persistent(dir: impl Into<PathBuf>) -> BlobStore {
-        BlobStore { dir: Some(dir.into()), mem: Mutex::new(HashMap::new()) }
+        BlobStore {
+            dir: Some(dir.into()),
+            mem: Mutex::new(HashMap::new()),
+        }
     }
 
     /// The backing directory, if this store is persistent.
@@ -160,7 +168,9 @@ impl BlobStore {
     }
 
     fn path_of(&self, key: CacheKey) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{}.{BLOB_EXTENSION}", key.hex())))
+        self.dir
+            .as_ref()
+            .map(|d| d.join(format!("{}.{BLOB_EXTENSION}", key.hex())))
     }
 
     /// Look `key` up: memory first, then (for persistent stores) disk.
@@ -319,11 +329,7 @@ mod tests {
         let wrong = key(3, 4);
         store.put(wrong, b"payload".to_vec()).unwrap();
         // A file renamed to another key's name must not serve.
-        fs::rename(
-            store.path_of(wrong).unwrap(),
-            store.path_of(right).unwrap(),
-        )
-        .unwrap();
+        fs::rename(store.path_of(wrong).unwrap(), store.path_of(right).unwrap()).unwrap();
         let fresh = BlobStore::persistent(&dir);
         assert!(fresh.get(right).is_none());
         let _ = fs::remove_dir_all(&dir);

@@ -79,7 +79,11 @@ impl Snapshot {
     /// An empty snapshot for the job identified by `fingerprint`,
     /// captured at `phase`.
     pub fn new(fingerprint: u64, phase: u64) -> Snapshot {
-        Snapshot { fingerprint, phase, sections: Vec::new() }
+        Snapshot {
+            fingerprint,
+            phase,
+            sections: Vec::new(),
+        }
     }
 
     /// Append a named section. Names must be unique within a snapshot.
@@ -96,7 +100,10 @@ impl Snapshot {
 
     /// The payload of section `name`, if present.
     pub fn section(&self, name: &str) -> Option<&[u8]> {
-        self.sections.iter().find(|(n, _)| n == name).map(|(_, b)| b.as_slice())
+        self.sections
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, b)| b.as_slice())
     }
 
     /// The payload of section `name`, failing closed when absent.
@@ -159,7 +166,9 @@ impl Snapshot {
         let mut r = Reader::new(body);
         let raw_magic = r.take(4, "snapshot magic")?;
         if raw_magic != MAGIC {
-            return Err(BgpError::corrupt(format!("bad snapshot magic {raw_magic:02x?}")));
+            return Err(BgpError::corrupt(format!(
+                "bad snapshot magic {raw_magic:02x?}"
+            )));
         }
         let version = r.u32("snapshot version")?;
         if version != VERSION {
@@ -189,7 +198,11 @@ impl Snapshot {
             sections.push((name, payload));
         }
         r.expect_end("snapshot container")?;
-        Ok(Snapshot { fingerprint, phase, sections })
+        Ok(Snapshot {
+            fingerprint,
+            phase,
+            sections,
+        })
     }
 }
 
@@ -224,7 +237,10 @@ impl SnapshotStore {
     /// (`retain` is clamped to ≥ 1: rotation must never delete the only
     /// recovery point).
     pub fn new(dir: impl Into<PathBuf>, retain: usize) -> SnapshotStore {
-        SnapshotStore { dir: dir.into(), retain: retain.max(1) }
+        SnapshotStore {
+            dir: dir.into(),
+            retain: retain.max(1),
+        }
     }
 
     /// The store's directory.
@@ -315,7 +331,10 @@ impl SnapshotStore {
                             path.display()
                         ),
                     );
-                    outcome.quarantined.push(Quarantined { path: quarantine_path, reason });
+                    outcome.quarantined.push(Quarantined {
+                        path: quarantine_path,
+                        reason,
+                    });
                 }
             }
         }
@@ -361,7 +380,10 @@ mod tests {
         let back = Snapshot::decode(&bytes).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.section("nodes").unwrap().len(), 200);
-        assert_eq!(back.section_names().collect::<Vec<_>>(), vec!["meta", "nodes", "empty"]);
+        assert_eq!(
+            back.section_names().collect::<Vec<_>>(),
+            vec!["meta", "nodes", "empty"]
+        );
         assert!(back.section("missing").is_none());
         assert!(back.section_required("missing").is_err());
     }
@@ -380,7 +402,10 @@ mod tests {
     fn every_truncation_is_detected() {
         let bytes = sample(7).encode();
         for cut in 0..bytes.len() {
-            assert!(Snapshot::decode(&bytes[..cut]).is_err(), "truncation to {cut} accepted");
+            assert!(
+                Snapshot::decode(&bytes[..cut]).is_err(),
+                "truncation to {cut} accepted"
+            );
         }
     }
 

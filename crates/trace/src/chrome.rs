@@ -59,7 +59,14 @@ pub fn render(trace: &JobTrace) -> String {
     }
     for rt in &trace.ranks {
         for e in &rt.events {
-            event(&mut out, &mut first, rt.node as u64 + 1, rt.rank as u64, e.cycle, &e.kind);
+            event(
+                &mut out,
+                &mut first,
+                rt.node as u64 + 1,
+                rt.rank as u64,
+                e.cycle,
+                &e.kind,
+            );
         }
     }
 
@@ -81,7 +88,10 @@ fn sep(out: &mut String, first: &mut bool) {
 
 fn meta(out: &mut String, first: &mut bool, what: &str, pid: u64, tid: u64, name: &str) {
     sep(out, first);
-    let _ = write!(out, "{{\"name\":\"{what}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":");
+    let _ = write!(
+        out,
+        "{{\"name\":\"{what}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":"
+    );
     push_str_escaped(out, name);
     out.push_str("}}");
 }
@@ -90,12 +100,18 @@ fn event(out: &mut String, first: &mut bool, pid: u64, tid: u64, ts: u64, kind: 
     sep(out, first);
     // Counter samples render as Chrome counter tracks ("C"); everything
     // else is a thread-scoped instant ("i").
-    let is_counter =
-        matches!(kind, EventKind::CounterSample { .. } | EventKind::MemWindow { .. });
+    let is_counter = matches!(
+        kind,
+        EventKind::CounterSample { .. } | EventKind::MemWindow { .. }
+    );
     let ph = if is_counter { "C" } else { "i" };
     out.push_str("{\"name\":\"");
     out.push_str(kind.name());
-    let _ = write!(out, "\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}", kind.category());
+    let _ = write!(
+        out,
+        "\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}",
+        kind.category()
+    );
     if !is_counter {
         out.push_str(",\"s\":\"t\"");
     }
@@ -165,9 +181,9 @@ pub fn parse(doc: &str) -> Result<Vec<ParsedEvent>, String> {
         if let Some(Value::Object(members)) = ev.get("args") {
             for (k, v) in members {
                 let arg = match v {
-                    Value::Num(_) => ArgValue::Num(
-                        v.as_u64().ok_or_else(|| format!("non-u64 arg {k}"))?,
-                    ),
+                    Value::Num(_) => {
+                        ArgValue::Num(v.as_u64().ok_or_else(|| format!("non-u64 arg {k}"))?)
+                    }
                     Value::Str(s) => ArgValue::Text(s.clone()),
                     other => return Err(format!("unexpected arg type for {k}: {other:?}")),
                 };
@@ -204,9 +220,18 @@ mod tests {
         let sched = vec![
             TraceEvent {
                 cycle: 900,
-                kind: EventKind::MsgDeliver { src: 0, dst: 1, tag: 7, bytes: 4096, queue_cycles: 12 },
+                kind: EventKind::MsgDeliver {
+                    src: 0,
+                    dst: 1,
+                    tag: 7,
+                    bytes: 4096,
+                    queue_cycles: 12,
+                },
             },
-            TraceEvent { cycle: 905, kind: EventKind::CollComplete { slot: 1 } },
+            TraceEvent {
+                cycle: 905,
+                kind: EventKind::CollComplete { slot: 1 },
+            },
             TraceEvent {
                 cycle: 910,
                 kind: EventKind::PhaseResolve {
@@ -221,20 +246,38 @@ mod tests {
             },
         ];
         let r0 = vec![
-            TraceEvent { cycle: 10, kind: EventKind::SessionInit },
-            TraceEvent { cycle: 20, kind: EventKind::SessionStart { set: 2 } },
+            TraceEvent {
+                cycle: 10,
+                kind: EventKind::SessionInit,
+            },
+            TraceEvent {
+                cycle: 20,
+                kind: EventKind::SessionStart { set: 2 },
+            },
             TraceEvent {
                 cycle: 100,
-                kind: EventKind::MsgSend { dst: 1, tag: 7, bytes: 4096 },
+                kind: EventKind::MsgSend {
+                    dst: 1,
+                    tag: 7,
+                    bytes: 4096,
+                },
             },
             TraceEvent {
                 cycle: 150,
-                kind: EventKind::RankPark { wait: WaitKind::Collective { slot: 1 } },
+                kind: EventKind::RankPark {
+                    wait: WaitKind::Collective { slot: 1 },
+                },
             },
-            TraceEvent { cycle: 910, kind: EventKind::RankWake },
+            TraceEvent {
+                cycle: 910,
+                kind: EventKind::RankWake,
+            },
             TraceEvent {
                 cycle: 920,
-                kind: EventKind::CounterSample { slot: 3, value: u64::MAX },
+                kind: EventKind::CounterSample {
+                    slot: 3,
+                    value: u64::MAX,
+                },
             },
             TraceEvent {
                 cycle: 930,
@@ -255,15 +298,31 @@ mod tests {
             TraceEvent {
                 cycle: 90,
                 kind: EventKind::RankPark {
-                    wait: WaitKind::Recv { src: Some(0), tag: 7 },
+                    wait: WaitKind::Recv {
+                        src: Some(0),
+                        tag: 7,
+                    },
                 },
             },
-            TraceEvent { cycle: 912, kind: EventKind::RankWake },
+            TraceEvent {
+                cycle: 912,
+                kind: EventKind::RankWake,
+            },
         ];
         JobTrace {
             ranks: vec![
-                RankTrace { rank: 0, node: 0, events: r0, dropped: 0 },
-                RankTrace { rank: 1, node: 1, events: r1, dropped: 2 },
+                RankTrace {
+                    rank: 0,
+                    node: 0,
+                    events: r0,
+                    dropped: 0,
+                },
+                RankTrace {
+                    rank: 1,
+                    node: 1,
+                    events: r1,
+                    dropped: 2,
+                },
             ],
             sched,
             sched_dropped: 0,

@@ -59,9 +59,7 @@ impl Value {
     /// Member lookup on an object (first match).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Value::Object(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            Value::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -104,7 +102,10 @@ impl Value {
 /// # Errors
 /// Returns a message with the byte offset of the first syntax error.
 pub fn parse(src: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: src.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -302,7 +303,10 @@ impl Default for Obj {
 impl Obj {
     /// Start an empty object.
     pub fn new() -> Obj {
-        Obj { buf: String::from("{"), first: true }
+        Obj {
+            buf: String::from("{"),
+            first: true,
+        }
     }
 
     fn key(&mut self, k: &str) -> &mut String {
@@ -371,7 +375,10 @@ impl Default for Arr {
 impl Arr {
     /// Start an empty array.
     pub fn new() -> Arr {
-        Arr { buf: String::from("["), first: true }
+        Arr {
+            buf: String::from("["),
+            first: true,
+        }
     }
 
     fn sep(&mut self) -> &mut String {
@@ -427,14 +434,18 @@ mod tests {
 
     #[test]
     fn parses_nested_documents() {
-        let v = parse(r#"{"a": [1, {"b": "x\ny"}, true, null], "n": 18446744073709551615}"#)
-            .unwrap();
+        let v =
+            parse(r#"{"a": [1, {"b": "x\ny"}, true, null], "n": 18446744073709551615}"#).unwrap();
         let arr = v.get("a").unwrap().as_array().unwrap();
         assert_eq!(arr[0].as_u64(), Some(1));
         assert_eq!(arr[1].get("b").unwrap().as_str(), Some("x\ny"));
         assert_eq!(arr[2], Value::Bool(true));
         assert_eq!(arr[3], Value::Null);
-        assert_eq!(v.get("n").unwrap().as_u64(), Some(u64::MAX), "u64::MAX survives");
+        assert_eq!(
+            v.get("n").unwrap().as_u64(),
+            Some(u64::MAX),
+            "u64::MAX survives"
+        );
     }
 
     #[test]
@@ -447,7 +458,11 @@ mod tests {
 
     #[test]
     fn obj_and_arr_builders_round_trip_through_the_parser() {
-        let inner = Arr::new().push_u64(u64::MAX).push_str("x\ny").push_f64(1.5).finish();
+        let inner = Arr::new()
+            .push_u64(u64::MAX)
+            .push_str("x\ny")
+            .push_f64(1.5)
+            .finish();
         let doc = Obj::new()
             .field_str("name", "mg \"S\"")
             .field_u64("cycles", u64::MAX)
@@ -476,7 +491,10 @@ mod tests {
     #[test]
     fn raw_splice_is_byte_exact() {
         let cached = r#"{"job_cycles":37719054,"dumps":["00ff"]}"#;
-        let doc = Obj::new().field_bool("ok", true).field_raw("result", cached).finish();
+        let doc = Obj::new()
+            .field_bool("ok", true)
+            .field_raw("result", cached)
+            .finish();
         let idx = doc.find("\"result\":").unwrap() + "\"result\":".len();
         assert_eq!(&doc[idx..doc.len() - 1], cached, "splice must not reformat");
     }

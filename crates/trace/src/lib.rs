@@ -281,9 +281,9 @@ impl EventKind {
     /// Event category (Chrome-trace `cat` field).
     pub fn category(&self) -> &'static str {
         match self {
-            EventKind::PhaseResolve { .. }
-            | EventKind::RankPark { .. }
-            | EventKind::RankWake => "sched",
+            EventKind::PhaseResolve { .. } | EventKind::RankPark { .. } | EventKind::RankWake => {
+                "sched"
+            }
             EventKind::MsgDeliver { .. }
             | EventKind::CollComplete { .. }
             | EventKind::MsgSend { .. } => "mpi",
@@ -321,7 +321,13 @@ impl EventKind {
                 ("peak_link_bytes", Num(*peak_link_bytes)),
                 ("links_loaded", Num(*links_loaded)),
             ],
-            EventKind::MsgDeliver { src, dst, tag, bytes, queue_cycles } => vec![
+            EventKind::MsgDeliver {
+                src,
+                dst,
+                tag,
+                bytes,
+                queue_cycles,
+            } => vec![
                 ("src", Num(u64::from(*src))),
                 ("dst", Num(u64::from(*dst))),
                 ("tag", Num(u64::from(*tag))),
@@ -330,9 +336,7 @@ impl EventKind {
             ],
             EventKind::CollComplete { slot } => vec![("slot", Num(u64::from(*slot)))],
             EventKind::RankPark { wait } => vec![("wait", Text(wait.to_string()))],
-            EventKind::RankWake | EventKind::SessionInit | EventKind::SessionFinalize => {
-                Vec::new()
-            }
+            EventKind::RankWake | EventKind::SessionInit | EventKind::SessionFinalize => Vec::new(),
             EventKind::MsgSend { dst, tag, bytes } => vec![
                 ("dst", Num(u64::from(*dst))),
                 ("tag", Num(u64::from(*tag))),
@@ -345,7 +349,13 @@ impl EventKind {
             EventKind::CounterSample { slot, value } => {
                 vec![("slot", Num(u64::from(*slot))), ("value", Num(*value))]
             }
-            EventKind::MemWindow { window, l3_hits, l3_misses, ddr_reads, ddr_writes } => {
+            EventKind::MemWindow {
+                window,
+                l3_hits,
+                l3_misses,
+                ddr_reads,
+                ddr_writes,
+            } => {
                 vec![
                     ("window", Num(*window)),
                     ("l3_hits", Num(*l3_hits)),
@@ -354,13 +364,24 @@ impl EventKind {
                     ("ddr_writes", Num(*ddr_writes)),
                 ]
             }
-            EventKind::ThresholdInterrupt { node, slot, value, threshold } => vec![
+            EventKind::ThresholdInterrupt {
+                node,
+                slot,
+                value,
+                threshold,
+            } => vec![
                 ("node", Num(u64::from(*node))),
                 ("slot", Num(u64::from(*slot))),
                 ("value", Num(*value)),
                 ("threshold", Num(*threshold)),
             ],
-            EventKind::CounterRotate { node, from, to, phase, dwell } => {
+            EventKind::CounterRotate {
+                node,
+                from,
+                to,
+                phase,
+                dwell,
+            } => {
                 vec![
                     ("node", Num(u64::from(*node))),
                     ("from", Num(u64::from(*from))),
@@ -375,7 +396,10 @@ impl EventKind {
                 }
                 FaultEvent::RouterDegraded => Vec::new(),
                 FaultEvent::CounterBitFlip { slot, bit } => {
-                    vec![("slot", Num(u64::from(*slot))), ("bit", Num(u64::from(*bit)))]
+                    vec![
+                        ("slot", Num(u64::from(*slot))),
+                        ("bit", Num(u64::from(*bit))),
+                    ]
                 }
                 FaultEvent::CounterSaturate { slot } => {
                     vec![("slot", Num(u64::from(*slot)))]
@@ -441,7 +465,9 @@ pub struct Recorder {
 impl Recorder {
     /// A recorder retaining at most `capacity` events.
     pub fn new(capacity: usize) -> Recorder {
-        Recorder { ring: RingBuffer::new(capacity) }
+        Recorder {
+            ring: RingBuffer::new(capacity),
+        }
     }
 
     /// Append one event.
@@ -499,7 +525,11 @@ impl TraceState {
         let capacity = cfg.map_or(0, |c| c.capacity);
         TraceState {
             ranks_per_node,
-            ranks: cfg.map(|_| (0..ranks).map(|_| Mutex::new(Recorder::new(capacity))).collect()),
+            ranks: cfg.map(|_| {
+                (0..ranks)
+                    .map(|_| Mutex::new(Recorder::new(capacity)))
+                    .collect()
+            }),
             sched: Mutex::new(Recorder::new(capacity)),
         }
     }
@@ -549,7 +579,11 @@ impl TraceState {
             })
             .collect();
         let sched = self.sched.lock();
-        Some(JobTrace { ranks, sched: sched.events(), sched_dropped: sched.dropped() })
+        Some(JobTrace {
+            ranks,
+            sched: sched.events(),
+            sched_dropped: sched.dropped(),
+        })
     }
 }
 
@@ -608,7 +642,10 @@ mod tests {
     use std::sync::Arc;
 
     fn ev(cycle: u64) -> TraceEvent {
-        TraceEvent { cycle, kind: EventKind::RankWake }
+        TraceEvent {
+            cycle,
+            kind: EventKind::RankWake,
+        }
     }
 
     #[test]
@@ -624,7 +661,10 @@ mod tests {
         // 8 ranks record 200 events each from their own threads; the
         // interleaving of threads must be invisible: every rank stream
         // comes back exactly as its rank wrote it, in program order.
-        let cfg = TraceConfig { capacity: 64, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            capacity: 64,
+            ..TraceConfig::default()
+        };
         let st = Arc::new(TraceState::new(8, 1, Some(&cfg)));
         std::thread::scope(|s| {
             for rank in 0..8usize {
@@ -632,7 +672,11 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200u64 {
                         let kind = if i % 2 == 0 {
-                            EventKind::MsgSend { dst: rank as u32, tag: i as u32, bytes: i }
+                            EventKind::MsgSend {
+                                dst: rank as u32,
+                                tag: i as u32,
+                                bytes: i,
+                            }
                         } else {
                             EventKind::RankWake
                         };
@@ -648,8 +692,7 @@ mod tests {
             // The retained tail is the rank's own last 64 events in
             // program order, regardless of thread scheduling.
             let cycles: Vec<u64> = rt.events.iter().map(|e| e.cycle).collect();
-            let expect: Vec<u64> =
-                (136..200).map(|i| i * 10 + rt.rank as u64).collect();
+            let expect: Vec<u64> = (136..200).map(|i| i * 10 + rt.rank as u64).collect();
             assert_eq!(cycles, expect, "rank {} stream perturbed", rt.rank);
         }
     }
@@ -668,7 +711,11 @@ mod tests {
     fn event_display_is_compact() {
         let e = TraceEvent {
             cycle: 42,
-            kind: EventKind::MsgSend { dst: 3, tag: 7, bytes: 128 },
+            kind: EventKind::MsgSend {
+                dst: 3,
+                tag: 7,
+                bytes: 128,
+            },
         };
         assert_eq!(e.to_string(), "@42 msg_send {dst=3, tag=7, bytes=128}");
         assert_eq!(ev(1).to_string(), "@1 rank_wake");

@@ -48,7 +48,13 @@ mod tests {
         let sched = vec![
             TraceEvent {
                 cycle: 500,
-                kind: EventKind::MsgDeliver { src: 0, dst: 1, tag: 0, bytes: 8, queue_cycles: 0 },
+                kind: EventKind::MsgDeliver {
+                    src: 0,
+                    dst: 1,
+                    tag: 0,
+                    bytes: 8,
+                    queue_cycles: 0,
+                },
             },
             TraceEvent {
                 cycle: 510,
@@ -76,7 +82,12 @@ mod tests {
             },
         ];
         let trace = JobTrace {
-            ranks: vec![RankTrace { rank: 0, node: 0, events: vec![], dropped: 0 }],
+            ranks: vec![RankTrace {
+                rank: 0,
+                node: 0,
+                events: vec![],
+                dropped: 0,
+            }],
             sched,
             sched_dropped: 0,
         };

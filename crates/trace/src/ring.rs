@@ -20,7 +20,11 @@ impl<T> RingBuffer<T> {
     /// An empty ring holding at most `capacity` entries. No storage is
     /// allocated until the first push.
     pub fn new(capacity: usize) -> RingBuffer<T> {
-        RingBuffer { cap: capacity, buf: VecDeque::new(), dropped: 0 }
+        RingBuffer {
+            cap: capacity,
+            buf: VecDeque::new(),
+            dropped: 0,
+        }
     }
 
     /// Maximum entries retained.

@@ -49,11 +49,25 @@ pub fn encode_event(ev: &TraceEvent, out: &mut Vec<u8>) {
             links_loaded,
         } => {
             put_u8(out, TAG_PHASE_RESOLVE);
-            for v in [phase, delivered, delivered_bytes, woken, collectives, peak_link_bytes, links_loaded] {
+            for v in [
+                phase,
+                delivered,
+                delivered_bytes,
+                woken,
+                collectives,
+                peak_link_bytes,
+                links_loaded,
+            ] {
                 put_u64(out, *v);
             }
         }
-        EventKind::MsgDeliver { src, dst, tag, bytes, queue_cycles } => {
+        EventKind::MsgDeliver {
+            src,
+            dst,
+            tag,
+            bytes,
+            queue_cycles,
+        } => {
             put_u8(out, TAG_MSG_DELIVER);
             put_u32(out, *src);
             put_u32(out, *dst);
@@ -106,20 +120,37 @@ pub fn encode_event(ev: &TraceEvent, out: &mut Vec<u8>) {
             put_u8(out, *slot);
             put_u64(out, *value);
         }
-        EventKind::MemWindow { window, l3_hits, l3_misses, ddr_reads, ddr_writes } => {
+        EventKind::MemWindow {
+            window,
+            l3_hits,
+            l3_misses,
+            ddr_reads,
+            ddr_writes,
+        } => {
             put_u8(out, TAG_MEM_WINDOW);
             for v in [window, l3_hits, l3_misses, ddr_reads, ddr_writes] {
                 put_u64(out, *v);
             }
         }
-        EventKind::ThresholdInterrupt { node, slot, value, threshold } => {
+        EventKind::ThresholdInterrupt {
+            node,
+            slot,
+            value,
+            threshold,
+        } => {
             put_u8(out, TAG_THRESHOLD_INTERRUPT);
             put_u32(out, *node);
             put_u8(out, *slot);
             put_u64(out, *value);
             put_u64(out, *threshold);
         }
-        EventKind::CounterRotate { node, from, to, phase, dwell } => {
+        EventKind::CounterRotate {
+            node,
+            from,
+            to,
+            phase,
+            dwell,
+        } => {
             put_u8(out, TAG_COUNTER_ROTATE);
             put_u32(out, *node);
             put_u8(out, *from);
@@ -173,19 +204,24 @@ pub fn decode_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
             bytes: r.u64("md bytes")?,
             queue_cycles: r.u64("md queue_cycles")?,
         },
-        TAG_COLL_COMPLETE => EventKind::CollComplete { slot: r.u8("cc slot")? },
+        TAG_COLL_COMPLETE => EventKind::CollComplete {
+            slot: r.u8("cc slot")?,
+        },
         TAG_RANK_PARK => {
             let wk = r.u8("park wait kind")?;
             let wait = match wk {
                 0 => {
                     let has_src = r.bool("park src some")?;
                     let src = r.u32("park src")?;
-                    WaitKind::Recv { src: has_src.then_some(src), tag: r.u32("park tag")? }
+                    WaitKind::Recv {
+                        src: has_src.then_some(src),
+                        tag: r.u32("park tag")?,
+                    }
                 }
-                1 => WaitKind::Collective { slot: r.u8("park slot")? },
-                other => {
-                    return Err(BgpError::corrupt(format!("unknown wait kind {other}")))
-                }
+                1 => WaitKind::Collective {
+                    slot: r.u8("park slot")?,
+                },
+                other => return Err(BgpError::corrupt(format!("unknown wait kind {other}"))),
             };
             EventKind::RankPark { wait }
         }
@@ -196,13 +232,20 @@ pub fn decode_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
             bytes: r.u64("ms bytes")?,
         },
         TAG_SESSION_INIT => EventKind::SessionInit,
-        TAG_SESSION_START => EventKind::SessionStart { set: r.u32("ss set")? },
-        TAG_SESSION_STOP => EventKind::SessionStop { set: r.u32("ss set")? },
+        TAG_SESSION_START => EventKind::SessionStart {
+            set: r.u32("ss set")?,
+        },
+        TAG_SESSION_STOP => EventKind::SessionStop {
+            set: r.u32("ss set")?,
+        },
         TAG_SESSION_FINALIZE => EventKind::SessionFinalize,
-        TAG_COUNTER_DUMP => EventKind::CounterDump { bytes: r.u64("cd bytes")? },
-        TAG_COUNTER_SAMPLE => {
-            EventKind::CounterSample { slot: r.u8("cs slot")?, value: r.u64("cs value")? }
-        }
+        TAG_COUNTER_DUMP => EventKind::CounterDump {
+            bytes: r.u64("cd bytes")?,
+        },
+        TAG_COUNTER_SAMPLE => EventKind::CounterSample {
+            slot: r.u8("cs slot")?,
+            value: r.u64("cs value")?,
+        },
         TAG_MEM_WINDOW => EventKind::MemWindow {
             window: r.u64("mw window")?,
             l3_hits: r.u64("mw l3_hits")?,
@@ -226,16 +269,19 @@ pub fn decode_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
         TAG_FAULT => {
             let fk = r.u8("fault kind")?;
             let fault = match fk {
-                FAULT_STRAGGLER => {
-                    FaultEvent::Straggler { penalty_cycles: r.u64("fs penalty")? }
-                }
+                FAULT_STRAGGLER => FaultEvent::Straggler {
+                    penalty_cycles: r.u64("fs penalty")?,
+                },
                 FAULT_ROUTER => FaultEvent::RouterDegraded,
                 FAULT_BITFLIP => {
                     let slot = r.u64("fb slot")?;
                     let slot = u16::try_from(slot).map_err(|_| {
                         BgpError::corrupt(format!("fault slot {slot} out of range"))
                     })?;
-                    FaultEvent::CounterBitFlip { slot, bit: r.u32("fb bit")? }
+                    FaultEvent::CounterBitFlip {
+                        slot,
+                        bit: r.u32("fb bit")?,
+                    }
                 }
                 FAULT_SATURATE => {
                     let slot = r.u64("fsat slot")?;
@@ -244,9 +290,7 @@ pub fn decode_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
                     })?;
                     FaultEvent::CounterSaturate { slot }
                 }
-                other => {
-                    return Err(BgpError::corrupt(format!("unknown fault kind {other}")))
-                }
+                other => return Err(BgpError::corrupt(format!("unknown fault kind {other}"))),
             };
             EventKind::Fault(fault)
         }
@@ -341,23 +385,64 @@ mod tests {
                 peak_link_bytes: 512,
                 links_loaded: 6,
             },
-            EventKind::MsgDeliver { src: 1, dst: 2, tag: 77, bytes: 640, queue_cycles: 12 },
+            EventKind::MsgDeliver {
+                src: 1,
+                dst: 2,
+                tag: 77,
+                bytes: 640,
+                queue_cycles: 12,
+            },
             EventKind::CollComplete { slot: 1 },
-            EventKind::RankPark { wait: WaitKind::Recv { src: Some(4), tag: 9 } },
-            EventKind::RankPark { wait: WaitKind::Recv { src: None, tag: 0 } },
-            EventKind::RankPark { wait: WaitKind::Collective { slot: 0 } },
+            EventKind::RankPark {
+                wait: WaitKind::Recv {
+                    src: Some(4),
+                    tag: 9,
+                },
+            },
+            EventKind::RankPark {
+                wait: WaitKind::Recv { src: None, tag: 0 },
+            },
+            EventKind::RankPark {
+                wait: WaitKind::Collective { slot: 0 },
+            },
             EventKind::RankWake,
-            EventKind::MsgSend { dst: 5, tag: 3, bytes: 32 },
+            EventKind::MsgSend {
+                dst: 5,
+                tag: 3,
+                bytes: 32,
+            },
             EventKind::SessionInit,
             EventKind::SessionStart { set: 2 },
             EventKind::SessionStop { set: 2 },
             EventKind::SessionFinalize,
             EventKind::CounterDump { bytes: 2120 },
-            EventKind::CounterSample { slot: 200, value: u64::MAX },
-            EventKind::MemWindow { window: 8, l3_hits: 1, l3_misses: 2, ddr_reads: 3, ddr_writes: 4 },
-            EventKind::ThresholdInterrupt { node: 9, slot: 140, value: 4096, threshold: 1024 },
-            EventKind::CounterRotate { node: 9, from: 2, to: 3, phase: 88, dwell: 16 },
-            EventKind::Fault(FaultEvent::Straggler { penalty_cycles: 5000 }),
+            EventKind::CounterSample {
+                slot: 200,
+                value: u64::MAX,
+            },
+            EventKind::MemWindow {
+                window: 8,
+                l3_hits: 1,
+                l3_misses: 2,
+                ddr_reads: 3,
+                ddr_writes: 4,
+            },
+            EventKind::ThresholdInterrupt {
+                node: 9,
+                slot: 140,
+                value: 4096,
+                threshold: 1024,
+            },
+            EventKind::CounterRotate {
+                node: 9,
+                from: 2,
+                to: 3,
+                phase: 88,
+                dwell: 16,
+            },
+            EventKind::Fault(FaultEvent::Straggler {
+                penalty_cycles: 5000,
+            }),
             EventKind::Fault(FaultEvent::RouterDegraded),
             EventKind::Fault(FaultEvent::CounterBitFlip { slot: 255, bit: 31 }),
             EventKind::Fault(FaultEvent::CounterSaturate { slot: 17 }),
@@ -365,7 +450,10 @@ mod tests {
         kinds
             .into_iter()
             .enumerate()
-            .map(|(i, kind)| TraceEvent { cycle: i as u64 * 1000 + 5, kind })
+            .map(|(i, kind)| TraceEvent {
+                cycle: i as u64 * 1000 + 5,
+                kind,
+            })
             .collect()
     }
 

@@ -196,14 +196,18 @@ impl Upc {
         if threshold == u64::MAX && self.thresholds.is_none() {
             return;
         }
-        let bank = self.thresholds.get_or_insert_with(|| Box::new([u64::MAX; NUM_COUNTERS]));
+        let bank = self
+            .thresholds
+            .get_or_insert_with(|| Box::new([u64::MAX; NUM_COUNTERS]));
         bank[slot as usize] = threshold;
     }
 
     /// Read one counter slot's threshold.
     #[inline]
     pub fn threshold(&self, slot: u8) -> u64 {
-        self.thresholds.as_ref().map_or(u64::MAX, |bank| bank[slot as usize])
+        self.thresholds
+            .as_ref()
+            .map_or(u64::MAX, |bank| bank[slot as usize])
     }
 
     /// Current value of one counter slot.
@@ -387,7 +391,9 @@ impl Upc {
         r.u64_array(&mut self.counters[..], "upc counters")?;
         let ctrl = r.take(NUM_COUNTERS, "upc control bytes")?;
         if let Some(&bits) = ctrl.iter().find(|&&c| c & !(CONFIG_BITS | FIRED) != 0) {
-            return Err(BgpError::corrupt(format!("invalid counter control byte {bits:#x}")));
+            return Err(BgpError::corrupt(format!(
+                "invalid counter control byte {bits:#x}"
+            )));
         }
         self.ctrl.copy_from_slice(ctrl);
         self.thresholds = if r.bool("upc threshold-bank tag")? {
@@ -470,7 +476,10 @@ mod tests {
         let ev = SharedEvent::DdrConflict0.id();
         u.configure(
             ev.slot().0,
-            CounterConfig { sensitivity: Sensitivity::LevelHigh, ..Default::default() },
+            CounterConfig {
+                sensitivity: Sensitivity::LevelHigh,
+                ..Default::default()
+            },
         );
         u.emit_level(ev, 30, 100);
         u.emit_level(ev, 20, 50);
@@ -480,7 +489,10 @@ mod tests {
         let ev2 = SharedEvent::DdrConflict1.id();
         u.configure(
             ev2.slot().0,
-            CounterConfig { sensitivity: Sensitivity::LevelLow, ..Default::default() },
+            CounterConfig {
+                sensitivity: Sensitivity::LevelLow,
+                ..Default::default()
+            },
         );
         u.emit_level(ev2, 30, 100);
         assert_eq!(u.read_event(ev2), Some(70));
@@ -499,7 +511,10 @@ mod tests {
         // A level-configured counter ignores pulse emissions.
         u.configure(
             ev.slot().0,
-            CounterConfig { sensitivity: Sensitivity::LevelHigh, ..Default::default() },
+            CounterConfig {
+                sensitivity: Sensitivity::LevelHigh,
+                ..Default::default()
+            },
         );
         u.emit(ev, 9);
         assert_eq!(u.read_event(ev), Some(5));
@@ -511,7 +526,10 @@ mod tests {
         let ev = CoreEvent::L1dMiss.id(1);
         u.configure(
             ev.slot().0,
-            CounterConfig { interrupt_enable: true, ..Default::default() },
+            CounterConfig {
+                interrupt_enable: true,
+                ..Default::default()
+            },
         );
         u.set_threshold(ev.slot().0, 10);
         u.emit(ev, 9);
@@ -599,11 +617,18 @@ mod tests {
     #[test]
     fn batched_crossings_queue_in_emission_order() {
         let mut u = enabled_unit(CounterMode::Mode0);
-        let evs = [CoreEvent::L1dMiss.id(0), CoreEvent::FpFma.id(1), CoreEvent::Load.id(0)];
+        let evs = [
+            CoreEvent::L1dMiss.id(0),
+            CoreEvent::FpFma.id(1),
+            CoreEvent::Load.id(0),
+        ];
         for ev in evs {
             u.configure(
                 ev.slot().0,
-                CounterConfig { interrupt_enable: true, ..Default::default() },
+                CounterConfig {
+                    interrupt_enable: true,
+                    ..Default::default()
+                },
             );
             u.set_threshold(ev.slot().0, 10);
         }
@@ -631,7 +656,10 @@ mod tests {
         let slot = ev.slot().0;
         u.configure(
             slot,
-            CounterConfig { interrupt_enable: true, ..Default::default() },
+            CounterConfig {
+                interrupt_enable: true,
+                ..Default::default()
+            },
         );
         u.set_threshold(slot, 4);
         u.emit(ev, 4);
@@ -695,7 +723,10 @@ mod tests {
         let ev = CoreEvent::L1dMiss.id(1);
         u.configure(
             ev.slot().0,
-            CounterConfig { interrupt_enable: true, ..Default::default() },
+            CounterConfig {
+                interrupt_enable: true,
+                ..Default::default()
+            },
         );
         u.set_threshold(ev.slot().0, 3);
         u.emit(ev, 5); // fires an interrupt, leaves it pending
@@ -746,7 +777,10 @@ mod tests {
     /// disarmed again. Each restores as it was saved, and neither fires.
     #[test]
     fn a_bank_is_saved_only_when_built_and_restores_as_saved() {
-        let irq = CounterConfig { interrupt_enable: true, ..Default::default() };
+        let irq = CounterConfig {
+            interrupt_enable: true,
+            ..Default::default()
+        };
         let mut never = enabled_unit(CounterMode::Mode0);
         let mut disarmed = enabled_unit(CounterMode::Mode0);
         for u in [&mut never, &mut disarmed] {
@@ -762,7 +796,11 @@ mod tests {
         never.set_threshold(7, u64::MAX);
         assert!(never.thresholds.is_none(), "a disarm never builds the bank");
         let (lazy, built) = (saved(&never), saved(&disarmed));
-        assert_eq!(built.len(), lazy.len() + NUM_COUNTERS * 8, "only the built bank is written");
+        assert_eq!(
+            built.len(),
+            lazy.len() + NUM_COUNTERS * 8,
+            "only the built bank is written"
+        );
         for (bytes, has_bank) in [(&lazy, false), (&built, true)] {
             let mut u = restored(bytes);
             assert_eq!(u.thresholds.is_some(), has_bank);
@@ -788,11 +826,15 @@ mod tests {
         assert_eq!(restored(&fired).ctrl[9], 0b1_0101, "a fired latch restores");
         let mut bad = bytes.clone();
         bad[ctrl_at + 9] = 0b10_0000;
-        let err = Upc::default().restore_state(&mut wire::Reader::new(&bad)).unwrap_err();
+        let err = Upc::default()
+            .restore_state(&mut wire::Reader::new(&bad))
+            .unwrap_err();
         assert!(err.to_string().contains("control byte 0x20"), "{err}");
         let mut tag = bytes.clone();
         tag[ctrl_at + NUM_COUNTERS] = 2;
-        let err = Upc::default().restore_state(&mut wire::Reader::new(&tag)).unwrap_err();
+        let err = Upc::default()
+            .restore_state(&mut wire::Reader::new(&tag))
+            .unwrap_err();
         assert!(err.to_string().contains("threshold-bank tag"), "{err}");
     }
 
@@ -801,12 +843,20 @@ mod tests {
         let ev = CoreEvent::L1dMiss.id(1);
         let slot = ev.slot().0;
         let mut u = enabled_unit(CounterMode::Mode0);
-        u.configure(slot, CounterConfig { interrupt_enable: true, ..Default::default() });
+        u.configure(
+            slot,
+            CounterConfig {
+                interrupt_enable: true,
+                ..Default::default()
+            },
+        );
         u.set_threshold(slot, 40);
         u.emit(ev, 25);
         let mut r = restored(&saved(&u));
         assert_eq!(r.threshold(slot), 40);
-        assert!((0..=255u8).filter(|&s| s != slot).all(|s| r.threshold(s) == u64::MAX));
+        assert!((0..=255u8)
+            .filter(|&s| s != slot)
+            .all(|s| r.threshold(s) == u64::MAX));
         for step in 0..5 {
             u.emit(ev, 4);
             r.emit(ev, 4);

@@ -54,9 +54,7 @@ impl<'a> RegFile<'a> {
             return None;
         }
         Some(match offset {
-            OFF_CONTROL => {
-                (self.upc.enabled() as u64) | (self.upc.mode().index() as u64) << 1
-            }
+            OFF_CONTROL => (self.upc.enabled() as u64) | (self.upc.mode().index() as u64) << 1,
             OFF_IRQ_STATUS => self.upc.take_interrupts().len() as u64,
             o if o >= OFF_CONFIGS => {
                 let slot = ((o - OFF_CONFIGS) / 8) as u8;
@@ -91,7 +89,8 @@ impl<'a> RegFile<'a> {
             }
             o if o >= OFF_CONFIGS => {
                 let slot = ((o - OFF_CONFIGS) / 8) as u8;
-                self.upc.configure(slot, CounterConfig::from_bits((value & 0xf) as u8));
+                self.upc
+                    .configure(slot, CounterConfig::from_bits((value & 0xf) as u8));
             }
             o if o >= OFF_THRESHOLDS => {
                 let slot = ((o - OFF_THRESHOLDS) / 8) as u8;
@@ -169,7 +168,10 @@ mod tests {
         let ev = CoreEvent::L1dMiss.id(0);
         upc.configure(
             ev.slot().0,
-            CounterConfig { interrupt_enable: true, ..Default::default() },
+            CounterConfig {
+                interrupt_enable: true,
+                ..Default::default()
+            },
         );
         upc.set_threshold(ev.slot().0, 1);
         upc.emit(ev, 3);

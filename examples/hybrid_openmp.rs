@@ -41,7 +41,11 @@ async fn jacobi(mut ctx: RankCtx, points_per_rank: usize) -> (RankCtx, ()) {
             for i in range {
                 let um = if i > 0 { ctx.ld(&u, i - 1).await } else { 0.0 };
                 let u0 = ctx.ld(&u, i).await;
-                let up = if i + 1 < n { ctx.ld(&u, i + 1).await } else { 0.0 };
+                let up = if i + 1 < n {
+                    ctx.ld(&u, i + 1).await
+                } else {
+                    0.0
+                };
                 if i % 2 == 0 {
                     let plan = ctx.plan_pair(true);
                     ctx.fp_pair(plan, SemOp::Add);
@@ -78,8 +82,8 @@ fn main() {
         let ppn = mode.processes_per_node();
         let points_per_rank = POINTS_PER_NODE / ppn;
         let (_, lib) = run_instrumented(&machine, move |ctx| jacobi(ctx, points_per_rank));
-        let frame = Frame::from_dumps(&lib.dumps().expect("dumps"), WHOLE_PROGRAM_SET)
-            .expect("aggregate");
+        let frame =
+            Frame::from_dumps(&lib.dumps().expect("dumps"), WHOLE_PROGRAM_SET).expect("aggregate");
         println!(
             "{:<22} {:>6} {:>8} {:>14} {:>16.2}",
             label,

@@ -50,8 +50,8 @@ fn run_with(compile: CompileOpts) -> (Frame, u64) {
     spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode0);
     let machine = Machine::new(spec);
     let (_, lib) = run_instrumented(&machine, matmul);
-    let frame = Frame::from_dumps(&lib.dumps().expect("dumps"), WHOLE_PROGRAM_SET)
-        .expect("aggregate");
+    let frame =
+        Frame::from_dumps(&lib.dumps().expect("dumps"), WHOLE_PROGRAM_SET).expect("aggregate");
     let cycles = machine.job_cycles();
     (frame, cycles)
 }

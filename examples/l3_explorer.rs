@@ -50,8 +50,8 @@ fn main() {
         spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode2);
         let machine = Machine::new(spec);
         let (_, lib) = run_instrumented(&machine, transpose_workload);
-        let frame = Frame::from_dumps(&lib.dumps().expect("dumps"), WHOLE_PROGRAM_SET)
-            .expect("aggregate");
+        let frame =
+            Frame::from_dumps(&lib.dumps().expect("dumps"), WHOLE_PROGRAM_SET).expect("aggregate");
         println!(
             "{mb}, {:.2}, {:.4}",
             ddr_traffic_bytes_per_node(&frame) / 1e6,

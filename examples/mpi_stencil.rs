@@ -25,7 +25,16 @@ fn main() {
         let steps = 20;
         let mut u = ctx.alloc::<f64>(n + 2); // +2 halo cells
         for i in 1..=n {
-            ctx.st(&mut u, i, if ctx.rank() == 0 && i == 1 { 1000.0 } else { 0.0 }).await;
+            ctx.st(
+                &mut u,
+                i,
+                if ctx.rank() == 0 && i == 1 {
+                    1000.0
+                } else {
+                    0.0
+                },
+            )
+            .await;
         }
         let (rank, size) = (ctx.rank(), ctx.size());
         for _step in 0..steps {
@@ -87,7 +96,10 @@ fn main() {
     let frame = Frame::from_dumps(&dumps, WHOLE_PROGRAM_SET).expect("aggregate");
     let mix = fp_mix(&frame);
     println!("observed FP instructions : {}", mix.total());
-    println!("SIMD fraction            : {:.1}%", 100.0 * mix.simd_fraction());
+    println!(
+        "SIMD fraction            : {:.1}%",
+        100.0 * mix.simd_fraction()
+    );
     println!(
         "single FMA fraction      : {:.1}%",
         100.0 * mix.fraction(MixCategory::SingleFma)

@@ -62,13 +62,20 @@ fn main() {
 
         // BGP_Stop + BGP_Finalize — consuming the session closes the
         // window and hands back the job's counter library.
-        s.stop().expect("BGP_Stop").finalize().expect("BGP_Finalize")
+        s.stop()
+            .expect("BGP_Stop")
+            .finalize()
+            .expect("BGP_Finalize")
     });
 
     // Post-process the per-node dump exactly like the paper's tools.
     let dumps = job[0].dumps().expect("dumps ready");
     let set = dumps[0].set(WHOLE_PROGRAM_SET).expect("whole-program set");
-    println!("per-node dump: {} set(s), {} records", dumps[0].sets.len(), set.records);
+    println!(
+        "per-node dump: {} set(s), {} records",
+        dumps[0].sets.len(),
+        set.records
+    );
     println!("\ncounter                       value");
     println!("---------------------------------------");
     for ev in [

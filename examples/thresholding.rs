@@ -29,7 +29,13 @@ fn main() {
     const THRESHOLD: u64 = 20_000;
     machine.with_node(0, |node| {
         let upc = node.upc_mut();
-        upc.configure(miss_slot, CounterConfig { interrupt_enable: true, ..Default::default() });
+        upc.configure(
+            miss_slot,
+            CounterConfig {
+                interrupt_enable: true,
+                ..Default::default()
+            },
+        );
         upc.set_threshold(miss_slot, THRESHOLD);
         upc.set_enabled(true);
     });
@@ -38,41 +44,41 @@ fn main() {
     machine.run(move |mut ctx| {
         let m2 = m2.clone();
         async move {
-        let ctx = &mut ctx;
-        let n = 1 << 16; // 64Ki doubles = 512 KB, far beyond L1
-        let v = ctx.alloc::<f64>(n);
-        let mut layout_bad = true;
-        let mut touched = 0u64;
-        let mut switched_at = None;
-        let stride = 577; // pseudo-random walk, misses constantly
-        let mut pos = 0usize;
-        for step in 0..200_000u64 {
-            if layout_bad {
-                pos = (pos + stride) % n;
-            } else {
-                pos = (pos + 1) % n;
-            }
-            let _ = ctx.ld(&v, pos).await;
-            touched += 1;
-            // Poll the interrupt queue every once in a while, like a
-            // monitoring thread woken by the UPC interrupt line.
-            if step % 1024 == 0 && layout_bad {
-                let irqs = m2.with_node(0, |node| node.upc_mut().take_interrupts());
-                if let Some(irq) = irqs.first() {
-                    println!(
-                        "threshold interrupt: {} reached {} (threshold {}) after {} accesses",
-                        irq.event.name(),
-                        irq.value,
-                        irq.threshold,
-                        touched
-                    );
-                    layout_bad = false;
-                    switched_at = Some(touched);
+            let ctx = &mut ctx;
+            let n = 1 << 16; // 64Ki doubles = 512 KB, far beyond L1
+            let v = ctx.alloc::<f64>(n);
+            let mut layout_bad = true;
+            let mut touched = 0u64;
+            let mut switched_at = None;
+            let stride = 577; // pseudo-random walk, misses constantly
+            let mut pos = 0usize;
+            for step in 0..200_000u64 {
+                if layout_bad {
+                    pos = (pos + stride) % n;
+                } else {
+                    pos = (pos + 1) % n;
+                }
+                let _ = ctx.ld(&v, pos).await;
+                touched += 1;
+                // Poll the interrupt queue every once in a while, like a
+                // monitoring thread woken by the UPC interrupt line.
+                if step % 1024 == 0 && layout_bad {
+                    let irqs = m2.with_node(0, |node| node.upc_mut().take_interrupts());
+                    if let Some(irq) = irqs.first() {
+                        println!(
+                            "threshold interrupt: {} reached {} (threshold {}) after {} accesses",
+                            irq.event.name(),
+                            irq.value,
+                            irq.threshold,
+                            touched
+                        );
+                        layout_bad = false;
+                        switched_at = Some(touched);
+                    }
                 }
             }
-        }
-        let switched_at = switched_at.expect("the stride walk must trip the threshold");
-        println!("switched to streaming layout after {switched_at} accesses");
+            let switched_at = switched_at.expect("the stride walk must trip the threshold");
+            println!("switched to streaming layout after {switched_at} accesses");
         }
     });
 

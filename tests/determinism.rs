@@ -44,7 +44,10 @@ fn run(kernel: Kernel, ranks: usize, threads: usize, seed: u64) -> (Vec<Vec<u8>>
     spec.faults = Some(timing_faults(seed, spec.nodes()));
     let machine = Machine::new(spec);
     let (out, lib) = run_instrumented(&machine, move |ctx| kernel.exec(Class::S, ctx));
-    assert!(out.iter().all(|r| r.verified), "{kernel} failed verification");
+    assert!(
+        out.iter().all(|r| r.verified),
+        "{kernel} failed verification"
+    );
     let dumps = (0..machine.num_nodes())
         .map(|n| lib.encoded_dump(n).expect("node finalized"))
         .collect();
@@ -101,13 +104,18 @@ fn full_matrix_dumps_are_thread_count_invariant() {
 fn run_mux(kernel: Kernel, ranks: usize, threads: usize, seed: u64) -> (Vec<Vec<u8>>, u64) {
     use bgp::arch::events::CounterMode;
     let mut spec = JobSpec::new(ranks, OpMode::VirtualNode);
-    spec.counter_policy =
-        bgp::mpi::CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 4 };
+    spec.counter_policy = bgp::mpi::CounterPolicy::Multiplexed {
+        first: CounterMode::Mode0,
+        base_dwell: 4,
+    };
     spec.sim_threads = Some(threads);
     spec.faults = Some(timing_faults(seed, spec.nodes()));
     let machine = Machine::new(spec);
     let (out, lib) = run_instrumented(&machine, move |ctx| kernel.exec(Class::S, ctx));
-    assert!(out.iter().all(|r| r.verified), "{kernel} failed verification");
+    assert!(
+        out.iter().all(|r| r.verified),
+        "{kernel} failed verification"
+    );
     let dumps = (0..machine.num_nodes())
         .map(|n| lib.encoded_dump(n).expect("node finalized"))
         .collect();
@@ -164,11 +172,17 @@ fn run_traced(
     let mut spec = JobSpec::new(ranks, OpMode::VirtualNode);
     spec.sim_threads = Some(threads);
     spec.faults = Some(timing_faults(seed, spec.nodes()));
-    spec.trace =
-        Some(TraceConfig { sample_every: 8, sample_slots: vec![0, 1, 2], ..Default::default() });
+    spec.trace = Some(TraceConfig {
+        sample_every: 8,
+        sample_slots: vec![0, 1, 2],
+        ..Default::default()
+    });
     let machine = Machine::new(spec);
     let (out, _lib) = run_instrumented(&machine, move |ctx| kernel.exec(class, ctx));
-    assert!(out.iter().all(|r| r.verified), "{kernel} failed verification");
+    assert!(
+        out.iter().all(|r| r.verified),
+        "{kernel} failed verification"
+    );
     let trace = machine.job_trace().expect("tracing enabled");
     assert!(trace.total_events() > 0, "traced run recorded nothing");
     (trace.chrome_json(), trace.phase_metrics_csv())
@@ -212,14 +226,19 @@ fn mg_class_a_traces_are_thread_count_invariant() {
 fn run_traced_mux(kernel: Kernel, ranks: usize, threads: usize, seed: u64) -> String {
     use bgp::arch::events::CounterMode;
     let mut spec = JobSpec::new(ranks, OpMode::VirtualNode);
-    spec.counter_policy =
-        bgp::mpi::CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 4 };
+    spec.counter_policy = bgp::mpi::CounterPolicy::Multiplexed {
+        first: CounterMode::Mode0,
+        base_dwell: 4,
+    };
     spec.sim_threads = Some(threads);
     spec.faults = Some(timing_faults(seed, spec.nodes()));
     spec.trace = Some(TraceConfig::default());
     let machine = Machine::new(spec);
     let (out, _lib) = run_instrumented(&machine, move |ctx| kernel.exec(Class::S, ctx));
-    assert!(out.iter().all(|r| r.verified), "{kernel} failed verification");
+    assert!(
+        out.iter().all(|r| r.verified),
+        "{kernel} failed verification"
+    );
     machine.job_trace().expect("tracing enabled").chrome_json()
 }
 
@@ -232,12 +251,18 @@ fn run_traced_mux(kernel: Kernel, ranks: usize, threads: usize, seed: u64) -> St
 fn multiplexed_traces_are_thread_count_invariant_and_record_interrupts() {
     let serial = run_traced_mux(Kernel::Mg, 8, 1, 42);
     let par = run_traced_mux(Kernel::Mg, 8, 4, 42);
-    assert_eq!(serial, par, "mux chrome trace not byte-identical at 4 threads");
+    assert_eq!(
+        serial, par,
+        "mux chrome trace not byte-identical at 4 threads"
+    );
     assert!(
         serial.contains("threshold_interrupt"),
         "trace records no threshold interrupts"
     );
-    assert!(serial.contains("counter_rotate"), "trace records no rotations");
+    assert!(
+        serial.contains("counter_rotate"),
+        "trace records no rotations"
+    );
 }
 
 /// Cheap probe for the large-rank smoke: a few FP events, one global
@@ -320,12 +345,19 @@ fn run_fan_in(threads: usize) -> (Vec<(u8, u8)>, Vec<Vec<u8>>) {
 /// across thread counts.
 #[test]
 fn fan_in_delivers_in_sender_rank_and_send_order() {
-    let want: Vec<(u8, u8)> =
-        (1..16u8).flat_map(|src| (0..3u8).map(move |seq| (src, seq))).collect();
+    let want: Vec<(u8, u8)> = (1..16u8)
+        .flat_map(|src| (0..3u8).map(move |seq| (src, seq)))
+        .collect();
     let (serial_order, serial) = run_fan_in(1);
-    assert_eq!(serial_order, want, "1 thread: delivery out of canonical order");
+    assert_eq!(
+        serial_order, want,
+        "1 thread: delivery out of canonical order"
+    );
     let (par_order, par) = run_fan_in(4);
-    assert_eq!(par_order, want, "4 threads: delivery out of canonical order");
+    assert_eq!(
+        par_order, want,
+        "4 threads: delivery out of canonical order"
+    );
     assert_eq!(serial, par, "dumps not byte-identical at 4 threads");
 }
 
@@ -341,6 +373,9 @@ fn phase_merge_is_schedule_invariant_under_faults() {
     for rep in 0..8 {
         let (par, cycles) = run(Kernel::Cg, 8, 8, 42);
         assert_eq!(ref_cycles, cycles, "rep {rep}: job cycles diverged");
-        assert_eq!(reference, par, "rep {rep}: phase merge was schedule-dependent");
+        assert_eq!(
+            reference, par,
+            "rep {rep}: phase merge was schedule-dependent"
+        );
     }
 }

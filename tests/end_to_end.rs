@@ -6,29 +6,38 @@ use bgp::arch::events::{CoreEvent, CounterMode};
 use bgp::arch::OpMode;
 use bgp::counters::{run_instrumented, WHOLE_PROGRAM_SET};
 use bgp::mpi::{CounterPolicy, JobSpec, Machine};
-use bgp::Session;
 use bgp::nas::{Class, Kernel};
 use bgp::postproc::{fp_mix, mflops_per_core, stats_csv, Frame};
+use bgp::Session;
 
 fn job(kernel: Kernel, ranks: usize, policy: CounterPolicy) -> (Frame, u64) {
     let mut spec = JobSpec::new(ranks, OpMode::VirtualNode);
     spec.counter_policy = policy;
     let machine = Machine::new(spec);
     let (out, lib) = run_instrumented(&machine, move |ctx| kernel.exec(Class::S, ctx));
-    assert!(out.iter().all(|r| r.verified), "{kernel} failed verification");
+    assert!(
+        out.iter().all(|r| r.verified),
+        "{kernel} failed verification"
+    );
     let frame = Frame::from_dumps(&lib.dumps().unwrap(), WHOLE_PROGRAM_SET).unwrap();
     (frame, machine.job_cycles())
 }
 
 #[test]
 fn full_pipeline_is_bit_deterministic() {
-    let policy = CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode1 };
+    let policy = CounterPolicy::EvenOdd {
+        even: CounterMode::Mode0,
+        odd: CounterMode::Mode1,
+    };
     let (f1, c1) = job(Kernel::Cg, 8, policy);
     let (f2, c2) = job(Kernel::Cg, 8, policy);
     assert_eq!(c1, c2, "job cycles must be identical across runs");
     let s1 = stats_csv(&f1).render();
     let s2 = stats_csv(&f2).render();
-    assert_eq!(s1, s2, "every one of the 512 aggregated counters must match");
+    assert_eq!(
+        s1, s2,
+        "every one of the 512 aggregated counters must match"
+    );
 }
 
 #[test]
@@ -36,7 +45,10 @@ fn even_odd_trick_covers_all_four_cores_in_one_run() {
     let (frame, _) = job(
         Kernel::Mg,
         8,
-        CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode1 },
+        CounterPolicy::EvenOdd {
+            even: CounterMode::Mode0,
+            odd: CounterMode::Mode1,
+        },
     );
     for core in 0..4 {
         assert!(
@@ -53,7 +65,10 @@ fn mflops_are_physical() {
     let (frame, _) = job(
         Kernel::Bt,
         4,
-        CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode1 },
+        CounterPolicy::EvenOdd {
+            even: CounterMode::Mode0,
+            odd: CounterMode::Mode1,
+        },
     );
     let mflops = mflops_per_core(&frame);
     // Must be positive and below the 3400 MFLOPS per-core peak.
@@ -125,7 +140,10 @@ fn per_region_sets_isolate_phases() {
 
 #[test]
 fn simd_showcase_kernels_beat_scalar_kernels_on_simd_fraction() {
-    let policy = CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode1 };
+    let policy = CounterPolicy::EvenOdd {
+        even: CounterMode::Mode0,
+        odd: CounterMode::Mode1,
+    };
     let (mg, _) = job(Kernel::Mg, 8, policy);
     let (ft, _) = job(Kernel::Ft, 8, policy);
     let (cg, _) = job(Kernel::Cg, 8, policy);

@@ -22,14 +22,14 @@ const SEED: u64 = 0x2008_1C03;
 
 fn hostile_spec() -> FaultSpec {
     FaultSpec {
-        node_loss_rate: 0.10,        // ≥ 5%
+        node_loss_rate: 0.10, // ≥ 5%
         straggler_rate: 0.10,
         straggler_penalty_cycles: 2_000,
         collection_timeout_rate: 0.15,
         counter_bitflip_rate: 0.05,
         counter_saturate_rate: 0.02,
-        dump_truncate_rate: 0.02,    // ≥ 1% dump corruption…
-        dump_byteflip_rate: 0.02,    // …and then some
+        dump_truncate_rate: 0.02, // ≥ 1% dump corruption…
+        dump_byteflip_rate: 0.02, // …and then some
         dump_missing_rate: 0.01,
         ..FaultSpec::none()
     }
@@ -71,7 +71,10 @@ fn faulted_mg_degrades_gracefully_within_ten_percent() {
     let coll = collect_dumps(&lib, &plan);
 
     // Collection completed without panicking and reports honest losses.
-    assert!(coll.coverage() < 1.0, "lost nodes must show up as coverage < 1");
+    assert!(
+        coll.coverage() < 1.0,
+        "lost nodes must show up as coverage < 1"
+    );
     assert!(!coll.failed_nodes().is_empty());
     assert_eq!(
         coll.dumps.len() + coll.failed_nodes().len(),
@@ -103,7 +106,11 @@ fn faulted_mg_degrades_gracefully_within_ten_percent() {
 fn same_seed_reproduces_the_fault_schedule_bit_for_bit() {
     let a = FaultPlan::new(hostile_spec(), SEED, 16);
     let b = FaultPlan::new(hostile_spec(), SEED, 16);
-    assert_eq!(a.schedule_bytes(), b.schedule_bytes(), "same seed, same schedule");
+    assert_eq!(
+        a.schedule_bytes(),
+        b.schedule_bytes(),
+        "same seed, same schedule"
+    );
     assert_eq!(a.lost_nodes(), b.lost_nodes());
 
     let c = FaultPlan::new(hostile_spec(), SEED + 1, 16);

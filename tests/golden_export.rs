@@ -29,10 +29,18 @@ const VARIANTS: [(&str, Option<CounterPolicy>, bool, bool); 5] = [
     ("clean", None, false, false),
     ("faulted", None, true, false),
     ("clean_traced", None, false, true),
-    ("fixed2", Some(CounterPolicy::Fixed(CounterMode::Mode2)), false, false),
+    (
+        "fixed2",
+        Some(CounterPolicy::Fixed(CounterMode::Mode2)),
+        false,
+        false,
+    ),
     (
         "mux4_traced",
-        Some(CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 4 }),
+        Some(CounterPolicy::Multiplexed {
+            first: CounterMode::Mode0,
+            base_dwell: 4,
+        }),
         false,
         true,
     ),
@@ -72,9 +80,11 @@ fn export_kernels(dir: &Path, kernels: &[Kernel]) -> Vec<std::path::PathBuf> {
                 });
             }
             let machine = Machine::new(spec);
-            let (out, lib) =
-                run_instrumented(&machine, move |ctx| kernel.exec(Class::S, ctx));
-            assert!(out.iter().all(|r| r.verified), "{kernel} failed verification");
+            let (out, lib) = run_instrumented(&machine, move |ctx| kernel.exec(Class::S, ctx));
+            assert!(
+                out.iter().all(|r| r.verified),
+                "{kernel} failed verification"
+            );
             let tag = format!("{kernel}_{variant}");
             let mut dump = Vec::new();
             for n in 0..machine.num_nodes() {
@@ -86,10 +96,16 @@ fn export_kernels(dir: &Path, kernels: &[Kernel]) -> Vec<std::path::PathBuf> {
                 written.push(path);
             };
             emit(format!("{tag}.dump"), dump);
-            emit(format!("{tag}.cycles"), machine.job_cycles().to_string().into_bytes());
+            emit(
+                format!("{tag}.cycles"),
+                machine.job_cycles().to_string().into_bytes(),
+            );
             if traced {
                 let trace = machine.job_trace().expect("tracing enabled");
-                emit(format!("{tag}.chrome.json"), trace.chrome_json().into_bytes());
+                emit(
+                    format!("{tag}.chrome.json"),
+                    trace.chrome_json().into_bytes(),
+                );
                 emit(
                     format!("{tag}.phases.csv"),
                     trace.phase_metrics_csv().into_bytes(),
@@ -106,9 +122,10 @@ fn export_kernels(dir: &Path, kernels: &[Kernel]) -> Vec<std::path::PathBuf> {
 #[test]
 fn export_golden_surfaces_mg() {
     let keep = std::env::var("GOLDEN_DIR").ok();
-    let dir = keep.clone().map(std::path::PathBuf::from).unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("bgp-golden-{}", std::process::id()))
-    });
+    let dir = keep
+        .clone()
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| std::env::temp_dir().join(format!("bgp-golden-{}", std::process::id())));
     let written = export_kernels(&dir, &[Kernel::Mg]);
     // 5 variants: dump + cycles each, plus chrome.json + phases.csv for
     // the two traced ones.

@@ -37,8 +37,10 @@ fn run(
     }
 }
 
-const CORES: CounterPolicy =
-    CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode1 };
+const CORES: CounterPolicy = CounterPolicy::EvenOdd {
+    even: CounterMode::Mode0,
+    odd: CounterMode::Mode1,
+};
 const MEM: CounterPolicy = CounterPolicy::Fixed(CounterMode::Mode2);
 
 /// Figs. 9–10: the best build (-O5 -qarch=440d) clearly beats the
@@ -93,7 +95,10 @@ fn l3_growth_reduces_ddr_traffic_with_diminishing_returns() {
         traffic.push(ddr_traffic_bytes_per_node(&r.frame));
     }
     for w in traffic.windows(2) {
-        assert!(w[1] <= w[0] * 1.001, "traffic grew with a larger L3: {traffic:?}");
+        assert!(
+            w[1] <= w[0] * 1.001,
+            "traffic grew with a larger L3: {traffic:?}"
+        );
     }
     let drop_first = traffic[0] - traffic[2]; // 0 → 4 MB
     let drop_last = traffic[2] - traffic[3]; // 4 → 8 MB
@@ -112,12 +117,22 @@ fn vnm_versus_smp1_memory_pressure() {
     let kernel = Kernel::Is;
     let ranks = 8;
     let vnm_mem = run(
-        kernel, Class::A, ranks, OpMode::VirtualNode, CompileOpts::o5(),
-        MachineConfig::default(), MEM,
+        kernel,
+        Class::A,
+        ranks,
+        OpMode::VirtualNode,
+        CompileOpts::o5(),
+        MachineConfig::default(),
+        MEM,
     );
     let smp_mem = run(
-        kernel, Class::A, ranks, OpMode::Smp1, CompileOpts::o5(),
-        MachineConfig::default().with_l3_bytes(2 << 20), MEM,
+        kernel,
+        Class::A,
+        ranks,
+        OpMode::Smp1,
+        CompileOpts::o5(),
+        MachineConfig::default().with_l3_bytes(2 << 20),
+        MEM,
     );
 
     // Fig. 12 shape: per-chip traffic goes up by >1× (4 ranks per chip).
@@ -143,12 +158,22 @@ fn vnm_multiplies_per_chip_mflops() {
     let kernel = Kernel::Cg;
     let ranks = 8;
     let vnm_core = run(
-        kernel, Class::S, ranks, OpMode::VirtualNode, CompileOpts::o5(),
-        MachineConfig::default(), CORES,
+        kernel,
+        Class::S,
+        ranks,
+        OpMode::VirtualNode,
+        CompileOpts::o5(),
+        MachineConfig::default(),
+        CORES,
     );
     let smp_core = run(
-        kernel, Class::S, ranks, OpMode::Smp1, CompileOpts::o5(),
-        MachineConfig::default().with_l3_bytes(2 << 20), CORES,
+        kernel,
+        Class::S,
+        ranks,
+        OpMode::Smp1,
+        CompileOpts::o5(),
+        MachineConfig::default().with_l3_bytes(2 << 20),
+        CORES,
     );
     let vnm_mflops = mflops_per_chip(&vnm_core.frame, 4);
     let smp_mflops = mflops_per_chip(&smp_core.frame, 1);
@@ -168,8 +193,13 @@ fn qarch440d_gates_simd_and_grows_with_level() {
     let kernel = Kernel::Ft;
     let simd_count = |compile: CompileOpts| {
         let r = run(
-            kernel, Class::S, 4, OpMode::VirtualNode, compile,
-            MachineConfig::default(), CORES,
+            kernel,
+            Class::S,
+            4,
+            OpMode::VirtualNode,
+            compile,
+            MachineConfig::default(),
+            CORES,
         );
         let m = fp_mix(&r.frame);
         m.count(bgp::postproc::MixCategory::SimdAddSub)
@@ -180,5 +210,8 @@ fn qarch440d_gates_simd_and_grows_with_level() {
     let o3 = simd_count(CompileOpts::o3());
     let o5 = simd_count(CompileOpts::o5());
     assert!(o3 > 0, "O3+440d must SIMD-ize");
-    assert!(o5 > o3, "SIMD coverage must grow with the level: {o3} vs {o5}");
+    assert!(
+        o5 > o3,
+        "SIMD coverage must grow with the level: {o3} vs {o5}"
+    );
 }

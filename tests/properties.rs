@@ -29,7 +29,10 @@ fn cache_capacity_and_residency() {
         for _ in 0..n {
             let l = rng.gen_range(0u64..5_000);
             c.fill(l, false, false);
-            assert!(c.contains(l), "case {case}: freshly filled line must be resident");
+            assert!(
+                c.contains(l),
+                "case {case}: freshly filled line must be resident"
+            );
             assert!(c.resident_lines() <= sets * ways, "case {case}");
         }
     }
@@ -47,8 +50,11 @@ fn bigger_l3_never_reads_ddr_more() {
             .collect();
         let mut last = u64::MAX;
         for mb in [0usize, 2, 4, 8] {
-            let cfg = MachineConfig { l2_prefetch_depth: 0, ..MachineConfig::default() }
-                .with_l3_bytes(mb << 20);
+            let cfg = MachineConfig {
+                l2_prefetch_depth: 0,
+                ..MachineConfig::default()
+            }
+            .with_l3_bytes(mb << 20);
             let mut m = MemorySystem::new(&cfg);
             let mut upc = Upc::new(CounterMode::Mode2);
             for &(addr, write) in &trace {
@@ -150,7 +156,10 @@ fn torus_hops_is_a_metric() {
         let d = |x: usize, y: usize| dims.hops(NodeId(x), NodeId(y));
         assert_eq!(d(a, a), 0, "case {case}");
         assert_eq!(d(a, b), d(b, a), "case {case}");
-        assert!(d(a, c) <= d(a, b) + d(b, c), "case {case}: triangle inequality");
+        assert!(
+            d(a, c) <= d(a, b) + d(b, c),
+            "case {case}: triangle inequality"
+        );
     }
 }
 

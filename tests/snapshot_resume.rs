@@ -143,8 +143,10 @@ fn mg_a_resumes_byte_identically_from_sampled_phase_boundaries() {
 fn multiplexed_mg_s_resumes_byte_identically_with_its_trace() {
     let mux_spec = |threads| {
         let mut s = spec(threads, None);
-        s.counter_policy =
-            CounterPolicy::Multiplexed { first: CounterMode::Mode0, base_dwell: 4 };
+        s.counter_policy = CounterPolicy::Multiplexed {
+            first: CounterMode::Mode0,
+            base_dwell: 4,
+        };
         s.trace = Some(TraceConfig {
             sample_every: 8,
             sample_slots: vec![0, 1, 2],
@@ -173,8 +175,14 @@ fn multiplexed_mg_s_resumes_byte_identically_with_its_trace() {
         retain: RETAIN_ALL,
     });
     let reference = run(ref_spec, None);
-    let files = SnapshotStore::new(&dir, RETAIN_ALL).list().expect("list snapshots");
-    assert!(files.len() >= 2, "expected several snapshots, got {}", files.len());
+    let files = SnapshotStore::new(&dir, RETAIN_ALL)
+        .list()
+        .expect("list snapshots");
+    assert!(
+        files.len() >= 2,
+        "expected several snapshots, got {}",
+        files.len()
+    );
     for path in &files {
         let bytes = std::fs::read(path).unwrap();
         for threads in [1, 4] {
@@ -196,7 +204,11 @@ fn version_1_snapshots_are_refused_before_replay() {
     for version in [1u32, 2, 3] {
         let dir = tempdir(&format!("v{version}"));
         let mut job = spec(1, None);
-        job.checkpoint = Some(CheckpointConfig { every: 16, dir: dir.clone(), retain: 1 });
+        job.checkpoint = Some(CheckpointConfig {
+            every: 16,
+            dir: dir.clone(),
+            retain: 1,
+        });
         run_mg(job.clone(), Class::S, None);
         let store = SnapshotStore::new(&dir, 1);
         let path = store.list().expect("list").pop().expect("a snapshot");
@@ -211,17 +223,38 @@ fn version_1_snapshots_are_refused_before_replay() {
         std::fs::write(&path, &bytes).unwrap();
         let named = format!("version {version}");
         let err = Snapshot::decode(&bytes).expect_err("an old version must not decode");
-        assert!(err.to_string().contains(&named), "error names the version: {err}");
+        assert!(
+            err.to_string().contains(&named),
+            "error names the version: {err}"
+        );
 
-        let cfg = SupervisorConfig { max_retries: 0, ..Default::default() };
-        let run =
-            supervise(&job, &cfg, |ctx| Kernel::Mg.exec(Class::S, ctx)).expect("cold start");
-        assert_eq!(run.attempts[0].resumed_from, None, "a v{version} snapshot must never replay");
-        assert!(path.with_extension("quarantined").exists(), "the v{version} file was set aside");
+        let cfg = SupervisorConfig {
+            max_retries: 0,
+            ..Default::default()
+        };
+        let run = supervise(&job, &cfg, |ctx| Kernel::Mg.exec(Class::S, ctx)).expect("cold start");
+        assert_eq!(
+            run.attempts[0].resumed_from, None,
+            "a v{version} snapshot must never replay"
+        );
+        assert!(
+            path.with_extension("quarantined").exists(),
+            "the v{version} file was set aside"
+        );
         let report = std::fs::read_to_string(path.with_extension("quarantine.txt")).unwrap();
-        assert!(report.contains(&named), "quarantine report names the version:\n{report}");
-        assert!(!report.contains("counter dump"), "a snapshot is not a dump:\n{report}");
-        assert_same(&observe(&run.machine, &run.library), &reference, "cold start after refusal");
+        assert!(
+            report.contains(&named),
+            "quarantine report names the version:\n{report}"
+        );
+        assert!(
+            !report.contains("counter dump"),
+            "a snapshot is not a dump:\n{report}"
+        );
+        assert_same(
+            &observe(&run.machine, &run.library),
+            &reference,
+            "cold start after refusal",
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -303,7 +336,10 @@ fn resume_with_ranks_suspended_mid_phase_is_byte_identical() {
     });
     let machine = Machine::new(ref_spec);
     let (out, lib) = run_instrumented(&machine, staggered_rank);
-    assert!(out.iter().all(|&ok| ok), "staggered kernel failed verification");
+    assert!(
+        out.iter().all(|&ok| ok),
+        "staggered kernel failed verification"
+    );
     let reference = observe(&machine, &lib);
 
     let store = SnapshotStore::new(&dir, RETAIN_ALL);
@@ -363,8 +399,14 @@ async fn early_finisher(mut ctx: bgp::RankCtx) -> (bgp::RankCtx, bool) {
 #[test]
 fn resume_with_a_finalized_node_is_byte_identical() {
     let policies = [
-        CounterPolicy::EvenOdd { even: CounterMode::Mode0, odd: CounterMode::Mode1 },
-        CounterPolicy::Multiplexed { first: CounterMode::Mode2, base_dwell: 1 },
+        CounterPolicy::EvenOdd {
+            even: CounterMode::Mode0,
+            odd: CounterMode::Mode1,
+        },
+        CounterPolicy::Multiplexed {
+            first: CounterMode::Mode2,
+            base_dwell: 1,
+        },
     ];
     for (k, policy) in policies.into_iter().enumerate() {
         let dir = tempdir(&format!("finalized{k}"));
@@ -374,14 +416,22 @@ fn resume_with_a_finalized_node_is_byte_identical() {
             s
         };
         let mut ref_spec = job_spec();
-        ref_spec.checkpoint =
-            Some(CheckpointConfig { every: 1, dir: dir.clone(), retain: RETAIN_ALL });
+        ref_spec.checkpoint = Some(CheckpointConfig {
+            every: 1,
+            dir: dir.clone(),
+            retain: RETAIN_ALL,
+        });
         let machine = Machine::new(ref_spec);
         let (out, lib) = run_instrumented(&machine, early_finisher);
-        assert!(out.iter().all(|&ok| ok), "{policy:?}: kernel failed verification");
+        assert!(
+            out.iter().all(|&ok| ok),
+            "{policy:?}: kernel failed verification"
+        );
         let reference = observe(&machine, &lib);
 
-        let files = SnapshotStore::new(&dir, RETAIN_ALL).list().expect("list snapshots");
+        let files = SnapshotStore::new(&dir, RETAIN_ALL)
+            .list()
+            .expect("list snapshots");
         let mut with_finalized = 0;
         for path in &files {
             let snap = Snapshot::decode(&std::fs::read(path).unwrap()).expect("snapshot decodes");
@@ -395,7 +445,10 @@ fn resume_with_a_finalized_node_is_byte_identical() {
             let machine = Machine::new(job_spec());
             machine.resume(snap).expect("snapshot accepted");
             let (out, lib) = run_instrumented(&machine, early_finisher);
-            assert!(out.iter().all(|&ok| ok), "{policy:?}: resume from phase {phase} failed");
+            assert!(
+                out.iter().all(|&ok| ok),
+                "{policy:?}: resume from phase {phase} failed"
+            );
             assert_same(
                 &observe(&machine, &lib),
                 &reference,
