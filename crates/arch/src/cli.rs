@@ -49,11 +49,6 @@ impl ArgParser {
         }
     }
 
-    /// The tool's usage synopsis.
-    pub fn usage(&self) -> &'static str {
-        self.usage
-    }
-
     /// The next flag token, or `None` when the arguments are spent.
     ///
     /// # Errors

@@ -74,11 +74,6 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
-    /// Production chip configuration (same as `Default`).
-    pub fn bgp() -> MachineConfig {
-        MachineConfig::default()
-    }
-
     /// Copy of this config with the L3 resized (bytes); `0` removes the L3.
     pub fn with_l3_bytes(mut self, bytes: usize) -> MachineConfig {
         self.l3_bytes = bytes;

@@ -28,7 +28,7 @@ use core::fmt;
 /// Number of counter modes of the UPC unit.
 pub const NUM_MODES: usize = 4;
 /// Number of physical counters (= event slots per mode).
-pub const SLOTS_PER_MODE: usize = 256;
+pub(crate) const SLOTS_PER_MODE: usize = 256;
 /// Total number of addressable events (`NUM_MODES * SLOTS_PER_MODE`).
 pub const NUM_EVENTS: usize = NUM_MODES * SLOTS_PER_MODE;
 /// Number of physical 64-bit counters in the UPC unit.
@@ -39,7 +39,7 @@ pub const NUM_COUNTERS: usize = SLOTS_PER_MODE;
 /// Each of the two cores covered by a mode owns a contiguous block of
 /// `CORE_BLOCK` slots; the remaining `256 - 2*CORE_BLOCK` slots of the
 /// mode are reserved.
-pub const CORE_BLOCK: usize = 120;
+pub(crate) const CORE_BLOCK: usize = 120;
 
 /// One of the four counter modes of the UPC unit.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -170,7 +170,7 @@ macro_rules! per_core_events {
             pub const ALL: &'static [$name] = &[$($name::$v),+];
 
             /// Mnemonic (matches the catalog name without core prefix).
-            pub const fn mnemonic(self) -> &'static str {
+            pub(crate) const fn mnemonic(self) -> &'static str {
                 match self {
                     $($name::$v => stringify!($v)),+
                 }
@@ -182,7 +182,7 @@ macro_rules! per_core_events {
 per_core_events! {
     /// Per-core events (pipeline, FPU, L1, private L2).
     ///
-    /// Each core owns one [`CORE_BLOCK`]-slot block in counter mode 0
+    /// Each core owns one `CORE_BLOCK`-slot block in counter mode 0
     /// (cores 0–1) or mode 1 (cores 2–3); the variant's discriminant is its
     /// offset within the block.
     pub enum CoreEvent {
@@ -269,7 +269,7 @@ macro_rules! flat_events {
             pub const ALL: &'static [$name] = &[$($name::$v),+];
 
             /// Mnemonic string.
-            pub const fn mnemonic(self) -> &'static str {
+            pub(crate) const fn mnemonic(self) -> &'static str {
                 match self {
                     $($name::$v => stringify!($v)),+
                 }
@@ -380,7 +380,7 @@ impl CoreEvent {
 
     /// Inverse of [`CoreEvent::id`]: which `(core, event)` a given id
     /// refers to, if it falls inside a core block.
-    pub fn from_id(id: EventId) -> Option<(usize, CoreEvent)> {
+    pub(crate) fn from_id(id: EventId) -> Option<(usize, CoreEvent)> {
         let pair_base = match id.mode() {
             CounterMode::Mode0 => 0,
             CounterMode::Mode1 => 2,
@@ -399,7 +399,7 @@ impl CoreEvent {
 }
 
 /// Human-readable mnemonic for any of the 1024 events.
-pub fn event_name(id: EventId) -> String {
+pub(crate) fn event_name(id: EventId) -> String {
     if let Some((core, ev)) = CoreEvent::from_id(id) {
         return format!("BGP_PU{}_{}", core, ev.mnemonic());
     }
@@ -421,20 +421,20 @@ pub fn event_name(id: EventId) -> String {
 
 /// Input-signal sensitivity selected by the two counter-event bits of a
 /// counter's configuration register (paper §III-A).
+///
+/// Only the two edge encodings are modelled. The level encodings, `00`
+/// (`BGP_UPC_CFG_LEVEL_HIGH`) and `11` (`BGP_UPC_CFG_LEVEL_LOW`), count
+/// cycles a signal is high or low, and no event source of the simulator
+/// reports a level: a level-configured counter would read 0 for every
+/// event. [`Sensitivity::from_bits`] refuses them instead.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Sensitivity {
-    /// `00` — count cycles the event signal is high
-    /// (`BGP_UPC_CFG_LEVEL_HIGH`).
-    LevelHigh,
     /// `01` — count low→high transitions (`BGP_UPC_CFG_EDGE_RISE`).
     /// This is the default for occurrence events.
     #[default]
     EdgeRise,
     /// `10` — count high→low transitions (`BGP_UPC_CFG_EDGE_FALL`).
     EdgeFall,
-    /// `11` — count cycles the event signal is low
-    /// (`BGP_UPC_CFG_LEVEL_LOW`).
-    LevelLow,
 }
 
 impl Sensitivity {
@@ -442,21 +442,19 @@ impl Sensitivity {
     #[inline]
     pub const fn to_bits(self) -> u8 {
         match self {
-            Sensitivity::LevelHigh => 0b00,
             Sensitivity::EdgeRise => 0b01,
             Sensitivity::EdgeFall => 0b10,
-            Sensitivity::LevelLow => 0b11,
         }
     }
 
-    /// Decode from the two counter-event configuration bits.
+    /// Decode from the two counter-event configuration bits; `None` for
+    /// the level encodings `00` and `11`.
     #[inline]
-    pub const fn from_bits(bits: u8) -> Sensitivity {
+    pub const fn from_bits(bits: u8) -> Option<Sensitivity> {
         match bits & 0b11 {
-            0b00 => Sensitivity::LevelHigh,
-            0b01 => Sensitivity::EdgeRise,
-            0b10 => Sensitivity::EdgeFall,
-            _ => Sensitivity::LevelLow,
+            0b01 => Some(Sensitivity::EdgeRise),
+            0b10 => Some(Sensitivity::EdgeFall),
+            _ => None,
         }
     }
 }
@@ -538,13 +536,14 @@ mod tests {
 
     #[test]
     fn sensitivity_bits_round_trip_and_match_paper_encoding() {
-        // Paper §III-A: 00 level-high, 01 edge-rise, 10 edge-fall, 11 level-low.
-        assert_eq!(Sensitivity::LevelHigh.to_bits(), 0b00);
+        // Paper §III-A: 00 level-high, 01 edge-rise, 10 edge-fall, 11
+        // level-low; the two level encodings are refused.
         assert_eq!(Sensitivity::EdgeRise.to_bits(), 0b01);
         assert_eq!(Sensitivity::EdgeFall.to_bits(), 0b10);
-        assert_eq!(Sensitivity::LevelLow.to_bits(), 0b11);
-        for bits in 0..4u8 {
-            assert_eq!(Sensitivity::from_bits(bits).to_bits(), bits);
+        for bits in [0b01, 0b10] {
+            assert_eq!(Sensitivity::from_bits(bits).unwrap().to_bits(), bits);
         }
+        assert_eq!(Sensitivity::from_bits(0b00), None);
+        assert_eq!(Sensitivity::from_bits(0b11), None);
     }
 }

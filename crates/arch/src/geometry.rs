@@ -9,23 +9,9 @@ use core::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub usize);
 
-/// Index of a core within its node (0–3).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct CoreId(pub usize);
-
-/// Global MPI rank (0-based).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct RankId(pub usize);
-
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "node{}", self.0)
-    }
-}
-
-impl fmt::Display for RankId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "rank{}", self.0)
     }
 }
 
@@ -149,12 +135,6 @@ impl AddressLayout {
         }
     }
 
-    /// Bytes of DDR owned by each process.
-    #[inline]
-    pub fn bytes_per_process(&self) -> u64 {
-        self.span
-    }
-
     /// Translate a process-virtual address to a node-physical address.
     ///
     /// # Panics
@@ -231,7 +211,6 @@ mod tests {
     #[test]
     fn address_layout_partitions_are_disjoint() {
         let l = AddressLayout::with_memory(OpMode::VirtualNode, 1 << 20);
-        assert_eq!(l.bytes_per_process(), 256 << 10);
         let a0 = l.physical(0, 0);
         let a1 = l.physical(1, 0);
         let a3_last = l.physical(3, (256 << 10) - 1);
@@ -243,7 +222,6 @@ mod tests {
     #[test]
     fn smp_process_owns_whole_node() {
         let l = AddressLayout::with_memory(OpMode::Smp1, 1 << 20);
-        assert_eq!(l.bytes_per_process(), 1 << 20);
         assert_eq!(l.physical(0, 12345), 12345);
     }
 }

@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cli;
 pub mod config;
@@ -32,8 +33,8 @@ pub mod wire;
 
 pub use config::MachineConfig;
 pub use error::BgpError;
-pub use events::{CounterMode, EventId, EventSlot};
-pub use geometry::{CoreId, NodeId, RankId, TorusCoord};
+pub use events::{CounterMode, EventId};
+pub use geometry::{NodeId, TorusCoord};
 pub use modes::OpMode;
 
 /// Processor clock frequency of the PowerPC 450 cores (Hz).
@@ -42,12 +43,6 @@ pub use modes::OpMode;
 /// by the post-processing tools divide flop counts by cycle counts scaled
 /// with this constant.
 pub const CORE_CLOCK_HZ: u64 = 850_000_000;
-
-/// Peak double-precision flops per core per cycle.
-///
-/// The dual-pipeline SIMD FPU ("double hummer") retires one SIMD FMA per
-/// cycle: 2 lanes × (multiply + add) = 4 flops.
-pub const PEAK_FLOPS_PER_CORE_CYCLE: u64 = 4;
 
 /// Number of processor cores on one compute chip.
 pub const CORES_PER_NODE: usize = 4;
@@ -59,20 +54,11 @@ pub const LINE_BYTES: usize = 128;
 pub const L1_LINE_BYTES: usize = 32;
 
 /// Default main-store capacity per node (bytes): 2 GB DDR2.
-pub const NODE_MEMORY_BYTES: u64 = 2 << 30;
+pub(crate) const NODE_MEMORY_BYTES: u64 = 2 << 30;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn peak_node_gflops_matches_paper() {
-        // The paper's introduction: "a performance estimate of 13.6 GFLOPS
-        // should be achieved at the node level".
-        let peak =
-            CORE_CLOCK_HZ as f64 * PEAK_FLOPS_PER_CORE_CYCLE as f64 * CORES_PER_NODE as f64 / 1e9;
-        assert!((peak - 13.6).abs() < 1e-9, "peak = {peak}");
-    }
 
     #[test]
     fn line_sizes_are_powers_of_two() {

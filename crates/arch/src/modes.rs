@@ -93,20 +93,6 @@ impl fmt::Display for OpMode {
     }
 }
 
-/// Render the Fig. 3 "Modes of Operations of a Blue Gene/P Node" table.
-pub fn fig3_table() -> String {
-    let mut s = String::from("mode,processes_per_node,threads_per_process\n");
-    for m in OpMode::ALL {
-        s.push_str(&format!(
-            "{},{},{}\n",
-            m.label(),
-            m.processes_per_node(),
-            m.threads_per_process()
-        ));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,12 +131,5 @@ mod tests {
         assert_eq!(OpMode::Dual.threads_per_process(), 2);
         assert_eq!(OpMode::VirtualNode.processes_per_node(), 4);
         assert_eq!(OpMode::VirtualNode.threads_per_process(), 1);
-    }
-
-    #[test]
-    fn table_has_four_rows() {
-        let t = fig3_table();
-        assert_eq!(t.lines().count(), 5); // header + 4 modes
-        assert!(t.contains("Virtual Node Mode,4,1"));
     }
 }

@@ -71,11 +71,6 @@ impl SimRng {
     pub fn gen_range<R: UniformRange>(&mut self, range: R) -> R::Output {
         range.sample(self)
     }
-
-    /// Derive an independent child generator (for per-domain streams).
-    pub fn split(&mut self) -> SimRng {
-        SimRng::seed_from_u64(self.next_u64())
-    }
 }
 
 /// A range type [`SimRng::gen_range`] can sample uniformly.
@@ -190,17 +185,5 @@ mod tests {
         assert!((2000..3000).contains(&hits), "got {hits}");
         assert!((0..100).all(|_| !r.gen_bool(0.0)));
         assert!((0..100).all(|_| r.gen_bool(1.0)));
-    }
-
-    #[test]
-    fn split_streams_are_independent_but_reproducible() {
-        let mut a = SimRng::seed_from_u64(5);
-        let mut b = SimRng::seed_from_u64(5);
-        let mut ca = a.split();
-        let mut cb = b.split();
-        for _ in 0..20 {
-            assert_eq!(ca.next_u64(), cb.next_u64());
-        }
-        assert_ne!(ca.next_u64(), a.next_u64());
     }
 }

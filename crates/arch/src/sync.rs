@@ -26,20 +26,6 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(sync::PoisonError::into_inner)
     }
-
-    /// Consume the mutex and return the inner value.
-    pub fn into_inner(self) -> T {
-        self.0
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
 }
 
 /// A condition variable paired with [`Mutex`]: `wait` consumes and
@@ -58,11 +44,6 @@ impl Condvar {
         self.0
             .wait(guard)
             .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
     }
 
     /// Wake all waiters.

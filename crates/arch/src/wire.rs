@@ -16,12 +16,6 @@ pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-/// Append a `u16` (little-endian).
-#[inline]
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Append a `u32` (little-endian).
 #[inline]
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -116,12 +110,6 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    /// Current absolute byte offset.
-    #[inline]
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes left to read.
     #[inline]
     pub fn remaining(&self) -> usize {
@@ -147,12 +135,6 @@ impl<'a> Reader<'a> {
     /// Read a `u8`.
     pub fn u8(&mut self, what: &str) -> Result<u8> {
         Ok(self.take(1, what)?[0])
-    }
-
-    /// Read a `u16`.
-    pub fn u16(&mut self, what: &str) -> Result<u16> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Read a `u32`.
@@ -250,7 +232,6 @@ mod tests {
     fn round_trip_all_primitives() {
         let mut buf = Vec::new();
         put_u8(&mut buf, 0xAB);
-        put_u16(&mut buf, 0xBEEF);
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, u64::MAX - 7);
         put_bool(&mut buf, true);
@@ -258,7 +239,6 @@ mod tests {
         put_u64s(&mut buf, &[1, 2, 3]);
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8("a").unwrap(), 0xAB);
-        assert_eq!(r.u16("b").unwrap(), 0xBEEF);
         assert_eq!(r.u32("c").unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64("d").unwrap(), u64::MAX - 7);
         assert!(r.bool("e").unwrap());

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Fig. 3: the modes-of-operation table.
-pub fn fig03() -> Csv {
+pub(crate) fn fig03() -> Csv {
     let mut csv = Csv::new(["mode", "processes_per_node", "threads_per_process"]);
     for m in OpMode::ALL {
         csv.row([
@@ -33,7 +33,7 @@ pub fn fig03() -> Csv {
 /// §IV overhead table: the interface-library call costs in cycles,
 /// measured against the Time Base exactly like the paper (and the
 /// constants they decompose into).
-pub fn tab_overhead() -> Csv {
+pub(crate) fn tab_overhead() -> Csv {
     // Measure: instrument an empty snippet on a 1-rank machine.
     let mut spec = JobSpec::new(1, OpMode::Smp1);
     spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode0);
@@ -74,7 +74,7 @@ pub fn tab_overhead() -> Csv {
 
 /// Fig. 6: dynamic FP instruction mix of all eight kernels
 /// (VNM, `-O5 -qarch=440d`, the paper's configuration).
-pub fn fig06(scale: Scale) -> Csv {
+pub(crate) fn fig06(scale: Scale) -> Csv {
     let mut csv = Csv::new([
         "kernel",
         "ranks",
@@ -101,7 +101,7 @@ pub fn fig06(scale: Scale) -> Csv {
 
 /// Figs. 7/8: SIMD instruction counts of one kernel across compiler
 /// builds, ±`-qarch=440d`.
-pub fn fig_simd_sweep(kernel: Kernel, scale: Scale) -> Csv {
+pub(crate) fn fig_simd_sweep(kernel: Kernel, scale: Scale) -> Csv {
     let mut csv = Csv::new([
         "build",
         "SIMD add-sub",
@@ -141,7 +141,7 @@ pub fn fig_simd_sweep(kernel: Kernel, scale: Scale) -> Csv {
 /// Figs. 9/10: execution time (cycles and seconds) of a set of kernels
 /// across the four builds of the paper's sweep; `norm_vs_baseline`
 /// column shows the fraction of baseline time.
-pub fn fig_exec_time(kernels: &[Kernel], scale: Scale) -> Csv {
+pub(crate) fn fig_exec_time(kernels: &[Kernel], scale: Scale) -> Csv {
     let mut csv = Csv::new(["kernel", "build", "cycles", "seconds", "norm_vs_baseline"]);
     for &kernel in kernels {
         let mut baseline = None;
@@ -164,7 +164,7 @@ pub fn fig_exec_time(kernels: &[Kernel], scale: Scale) -> Csv {
 }
 
 /// Fig. 11: DDR traffic per node vs L3 size (0–8 MB in 2 MB steps).
-pub fn fig11(scale: Scale) -> Csv {
+pub(crate) fn fig11(scale: Scale) -> Csv {
     let mut csv = Csv::new([
         "kernel",
         "l3_mb",
@@ -193,7 +193,7 @@ pub fn fig11(scale: Scale) -> Csv {
 }
 
 /// One kernel's VNM-vs-SMP/1 comparison (feeds Figs. 12, 13 and 14).
-pub struct ModeRow {
+pub(crate) struct ModeRow {
     /// Kernel.
     pub kernel: Kernel,
     /// DDR traffic per chip, Virtual Node Mode (4 ranks/chip).
@@ -213,7 +213,7 @@ pub struct ModeRow {
 /// Run the §VIII comparison for every kernel: the same ranks packed
 /// 4-per-chip (VNM) versus 1-per-chip (SMP/1, L3 limited to 2 MB per the
 /// paper's fairness boot option).
-pub fn mode_comparison(scale: Scale) -> Vec<ModeRow> {
+pub(crate) fn mode_comparison(scale: Scale) -> Vec<ModeRow> {
     let mut rows = Vec::new();
     for kernel in Kernel::ALL {
         let vnm = RunConfig::new(kernel, scale.class(), scale.ranks());
@@ -239,7 +239,7 @@ pub fn mode_comparison(scale: Scale) -> Vec<ModeRow> {
 }
 
 /// Fig. 12: per-chip DDR-traffic ratio, VNM ÷ SMP/1.
-pub fn fig12(rows: &[ModeRow]) -> Csv {
+pub(crate) fn fig12(rows: &[ModeRow]) -> Csv {
     let mut csv = Csv::new([
         "kernel",
         "vnm_bytes_per_chip",
@@ -267,7 +267,7 @@ pub fn fig12(rows: &[ModeRow]) -> Csv {
 }
 
 /// Fig. 13: execution-time increase per node, VNM vs SMP/1 (percent).
-pub fn fig13(rows: &[ModeRow]) -> Csv {
+pub(crate) fn fig13(rows: &[ModeRow]) -> Csv {
     let mut csv = Csv::new(["kernel", "vnm_cycles", "smp_cycles", "increase_percent"]);
     let mut sum = 0.0;
     for r in rows {
@@ -290,7 +290,7 @@ pub fn fig13(rows: &[ModeRow]) -> Csv {
 }
 
 /// Fig. 14: achieved MFLOPS per chip, VNM vs SMP/1.
-pub fn fig14(rows: &[ModeRow]) -> Csv {
+pub(crate) fn fig14(rows: &[ModeRow]) -> Csv {
     let mut csv = Csv::new([
         "kernel",
         "vnm_mflops_per_chip",
@@ -319,7 +319,7 @@ pub fn fig14(rows: &[ModeRow]) -> Csv {
 
 /// Extension (§IX future work): sweep the L2 prefetch depth and observe
 /// execution time and DDR traffic for the streaming kernels.
-pub fn fig_ext_prefetch(scale: Scale) -> Csv {
+pub(crate) fn fig_ext_prefetch(scale: Scale) -> Csv {
     let mut csv = Csv::new([
         "kernel",
         "prefetch_depth",
@@ -344,7 +344,7 @@ pub fn fig_ext_prefetch(scale: Scale) -> Csv {
 
 /// Extension: all four operating modes of Fig. 3 running the same MPI
 /// job (threads beyond one per process idle, as for any MPI-only code).
-pub fn fig_ext_modes(scale: Scale) -> Csv {
+pub(crate) fn fig_ext_modes(scale: Scale) -> Csv {
     let mut csv = Csv::new(["kernel", "mode", "nodes", "cycles", "mflops_per_chip"]);
     for kernel in [Kernel::Cg, Kernel::Mg] {
         for mode in OpMode::ALL {
@@ -369,7 +369,7 @@ pub fn fig_ext_modes(scale: Scale) -> Csv {
 
 /// Extension: the §IV even/odd-node trick — 512 events in one run versus
 /// two fixed-mode runs.
-pub fn fig_ext_512events(scale: Scale) -> Csv {
+pub(crate) fn fig_ext_512events(scale: Scale) -> Csv {
     let kernel = Kernel::Cg;
     let cfg = RunConfig::new(kernel, scale.class(), scale.ranks());
     // One run, even/odd policy.
@@ -397,7 +397,7 @@ pub fn fig_ext_512events(scale: Scale) -> Csv {
 /// watch collection coverage and the degraded-mode DDR-traffic metric
 /// drift against the fault-free baseline. Every row uses the same seed,
 /// so the sweep is reproducible bit-for-bit.
-pub fn fig_ext_faults(scale: Scale) -> Csv {
+pub(crate) fn fig_ext_faults(scale: Scale) -> Csv {
     use bgp_core::collect::collect_dumps;
     use bgp_faults::{FaultPlan, FaultSpec};
 
@@ -473,7 +473,7 @@ pub fn fig_ext_faults(scale: Scale) -> Csv {
 
 /// One row of the tracing-overhead comparison (feeds
 /// [`fig_ext_trace_overhead`] and `BENCH_trace.json`).
-pub struct TraceOverheadSample {
+pub(crate) struct TraceOverheadSample {
     /// Configuration label: `off` (no `TraceConfig` on the spec) or
     /// `enabled` (traced, with live counter sampling).
     pub config: &'static str,
@@ -544,7 +544,7 @@ fn slowdown_pct(ms: f64, base_ms: f64) -> f64 {
 /// Run the tracing-overhead comparison behind Fig. ext-trace-overhead:
 /// the same MG job untraced and traced (counter sampling every 16
 /// windows on slots 0–2), timed by `best_of_reps`.
-pub fn trace_overhead_sweep(scale: Scale) -> Vec<TraceOverheadSample> {
+pub(crate) fn trace_overhead_sweep(scale: Scale) -> Vec<TraceOverheadSample> {
     use bgp_trace::TraceConfig;
 
     let (class, off) = mg_job(scale);
@@ -577,7 +577,7 @@ pub fn trace_overhead_sweep(scale: Scale) -> Vec<TraceOverheadSample> {
 
 /// One measured configuration of the checkpoint-overhead sweep.
 #[derive(Debug)]
-pub struct SnapshotOverheadSample {
+pub(crate) struct SnapshotOverheadSample {
     /// Configuration label (`off` / `every64`).
     pub config: &'static str,
     /// Best-of-reps wall time.
@@ -596,7 +596,7 @@ pub struct SnapshotOverheadSample {
 /// the measured cost of an actual resume (load newest snapshot, replay
 /// to its phase, go live, finish the job).
 #[derive(Debug)]
-pub struct SnapshotSweep {
+pub(crate) struct SnapshotSweep {
     /// Per-configuration measurements (`off` first).
     pub samples: Vec<SnapshotOverheadSample>,
     /// Wall time of the resumed run.
@@ -610,7 +610,7 @@ pub struct SnapshotSweep {
 /// `fig_ext_snapshot` entry bounds snapshots every 64 phases at < 5 %
 /// wall over no checkpointing; the sweep also measures one real resume
 /// so the restore path has a recorded cost.
-pub fn snapshot_overhead_sweep(scale: Scale) -> SnapshotSweep {
+pub(crate) fn snapshot_overhead_sweep(scale: Scale) -> SnapshotSweep {
     use bgp_mpi::machine::CheckpointConfig;
     use bgp_snapshot::SnapshotStore;
 
@@ -666,7 +666,7 @@ pub fn snapshot_overhead_sweep(scale: Scale) -> SnapshotSweep {
 
 /// Extension (checkpointing): wall cost of snapshots every 64 phases
 /// over none, and of one real resume, from [`snapshot_overhead_sweep`].
-pub fn fig_ext_snapshot(sweep: &SnapshotSweep) -> Csv {
+pub(crate) fn fig_ext_snapshot(sweep: &SnapshotSweep) -> Csv {
     let mut csv = Csv::new([
         "config",
         "wall_ms",
@@ -698,7 +698,7 @@ pub fn fig_ext_snapshot(sweep: &SnapshotSweep) -> Csv {
 /// walk, retirement and counter sync per access — and through
 /// [`bgp_node::Node::mem_ops`] in quantum-sized slices, plus the
 /// end-to-end MG job that rides the batched engine.
-pub struct MemThroughputReport {
+pub(crate) struct MemThroughputReport {
     /// Simulated accesses per host second, per-op `mem_op` loop.
     pub scalar_maps: f64,
     /// Simulated accesses per host second, `mem_ops` slices.
@@ -719,7 +719,7 @@ pub struct MemThroughputReport {
 /// exercised at its real duty cycle, not a best case. Both engines see
 /// identical streams on fresh [`bgp_mem::MemorySystem`]s; wall times
 /// come from `best_of_reps`, like the tracing sweep.
-pub fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
+pub(crate) fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
     use bgp_arch::{MachineConfig, NodeId};
     use bgp_node::{MemOp, MemWidth, Node};
 
@@ -817,7 +817,7 @@ pub fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
 /// Extension (performance): simulator throughput of the batched memory
 /// engine vs. the per-op scalar walk, plus the end-to-end MG wall time,
 /// from [`mem_throughput_sweep`].
-pub fn fig_ext_memthroughput(r: &MemThroughputReport) -> Csv {
+pub(crate) fn fig_ext_memthroughput(r: &MemThroughputReport) -> Csv {
     let mut csv = Csv::new(["measure", "value"]);
     csv.row([
         "scalar_maccesses_per_s".into(),
@@ -837,7 +837,7 @@ pub fn fig_ext_memthroughput(r: &MemThroughputReport) -> Csv {
 
 /// One point of the full-machine scaling sweep (feeds
 /// [`fig_ext_fullmachine`] and `BENCH_fullmachine.json`).
-pub struct FullMachineSample {
+pub(crate) struct FullMachineSample {
     /// Compute nodes simulated.
     pub nodes: usize,
     /// MPI ranks (4 per node in VNM).
@@ -864,7 +864,7 @@ const FULLMACHINE_COLLS: u64 = 2;
 
 /// Read the process peak resident set (`VmHWM`) in bytes; 0 where
 /// `/proc/self/status` is unavailable (non-Linux hosts).
-pub fn peak_rss_bytes() -> u64 {
+pub(crate) fn peak_rss_bytes() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
     };
@@ -899,7 +899,7 @@ async fn fullmachine_rank(mut ctx: bgp_mpi::RankCtx) -> bool {
 /// 73,728-node / 294,912-rank Blue Gene/P full machine (72 racks), all
 /// multiplexed over the fixed worker pool — never one OS thread per
 /// rank. `--quick` stops at 4,096 nodes.
-pub fn fullmachine_sweep(scale: Scale) -> Vec<FullMachineSample> {
+pub(crate) fn fullmachine_sweep(scale: Scale) -> Vec<FullMachineSample> {
     let node_counts: &[usize] = match scale {
         Scale::Quick => &[1024, 4096],
         _ => &[1024, 4096, 16384, 73_728],
@@ -932,7 +932,7 @@ pub fn fullmachine_sweep(scale: Scale) -> Vec<FullMachineSample> {
 /// Extension (scale): rank-count scaling of the multiplexed runtime up
 /// to the full 73,728-node machine, from [`fullmachine_sweep`], with the
 /// per-rank RSS column that gates the ≤ 10 KB idle-rank overhead budget.
-pub fn fig_ext_fullmachine(samples: &[FullMachineSample]) -> Csv {
+pub(crate) fn fig_ext_fullmachine(samples: &[FullMachineSample]) -> Csv {
     let mut csv = Csv::new([
         "nodes",
         "ranks",
@@ -960,7 +960,7 @@ pub fn fig_ext_fullmachine(samples: &[FullMachineSample]) -> Csv {
 
 /// Extension (tracing): cost of the deterministic trace layer on an MG
 /// job — untraced vs. traced, from [`trace_overhead_sweep`].
-pub fn fig_ext_trace_overhead(samples: &[TraceOverheadSample]) -> Csv {
+pub(crate) fn fig_ext_trace_overhead(samples: &[TraceOverheadSample]) -> Csv {
     let mut csv = Csv::new([
         "trace_config",
         "wall_ms",
@@ -986,7 +986,7 @@ pub fn fig_ext_trace_overhead(samples: &[TraceOverheadSample]) -> Csv {
 /// for MG and CG. Reports the rotation statistics, the occupancy
 /// balance across the four modes, and the reconstruction quality of
 /// the multiplexed estimates against simulator ground truth.
-pub fn fig_ext_multiplex(scale: Scale) -> Csv {
+pub(crate) fn fig_ext_multiplex(scale: Scale) -> Csv {
     let mut csv = Csv::new([
         "kernel",
         "base_dwell",
@@ -1058,7 +1058,7 @@ pub fn fig_ext_multiplex(scale: Scale) -> Csv {
 
 /// One kernel's ground-truth audit (feeds [`fig_ext_validation`] and
 /// `BENCH_validation.json`).
-pub struct KernelValidation {
+pub(crate) struct KernelValidation {
     /// Kernel audited.
     pub kernel: Kernel,
     /// Per-event accuracy of the exact, multiplexed and degraded legs.
@@ -1078,7 +1078,7 @@ pub struct KernelValidation {
 /// policy (pinned to 1 and to 4 simulator workers, so the dumps can be
 /// compared byte for byte), and once multiplexed with a counter bit
 /// flip injected on every node as its window closes.
-pub fn validate_kernel(kernel: Kernel, scale: Scale) -> KernelValidation {
+pub(crate) fn validate_kernel(kernel: Kernel, scale: Scale) -> KernelValidation {
     use bgp_faults::{FaultPlan, FaultSpec};
 
     let cfg = RunConfig::new(kernel, scale.class(), scale.ranks());
@@ -1116,7 +1116,7 @@ pub fn validate_kernel(kernel: Kernel, scale: Scale) -> KernelValidation {
 
 /// Extension (validation): the per-kernel summary of the ground-truth
 /// audit, from [`validate_kernel`].
-pub fn fig_ext_validation(rows: &[KernelValidation]) -> Csv {
+pub(crate) fn fig_ext_validation(rows: &[KernelValidation]) -> Csv {
     let mut csv = Csv::new([
         "kernel",
         "exact_checked",

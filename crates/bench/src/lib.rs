@@ -17,8 +17,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod figures;
+mod figures;
 pub mod repro;
 
 use bgp_arch::events::{CoreEvent, CounterMode, NetEvent, SharedEvent, NUM_MODES};
@@ -74,39 +75,37 @@ impl RunConfig {
 }
 
 /// Outcome of one instrumented run under one counter policy.
-pub struct Measured {
+pub(crate) struct Measured {
     /// Aggregated whole-program counter frame.
     pub frame: Frame,
     /// Wall-clock cycles of the job (slowest core).
     pub job_cycles: u64,
-    /// Whether every rank's kernel verification passed.
-    pub verified: bool,
 }
 
 /// Run the kernel once with the given counter policy.
-pub fn measure(cfg: &RunConfig, policy: CounterPolicy) -> Measured {
+pub(crate) fn measure(cfg: &RunConfig, policy: CounterPolicy) -> Measured {
     let machine = Machine::new(cfg.spec(policy));
     let kernel = cfg.kernel;
     let class = cfg.class;
     let (results, lib) = run_instrumented(&machine, move |ctx| kernel.exec(class, ctx));
-    let verified = results.iter().all(|r| r.verified);
     assert!(
-        verified,
+        results.iter().all(|r| r.verified),
         "{} class {} on {} ranks failed verification",
-        cfg.kernel, cfg.class, cfg.ranks
+        cfg.kernel,
+        cfg.class,
+        cfg.ranks
     );
     let dumps = lib.dumps().expect("all nodes finalized");
     let frame = Frame::from_dumps(&dumps, WHOLE_PROGRAM_SET).expect("valid dumps");
     Measured {
         frame,
         job_cycles: machine.job_cycles(),
-        verified,
     }
 }
 
 /// Run with the even/odd mode-0/1 policy: per-core events (FPU mix,
 /// cycle counters) across all four cores of the chip.
-pub fn measure_cores(cfg: &RunConfig) -> Measured {
+pub(crate) fn measure_cores(cfg: &RunConfig) -> Measured {
     measure(
         cfg,
         CounterPolicy::EvenOdd {
@@ -117,14 +116,14 @@ pub fn measure_cores(cfg: &RunConfig) -> Measured {
 }
 
 /// Run with mode 2 everywhere: shared L3/DDR events.
-pub fn measure_memory(cfg: &RunConfig) -> Measured {
+pub(crate) fn measure_memory(cfg: &RunConfig) -> Measured {
     measure(cfg, CounterPolicy::Fixed(CounterMode::Mode2))
 }
 
 /// Outcome of one instrumented run kept at dump granularity, with the
 /// simulator's independent ground truth — the raw material of the
 /// validation harness ([`bgp_postproc::validate`]).
-pub struct TruthMeasured {
+pub(crate) struct TruthMeasured {
     /// Decoded per-node dumps (synthetic mux sets included when the
     /// policy rotated).
     pub dumps: Vec<NodeDump>,
@@ -144,7 +143,7 @@ pub struct TruthMeasured {
 /// leg of the validation figures); `sim_threads` pins the simulator's
 /// worker pool (results are thread-invariant — pinning lets the
 /// validation gate prove it by byte comparison).
-pub fn measure_with_truth(
+pub(crate) fn measure_with_truth(
     cfg: &RunConfig,
     policy: CounterPolicy,
     faults: Option<std::sync::Arc<FaultPlan>>,
@@ -220,7 +219,7 @@ pub(crate) fn measure_every_mode(cfg: &RunConfig) -> EveryMode {
 /// Read every node's independent ground truth off the machine. Valid
 /// for whole-program instrumentation only: the truth mirrors are
 /// cumulative, so the counting window must have covered all retirement.
-pub fn ground_truth(machine: &Machine) -> Vec<NodeTruth> {
+pub(crate) fn ground_truth(machine: &Machine) -> Vec<NodeTruth> {
     (0..machine.num_nodes())
         .map(|i| machine.with_node(i, |n| node_truth(i as u32, n)))
         .collect()
@@ -399,7 +398,7 @@ pub enum Scale {
 
 impl Scale {
     /// Problem class at this scale.
-    pub fn class(self) -> Class {
+    pub(crate) fn class(self) -> Class {
         match self {
             Scale::Quick => Class::S,
             _ => Class::A,
@@ -407,7 +406,7 @@ impl Scale {
     }
 
     /// Target rank count (kernels clamp to their nearest legal count).
-    pub fn ranks(self) -> usize {
+    pub(crate) fn ranks(self) -> usize {
         match self {
             Scale::Quick => 8,
             Scale::Default => 16,
@@ -427,7 +426,7 @@ impl Scale {
 
 /// Directory the `repro_all` entries write their CSVs into: `results/`,
 /// or `$BGP_RESULTS_DIR`.
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let p = std::env::var("BGP_RESULTS_DIR").unwrap_or_else(|_| "results".into());
     let p = PathBuf::from(p);
     std::fs::create_dir_all(&p).expect("create results dir");
@@ -438,7 +437,7 @@ pub fn results_dir() -> PathBuf {
 /// by default (they are committed artifacts), or `$BGP_BENCH_DIR` so CI
 /// smoke runs at Quick scale can write somewhere disposable instead of
 /// clobbering the committed Default-scale numbers.
-pub fn bench_json_path(name: &str) -> PathBuf {
+pub(crate) fn bench_json_path(name: &str) -> PathBuf {
     let dir = std::env::var("BGP_BENCH_DIR").unwrap_or_else(|_| ".".into());
     PathBuf::from(dir).join(name)
 }
@@ -461,7 +460,6 @@ mod tests {
     fn measure_cores_sees_all_four_cores_in_vnm() {
         let cfg = RunConfig::new(Kernel::Ep, Class::S, 8);
         let m = measure_cores(&cfg);
-        assert!(m.verified);
         for core in 0..4 {
             assert!(
                 m.frame.sum(CoreEvent::CycleCount.id(core)) > 0,

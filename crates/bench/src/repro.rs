@@ -3,9 +3,9 @@
 //! [`Entry`], the way `likwid-perfctr -g GROUP` selects one named
 //! measurement group instead of shipping one tool per measurement.
 //!
-//! An entry declares the CSVs it writes into [`crate::results_dir`],
+//! An entry declares the CSVs it writes into `crate::results_dir`,
 //! writes its `BENCH_*.json` record (if it has one) through
-//! [`bench_json_path`], and checks its own acceptance bound every time
+//! `bench_json_path`, and checks its own acceptance bound every time
 //! it runs: `repro_all` exits non-zero when any bound fails.
 
 use crate::figures::{self, KernelValidation, SnapshotSweep};
@@ -78,7 +78,7 @@ fn plain(csv: Csv) -> Outcome {
 
 /// Every entry; `repro_all` with no names runs the `default` ones in
 /// this order.
-pub static ENTRIES: &[Entry] = &[
+pub(crate) static ENTRIES: &[Entry] = &[
     Entry {
         name: "fig03_modes",
         csvs: &["fig03_modes"],

@@ -15,8 +15,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod lowering;
+mod lowering;
 pub mod opts;
 
 pub use lowering::{CodeGen, CodeGenParams, FractionSelector, LibmProfile, Overhead, PairPlan};

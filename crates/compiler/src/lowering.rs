@@ -36,7 +36,7 @@ impl FractionSelector {
     }
 
     /// Selector from a float fraction with 1/1024 resolution.
-    pub fn from_fraction(f: f64) -> FractionSelector {
+    pub(crate) fn from_fraction(f: f64) -> FractionSelector {
         let num = (f.clamp(0.0, 1.0) * 1024.0).round() as u32;
         FractionSelector::new(num, 1024)
     }
@@ -81,7 +81,7 @@ pub struct CodeGenParams {
 
 impl CodeGenParams {
     /// Expand a flag set into lowering parameters.
-    pub fn from_opts(o: &CompileOpts) -> CodeGenParams {
+    pub(crate) fn from_opts(o: &CompileOpts) -> CodeGenParams {
         let (int_ovh, red_mem, unroll, mispred) = match o.opt {
             OptLevel::O2 => (0.60, 0.40, 1, 1.0 / 48.0),
             OptLevel::O3 => (0.30, 0.15, 2, 1.0 / 64.0),
@@ -193,11 +193,6 @@ impl CodeGen {
             opts,
             params,
         }
-    }
-
-    /// The flag set this engine lowers for.
-    pub fn opts(&self) -> &CompileOpts {
-        &self.opts
     }
 
     /// The expanded parameters.

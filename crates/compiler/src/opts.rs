@@ -150,7 +150,7 @@ impl CompileOpts {
     }
 
     /// Whether FMA fusion is active (`-qstrict` forbids it).
-    pub fn fma_enabled(&self) -> bool {
+    pub(crate) fn fma_enabled(&self) -> bool {
         !self.qstrict
     }
 

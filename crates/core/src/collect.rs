@@ -5,7 +5,7 @@
 //! collective network; nodes die, links wedge, requests time out. This
 //! module models that gather against a [`FaultPlan`]: each node is
 //! fetched independently, transient failures ([`BgpError::is_retryable`])
-//! are retried up to [`MAX_ATTEMPTS`] times with doubling
+//! are retried up to `MAX_ATTEMPTS` times with doubling
 //! backoff, and fatal failures (lost nodes, corrupt-beyond-salvage
 //! dumps) are recorded without sinking the run. The result is a
 //! [`Collection`]: the surviving dumps plus a per-node account of what
@@ -17,11 +17,11 @@ use bgp_arch::BgpError;
 use bgp_faults::FaultPlan;
 
 /// Maximum fetch attempts per node.
-pub const MAX_ATTEMPTS: u32 = 4;
+pub(crate) const MAX_ATTEMPTS: u32 = 4;
 
 /// Backoff after the first failed attempt (cycles); doubles per
 /// subsequent retry.
-pub const BASE_BACKOFF_CYCLES: u64 = 10_000;
+pub(crate) const BASE_BACKOFF_CYCLES: u64 = 10_000;
 
 /// What collection ultimately got out of one node.
 #[derive(Debug)]
@@ -41,7 +41,7 @@ pub enum NodeOutcome {
 
 impl NodeOutcome {
     /// Whether any counter data survived from this node.
-    pub fn delivered(&self) -> bool {
+    pub(crate) fn delivered(&self) -> bool {
         !matches!(self, NodeOutcome::Failed(_))
     }
 }
@@ -106,7 +106,7 @@ impl Collection {
 ///    — fatal, never retried.
 /// 2. Each fetch attempt may time out per the plan; timeouts are
 ///    retryable, so collection backs off (doubling from
-///    [`BASE_BACKOFF_CYCLES`]) and tries again, up to [`MAX_ATTEMPTS`]
+///    `BASE_BACKOFF_CYCLES`) and tries again, up to `MAX_ATTEMPTS`
 ///    attempts.
 /// 3. A fetched dump passes through the plan's dump fault (truncation,
 ///    byte flip, loss) and is decoded leniently: intact files and

@@ -50,23 +50,23 @@ pub const SET_RECORD_BYTES: usize = 8 + NUM_COUNTERS * 8 + 8;
 /// the mode's **occupancy** (phases the window spent counting in that
 /// mode) — the weight reconstruction scales by. User set ids stay
 /// below [`SET_ID_LIMIT`], so the encoding is collision-free.
-pub const MUX_SET_BASE: u32 = 0x8000_0000;
+pub(crate) const MUX_SET_BASE: u32 = 0x8000_0000;
 
 /// Exclusive upper bound on user set ids (`2^29`). Below it,
 /// `user_set << 2` fits under bit 31 and `user_set` under bit 29, so
 /// [`mux_set_id`] and [`mux_sched_id`] never alias another set's ids.
 /// `BGP_Start` refuses larger ids, and a snapshot that names one is
 /// corrupt.
-pub const SET_ID_LIMIT: u32 = 1 << 29;
+pub(crate) const SET_ID_LIMIT: u32 = 1 << 29;
 
 /// Synthetic-set id of `user_set`'s mode-`mode` block (see
-/// [`MUX_SET_BASE`]).
+/// `MUX_SET_BASE`).
 pub fn mux_set_id(user_set: u32, mode: usize) -> u32 {
     MUX_SET_BASE | (user_set << 2) | mode as u32
 }
 
 /// Whether `id` names a synthetic multiplexing set.
-pub fn is_mux_set(id: u32) -> bool {
+pub(crate) fn is_mux_set(id: u32) -> bool {
     id & MUX_SET_BASE != 0
 }
 
@@ -83,8 +83,8 @@ pub fn mux_set_parts(id: u32) -> Option<(u32, usize)> {
 /// `counts[4..8]` the enabled *phases* per mode, the rest zero. Cycle
 /// weights are what reconstruction scales by; phase counts are the
 /// fallback for windows shorter than a phase. Distinct from
-/// [`MUX_SET_BASE`] ids because user set ids stay below
-/// [`SET_ID_LIMIT`], so an ordinary set never has bit 30 set and a mode
+/// `MUX_SET_BASE` ids because user set ids stay below
+/// `SET_ID_LIMIT`, so an ordinary set never has bit 30 set and a mode
 /// set always has bit 31.
 pub const MUX_SCHED_BASE: u32 = 0x4000_0000;
 

@@ -18,7 +18,7 @@
 //!   counter mode and odd-numbered nodes in another
 //!   ([`bgp_mpi::CounterPolicy::EvenOdd`]), doubling event coverage of an
 //!   SPMD job. Each node's mode comes from its counter-mode schedule in
-//!   [`bgp_mpi::mux`], a one-mode schedule here; the library reads every
+//!   `bgp_mpi::mux`, a one-mode schedule here; the library reads every
 //!   counting window as the schedule's totals at stop minus its start
 //!   mark, the same way for static and multiplexed policies.
 //! * **Tiny overhead** — initialize + start + stop together charge
@@ -33,11 +33,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod collect;
 pub mod dump;
 pub mod session;
-pub mod state;
+mod state;
 pub mod supervisor;
 
 use bgp_arch::error::Result;
@@ -66,7 +67,7 @@ pub const STOP_CYCLES: u64 = 23;
 pub const TOTAL_OVERHEAD_CYCLES: u64 = INIT_CYCLES + START_CYCLES + STOP_CYCLES;
 /// Cycles charged by `BGP_Finalize` (assembling and "printing" the dump —
 /// after counting stopped, so invisible to the counters).
-pub const FINALIZE_CYCLES: u64 = 4200;
+pub(crate) const FINALIZE_CYCLES: u64 = 4200;
 
 /// The set id [`run_instrumented`] brackets the whole kernel with
 /// (mirroring instrumentation injected into `MPI_Init`/`MPI_Finalize`).
@@ -177,7 +178,7 @@ impl NodeState {
 
 /// The interface library, shared by all ranks of one job: one instance
 /// per machine, held in the machine's app-state registry (snapshot
-/// section `app:counters`, see the [`state`] module) and dropped with
+/// section `app:counters`, see the `state` module) and dropped with
 /// it.
 ///
 /// ```

@@ -24,7 +24,7 @@
 //!
 //! Between `start` and `stop` the session [`std::ops::Deref`]s to
 //! [`RankCtx`], so the measured kernel runs against the session
-//! directly (or via [`Session::ctx`] for helpers that take
+//! directly (or via `&mut *session` for helpers that take
 //! `&mut RankCtx`).
 //!
 //! Sessions of the ranks of one job share the per-machine
@@ -81,14 +81,6 @@ pub struct Session<'a, S> {
     state: S,
 }
 
-impl<'a, S> Session<'a, S> {
-    /// The rank context, for helpers that take `&mut RankCtx` (the
-    /// session also [`Deref`]s to it).
-    pub fn ctx(&mut self) -> &mut RankCtx {
-        self.ctx
-    }
-}
-
 impl<S> Deref for Session<'_, S> {
     type Target = RankCtx;
     fn deref(&self) -> &RankCtx {
@@ -121,7 +113,7 @@ impl<'a> Session<'a, Initialized> {
     /// window cannot be left open past `finalize` by construction.
     ///
     /// # Errors
-    /// Fails if `set` is not below [`crate::dump::SET_ID_LIMIT`], or if a
+    /// Fails if `set` is not below `crate::dump::SET_ID_LIMIT`, or if a
     /// peer rank on the same node already opened a *different* set
     /// (runtime SPMD divergence the types cannot see).
     pub fn start(self, set: u32) -> Result<Session<'a, Counting>> {

@@ -75,7 +75,7 @@ pub enum AttemptOutcome {
     Failed {
         /// The panic message the machine re-raised.
         message: String,
-        /// Whether [`classify_panic`] (or the watchdog) deemed it
+        /// Whether `classify_panic` (or the watchdog) deemed it
         /// worth retrying.
         retryable: bool,
         /// Whether the wall-clock watchdog aborted this attempt.
@@ -152,7 +152,7 @@ impl std::error::Error for SupervisorError {}
 /// recovered older file), and a bounded retry from an earlier snapshot
 /// is cheap. A *deterministic* deadlock simply exhausts the retry
 /// budget and surfaces as [`SupervisorError::RetriesExhausted`].
-pub fn classify_panic(message: &str) -> bool {
+pub(crate) fn classify_panic(message: &str) -> bool {
     if message.contains("simulated-cycle budget exceeded") {
         return false; // deterministic: retrying reproduces it exactly
     }

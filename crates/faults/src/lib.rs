@@ -22,19 +22,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use bgp_arch::rng::splitmix64;
 
 /// Per-domain salts. Distinct constants keep the fault domains'
 /// pseudo-random draws statistically independent of each other.
 mod salt {
-    pub const NODE_LOSS: u64 = 0x6e6f_6465_6c6f_7373; // "nodeloss"
-    pub const STRAGGLER: u64 = 0x7374_7261_6767_6c65; // "straggle"
-    pub const LINK: u64 = 0x6c69_6e6b_6465_6772; // "linkdegr"
-    pub const TIMEOUT: u64 = 0x7469_6d65_6f75_7421; // "timeout!"
-    pub const BITFLIP: u64 = 0x6269_7466_6c69_7070; // "bitflipp"
-    pub const SATURATE: u64 = 0x7361_7475_7261_7465; // "saturate"
-    pub const DUMP: u64 = 0x6475_6d70_6661_756c; // "dumpfaul"
+    pub(crate) const NODE_LOSS: u64 = 0x6e6f_6465_6c6f_7373; // "nodeloss"
+    pub(crate) const STRAGGLER: u64 = 0x7374_7261_6767_6c65; // "straggle"
+    pub(crate) const LINK: u64 = 0x6c69_6e6b_6465_6772; // "linkdegr"
+    pub(crate) const TIMEOUT: u64 = 0x7469_6d65_6f75_7421; // "timeout!"
+    pub(crate) const BITFLIP: u64 = 0x6269_7466_6c69_7070; // "bitflipp"
+    pub(crate) const SATURATE: u64 = 0x7361_7475_7261_7465; // "saturate"
+    pub(crate) const DUMP: u64 = 0x6475_6d70_6661_756c; // "dumpfaul"
 }
 
 /// Fault *rates* and magnitudes for one experiment.
@@ -94,24 +95,6 @@ impl FaultSpec {
             dump_truncate_rate: 0.0,
             dump_byteflip_rate: 0.0,
             dump_missing_rate: 0.0,
-        }
-    }
-
-    /// A moderately hostile spec exercising every fault domain at once;
-    /// the default configuration of the `fig_ext_faults` experiment.
-    pub fn hostile() -> FaultSpec {
-        FaultSpec {
-            node_loss_rate: 0.05,
-            straggler_rate: 0.10,
-            straggler_penalty_cycles: 2_000,
-            link_degrade_rate: 0.05,
-            link_slowdown: 4,
-            collection_timeout_rate: 0.20,
-            counter_bitflip_rate: 0.02,
-            counter_saturate_rate: 0.02,
-            dump_truncate_rate: 0.01,
-            dump_byteflip_rate: 0.01,
-            dump_missing_rate: 0.01,
         }
     }
 }
@@ -211,11 +194,6 @@ impl FaultPlan {
     /// The spec this plan was sealed with.
     pub fn spec(&self) -> &FaultSpec {
         &self.spec
-    }
-
-    /// The seed this plan was sealed with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Number of nodes the plan covers.
@@ -406,8 +384,25 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// A moderately hostile spec exercising every fault domain at once.
+    fn hostile() -> FaultSpec {
+        FaultSpec {
+            node_loss_rate: 0.05,
+            straggler_rate: 0.10,
+            straggler_penalty_cycles: 2_000,
+            link_degrade_rate: 0.05,
+            link_slowdown: 4,
+            collection_timeout_rate: 0.20,
+            counter_bitflip_rate: 0.02,
+            counter_saturate_rate: 0.02,
+            dump_truncate_rate: 0.01,
+            dump_byteflip_rate: 0.01,
+            dump_missing_rate: 0.01,
+        }
+    }
+
     fn plan(seed: u64) -> FaultPlan {
-        FaultPlan::new(FaultSpec::hostile(), seed, 64)
+        FaultPlan::new(hostile(), seed, 64)
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use bgp_arch::error::Result;
 use bgp_arch::events::CoreEvent;
@@ -74,7 +75,7 @@ impl FpOp {
 
     /// Whether the instruction drives both pipes.
     #[inline]
-    pub const fn is_simd(self) -> bool {
+    pub(crate) const fn is_simd(self) -> bool {
         matches!(
             self,
             FpOp::SimdAddSub | FpOp::SimdMult | FpOp::SimdDiv | FpOp::SimdFma
@@ -99,7 +100,7 @@ impl FpOp {
     /// single issue slot (unpipelined ops occupy the pipe for their whole
     /// latency).
     #[inline]
-    pub const fn stall_cycles(self) -> u64 {
+    pub(crate) const fn stall_cycles(self) -> u64 {
         match self {
             FpOp::Div | FpOp::SimdDiv => FpOp::Div.latency() - 1,
             _ => 0,
@@ -108,7 +109,7 @@ impl FpOp {
 
     /// The per-core UPC event this class retires as.
     #[inline]
-    pub const fn event(self) -> CoreEvent {
+    pub(crate) const fn event(self) -> CoreEvent {
         match self {
             FpOp::AddSub => CoreEvent::FpAddSub,
             FpOp::Mult => CoreEvent::FpMult,
@@ -178,21 +179,10 @@ impl Fpu {
         self.counts[op.index()]
     }
 
-    /// Total FP instructions retired (including moves).
-    pub fn total_instructions(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Total double-precision flops retired.
     #[inline]
     pub fn flops(&self) -> u64 {
         self.flops
-    }
-
-    /// Total FPU-induced stall cycles.
-    #[inline]
-    pub fn stall_cycles(&self) -> u64 {
-        self.stall_cycles
     }
 
     /// Fraction of retired FP arithmetic instructions that were SIMD.
@@ -265,7 +255,7 @@ mod tests {
         fpu.retire(FpOp::SimdFma, 10, 0, &mut upc);
         fpu.retire(FpOp::AddSub, 5, 0, &mut upc);
         assert_eq!(fpu.flops(), 45);
-        assert_eq!(fpu.total_instructions(), 15);
+        assert_eq!(fpu.counts.iter().sum::<u64>(), 15);
     }
 
     #[test]
@@ -287,7 +277,7 @@ mod tests {
         let mut upc = upc0();
         let s = fpu.retire(FpOp::Div, 2, 0, &mut upc);
         assert_eq!(s, 2 * (FpOp::Div.latency() - 1));
-        assert_eq!(fpu.stall_cycles(), s);
+        assert_eq!(fpu.stall_cycles, s);
         assert_eq!(fpu.retire(FpOp::Fma, 100, 0, &mut upc), 0);
     }
 
@@ -306,7 +296,7 @@ mod tests {
         let mut fpu = Fpu::new();
         let mut upc = upc0();
         assert_eq!(fpu.retire(FpOp::Div, 0, 0, &mut upc), 0);
-        assert_eq!(fpu.total_instructions(), 0);
+        assert_eq!(fpu.counts.iter().sum::<u64>(), 0);
         assert_eq!(fpu.simd_fraction(), 0.0);
     }
 

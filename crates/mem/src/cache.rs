@@ -31,7 +31,7 @@
 //!
 //! The cache also keeps a count of its valid ways. Every fill the
 //! memory hierarchy makes follows a probe that has just shown the line
-//! absent, so it goes through [`Cache::fill_absent`], which skips the
+//! absent, so it goes through `Cache::fill_absent`, which skips the
 //! presence scan that [`Cache::fill`] must make; once the count says
 //! the whole cache is full, the victim is the set's last (LRU) way with
 //! no scan for an invalid way either. The count is derived state: it is
@@ -94,7 +94,7 @@ pub struct Hit {
 /// with it every cache, only on its first memory operation.
 ///
 /// A fill of a line the caller knows is absent should use
-/// [`Cache::fill_absent`], which skips [`Cache::fill`]'s presence scan
+/// `Cache::fill_absent`, which skips [`Cache::fill`]'s presence scan
 /// and, once every way is valid, its scan for a free way.
 #[derive(Clone, Debug)]
 pub struct Cache {
@@ -132,7 +132,7 @@ impl Cache {
     /// whose probe mix rarely benefits from absence proofs (the L3:
     /// write-backs it receives usually find their line resident, so a
     /// filter is maintenance cost without payoff).
-    pub fn unfiltered(sets: usize, assoc: usize) -> Cache {
+    pub(crate) fn unfiltered(sets: usize, assoc: usize) -> Cache {
         Cache::build(sets, assoc, false)
     }
 
@@ -184,16 +184,6 @@ impl Cache {
         let i = self.filt_idx(line);
         debug_assert!(self.filt[i] > 0, "membership filter underflow");
         self.filt[i] -= 1;
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.num_sets
-    }
-
-    /// Associativity.
-    pub fn assoc(&self) -> usize {
-        self.assoc
     }
 
     #[inline]
@@ -267,7 +257,7 @@ impl Cache {
     /// as speculatively fetched so the first demand hit can be attributed
     /// to the prefetcher. A line that is already resident is refreshed
     /// in place instead; callers that know the line is absent use
-    /// [`Cache::fill_absent`].
+    /// `Cache::fill_absent`.
     #[inline]
     pub fn fill(&mut self, line: u64, dirty: bool, prefetched: bool) -> Option<Evicted> {
         let base = self.set_of(line) * self.assoc;
@@ -304,7 +294,12 @@ impl Cache {
     /// invalid way either. Leaves exactly the entries, filter and
     /// eviction `fill` would.
     #[inline]
-    pub fn fill_absent(&mut self, line: u64, dirty: bool, prefetched: bool) -> Option<Evicted> {
+    pub(crate) fn fill_absent(
+        &mut self,
+        line: u64,
+        dirty: bool,
+        prefetched: bool,
+    ) -> Option<Evicted> {
         debug_assert!(
             !self.contains(line),
             "fill_absent of resident line {line:#x}"
@@ -365,7 +360,7 @@ impl Cache {
     /// present. Does not refresh LRU (write-backs arriving from above are
     /// not demand touches).
     #[inline]
-    pub fn mark_dirty(&mut self, line: u64) -> bool {
+    pub(crate) fn mark_dirty(&mut self, line: u64) -> bool {
         if !self.maybe_resident(line) {
             return false;
         }
@@ -382,7 +377,7 @@ impl Cache {
 
     /// Remove a line (snoop invalidation); returns its dirtiness if it
     /// was present.
-    pub fn invalidate(&mut self, line: u64) -> Option<bool> {
+    pub(crate) fn invalidate(&mut self, line: u64) -> Option<bool> {
         if !self.maybe_resident(line) {
             return None;
         }

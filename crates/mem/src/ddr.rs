@@ -21,11 +21,11 @@ use bgp_arch::CORES_PER_NODE;
 /// Activity horizon in node memory accesses. Must exceed the scheduler
 /// quantum × cores so that concurrently-running ranks see each other;
 /// the default quantum is 2048, giving 4 × 2048 × 2 of slack.
-pub const HORIZON: u64 = 16_384;
+pub(crate) const HORIZON: u64 = 16_384;
 
 /// Outcome of one DDR access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DdrAccess {
+pub(crate) struct DdrAccess {
     /// Total latency in cycles (base + queueing).
     pub latency: u64,
     /// Number of other cores contending within the horizon (0–3).
@@ -34,7 +34,7 @@ pub struct DdrAccess {
 
 /// One DDR2 controller.
 #[derive(Clone, Debug)]
-pub struct DdrController {
+pub(crate) struct DdrController {
     base_latency: u64,
     conflict_penalty: u64,
     reads: u64,
@@ -45,7 +45,7 @@ pub struct DdrController {
 impl DdrController {
     /// Controller with an unloaded `base_latency` and a per-contending-core
     /// `conflict_penalty` (both cycles).
-    pub fn new(base_latency: u64, conflict_penalty: u64) -> DdrController {
+    pub(crate) fn new(base_latency: u64, conflict_penalty: u64) -> DdrController {
         DdrController {
             base_latency,
             conflict_penalty,
@@ -57,7 +57,7 @@ impl DdrController {
 
     /// Issue one line-sized burst from `core` at node memory-access time
     /// `now`. `write` selects the burst direction.
-    pub fn access(&mut self, core: usize, write: bool, now: u64) -> DdrAccess {
+    pub(crate) fn access(&mut self, core: usize, write: bool, now: u64) -> DdrAccess {
         if write {
             self.writes += 1;
         } else {
@@ -76,23 +76,8 @@ impl DdrController {
         }
     }
 
-    /// Read bursts issued so far.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Write bursts issued so far.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Total bursts.
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes
-    }
-
     /// Serialize the controller's runtime state (checkpoint support).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
+    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
         bgp_arch::wire::put_u64(out, self.reads);
         bgp_arch::wire::put_u64(out, self.writes);
         for &t in &self.last_access {
@@ -104,7 +89,7 @@ impl DdrController {
     ///
     /// # Errors
     /// [`bgp_arch::BgpError::Corrupt`] on truncated input.
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         r: &mut bgp_arch::wire::Reader<'_>,
     ) -> bgp_arch::error::Result<()> {
@@ -127,7 +112,7 @@ mod tests {
             assert_eq!(a.conflicts, 0);
             assert_eq!(a.latency, 100);
         }
-        assert_eq!(c.reads(), 1000);
+        assert_eq!(c.reads, 1000);
     }
 
     #[test]
@@ -167,6 +152,6 @@ mod tests {
         c.access(0, false, 0);
         c.access(0, true, 1);
         c.access(0, true, 2);
-        assert_eq!((c.reads(), c.writes(), c.total()), (1, 2, 3));
+        assert_eq!((c.reads, c.writes), (1, 2));
     }
 }

@@ -8,20 +8,19 @@
 //! caches, and two DDR2 controllers with a queueing-contention model
 //! (the mechanism behind Figs. 12–13).
 //!
-//! The entry point is [`MemorySystem`]; the building blocks
-//! ([`cache::Cache`], [`prefetch::StreamPrefetcher`],
-//! [`ddr::DdrController`]) are public for unit benchmarking and ablation
-//! experiments.
+//! The entry point is [`MemorySystem`]; the cache and prefetcher
+//! building blocks ([`cache::Cache`], [`prefetch::StreamPrefetcher`])
+//! are public for unit benchmarking and ablation experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cache;
-pub mod ddr;
+mod ddr;
 pub mod hierarchy;
 pub mod prefetch;
 
-pub use cache::{Cache, Evicted, Hit};
-pub use ddr::{DdrAccess, DdrController};
+pub use cache::{Cache, Hit};
 pub use hierarchy::{HitLevel, MemAccess, MemStats, MemorySystem, Outcome};
-pub use prefetch::{PrefetchDecision, StreamPrefetcher};
+pub use prefetch::StreamPrefetcher;

@@ -45,7 +45,7 @@ pub struct StreamPrefetcher {
 
 impl StreamPrefetcher {
     /// Miss-history length used for stream detection.
-    pub const HISTORY: usize = 8;
+    pub(crate) const HISTORY: usize = 8;
 
     /// A prefetcher with `max_streams` engines running `depth` lines ahead.
     /// `depth == 0` disables prefetching entirely.
@@ -60,11 +60,6 @@ impl StreamPrefetcher {
         }
     }
 
-    /// Configured prefetch depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Feed one L2 **demand miss** at `line`; returns what to prefetch.
     pub fn on_miss(&mut self, line: u64) -> PrefetchDecision {
         let mut out = PrefetchDecision::default();
@@ -76,7 +71,7 @@ impl StreamPrefetcher {
     /// refills it in place, reusing its line buffer. The batch engine
     /// keeps one scratch decision per memory system so the miss path
     /// never heap-allocates.
-    pub fn on_miss_into(&mut self, line: u64, out: &mut PrefetchDecision) {
+    pub(crate) fn on_miss_into(&mut self, line: u64, out: &mut PrefetchDecision) {
         out.prefetch_lines.clear();
         out.allocated_stream = false;
         self.clock += 1;
@@ -133,16 +128,9 @@ impl StreamPrefetcher {
     }
 
     /// Feed a demand **hit** on a line the prefetcher may be tracking so
-    /// established streams keep running ahead of the demand stream.
-    pub fn on_hit(&mut self, line: u64) -> PrefetchDecision {
-        let mut out = PrefetchDecision::default();
-        self.on_hit_into(line, &mut out);
-        out
-    }
-
-    /// Allocation-free [`StreamPrefetcher::on_hit`]; see
-    /// [`StreamPrefetcher::on_miss_into`].
-    pub fn on_hit_into(&mut self, line: u64, out: &mut PrefetchDecision) {
+    /// established streams keep running ahead of the demand stream;
+    /// fills `out` in place like [`StreamPrefetcher::on_miss_into`].
+    pub(crate) fn on_hit_into(&mut self, line: u64, out: &mut PrefetchDecision) {
         out.prefetch_lines.clear();
         out.allocated_stream = false;
         self.clock += 1;
@@ -159,11 +147,6 @@ impl StreamPrefetcher {
                 s.prefetched_to += 1;
             }
         }
-    }
-
-    /// Number of active stream engines.
-    pub fn active_streams(&self) -> usize {
-        self.streams.len()
     }
 
     /// Serialize the prefetcher's runtime state (checkpoint support):
@@ -224,6 +207,12 @@ impl StreamPrefetcher {
 mod tests {
     use super::*;
 
+    fn hit(p: &mut StreamPrefetcher, line: u64) -> PrefetchDecision {
+        let mut out = PrefetchDecision::default();
+        p.on_hit_into(line, &mut out);
+        out
+    }
+
     #[test]
     fn two_sequential_misses_allocate_a_stream() {
         let mut p = StreamPrefetcher::new(4, 2);
@@ -231,7 +220,7 @@ mod tests {
         let d = p.on_miss(101);
         assert!(d.allocated_stream);
         assert_eq!(d.prefetch_lines, vec![102, 103]);
-        assert_eq!(p.active_streams(), 1);
+        assert_eq!(p.streams.len(), 1);
     }
 
     #[test]
@@ -239,9 +228,9 @@ mod tests {
         let mut p = StreamPrefetcher::new(4, 2);
         p.on_miss(10);
         p.on_miss(11); // stream expects 12, prefetched to 14
-        let d = p.on_hit(12);
+        let d = hit(&mut p, 12);
         assert_eq!(d.prefetch_lines, vec![14]);
-        let d = p.on_hit(13);
+        let d = hit(&mut p, 13);
         assert_eq!(d.prefetch_lines, vec![15]);
     }
 
@@ -252,7 +241,7 @@ mod tests {
             let d = p.on_miss(line);
             assert!(d.prefetch_lines.is_empty(), "line {line}");
         }
-        assert_eq!(p.active_streams(), 0);
+        assert_eq!(p.streams.len(), 0);
     }
 
     #[test]
@@ -271,12 +260,12 @@ mod tests {
             p.on_miss(base);
             assert!(p.on_miss(base + 1).allocated_stream);
         }
-        assert_eq!(p.active_streams(), 2);
+        assert_eq!(p.streams.len(), 2);
         // The first (oldest) stream is gone: a hit at its expectation
         // prefetches nothing.
-        assert!(p.on_hit(102).prefetch_lines.is_empty());
+        assert!(hit(&mut p, 102).prefetch_lines.is_empty());
         // The newest stream still runs.
-        assert!(!p.on_hit(302).prefetch_lines.is_empty());
+        assert!(!hit(&mut p, 302).prefetch_lines.is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 /// Raw message payload. The runtime moves bytes; the typed views below
 /// convert `f64`/`u64` slices without an external serializer.
-pub type Payload = Vec<u8>;
+pub(crate) type Payload = Vec<u8>;
 
 /// Encode a `f64` slice little-endian.
 pub fn f64s_to_bytes(v: &[f64]) -> Payload {
@@ -48,7 +48,7 @@ pub fn bytes_to_u64s(b: &[u8]) -> Vec<u64> {
 
 /// One in-flight point-to-point message.
 #[derive(Clone, Debug)]
-pub struct Message {
+pub(crate) struct Message {
     /// Sending rank.
     pub src: usize,
     /// Application tag.
@@ -112,7 +112,7 @@ fn combine_words(a: &mut [u8], b: &[u8], elem: &str, f: impl Fn(u64, u64) -> u64
 
 /// Kind of collective in flight (SPMD programs must agree).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CollKind {
+pub(crate) enum CollKind {
     /// Barrier (no data).
     Barrier,
     /// Broadcast from a root.
@@ -140,7 +140,7 @@ pub enum CollKind {
 /// rank entering collective *k+1* never tramples results of *k* that
 /// peers have not read yet.
 #[derive(Debug, Default)]
-pub struct CollSlot {
+pub(crate) struct CollSlot {
     /// Kind of the collective currently using the slot.
     pub kind: Option<CollKind>,
     /// Ranks arrived so far.
@@ -163,7 +163,7 @@ pub struct CollSlot {
 
 impl CollSlot {
     /// Reset for a fresh collective over `n` ranks.
-    pub fn begin(&mut self, n: usize, kind: CollKind) {
+    pub(crate) fn begin(&mut self, n: usize, kind: CollKind) {
         assert!(
             self.kind.is_none(),
             "collective slot reuse before all ranks consumed the previous result"
@@ -180,7 +180,7 @@ impl CollSlot {
     }
 
     /// Mark one consumption; frees the slot when everyone has read.
-    pub fn consume(&mut self, n: usize) {
+    pub(crate) fn consume(&mut self, n: usize) {
         self.consumed += 1;
         if self.consumed == n {
             self.kind = None;

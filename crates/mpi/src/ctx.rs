@@ -18,7 +18,7 @@
 //! MPI call is a scheduling point; each such point is an **explicit
 //! suspension** (`.await`) where the rank's compiler-generated state
 //! machine hands its continuation back to the worker pool (see
-//! [`crate::sched`]). Ranks of one node thereby interleave finely enough
+//! `crate::sched`). Ranks of one node thereby interleave finely enough
 //! to contend for the shared L3 and DDR ports — while ranks on
 //! *different* nodes run concurrently between phase boundaries.
 //!
@@ -294,11 +294,6 @@ impl RankCtx {
         }
     }
 
-    /// Node-local process slot.
-    pub fn process(&self) -> usize {
-        self.place.process
-    }
-
     /// This rank's core clock (cycles).
     pub fn cycles(&self) -> u64 {
         if self.replay {
@@ -309,11 +304,6 @@ impl RankCtx {
         self.flush_pending();
         let core = self.core();
         self.with_node(|n| n.timebase(core))
-    }
-
-    /// The build's instruction-selection engine (read-only).
-    pub fn codegen(&self) -> &CodeGen {
-        &self.cg
     }
 
     /// Charge raw cycles to this rank's core (runtime-library overheads —
@@ -519,7 +509,7 @@ impl RankCtx {
 
     /// Yield the turn now (MPI boundary): suspend so same-node peers
     /// can run, staying in the current phase's frontier.
-    pub async fn yield_now(&mut self) {
+    pub(crate) async fn yield_now(&mut self) {
         self.flush_pending();
         // Straggler injection: a sick node pays extra latency at every
         // messaging boundary — OS noise, a flaky DIMM retraining, a

@@ -6,10 +6,10 @@
 //!
 //! * [`machine::Machine`] — a partition of [`bgp_node::Node`]s plus the
 //!   torus/collective/barrier networks,
-//! * [`machine::JobSpec`] / [`machine::place`] — rank placement per
+//! * [`machine::JobSpec`] / `machine::place` — rank placement per
 //!   operating mode (VNM packs 4 ranks per node, SMP/1 gives each rank a
 //!   whole node, …),
-//! * [`sched::PhaseEngine`] — the deterministic *parallel* scheduler:
+//! * `sched::PhaseEngine` — the deterministic *parallel* scheduler:
 //!   every rank is a resumable `async` state machine multiplexed over a
 //!   fixed worker pool (no per-rank OS thread, so 294,912-rank jobs
 //!   fit); ranks on different nodes run concurrently between MPI
@@ -19,26 +19,24 @@
 //! * [`ctx::RankCtx`] — the API kernels program against: simulated
 //!   arrays, compiled arithmetic, sends/receives, collectives; each
 //!   blocking point is an explicit `.await` suspension,
-//! * [`comm`] — payload codecs, reduce operators, rendezvous slots.
+//! * `comm` — payload codecs, reduce operators, rendezvous slots.
 //!
 //! Determinism contract: the same [`machine::JobSpec`] and kernel produce
 //! bit-identical counter values on every run (tested in `tests/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod comm;
+mod comm;
 pub mod ctx;
 pub mod machine;
-pub mod mux;
-pub mod sched;
-pub mod simvec;
+mod mux;
+mod sched;
+mod simvec;
 
-pub use comm::{bytes_to_f64s, bytes_to_u64s, f64s_to_bytes, u64s_to_bytes, Payload, ReduceOp};
+pub use comm::{bytes_to_f64s, bytes_to_u64s, f64s_to_bytes, u64s_to_bytes, ReduceOp};
 pub use ctx::{RankCtx, SemOp};
-pub use machine::{
-    place, AppState, CheckpointConfig, CounterPolicy, JobSpec, Machine, MpiCosts, Placement,
-    SnapshotStats,
-};
+pub use machine::{AppState, CheckpointConfig, CounterPolicy, JobSpec, Machine, SnapshotStats};
 pub use mux::{MuxMark, MuxSummary};
 pub use simvec::{SimElem, SimVec};

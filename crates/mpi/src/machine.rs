@@ -84,15 +84,6 @@ pub enum CounterPolicy {
 }
 
 impl CounterPolicy {
-    /// The default adaptive-multiplexing policy: start in mode 0,
-    /// dwell 8 phases per mode at baseline.
-    pub fn multiplexed() -> CounterPolicy {
-        CounterPolicy::Multiplexed {
-            first: CounterMode::Mode0,
-            base_dwell: 8,
-        }
-    }
-
     /// Mode assigned to `node` at job start.
     pub fn mode_for(&self, node: NodeId) -> CounterMode {
         match *self {
@@ -304,7 +295,7 @@ impl JobSpec {
         self.ranks.div_ceil(self.mode.processes_per_node())
     }
 
-    /// Number of ranks node `node` hosts under [`place`]'s block
+    /// Number of ranks node `node` hosts under `place`'s block
     /// placement: a full node's processes per node, or what is left on
     /// the last node.
     ///
@@ -323,7 +314,7 @@ impl JobSpec {
     /// The effective worker cap: `sim_threads`, else the
     /// `BGP_SIM_THREADS` environment variable, else the host's available
     /// parallelism (min 1).
-    pub fn resolved_sim_threads(&self) -> usize {
+    pub(crate) fn resolved_sim_threads(&self) -> usize {
         if let Some(t) = self.sim_threads {
             return t.max(1);
         }
@@ -338,7 +329,7 @@ impl JobSpec {
 
 /// Where one rank lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Placement {
+pub(crate) struct Placement {
     /// Hosting node.
     pub node: NodeId,
     /// Node-local process slot.
@@ -349,7 +340,7 @@ pub struct Placement {
 
 /// Block placement: ranks fill a node's process slots before moving to
 /// the next node (the CNK default XYZT-order mapping).
-pub fn place(spec: &JobSpec, rank: usize) -> Placement {
+pub(crate) fn place(spec: &JobSpec, rank: usize) -> Placement {
     assert!(rank < spec.ranks);
     let ppn = spec.mode.processes_per_node();
     let process = rank % ppn;
@@ -677,7 +668,7 @@ impl Machine {
     }
 
     /// Whether the machine is still replaying toward a resume point.
-    pub fn replaying(&self) -> bool {
+    pub(crate) fn replaying(&self) -> bool {
         self.resume_phase.load(Ordering::Acquire) != u64::MAX
     }
 
@@ -731,7 +722,7 @@ impl Machine {
     }
 
     /// Add the counts since `start` (a [`Machine::mux_mark`] of `node`)
-    /// to the accumulated `window` (see [`MuxState::close_window`]).
+    /// to the accumulated `window` (see `MuxState::close_window`).
     /// Takes only `node`'s own locks.
     pub fn mux_close_window(&self, node: usize, start: &MuxMark, window: &mut MuxMark) {
         let n = self.nodes[node].lock();
@@ -1102,7 +1093,8 @@ impl Machine {
             if let Some(suffix) = name.strip_prefix("app:") {
                 assert!(
                     hooks.iter().any(|h| h.name() == suffix),
-                    "snapshot section {name:?} has no registered app-state                      hook; register it before resuming"
+                    "snapshot section {name:?} has no registered app-state hook; \
+                     register it before resuming"
                 );
             }
         }
@@ -1149,7 +1141,7 @@ impl Machine {
     /// A rank is **not** an OS thread: `kernel` maps each rank's owned
     /// [`RankCtx`] to an `async` state machine — a compact,
     /// compiler-generated continuation — and a fixed pool of
-    /// [`JobSpec::resolved_sim_threads`] workers multiplexes all of
+    /// `JobSpec::resolved_sim_threads` workers multiplexes all of
     /// them, so a 294,912-rank job costs per-rank kilobytes, not
     /// stacks. Up to one worker per node executes concurrently between
     /// synchronization points, with cross-node effects merged

@@ -55,14 +55,14 @@ use std::sync::MutexGuard;
 /// mode 0, slot 2 is the L3-miss-bank-0 counter in mode 2, …): the
 /// scheduler only cares that *some* fast-moving counter crosses its
 /// threshold, which reads as "this event set is hot, dwell longer".
-pub const SENTINEL_SLOTS: [u8; 4] = [2, 8, 20, 140];
+pub(crate) const SENTINEL_SLOTS: [u8; 4] = [2, 8, 20, 140];
 
 /// Floor for re-armed sentinel thresholds: below this a threshold would
 /// fire on noise every phase and the dwell extension would saturate.
-pub const SENTINEL_MIN_THRESHOLD: u64 = 1024;
+pub(crate) const SENTINEL_MIN_THRESHOLD: u64 = 1024;
 
 /// Dwell-extension ceiling, as a multiple of the base dwell.
-pub const MAX_DWELL_FACTOR: u64 = 8;
+pub(crate) const MAX_DWELL_FACTOR: u64 = 8;
 
 /// Rotation state of a node on a rotating schedule.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -109,7 +109,7 @@ struct Rotation {
 /// A threshold interrupt drained from a node at a phase boundary
 /// (surfaced to the trace as `EventKind::ThresholdInterrupt`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DrainedInterrupt {
+pub(crate) struct DrainedInterrupt {
     /// Counter slot that crossed its threshold.
     pub slot: u8,
     /// Counter value when it fired.
@@ -120,7 +120,7 @@ pub struct DrainedInterrupt {
 
 /// What one node did at one phase boundary (for trace emission).
 #[derive(Clone, Debug, Default)]
-pub struct MuxPhaseOutcome {
+pub(crate) struct MuxPhaseOutcome {
     /// Interrupts drained this phase, in slot-ascending raise order.
     pub interrupts: Vec<DrainedInterrupt>,
     /// `Some((from, to, dwell))` if the node rotated, with the dwell
@@ -131,7 +131,7 @@ pub struct MuxPhaseOutcome {
 /// A point-in-time reading of a node's schedule totals, taken by the
 /// counter library at session start so a window's counts are the
 /// difference between it and the schedule at stop (continuous across
-/// rotations, see [`MuxState::close_window`]). The same shape
+/// rotations, see `MuxState::close_window`). The same shape
 /// accumulates closed windows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MuxMark {
@@ -225,7 +225,7 @@ pub struct MuxSummary {
 /// not held here either: it is [`CounterPolicy::mode_for`] of the job's
 /// policy.
 #[derive(Debug)]
-pub struct MuxState {
+pub(crate) struct MuxState {
     /// Baseline dwell of the rotating schedules; 0 when none rotates.
     /// Every node rotates or none does.
     base_dwell: u64,
@@ -250,7 +250,7 @@ impl MuxState {
     /// Decorrelating the schedule from the program's phase structure
     /// this way makes reconstruction error average out in cross-node
     /// sums instead of compounding.
-    pub fn new(n_nodes: usize, policy: &CounterPolicy) -> MuxState {
+    pub(crate) fn new(n_nodes: usize, policy: &CounterPolicy) -> MuxState {
         let base_dwell = match *policy {
             CounterPolicy::Multiplexed { base_dwell, .. } => u64::from(base_dwell).max(1),
             _ => 0,
@@ -309,7 +309,7 @@ impl MuxState {
     /// read while the machine is quiescent) and return the cycles
     /// elapsed since the previous boundary. Call once per phase, before
     /// the per-node [`MuxState::step_node`] sweep.
-    pub fn advance_clock(&self, now: u64) -> u64 {
+    pub(crate) fn advance_clock(&self, now: u64) -> u64 {
         now.saturating_sub(self.last_cycle.swap(now, Ordering::Relaxed))
     }
 
@@ -317,7 +317,12 @@ impl MuxState {
     /// advance the phase detector, and rotate if the dwell is up or the
     /// derivative collapsed. A one-mode schedule does nothing. Must be
     /// called with the machine quiescent, in canonical node order.
-    pub fn step_node(&self, node: usize, upc: &mut Upc, cycle_delta: u64) -> MuxPhaseOutcome {
+    pub(crate) fn step_node(
+        &self,
+        node: usize,
+        upc: &mut Upc,
+        cycle_delta: u64,
+    ) -> MuxPhaseOutcome {
         let base = self.base_dwell;
         let mut out = MuxPhaseOutcome::default();
         let Some(mut guard) = self.rotation(node) else {
@@ -424,7 +429,7 @@ impl MuxState {
     /// exact per-mode cycle spans even when windows open or close
     /// mid-phase. Without it the closing partial phase's counts would
     /// enter the window with no weight, biasing reconstruction.
-    pub fn mark(&self, node: usize, upc: &Upc, node_clock: u64) -> MuxMark {
+    pub(crate) fn mark(&self, node: usize, upc: &Upc, node_clock: u64) -> MuxMark {
         let live = upc.snapshot();
         let st = self.rotation(node);
         let rot = st.as_deref();
@@ -447,7 +452,7 @@ impl MuxState {
     /// now into `window`, with no closing mark: counts wrap like the
     /// counters themselves, occupancy saturates. An empty `window` takes
     /// the schedule's shape. `upc` and `node_clock` are as for `mark`.
-    pub fn close_window(
+    pub(crate) fn close_window(
         &self,
         node: usize,
         upc: &Upc,
@@ -493,7 +498,7 @@ impl MuxState {
 
     /// Aggregate schedule summary over all nodes, or `None` when no
     /// schedule rotates.
-    pub fn summary(&self) -> Option<MuxSummary> {
+    pub(crate) fn summary(&self) -> Option<MuxSummary> {
         if !self.rotates() {
             return None;
         }
@@ -516,7 +521,7 @@ impl MuxState {
     }
 
     /// Serialize the complete state (checkpoint section `"mux"`).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
+    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
         put_u64(out, self.base_dwell);
         put_u64(out, self.last_cycle.load(Ordering::Relaxed));
         put_u64(out, self.nodes.len() as u64);
@@ -546,7 +551,7 @@ impl MuxState {
     /// Restore state saved by [`MuxState::save_state`]. Fails closed on
     /// any shape mismatch, including a base dwell or a count of rotating
     /// schedules other than this machine's; on error `self` is unchanged.
-    pub fn restore_state(&self, r: &mut Reader<'_>) -> Result<()> {
+    pub(crate) fn restore_state(&self, r: &mut Reader<'_>) -> Result<()> {
         let base_dwell = r.u64("mux base dwell")?;
         let last_cycle = r.u64("mux last cycle")?;
         let n = r.u64("mux rotating schedule count")?;

@@ -54,7 +54,7 @@ use std::task::{Context, Poll};
 
 /// Why a parked rank is waiting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Wait {
+pub(crate) enum Wait {
     /// Blocked in a receive for a message with `tag` from `src`
     /// (`None` = any source).
     Recv {
@@ -179,19 +179,19 @@ pub(crate) struct NodeView {
 
 impl NodeView {
     /// The rank holding the turn.
-    pub fn current(&self) -> usize {
+    pub(crate) fn current(&self) -> usize {
         self.first + self.cursor
     }
 
     /// Local index `local` left the frontier this phase.
-    pub fn unready(&mut self, local: usize) {
+    pub(crate) fn unready(&mut self, local: usize) {
         self.ready &= !(1 << local);
     }
 
     /// Rotate the turn to the next ready rank after the cursor
     /// (wrapping — a sole ready rank keeps the turn). Returns `false`
     /// if no rank of the node is ready.
-    pub fn rotate(&mut self) -> bool {
+    pub(crate) fn rotate(&mut self) -> bool {
         let n = self.count;
         for off in 1..=n {
             let pos = (self.cursor + off) % n;
@@ -311,10 +311,10 @@ impl Engine {
 /// it returns is appended to the deadlock panic message — the machine
 /// installs one that dumps the tail of the scheduler trace and writes a
 /// sidecar report (see `Machine::new`).
-pub type DeadlockReporter = Box<dyn Fn(&[(usize, Wait)]) -> String + Send + Sync>;
+pub(crate) type DeadlockReporter = Box<dyn Fn(&[(usize, Wait)]) -> String + Send + Sync>;
 
 /// The shared phase scheduler. One per [`crate::Machine`].
-pub struct PhaseEngine {
+pub(crate) struct PhaseEngine {
     m: Mutex<Engine>,
     /// Workers block here between claims. New claims only appear at
     /// phase commits (and on abort/completion), so a single condvar
@@ -336,7 +336,7 @@ impl PhaseEngine {
     ///
     /// # Panics
     /// Panics unless there is a rank and a node hosts at most 64.
-    pub fn new(n_ranks: usize, ranks_per_node: usize, workers: usize) -> PhaseEngine {
+    pub(crate) fn new(n_ranks: usize, ranks_per_node: usize, workers: usize) -> PhaseEngine {
         assert!(n_ranks > 0);
         assert!(
             (1..=MAX_NODE_RANKS).contains(&ranks_per_node),
@@ -364,22 +364,22 @@ impl PhaseEngine {
     }
 
     /// Install the deadlock forensics hook (replaces any previous one).
-    pub fn set_deadlock_reporter(&self, reporter: DeadlockReporter) {
+    pub(crate) fn set_deadlock_reporter(&self, reporter: DeadlockReporter) {
         *self.reporter.lock() = Some(reporter);
     }
 
     /// Size of the worker pool this engine was built for.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 
     /// Completed phases so far (for diagnostics and tests).
-    pub fn phases(&self) -> u64 {
+    pub(crate) fn phases(&self) -> u64 {
         self.m.lock().phase
     }
 
     /// Lock-free abort check for hot paths.
-    pub fn is_aborted(&self) -> bool {
+    pub(crate) fn is_aborted(&self) -> bool {
         self.aborted.load(Ordering::Acquire)
     }
 
@@ -387,7 +387,7 @@ impl PhaseEngine {
     /// instead of waiting forever. Called when a rank future panics (or
     /// by an external watchdog) so the whole job fails loudly rather
     /// than hanging.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         let mut s = self.m.lock();
         s.aborted = true;
         self.aborted.store(true, Ordering::Release);
@@ -450,14 +450,6 @@ impl PhaseEngine {
         }
     }
 
-    /// Snapshot of every parked rank and its wait (valid only while the
-    /// frontier is empty, i.e. inside phase resolution).
-    pub fn parked(&self) -> Vec<(usize, Wait)> {
-        let mut out = Vec::new();
-        self.for_each_parked(|r, w| out.push((r, w)));
-        out
-    }
-
     /// Call `f` on every parked rank and its wait, in rank order, under
     /// the engine lock (resolution-time call, like [`PhaseEngine::parked`],
     /// but without collecting them).
@@ -475,7 +467,7 @@ impl PhaseEngine {
     /// # Panics
     /// Panics with a per-rank diagnostic if `wake` is empty while
     /// unfinished ranks remain — the job has deadlocked.
-    pub fn commit_phase(&self, wake: &[usize]) {
+    pub(crate) fn commit_phase(&self, wake: &[usize]) {
         let mut s = self.m.lock();
         debug_assert_eq!(s.runnable, 0, "commit_phase() is a resolution-time call");
         s.phase += 1;
@@ -665,7 +657,9 @@ mod tests {
             LeaveOutcome::Resolve,
             "last parker resolves"
         );
-        assert_eq!(eng.parked().len(), 2, "both ranks parked at resolution");
+        let mut parked = 0;
+        eng.for_each_parked(|_, _| parked += 1);
+        assert_eq!(parked, 2, "both ranks parked at resolution");
         eng.commit_phase(&[0, 1]);
         // The resolver released node 1 with the rest: both nodes
         // re-entered the claimable set at commit and are claimed from

@@ -48,11 +48,6 @@ impl<T: SimElem> SimVec<T> {
         SimVec { data, base }
     }
 
-    /// Process-virtual base address.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
     /// Virtual address of element `i`.
     #[inline]
     pub fn addr(&self, i: usize) -> u64 {

@@ -5,7 +5,7 @@
 
 use bgp_faults::{FaultPlan, FaultSpec};
 use bgp_mpi::machine::CheckpointConfig;
-use bgp_mpi::{JobSpec, Machine, RankCtx, SemOp};
+use bgp_mpi::{AppState, JobSpec, Machine, RankCtx, SemOp};
 use bgp_snapshot::SnapshotStore;
 use bgp_trace::TraceConfig;
 use std::sync::Arc;
@@ -414,4 +414,63 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).expect("create temp dir");
     d
+}
+
+/// A toy application layer: one counter, saved as 8 bytes.
+struct Tally(std::sync::Mutex<u64>);
+
+impl AppState for Tally {
+    fn name(&self) -> &'static str {
+        "tally"
+    }
+    fn save(&self) -> Vec<u8> {
+        self.0.lock().unwrap().to_le_bytes().to_vec()
+    }
+    fn restore(&self, bytes: &[u8]) -> bgp_arch::error::Result<()> {
+        let b: [u8; 8] = bytes
+            .try_into()
+            .map_err(|_| bgp_arch::BgpError::corrupt("tally is 8 bytes"))?;
+        *self.0.lock().unwrap() = u64::from_le_bytes(b);
+        Ok(())
+    }
+}
+
+/// A snapshot holding an `app:` section fails closed on a machine with
+/// no hook registered under that name: the resumed run panics at
+/// go-live, naming the section, instead of resuming with the library's
+/// default state.
+#[test]
+fn resume_into_an_unregistered_app_section_panics_naming_it() {
+    let dir = tempdir("resume-unregistered-app");
+    {
+        let m = Machine::new(spec(Some(&dir), false));
+        m.register_app_state("tally", || Arc::new(Tally(std::sync::Mutex::new(7))));
+        m.run(kernel);
+    }
+    let s = spec(Some(&dir), false);
+    let fp = s.fingerprint();
+    let snap = SnapshotStore::new(&dir, 3)
+        .load_latest_valid(fp)
+        .expect("store readable")
+        .snapshot
+        .expect("a valid snapshot exists")
+        .0;
+    assert!(snap.section_names().any(|n| n == "app:tally"));
+    let m = Machine::new(s);
+    m.resume(snap).expect("snapshot accepted");
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run(kernel)))
+        .expect_err("resuming into an unregistered app section must fail");
+    let msg = err
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(
+        msg.contains(
+            "snapshot section \"app:tally\" has no registered app-state hook; \
+             register it before resuming"
+        ),
+        "{msg}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,10 +13,10 @@ use bgp_arch::rng::SimRng;
 use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 
 /// Unknowns per grid point.
-pub const NB: usize = 3;
+pub(crate) const NB: usize = 3;
 
 /// Per-rank grid (nx, ny, local nz).
-pub fn dims(class: Class) -> (usize, usize, usize) {
+pub(crate) fn dims(class: Class) -> (usize, usize, usize) {
     match class {
         Class::S => (6, 6, 4),
         Class::W => (12, 12, 6),
@@ -400,7 +400,7 @@ async fn solve_z(ctx: &mut RankCtx, b: &mut Block, el: &BlockElim) {
 }
 
 /// Run BT on this rank.
-pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
+pub(crate) async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let (nx, ny, nz) = dims(class);
     let size = ctx.size();
     let n = nx * ny * nz * NB;

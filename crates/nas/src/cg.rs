@@ -15,7 +15,7 @@ use crate::common::{axpy, dot, Class, Kernel, KernelResult};
 use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 
 /// Matrix rows owned per rank.
-pub fn rows_per_rank(class: Class) -> usize {
+pub(crate) fn rows_per_rank(class: Class) -> usize {
     match class {
         Class::S => 512,
         Class::W => 2048,
@@ -24,7 +24,7 @@ pub fn rows_per_rank(class: Class) -> usize {
 }
 
 /// CG iterations.
-pub fn iterations(class: Class) -> usize {
+pub(crate) fn iterations(class: Class) -> usize {
     match class {
         Class::S => 6,
         Class::W => 10,
@@ -41,7 +41,7 @@ const E: f64 = -0.125;
 const D: f64 = 2.0 * (1.0 + 0.5 + 0.25) + 0.125 + 1.0;
 
 /// Nonzeros per row: diagonal + 2×band + antipodal.
-pub const NNZ: usize = 1 + 2 * BAND + 1;
+pub(crate) const NNZ: usize = 1 + 2 * BAND + 1;
 
 struct Partition {
     rank: usize,
@@ -168,7 +168,7 @@ async fn spmv(
 }
 
 /// Run CG on this rank.
-pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
+pub(crate) async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let rows = rows_per_rank(class);
     let part = Partition {
         rank: ctx.rank(),

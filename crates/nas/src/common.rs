@@ -102,14 +102,14 @@ impl Kernel {
     }
 
     /// Largest legal rank count ≤ `n`.
-    pub fn ranks_at_most(self, n: usize) -> usize {
+    pub(crate) fn ranks_at_most(self, n: usize) -> usize {
         (1..=n).rev().find(|&r| self.valid_ranks(r)).unwrap_or(1)
     }
 
     /// Hard upper bound on ranks for a class, where one exists. FT's slab
     /// decomposition needs `ranks ≤ NX` (every rank must own at least one
     /// x-plane after the transpose).
-    pub fn max_ranks(self, class: Class) -> Option<usize> {
+    pub(crate) fn max_ranks(self, class: Class) -> Option<usize> {
         match self {
             Kernel::Ft => Some(crate::ft::dims(class).0),
             _ => None,
@@ -146,7 +146,7 @@ pub struct KernelResult {
 /// `vectorizable` declares whether the loop's data parallelism is visible
 /// to the compiler (unit stride, no aliasing) — SIMD-ization then depends
 /// on the build's flags.
-pub async fn axpy(
+pub(crate) async fn axpy(
     ctx: &mut RankCtx,
     a: f64,
     x: &SimVec<f64>,
@@ -174,7 +174,7 @@ pub async fn axpy(
 }
 
 /// Compiled dot product over `n` elements.
-pub async fn dot(
+pub(crate) async fn dot(
     ctx: &mut RankCtx,
     x: &SimVec<f64>,
     y: &SimVec<f64>,
@@ -200,48 +200,6 @@ pub async fn dot(
     }
     ctx.overhead(n as u64);
     acc
-}
-
-/// Compiled `y[i] = x[i]` over `n` elements (quadword copies when the
-/// build SIMD-izes).
-pub async fn copy(ctx: &mut RankCtx, x: &SimVec<f64>, y: &mut SimVec<f64>, n: usize) {
-    let mut i = 0;
-    while i + 1 < n {
-        let plan = ctx.plan_pair(true);
-        let (x0, x1) = ctx.ld2(x, i, plan).await;
-        ctx.st2(y, i, (x0, x1), plan).await;
-        i += 2;
-    }
-    if i < n {
-        let xv = ctx.ld(x, i).await;
-        ctx.st(y, i, xv).await;
-    }
-    ctx.overhead(n as u64);
-}
-
-/// Compiled `y[i] = a * x[i]` over `n` elements.
-pub async fn scale(
-    ctx: &mut RankCtx,
-    a: f64,
-    x: &SimVec<f64>,
-    y: &mut SimVec<f64>,
-    n: usize,
-    vectorizable: bool,
-) {
-    let mut i = 0;
-    while i + 1 < n {
-        let plan = ctx.plan_pair(vectorizable);
-        let (x0, x1) = ctx.ld2(x, i, plan).await;
-        ctx.fp_pair(plan, SemOp::Mul);
-        ctx.st2(y, i, (a * x0, a * x1), plan).await;
-        i += 2;
-    }
-    if i < n {
-        let xv = ctx.ld(x, i).await;
-        ctx.fp1(SemOp::Mul);
-        ctx.st(y, i, a * xv).await;
-    }
-    ctx.overhead(n as u64);
 }
 
 #[cfg(test)]

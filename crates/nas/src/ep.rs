@@ -10,7 +10,7 @@ use bgp_arch::rng::SimRng;
 use bgp_mpi::{RankCtx, ReduceOp, SemOp};
 
 /// Gaussian pairs attempted per rank.
-pub fn samples_per_rank(class: Class) -> usize {
+pub(crate) fn samples_per_rank(class: Class) -> usize {
     match class {
         Class::S => 1 << 13,
         Class::W => 1 << 15,
@@ -50,7 +50,7 @@ fn oracle(rank: usize, n: usize) -> (f64, f64, [u64; ANNULI], u64) {
 }
 
 /// Run EP on this rank.
-pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
+pub(crate) async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let n = samples_per_rank(class);
     let mut rng = SimRng::seed_from_u64(seed(ctx.rank()));
     let mut q = ctx.alloc::<u64>(ANNULI);

@@ -11,7 +11,7 @@ use bgp_arch::rng::SimRng;
 use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 
 /// (NX = NY, local z planes) per class. The global NZ is `lz × ranks`.
-pub fn dims(class: Class) -> (usize, usize) {
+pub(crate) fn dims(class: Class) -> (usize, usize) {
     match class {
         Class::S => (16, 4),
         Class::W => (32, 8),
@@ -234,7 +234,7 @@ async fn transpose(
 }
 
 /// Run FT on this rank.
-pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
+pub(crate) async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let (n, lz) = dims(class);
     let p = ctx.size();
     assert!(

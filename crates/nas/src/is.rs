@@ -11,7 +11,7 @@ use bgp_arch::rng::SimRng;
 use bgp_mpi::{bytes_to_u64s, u64s_to_bytes, RankCtx, ReduceOp, SemOp};
 
 /// Keys generated per rank.
-pub fn keys_per_rank(class: Class) -> usize {
+pub(crate) fn keys_per_rank(class: Class) -> usize {
     match class {
         Class::S => 1 << 13,
         Class::W => 1 << 15,
@@ -20,13 +20,13 @@ pub fn keys_per_rank(class: Class) -> usize {
 }
 
 /// Key space: keys are drawn from `[0, 2^KEY_BITS)`.
-pub const KEY_BITS: u32 = 19;
+pub(crate) const KEY_BITS: u32 = 19;
 /// Coarse buckets used for redistribution.
-pub const BUCKETS: usize = 1 << 10;
+pub(crate) const BUCKETS: usize = 1 << 10;
 
 /// Run IS on this rank. Returns the number of keys this rank holds after
 /// the sort in `checksum`.
-pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
+pub(crate) async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let n = keys_per_rank(class);
     let size = ctx.size();
     let rank = ctx.rank();

@@ -9,22 +9,23 @@
 //! the UPC unit collects are therefore causally faithful to the codes
 //! the paper measured.
 //!
-//! Problem classes are scaled (see [`common`]) so that cycle-level
+//! Problem classes are scaled (see `common`) so that cycle-level
 //! simulation stays tractable while per-node footprints keep the
 //! paper-relative proportions that drive the L3 and mode experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod bt;
-pub mod cg;
-pub mod common;
-pub mod ep;
-pub mod ft;
-pub mod is;
-pub mod lu;
-pub mod mg;
-pub mod sp;
+mod bt;
+mod cg;
+mod common;
+mod ep;
+mod ft;
+mod is;
+mod lu;
+mod mg;
+mod sp;
 
 pub use common::{Class, Kernel, KernelResult};
 

@@ -11,7 +11,7 @@ use bgp_arch::rng::SimRng;
 use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 
 /// Per-rank grid (nx, ny, local nz).
-pub fn dims(class: Class) -> (usize, usize, usize) {
+pub(crate) fn dims(class: Class) -> (usize, usize, usize) {
     match class {
         Class::S => (12, 12, 6),
         Class::W => (24, 24, 8),
@@ -20,7 +20,7 @@ pub fn dims(class: Class) -> (usize, usize, usize) {
 }
 
 /// SSOR iterations (one forward + one backward sweep each).
-pub fn iterations(class: Class) -> usize {
+pub(crate) fn iterations(class: Class) -> usize {
     match class {
         Class::S => 3,
         Class::W => 4,
@@ -195,7 +195,7 @@ async fn residual(ctx: &mut RankCtx, b: &mut Block) -> f64 {
 }
 
 /// Run LU on this rank.
-pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
+pub(crate) async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let (nx, ny, nz) = dims(class);
     let n = nx * ny * (nz + 2);
     let mut b = Block {

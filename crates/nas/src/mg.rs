@@ -10,7 +10,7 @@ use bgp_arch::rng::SimRng;
 use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 
 /// Per-rank finest-grid dimensions (nx, ny, local nz).
-pub fn dims(class: Class) -> (usize, usize, usize) {
+pub(crate) fn dims(class: Class) -> (usize, usize, usize) {
     match class {
         Class::S => (16, 16, 8),
         Class::W => (32, 32, 8),
@@ -19,7 +19,7 @@ pub fn dims(class: Class) -> (usize, usize, usize) {
 }
 
 /// V-cycles executed.
-pub fn cycles(class: Class) -> usize {
+pub(crate) fn cycles(class: Class) -> usize {
     match class {
         Class::S => 2,
         Class::W => 3,
@@ -336,7 +336,7 @@ async fn zero_field(ctx: &mut RankCtx, lv: &mut Level) {
 }
 
 /// Run MG on this rank.
-pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
+pub(crate) async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let (nx, ny, nz) = dims(class);
     // Build the level hierarchy: halve every dimension until too coarse.
     let mut levels = Vec::new();

@@ -15,7 +15,7 @@ use bgp_arch::rng::SimRng;
 use bgp_mpi::{bytes_to_f64s, f64s_to_bytes, RankCtx, SemOp, SimVec};
 
 /// Per-rank grid (nx, ny, local nz).
-pub fn dims(class: Class) -> (usize, usize, usize) {
+pub(crate) fn dims(class: Class) -> (usize, usize, usize) {
     match class {
         Class::S => (8, 8, 4),
         Class::W => (16, 16, 8),
@@ -25,11 +25,11 @@ pub fn dims(class: Class) -> (usize, usize, usize) {
 
 /// Band coefficients of each factor: (diagonal, ±1, ±2). Strictly
 /// diagonally dominant.
-pub const D0: f64 = 3.0;
+pub(crate) const D0: f64 = 3.0;
 /// First off-diagonal coefficient.
-pub const C1: f64 = -0.5;
+pub(crate) const C1: f64 = -0.5;
 /// Second off-diagonal coefficient.
-pub const C2: f64 = -0.125;
+pub(crate) const C2: f64 = -0.125;
 
 struct Block {
     nx: usize,
@@ -335,7 +335,7 @@ async fn solve_z(ctx: &mut RankCtx, b: &mut Block, el: &Elim) {
 }
 
 /// Run SP on this rank.
-pub async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
+pub(crate) async fn run(ctx: &mut RankCtx, class: Class) -> KernelResult {
     let (nx, ny, nz) = dims(class);
     let size = ctx.size();
     let n = nx * ny * nz;

@@ -20,6 +20,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use bgp_arch::geometry::{NodeId, TorusCoord, TorusDims};
 use bgp_faults::FaultPlan;
@@ -148,16 +149,9 @@ impl TorusNetwork {
     /// The dimension-ordered (X, then Y, then Z) shortest route from
     /// `src` to `dst`, as the sequence of directed links traversed. Ties
     /// between the two ring directions break toward increasing
-    /// coordinates. On-node transfers take no links.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
-        let mut links = Vec::new();
-        self.route_into(src, dst, &mut links);
-        links
-    }
-
-    /// [`TorusNetwork::route`] into a caller-owned buffer: `links` is
-    /// cleared and refilled, so one buffer serves every message of a
-    /// phase without a fresh allocation per route.
+    /// coordinates. On-node transfers take no links. `links` is cleared
+    /// and refilled, so one buffer serves every message of a phase
+    /// without a fresh allocation per route.
     pub fn route_into(&self, src: NodeId, dst: NodeId, links: &mut Vec<LinkId>) {
         links.clear();
         let dims = self.dims;
@@ -284,12 +278,6 @@ impl PhaseTraffic {
         self.loaded.len()
     }
 
-    /// Total bytes committed across all links this phase (a transfer
-    /// crossing `h` links contributes `h × bytes`).
-    pub fn total_bytes(&self) -> u64 {
-        self.loaded.iter().map(|&i| self.load[i]).sum()
-    }
-
     /// Forget all link loads (phase boundary crossed).
     pub fn reset(&mut self) {
         for i in self.loaded.drain(..) {
@@ -314,7 +302,7 @@ impl CollectiveNetwork {
     }
 
     /// Depth of the binary combining tree.
-    pub fn levels(&self) -> u64 {
+    pub(crate) fn levels(&self) -> u64 {
         if self.nodes == 1 {
             0
         } else {
@@ -451,12 +439,18 @@ mod tests {
         assert_eq!(t.transfer(NodeId(0), NodeId(5), 4096), clean);
     }
 
+    fn route(t: &TorusNetwork, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+        let mut links = Vec::new();
+        t.route_into(src, dst, &mut links);
+        links
+    }
+
     #[test]
     fn route_length_matches_hop_metric() {
         let t = torus(64);
         for a in [0usize, 7, 21, 63] {
             for b in [0usize, 1, 32, 63] {
-                let r = t.route(NodeId(a), NodeId(b));
+                let r = route(&t, NodeId(a), NodeId(b));
                 assert_eq!(r.len(), t.dims().hops(NodeId(a), NodeId(b)), "{a}->{b}");
             }
         }
@@ -465,7 +459,7 @@ mod tests {
     #[test]
     fn route_is_dimension_ordered_and_contiguous() {
         let t = torus(64);
-        let r = t.route(NodeId(0), NodeId(21));
+        let r = route(&t, NodeId(0), NodeId(21));
         // Axis indices never decrease along a dimension-ordered route.
         for w in r.windows(2) {
             assert!(w[0].axis <= w[1].axis, "route not dimension-ordered: {r:?}");
@@ -476,21 +470,21 @@ mod tests {
     #[test]
     fn on_node_route_is_empty() {
         let t = torus(8);
-        assert!(t.route(NodeId(5), NodeId(5)).is_empty());
+        assert!(route(&t, NodeId(5), NodeId(5)).is_empty());
     }
 
     #[test]
     fn phase_traffic_delays_shared_links_only() {
         let t = torus(8);
         let mut pt = PhaseTraffic::new(t.dims(), &NetConfig::default());
-        let r01 = t.route(NodeId(0), NodeId(1));
+        let r01 = route(&t, NodeId(0), NodeId(1));
         // First transfer finds quiet links.
         assert_eq!(pt.enqueue(&r01, 4096), 0);
         // Same route again: queues behind the 4096 bytes at 2 B/cycle.
         assert_eq!(pt.enqueue(&r01, 64), 2048);
         // A disjoint route is unaffected. Node 0's +X link is 0->1; the
         // reverse direction 1->0 is a different cable.
-        let r10 = t.route(NodeId(1), NodeId(0));
+        let r10 = route(&t, NodeId(1), NodeId(0));
         assert!(
             r10.iter().all(|l| !r01.contains(l)),
             "directions must not share links"
@@ -555,7 +549,6 @@ mod tests {
                     _ => rng.gen_range(64..65_536u64),
                 };
                 t.route_into(src, dst, &mut route);
-                assert_eq!(route, t.route(src, dst));
                 assert_eq!(
                     dense.enqueue(&route, bytes),
                     reference.enqueue(&route, bytes),
@@ -569,7 +562,7 @@ mod tests {
             );
             assert_eq!(dense.links_loaded(), r.len(), "phase {phase}");
             assert_eq!(
-                dense.total_bytes(),
+                dense.loaded.iter().map(|&i| dense.load[i]).sum::<u64>(),
                 r.values().sum::<u64>(),
                 "phase {phase}"
             );

@@ -12,10 +12,10 @@ use bgp_fpu::{FpOp, Fpu};
 use bgp_upc::Upc;
 
 /// Issue width of the PPC450 (instructions per cycle).
-pub const ISSUE_WIDTH: u64 = 2;
+pub(crate) const ISSUE_WIDTH: u64 = 2;
 
 /// Branch misprediction penalty (cycles; 7-stage pipeline refill).
-pub const MISPREDICT_PENALTY: u64 = 4;
+pub(crate) const MISPREDICT_PENALTY: u64 = 4;
 
 /// Per-class instruction counters of one core (ground truth mirror of the
 /// UPC's mode-limited view).
@@ -46,7 +46,7 @@ pub struct InstrCounts {
 /// a batch so the core can retire the whole slice with a constant number
 /// of counter updates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemRetire {
+pub(crate) struct MemRetire {
     /// Load instructions of all widths.
     pub loads: u64,
     /// Store instructions of all widths.
@@ -137,7 +137,7 @@ impl Core {
     /// Push the core's cycle progression into the UPC `CycleCount` and
     /// stall counters. Called by the node after every retirement batch so
     /// the counter tracks the core clock.
-    pub fn sync_cycle_counter(&mut self, upc: &mut Upc) {
+    pub(crate) fn sync_cycle_counter(&mut self, upc: &mut Upc) {
         let now = self.cycles();
         let delta = now - self.upc_cycle_mark;
         if delta > 0 {
@@ -147,7 +147,7 @@ impl Core {
     }
 
     /// Retire `n` integer-unit instructions.
-    pub fn retire_int(&mut self, n: u64, upc: &mut Upc) {
+    pub(crate) fn retire_int(&mut self, n: u64, upc: &mut Upc) {
         if n == 0 {
             return;
         }
@@ -158,7 +158,7 @@ impl Core {
     }
 
     /// Retire `n` branches of which `mispredicted` missed.
-    pub fn retire_branch(&mut self, n: u64, mispredicted: u64, upc: &mut Upc) {
+    pub(crate) fn retire_branch(&mut self, n: u64, mispredicted: u64, upc: &mut Upc) {
         if n == 0 {
             return;
         }
@@ -173,7 +173,7 @@ impl Core {
     }
 
     /// Retire `n` FP instructions of class `op`.
-    pub fn retire_fp(&mut self, op: FpOp, n: u64, upc: &mut Upc) {
+    pub(crate) fn retire_fp(&mut self, op: FpOp, n: u64, upc: &mut Upc) {
         if n == 0 {
             return;
         }
@@ -188,7 +188,13 @@ impl Core {
 
     /// Account a retired memory instruction (the node performs the actual
     /// cache walk and passes the resulting stall here).
-    pub fn retire_mem(&mut self, write: bool, width_event: CoreEvent, stall: u64, upc: &mut Upc) {
+    pub(crate) fn retire_mem(
+        &mut self,
+        write: bool,
+        width_event: CoreEvent,
+        stall: u64,
+        upc: &mut Upc,
+    ) {
         self.issued += 1;
         if write {
             self.instr.stores += 1;
@@ -218,7 +224,7 @@ impl Core {
     /// scalar path's double-count of 4-byte accesses on the `Load`/
     /// `Store` events (`MemWidth::Word` has no dedicated width event) —
     /// but with a constant number of UPC updates.
-    pub fn retire_mem_batch(&mut self, r: &MemRetire, stall: u64, upc: &mut Upc) {
+    pub(crate) fn retire_mem_batch(&mut self, r: &MemRetire, stall: u64, upc: &mut Upc) {
         let n = r.loads + r.stores;
         if n == 0 {
             return;
@@ -251,7 +257,7 @@ impl Core {
     }
 
     /// Charge cycles directly (network waits, runtime call overheads).
-    pub fn add_cycles(&mut self, n: u64) {
+    pub(crate) fn add_cycles(&mut self, n: u64) {
         self.extra_cycles += n;
     }
 

@@ -10,11 +10,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod core;
 
-pub use crate::core::{Core, InstrCounts, MemRetire, ISSUE_WIDTH, MISPREDICT_PENALTY};
-
+use crate::core::{Core, MemRetire};
 use bgp_arch::events::{CoreEvent, CounterMode, NetEvent};
 use bgp_arch::geometry::{AddressLayout, NodeId};
 use bgp_arch::{MachineConfig, OpMode, CORES_PER_NODE};
@@ -76,12 +76,11 @@ const CODE_LINES: u64 = CODE_FOOTPRINT / bgp_arch::L1_LINE_BYTES as u64;
 
 /// Network events (mode-3 slots `0..NET_EVENTS`); mode 3 has no other
 /// events, so the ground-truth mirror holds only these.
-pub const NET_EVENTS: usize = NetEvent::ALL.len();
+pub(crate) const NET_EVENTS: usize = NetEvent::ALL.len();
 
 /// One compute node.
 pub struct Node {
     id: NodeId,
-    mode: OpMode,
     /// The partition's configuration, shared by all of its nodes.
     cfg: Arc<MachineConfig>,
     layout: AddressLayout,
@@ -128,7 +127,6 @@ impl Node {
         cfg.validate().expect("invalid machine configuration");
         Node {
             id,
-            mode: op_mode,
             layout: AddressLayout::with_memory(op_mode, cfg.memory_bytes),
             cores: std::array::from_fn(Core::new),
             mem: None,
@@ -145,16 +143,6 @@ impl Node {
     /// Node identifier within the partition.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// Operating mode the node was booted in.
-    pub fn op_mode(&self) -> OpMode {
-        self.mode
-    }
-
-    /// Process-virtual → node-physical address translation.
-    pub fn layout(&self) -> &AddressLayout {
-        &self.layout
     }
 
     /// The node's UPC unit.

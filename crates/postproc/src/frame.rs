@@ -387,7 +387,7 @@ impl Frame {
     }
 
     /// How many nodes observed each counter mode.
-    pub fn nodes_in_mode(&self, mode: CounterMode) -> usize {
+    pub(crate) fn nodes_in_mode(&self, mode: CounterMode) -> usize {
         self.nodes_by_mode[mode.index()]
     }
 

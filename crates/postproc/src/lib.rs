@@ -22,18 +22,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod csv;
 pub mod frame;
 pub mod metrics;
-pub mod report;
+mod report;
 pub mod validate;
 
 pub use csv::{stats_csv, Csv};
 pub use frame::{mux_weights, EventStats, Frame};
 pub use metrics::{
-    ddr_bandwidth_mb_s, ddr_bursts_per_node, ddr_traffic_bytes_per_node, fp_mix, l3_miss_ratio,
-    mean_core_cycles, mflops_per_chip, mflops_per_core, observed_cores, FpMix, MixCategory,
+    ddr_traffic_bytes_per_node, fp_mix, l3_miss_ratio, mflops_per_chip, mflops_per_core,
+    MixCategory,
 };
 pub use report::render as render_report;
 pub use validate::{NodeTruth, TruthEntry, ValidationReport};

@@ -63,7 +63,7 @@ impl MixCategory {
     }
 
     /// Flops retired per instruction of this category.
-    pub const fn flops_per_instr(self) -> u64 {
+    pub(crate) const fn flops_per_instr(self) -> u64 {
         match self {
             MixCategory::SingleAddSub | MixCategory::SingleMult | MixCategory::SingleDiv => 1,
             MixCategory::SingleFma | MixCategory::SimdAddSub | MixCategory::SimdMult => 2,
@@ -128,13 +128,13 @@ pub fn fp_mix(frame: &Frame) -> FpMix {
 }
 
 /// Number of cores whose private events the frame observed.
-pub fn observed_cores(frame: &Frame) -> usize {
+pub(crate) fn observed_cores(frame: &Frame) -> usize {
     2 * (frame.nodes_in_mode(CounterMode::Mode0) + frame.nodes_in_mode(CounterMode::Mode1))
 }
 
 /// Mean cycle count over all observed cores (the run's execution time in
 /// cycles for an SPMD code).
-pub fn mean_core_cycles(frame: &Frame) -> f64 {
+pub(crate) fn mean_core_cycles(frame: &Frame) -> f64 {
     let cores = observed_cores(frame);
     if cores == 0 {
         return 0.0;
@@ -165,7 +165,7 @@ pub fn mflops_per_chip(frame: &Frame, active_cores_per_chip: usize) -> f64 {
 }
 
 /// DDR read+write bursts per mode-2 node (mean).
-pub fn ddr_bursts_per_node(frame: &Frame) -> f64 {
+pub(crate) fn ddr_bursts_per_node(frame: &Frame) -> f64 {
     let nodes = frame.nodes_in_mode(CounterMode::Mode2);
     if nodes == 0 {
         return 0.0;
@@ -186,16 +186,6 @@ pub fn ddr_bursts_per_node(frame: &Frame) -> f64 {
 /// DDR per node (mean across mode-2 nodes).
 pub fn ddr_traffic_bytes_per_node(frame: &Frame) -> f64 {
     ddr_bursts_per_node(frame) * LINE_BYTES as f64
-}
-
-/// DDR bandwidth in MB/s per node, using the mean core cycle count of a
-/// companion core-mode frame as the time base.
-pub fn ddr_bandwidth_mb_s(traffic_frame: &Frame, cycles: f64) -> f64 {
-    if cycles == 0.0 {
-        return 0.0;
-    }
-    let seconds = cycles / CORE_CLOCK_HZ as f64;
-    ddr_traffic_bytes_per_node(traffic_frame) / seconds / 1e6
 }
 
 /// L3 miss ratio (misses / (hits+misses)) per mode-2 node.
@@ -294,8 +284,6 @@ mod tests {
         let f = Frame::from_dumps(&[d], 0).unwrap();
         assert_eq!(ddr_bursts_per_node(&f), 175.0);
         assert_eq!(ddr_traffic_bytes_per_node(&f), 175.0 * 128.0);
-        // 175 bursts over 850e6 cycles (1 s) = 22400 B/s.
-        assert!((ddr_bandwidth_mb_s(&f, 850_000_000.0) - 175.0 * 128.0 / 1e6).abs() < 1e-9);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub struct NodeTruth {
 
 /// Relative error of `got` against `truth` (denominator floored at 1 so
 /// a zero truth with a zero measurement reads as exact).
-pub fn rel_err(got: u64, truth: u64) -> f64 {
+pub(crate) fn rel_err(got: u64, truth: u64) -> f64 {
     (got.abs_diff(truth)) as f64 / (truth.max(1)) as f64
 }
 
@@ -88,7 +88,7 @@ pub struct ValidationReport {
     pub label: String,
     /// Per-quantity rows, in truth-entry order.
     pub rows: Vec<EventAccuracy>,
-    /// Rows whose truth meets [`ValidationReport::MIN_TRUTH`] (the
+    /// Rows whose truth meets `ValidationReport::MIN_TRUTH` (the
     /// population the median is taken over).
     pub significant: usize,
     /// Exact rows checked / exact rows that matched bit-for-bit.
@@ -110,7 +110,7 @@ impl ValidationReport {
     /// Truth floor for a row to join the median-error population: tiny
     /// counts make relative error meaningless (one phase of drift on a
     /// count of 3 reads as 33%).
-    pub const MIN_TRUTH: u64 = 100;
+    pub(crate) const MIN_TRUTH: u64 = 100;
 
     /// Build a report from per-node truth and the measured dumps.
     ///
@@ -118,7 +118,7 @@ impl ValidationReport {
     ///   `Fixed(mode m)` run (slices may be empty when a mode was not
     ///   measured).
     /// * `mux` — dumps of a `Multiplexed` run (synthetic per-mode sets
-    ///   present, see [`bgp_core::dump::MUX_SET_BASE`]).
+    ///   present, see `bgp_core::dump::MUX_SET_BASE`).
     /// * `degraded` — optional dumps of a fault-injected multiplexed
     ///   run.
     /// * `set` — the user set to validate (whole-program runs use
@@ -346,7 +346,7 @@ fn coverage(mux: &[NodeDump], set: u32) -> f64 {
 }
 
 /// Median of `xs` (which is sorted in place); 0.0 when empty.
-pub fn median(xs: &mut [f64]) -> f64 {
+pub(crate) fn median(xs: &mut [f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }

@@ -14,7 +14,7 @@
 //!
 //! * [`proto`] — the newline-delimited JSON wire protocol (riding the
 //!   workspace's shared [`bgp_trace::json`] layer).
-//! * [`queue`] — bounded admission with aging priorities: full queue
+//! * `queue` — bounded admission with aging priorities: full queue
 //!   ⇒ 429-style reject with a retry-after estimate; no priority can
 //!   starve.
 //! * [`server`] — the daemon: thread-per-connection accept loop, a
@@ -32,13 +32,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod load;
 pub mod proto;
-pub mod queue;
+mod queue;
 pub mod server;
 
 pub use load::{run_load, Client, LoadConfig, LoadReport};
 pub use proto::{CacheOutcome, Request, SubmitReq};
-pub use queue::{JobQueue, PushError, QueueConfig};
+pub use queue::QueueConfig;
 pub use server::{request_once, Server, ServerConfig, ServerHandle};

@@ -26,7 +26,7 @@
 //!
 //! Every request may carry a `"v"` member declaring the protocol
 //! version it speaks; absent means **1** (the original protocol, kept
-//! wire-compatible). The server speaks up to [`PROTO_VERSION`]. Ops
+//! wire-compatible). The server speaks up to `PROTO_VERSION`. Ops
 //! introduced at v2 — `batch` (one envelope, many jobs) and
 //! `subscribe` (attach to a key without submitting work) — require the
 //! client to declare `"v":2`; a v1 client reaching for them, or any
@@ -65,10 +65,10 @@ use bgp_trace::json::{self, Value};
 use bgp_trace::TraceConfig;
 
 /// Highest protocol version this build speaks (see the module docs).
-pub const PROTO_VERSION: u64 = 2;
+pub(crate) const PROTO_VERSION: u64 = 2;
 /// Cap on jobs per `batch` envelope (keeps one request line from
 /// monopolizing the admission queue).
-pub const MAX_BATCH_JOBS: usize = 64;
+pub(crate) const MAX_BATCH_JOBS: usize = 64;
 
 /// Straggler probability applied when a submit carries a nonzero seed.
 const SEEDED_STRAGGLER_RATE: f64 = 0.4;
@@ -161,7 +161,7 @@ pub fn workload_tag(kernel: Kernel, class: Class) -> String {
 }
 
 /// The protocol's mode token for `mode` (inverse of [`parse_mode`]).
-pub fn mode_token(mode: OpMode) -> &'static str {
+pub(crate) fn mode_token(mode: OpMode) -> &'static str {
     match mode {
         OpMode::Smp1 => "smp1",
         OpMode::Smp4 => "smp4",
@@ -177,7 +177,7 @@ impl SubmitReq {
     /// only when they genuinely cannot change results (`sim_threads`
     /// is; tracing is outcome-relevant and therefore server-global so
     /// every cached entry was produced under one policy).
-    pub fn job_spec(&self, sim_threads: usize, trace: bool) -> JobSpec {
+    pub(crate) fn job_spec(&self, sim_threads: usize, trace: bool) -> JobSpec {
         let ranks = self.kernel.clamp_ranks(self.ranks.max(1), self.class);
         let mut spec = JobSpec::new(ranks, self.mode);
         spec.workload = Some(workload_tag(self.kernel, self.class));

@@ -35,7 +35,7 @@ impl Default for QueueConfig {
 
 /// One admitted job waiting for a worker.
 #[derive(Clone, Debug)]
-pub struct QueueItem {
+pub(crate) struct QueueItem {
     /// Content address of the job's result.
     pub key: CacheKey,
     /// The submission that created it.
@@ -64,7 +64,7 @@ impl QueueItem {
 
 /// Why a push was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PushError {
+pub(crate) enum PushError {
     /// Queue at capacity — the backpressure path.
     Full {
         /// Depth at rejection time (for the retry-after estimate).
@@ -81,7 +81,7 @@ struct Inner {
 }
 
 /// The bounded priority queue workers pop from.
-pub struct JobQueue {
+pub(crate) struct JobQueue {
     cfg: QueueConfig,
     inner: Mutex<Inner>,
     cv: Condvar,
@@ -89,7 +89,7 @@ pub struct JobQueue {
 
 impl JobQueue {
     /// An empty queue with the given policy.
-    pub fn new(cfg: QueueConfig) -> JobQueue {
+    pub(crate) fn new(cfg: QueueConfig) -> JobQueue {
         JobQueue {
             cfg,
             inner: Mutex::new(Inner {
@@ -110,7 +110,7 @@ impl JobQueue {
     /// # Errors
     /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
     /// [`JobQueue::close`].
-    pub fn push(&self, key: CacheKey, req: SubmitReq) -> Result<usize, PushError> {
+    pub(crate) fn push(&self, key: CacheKey, req: SubmitReq) -> Result<usize, PushError> {
         let mut inner = self.lock();
         if inner.closed {
             return Err(PushError::Closed);
@@ -137,7 +137,7 @@ impl JobQueue {
     /// effective (aged) priority, FIFO within a level. Returns `None`
     /// once the queue is closed **and** empty: the drain contract is
     /// that every admitted job is still handed to a worker.
-    pub fn pop_blocking(&self) -> Option<QueueItem> {
+    pub(crate) fn pop_blocking(&self) -> Option<QueueItem> {
         let mut inner = self.lock();
         loop {
             if let Some(item) = Self::pop_best(&mut inner, &self.cfg) {
@@ -162,24 +162,14 @@ impl JobQueue {
     }
 
     /// Jobs currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock().items.len()
     }
 
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Stop admitting; wake every popper so workers can drain and exit.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.lock().closed = true;
         self.cv.notify_all();
-    }
-
-    /// Whether [`JobQueue::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 }
 
@@ -245,7 +235,7 @@ mod tests {
         assert_eq!(q.push(key(2), req(1)), Err(PushError::Closed));
         assert_eq!(q.pop_blocking().unwrap().key.seed, 1, "admitted jobs drain");
         assert!(q.pop_blocking().is_none());
-        assert!(q.is_closed());
+        assert!(q.lock().closed);
     }
 
     #[test]

@@ -29,11 +29,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Blob file magic: "BGPB".
-pub const BLOB_MAGIC: [u8; 4] = *b"BGPB";
+pub(crate) const BLOB_MAGIC: [u8; 4] = *b"BGPB";
 /// Blob envelope version.
-pub const BLOB_VERSION: u32 = 1;
+pub(crate) const BLOB_VERSION: u32 = 1;
 /// File extension of blob entries.
-pub const BLOB_EXTENSION: &str = "bgpb";
+pub(crate) const BLOB_EXTENSION: &str = "bgpb";
 
 /// Largest blob file the loader will read (256 MiB) — a corrupted
 /// length field must not drive a giant allocation.
@@ -150,11 +150,6 @@ impl BlobStore {
             dir: Some(dir.into()),
             mem: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The backing directory, if this store is persistent.
-    pub fn dir(&self) -> Option<&PathBuf> {
-        self.dir.as_ref()
     }
 
     /// Number of entries currently resident in memory.

@@ -25,8 +25,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod blob;
+mod blob;
 
 pub use blob::{BlobStore, CacheKey};
 
@@ -57,7 +58,7 @@ pub const MAGIC: [u8; 4] = *b"BGPS";
 /// of any other version before any section is replayed.
 pub const VERSION: u32 = 4;
 /// File extension of live snapshots.
-pub const EXTENSION: &str = "bgps";
+pub(crate) const EXTENSION: &str = "bgps";
 
 /// Largest snapshot file the loader will consider (1 GiB) — a
 /// corrupted length field must not drive a giant allocation.
@@ -121,7 +122,7 @@ impl Snapshot {
     }
 
     /// Total payload bytes across all sections.
-    pub fn payload_bytes(&self) -> usize {
+    pub(crate) fn payload_bytes(&self) -> usize {
         self.sections.iter().map(|(_, b)| b.len()).sum()
     }
 
@@ -241,11 +242,6 @@ impl SnapshotStore {
             dir: dir.into(),
             retain: retain.max(1),
         }
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn file_name(phase: u64) -> String {

@@ -17,12 +17,12 @@
 //! function of the recorded streams: byte-identical across
 //! `BGP_SIM_THREADS` values.
 
-use crate::json::{self, push_str_escaped, Value};
+use crate::json::push_str_escaped;
 use crate::{ArgValue, EventKind, JobTrace};
 use std::fmt::Write as _;
 
 /// Render `trace` as a Chrome-trace JSON document.
-pub fn render(trace: &JobTrace) -> String {
+pub(crate) fn render(trace: &JobTrace) -> String {
     let mut out = String::with_capacity(256 + trace.total_events() * 96);
     out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
     let mut first = true;
@@ -131,90 +131,91 @@ fn event(out: &mut String, first: &mut bool, pid: u64, tid: u64, ts: u64, kind: 
     out.push_str("}}");
 }
 
-/// One event read back from a Chrome-trace document (metadata events
-/// are skipped). Used by the round-trip test and trace tooling.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParsedEvent {
-    /// Event name (`EventKind::name`).
-    pub name: String,
-    /// Category (`EventKind::category`).
-    pub cat: String,
-    /// Phase letter (`"i"` instant, `"C"` counter).
-    pub ph: String,
-    /// Timestamp in simulated cycles.
-    pub ts: u64,
-    /// Process id (0 = scheduler, node+1 otherwise).
-    pub pid: u64,
-    /// Thread id (rank, or 0 for the scheduler stream).
-    pub tid: u64,
-    /// Arguments in serialization order.
-    pub args: Vec<(String, ArgValue)>,
-}
-
-/// Parse a Chrome-trace document rendered by [`render`] back into its
-/// non-metadata events, preserving order.
-///
-/// # Errors
-/// Returns a description of the first structural problem.
-pub fn parse(doc: &str) -> Result<Vec<ParsedEvent>, String> {
-    let root = json::parse(doc)?;
-    let events = root
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or("missing traceEvents array")?;
-    let mut out = Vec::new();
-    for ev in events {
-        let ph = ev
-            .get("ph")
-            .and_then(Value::as_str)
-            .ok_or("event missing ph")?
-            .to_string();
-        if ph == "M" {
-            continue;
-        }
-        let field_u64 = |key: &str| {
-            ev.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("event missing numeric {key}"))
-        };
-        let mut args = Vec::new();
-        if let Some(Value::Object(members)) = ev.get("args") {
-            for (k, v) in members {
-                let arg = match v {
-                    Value::Num(_) => {
-                        ArgValue::Num(v.as_u64().ok_or_else(|| format!("non-u64 arg {k}"))?)
-                    }
-                    Value::Str(s) => ArgValue::Text(s.clone()),
-                    other => return Err(format!("unexpected arg type for {k}: {other:?}")),
-                };
-                args.push((k.clone(), arg));
-            }
-        }
-        out.push(ParsedEvent {
-            name: ev
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("event missing name")?
-                .to_string(),
-            cat: ev
-                .get("cat")
-                .and_then(Value::as_str)
-                .ok_or("event missing cat")?
-                .to_string(),
-            ph,
-            ts: field_u64("ts")?,
-            pid: field_u64("pid")?,
-            tid: field_u64("tid")?,
-            args,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Value};
     use crate::{FaultEvent, RankTrace, TraceEvent, WaitKind};
+
+    /// One event read back from a Chrome-trace document (metadata events
+    /// are skipped): the round-trip tests' view of [`render`]'s output.
+    #[derive(Clone, Debug, PartialEq)]
+    struct ParsedEvent {
+        /// Event name (`EventKind::name`).
+        name: String,
+        /// Category (`EventKind::category`).
+        cat: String,
+        /// Phase letter (`"i"` instant, `"C"` counter).
+        ph: String,
+        /// Timestamp in simulated cycles.
+        ts: u64,
+        /// Process id (0 = scheduler, node+1 otherwise).
+        pid: u64,
+        /// Thread id (rank, or 0 for the scheduler stream).
+        tid: u64,
+        /// Arguments in serialization order.
+        args: Vec<(String, ArgValue)>,
+    }
+
+    /// Parse a Chrome-trace document rendered by [`render`] back into its
+    /// non-metadata events, preserving order.
+    ///
+    /// # Errors
+    /// Returns a description of the first structural problem.
+    fn parse(doc: &str) -> Result<Vec<ParsedEvent>, String> {
+        let root = json::parse(doc)?;
+        let events = root
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .ok_or("missing traceEvents array")?;
+        let mut out = Vec::new();
+        for ev in events {
+            let ph = ev
+                .get("ph")
+                .and_then(Value::as_str)
+                .ok_or("event missing ph")?
+                .to_string();
+            if ph == "M" {
+                continue;
+            }
+            let field_u64 = |key: &str| {
+                ev.get(key)
+                    .and_then(Value::as_u64)
+                    .ok_or_else(|| format!("event missing numeric {key}"))
+            };
+            let mut args = Vec::new();
+            if let Some(Value::Object(members)) = ev.get("args") {
+                for (k, v) in members {
+                    let arg = match v {
+                        Value::Num(_) => {
+                            ArgValue::Num(v.as_u64().ok_or_else(|| format!("non-u64 arg {k}"))?)
+                        }
+                        Value::Str(s) => ArgValue::Text(s.clone()),
+                        other => return Err(format!("unexpected arg type for {k}: {other:?}")),
+                    };
+                    args.push((k.clone(), arg));
+                }
+            }
+            out.push(ParsedEvent {
+                name: ev
+                    .get("name")
+                    .and_then(Value::as_str)
+                    .ok_or("event missing name")?
+                    .to_string(),
+                cat: ev
+                    .get("cat")
+                    .and_then(Value::as_str)
+                    .ok_or("event missing cat")?
+                    .to_string(),
+                ph,
+                ts: field_u64("ts")?,
+                pid: field_u64("pid")?,
+                tid: field_u64("tid")?,
+                args,
+            });
+        }
+        Ok(out)
+    }
 
     fn sample_trace() -> JobTrace {
         let sched = vec![

@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 /// Append `s` to `out` as a JSON string literal (with quotes).
-pub fn push_str_escaped(out: &mut String, s: &str) {
+pub(crate) fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -74,14 +74,6 @@ impl Value {
 
     /// The number as `u64`, if this is an unsigned integer token.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The number as `f64`, if this is a number token.
-    pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(raw) => raw.parse().ok(),
             _ => None,
@@ -396,19 +388,6 @@ impl Arr {
         self
     }
 
-    /// Append an unsigned integer element.
-    pub fn push_u64(mut self, v: u64) -> Arr {
-        let _ = write!(self.sep(), "{v}");
-        self
-    }
-
-    /// Append a finite float element.
-    pub fn push_f64(mut self, v: f64) -> Arr {
-        debug_assert!(v.is_finite(), "JSON has no NaN/Inf");
-        let _ = write!(self.sep(), "{v}");
-        self
-    }
-
     /// Splice a pre-serialized JSON fragment in as one element.
     pub fn push_raw(mut self, raw: &str) -> Arr {
         self.sep().push_str(raw);
@@ -459,9 +438,8 @@ mod tests {
     #[test]
     fn obj_and_arr_builders_round_trip_through_the_parser() {
         let inner = Arr::new()
-            .push_u64(u64::MAX)
+            .push_raw(&u64::MAX.to_string())
             .push_str("x\ny")
-            .push_f64(1.5)
             .finish();
         let doc = Obj::new()
             .field_str("name", "mg \"S\"")
@@ -477,7 +455,6 @@ mod tests {
         let items = v.get("items").unwrap().as_array().unwrap();
         assert_eq!(items[0].as_u64(), Some(u64::MAX));
         assert_eq!(items[1].as_str(), Some("x\ny"));
-        assert_eq!(items[2].as_f64(), Some(1.5));
         assert_eq!(v.get("null"), Some(&Value::Null));
     }
 

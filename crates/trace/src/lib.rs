@@ -19,7 +19,7 @@
 //! observability data: traces are **byte-identical for every
 //! `BGP_SIM_THREADS` value** (verified in `tests/determinism.rs`).
 //!
-//! Storage is a bounded [`RingBuffer`] per recorder (default 65 536
+//! Storage is a bounded `RingBuffer` per recorder (default 65 536
 //! events): a pathological event flood degrades to "the timeline starts
 //! later", never to unbounded memory. Exporters render a collected
 //! [`JobTrace`] as a Chrome-trace/Perfetto JSON timeline
@@ -28,23 +28,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod chrome;
+mod chrome;
 pub mod json;
-pub mod metrics;
-pub mod ring;
-pub mod wire;
+mod metrics;
+mod ring;
+mod wire;
 
-pub use ring::RingBuffer;
+use ring::RingBuffer;
 
 use bgp_arch::sync::Mutex;
 use std::fmt;
 
 /// Default per-recorder ring capacity (events).
-pub const DEFAULT_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_CAPACITY: usize = 65_536;
 
 /// Default counter/memory sampling period (quantum windows).
-pub const DEFAULT_SAMPLE_EVERY: u64 = 16;
+pub(crate) const DEFAULT_SAMPLE_EVERY: u64 = 16;
 
 /// Tracing configuration, carried by `JobSpec::trace`. Tracing is a
 /// property of the job: it is on, for every rank from cycle 0, exactly
@@ -279,7 +280,7 @@ impl EventKind {
     }
 
     /// Event category (Chrome-trace `cat` field).
-    pub fn category(&self) -> &'static str {
+    pub(crate) fn category(&self) -> &'static str {
         match self {
             EventKind::PhaseResolve { .. } | EventKind::RankPark { .. } | EventKind::RankWake => {
                 "sched"
@@ -301,7 +302,7 @@ impl EventKind {
     }
 
     /// Event arguments as deterministic `(key, value)` pairs.
-    pub fn args(&self) -> Vec<(&'static str, ArgValue)> {
+    pub(crate) fn args(&self) -> Vec<(&'static str, ArgValue)> {
         use ArgValue::{Num, Text};
         match self {
             EventKind::PhaseResolve {
@@ -411,7 +412,7 @@ impl EventKind {
 
 /// A trace-event argument value.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ArgValue {
+pub(crate) enum ArgValue {
     /// Unsigned integer argument.
     Num(u64),
     /// Text argument.
@@ -458,45 +459,40 @@ impl fmt::Display for TraceEvent {
 
 /// A single event stream: one per rank, plus one for the scheduler.
 #[derive(Clone, Debug)]
-pub struct Recorder {
+pub(crate) struct Recorder {
     pub(crate) ring: RingBuffer<TraceEvent>,
 }
 
 impl Recorder {
     /// A recorder retaining at most `capacity` events.
-    pub fn new(capacity: usize) -> Recorder {
+    pub(crate) fn new(capacity: usize) -> Recorder {
         Recorder {
             ring: RingBuffer::new(capacity),
         }
     }
 
     /// Append one event.
-    pub fn record(&mut self, cycle: u64, kind: EventKind) {
+    pub(crate) fn record(&mut self, cycle: u64, kind: EventKind) {
         self.ring.push(TraceEvent { cycle, kind });
     }
 
     /// Events retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ring.len()
     }
 
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
     /// Events evicted so far.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.ring.dropped()
     }
 
     /// All retained events, oldest → newest.
-    pub fn events(&self) -> Vec<TraceEvent> {
+    pub(crate) fn events(&self) -> Vec<TraceEvent> {
         self.ring.to_vec()
     }
 
     /// The newest `n` events, oldest → newest.
-    pub fn recent(&self, n: usize) -> Vec<TraceEvent> {
+    pub(crate) fn recent(&self, n: usize) -> Vec<TraceEvent> {
         self.ring.last_n(n)
     }
 }

@@ -10,10 +10,10 @@ use crate::{EventKind, JobTrace};
 use std::fmt::Write as _;
 
 /// Column header of the per-phase metrics CSV.
-pub const HEADER: &str = "phase,resolve_cycle,delivered_msgs,delivered_bytes,woken_ranks,collectives_completed,peak_link_bytes,links_loaded";
+pub(crate) const HEADER: &str = "phase,resolve_cycle,delivered_msgs,delivered_bytes,woken_ranks,collectives_completed,peak_link_bytes,links_loaded";
 
 /// Render the per-phase metrics table for `trace`.
-pub fn render(trace: &JobTrace) -> String {
+pub(crate) fn render(trace: &JobTrace) -> String {
     let mut out = String::new();
     out.push_str(HEADER);
     out.push('\n');

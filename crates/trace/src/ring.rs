@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 /// A bounded FIFO that overwrites its oldest entry when full.
 #[derive(Clone, Debug)]
-pub struct RingBuffer<T> {
+pub(crate) struct RingBuffer<T> {
     cap: usize,
     buf: VecDeque<T>,
     dropped: u64,
@@ -19,7 +19,7 @@ pub struct RingBuffer<T> {
 impl<T> RingBuffer<T> {
     /// An empty ring holding at most `capacity` entries. No storage is
     /// allocated until the first push.
-    pub fn new(capacity: usize) -> RingBuffer<T> {
+    pub(crate) fn new(capacity: usize) -> RingBuffer<T> {
         RingBuffer {
             cap: capacity,
             buf: VecDeque::new(),
@@ -27,13 +27,8 @@ impl<T> RingBuffer<T> {
         }
     }
 
-    /// Maximum entries retained.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Append `value`, evicting the oldest entry if the ring is full.
-    pub fn push(&mut self, value: T) {
+    pub(crate) fn push(&mut self, value: T) {
         if self.cap == 0 {
             self.dropped += 1;
             return;
@@ -46,27 +41,17 @@ impl<T> RingBuffer<T> {
     }
 
     /// Entries currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// Whether the ring holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Entries evicted (or refused, at capacity 0) so far.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Iterate oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buf.iter()
-    }
-
     /// The retained entries, oldest → newest.
-    pub fn to_vec(&self) -> Vec<T>
+    pub(crate) fn to_vec(&self) -> Vec<T>
     where
         T: Clone,
     {
@@ -74,7 +59,7 @@ impl<T> RingBuffer<T> {
     }
 
     /// The newest `n` entries, oldest → newest.
-    pub fn last_n(&self, n: usize) -> Vec<T>
+    pub(crate) fn last_n(&self, n: usize) -> Vec<T>
     where
         T: Clone,
     {
@@ -86,7 +71,7 @@ impl<T> RingBuffer<T> {
     /// (checkpoint restore). The capacity is left unchanged; if
     /// `entries` exceeds it, the oldest excess entries are evicted and
     /// counted on top of `dropped`, exactly as live pushes would have.
-    pub fn restore(&mut self, entries: Vec<T>, dropped: u64) {
+    pub(crate) fn restore(&mut self, entries: Vec<T>, dropped: u64) {
         self.buf.clear();
         self.dropped = dropped;
         for e in entries {
@@ -107,7 +92,6 @@ mod tests {
         }
         assert_eq!(r.to_vec(), vec![0, 1, 2]);
         assert_eq!(r.dropped(), 0);
-        assert!(!r.is_empty());
     }
 
     #[test]
@@ -127,7 +111,7 @@ mod tests {
         for i in 0..5 {
             r.push(i);
         }
-        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
         assert_eq!(r.dropped(), 5);
         assert_eq!(r.to_vec(), Vec::<i32>::new());
     }

@@ -36,7 +36,7 @@ const FAULT_BITFLIP: u8 = 2;
 const FAULT_SATURATE: u8 = 3;
 
 /// Append `ev` to `out` in the stable binary encoding.
-pub fn encode_event(ev: &TraceEvent, out: &mut Vec<u8>) {
+pub(crate) fn encode_event(ev: &TraceEvent, out: &mut Vec<u8>) {
     put_u64(out, ev.cycle);
     match &ev.kind {
         EventKind::PhaseResolve {
@@ -184,7 +184,7 @@ pub fn encode_event(ev: &TraceEvent, out: &mut Vec<u8>) {
 ///
 /// # Errors
 /// [`bgp_arch::BgpError::Corrupt`] on truncation or an unknown tag.
-pub fn decode_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
+pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
     let cycle = r.u64("event cycle")?;
     let tag = r.u8("event tag")?;
     let kind = match tag {
@@ -302,7 +302,7 @@ pub fn decode_event(r: &mut Reader<'_>) -> Result<TraceEvent> {
 impl Recorder {
     /// Serialize the retained events and the drop counter (checkpoint
     /// support). The ring capacity is configuration and is not captured.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
+    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
         let events = self.events();
         put_u64(out, events.len() as u64);
         for e in &events {
@@ -315,7 +315,7 @@ impl Recorder {
     ///
     /// # Errors
     /// [`bgp_arch::BgpError::Corrupt`] on truncated or malformed input.
-    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
+    pub(crate) fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
         let n = r.u64("recorder event count")?;
         // Each event is ≥ 9 bytes; reject counts the input cannot hold.
         if n > (r.remaining() as u64) / 9 {

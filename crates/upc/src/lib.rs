@@ -7,7 +7,7 @@
 //! * a unit-wide **counter mode** (0–3) selecting which of the 1024
 //!   possible events each counter is wired to,
 //! * per-counter **configuration registers**: two counter-event bits
-//!   selecting level/edge sensitivity and an interrupt-enable bit,
+//!   selecting the sensitivity and an interrupt-enable bit,
 //! * per-counter **thresholds** that raise an interrupt when reached
 //!   ("thresholding" — the feedback feature the paper highlights for
 //!   data placement / thread assignment decisions),
@@ -16,14 +16,17 @@
 //!   and all configuration registers in the UPC module are mapped into
 //!   the memory address space".
 //!
-//! Hardware blocks report activity by calling [`Upc::emit`] (occurrence
-//! events, i.e. signal edges) or [`Upc::emit_level`] (occupancy events,
-//! i.e. cycles a signal was high). Whether an emission increments a
-//! counter depends on the unit's mode, the enable bit, and the counter's
-//! sensitivity configuration.
+//! Hardware blocks report activity by calling [`Upc::emit`] with a count
+//! of occurrences (signal edges). Whether an emission increments a
+//! counter depends on the unit's mode and the enable bit. Every event
+//! source reports edges, so only the two edge sensitivities are
+//! modelled: a level-sensitive configuration (`00` or `11`) is refused
+//! by [`CounterConfig::from_bits`], by the register file and by
+//! [`Upc::restore_state`], rather than counting 0 for every event.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod regfile;
 
@@ -54,12 +57,16 @@ impl CounterConfig {
             | (self.freeze_on_threshold as u8) << 3
     }
 
-    /// Unpack from the 4-bit hardware encoding.
-    pub const fn from_bits(bits: u8) -> CounterConfig {
-        CounterConfig {
-            sensitivity: Sensitivity::from_bits(bits & 0b11),
-            interrupt_enable: bits & 0b100 != 0,
-            freeze_on_threshold: bits & 0b1000 != 0,
+    /// Unpack from the 4-bit hardware encoding; `None` when the
+    /// sensitivity bits select a level encoding (see [`Sensitivity`]).
+    pub const fn from_bits(bits: u8) -> Option<CounterConfig> {
+        match Sensitivity::from_bits(bits) {
+            Some(sensitivity) => Some(CounterConfig {
+                sensitivity,
+                interrupt_enable: bits & 0b100 != 0,
+                freeze_on_threshold: bits & 0b1000 != 0,
+            }),
+            None => None,
         }
     }
 }
@@ -187,6 +194,7 @@ impl Upc {
     /// Read one counter slot's configuration.
     pub fn config(&self, slot: u8) -> CounterConfig {
         CounterConfig::from_bits(self.ctrl[slot as usize] & CONFIG_BITS)
+            .expect("a control byte holds an edge configuration")
     }
 
     /// Set one counter slot's threshold and re-arm it. `u64::MAX`
@@ -204,7 +212,7 @@ impl Upc {
 
     /// Read one counter slot's threshold.
     #[inline]
-    pub fn threshold(&self, slot: u8) -> u64 {
+    pub(crate) fn threshold(&self, slot: u8) -> u64 {
         self.thresholds
             .as_ref()
             .map_or(u64::MAX, |bank| bank[slot as usize])
@@ -239,48 +247,17 @@ impl Upc {
     /// Ignored unless the unit is enabled **and** the event belongs to the
     /// unit's current counter mode — exactly like the hardware, where an
     /// event source not selected by the mode simply is not wired to any
-    /// counter. Under level-sensitive configuration an edge-event source
-    /// contributes nothing (the model cannot know the level duration;
-    /// sources with meaningful durations use [`Upc::emit_level`]).
+    /// counter. Both edge polarities see one transition per pulse.
     #[inline]
     pub fn emit(&mut self, event: EventId, pulses: u64) {
         if !self.enabled || event.mode() != self.mode || pulses == 0 {
             return;
         }
-        let slot = event.slot().0 as usize;
-        let delta = match Sensitivity::from_bits(self.ctrl[slot]) {
-            // Both edge polarities see one transition per pulse.
-            Sensitivity::EdgeRise | Sensitivity::EdgeFall => pulses,
-            Sensitivity::LevelHigh | Sensitivity::LevelLow => 0,
-        };
-        self.bump(event, slot, delta);
-    }
-
-    /// Report that the signal of `event` was high for `high_cycles` out of
-    /// `window_cycles` cycles (occupancy-style event sources such as DDR
-    /// queue occupancy).
-    #[inline]
-    pub fn emit_level(&mut self, event: EventId, high_cycles: u64, window_cycles: u64) {
-        if !self.enabled || event.mode() != self.mode {
-            return;
-        }
-        debug_assert!(high_cycles <= window_cycles);
-        let slot = event.slot().0 as usize;
-        let delta = match Sensitivity::from_bits(self.ctrl[slot]) {
-            Sensitivity::LevelHigh => high_cycles,
-            Sensitivity::LevelLow => window_cycles - high_cycles,
-            // An edge-configured counter sees one rising and one falling
-            // edge per high period; we model one high period per report.
-            Sensitivity::EdgeRise | Sensitivity::EdgeFall => u64::from(high_cycles > 0),
-        };
-        self.bump(event, slot, delta);
+        self.bump(event, event.slot().0 as usize, pulses);
     }
 
     #[inline]
     fn bump(&mut self, event: EventId, slot: usize, delta: u64) {
-        if delta == 0 {
-            return;
-        }
         let ctrl = self.ctrl[slot];
         if ctrl & (FREEZE | FIRED) == FREEZE | FIRED {
             return;
@@ -308,22 +285,11 @@ impl Upc {
         }
     }
 
-    /// Directly set a counter's raw value — the memory-mapped store path
-    /// used by [`regfile::RegFile`] (software presetting a counter).
-    pub(crate) fn write_counter_raw(&mut self, slot: u8, value: u64) {
-        self.counters[slot as usize] = value;
-    }
-
     /// Switch overflow behavior: `true` clamps counters at `u64::MAX`,
     /// `false` (the hardware default) wraps. Fault plans use saturating
     /// mode plus a near-`MAX` preset to model stuck counters.
     pub fn set_saturating(&mut self, on: bool) {
         self.saturating = on;
-    }
-
-    /// Whether counters clamp at `u64::MAX` instead of wrapping.
-    pub fn saturating(&self) -> bool {
-        self.saturating
     }
 
     /// Flip one bit of one counter in place — a fault-injection hook
@@ -334,8 +300,8 @@ impl Upc {
         self.counters[slot % NUM_COUNTERS] ^= 1u64 << (bit % 64);
     }
 
-    /// Preset a counter's raw value — the fault-injection companion to
-    /// the memory-mapped store path (software presetting a counter).
+    /// Preset a counter's raw value: software presetting a counter
+    /// through [`regfile::RegFile`], or a fault plan's stuck counter.
     pub fn preset(&mut self, slot: usize, value: u64) {
         self.counters[slot % NUM_COUNTERS] = value;
     }
@@ -380,8 +346,10 @@ impl Upc {
     /// Restore state previously written by [`Upc::save_state`].
     ///
     /// # Errors
-    /// [`bgp_arch::BgpError::Corrupt`] on truncated input, invalid
-    /// mode or control-byte encodings, or a bank tag other than 0 or 1.
+    /// [`bgp_arch::BgpError::Corrupt`] on truncated input, an invalid
+    /// mode, a control byte with bits outside the config nibble and the
+    /// fired latch or with a level sensitivity (naming its slot), or a
+    /// bank tag other than 0 or 1.
     pub fn restore_state(&mut self, r: &mut wire::Reader<'_>) -> Result<()> {
         let mode = r.u8("upc mode")?;
         self.mode = CounterMode::from_index(mode as usize)
@@ -390,10 +358,17 @@ impl Upc {
         self.saturating = r.bool("upc saturating")?;
         r.u64_array(&mut self.counters[..], "upc counters")?;
         let ctrl = r.take(NUM_COUNTERS, "upc control bytes")?;
-        if let Some(&bits) = ctrl.iter().find(|&&c| c & !(CONFIG_BITS | FIRED) != 0) {
-            return Err(BgpError::corrupt(format!(
-                "invalid counter control byte {bits:#x}"
-            )));
+        for (slot, &bits) in ctrl.iter().enumerate() {
+            if bits & !(CONFIG_BITS | FIRED) != 0 {
+                return Err(BgpError::corrupt(format!(
+                    "invalid counter control byte {bits:#x} in slot {slot}"
+                )));
+            }
+            if CounterConfig::from_bits(bits).is_none() {
+                return Err(BgpError::corrupt(format!(
+                    "level-sensitive counter control byte {bits:#x} in slot {slot}"
+                )));
+            }
         }
         self.ctrl.copy_from_slice(ctrl);
         self.thresholds = if r.bool("upc threshold-bank tag")? {
@@ -431,7 +406,7 @@ impl Upc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_arch::events::{CoreEvent, NetEvent, SharedEvent};
+    use bgp_arch::events::{CoreEvent, SharedEvent};
 
     fn enabled_unit(mode: CounterMode) -> Upc {
         let mut u = Upc::new(mode);
@@ -468,56 +443,6 @@ mod tests {
         u.emit(SharedEvent::L3Hit0.id(), 3);
         u.set_mode(CounterMode::Mode3);
         assert_eq!(u.read(SharedEvent::L3Hit0.id().slot().0), 0);
-    }
-
-    #[test]
-    fn level_sensitivity_accumulates_cycles() {
-        let mut u = enabled_unit(CounterMode::Mode2);
-        let ev = SharedEvent::DdrConflict0.id();
-        u.configure(
-            ev.slot().0,
-            CounterConfig {
-                sensitivity: Sensitivity::LevelHigh,
-                ..Default::default()
-            },
-        );
-        u.emit_level(ev, 30, 100);
-        u.emit_level(ev, 20, 50);
-        assert_eq!(u.read_event(ev), Some(50));
-
-        // Level-low counts the complement.
-        let ev2 = SharedEvent::DdrConflict1.id();
-        u.configure(
-            ev2.slot().0,
-            CounterConfig {
-                sensitivity: Sensitivity::LevelLow,
-                ..Default::default()
-            },
-        );
-        u.emit_level(ev2, 30, 100);
-        assert_eq!(u.read_event(ev2), Some(70));
-    }
-
-    #[test]
-    fn edge_config_ignores_level_durations_and_vice_versa() {
-        let mut u = enabled_unit(CounterMode::Mode3);
-        let ev = NetEvent::TorusPktSent.id();
-        // Default config is edge-rise: pulse emissions count...
-        u.emit(ev, 4);
-        assert_eq!(u.read_event(ev), Some(4));
-        // ...level reports count one edge per high period.
-        u.emit_level(ev, 500, 1000);
-        assert_eq!(u.read_event(ev), Some(5));
-        // A level-configured counter ignores pulse emissions.
-        u.configure(
-            ev.slot().0,
-            CounterConfig {
-                sensitivity: Sensitivity::LevelHigh,
-                ..Default::default()
-            },
-        );
-        u.emit(ev, 9);
-        assert_eq!(u.read_event(ev), Some(5));
     }
 
     #[test]
@@ -680,9 +605,14 @@ mod tests {
     }
 
     #[test]
-    fn config_bits_round_trip() {
+    fn config_bits_round_trip_and_level_encodings_are_refused() {
         for bits in 0..16u8 {
-            assert_eq!(CounterConfig::from_bits(bits).to_bits(), bits);
+            match bits & 0b11 {
+                0b01 | 0b10 => {
+                    assert_eq!(CounterConfig::from_bits(bits).unwrap().to_bits(), bits)
+                }
+                _ => assert_eq!(CounterConfig::from_bits(bits), None, "bits {bits:#06b}"),
+            }
         }
     }
 
@@ -741,7 +671,7 @@ mod tests {
 
         assert_eq!(restored.mode(), CounterMode::Mode0);
         assert!(restored.enabled());
-        assert!(restored.saturating());
+        assert!(restored.saturating);
         assert_eq!(restored.snapshot(), u.snapshot());
         assert_eq!(restored.config(ev.slot().0), u.config(ev.slot().0));
         assert_eq!(restored.threshold(ev.slot().0), 3);
@@ -815,8 +745,9 @@ mod tests {
     }
 
     /// The control bytes are written packed, so a byte with bits past the
-    /// config nibble and the fired latch is refused, as is a bank tag
-    /// other than 0 or 1, which names its field.
+    /// config nibble and the fired latch is refused, as is a level
+    /// sensitivity (`0b00`, `0b11`: no saved unit holds one) and a bank
+    /// tag other than 0 or 1, which names its field.
     #[test]
     fn restore_refuses_bad_control_bytes_and_bank_tags() {
         let bytes = saved(&enabled_unit(CounterMode::Mode1));
@@ -829,7 +760,19 @@ mod tests {
         let err = Upc::default()
             .restore_state(&mut wire::Reader::new(&bad))
             .unwrap_err();
-        assert!(err.to_string().contains("control byte 0x20"), "{err}");
+        assert!(
+            err.to_string().contains("control byte 0x20 in slot 9"),
+            "{err}"
+        );
+        for level in [0b00u8, 0b11] {
+            let mut bad = bytes.clone();
+            bad[ctrl_at + 9] = level;
+            let err = Upc::default()
+                .restore_state(&mut wire::Reader::new(&bad))
+                .unwrap_err();
+            let want = format!("level-sensitive counter control byte {level:#x} in slot 9");
+            assert!(err.to_string().contains(&want), "{err}");
+        }
         let mut tag = bytes.clone();
         tag[ctrl_at + NUM_COUNTERS] = 2;
         let err = Upc::default()

@@ -21,7 +21,7 @@ use crate::{CounterConfig, Upc};
 use bgp_arch::events::CounterMode;
 
 /// Base offset of the counter array.
-pub const OFF_COUNTERS: u64 = 0x0000;
+pub(crate) const OFF_COUNTERS: u64 = 0x0000;
 /// Base offset of the threshold array.
 pub const OFF_THRESHOLDS: u64 = 0x0800;
 /// Base offset of the per-counter configuration array.
@@ -29,9 +29,9 @@ pub const OFF_CONFIGS: u64 = 0x1000;
 /// Offset of the unit control register.
 pub const OFF_CONTROL: u64 = 0x1800;
 /// Offset of the interrupt-status register.
-pub const OFF_IRQ_STATUS: u64 = 0x1808;
+pub(crate) const OFF_IRQ_STATUS: u64 = 0x1808;
 /// One past the highest mapped offset.
-pub const MAP_SIZE: u64 = 0x1810;
+pub(crate) const MAP_SIZE: u64 = 0x1810;
 
 /// Memory-mapped access to a [`Upc`].
 ///
@@ -64,12 +64,14 @@ impl<'a> RegFile<'a> {
                 let slot = ((o - OFF_THRESHOLDS) / 8) as u8;
                 self.upc.threshold(slot)
             }
-            o => self.upc.read((o / 8) as u8),
+            o => self.upc.read(((o - OFF_COUNTERS) / 8) as u8),
         })
     }
 
     /// 64-bit store to `offset`. Returns `false` for unmapped or
-    /// misaligned offsets.
+    /// misaligned offsets, and for a level-sensitive configuration (see
+    /// [`CounterConfig::from_bits`]), which leaves the slot's
+    /// configuration unchanged.
     pub fn store(&mut self, offset: u64, value: u64) -> bool {
         if !offset.is_multiple_of(8) || offset >= MAP_SIZE {
             return false;
@@ -89,23 +91,17 @@ impl<'a> RegFile<'a> {
             }
             o if o >= OFF_CONFIGS => {
                 let slot = ((o - OFF_CONFIGS) / 8) as u8;
-                self.upc
-                    .configure(slot, CounterConfig::from_bits((value & 0xf) as u8));
+                match CounterConfig::from_bits((value & 0xf) as u8) {
+                    Some(cfg) => self.upc.configure(slot, cfg),
+                    None => return false,
+                }
             }
             o if o >= OFF_THRESHOLDS => {
                 let slot = ((o - OFF_THRESHOLDS) / 8) as u8;
                 self.upc.set_threshold(slot, value);
             }
-            o => {
-                // Counters are writable so software can preset them;
-                // the library uses this only to zero.
-                let slot = (o / 8) as u8;
-                let cur = self.upc.read(slot);
-                // No direct setter: emulate by clearing + emitting is wrong
-                // across modes, so Upc grants the regfile a back door.
-                self.upc.write_counter_raw(slot, value);
-                let _ = cur;
-            }
+            // Counters are writable so software can preset them.
+            o => self.upc.preset(((o - OFF_COUNTERS) / 8) as usize, value),
         }
         true
     }
@@ -143,12 +139,19 @@ mod tests {
     }
 
     #[test]
-    fn config_stores_keep_only_low_bits() {
+    fn config_stores_keep_only_low_bits_and_refuse_level_sensitivity() {
         let mut upc = Upc::new(CounterMode::Mode0);
         let mut rf = RegFile::new(&mut upc);
-        rf.store(OFF_CONFIGS + 5 * 8, 0xffff_fff3);
-        assert_eq!(rf.load(OFF_CONFIGS + 5 * 8), Some(0x3));
-        assert_eq!(upc.config(5).sensitivity, Sensitivity::LevelLow);
+        let at = OFF_CONFIGS + 5 * 8;
+        assert!(rf.store(at, 0xffff_fff6));
+        assert_eq!(rf.load(at), Some(0x6));
+        // Level-low (0b11) and level-high (0b00) are refused and leave
+        // the slot's edge-fall, interrupt-enabled config in place.
+        assert!(!rf.store(at, 0xffff_fff3));
+        assert!(!rf.store(at, 0x8));
+        assert_eq!(rf.load(at), Some(0x6));
+        assert_eq!(upc.config(5).sensitivity, Sensitivity::EdgeFall);
+        assert!(upc.config(5).interrupt_enable);
     }
 
     #[test]

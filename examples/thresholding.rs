@@ -10,13 +10,14 @@
 //! A worker walks an array with a cache-hostile stride while an L1-miss
 //! threshold is armed. When the interrupt fires, the "runtime" reacts by
 //! switching to a sequential layout — and the miss rate collapses. The
-//! example also pokes the memory-mapped register file directly, the way
-//! a system-service monitoring thread would.
+//! threshold is armed, and the final state read, through the
+//! memory-mapped register file, the way a system-service monitoring
+//! thread would.
 
 use bgp::arch::events::{CoreEvent, CounterMode};
 use bgp::arch::OpMode;
 use bgp::mpi::{CounterPolicy, JobSpec, Machine};
-use bgp::upc::regfile::{RegFile, OFF_CONTROL};
+use bgp::upc::regfile::{RegFile, OFF_CONFIGS, OFF_CONTROL, OFF_THRESHOLDS};
 use bgp::upc::CounterConfig;
 
 fn main() {
@@ -24,20 +25,21 @@ fn main() {
     spec.counter_policy = CounterPolicy::Fixed(CounterMode::Mode0);
     let machine = Machine::new(spec);
 
-    // Arm a threshold on core 0's L1-D miss counter.
+    // Arm a threshold on core 0's L1-D miss counter with three stores
+    // to the unit's register map: the slot's config, its threshold, and
+    // the control register (enable, mode 0).
     let miss_slot = CoreEvent::L1dMiss.id(0).slot().0;
     const THRESHOLD: u64 = 20_000;
     machine.with_node(0, |node| {
-        let upc = node.upc_mut();
-        upc.configure(
-            miss_slot,
-            CounterConfig {
-                interrupt_enable: true,
-                ..Default::default()
-            },
-        );
-        upc.set_threshold(miss_slot, THRESHOLD);
-        upc.set_enabled(true);
+        let mut rf = RegFile::new(node.upc_mut());
+        let irq = CounterConfig {
+            interrupt_enable: true,
+            ..Default::default()
+        };
+        let slot = 8 * miss_slot as u64;
+        assert!(rf.store(OFF_CONFIGS + slot, irq.to_bits() as u64));
+        assert!(rf.store(OFF_THRESHOLDS + slot, THRESHOLD));
+        assert!(rf.store(OFF_CONTROL, 1));
     });
 
     let m2 = machine.clone();

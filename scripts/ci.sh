@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full test suite, clippy-clean with all
-# warnings denied. Safe to run from any directory.
+# Tier-1 gate: rustfmt-clean sources, release build, full test suite,
+# clippy-clean with all warnings denied. Safe to run from any directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> cargo fmt --check"
+cargo fmt --all --check
 
 echo "==> cargo build --release"
 cargo build --release --workspace

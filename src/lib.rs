@@ -63,7 +63,7 @@
 //! |---------------------|-------------------------------------------------|
 //! | `BGP_Initialize()`  | `let s = Session::initialize(ctx)`              |
 //! | `BGP_Start(set)`    | `let s = s.start(set)?`                         |
-//! | *(measured code)*   | run it on `s` (derefs to `RankCtx`) or `s.ctx()` |
+//! | *(measured code)*   | run it on `s` (derefs to `RankCtx`) or `&mut *s` |
 //! | `BGP_Stop(set)`     | `let s = s.stop()?` *(set id from the typestate)* |
 //! | `BGP_Finalize()`    | `let lib = s.finalize()?`, then `lib.dumps()?`  |
 //!
