@@ -9,6 +9,14 @@
 //! behind `--ignored`:
 //!
 //! `GOLDEN_DIR=/tmp/x cargo test --test golden_export -- --ignored`
+//!
+//! The full matrix is also pinned in the default pass: `tests/golden/
+//! MANIFEST` holds one `path length checksum` line per exported file
+//! (checksum: `bgp::arch::wire::checksum`), and
+//! `golden_matrix_matches_the_manifest` regenerates every file and
+//! compares every line. A change that moves an output byte shows as the
+//! manifest lines it changes; the ignored export above writes a fresh
+//! `MANIFEST` beside the files it exports.
 
 use bgp::arch::events::CounterMode;
 use bgp::arch::OpMode;
@@ -116,6 +124,40 @@ fn export_kernels(dir: &Path, kernels: &[Kernel]) -> Vec<std::path::PathBuf> {
     written
 }
 
+/// Every kernel of the golden matrix, in export order.
+const KERNELS: [Kernel; 8] = [
+    Kernel::Mg,
+    Kernel::Ft,
+    Kernel::Ep,
+    Kernel::Cg,
+    Kernel::Is,
+    Kernel::Lu,
+    Kernel::Sp,
+    Kernel::Bt,
+];
+
+/// The committed manifest of the full matrix.
+const MANIFEST: &str = include_str!("golden/MANIFEST");
+
+/// One manifest line per file of `written`, sorted by file name:
+/// `name length checksum`.
+fn manifest(written: &[std::path::PathBuf]) -> String {
+    let mut lines: Vec<String> = written
+        .iter()
+        .map(|path| {
+            let body = std::fs::read(path).unwrap();
+            let name = path.file_name().unwrap().to_string_lossy();
+            format!(
+                "{name} {} {:016x}",
+                body.len(),
+                bgp::arch::wire::checksum(&body)
+            )
+        })
+        .collect();
+    lines.sort();
+    lines.iter().map(|l| format!("{l}\n")).collect()
+}
+
 /// Fast subset for the default test run: the MG variants only. Honors
 /// `$GOLDEN_DIR` for manual diffing; otherwise exports into a temp
 /// directory and checks the surfaces are produced and non-empty.
@@ -144,17 +186,29 @@ fn export_golden_surfaces_mg() {
 #[ignore = "slow 8-kernel matrix for manual cross-version diffs, needs GOLDEN_DIR"]
 fn export_golden_surfaces() {
     let dir = std::env::var("GOLDEN_DIR").expect("set GOLDEN_DIR");
-    export_kernels(
-        Path::new(&dir),
-        &[
-            Kernel::Mg,
-            Kernel::Ft,
-            Kernel::Ep,
-            Kernel::Cg,
-            Kernel::Is,
-            Kernel::Lu,
-            Kernel::Sp,
-            Kernel::Bt,
-        ],
+    let written = export_kernels(Path::new(&dir), &KERNELS);
+    std::fs::write(Path::new(&dir).join("MANIFEST"), manifest(&written)).unwrap();
+}
+
+/// The full matrix, regenerated into a temp dir, matches the committed
+/// manifest line for line.
+#[test]
+fn golden_matrix_matches_the_manifest() {
+    let dir = std::env::temp_dir().join(format!("bgp-golden-manifest-{}", std::process::id()));
+    let written = export_kernels(&dir, &KERNELS);
+    let fresh = manifest(&written);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(written.len(), 112, "unexpected export surface count");
+    let changed: Vec<String> = MANIFEST
+        .lines()
+        .zip(fresh.lines())
+        .filter(|(want, got)| want != got)
+        .map(|(want, got)| format!("  committed {want}\n  produced  {got}"))
+        .collect();
+    assert!(
+        changed.is_empty() && MANIFEST.lines().count() == fresh.lines().count(),
+        "golden matrix differs from tests/golden/MANIFEST in {} line(s):\n{}",
+        changed.len(),
+        changed.join("\n")
     );
 }
