@@ -29,8 +29,9 @@ use bgp_mpi::{JobSpec, Machine, RankCtx};
 use bgp_snapshot::SnapshotStore;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Supervision policy: budgets, retries, backoff, crash drills.
 #[derive(Clone, Debug)]
@@ -272,11 +273,12 @@ where
         // the channel sender).
         let watchdog_fired = Arc::new(AtomicBool::new(false));
         let (done_tx, done_rx) = mpsc::channel::<()>();
+        let started = Instant::now();
         let watchdog = cfg.wall_budget.map(|budget| {
             let machine = Arc::clone(&machine);
             let fired = Arc::clone(&watchdog_fired);
             std::thread::spawn(move || {
-                if done_rx.recv_timeout(budget).is_err() {
+                if done_rx.recv_timeout(budget) == Err(RecvTimeoutError::Timeout) {
                     fired.store(true, Ordering::SeqCst);
                     machine.abort_job();
                 }
@@ -288,10 +290,23 @@ where
             let lib_ref = &library;
             machine.run(move |ctx| crate::instrumented_body(Arc::clone(lib_ref), ctx, kernel))
         }));
+        let elapsed = started.elapsed();
         drop(done_tx);
         if let Some(w) = watchdog {
             let _ = w.join();
         }
+        // A run can finish before the watchdog thread is first scheduled,
+        // even after its budget has run out. The verdict must not depend
+        // on that race: a run that returns after its budget elapsed is a
+        // watchdog kill whether or not the abort reached it.
+        let out = match out {
+            Ok(_) if cfg.wall_budget.is_some_and(|budget| elapsed >= budget) => {
+                watchdog_fired.store(true, Ordering::SeqCst);
+                Err(format!("run returned after {} ms", elapsed.as_millis()))
+            }
+            Ok(results) => Ok(results),
+            Err(payload) => Err(panic_message(payload.as_ref()).to_string()),
+        };
 
         match out {
             Ok(results) => {
@@ -308,9 +323,9 @@ where
                     attempts,
                 });
             }
-            Err(payload) => {
+            Err(panic) => {
                 let fired = watchdog_fired.load(Ordering::SeqCst);
-                let message = match panic_message(payload.as_ref()) {
+                let message = match panic.as_str() {
                     "" => "(non-string panic payload)".to_string(),
                     m if fired => format!("wall budget exceeded ({m})"),
                     m => m.to_string(),
