@@ -125,6 +125,16 @@ impl MachineConfig {
         if !self.l2_sets().is_power_of_two() {
             return Err("L2 set count must be a power of two".into());
         }
+        // Each process partition (all, half or a quarter of node memory)
+        // starts on a 128-B line, so accesses that share a virtual L1
+        // line share the physical one.
+        let partition_align = (crate::CORES_PER_NODE * LINE_BYTES) as u64;
+        if self.memory_bytes == 0 || !self.memory_bytes.is_multiple_of(partition_align) {
+            return Err(format!(
+                "node memory of {} bytes is not a positive multiple of {partition_align} B",
+                self.memory_bytes
+            ));
+        }
         if self.l3_banks == 0 {
             return Err("need at least one L3 bank / DDR controller".into());
         }
@@ -147,6 +157,26 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn node_memory_must_split_into_line_aligned_partitions() {
+        for bytes in [0, 1000, (2 << 30) + 128] {
+            let c = MachineConfig {
+                memory_bytes: bytes,
+                ..MachineConfig::default()
+            };
+            let err = c.validate().unwrap_err();
+            assert!(
+                err.contains(&format!("node memory of {bytes} bytes")),
+                "{err}"
+            );
+        }
+        let c = MachineConfig {
+            memory_bytes: 12 << 20,
+            ..MachineConfig::default()
+        };
+        c.validate().unwrap();
+    }
 
     #[test]
     fn default_config_is_valid_and_matches_chip() {

@@ -695,13 +695,14 @@ pub(crate) fn fig_ext_snapshot(sweep: &SnapshotSweep) -> Csv {
 /// Memory-engine throughput comparison (feeds [`fig_ext_memthroughput`]
 /// and `BENCH_mem.json`): the same access stream driven through the
 /// per-op [`bgp_node::Node::mem_op`] path — icache probe, hierarchy
-/// walk, retirement and counter sync per access — and through
-/// [`bgp_node::Node::mem_ops`] in quantum-sized slices, plus the
-/// end-to-end MG job that rides the batched engine.
+/// walk, retirement and counter sync per access — and queued into a
+/// [`bgp_node::OpBatch`] (L1-line runs plus width tallies, as a rank
+/// queues them) retired by [`bgp_node::Node::retire`] in quantum-sized
+/// slices, plus the end-to-end MG job that rides the batched engine.
 pub(crate) struct MemThroughputReport {
     /// Simulated accesses per host second, per-op `mem_op` loop.
     pub scalar_maps: f64,
-    /// Simulated accesses per host second, `mem_ops` slices.
+    /// Simulated accesses per host second, queued and retired batches.
     pub batched_maps: f64,
     /// `batched_maps / scalar_maps`.
     pub speedup: f64,
@@ -721,7 +722,7 @@ pub(crate) struct MemThroughputReport {
 /// come from `best_of_reps`, like the tracing sweep.
 pub(crate) fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
     use bgp_arch::{MachineConfig, NodeId};
-    use bgp_node::{MemOp, MemWidth, Node};
+    use bgp_node::{MemWidth, Node, OpBatch};
 
     let n_accesses = if scale == Scale::Quick {
         1usize << 20
@@ -744,33 +745,17 @@ pub(crate) fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
         for _ in 0..16 {
             let p = (idx % (1 << 20)) * 8;
             for off in [p - NX * 8, p - 8, p, p + 8, p + NX * 8] {
-                stream.push(MemOp {
-                    vaddr: U + off,
-                    width: MemWidth::Double,
-                    write: false,
-                });
+                stream.push((U + off, MemWidth::Double, false));
             }
-            stream.push(MemOp {
-                vaddr: RHS + p,
-                width: MemWidth::Double,
-                write: false,
-            });
-            stream.push(MemOp {
-                vaddr: RES + p,
-                width: MemWidth::Double,
-                write: true,
-            });
+            stream.push((RHS + p, MemWidth::Double, false));
+            stream.push((RES + p, MemWidth::Double, true));
             idx += 1;
         }
         for _ in 0..14 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            stream.push(MemOp {
-                vaddr: ((x >> 9) % (8 << 20)) & !7,
-                width: MemWidth::Double,
-                write: x & 7 == 0,
-            });
+            stream.push((((x >> 9) % (8 << 20)) & !7, MemWidth::Double, x & 7 == 0));
         }
     }
     stream.truncate(n_accesses);
@@ -782,12 +767,17 @@ pub(crate) fn mem_throughput_sweep(scale: Scale) -> MemThroughputReport {
         node.upc_mut().set_enabled(true);
         let t0 = Instant::now();
         if batched {
+            let mut batch = OpBatch::default();
             for c in stream.chunks(2048) {
-                node.mem_ops(0, 0, c);
+                for &(vaddr, width, write) in c {
+                    let queued = batch.push_mem(vaddr, width, write);
+                    debug_assert!(queued, "a 2048-access slice fills no tally");
+                }
+                node.retire(0, 0, &mut batch);
             }
         } else {
-            for op in &stream {
-                node.mem_op(0, 0, op.vaddr, op.width, op.write);
+            for &(vaddr, width, write) in &stream {
+                node.mem_op(0, 0, vaddr, width, write);
             }
         }
         std::hint::black_box(node.core(0).cycles());

@@ -347,9 +347,10 @@ fn trace_overhead(scale: Scale) -> Outcome {
     plain(figures::fig_ext_trace_overhead(&samples))
 }
 
-/// `fig_ext_memthroughput`'s bound: `Node::mem_ops` must beat the
-/// per-op `Node::mem_op` walk by at least this factor on the mixed
-/// stride/random stream. Steady state measures ~1.9× — the cache-core
+/// `fig_ext_memthroughput`'s bound: queued batches retired by
+/// `Node::retire` must beat the per-op `Node::mem_op` walk by at least
+/// this factor on the mixed stride/random stream. Steady state measures
+/// ~1.9× — the cache-core
 /// optimizations (recency-ordered sets, membership filter) speed up
 /// *both* engines, so the ratio is floored by the shared miss
 /// machinery. The bound sits below typical with a noise margin: it is a

@@ -168,7 +168,14 @@ pub struct Overhead {
 #[derive(Clone, Debug)]
 pub struct CodeGen {
     opts: CompileOpts,
-    params: CodeGenParams,
+    /// The parameters the hot paths read, copied out of
+    /// [`CodeGenParams`]; the rest live on only in the selectors.
+    fma_fusion: bool,
+    simdize: bool,
+    unroll: u32,
+    /// Whole overhead integer instructions per element; `int_acc`
+    /// selects the fractional part.
+    int_whole: u32,
     simd_sel: FractionSelector,
     red_mem_sel: FractionSelector,
     int_acc: FractionSelector,
@@ -181,6 +188,11 @@ impl CodeGen {
     pub fn new(opts: CompileOpts) -> CodeGen {
         let params = CodeGenParams::from_opts(&opts);
         CodeGen {
+            opts,
+            fma_fusion: params.fma_fusion,
+            simdize: params.simdize,
+            unroll: params.unroll,
+            int_whole: params.int_overhead_per_elem.trunc() as u32,
             simd_sel: FractionSelector::from_fraction(if params.simdize {
                 params.simd_coverage
             } else {
@@ -190,27 +202,25 @@ impl CodeGen {
             int_acc: FractionSelector::from_fraction(params.int_overhead_per_elem.fract().max(0.0)),
             mispred_sel: FractionSelector::from_fraction(params.mispredict_frac),
             branch_rem: 0,
-            opts,
-            params,
         }
     }
 
-    /// The expanded parameters.
-    pub fn params(&self) -> &CodeGenParams {
-        &self.params
+    /// The parameters the build's flags expand to.
+    pub fn params(&self) -> CodeGenParams {
+        CodeGenParams::from_opts(&self.opts)
     }
 
     /// Whether multiply-adds fuse into FMA instructions.
     #[inline]
     pub fn fma(&self) -> bool {
-        self.params.fma_fusion
+        self.fma_fusion
     }
 
     /// Decide how to lower the next element pair of a loop whose data
     /// parallelism the compiler can (`vectorizable`) or cannot see.
     #[inline]
     pub fn plan_pair(&mut self, vectorizable: bool) -> PairPlan {
-        if vectorizable && self.params.simdize && self.simd_sel.next() {
+        if vectorizable && self.simdize && self.simd_sel.next() {
             PairPlan::Simd
         } else {
             PairPlan::Scalar
@@ -257,8 +267,7 @@ impl CodeGen {
 
     /// Overhead instructions accompanying `elements` of useful loop work.
     pub fn overhead(&mut self, elements: u64) -> Overhead {
-        let whole = self.params.int_overhead_per_elem.trunc() as u64;
-        let mut int_ops = whole * elements;
+        let mut int_ops = u64::from(self.int_whole) * elements;
         for _ in 0..elements {
             if self.int_acc.next() {
                 int_ops += 1;
@@ -266,7 +275,7 @@ impl CodeGen {
         }
         let mut branches = 0;
         let mut mispredicts = 0;
-        let unroll = self.params.unroll;
+        let unroll = self.unroll;
         for _ in 0..elements {
             self.branch_rem += 1;
             if self.branch_rem >= unroll {

@@ -11,9 +11,13 @@
 //! ordered **most- to least-recently-used**. Recency ordering makes the
 //! position encode exact LRU: a hit rotates the way to the front, the
 //! eviction victim is always the last way, and no per-way timestamp
-//! array exists at all. Under the temporal locality the simulated
-//! kernels exhibit, the hit fast path is a single load and compare of
-//! way 0. Set selection is `line % sets`, reduced to a mask when `sets`
+//! array exists at all. A probe compares way 0 first and returns without
+//! reordering when it matches; otherwise it scans the remaining ways.
+//! Way 0 is not the common answer for an L1-D head probe: on MG class A
+//! × 16 VNM ranks (129.9 M run heads) it answers 31.8% of them, the
+//! other 15 ways 48.4%, and 19.8% miss — run tails never probe, so what
+//! reaches the cache is mostly the first touch of a line in a flush
+//! epoch. Set selection is `line % sets`, reduced to a mask when `sets`
 //! is a power of two — [`MachineConfig::validate`] guarantees the L1 and
 //! L2 set counts are powers of two so their probes never take the `%`
 //! branch, while the L3 is built from 2 MB eDRAM macros and legitimately
@@ -202,7 +206,7 @@ impl Cache {
         let target = line << ENT_SHIFT;
         let wflag = if write { FLAG_DIRTY } else { 0 };
         let set = &mut self.ents[base..base + self.assoc];
-        // Fast path: the MRU way answers most hits, with no reordering.
+        // Fast path: a hit in the MRU way needs no reordering.
         let e0 = set[0];
         if e0 & !FLAG_MASK == target {
             set[0] = target | ((e0 & FLAG_DIRTY) | wflag);

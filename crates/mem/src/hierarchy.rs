@@ -4,15 +4,14 @@
 //!
 //! Every data access of a core funnels through
 //! [`MemorySystem::access_batch`], which walks the hierarchy for a whole
-//! slice of accesses at once, keeps all cache state coherent, reports
+//! slice of [`MemRun`]s at once, keeps all cache state coherent, reports
 //! every microarchitectural event to the node's UPC unit, and returns the
-//! stall cycles the core must charge. The batch walk collapses runs of
-//! accesses to the same L1 line (the common stride-1 case) into one
-//! hierarchy walk plus `k` guaranteed L1 hits, and coalesces *all* UPC
-//! counter traffic of the batch into one `emit(n)` per event kind (see
-//! `WalkCounts`). The scalar
-//! [`MemorySystem::access`] survives as a one-element batch for callers
-//! that genuinely have one access.
+//! stall cycles the core must charge. A run is one L1 line's worth of
+//! consecutive accesses, as the issuing rank queued them: its head takes
+//! one hierarchy walk and its tail is `k` guaranteed L1 hits. The batch
+//! coalesces *all* UPC counter traffic into one `emit(n)` per event kind
+//! (see `WalkCounts`). The scalar [`MemorySystem::access`] survives as a
+//! one-run batch for callers that genuinely have one access.
 
 use crate::cache::Cache;
 use crate::ddr::DdrController;
@@ -62,15 +61,51 @@ pub struct Outcome {
     pub level: HitLevel,
 }
 
-/// One element of an access batch: a demand **data** access of ≤ 32
-/// bytes at a node-physical address. Accesses must not straddle an L1
-/// line; the execution layer splits larger transfers.
+/// One element of an access batch: a run of demand **data** accesses
+/// of ≤ 32 bytes each to one L1 line. The head access walks the
+/// hierarchy; the `tail` accesses after it hit the line the head left
+/// resident. Accesses must not straddle an L1 line; the execution layer
+/// splits larger transfers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemAccess {
-    /// Node-physical byte address.
+pub struct MemRun {
+    /// Byte address of the head access, relative to the `base` the walk
+    /// is given (a process-virtual address when a rank queued it).
     pub addr: u64,
-    /// Store (`true`) or load (`false`).
-    pub write: bool,
+    /// Accesses after the head, on the head's L1 line.
+    pub tail: u16,
+    /// The head access is a store.
+    pub head_write: bool,
+    /// Some tail access is a store.
+    pub tail_write: bool,
+}
+
+impl MemRun {
+    /// A run of one access.
+    #[inline]
+    pub fn new(addr: u64, write: bool) -> MemRun {
+        MemRun {
+            addr,
+            tail: 0,
+            head_write: write,
+            tail_write: false,
+        }
+    }
+
+    /// Append the access at `addr` to the tail when it falls on the
+    /// run's L1 line and the tail is below its cap; `false` (the run
+    /// unchanged) otherwise, and the access starts a new run.
+    ///
+    /// Exact for any `base` that is a multiple of the L1 line size
+    /// (process partitions always are, see `MachineConfig::validate`).
+    #[inline]
+    pub fn extend(&mut self, addr: u64, write: bool) -> bool {
+        if addr >> L1_SHIFT != self.addr >> L1_SHIFT || self.tail == u16::MAX {
+            return false;
+        }
+        self.tail += 1;
+        self.tail_write |= write;
+        true
+    }
 }
 
 /// Ground-truth counters kept alongside the UPC unit.
@@ -390,86 +425,71 @@ impl MemorySystem {
     }
 
     /// One demand **data** access of `size` ≤ 32 bytes at `addr`
-    /// (node-physical) by `core` — a one-element [`MemAccess`] batch.
-    /// Callers with more than one access in hand should prefer
+    /// (node-physical) by `core` — a one-run batch. Callers with more
+    /// than one access in hand should prefer
     /// [`MemorySystem::access_batch`], which amortizes the walk.
     pub fn access(&mut self, core: usize, addr: u64, write: bool, upc: &mut Upc) -> Outcome {
         let mut outcome = Outcome {
             stall: 0,
             level: HitLevel::L1,
         };
-        self.batch_walk(core, &[MemAccess { addr, write }], upc, &mut |o| {
+        self.batch_walk(core, 0, &[MemRun::new(addr, write)], upc, &mut |o| {
             outcome = o
         });
         outcome
     }
 
-    /// Walk the hierarchy for a whole slice of accesses by `core`,
-    /// in order, and return the total stall cycles of the batch.
+    /// Walk the hierarchy for a whole slice of runs by `core`, in order,
+    /// at node-physical addresses `base + run.addr`, and return the total
+    /// stall cycles of the batch. `base` must be a multiple of the L1
+    /// line size.
     ///
-    /// Equivalent to calling [`MemorySystem::access`] per element and
+    /// Equivalent to calling [`MemorySystem::access`] per access and
     /// summing the stalls — the differential tests pin that equivalence —
-    /// but runs of consecutive accesses to the same L1 line take one
-    /// hierarchy walk plus `k` guaranteed L1 hits, and the L1-hit counter
-    /// is emitted once per batch instead of once per hit.
-    pub fn access_batch(&mut self, core: usize, batch: &[MemAccess], upc: &mut Upc) -> u64 {
-        self.batch_walk(core, batch, upc, &mut |_| {})
+    /// but a run's tail takes no probe, and the L1-hit counter is emitted
+    /// once per batch instead of once per hit.
+    pub fn access_batch(&mut self, core: usize, base: u64, runs: &[MemRun], upc: &mut Upc) -> u64 {
+        self.batch_walk(core, base, runs, upc, &mut |_| {})
     }
 
     /// [`MemorySystem::access_batch`], additionally pushing every
-    /// access's [`Outcome`] (in batch order) into `out` — the validation
-    /// surface of the differential tests.
+    /// access's [`Outcome`] (in batch order, a run's tail included) into
+    /// `out` — the validation surface of the differential tests.
     pub fn access_batch_outcomes(
         &mut self,
         core: usize,
-        batch: &[MemAccess],
+        base: u64,
+        runs: &[MemRun],
         upc: &mut Upc,
         out: &mut Vec<Outcome>,
     ) -> u64 {
-        self.batch_walk(core, batch, upc, &mut |o| out.push(o))
+        self.batch_walk(core, base, runs, upc, &mut |o| out.push(o))
     }
 
     /// The batch engine behind all demand-access entry points.
     ///
     /// Invariant maintained for the DDR contention model: before the
-    /// access at batch index `i` reaches any controller, `access_clock`
-    /// equals its pre-batch value plus `i + 1` — exactly the clock the
-    /// scalar walk would present.
+    /// access at batch index `i` (counting every run's tail) reaches any
+    /// controller, `access_clock` equals its pre-batch value plus
+    /// `i + 1` — exactly the clock the scalar walk would present.
     fn batch_walk(
         &mut self,
         core: usize,
-        batch: &[MemAccess],
+        base: u64,
+        runs: &[MemRun],
         upc: &mut Upc,
         sink: &mut impl FnMut(Outcome),
     ) -> u64 {
+        debug_assert_eq!(base % L1_LINE_BYTES as u64, 0, "unaligned run base");
         let mut total_stall = 0u64;
         let mut wc = WalkCounts::default();
-        let mut i = 0;
-        while i < batch.len() {
-            let a = batch[i];
-            let l1_line = a.addr >> L1_SHIFT;
-            // Lookahead: an uninterrupted run of accesses to the same L1
-            // line. After the head access the line is resident and cannot
-            // be evicted before the run ends (only this core touches the
-            // caches within a batch), so the tail accesses are L1 hits by
-            // construction and skip the probe entirely. Skipping their
-            // LRU stamp refreshes is behavior-preserving: consecutive
-            // touches of one line leave every relative stamp order, and
-            // therefore every future victim choice, unchanged.
-            let mut run = 0usize;
-            let mut tail_write = false;
-            for b in &batch[i + 1..] {
-                if b.addr >> L1_SHIFT != l1_line {
-                    break;
-                }
-                tail_write |= b.write;
-                run += 1;
-            }
-            let j = i + 1 + run;
+        for run in runs {
+            let addr = base + run.addr;
+            let l1_line = addr >> L1_SHIFT;
 
             // Head access: the full walk.
             self.access_clock += 1;
-            let h = self.l1d[core].access(l1_line, a.write);
+            let h = self.l1d[core].access(l1_line, run.head_write);
             if h.hit {
                 self.stats.l1d_hits += 1;
                 wc.l1d_hit += 1;
@@ -481,13 +501,13 @@ impl MemorySystem {
                 self.stats.l1d_misses += 1;
                 wc.l1d_miss += 1;
 
-                let l2_line = a.addr >> L2_SHIFT;
-                let (stall, level) = self.fetch_l2(core, l2_line, a.write, &mut wc);
+                let l2_line = addr >> L2_SHIFT;
+                let (stall, level) = self.fetch_l2(core, l2_line, run.head_write, &mut wc);
 
                 // Refill the L1; a dirty victim is pushed down the
                 // hierarchy through the write-back buffer (uncharged).
                 self.note_holder(core, l2_line);
-                if let Some(ev) = self.l1d[core].fill_absent(l1_line, a.write, false) {
+                if let Some(ev) = self.l1d[core].fill_absent(l1_line, run.head_write, false) {
                     if ev.dirty {
                         self.stats.l1d_writebacks += 1;
                         wc.l1d_writeback += 1;
@@ -501,13 +521,20 @@ impl MemorySystem {
                 sink(Outcome { stall, level });
             }
 
-            // Tail of the run: guaranteed L1 hits, memoized.
-            if j > i + 1 {
-                let k = (j - i - 1) as u64;
+            // Tail of the run: after the head the line is resident and
+            // cannot be evicted before the run ends (only this core
+            // touches the caches within a batch), so the tail accesses
+            // are L1 hits by construction and skip the probe entirely.
+            // Skipping their LRU refreshes is behavior-preserving:
+            // consecutive touches of one line leave every relative
+            // recency order, and therefore every future victim choice,
+            // unchanged.
+            if run.tail > 0 {
+                let k = u64::from(run.tail);
                 self.access_clock += k;
                 self.stats.l1d_hits += k;
                 wc.l1d_hit += k;
-                if tail_write {
+                if run.tail_write {
                     self.l1d[core].mark_dirty(l1_line);
                 }
                 for _ in 0..k {
@@ -517,7 +544,6 @@ impl MemorySystem {
                     });
                 }
             }
-            i = j;
         }
         wc.flush(core, upc);
         total_stall

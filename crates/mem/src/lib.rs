@@ -22,5 +22,5 @@ pub mod hierarchy;
 pub mod prefetch;
 
 pub use cache::{Cache, Hit};
-pub use hierarchy::{HitLevel, MemAccess, MemStats, MemorySystem, Outcome};
+pub use hierarchy::{HitLevel, MemRun, MemStats, MemorySystem, Outcome};
 pub use prefetch::StreamPrefetcher;

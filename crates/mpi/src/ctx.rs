@@ -25,15 +25,20 @@
 //! ## Batched retirement
 //!
 //! Accesses and arithmetic are not applied to the node one at a time:
-//! they queue in a rank-local `Pending` buffer and are retired as one
-//! slice — one node-lock acquisition, one `Node::mem_ops` hierarchy
-//! batch walk, one aggregated UPC update — at the next *flush point*.
-//! Flush points are exactly the places another party could observe node
-//! state: the scheduling-quantum boundary, thread switches, clock reads,
-//! tracing samples, and every messaging call. Because same-node ranks
-//! only interleave at those boundaries (the phase engine guarantees it),
-//! the batched timeline is observationally identical to per-op
-//! retirement; `tests/determinism.rs` and the differential suites in
+//! the rank keeps counts between flush points, the way the UPC counts
+//! events in hardware and is read only at window boundaries. Accesses
+//! queue as L1-line runs with per-width-class tallies, arithmetic as
+//! per-class tallies, all in one `bgp_node::OpBatch`; at the next *flush
+//! point* it retires in one node visit — one node-lock acquisition, one
+//! hierarchy batch walk over the runs, one aggregated UPC update per
+//! class. Flush points are exactly the places another party could
+//! observe node state: the scheduling-quantum boundary, thread switches,
+//! clock reads, tracing samples, and every messaging call. Because
+//! same-node ranks only interleave at those boundaries (the phase engine
+//! guarantees it), the batched timeline is observationally identical to
+//! per-op retirement — up to the value a threshold interrupt captures
+//! when it fires, which is the count at a fold boundary;
+//! `tests/determinism.rs` and the differential suites in
 //! `bgp-mem`/`bgp-node` pin this.
 
 use crate::comm::{bytes_to_f64s, f64s_to_bytes, CollKind, Payload, ReduceOp};
@@ -43,7 +48,7 @@ use crate::simvec::{SimElem, SimVec};
 use bgp_arch::events::NetEvent;
 use bgp_compiler::{CodeGen, PairPlan};
 use bgp_fpu::FpOp;
-use bgp_node::{MemOp, MemWidth, Node};
+use bgp_node::{MemWidth, Node, OpBatch};
 use bgp_trace::{EventKind, FaultEvent, WaitKind};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -65,27 +70,6 @@ pub enum SemOp {
     /// `a * b + c` — fuses to FMA when the build allows.
     MulAdd,
 }
-
-/// A queued core-local arithmetic retirement. Adjacent same-class ops
-/// coalesce (every retirement is linear in its count, so `k` queued ops
-/// of one class retire as a single count-`k` call).
-enum CpuOp {
-    Fp { op: FpOp, n: u64 },
-    Int { n: u64 },
-    Branch { n: u64, mispredicted: u64 },
-}
-
-/// Ops queued by the active thread since the last flush point.
-#[derive(Default)]
-struct Pending {
-    mem: Vec<MemOp>,
-    cpu: Vec<CpuOp>,
-}
-
-/// Flush the CPU queue when it reaches this many (coalesced) entries, so
-/// long arithmetic-only stretches cannot grow it without bound. The
-/// mem queue needs no cap: every access ticks the quantum, which flushes.
-const CPU_PENDING_CAP: usize = 4096;
 
 /// One simulated access, awaited by every accessor of [`RankCtx`]. Its
 /// first poll ticks the quantum; an access that crosses it closes the
@@ -135,7 +119,7 @@ pub struct RankCtx {
     place: Placement,
     /// Thread currently executing (OpenMP-style); selects the core
     /// within the process's core range. 0 = the master thread.
-    active_thread: usize,
+    active_thread: u8,
     cg: CodeGen,
     alloc_cursor: u64,
     tick: u64,
@@ -155,10 +139,10 @@ pub struct RankCtx {
     /// ranks are parked, so the cache is exact (see
     /// [`Machine::resume`]).
     replay: bool,
-    /// Ops queued since the last flush point. In a `RefCell` so the
+    /// Ops counted since the last flush point. In a `RefCell` so the
     /// `&self` observation paths ([`RankCtx::cycles`],
-    /// [`RankCtx::with_own_node`]) can drain it before reading.
-    pending: RefCell<Pending>,
+    /// [`RankCtx::with_own_node`]) can retire it before reading.
+    pending: RefCell<OpBatch>,
 }
 
 impl RankCtx {
@@ -185,7 +169,7 @@ impl RankCtx {
             straggler_penalty,
             tracing: false,
             replay,
-            pending: RefCell::new(Pending::default()),
+            pending: RefCell::new(OpBatch::default()),
         };
         // Tracing is a job property (JobSpec::trace): every rank of a
         // traced job records from cycle 0.
@@ -218,7 +202,7 @@ impl RankCtx {
 
     /// Core the **active thread** computes on.
     pub fn core(&self) -> usize {
-        self.place.core + self.active_thread
+        self.place.core + usize::from(self.active_thread)
     }
 
     /// Hardware threads this process may run (per the operating mode).
@@ -239,10 +223,10 @@ impl RankCtx {
             t < threads,
             "thread {t} out of range: mode allows {threads} threads/process"
         );
-        if t != self.active_thread {
+        if t != usize::from(self.active_thread) {
             // Queued ops belong to the *outgoing* thread's core.
             self.flush_pending();
-            self.active_thread = t;
+            self.active_thread = t as u8;
         }
     }
 
@@ -334,89 +318,57 @@ impl RankCtx {
     // Batched retirement
     // ------------------------------------------------------------------
 
-    /// Retire everything queued since the last flush as one node visit:
-    /// the memory slice first (one hierarchy batch walk), then the
-    /// arithmetic in queue order. Reordering arithmetic after memory
-    /// within one flush epoch is exact: the two touch disjoint machine
-    /// state (cache/DDR vs FPU/issue counters), every charge is additive,
-    /// and no observation can occur mid-epoch — observers flush first.
+    /// Retire everything counted since the last flush as one node visit
+    /// (see [`Node::retire`] for the order). Moving arithmetic after
+    /// memory within one flush epoch is exact: the two touch disjoint
+    /// machine state (cache/DDR vs FPU/issue counters), every charge is
+    /// additive, and no observation can occur mid-epoch — observers
+    /// flush first.
     pub(crate) fn flush_pending(&self) {
-        let mut p = self.pending.borrow_mut();
-        if p.mem.is_empty() && p.cpu.is_empty() {
+        let mut batch = self.pending.borrow_mut();
+        if batch.is_empty() {
             return;
         }
         let (core, process) = (self.core(), self.place.process);
-        self.with_node(|node| {
-            node.mem_ops(core, process, &p.mem);
-            for op in &p.cpu {
-                match *op {
-                    CpuOp::Fp { op, n } => node.fp_op(core, op, n),
-                    CpuOp::Int { n } => node.int_op(core, n),
-                    CpuOp::Branch { n, mispredicted } => node.branch_op(core, n, mispredicted),
-                }
-            }
-        });
-        p.mem.clear();
-        p.cpu.clear();
+        self.with_node(|node| node.retire(core, process, &mut batch));
     }
 
+    /// Tally arithmetic through `add`, which adds what fits and says
+    /// whether all of it did; a full tally retires the batch first and
+    /// the rest goes into the emptied one. Replay counts nothing.
     #[inline]
-    fn push_cpu(&mut self, op: CpuOp) {
+    fn tally(&mut self, mut add: impl FnMut(&mut OpBatch) -> bool) {
         if self.replay {
             return;
         }
-        let p = self.pending.get_mut();
-        if let Some(last) = p.cpu.last_mut() {
-            match (last, &op) {
-                (CpuOp::Fp { op: a, n }, CpuOp::Fp { op: b, n: m }) if a == b => {
-                    *n += m;
-                    return;
-                }
-                (CpuOp::Int { n }, CpuOp::Int { n: m }) => {
-                    *n += m;
-                    return;
-                }
-                (
-                    CpuOp::Branch { n, mispredicted },
-                    CpuOp::Branch {
-                        n: m,
-                        mispredicted: mm,
-                    },
-                ) => {
-                    *n += m;
-                    *mispredicted += mm;
-                    return;
-                }
-                _ => {}
-            }
-        }
-        p.cpu.push(op);
-        if p.cpu.len() >= CPU_PENDING_CAP {
+        while !add(self.pending.get_mut()) {
             self.flush_pending();
         }
     }
 
-    /// Queue `n` FP retirements (no-op for `n == 0`, exactly like the
-    /// eager path: every retirement routine early-returns on zero).
+    /// Tally `n` FP retirements of class `op`.
     #[inline]
-    fn push_fp(&mut self, op: FpOp, n: u64) {
-        if n > 0 {
-            self.push_cpu(CpuOp::Fp { op, n });
-        }
+    fn push_fp(&mut self, op: FpOp, mut n: u64) {
+        self.tally(|b| {
+            n = b.add_fp(op, n);
+            n == 0
+        });
     }
 
     #[inline]
-    fn push_int(&mut self, n: u64) {
-        if n > 0 {
-            self.push_cpu(CpuOp::Int { n });
-        }
+    fn push_int(&mut self, mut n: u64) {
+        self.tally(|b| {
+            n = b.add_int(n);
+            n == 0
+        });
     }
 
     #[inline]
-    fn push_branch(&mut self, n: u64, mispredicted: u64) {
-        if n > 0 {
-            self.push_cpu(CpuOp::Branch { n, mispredicted });
-        }
+    fn push_branch(&mut self, mut n: u64, mut mispredicted: u64) {
+        self.tally(|b| {
+            (n, mispredicted) = b.add_branches(n, mispredicted);
+            n == 0
+        });
     }
 
     // ------------------------------------------------------------------
@@ -541,10 +493,7 @@ impl RankCtx {
     /// resolution wakes it.
     async fn park_on(&mut self, wait: Wait) {
         debug_assert!(
-            {
-                let p = self.pending.borrow();
-                p.mem.is_empty() && p.cpu.is_empty()
-            },
+            self.pending.borrow().is_empty(),
             "rank parked with unretired pending ops"
         );
         self.trace_event(EventKind::RankPark {
@@ -624,20 +573,21 @@ impl RankCtx {
         if self.replay {
             return;
         }
-        let p = self.pending.get_mut();
-        p.mem.push(MemOp {
-            vaddr,
-            width,
-            write,
-        });
+        self.push_mem(vaddr, width, write);
         if redundant {
             // Spill/reload pair of a register-starved build: reload
-            // the same datum (an extra issued load, usually L1-hot).
-            p.mem.push(MemOp {
-                vaddr,
-                width: MemWidth::Double,
-                write: false,
-            });
+            // the same datum (an extra issued load, usually L1-hot; it
+            // extends the access's own run).
+            self.push_mem(vaddr, MemWidth::Double, false);
+        }
+    }
+
+    /// Queue one access into the batch, retiring the batch first when
+    /// the access's class tally is full.
+    #[inline]
+    fn push_mem(&mut self, vaddr: u64, width: MemWidth, write: bool) {
+        while !self.pending.get_mut().push_mem(vaddr, width, write) {
+            self.flush_pending();
         }
     }
 
@@ -661,11 +611,11 @@ impl RankCtx {
     //
     // The NAS kernels spend most of their access budget in unit-stride
     // loops (halo packing, field initialization, vector sweeps). These
-    // helpers charge a whole contiguous run with one call; the run lands
-    // in the pending buffer and retires slice-at-a-time through
-    // `Node::mem_ops`, where same-line accesses collapse to one
-    // hierarchy walk. Each is op-for-op identical to the equivalent
-    // `ld`/`st` loop.
+    // helpers charge a whole contiguous run with one call: consecutive
+    // same-line accesses extend one queued L1-line run, which retires
+    // with the rest of the batch through `Node::retire` as one hierarchy
+    // walk. Each is op-for-op identical to the equivalent `ld`/`st`
+    // loop.
 
     /// Charge sequential loads of `v[r]`; read the values back with
     /// [`SimVec::raw`] (free of simulated cost, like all host reads).

@@ -1,9 +1,10 @@
 //! End-to-end tests of the rank runtime: messaging semantics, collective
 //! correctness, timing causality, and determinism.
 
-use bgp_arch::events::{CounterMode, NetEvent};
+use bgp_arch::events::{CoreEvent, CounterMode, NetEvent};
 use bgp_arch::OpMode;
 use bgp_compiler::CompileOpts;
+use bgp_fpu::FpOp;
 use bgp_mpi::{
     bytes_to_f64s, bytes_to_u64s, f64s_to_bytes, u64s_to_bytes, CounterPolicy, JobSpec, Machine,
     ReduceOp, SemOp,
@@ -219,6 +220,46 @@ fn compute_api_reaches_ground_truth_counters() {
         assert!(fpu.flops() >= 2 * 64, "multiply-adds must be counted");
         assert!(n.core(0).instr_counts().stores >= 128);
         assert!(n.mem_stats().total_accesses() > 0);
+    });
+}
+
+/// A rank's arithmetic tallies are 32-bit: additions past a full tally
+/// retire the batch first and count on in the emptied one, so every
+/// instruction still retires, once, whatever the size of one call.
+#[test]
+fn overflowing_tallies_flush_and_retire_exactly() {
+    let big = u64::from(u32::MAX) + 12_345;
+    let mut s = spec(1, OpMode::Smp1);
+    s.counter_policy = CounterPolicy::Fixed(CounterMode::Mode0);
+    let m = Machine::new(s);
+    m.enable_all_counters();
+    m.run(move |mut ctx| async move {
+        ctx.int_ops(u64::from(u32::MAX) - 3);
+        ctx.int_ops(10);
+        ctx.int_ops(big);
+        ctx.fp_scalar_n(SemOp::Add, big);
+        ctx.fp_scalar_n(SemOp::Add, 7);
+        ctx.fp_scalar_n(SemOp::Div, 3);
+    });
+    let int_ops = u64::from(u32::MAX) + 7 + big;
+    let add_sub = big + 7;
+    m.with_node(0, |n| {
+        let core = n.core(0);
+        assert_eq!(core.instr_counts().int_ops, int_ops);
+        assert_eq!(core.fpu().count(FpOp::AddSub), add_sub);
+        assert_eq!(core.fpu().count(FpOp::Div), 3);
+        assert_eq!(core.instructions(), int_ops + add_sub + 3);
+        assert_eq!(
+            core.cycles(),
+            (int_ops + add_sub + 3).div_ceil(2) + 3 * (FpOp::Div.latency() - 1)
+        );
+        let upc = n.upc();
+        assert_eq!(upc.read_event(CoreEvent::IntOp.id(0)), Some(int_ops));
+        assert_eq!(upc.read_event(CoreEvent::FpAddSub.id(0)), Some(add_sub));
+        assert_eq!(
+            upc.read_event(CoreEvent::CycleCount.id(0)),
+            Some(core.cycles())
+        );
     });
 }
 

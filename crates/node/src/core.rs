@@ -7,6 +7,7 @@
 //! FPU stall cycles, and instruction-class counts, and reports every
 //! retirement to the UPC unit.
 
+use crate::MEM_CLASSES;
 use bgp_arch::events::CoreEvent;
 use bgp_fpu::{FpOp, Fpu};
 use bgp_upc::Upc;
@@ -31,32 +32,6 @@ pub struct InstrCounts {
     pub loads: u64,
     /// Store instructions (all widths).
     pub stores: u64,
-    /// 8-byte FP loads.
-    pub load_double: u64,
-    /// 8-byte FP stores.
-    pub store_double: u64,
-    /// 16-byte quadloads.
-    pub quadload: u64,
-    /// 16-byte quadstores.
-    pub quadstore: u64,
-}
-
-/// Aggregated per-class counts of one retired memory batch, as consumed
-/// by [`Core::retire_mem_batch`]. The node builds this while translating
-/// a batch so the core can retire the whole slice with a constant number
-/// of counter updates.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct MemRetire {
-    /// Load instructions of all widths.
-    pub loads: u64,
-    /// Store instructions of all widths.
-    pub stores: u64,
-    /// 4-byte loads (the scalar path reports these on the `Load` event a
-    /// second time, as the width event).
-    pub word_loads: u64,
-    /// 4-byte stores (reported on `Store` a second time, as the width
-    /// event).
-    pub word_stores: u64,
     /// 8-byte FP loads.
     pub load_double: u64,
     /// 8-byte FP stores.
@@ -219,30 +194,41 @@ impl Core {
     }
 
     /// Account a whole batch of retired memory instructions with the
-    /// batch's summed stall. Emits exactly the counter totals `n`
-    /// successive [`Core::retire_mem`] calls would emit — including the
-    /// scalar path's double-count of 4-byte accesses on the `Load`/
-    /// `Store` events (`MemWidth::Word` has no dedicated width event) —
-    /// but with a constant number of UPC updates.
-    pub(crate) fn retire_mem_batch(&mut self, r: &MemRetire, stall: u64, upc: &mut Upc) {
-        let n = r.loads + r.stores;
+    /// batch's summed stall. `counts` holds the batch's accesses per
+    /// width class, word, double and quad, each load then store. Emits
+    /// exactly the counter totals that many successive
+    /// [`Core::retire_mem`] calls would emit — including the scalar
+    /// path's double-count of 4-byte accesses on the `Load`/`Store`
+    /// events (`MemWidth::Word` has no dedicated width event) — but with
+    /// a constant number of UPC updates.
+    pub(crate) fn retire_mem_batch(
+        &mut self,
+        counts: &[u32; MEM_CLASSES],
+        stall: u64,
+        upc: &mut Upc,
+    ) {
+        let [word_loads, word_stores, load_double, store_double, quadload, quadstore] =
+            counts.map(u64::from);
+        let loads = word_loads + load_double + quadload;
+        let stores = word_stores + store_double + quadstore;
+        let n = loads + stores;
         if n == 0 {
             return;
         }
         self.issued += n;
-        self.instr.loads += r.loads;
-        self.instr.stores += r.stores;
-        self.instr.load_double += r.load_double;
-        self.instr.store_double += r.store_double;
-        self.instr.quadload += r.quadload;
-        self.instr.quadstore += r.quadstore;
+        self.instr.loads += loads;
+        self.instr.stores += stores;
+        self.instr.load_double += load_double;
+        self.instr.store_double += store_double;
+        self.instr.quadload += quadload;
+        self.instr.quadstore += quadstore;
         let emits = [
-            (CoreEvent::Load, r.loads + r.word_loads),
-            (CoreEvent::Store, r.stores + r.word_stores),
-            (CoreEvent::LoadDouble, r.load_double),
-            (CoreEvent::StoreDouble, r.store_double),
-            (CoreEvent::Quadload, r.quadload),
-            (CoreEvent::Quadstore, r.quadstore),
+            (CoreEvent::Load, loads + word_loads),
+            (CoreEvent::Store, stores + word_stores),
+            (CoreEvent::LoadDouble, load_double),
+            (CoreEvent::StoreDouble, store_double),
+            (CoreEvent::Quadload, quadload),
+            (CoreEvent::Quadstore, quadstore),
             (CoreEvent::InstrCompleted, n),
         ];
         for (ev, count) in emits {

@@ -14,11 +14,12 @@
 
 pub mod core;
 
-use crate::core::{Core, MemRetire};
+use crate::core::Core;
 use bgp_arch::events::{CoreEvent, CounterMode, NetEvent};
 use bgp_arch::geometry::{AddressLayout, NodeId};
 use bgp_arch::{MachineConfig, OpMode, CORES_PER_NODE};
-use bgp_mem::{HitLevel, MemStats, MemorySystem};
+use bgp_fpu::FpOp;
+use bgp_mem::{HitLevel, MemRun, MemStats, MemorySystem};
 use bgp_upc::Upc;
 use std::sync::Arc;
 
@@ -55,16 +56,118 @@ impl MemWidth {
     }
 }
 
-/// One queued memory operation of a process, at a process-virtual
-/// address — the unit of [`Node::mem_ops`] batches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemOp {
-    /// Process-virtual byte address.
-    pub vaddr: u64,
-    /// Transfer width.
-    pub width: MemWidth,
-    /// Store (`true`) or load (`false`).
-    pub write: bool,
+/// Width classes × directions: the batch's memory tallies, indexed by
+/// [`mem_class`].
+pub(crate) const MEM_CLASSES: usize = 6;
+
+/// Tally index of an access of `width` in direction `write`: word,
+/// double and quad, each load then store.
+#[inline]
+const fn mem_class(width: MemWidth, write: bool) -> usize {
+    width as usize * 2 + write as usize
+}
+
+/// Add as much of `n` to `tally` as fits and return the rest.
+#[inline]
+fn fill(tally: &mut u32, n: u64) -> u64 {
+    let take = n.min(u64::from(u32::MAX - *tally));
+    *tally += take as u32;
+    n - take
+}
+
+/// Everything one core retires at a flush point, as counts: the rank
+/// fills it between flush points and [`Node::retire`] retires it in one
+/// node visit.
+///
+/// Memory accesses queue as L1-line runs ([`MemRun`]) in issue order —
+/// an access to the line of the last run extends it — and their width
+/// classes go into per-class tallies. Arithmetic is tallied per class
+/// only: every retirement is linear in its count, and no observer runs
+/// between two flush points, so when inside the epoch an op retired
+/// cannot be seen. A tally that is full refuses the addition (or
+/// returns the part that did not fit) and the caller retires the batch
+/// first, which is exact for the same reason.
+#[derive(Default)]
+pub struct OpBatch {
+    runs: Vec<MemRun>,
+    mem: [u32; MEM_CLASSES],
+    fp: [u32; FpOp::ALL.len()],
+    int: u32,
+    branches: u32,
+    mispredicts: u32,
+}
+
+impl OpBatch {
+    /// Queue one load or store of `width` at process-virtual `vaddr`;
+    /// `false` (nothing queued) when its class tally is full.
+    #[inline]
+    #[must_use]
+    pub fn push_mem(&mut self, vaddr: u64, width: MemWidth, write: bool) -> bool {
+        let tally = &mut self.mem[mem_class(width, write)];
+        if *tally == u32::MAX {
+            return false;
+        }
+        *tally += 1;
+        if !self
+            .runs
+            .last_mut()
+            .is_some_and(|run| run.extend(vaddr, write))
+        {
+            self.runs.push(MemRun::new(vaddr, write));
+        }
+        true
+    }
+
+    /// Tally `n` FP instructions of class `op`; returns the part that
+    /// did not fit.
+    #[inline]
+    pub fn add_fp(&mut self, op: FpOp, n: u64) -> u64 {
+        fill(&mut self.fp[op.index()], n)
+    }
+
+    /// Tally `n` integer instructions; returns the part that did not
+    /// fit.
+    #[inline]
+    pub fn add_int(&mut self, n: u64) -> u64 {
+        fill(&mut self.int, n)
+    }
+
+    /// Tally `n` branches of which `mispredicted` missed; returns the
+    /// parts that did not fit. The mispredict tally never exceeds the
+    /// branch tally, so it has room whenever the branches do.
+    #[inline]
+    pub fn add_branches(&mut self, n: u64, mispredicted: u64) -> (u64, u64) {
+        debug_assert!(mispredicted <= n);
+        let left = fill(&mut self.branches, n);
+        let taken = mispredicted.min(n - left);
+        let overflow = fill(&mut self.mispredicts, taken);
+        debug_assert_eq!(overflow, 0);
+        (left, mispredicted - taken)
+    }
+
+    /// Memory accesses queued (all runs, heads and tails).
+    #[inline]
+    fn accesses(&self) -> u64 {
+        self.mem.iter().map(|&n| u64::from(n)).sum()
+    }
+
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+            && self.fp.iter().all(|&n| n == 0)
+            && self.int == 0
+            && self.branches == 0
+    }
+
+    /// Drop everything queued, keeping the run buffer's capacity.
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.mem = [0; MEM_CLASSES];
+        self.fp = [0; FpOp::ALL.len()];
+        self.int = 0;
+        self.branches = 0;
+        self.mispredicts = 0;
+    }
 }
 
 /// Loop-resident code footprint rotated through by the synthetic
@@ -93,7 +196,7 @@ pub struct Node {
     /// Synthetic instruction-address cursor per core (loop-resident code).
     icursor: [u64; CORES_PER_NODE],
     /// Instruction fetches retired per core (drives the warm-stream
-    /// fast path of [`Node::mem_ops`]).
+    /// fast path of [`Node::retire`]).
     ifetches: [u64; CORES_PER_NODE],
     /// Whether the L1-I geometry holds the whole code footprint — the
     /// precondition for skipping per-fetch probes once it is resident.
@@ -106,8 +209,6 @@ pub struct Node {
     /// happened to be in — the reference the validation harness checks
     /// counted and reconstructed network events against.
     net_truth: [u64; NET_EVENTS],
-    /// Translated-address scratch buffer reused across batches.
-    batch: Vec<bgp_mem::MemAccess>,
 }
 
 impl Node {
@@ -135,7 +236,6 @@ impl Node {
             ifetches: [0; CORES_PER_NODE],
             icache_fits: (CODE_LINES as usize).div_ceil(cfg.l1_sets()) <= cfg.l1_ways,
             net_truth: [0; NET_EVENTS],
-            batch: Vec::new(),
             cfg,
         }
     }
@@ -213,59 +313,43 @@ impl Node {
         outcome.level
     }
 
-    /// Retire a whole slice of loads/stores by `core` as one batch:
-    /// exactly equivalent to calling [`Node::mem_op`] per element (the
-    /// node differential tests pin this), but with one instruction-fetch
-    /// bulk probe, one hierarchy batch walk, one aggregated retirement,
-    /// and one cycle-counter sync for the entire slice.
-    pub fn mem_ops(&mut self, core: usize, process: usize, ops: &[MemOp]) {
-        if ops.is_empty() {
-            return;
+    /// Retire everything `batch` holds for `core`, running as node-local
+    /// process `process`, in one visit, and leave the batch empty.
+    ///
+    /// The memory part goes first: one instruction-fetch bulk probe per
+    /// access, one hierarchy batch walk over the runs, one aggregated
+    /// retirement of the width tallies. Then the arithmetic tallies
+    /// retire in a fixed order — the FP classes in [`FpOp::ALL`] order,
+    /// integer ops, branches — and the cycle counter syncs once. Every
+    /// final count, clock and counter value is that of retiring the same
+    /// ops one at a time in issue order (the node differential tests pin
+    /// this); only the value a threshold interrupt captures when it
+    /// fires may differ, since it fires at a fold boundary.
+    pub fn retire(&mut self, core: usize, process: usize, batch: &mut OpBatch) {
+        let accesses = batch.accesses();
+        if accesses > 0 {
+            self.touch_icache_batch(core, accesses);
+            let base = self.layout.physical(process, 0);
+            let stall = built(&mut self.mem, &self.cfg).access_batch(
+                core,
+                base,
+                &batch.runs,
+                &mut self.upc,
+            );
+            self.cores[core].retire_mem_batch(&batch.mem, stall, &mut self.upc);
         }
-        self.touch_icache_batch(core, ops.len() as u64);
-        self.batch.clear();
-        self.batch.reserve(ops.len());
-        let mut retire = MemRetire::default();
-        for o in ops {
-            self.batch.push(bgp_mem::MemAccess {
-                addr: self.layout.physical(process, o.vaddr),
-                write: o.write,
-            });
-            match (o.width, o.write) {
-                (MemWidth::Word, false) => retire.word_loads += 1,
-                (MemWidth::Word, true) => retire.word_stores += 1,
-                (MemWidth::Double, false) => retire.load_double += 1,
-                (MemWidth::Double, true) => retire.store_double += 1,
-                (MemWidth::Quad, false) => retire.quadload += 1,
-                (MemWidth::Quad, true) => retire.quadstore += 1,
-            }
-            if o.write {
-                retire.stores += 1;
-            } else {
-                retire.loads += 1;
-            }
+        let c = &mut self.cores[core];
+        for op in FpOp::ALL {
+            c.retire_fp(op, u64::from(batch.fp[op.index()]), &mut self.upc);
         }
-        let stall = built(&mut self.mem, &self.cfg).access_batch(core, &self.batch, &mut self.upc);
-        self.cores[core].retire_mem_batch(&retire, stall, &mut self.upc);
-        self.cores[core].sync_cycle_counter(&mut self.upc);
-    }
-
-    /// Retire `n` FP instructions of class `op` on `core`.
-    pub fn fp_op(&mut self, core: usize, op: bgp_fpu::FpOp, n: u64) {
-        self.cores[core].retire_fp(op, n, &mut self.upc);
-        self.cores[core].sync_cycle_counter(&mut self.upc);
-    }
-
-    /// Retire `n` integer instructions on `core`.
-    pub fn int_op(&mut self, core: usize, n: u64) {
-        self.cores[core].retire_int(n, &mut self.upc);
-        self.cores[core].sync_cycle_counter(&mut self.upc);
-    }
-
-    /// Retire `n` branches with `mispredicted` misses on `core`.
-    pub fn branch_op(&mut self, core: usize, n: u64, mispredicted: u64) {
-        self.cores[core].retire_branch(n, mispredicted, &mut self.upc);
-        self.cores[core].sync_cycle_counter(&mut self.upc);
+        c.retire_int(u64::from(batch.int), &mut self.upc);
+        c.retire_branch(
+            u64::from(batch.branches),
+            u64::from(batch.mispredicts),
+            &mut self.upc,
+        );
+        c.sync_cycle_counter(&mut self.upc);
+        batch.clear();
     }
 
     /// Advance `core`'s clock to at least `target` cycles — used when the
@@ -342,9 +426,8 @@ impl Node {
     /// Serialize the node's complete runtime state (checkpoint support):
     /// the four cores, a tag and the memory system if it was built, the
     /// UPC unit, the synthetic instruction-fetch cursors, and the
-    /// network mirror. Identity, operating mode, address layout, and the
-    /// `batch` scratch buffer are configuration or transient scratch and
-    /// are not captured.
+    /// network mirror. Identity, operating mode and address layout are
+    /// configuration and are not captured.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         for c in &self.cores {
             c.save_state(out);
@@ -404,6 +487,25 @@ mod tests {
     use super::*;
     use bgp_arch::events::SharedEvent;
     use bgp_fpu::FpOp;
+
+    /// The one-op-at-a-time reference path for arithmetic, beside the
+    /// scalar [`Node::mem_op`].
+    impl Node {
+        fn fp_op(&mut self, core: usize, op: FpOp, n: u64) {
+            self.cores[core].retire_fp(op, n, &mut self.upc);
+            self.cores[core].sync_cycle_counter(&mut self.upc);
+        }
+
+        fn int_op(&mut self, core: usize, n: u64) {
+            self.cores[core].retire_int(n, &mut self.upc);
+            self.cores[core].sync_cycle_counter(&mut self.upc);
+        }
+
+        fn branch_op(&mut self, core: usize, n: u64, mispredicted: u64) {
+            self.cores[core].retire_branch(n, mispredicted, &mut self.upc);
+            self.cores[core].sync_cycle_counter(&mut self.upc);
+        }
+    }
 
     fn node(counter_mode: CounterMode) -> Node {
         let mut n = Node::new(
@@ -482,54 +584,182 @@ mod tests {
         assert!(s.l1i_hits > 9_000);
     }
 
+    /// One op of a differential stream.
+    #[derive(Clone, Copy)]
+    enum Op {
+        Mem(u64, MemWidth, bool),
+        Fp(FpOp, u64),
+        Int(u64),
+        Branch(u64, u64),
+    }
+
+    /// Retire `ops` one at a time through the scalar paths.
+    fn retire_scalar(n: &mut Node, core: usize, process: usize, ops: &[Op]) {
+        for &op in ops {
+            match op {
+                Op::Mem(vaddr, width, write) => {
+                    n.mem_op(core, process, vaddr, width, write);
+                }
+                Op::Fp(op, k) => n.fp_op(core, op, k),
+                Op::Int(k) => n.int_op(core, k),
+                Op::Branch(k, m) => n.branch_op(core, k, m),
+            }
+        }
+    }
+
+    /// Queue `ops` into a batch and retire it in one visit.
+    fn retire_batched(n: &mut Node, core: usize, process: usize, ops: &[Op]) {
+        let mut batch = OpBatch::default();
+        for &op in ops {
+            match op {
+                Op::Mem(vaddr, width, write) => assert!(batch.push_mem(vaddr, width, write)),
+                Op::Fp(op, k) => assert_eq!(batch.add_fp(op, k), 0),
+                Op::Int(k) => assert_eq!(batch.add_int(k), 0),
+                Op::Branch(k, m) => assert_eq!(batch.add_branches(k, m), (0, 0)),
+            }
+        }
+        n.retire(core, process, &mut batch);
+        assert!(batch.is_empty());
+    }
+
+    /// Every observable of two nodes: memory stats, core clocks,
+    /// instruction and FP counts, and the full UPC snapshot.
+    fn assert_same_nodes(a: &Node, b: &Node) {
+        assert_eq!(a.mem_stats(), b.mem_stats());
+        for c in 0..CORES_PER_NODE {
+            assert_eq!(a.core(c).cycles(), b.core(c).cycles());
+            assert_eq!(a.core(c).instr_counts(), b.core(c).instr_counts());
+            for op in FpOp::ALL {
+                assert_eq!(a.core(c).fpu().count(op), b.core(c).fpu().count(op));
+            }
+        }
+        assert_eq!(a.upc().snapshot(), b.upc().snapshot());
+    }
+
     #[test]
     fn batched_mem_ops_match_the_scalar_path() {
-        // Differential: the same op stream through per-op `mem_op` and
-        // through `mem_ops` slices must leave both nodes byte-identical —
-        // memory stats, every core clock, and the full UPC snapshot.
+        // Differential: the same op stream retired op by op and through
+        // one `OpBatch` per slice must leave both nodes identical. The
+        // slices mix all three widths (word, double and quad steps
+        // through a line), put stores only in run tails, scatter random
+        // accesses, and interleave every arithmetic class.
         for mode in [CounterMode::Mode0, CounterMode::Mode2] {
             let mut scalar = node(mode);
             let mut batched = node(mode);
             let mut x = 0x9E3779B97F4A7C15u64;
-            let slices: Vec<(usize, usize, Vec<MemOp>)> = (0..120)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let core = (x >> 33) as usize % CORES_PER_NODE;
-                    let ops = (0..48)
-                        .map(|_| {
-                            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            let width = match x >> 62 {
+            let mut next = || {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                x
+            };
+            for _ in 0..120 {
+                let core = (next() >> 33) as usize % CORES_PER_NODE;
+                let mut ops = Vec::new();
+                while ops.len() < 48 {
+                    let r = next();
+                    match r >> 61 {
+                        // A unit-stride sweep of one width: the head
+                        // loads, a later access of the line stores.
+                        0..=2 => {
+                            let width = [MemWidth::Word, MemWidth::Double, MemWidth::Quad]
+                                [(r >> 40) as usize % 3];
+                            let step = width.bytes();
+                            let base = ((r >> 13) % (256 << 10)) & !31;
+                            for i in 0..(r >> 20) % 12 + 1 {
+                                let at = base + i * step;
+                                let store = at % 32 == 32 - step;
+                                ops.push(Op::Mem(at, width, store));
+                            }
+                        }
+                        // A scattered access of any width.
+                        3 | 4 => {
+                            let width = match (r >> 40) % 4 {
                                 0 => MemWidth::Word,
                                 1 | 2 => MemWidth::Double,
                                 _ => MemWidth::Quad,
                             };
-                            // Mixed strided/random over 256 KB per process.
-                            MemOp {
-                                vaddr: ((x >> 13) % (256 << 10)) & !7,
-                                width,
-                                write: x & 3 == 0,
-                            }
-                        })
-                        .collect();
-                    (core, core, ops)
-                })
-                .collect();
-            for (core, process, ops) in &slices {
-                for o in ops {
-                    scalar.mem_op(*core, *process, o.vaddr, o.width, o.write);
+                            let at = ((r >> 13) % (256 << 10)) & !(width.bytes() - 1);
+                            ops.push(Op::Mem(at, width, r & 3 == 0));
+                        }
+                        5 => ops.push(Op::Fp(FpOp::ALL[(r >> 20) as usize % 9], r % 5 + 1)),
+                        6 => ops.push(Op::Int(r % 9 + 1)),
+                        _ => {
+                            let k = r % 7 + 1;
+                            ops.push(Op::Branch(k, (r >> 8) % (k + 1)));
+                        }
+                    }
                 }
-                batched.mem_ops(*core, *process, ops);
+                retire_scalar(&mut scalar, core, core, &ops);
+                retire_batched(&mut batched, core, core, &ops);
             }
-            assert_eq!(scalar.mem_stats(), batched.mem_stats());
-            for c in 0..CORES_PER_NODE {
-                assert_eq!(scalar.core(c).cycles(), batched.core(c).cycles());
-                assert_eq!(
-                    scalar.core(c).instr_counts(),
-                    batched.core(c).instr_counts()
-                );
-            }
-            assert_eq!(scalar.upc().snapshot(), batched.upc().snapshot());
+            assert_same_nodes(&scalar, &batched);
         }
+    }
+
+    #[test]
+    fn a_run_at_its_tail_cap_starts_a_new_run() {
+        // 2^16 + 2 accesses to one line: the first run fills its tail to
+        // the cap, the next access starts a second run on the same line
+        // rather than wrapping the tail to zero, and the pair retires
+        // exactly like the accesses one by one.
+        let n_acc = (1u64 << 16) + 2;
+        let ops: Vec<Op> = (0..n_acc)
+            .map(|i| Op::Mem(0x4000 + (i % 4) * 8, MemWidth::Double, i == n_acc - 1))
+            .collect();
+        let mut batch = OpBatch::default();
+        for &op in &ops {
+            let Op::Mem(at, width, write) = op else {
+                unreachable!()
+            };
+            assert!(batch.push_mem(at, width, write));
+        }
+        let tails: Vec<(u16, bool)> = batch.runs.iter().map(|r| (r.tail, r.tail_write)).collect();
+        assert_eq!(tails, [(u16::MAX, false), (1, true)]);
+        assert_eq!(batch.accesses(), n_acc);
+        let (mut scalar, mut batched) = (node(CounterMode::Mode0), node(CounterMode::Mode0));
+        retire_scalar(&mut scalar, 0, 0, &ops);
+        batched.retire(0, 0, &mut batch);
+        assert_same_nodes(&scalar, &batched);
+        assert_eq!(batched.mem_stats().l1d_misses, 1);
+        assert_eq!(batched.mem_stats().l1d_hits, n_acc - 1);
+    }
+
+    #[test]
+    fn full_tallies_refuse_the_overflow_and_retire_exactly() {
+        // Every tally takes what fits and hands back the rest; retiring
+        // the full batch and then the rest equals one scalar retirement.
+        let max = u64::from(u32::MAX);
+        let mut batch = OpBatch::default();
+        assert_eq!(batch.add_int(max - 2), 0);
+        assert_eq!(batch.add_int(10), 8);
+        assert_eq!(batch.add_fp(FpOp::Div, max + 5), 5);
+        assert_eq!(batch.add_branches(max + 9, max + 4), (9, 4));
+        let mut batched = node(CounterMode::Mode0);
+        batched.retire(1, 1, &mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(batch.add_int(8), 0);
+        assert_eq!(batch.add_fp(FpOp::Div, 5), 0);
+        assert_eq!(batch.add_branches(9, 4), (0, 0));
+        batched.retire(1, 1, &mut batch);
+        let mut scalar = node(CounterMode::Mode0);
+        retire_scalar(
+            &mut scalar,
+            1,
+            1,
+            &[
+                Op::Int(max + 8),
+                Op::Fp(FpOp::Div, max + 5),
+                Op::Branch(max + 9, max + 4),
+            ],
+        );
+        assert_same_nodes(&scalar, &batched);
+        assert_eq!(batched.core(1).instr_counts().mispredicts, max + 4);
+        // A class tally of accesses is full at `u32::MAX`: the access is
+        // refused and nothing is queued.
+        let mut batch = OpBatch::default();
+        batch.mem[mem_class(MemWidth::Quad, true)] = u32::MAX;
+        assert!(!batch.push_mem(0, MemWidth::Quad, true));
+        assert!(batch.runs.is_empty());
+        assert!(batch.push_mem(0, MemWidth::Quad, false));
     }
 
     #[test]
@@ -637,17 +867,11 @@ mod tests {
             n
         };
         let (mut scalar, mut batched) = (mk(), mk());
-        let ops: Vec<MemOp> = (0..2000u64)
-            .map(|i| MemOp {
-                vaddr: i * 64,
-                width: MemWidth::Double,
-                write: false,
-            })
+        let ops: Vec<Op> = (0..2000u64)
+            .map(|i| Op::Mem(i * 64, MemWidth::Double, false))
             .collect();
-        for o in &ops {
-            scalar.mem_op(0, 0, o.vaddr, o.width, o.write);
-        }
-        batched.mem_ops(0, 0, &ops);
+        retire_scalar(&mut scalar, 0, 0, &ops);
+        retire_batched(&mut batched, 0, 0, &ops);
         assert_eq!(scalar.upc().snapshot(), batched.upc().snapshot());
         assert_eq!(scalar.upc().interrupts_raised(), 1);
         assert_eq!(batched.upc().interrupts_raised(), 1);
@@ -680,11 +904,11 @@ mod tests {
 
     /// The full-machine probe builds 73,728 nodes that never touch
     /// memory; the hierarchy lives behind a pointer so they do not pay
-    /// for it.
+    /// for it, and a node keeps no scratch buffer of its own.
     #[test]
-    fn node_fits_in_1400_bytes() {
+    fn node_fits_in_1336_bytes() {
         let size = std::mem::size_of::<Node>();
-        assert!(size <= 1400, "Node is {size} B");
+        assert!(size <= 1336, "Node is {size} B");
     }
 
     /// An untouched node reads zero memory statistics, saves no

@@ -66,7 +66,7 @@ BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
 cmp "$trace_dir/fig_ext_faults.csv" results/fig_ext_faults.csv \
     || { echo "fig_ext_faults: regenerated CSV differs from results/"; exit 1; }
 
-echo "==> batched memory engine bound (mem_ops >= 1.5x mem_op)"
+echo "==> batched memory engine bound (Node::retire >= 1.5x mem_op)"
 BGP_RESULTS_DIR="$trace_dir" BGP_BENCH_DIR="$trace_dir" \
     target/release/repro_all fig_ext_memthroughput --quick
 
